@@ -101,7 +101,7 @@ func printStats(w io.Writer, g *graph.Graph) {
 		fmt.Fprintf(w, "degree     min=%d avg=%.2f max=%d\n", g.MinDegree(), g.AvgDegree(), g.MaxDegree())
 	}
 	fmt.Fprintf(w, "connected  %v\n", graph.IsConnected(g))
-	fmt.Fprintf(w, "bipartite  %v\n", graph.IsBipartite(g))
+	fmt.Fprintf(w, "bipartite  %v\n", g.Bipartite())
 	if g.N() <= 4096 {
 		fmt.Fprintf(w, "diameter   %d\n", graph.Diameter(g))
 	} else {

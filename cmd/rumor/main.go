@@ -104,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	if reg {
 		fmt.Fprintf(out, ", %d-regular", d)
 	}
-	fmt.Fprintf(out, ", bipartite=%v)\n", graph.IsBipartite(g))
+	fmt.Fprintf(out, ", bipartite=%v)\n", g.Bipartite())
 	fmt.Fprintf(out, "protocol   %s  source=%d  trials=%d  seed=%d\n", *protocol, src, *trials, *seed)
 	fmt.Fprintf(out, "completed  %d/%d\n", completed, len(results))
 	if completed > 0 {

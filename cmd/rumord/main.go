@@ -47,7 +47,7 @@ func run(args []string, ready func(net.Addr), stop <-chan struct{}) error {
 	var (
 		addr      = fs.String("addr", ":8356", "listen address (use 127.0.0.1:0 with -port-file for an ephemeral port)")
 		portFile  = fs.String("port-file", "", "write the bound address here once listening, so supervisors spawning on :0 can learn the port")
-		workers   = fs.Int("workers", 0, "concurrent simulations (0 = half the processors)")
+		workers   = fs.Int("workers", 0, "concurrent simulations (0 = half the processors: each simulation already spreads its trials over all of them)")
 		queue     = fs.Int("queue", 0, "max queued jobs (0 = default 256)")
 		cache     = fs.Int("cache", 0, "completed-result LRU entries (0 = default 512)")
 		shards    = fs.Int("shards", 0, "job-table/cache shards (0 = default 16)")

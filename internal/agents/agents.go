@@ -6,13 +6,15 @@
 //
 // # Deterministic parallelism
 //
-// Stepping is sharded across the reusable worker pool in internal/par
-// under a counter-based randomness contract: every draw agent i makes in
-// round r comes from the stream keyed (seed, i, r) (see xrand.NewStream),
-// where seed is drawn once from the constructor's RNG. No draw depends on
-// execution order or on how many values other agents consumed, so results
-// are bit-identical for a given seed regardless of GOMAXPROCS or shard
-// count. Order-sensitive outputs (the Respawned list) are collected per
+// Stepping follows a counter-based randomness contract: every draw agent
+// i makes in round r comes from the stream keyed (seed, i, r) (see
+// xrand.NewStream), where seed is drawn once from the constructor's RNG.
+// No draw depends on execution order or on how many values other agents
+// consumed, so a step may be split into any number of shards over the
+// worker pool in internal/par with bit-identical results. A walk system
+// never decides that for itself: it steps inline until its owner — the
+// protocol engine in core, which holds the parallelism budget — calls
+// SetShards. Order-sensitive outputs (the Respawned list) are collected per
 // shard and merged in shard order, which — shards being contiguous,
 // ascending id ranges — preserves the paper's "ties broken by agent id"
 // ordering.
@@ -48,11 +50,6 @@ import (
 	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
-
-// stepGrain is the minimum number of agents per shard: small enough to
-// occupy every processor on paper-scale agent counts, large enough that
-// shard dispatch never dominates a round.
-const stepGrain = 2048
 
 // Placement selects how agents are initially positioned.
 type Placement int
@@ -104,7 +101,7 @@ type Walks struct {
 
 	respawned []int   // agents replaced by churn in the latest Step
 	shardResp [][]int // per-shard respawn scratch, merged in shard order
-	procs     int
+	shards    int     // shards per step, set by the owner (SetShards)
 	stepFn    func(shard, lo, hi int)
 	churnFn   func(shard, lo, hi int)
 	round     int
@@ -144,10 +141,10 @@ func New(g *graph.Graph, cfg Config, rng *xrand.RNG) (*Walks, error) {
 		pos:            make([]graph.Vertex, cfg.Count),
 		prev:           make([]graph.Vertex, cfg.Count),
 	}
-	w.procs = par.Procs()
+	w.SetShards(1)
 	w.stepFn = func(_, lo, hi int) { w.stepRangeNoChurn(lo, hi) }
 	w.churnFn = func(s, lo, hi int) { w.shardResp[s] = w.stepRangeChurn(lo, hi, w.shardResp[s][:0]) }
-	w.stampFn = func(_, lo, hi int) { w.stepRangeStamp(lo, hi, true) }
+	w.stampFn = func(_, lo, hi int) { w.stepRangeStamp(lo, hi, w.shards > 1) }
 	if err := placeLane(g, cfg, w.seed, w.pos); err != nil {
 		return nil, err
 	}
@@ -162,16 +159,15 @@ func New(g *graph.Graph, cfg Config, rng *xrand.RNG) (*Walks, error) {
 func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) error {
 	switch cfg.Placement {
 	case PlaceStationary:
-		// O(1) alias sampling per agent (table cached on the graph),
-		// sharded: agent i draws from its round-0 stream, so placement is
-		// order-independent too.
+		// O(1) alias sampling per agent (table cached on the graph); agent
+		// i draws from its round-0 stream, so placement is order-independent
+		// too. It runs inline: constructors execute on the engine's trial
+		// workers, before any shard budget exists.
 		alias := g.StationaryAlias()
-		par.Do(len(lane), stepGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s := xrand.NewStream(seed, uint64(i), 0)
-				lane[i] = graph.Vertex(alias.SampleStream(&s))
-			}
-		})
+		for i := range lane {
+			s := xrand.NewStream(seed, uint64(i), 0)
+			lane[i] = graph.Vertex(alias.SampleStream(&s))
+		}
 	case PlaceOnePerVertex:
 		if cfg.Count != g.N() {
 			return fmt.Errorf("agents: PlaceOnePerVertex needs Count == N (%d != %d)", cfg.Count, g.N())
@@ -203,6 +199,16 @@ func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) err
 
 // N returns the number of agents.
 func (w *Walks) N() int { return len(w.pos) }
+
+// SetShards sets how many contiguous shards each following step is split
+// into over the worker pool (fewer than two: inline). The count never
+// changes a trajectory, only who executes it.
+func (w *Walks) SetShards(shards int) {
+	w.shards = min(max(shards, 1), len(w.pos))
+	for len(w.shardResp) < w.shards {
+		w.shardResp = append(w.shardResp, nil)
+	}
+}
 
 // Round returns the number of Step calls so far.
 func (w *Walks) Round() int { return w.round }
@@ -240,21 +246,12 @@ func (w *Walks) Step(choose ChooseFunc) {
 		w.stepSerial(choose)
 		return
 	}
-	n := len(w.pos)
 	if w.cfg.ChurnRate <= 0 {
-		if w.procs == 1 || n <= stepGrain {
-			w.stepRangeNoChurn(0, n) // skip dispatch entirely
-			return
-		}
-		par.Do(n, stepGrain, w.stepFn)
+		par.DoN(w.shards, len(w.pos), w.stepFn)
 		return
 	}
-	shards := par.Shards(n, stepGrain)
-	for len(w.shardResp) < shards {
-		w.shardResp = append(w.shardResp, nil)
-	}
-	par.DoN(shards, n, w.churnFn)
-	for _, b := range w.shardResp[:shards] {
+	par.DoN(w.shards, len(w.pos), w.churnFn)
+	for _, b := range w.shardResp[:w.shards] {
 		w.respawned = append(w.respawned, b...)
 	}
 }
@@ -281,12 +278,7 @@ func (w *Walks) StepStamped(stamp []uint32, epoch uint32) {
 	w.respawned = w.respawned[:0]
 	w.prev, w.pos = w.pos, w.prev
 	w.stampDst, w.stampEpoch = stamp, epoch
-	n := len(w.pos)
-	if w.procs == 1 || n <= stepGrain {
-		w.stepRangeStamp(0, n, false)
-		return
-	}
-	par.Do(n, stepGrain, w.stampFn)
+	par.DoN(w.shards, len(w.pos), w.stampFn)
 }
 
 // stepRangeStamp is stepRangeNoChurn plus a stamp store per agent.

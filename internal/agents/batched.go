@@ -71,8 +71,8 @@ type BatchedWalks struct {
 	epochs      []uint32
 	sharedStamp bool
 
-	procs int
-	round int
+	shards int // shards per step, set by the owner (SetShards)
+	round  int
 }
 
 // walkClass selects the fused loop's neighbor-draw reduction, from
@@ -97,11 +97,6 @@ func classify(g *graph.Graph) walkClass {
 		return classMixed
 	}
 }
-
-// batchedStepGrain is the minimum number of agents per shard of the fused
-// step: each agent carries K lanes of work, so the grain is smaller than
-// the serial stepGrain.
-const batchedStepGrain = 512
 
 // NewBatched creates K = len(rngs) walk systems sharing one fused stepper.
 // It consumes exactly one value from each rng — lane t's stream seed, drawn
@@ -133,7 +128,6 @@ func NewBatched(g *graph.Graph, cfg Config, rngs []*xrand.RNG) (*BatchedWalks, e
 	for t, rng := range rngs {
 		w.seeds[t] = rng.Uint64()
 	}
-	w.procs = par.Procs()
 	w.class = classify(g)
 	w.stepFn = w.stepShard
 	// Lane t's agent i draws from stream (seeds[t], i, 0) through the same
@@ -152,6 +146,12 @@ func (w *BatchedWalks) K() int { return w.k }
 
 // N returns the number of agents per lane.
 func (w *BatchedWalks) N() int { return w.count }
+
+// SetShards sets how many contiguous agent shards each following step is
+// split into over the worker pool (fewer than two: inline), as
+// Walks.SetShards does. The owner may change it every round, as lanes
+// finish and the step's work shrinks.
+func (w *BatchedWalks) SetShards(shards int) { w.shards = shards }
 
 // Round returns the number of Step calls so far.
 func (w *BatchedWalks) Round() int { return w.round }
@@ -205,14 +205,8 @@ func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []ui
 		return
 	}
 	w.stamps, w.epochs = stamps, epochs
-	n := w.count
-	if w.procs == 1 || n <= batchedStepGrain {
-		w.sharedStamp = false
-		w.stepShard(0, 0, n)
-		return
-	}
-	w.sharedStamp = true
-	par.Do(n, batchedStepGrain, w.stepFn)
+	w.sharedStamp = w.shards > 1
+	par.DoN(w.shards, w.count, w.stepFn)
 }
 
 // batchBlock is the agent-block width of the fused step: lanes take turns

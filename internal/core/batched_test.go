@@ -71,7 +71,8 @@ func atGOMAXPROCS[T any](t *testing.T, procs int, f func() T) T {
 // TestBatchedEquivalence: batched results equal serial RunMany results for
 // K trials, per trial, on mixed-degree (star: branchless select loops,
 // also bipartite so plain meetx goes lazy) and uniform-degree (hypercube)
-// graphs, at GOMAXPROCS 1 and 8.
+// graphs, at GOMAXPROCS 1 and 8 and under forced inner budgets {1, 2, 8}
+// (see compareLanes).
 func TestBatchedEquivalence(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Hypercube(9), // n = 512, uniform degree 9 (multiply-shift class)
@@ -81,27 +82,7 @@ func TestBatchedEquivalence(t *testing.T) {
 	for _, g := range graphs {
 		for _, pc := range batchedProtos(g, 0) {
 			for _, k := range []int{1, 2, 7} {
-				serial, err := RunMany(g, pc.serial, k, 0, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, procs := range []int{1, 8} {
-					batched := atGOMAXPROCS(t, procs, func() []Result {
-						res, err := RunManyBatched(g, pc.batched, k, 0, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					})
-					for tr := range serial {
-						if !reflect.DeepEqual(serial[tr], batched[tr]) {
-							t.Errorf("%s on %s K=%d GOMAXPROCS=%d trial %d: batched diverges\nserial:  rounds %d messages %d allAgents %d hist %d\nbatched: rounds %d messages %d allAgents %d hist %d",
-								pc.name, g.Name(), k, procs, tr,
-								serial[tr].Rounds, serial[tr].Messages, serial[tr].AllAgentsRound, len(serial[tr].History),
-								batched[tr].Rounds, batched[tr].Messages, batched[tr].AllAgentsRound, len(batched[tr].History))
-						}
-					}
-				}
+				compareLanes(t, g, laneProto(pc), k, 0, seed)
 			}
 		}
 	}

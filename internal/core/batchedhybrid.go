@@ -49,7 +49,7 @@ type BatchedHybrid struct {
 	activeIDs    []int
 	denseIDs     []int
 	denseTargets [][]graph.Vertex // parallel to denseIDs
-	procs        int
+	budget       budget
 	denseFn      func(shard, lo, hi int)
 	laneFn       func(shard, lo, hi int)
 	round        int
@@ -83,7 +83,6 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		callers: callerCount(g),
 		lanes:   make([]hybridLane, len(rngs)),
 	}
-	h.procs = par.Procs()
 	h.denseFn = h.drawDenseShard
 	h.laneFn = h.laneShard
 	for t, rng := range rngs {
@@ -128,6 +127,8 @@ func (h *BatchedHybrid) LaneAllAgentsInformed(t int) bool {
 	return h.lanes[t].countA == h.walks.N()
 }
 
+func (h *BatchedHybrid) setBudget(b budget) { h.budget = b }
+
 // Step implements LaneProcess: the fused dense exchange draw for
 // non-boundary lanes, one fused walk round, then the per-lane informing
 // passes. Exchange draws are counter-based pure functions of
@@ -139,11 +140,15 @@ func (h *BatchedHybrid) Step(active []bool) {
 	h.denseIDs = h.denseIDs[:0]
 	h.denseTargets = h.denseTargets[:0]
 	n := h.g.N()
+	agentWork := len(h.activeIDs) * h.walks.N()
+	work := agentWork // plus the senders the lane passes draw for or collect from
 	for _, t := range h.activeIDs {
 		L := &h.lanes[t]
 		if L.boundary {
+			work += len(L.bnd.active)
 			continue
 		}
+		work += n
 		if L.targets == nil {
 			L.targets = make([]graph.Vertex, n)
 		}
@@ -151,14 +156,11 @@ func (h *BatchedHybrid) Step(active []bool) {
 		h.denseTargets = append(h.denseTargets, L.targets)
 	}
 	if len(h.denseIDs) > 0 {
-		if shardsFor(n, senderGrain, h.procs) == 1 {
-			h.drawDenseShard(0, 0, n)
-		} else {
-			par.Do(n, senderGrain, h.denseFn)
-		}
+		par.DoN(h.budget.For(len(h.denseIDs)*n), n, h.denseFn)
 	}
+	h.walks.SetShards(h.budget.For(agentWork))
 	h.walks.Step(active)
-	runLanes(h.laneFn, len(h.activeIDs), h.procs)
+	par.DoN(h.budget.For(work), len(h.activeIDs), h.laneFn)
 }
 
 // drawDenseShard draws vertices [lo, hi) for every dense lane through the

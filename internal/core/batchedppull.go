@@ -29,8 +29,9 @@ type ppullLane struct {
 // inner, so each block's packed walk-index and CSR lines are touched by
 // all K lanes while cache-hot instead of streaming the whole graph once
 // per trial. Collect and commit run per lane with exactly the serial
-// semantics, sharded across lanes on multi-core; lanes in boundary mode
-// (see boundary.go) draw their small active lists inside their lane pass.
+// semantics, sharded across lanes when the bundle's budget and the round's
+// work allow; lanes in boundary mode (see boundary.go) draw their small
+// active lists inside their lane pass.
 type BatchedPushPull struct {
 	g       *graph.Graph
 	src     graph.Vertex
@@ -44,7 +45,7 @@ type BatchedPushPull struct {
 	activeIDs    []int
 	denseIDs     []int
 	denseTargets [][]graph.Vertex // parallel to denseIDs
-	procs        int
+	budget       budget
 	denseFn      func(shard, lo, hi int)
 	laneFn       func(shard, lo, hi int)
 	round        int
@@ -76,7 +77,6 @@ func NewBatchedPushPull(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts 
 		callers: callerCount(g),
 		lanes:   make([]ppullLane, len(rngs)),
 	}
-	p.procs = par.Procs()
 	p.denseFn = p.drawDenseShard
 	p.laneFn = p.laneShard
 	for t, rng := range rngs {
@@ -110,6 +110,8 @@ func (p *BatchedPushPull) LaneMessages(t int) int64 { return p.lanes[t].messages
 // LaneAllAgentsInformed implements LaneProcess: push-pull has no agents.
 func (p *BatchedPushPull) LaneAllAgentsInformed(int) bool { return false }
 
+func (p *BatchedPushPull) setBudget(b budget) { p.budget = b }
+
 // Step implements LaneProcess: one fused dense draw across the non-boundary
 // active lanes, then the per-lane collect/commit passes.
 func (p *BatchedPushPull) Step(active []bool) {
@@ -118,11 +120,14 @@ func (p *BatchedPushPull) Step(active []bool) {
 	p.denseIDs = p.denseIDs[:0]
 	p.denseTargets = p.denseTargets[:0]
 	n := p.g.N()
+	work := 0 // senders the lane passes draw for or collect from
 	for _, t := range p.activeIDs {
 		L := &p.lanes[t]
 		if L.boundary {
+			work += len(L.bnd.active)
 			continue
 		}
+		work += n
 		if L.targets == nil {
 			L.targets = make([]graph.Vertex, n)
 		}
@@ -130,13 +135,9 @@ func (p *BatchedPushPull) Step(active []bool) {
 		p.denseTargets = append(p.denseTargets, L.targets)
 	}
 	if len(p.denseIDs) > 0 {
-		if shardsFor(n, senderGrain, p.procs) == 1 {
-			p.drawDenseShard(0, 0, n)
-		} else {
-			par.Do(n, senderGrain, p.denseFn)
-		}
+		par.DoN(p.budget.For(len(p.denseIDs)*n), n, p.denseFn)
 	}
-	runLanes(p.laneFn, len(p.activeIDs), p.procs)
+	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
 }
 
 // drawDenseShard draws vertices [lo, hi) for every dense lane through the

@@ -23,10 +23,20 @@ type pushLane struct {
 	messages int64
 }
 
+// senders returns the vertices that draw this round: the boundary senders
+// once the lane is in boundary mode, every informed vertex before.
+func (L *pushLane) senders() []graph.Vertex {
+	if L.boundary {
+		return L.bnd.active
+	}
+	return L.frontier
+}
+
 // BatchedPush runs K push trials in fused lockstep. Lanes step
-// back-to-back within each round — sharded across lanes on multi-core,
-// since each lane writes only its own state — so the packed walk index and
-// CSR neighbor array are touched by all K frontier scans while cache-hot.
+// back-to-back within each round — sharded across lanes when the bundle's
+// budget and the round's sender count allow, since each lane writes only
+// its own state — so the packed walk index and CSR neighbor array are
+// touched by all K frontier scans while cache-hot.
 // Every lane carries the full serial boundary-sender optimization (see
 // boundary.go): dense frontier sends until two stagnant rounds, then only
 // informed vertices with an uninformed neighbor draw.
@@ -40,7 +50,7 @@ type BatchedPush struct {
 	lanes   []pushLane
 
 	activeIDs []int
-	procs     int
+	budget    budget
 	laneFn    func(shard, lo, hi int)
 	round     int
 }
@@ -70,7 +80,6 @@ func NewBatchedPush(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Push
 		sampler: newNeighborSampler(g),
 		lanes:   make([]pushLane, len(rngs)),
 	}
-	p.procs = par.Procs()
 	p.laneFn = p.laneShard
 	for t, rng := range rngs {
 		p.seeds[t] = rng.Uint64()
@@ -110,11 +119,17 @@ func (p *BatchedPush) LaneMessages(t int) int64 { return p.lanes[t].messages }
 // LaneAllAgentsInformed implements LaneProcess: push has no agents.
 func (p *BatchedPush) LaneAllAgentsInformed(int) bool { return false }
 
+func (p *BatchedPush) setBudget(b budget) { p.budget = b }
+
 // Step implements LaneProcess.
 func (p *BatchedPush) Step(active []bool) {
 	p.round++
 	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
-	runLanes(p.laneFn, len(p.activeIDs), p.procs)
+	work := 0
+	for _, t := range p.activeIDs {
+		work += len(p.lanes[t].senders())
+	}
+	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
 }
 
 // laneShard runs the push round for active lanes [lo, hi).
@@ -133,10 +148,7 @@ func (p *BatchedPush) stepLane(t int) {
 	// Every informed vertex sends (and is counted), but only senders that
 	// can change state need to draw.
 	L.messages += int64(len(L.frontier))
-	senders := L.frontier
-	if L.boundary {
-		senders = L.bnd.active
-	}
+	senders := L.senders()
 	m := len(senders) // snapshot: commits below may mutate the active set
 	if m == 0 {
 		return

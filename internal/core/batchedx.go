@@ -22,10 +22,11 @@ import (
 // stamping pass used to dominate batched rounds — skip the stamping stage
 // entirely: their marks are written by the fused walk step itself
 // (agents.BatchedWalks.StepStamped), one store per agent in the same pass
-// that writes the position. On multi-core the sweeps shard across lanes,
-// since lanes touch only their own state; every stage keeps exactly the
-// serial pass semantics, so every lane's informed sets evolve
-// bit-identically to a serial trial with the same trial RNG.
+// that writes the position. When the bundle's budget and the round's work
+// allow, the sweeps shard across lanes, since lanes touch only their own
+// state; every stage keeps exactly the serial pass semantics, so every
+// lane's informed sets evolve bit-identically to a serial trial with the
+// same trial RNG.
 
 // visitLane is one trial's visit-exchange state.
 type visitLane struct {
@@ -52,7 +53,7 @@ type BatchedVisitExchange struct {
 	stamps [][]uint32
 	epochs []uint32
 	fused  []bool
-	procs  int
+	budget budget
 	laneFn func(shard, lo, hi int)
 
 	// fuseMark enables folding fused lanes' occupancy stamping into the
@@ -79,7 +80,6 @@ func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, 
 		return nil, fmt.Errorf("visit-exchange: %w", err)
 	}
 	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs))}
-	v.procs = par.Procs()
 	v.laneFn = v.laneShard
 	v.fuseMark = true
 	v.stamps = make([][]uint32, len(rngs))
@@ -134,6 +134,8 @@ func (v *BatchedVisitExchange) LaneAllAgentsInformed(t int) bool {
 	return v.lanes[t].countA == v.walks.N()
 }
 
+func (v *BatchedVisitExchange) setBudget(b budget) { v.budget = b }
+
 // Step implements BatchedProcess: one fused walk round — stamping the
 // occupancy of lanes whose agents are all informed in the same pass — then
 // the informing stages as cross-lane sweeps over the active lanes.
@@ -160,13 +162,17 @@ func (v *BatchedVisitExchange) Step(active []bool) {
 			anyFused = true
 		}
 	}
+	// The walk step and the informing sweeps each do one unit of work per
+	// (active lane, agent).
+	v.activeIDs = activeLanes(v.activeIDs[:0], active, len(v.lanes))
+	shards := v.budget.For(len(v.activeIDs) * na)
+	v.walks.SetShards(shards)
 	if anyFused {
 		v.walks.StepStamped(active, v.stamps, v.epochs)
 	} else {
 		v.walks.Step(active)
 	}
-	v.activeIDs = activeLanes(v.activeIDs[:0], active, len(v.lanes))
-	runLanes(v.laneFn, len(v.activeIDs), v.procs)
+	par.DoN(shards, len(v.activeIDs), v.laneFn)
 }
 
 // laneShard runs the informing passes for active lanes [lo, hi) as one
@@ -211,11 +217,8 @@ func (v *BatchedVisitExchange) markLane(t int) {
 		}
 		return
 	}
-	for wi, wd := range L.informedA.Words() {
-		for ; wd != 0; wd &= wd - 1 {
-			L.occInf.mark(pos[wi<<6+bits.TrailingZeros64(wd)])
-		}
-	}
+	aw := L.informedA.Words()
+	markInformed(L.occInf, aw, pos, 0, len(aw), false)
 }
 
 // sweepLane is pass 1's commit for lane t: sweep the uninformed vertex
@@ -269,7 +272,7 @@ type BatchedMeetExchange struct {
 	lanes []meetLane
 
 	activeIDs []int
-	procs     int
+	budget    budget
 	laneFn    func(shard, lo, hi int)
 }
 
@@ -289,7 +292,6 @@ func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, o
 		return nil, fmt.Errorf("meet-exchange: %w", err)
 	}
 	m := &BatchedMeetExchange{g: g, src: s, walks: w, lanes: make([]meetLane, len(rngs))}
-	m.procs = par.Procs()
 	m.laneFn = m.laneShard
 	for t := range m.lanes {
 		L := &m.lanes[t]
@@ -327,11 +329,16 @@ func (m *BatchedMeetExchange) LaneMessages(t int) int64 { return m.lanes[t].mess
 // LaneAllAgentsInformed implements BatchedProcess.
 func (m *BatchedMeetExchange) LaneAllAgentsInformed(t int) bool { return m.LaneDone(t) }
 
-// Step implements BatchedProcess.
+func (m *BatchedMeetExchange) setBudget(b budget) { m.budget = b }
+
+// Step implements BatchedProcess: the walk step and the meeting pass each
+// do one unit of work per (active lane, agent).
 func (m *BatchedMeetExchange) Step(active []bool) {
-	m.walks.Step(active)
 	m.activeIDs = activeLanes(m.activeIDs[:0], active, len(m.lanes))
-	runLanes(m.laneFn, len(m.activeIDs), m.procs)
+	shards := m.budget.For(len(m.activeIDs) * m.walks.N())
+	m.walks.SetShards(shards)
+	m.walks.Step(active)
+	par.DoN(shards, len(m.activeIDs), m.laneFn)
 }
 
 // laneShard runs the meeting pass for active lanes [lo, hi).
@@ -355,11 +362,7 @@ func (m *BatchedMeetExchange) stepLane(t int) {
 	L.newly = L.newly[:0]
 	if L.countA > 0 && L.countA < na {
 		aw := L.informedA.Words()
-		for wi, wd := range aw {
-			for ; wd != 0; wd &= wd - 1 {
-				L.occInf.mark(pos[wi<<6+bits.TrailingZeros64(wd)])
-			}
-		}
+		markInformed(L.occInf, aw, pos, 0, len(aw), false)
 		for wi := range aw {
 			inv := ^aw[wi]
 			if rem := na - wi<<6; rem < 64 {
@@ -405,18 +408,4 @@ func activeLanes(dst []int, active []bool, k int) []int {
 		}
 	}
 	return dst
-}
-
-// runLanes dispatches n lane-informing tasks: inline when single-lane or
-// single-processor, sharded over internal/par otherwise. Lanes write only
-// their own state, so any shard split is deterministic.
-func runLanes(fn func(shard, lo, hi int), n, procs int) {
-	if n == 0 {
-		return
-	}
-	if procs == 1 || n == 1 {
-		fn(0, 0, n)
-		return
-	}
-	par.Do(n, 1, fn)
 }

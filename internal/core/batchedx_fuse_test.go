@@ -13,7 +13,9 @@ import (
 // (agents.BatchedWalks.StepStamped). Draws are keyed (seed, agent, round)
 // either way, so the full per-trial Result — Rounds, Messages,
 // AllAgentsRound, History — must be bit-identical to the separate-stage
-// path, at any GOMAXPROCS, for any mix of fused and unfused lanes.
+// path, for any mix of fused and unfused lanes, at any GOMAXPROCS and at
+// any inner budget: the forced budgets 2 and 8 are what drive the walk
+// step's atomic stamp stores (see budget_test.go).
 func TestBatchedVisitExchangeFusedStampEquivalence(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Star(96),       // all-informed regime dominates the Ω(n) tail
@@ -25,34 +27,30 @@ func TestBatchedVisitExchangeFusedStampEquivalence(t *testing.T) {
 		{Lazy: LazyOn}, // exercises the lazy stamped walk loop
 		{Count: 5},     // sparse agents: fused regime hits late per lane
 	}
-	const seed, k = 99, 7
-	for _, procs := range []int{1, 8} {
+	const seed = 99
+	for _, k := range []int{1, 2, 7} {
 		for _, g := range graphs {
 			for oi, o := range opts {
-				run := func(fuse bool) []Result {
-					return atGOMAXPROCS(t, procs, func() []Result {
-						rngs := make([]*xrand.RNG, k)
-						for i := range rngs {
-							rngs[i] = xrand.New(xrand.TrialSeed(seed, i))
-						}
+				run := func(fuse bool, b budget) []Result {
+					return driveLanes(t, g, func(rngs []*xrand.RNG) (LaneProcess, error) {
 						bp, err := NewBatchedVisitExchange(g, 0, rngs, o)
-						if err != nil {
-							t.Fatal(err)
+						if err == nil {
+							bp.fuseMark = fuse
 						}
-						bp.fuseMark = fuse
-						out := make([]Result, k)
-						driveBatch(g, bp, DefaultMaxRounds(g), out, nil, 0)
-						return out
-					})
+						return bp, err
+					}, k, k, 0, seed, b)
 				}
-				fused, unfused := run(true), run(false)
-				for tr := range fused {
-					if !reflect.DeepEqual(fused[tr], unfused[tr]) {
-						t.Errorf("procs=%d %s opts[%d] trial %d: fused and unfused batched results differ:\nfused   %+v\nunfused %+v",
-							procs, g.Name(), oi, tr, fused[tr], unfused[tr])
-					}
-					if !fused[tr].Completed {
-						t.Errorf("procs=%d %s opts[%d] trial %d: run did not complete", procs, g.Name(), oi, tr)
+				unfused := run(false, budget{})
+				for _, shards := range forcedBudgets {
+					fused := run(true, forced(shards))
+					for tr := range fused {
+						if !reflect.DeepEqual(fused[tr], unfused[tr]) {
+							t.Errorf("K=%d budget=%d %s opts[%d] trial %d: fused and unfused batched results differ:\nfused   %+v\nunfused %+v",
+								k, shards, g.Name(), oi, tr, fused[tr], unfused[tr])
+						}
+						if !fused[tr].Completed {
+							t.Errorf("K=%d budget=%d %s opts[%d] trial %d: run did not complete", k, shards, g.Name(), oi, tr)
+						}
 					}
 				}
 			}

@@ -22,8 +22,11 @@
 // commits shard outputs in ascending shard order, realizing the paper's
 // "ties broken by agent id" convention. Together these make every Result
 // — rounds, messages, and the full History — bit-identical for a given
-// seed regardless of GOMAXPROCS; the determinism tests pin this for every
-// protocol at GOMAXPROCS 1, 2, and 8. Protocol constructors consume
+// seed regardless of GOMAXPROCS and of how many shards a phase is split
+// into; the determinism tests pin this for every protocol at GOMAXPROCS 1,
+// 2, and 8. The shard count is never a process's own decision: the driver
+// that owns the processors hands each process a budget (see shard.go), and
+// a process without one steps inline. Protocol constructors consume
 // exactly one seed value per independent mechanism from the trial RNG, so
 // RunMany's Derive(seed, trial) streams fully determine each trial.
 //
@@ -47,7 +50,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"rumor/internal/graph"
@@ -126,7 +128,9 @@ var histPool = sync.Pool{
 
 // Run drives p until Done or maxRounds (DefaultMaxRounds-bounded when
 // maxRounds <= 0) and returns the outcome. It runs p as the single lane of
-// the unified lane driver (see lane.go): the per-round loop performs no
+// the unified lane driver (see lane.go), with the whole machine as its
+// shard budget — a single trial has no sibling to share processors with,
+// though only rounds with enough work split. The per-round loop performs no
 // allocations — History accumulates in pooled scratch and is copied out
 // exact-size once at the end — and the round/History/finalization
 // semantics are, by construction, those of every K-lane bundle.
@@ -139,12 +143,11 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	// entry, while Run's Rounds, AllAgentsRound, and maxRounds bound are
 	// absolute p.Round() values.
 	base := p.Round()
-	budget := maxRounds - base
-	if budget < 0 {
-		budget = 0
-	}
+	left := max(maxRounds-base, 0)
 	var out [1]Result
-	driveBatch(g, newProcessLane(p), budget, out[:], nil, 0)
+	lane := newProcessLane(p)
+	lane.setBudget(machineBudget())
+	driveBatch(g, lane, left, out[:], nil, 0)
 	res := out[0]
 	if base > 0 {
 		res.Rounds += base
@@ -219,10 +222,9 @@ func (e *orderedEmitter) complete(t int) {
 // unified lane engine at K = 1: each trial is its own bundle, claimed in
 // increasing order by a GOMAXPROCS-sized worker pool. Trial t's stream is
 // xrand.New(xrand.TrialSeed(seed, t)) regardless of scheduling, so results
-// are identical at any parallelism; within each trial the protocols
-// additionally shard rounds across internal/par (see the package comment),
-// and the two levels self-balance because shard dispatch never blocks on a
-// busy pool.
+// are identical at any parallelism; rounds additionally shard across
+// internal/par only when there are fewer trials than processors (see
+// RunManyLanes).
 //
 // A factory error aborts the sweep: workers stop claiming trials once any
 // error is recorded (already-claimed trials run to completion), and the
@@ -239,12 +241,6 @@ func RunMany(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64
 // never emitted; everything emitted is final.
 func RunManyEmit(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64, emit EmitFunc) ([]Result, error) {
 	return RunManyLanes(g, serialLanes(factory), trials, maxRounds, seed, 1, emit)
-}
-
-// maxParallel sizes the trial pool to the machine: one worker per
-// available processor.
-func maxParallel() int {
-	return runtime.GOMAXPROCS(0)
 }
 
 // AgentCount converts the paper's agent density α into a concrete |A| =

@@ -69,12 +69,14 @@ func runAt(t *testing.T, procs int, factory func(g *graph.Graph, s graph.Vertex,
 
 // TestDeterminismAcrossGOMAXPROCS: identical seed ⇒ identical Result
 // (rounds, messages, full History) at GOMAXPROCS 1, 2, and 8, for every
-// protocol on graphs large enough that rounds actually shard (the walk
-// grain is 2048 agents, so the hypercube exercises multi-shard stepping at
-// 8 processors while the star exercises mixed degree-1/huge-degree paths).
+// protocol. Run hands a single trial the whole machine as its budget, so
+// the hypercube's dense rounds (n = 16384, four shards' worth of work)
+// split at 2 and 8 processors, while the star exercises mixed
+// degree-1/huge-degree paths and stays inline (see
+// TestBudgetForcedSerialEquivalence for small graphs under forced shards).
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	graphs := []*graph.Graph{
-		graph.Hypercube(12), // n = 4096: multi-shard walks at 8 procs
+		graph.Hypercube(14), // n = 16384: multi-shard rounds at 2 and 8 procs
 		graph.Star(4097),    // extreme degrees; bipartite (lazy meetx)
 	}
 	for _, g := range graphs {
@@ -123,9 +125,9 @@ func TestRunManyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestWalksDeterministicAcrossGOMAXPROCS pins the agent layer directly:
-// positions and respawn lists after many sharded steps are identical at
-// any processor count, including with churn (whose respawn merge is the
-// one order-sensitive output).
+// positions and respawn lists after many steps split into one shard per
+// processor are identical at any processor count, including with churn
+// (whose respawn merge is the one order-sensitive output).
 func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	g := graph.Hypercube(12)
 	type snap struct {
@@ -143,6 +145,7 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.SetShards(procs)
 		var resp []int
 		for r := 0; r < 30; r++ {
 			w.Step(nil)

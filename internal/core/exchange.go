@@ -144,6 +144,25 @@ func drawExchangeActive(sampler neighborSampler, seed uint64, active, srcs, targ
 	}
 }
 
+// collectPickups appends to buf the uninformed agents of bitset words
+// [lo, hi) standing on an informed vertex: the sharded, collect-only form
+// of pickupAgents, shared by the serial visit-exchange and hybrid.
+func collectPickups(informedA, informedV *bitset.Set, pos []graph.Vertex, lo, hi int, buf []int32) []int32 {
+	aw := informedA.Words()
+	for wi := lo; wi < hi; wi++ {
+		inv := ^aw[wi]
+		if rem := len(pos) - wi<<6; rem < 64 {
+			inv &= 1<<uint(rem) - 1 // mask ghost bits past the last agent
+		}
+		for ; inv != 0; inv &= inv - 1 {
+			if i := wi<<6 + bits.TrailingZeros64(inv); informedV.Test(int(pos[i])) {
+				buf = append(buf, int32(i))
+			}
+		}
+	}
+	return buf
+}
+
 // pickupAgents informs every uninformed agent standing on an informed
 // vertex, committing inline in agent-id order (the predicate reads only
 // informedV and pos, so inline commits equal a collect-then-commit), and

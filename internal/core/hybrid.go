@@ -67,7 +67,8 @@ type Hybrid struct {
 	shardA     shardBufs[int32]
 	bufsV      [][]graph.Vertex
 	bufsA      [][]int32
-	procs      int
+	budget     budget
+	shardsA    int // shards of an agent pass (deposit, pickup)
 	exchangeFn func(shard, lo, hi int)
 	activeFn   func(shard, lo, hi int)
 	depositFn  func(shard, lo, hi int)
@@ -99,7 +100,7 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 		informedA: bitset.New(w.N()),
 		countV:    1,
 	}
-	h.procs = par.Procs()
+	h.shardsA = 1
 	h.useBoundary = true
 	h.exchangeFn = h.exchangeShard
 	h.activeFn = h.exchangeActiveShard
@@ -138,6 +139,14 @@ func (h *Hybrid) Messages() int64 { return h.messages }
 // Source implements the sourced interface.
 func (h *Hybrid) Source() graph.Vertex { return h.src }
 
+// setBudget sizes the walk step and the agent passes (one unit per agent)
+// once; the exchange draws are sized per round from their sender count.
+func (h *Hybrid) setBudget(b budget) {
+	h.budget = b
+	h.shardsA = b.For(h.walks.N())
+	h.walks.SetShards(h.shardsA)
+}
+
 // Step implements Process.
 func (h *Hybrid) Step() {
 	h.round++
@@ -157,21 +166,13 @@ func (h *Hybrid) Step() {
 	if h.boundary {
 		m := len(h.bnd.active)
 		if m > 0 {
-			if shardsFor(m, senderGrain, h.procs) == 1 {
-				h.exchangeActiveShard(0, 0, m)
-			} else {
-				par.Do(m, senderGrain, h.activeFn)
-			}
+			par.DoN(h.budget.For(m), m, h.activeFn)
 			// Collect against the pre-round informed state (the active
 			// list itself mutates only in the commit below, hence srcs).
 			h.pendingV = collectExchangeActive(h.informedV, h.srcs[:m], h.targets[:m], h.pendingV)
 		}
 	} else {
-		if shardsFor(n, senderGrain, h.procs) == 1 {
-			h.exchangeShard(0, 0, n)
-		} else {
-			par.Do(n, senderGrain, h.exchangeFn)
-		}
+		par.DoN(h.budget.For(n), n, h.exchangeFn)
 		h.pendingV = collectExchangeDense(h.informedV, h.targets[:n], h.pendingV)
 	}
 
@@ -193,13 +194,8 @@ func (h *Hybrid) Step() {
 	}
 	words := len(h.informedA.Words())
 	if h.countA > 0 && h.countV < n {
-		shards := shardsFor(words, wordGrain, h.procs)
-		h.bufsV = h.shardV.acquire(shards)
-		if shards == 1 {
-			h.depositShard(0, 0, words)
-		} else {
-			par.DoN(shards, words, h.depositFn)
-		}
+		h.bufsV = h.shardV.acquire(h.shardsA)
+		par.DoN(h.shardsA, words, h.depositFn)
 		for _, buf := range h.bufsV {
 			h.pendingV = append(h.pendingV, buf...)
 		}
@@ -227,13 +223,8 @@ func (h *Hybrid) Step() {
 
 	// Agents standing on an informed vertex (old or new) become informed.
 	if h.countA < na {
-		shards := shardsFor(words, wordGrain, h.procs)
-		h.bufsA = h.shardA.acquire(shards)
-		if shards == 1 {
-			h.pickupShard(0, 0, words)
-		} else {
-			par.DoN(shards, words, h.pickupFn)
-		}
+		h.bufsA = h.shardA.acquire(h.shardsA)
+		par.DoN(h.shardsA, words, h.pickupFn)
 		for _, buf := range h.bufsA {
 			for _, i := range buf {
 				h.informedA.Set(int(i))
@@ -296,24 +287,8 @@ func (h *Hybrid) depositShard(shard, lo, hi int) {
 	h.bufsV[shard] = buf
 }
 
-// pickupShard collects uninformed agents in bitset words [lo, hi) standing
-// on an informed vertex.
+// pickupShard collects the uninformed agents in bitset words [lo, hi)
+// standing on an informed vertex.
 func (h *Hybrid) pickupShard(shard, lo, hi int) {
-	aw := h.informedA.Words()
-	pos := h.walks.Positions()
-	na := h.walks.N()
-	buf := h.bufsA[shard]
-	for wi := lo; wi < hi; wi++ {
-		inv := ^aw[wi]
-		if rem := na - wi<<6; rem < 64 {
-			inv &= 1<<uint(rem) - 1
-		}
-		for ; inv != 0; inv &= inv - 1 {
-			i := wi<<6 + bits.TrailingZeros64(inv)
-			if h.informedV.Test(int(pos[i])) {
-				buf = append(buf, int32(i))
-			}
-		}
-	}
-	h.bufsA[shard] = buf
+	h.bufsA[shard] = collectPickups(h.informedA, h.informedV, h.walks.Positions(), lo, hi, h.bufsA[shard])
 }

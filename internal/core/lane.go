@@ -97,6 +97,13 @@ func (l *processLane) LaneAllAgentsInformed(int) bool {
 	return l.tracker != nil && l.tracker.AllAgentsInformed()
 }
 
+// setBudget forwards the bundle's budget to the wrapped process.
+func (l *processLane) setBudget(b budget) {
+	if p, ok := l.p.(budgeted); ok {
+		p.setBudget(b)
+	}
+}
+
 // serialLanes wraps a per-trial Factory as a LaneFactory so serial
 // processes run on the unified driver. RunManyLanes only ever calls it
 // with one RNG per bundle (batchK 1).
@@ -124,7 +131,9 @@ const batchK = 8
 // overflow a few MB of cache, since wide bundles on huge graphs evict the
 // shared CSR and walk index they exist to keep hot. K never affects
 // results (lane t's draws are keyed by trial, not by bundle shape), only
-// throughput, so the heuristic is free to use GOMAXPROCS.
+// throughput, so the heuristic is free to use GOMAXPROCS. One bundle per
+// processor is also what keeps rounds inline: RunManyLanes hands a bundle
+// shards only when there are fewer bundles than processors (see budget).
 func AdaptiveBatchK(g *graph.Graph, trials int) int {
 	if trials <= 1 {
 		return 1
@@ -133,7 +142,7 @@ func AdaptiveBatchK(g *graph.Graph, trials int) int {
 	if k > trials {
 		k = trials
 	}
-	if procs := maxParallel(); procs > 1 {
+	if procs := par.Refresh(); procs > 1 {
 		if perWorker := (trials + procs - 1) / procs; perWorker < k {
 			k = perWorker
 		}
@@ -154,9 +163,13 @@ func AdaptiveBatchK(g *graph.Graph, trials int) int {
 // engine: trials are grouped into bundles of up to k lanes (k <= 0 picks
 // AdaptiveBatchK), each bundle built by factory and driven by driveBatch,
 // with bundles claimed in increasing order by a GOMAXPROCS-sized worker
-// pool. Trial t's randomness is keyed xrand.TrialSeed(seed, t) regardless
-// of bundling, so the returned []Result (in trial order) is identical for
-// every k and worker count. emit, when non-nil, receives each trial's
+// pool. RunManyLanes owns the machine's parallelism: processors go to
+// bundles first, and each bundle receives workers/bundles (at least 1) as
+// the budget its rounds may shard into — so rounds split only when there
+// are fewer bundles than processors (see budget). Trial t's randomness is
+// keyed xrand.TrialSeed(seed, t) regardless of bundling, so the returned
+// []Result (in trial order) is identical for every k, worker count, and
+// budget. emit, when non-nil, receives each trial's
 // Result in strict trial order the moment its lane completes — not when
 // the whole bundle finishes — before RunManyLanes returns.
 //
@@ -176,15 +189,18 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(g)
 	}
-	// Warm the graph's shared sampling caches once, outside the race, and
-	// let round sharding track any GOMAXPROCS change since the last sweep.
+	// Warm the graph's shared sampling caches once, outside the race.
 	g.WalkIndex()
 	g.StationaryAlias()
-	par.Refresh()
 	results := make([]Result, trials)
 	em := newOrderedEmitter(emit, results)
 	bundles := (trials + k - 1) / k
 	errs := make([]error, bundles)
+	workers := par.Refresh()
+	inner := budget{max(1, workers/bundles), shardWork}
+	if workers > bundles {
+		workers = bundles
+	}
 	runBundle := func(b int) {
 		t0 := b * k
 		t1 := t0 + k
@@ -200,11 +216,10 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 			errs[b] = err
 			return
 		}
+		if bb, ok := bp.(budgeted); ok {
+			bb.setBudget(inner)
+		}
 		driveBatch(g, bp, maxRounds, results[t0:t1], em, t0)
-	}
-	workers := maxParallel()
-	if workers > bundles {
-		workers = bundles
 	}
 	if workers == 1 {
 		// Single worker: run bundles inline, skipping goroutine dispatch.
@@ -262,7 +277,12 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 func driveBatch(g *graph.Graph, bp LaneProcess, maxRounds int, out []Result, em *orderedEmitter, t0 int) {
 	k := bp.K()
 	active := make([]bool, k)
-	hists := make([]*[]int, k)
+	// Histories grow in pooled scratch. The slice headers live here, not
+	// behind the pooled pointers: those are small heap objects that migrate
+	// between workers through the pool, and a length updated every round
+	// behind one would share cache lines with other bundles' lanes.
+	hists := make([][]int, k)
+	pooled := make([]*[]int, k)
 	// finalize freezes lane t's Result with the given round count. A lane
 	// is never stepped after finalize (Step masks it out), so Messages and
 	// Done are stable from here on.
@@ -271,10 +291,9 @@ func driveBatch(g *graph.Graph, bp LaneProcess, maxRounds int, out []Result, em 
 		res.Rounds = rounds
 		res.Completed = bp.LaneDone(t)
 		res.Messages = bp.LaneMessages(t)
-		hist := *hists[t]
-		res.History = append(make([]int, 0, len(hist)), hist...)
-		*hists[t] = hist[:0]
-		histPool.Put(hists[t])
+		res.History = append(make([]int, 0, len(hists[t])), hists[t]...)
+		*pooled[t] = hists[t][:0]
+		histPool.Put(pooled[t])
 		em.complete(t0 + t)
 	}
 	running := 0
@@ -287,9 +306,8 @@ func driveBatch(g *graph.Graph, bp LaneProcess, maxRounds int, out []Result, em 
 		if bp.LaneAllAgentsInformed(t) {
 			res.AllAgentsRound = 0
 		}
-		hb := histPool.Get().(*[]int)
-		*hb = append((*hb)[:0], bp.LaneInformedCount(t))
-		hists[t] = hb
+		pooled[t] = histPool.Get().(*[]int)
+		hists[t] = append((*pooled[t])[:0], bp.LaneInformedCount(t))
 		if !bp.LaneDone(t) {
 			active[t] = true
 			running++
@@ -306,7 +324,7 @@ func driveBatch(g *graph.Graph, bp LaneProcess, maxRounds int, out []Result, em 
 				continue
 			}
 			res := &out[t]
-			*hists[t] = append(*hists[t], bp.LaneInformedCount(t))
+			hists[t] = append(hists[t], bp.LaneInformedCount(t))
 			if res.AllAgentsRound < 0 && bp.LaneAllAgentsInformed(t) {
 				res.AllAgentsRound = round
 			}

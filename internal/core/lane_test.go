@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,8 +15,11 @@ import (
 // full History per trial — at any GOMAXPROCS. These tests pin the fused
 // bundles of the call protocols (push, push-pull) and the hybrid, added by
 // the lane refactor, for K in {1, 2, 7} (one lane, partial bundle, prime
-// width) at GOMAXPROCS 1 and 8; batched_test.go pins visit-exchange and
-// meet-exchange the same way.
+// width) at GOMAXPROCS 1 and 8 — and, since the engine's budget keeps
+// test-sized bundles inline at any GOMAXPROCS, again under inner budgets
+// {1, 2, 8} forced through the hook (see budget_test.go), so the sharded
+// lane passes, dense draws and walk steps stay pinned; batched_test.go
+// pins visit-exchange and meet-exchange the same way.
 
 // laneProto pairs a serial factory with its fused bundle factory.
 type laneProto struct {
@@ -83,30 +87,37 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 	}
 }
 
-// compareLanes runs k trials through both engines at the given GOMAXPROCS
-// values and reports any per-trial divergence.
+// compareLanes runs k trials through both engines — the fused one at
+// GOMAXPROCS 1 and 8 and under each forced inner budget — and reports any
+// per-trial divergence.
 func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, seed uint64) {
 	t.Helper()
 	serial, err := RunMany(g, pc.serial, k, maxRounds, seed)
 	if err != nil {
 		t.Fatalf("%s on %s: serial: %v", pc.name, g.Name(), err)
 	}
+	check := func(how string, batched []Result) {
+		t.Helper()
+		for tr := range serial {
+			if !reflect.DeepEqual(serial[tr], batched[tr]) {
+				t.Errorf("%s on %s K=%d %s trial %d: batched diverges\nserial:  rounds %d completed %v messages %d allAgents %d hist %d\nbatched: rounds %d completed %v messages %d allAgents %d hist %d",
+					pc.name, g.Name(), k, how, tr,
+					serial[tr].Rounds, serial[tr].Completed, serial[tr].Messages, serial[tr].AllAgentsRound, len(serial[tr].History),
+					batched[tr].Rounds, batched[tr].Completed, batched[tr].Messages, batched[tr].AllAgentsRound, len(batched[tr].History))
+			}
+		}
+	}
 	for _, procs := range []int{1, 8} {
-		batched := atGOMAXPROCS(t, procs, func() []Result {
+		check(fmt.Sprintf("GOMAXPROCS=%d", procs), atGOMAXPROCS(t, procs, func() []Result {
 			res, err := RunManyLanes(g, pc.batched, k, maxRounds, seed, k, nil)
 			if err != nil {
 				t.Fatalf("%s on %s: batched: %v", pc.name, g.Name(), err)
 			}
 			return res
-		})
-		for tr := range serial {
-			if !reflect.DeepEqual(serial[tr], batched[tr]) {
-				t.Errorf("%s on %s K=%d GOMAXPROCS=%d trial %d: batched diverges\nserial:  rounds %d completed %v messages %d allAgents %d hist %d\nbatched: rounds %d completed %v messages %d allAgents %d hist %d",
-					pc.name, g.Name(), k, procs, tr,
-					serial[tr].Rounds, serial[tr].Completed, serial[tr].Messages, serial[tr].AllAgentsRound, len(serial[tr].History),
-					batched[tr].Rounds, batched[tr].Completed, batched[tr].Messages, batched[tr].AllAgentsRound, len(batched[tr].History))
-			}
-		}
+		}))
+	}
+	for _, shards := range forcedBudgets {
+		check(fmt.Sprintf("budget=%d", shards), driveLanes(t, g, pc.batched, k, k, maxRounds, seed, forced(shards)))
 	}
 }
 

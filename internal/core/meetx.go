@@ -39,7 +39,7 @@ type MeetExchange struct {
 	newlyA       []int
 	shardA       shardBufs[int32]
 	bufsA        [][]int32
-	procs        int
+	shards       int // shards of an agent pass; atomic stamps when > 1
 	markFn       func(shard, lo, hi int)
 	meetFn       func(shard, lo, hi int)
 	sourceActive bool
@@ -66,7 +66,7 @@ func NewMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentO
 		informedA: bitset.New(w.N()),
 		occInf:    newEpochMark(g.N()),
 	}
-	m.procs = par.Procs()
+	m.shards = 1
 	m.markFn = m.markShard
 	m.meetFn = m.meetShard
 	// Round zero: agents standing on the source are informed; if none, the
@@ -105,6 +105,13 @@ func (m *MeetExchange) Source() graph.Vertex { return m.src }
 // AgentCount returns |A|.
 func (m *MeetExchange) AgentCount() int { return m.walks.N() }
 
+// setBudget sizes the walk step and the agent passes alike: all of them
+// do one unit of work per agent.
+func (m *MeetExchange) setBudget(b budget) {
+	m.shards = b.For(m.walks.N())
+	m.walks.SetShards(m.shards)
+}
+
 // SourceActive reports whether the source vertex is still waiting for its
 // first visitor.
 func (m *MeetExchange) SourceActive() bool { return m.sourceActive }
@@ -128,32 +135,17 @@ func (m *MeetExchange) Step() {
 	}
 	pos := m.walks.Positions()
 
-	// Mark vertices occupied by agents informed in a previous round.
-	// Marking stores one epoch value per agent, so concurrent shards may
-	// write the same slot through markAtomic; queries run after the
-	// barrier.
+	// Mark vertices occupied by agents informed in a previous round
+	// (queries run after the barrier), then collect the meetings:
+	// uninformed agents co-located with previously informed ones,
+	// shard-by-shard in agent-id order.
 	m.occInf.next()
-	aw := m.informedA.Words()
-	words := len(aw)
-	if m.countA > 0 && m.countA < na {
-		if shards := shardsFor(words, wordGrain, m.procs); shards == 1 {
-			m.markShardSerial(0, words)
-		} else {
-			par.DoN(shards, words, m.markFn)
-		}
-	}
-
-	// Meetings: uninformed agents co-located with previously informed
-	// ones, collected shard-by-shard in agent-id order.
 	m.newlyA = m.newlyA[:0]
 	if m.countA > 0 && m.countA < na {
-		shards := shardsFor(words, wordGrain, m.procs)
-		m.bufsA = m.shardA.acquire(shards)
-		if shards == 1 {
-			m.meetShard(0, 0, words)
-		} else {
-			par.DoN(shards, words, m.meetFn)
-		}
+		words := len(m.informedA.Words())
+		par.DoN(m.shards, words, m.markFn)
+		m.bufsA = m.shardA.acquire(m.shards)
+		par.DoN(m.shards, words, m.meetFn)
 		for _, buf := range m.bufsA {
 			for _, i := range buf {
 				m.newlyA = append(m.newlyA, int(i))
@@ -186,27 +178,9 @@ func (m *MeetExchange) Step() {
 }
 
 // markShard stamps the current vertex of every informed agent in bitset
-// words [lo, hi), atomically (it is bound only to the sharded path).
+// words [lo, hi).
 func (m *MeetExchange) markShard(_, lo, hi int) {
-	aw := m.informedA.Words()
-	pos := m.walks.Positions()
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			m.occInf.markAtomic(pos[wi<<6+bits.TrailingZeros64(wd)])
-		}
-	}
-}
-
-// markShardSerial is markShard with plain stores, for the single-shard
-// path.
-func (m *MeetExchange) markShardSerial(lo, hi int) {
-	aw := m.informedA.Words()
-	pos := m.walks.Positions()
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			m.occInf.mark(pos[wi<<6+bits.TrailingZeros64(wd)])
-		}
-	}
+	markInformed(m.occInf, m.informedA.Words(), m.walks.Positions(), lo, hi, m.shards > 1)
 }
 
 // meetShard scans uninformed agents in bitset words [lo, hi) and collects

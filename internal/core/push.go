@@ -57,7 +57,7 @@ type Push struct {
 	stagnant int
 	bnd      pushBoundary
 
-	procs    int
+	budget   budget
 	senders  []graph.Vertex // the slice drawShard iterates (frontier or active)
 	targets  []graph.Vertex // per-sender draw results; -1 marks a failed send
 	pending  []graph.Vertex
@@ -87,7 +87,6 @@ func NewPush(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushOptions) (
 		informed: bitset.New(g.N()),
 		frontier: make([]graph.Vertex, 0, g.N()),
 	}
-	p.procs = par.Procs()
 	p.drawFn = p.drawShard
 	p.informed.Set(int(s))
 	p.frontier = append(p.frontier, s)
@@ -122,6 +121,8 @@ func (p *Push) Messages() int64 { return p.messages }
 // Source implements the sourced interface.
 func (p *Push) Source() graph.Vertex { return p.src }
 
+func (p *Push) setBudget(b budget) { p.budget = b }
+
 // Step implements Process. Only vertices informed in a previous round send;
 // vertices informed during this round start sending next round.
 func (p *Push) Step() {
@@ -145,11 +146,7 @@ func (p *Push) Step() {
 	if p.targets == nil {
 		p.targets = make([]graph.Vertex, p.g.N())
 	}
-	if shardsFor(m, senderGrain, p.procs) == 1 {
-		p.drawShard(0, 0, m)
-	} else {
-		par.Do(m, senderGrain, p.drawFn)
-	}
+	par.DoN(p.budget.For(m), m, p.drawFn)
 	// Serial merge: commit in draw order. informVertex sets the informed
 	// bit, so duplicate targets commit once.
 	before := len(p.frontier)

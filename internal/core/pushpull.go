@@ -50,7 +50,7 @@ type PushPull struct {
 	stagnant int
 	bnd      exchangeBoundary
 
-	procs    int
+	budget   budget
 	targets  []graph.Vertex // per-slot draw results; -1 marks a failure
 	srcs     []graph.Vertex // per-slot sender (boundary mode)
 	pending  []graph.Vertex
@@ -83,7 +83,6 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 		callers:  callerCount(g),
 		count:    1,
 	}
-	p.procs = par.Procs()
 	p.denseFn = p.drawDenseShard
 	p.activeFn = p.drawActiveShard
 	p.informed.Set(int(s))
@@ -119,6 +118,8 @@ func (p *PushPull) Messages() int64 { return p.messages }
 // Source implements the sourced interface.
 func (p *PushPull) Source() graph.Vertex { return p.src }
 
+func (p *PushPull) setBudget(b budget) { p.budget = b }
+
 // Step implements Process. Informedness is evaluated against the state
 // before the round: a vertex informed during round t neither pushes nor can
 // be pulled from until round t+1, exactly as Section 3 specifies.
@@ -135,11 +136,7 @@ func (p *PushPull) Step() {
 		if m == 0 {
 			return
 		}
-		if shardsFor(m, senderGrain, p.procs) == 1 {
-			p.drawActiveShard(0, 0, m)
-		} else {
-			par.Do(m, senderGrain, p.activeFn)
-		}
+		par.DoN(p.budget.For(m), m, p.activeFn)
 		// Collect against the pre-round informed state (the active list
 		// itself mutates only in the commit below, hence srcs).
 		p.pending = collectExchangeActive(p.informed, p.srcs[:m], p.targets[:m], p.pending)
@@ -147,11 +144,7 @@ func (p *PushPull) Step() {
 		if p.targets == nil {
 			p.targets = make([]graph.Vertex, n)
 		}
-		if shardsFor(n, senderGrain, p.procs) == 1 {
-			p.drawDenseShard(0, 0, n)
-		} else {
-			par.Do(n, senderGrain, p.denseFn)
-		}
+		par.DoN(p.budget.For(n), n, p.denseFn)
 		p.pending = collectExchangeDense(p.informed, p.targets[:n], p.pending)
 	}
 	// Commit.

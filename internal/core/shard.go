@@ -17,35 +17,51 @@ import (
 // agent id" convention. Results are therefore bit-identical for a given
 // seed at any GOMAXPROCS.
 
-// Shard grains: minimum units per shard so dispatch never dominates.
-const (
-	// senderGrain is for per-vertex draw loops (push, push-pull, hybrid).
-	senderGrain = 1024
-	// agentGrain is for per-agent scan loops (visit/meet-exchange passes).
-	agentGrain = 2048
-	// wordGrain is agentGrain in 64-bit bitset words.
-	wordGrain = agentGrain / 64
-)
+// shardWork is the least work, in units (one sender draw, one agent step
+// or scan), a shard must carry. The benchmark's ledger prices a two-shard
+// dispatch at 0.9 us uncontended (par.dispatch_us) and ~2.5 us per round
+// under load, and a unit at 0.6-5 ns (core.*.ns_per_message,
+// agents.ns_per_agent_step): at 4096 units the cheapest phase breaks even
+// with the dearest dispatch and every other one gains.
+const shardWork = 4096
 
-// shardsFor computes the shard count for a round phase, with the
-// single-processor case short-circuited so per-round calls cost one
-// compare (par.Shards performs an integer division). procs is the
-// processor count cached at process construction; a mid-run GOMAXPROCS
-// change only affects processes built afterwards, never results.
-func shardsFor(n, grain, procs int) int {
-	if procs == 1 || n <= grain {
+// budget is how far a process may split one round phase: at most shards
+// ways, and only into shards of at least grain units. The zero value
+// never splits, so a process nobody handed a budget steps inline.
+//
+// The engine has one owner of parallelism. RunManyLanes spends the
+// processors on bundles first and gives each bundle workers/bundles (at
+// least 1) as its budget: with the adaptive K there are as many bundles as
+// processors and every round runs inline; a single-trial Run, a sweep of
+// fewer trials than processors, or a fixed wide K gets the idle
+// processors. The budget bounds physical parallelism only — results are
+// bit-identical at every shard count.
+type budget struct{ shards, grain int }
+
+// machineBudget is the budget of a caller that owns every processor.
+func machineBudget() budget { return budget{par.Procs(), shardWork} }
+
+// For returns the shard count for a phase of `work` units: one while the
+// phase is too small for two full shards, so boundary-phase rounds (a few
+// senders, a few nanoseconds) never pay a dispatch.
+func (b budget) For(work int) int {
+	if b.shards <= 1 || work < 2*b.grain {
 		return 1
 	}
-	return par.Shards(n, grain)
+	return min(b.shards, work/b.grain)
 }
 
-// NOTE: the informed/uninformed bitset-word scans (visitx markShard +
-// pass2Shard, meetx markShard + meetShard, hybrid depositShard +
-// pickupShard) deliberately repeat the same loop shape — including the
-// ghost-bit mask `inv &= 1<<rem - 1` for the final partial word — rather
-// than share a predicate-closure helper: an indirect call per agent would
-// land in the engine's hottest loops. A fix to the masking or the
-// atomic-store discipline must be applied at every site.
+// budgeted is the hook through which a driver hands a process its budget;
+// every Process and LaneProcess of this package implements it.
+type budgeted interface{ setBudget(b budget) }
+
+// NOTE: the bitset-word scans over agents share a helper only where the
+// per-agent predicate is the same concrete test (markInformed,
+// collectPickups). The rest (meetx meetShard, hybrid depositShard,
+// pickupAgents) repeat the loop shape — including the ghost-bit mask
+// `inv &= 1<<rem - 1` for the final partial word — rather than take a
+// predicate closure: an indirect call per agent would land in the engine's
+// hottest loops. A fix to the masking must be applied at every site.
 
 // shardBufs is a set of per-shard append buffers reused across rounds, so
 // steady-state stepping allocates nothing.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rumor/internal/agents"
 	"rumor/internal/bitset"
@@ -67,7 +66,7 @@ func (o AgentOptions) walkConfig(g *graph.Graph, forceLazyAuto bool) agents.Conf
 		lazy = true
 	case LazyAuto:
 		if forceLazyAuto {
-			lazy = graph.IsBipartite(g)
+			lazy = g.Bipartite()
 		}
 	}
 	return agents.Config{
@@ -114,7 +113,7 @@ type VisitExchange struct {
 	// allocates nothing.
 	shardA   shardBufs[int32]
 	bufsA    [][]int32
-	procs    int
+	shards   int // shards of an agent pass; atomic stamps when > 1
 	markFn   func(shard, lo, hi int)
 	pass2Fn  func(shard, lo, hi int)
 	round    int
@@ -152,7 +151,7 @@ func NewVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts Agent
 		uninfV:    make([]graph.Vertex, 0, g.N()-1),
 		fuseMark:  true,
 	}
-	v.procs = par.Procs()
+	v.shards = 1
 	v.markFn = v.markShard
 	v.pass2Fn = v.pass2Shard
 	// Round zero: the source vertex and every agent standing on it.
@@ -199,6 +198,13 @@ func (v *VisitExchange) Source() graph.Vertex { return v.src }
 // AgentCount returns |A|.
 func (v *VisitExchange) AgentCount() int { return v.walks.N() }
 
+// setBudget sizes the walk step and the agent passes alike: all of them
+// do one unit of work per agent.
+func (v *VisitExchange) setBudget(b budget) {
+	v.shards = b.For(v.walks.N())
+	v.walks.SetShards(v.shards)
+}
+
 // Step implements Process.
 func (v *VisitExchange) Step() {
 	v.round++
@@ -232,7 +238,6 @@ func (v *VisitExchange) Step() {
 		}
 	}
 	words := len(v.informedA.Words())
-	shards := shardsFor(words, wordGrain, v.procs)
 
 	// Pass 1: agents informed in a previous round inform their vertex —
 	// stamp every informed agent's position, then sweep the uninformed
@@ -248,10 +253,8 @@ func (v *VisitExchange) Step() {
 				// Ω(n) tails of Fig. 1c/1d): stamp positions directly,
 				// skipping the informedA word decode.
 				v.markAllShard(0, 0, na)
-			} else if shards == 1 {
-				v.markShardSerial(0, words)
 			} else {
-				par.DoN(shards, words, v.markFn)
+				par.DoN(v.shards, words, v.markFn)
 			}
 		}
 		list := v.uninfV
@@ -273,12 +276,8 @@ func (v *VisitExchange) Step() {
 	// become informed (effective from the next round). Skipped once every
 	// agent is informed.
 	if v.countA < na {
-		v.bufsA = v.shardA.acquire(shards)
-		if shards == 1 {
-			v.pass2Shard(0, 0, words)
-		} else {
-			par.DoN(shards, words, v.pass2Fn)
-		}
+		v.bufsA = v.shardA.acquire(v.shards)
+		par.DoN(v.shards, words, v.pass2Fn)
 		for _, buf := range v.bufsA {
 			for _, i := range buf {
 				v.informedA.Set(int(i))
@@ -299,49 +298,13 @@ func (v *VisitExchange) markAllShard(_, lo, hi int) {
 }
 
 // markShard stamps the current vertex of every informed agent in bitset
-// words [lo, hi). Stores are atomic — a full fence on amd64 — so it is
-// bound only to the sharded path, where concurrent shards may stamp the
-// same vertex; the sweep in Step runs after the barrier.
+// words [lo, hi); the sweep in Step runs after the barrier.
 func (v *VisitExchange) markShard(_, lo, hi int) {
-	aw := v.informedA.Words()
-	pos := v.walks.Positions()
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			v.occInf.markAtomic(pos[wi<<6+bits.TrailingZeros64(wd)])
-		}
-	}
+	markInformed(v.occInf, v.informedA.Words(), v.walks.Positions(), lo, hi, v.shards > 1)
 }
 
-// markShardSerial is markShard with plain stores, for the single-shard
-// path where no other goroutine touches the stamps.
-func (v *VisitExchange) markShardSerial(lo, hi int) {
-	aw := v.informedA.Words()
-	pos := v.walks.Positions()
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			v.occInf.mark(pos[wi<<6+bits.TrailingZeros64(wd)])
-		}
-	}
-}
-
-// pass2Shard scans uninformed agents in bitset words [lo, hi) and collects
-// those standing on an informed vertex.
+// pass2Shard collects the uninformed agents in bitset words [lo, hi)
+// standing on an informed vertex.
 func (v *VisitExchange) pass2Shard(shard, lo, hi int) {
-	aw := v.informedA.Words()
-	pos := v.walks.Positions()
-	na := v.walks.N()
-	buf := v.bufsA[shard]
-	for wi := lo; wi < hi; wi++ {
-		inv := ^aw[wi]
-		if rem := na - wi<<6; rem < 64 {
-			inv &= 1<<uint(rem) - 1 // mask ghost bits past the last agent
-		}
-		for ; inv != 0; inv &= inv - 1 {
-			i := wi<<6 + bits.TrailingZeros64(inv)
-			if v.informedV.Test(int(pos[i])) {
-				buf = append(buf, int32(i))
-			}
-		}
-	}
-	v.bufsA[shard] = buf
+	v.bufsA[shard] = collectPickups(v.informedA, v.informedV, v.walks.Positions(), lo, hi, v.bufsA[shard])
 }

@@ -69,7 +69,9 @@ func Components(g *Graph) (int, []int32) {
 
 // IsBipartite reports whether the graph is bipartite (2-colorable). The
 // agent protocols use this to decide whether lazy walks are required for
-// meet-exchange to terminate (Section 3 of the paper).
+// meet-exchange to terminate (Section 3 of the paper). It searches the
+// whole graph on every call; callers holding a *Graph they will ask again
+// use the memoized g.Bipartite(), which the tests compare against this.
 func IsBipartite(g *Graph) bool {
 	color := make([]int8, g.N())
 	queue := make([]Vertex, 0)

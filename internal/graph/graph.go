@@ -47,6 +47,8 @@ type Graph struct {
 	alias       *xrand.Alias
 	posDegOnce  sync.Once
 	posDegCount int
+	bipOnce     sync.Once
+	bipartite   bool
 }
 
 // N returns the number of vertices.
@@ -139,6 +141,15 @@ func (g *Graph) PositiveDegreeCount() int {
 		}
 	})
 	return g.posDegCount
+}
+
+// Bipartite reports whether the graph is 2-colorable, computed once per
+// graph (see IsBipartite, the uncached reference): every meet-exchange and
+// hybrid bundle, every served response and every CLI summary asks, and the
+// O(n + m) search must not be paid per asker on the shared immutable graph.
+func (g *Graph) Bipartite() bool {
+	g.bipOnce.Do(func() { g.bipartite = IsBipartite(g) })
+	return g.bipartite
 }
 
 // MaxDegree returns the largest vertex degree.

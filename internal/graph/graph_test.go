@@ -222,6 +222,13 @@ func TestFamilies(t *testing.T) {
 			if got := IsBipartite(g); got != tc.bipartite && tc.name != "erdosrenyi" && tc.name != "chunglu" {
 				t.Errorf("IsBipartite = %v, want %v", got, tc.bipartite)
 			}
+			// The memoized answer equals the reference search, first ask
+			// and repeat.
+			for i := 0; i < 2; i++ {
+				if got, want := g.Bipartite(), IsBipartite(g); got != want {
+					t.Errorf("ask %d: Bipartite() = %v, IsBipartite = %v", i, got, want)
+				}
+			}
 			for _, lm := range tc.landmarks {
 				if _, ok := g.Landmark(lm); !ok {
 					t.Errorf("missing landmark %q", lm)

@@ -2,25 +2,31 @@
 // deterministic parallel round engine.
 //
 // Work is expressed as a loop over [0, n) split into contiguous, ordered
-// shards: Do(n, grain, fn) calls fn(shard, lo, hi) once per shard with
+// shards: DoN(shards, n, fn) calls fn(shard, lo, hi) once per shard with
 // shard boundaries that tile [0, n) in increasing order. The determinism
 // contract is split between this package and its callers:
 //
 //   - par guarantees shards are contiguous, disjoint, ordered by index,
-//     and that Do returns only after every shard completed;
+//     and that DoN returns only after every shard completed;
 //   - callers guarantee fn's writes for shard s touch only state owned by
 //     indices [lo, hi) plus a per-shard output buffer, and that per-shard
 //     outputs are merged in shard order afterwards.
 //
-// Under those rules results are bit-identical for any worker count, so the
-// shard count may (and does) adapt to runtime.GOMAXPROCS(0): on a single
-// processor Do degrades to a plain loop with zero dispatch overhead.
+// Under those rules results are bit-identical for any shard count, so the
+// count is purely a throughput decision — and par does not make it. The
+// engine has one owner of parallelism, core.RunManyLanes: it spends the
+// processors on whole trials first and hands each bundle only what is
+// left as its shard budget, so a round is split at all only when cores
+// would otherwise idle and the phase carries enough work to repay the
+// dispatch (see core's budget). With one shard DoN is a plain call: no
+// pool, no atomics, no allocation.
 //
-// The pool's goroutines are started once and reused for every Do call in
-// the process. Submission never blocks: when every worker is busy (for
-// example when RunMany already saturates the machine with trial-level
-// parallelism) shards run inline on the caller, which also makes nested or
-// concurrent Do calls deadlock-free by construction.
+// The pool's goroutines are started once and reused for every call in the
+// process. Submission never blocks: the caller always runs shard 0 itself,
+// and a shard the pool has no room for runs on the caller too, so any
+// number of concurrent callers make progress. Workers only ever run
+// shards, which is why fn must not call back into this package: a worker
+// waiting on shards queued behind itself would never see them run.
 package par
 
 import (
@@ -29,20 +35,43 @@ import (
 	"sync/atomic"
 )
 
-// pool is the process-wide reusable worker pool. Workers park on the work
-// channel; tasks are closures that signal their WaitGroup when done.
-type pool struct {
-	work chan func()
+// call is one multi-shard DoN in flight. Calls are recycled through
+// freeCalls so steady-state dispatch allocates nothing.
+type call struct {
+	fn        func(shard, lo, hi int)
+	n, shards int
+	wg        sync.WaitGroup
+}
+
+// run executes shard s: the balanced split [s*n/shards, (s+1)*n/shards)
+// never produces an empty or out-of-range shard for any shards <= n.
+func (c *call) run(s int) {
+	c.fn(s, s*c.n/c.shards, (s+1)*c.n/c.shards)
+}
+
+// task is one shard of a call, passed to the workers by value.
+type task struct {
+	c     *call
+	shard int
 }
 
 var (
+	// work is the queue of the process-wide worker pool (see sharedPool).
 	poolOnce sync.Once
-	shared   *pool
+	work     chan task
+
+	// freeCalls recycles call records. 64 covers every concurrent
+	// multi-shard caller a process plausibly has; beyond that, calls are
+	// allocated and dropped.
+	freeCalls = make(chan *call, 64)
+
+	// handed and inline count the shards of multi-shard calls (see Stats).
+	handed, inline atomic.Int64
 
 	// procs caches runtime.GOMAXPROCS(0): querying it takes a runtime
-	// lock, far too expensive for once-per-round calls. The cache is
-	// refreshed by Refresh; a stale value changes only how much physical
-	// parallelism a round uses, never its result.
+	// lock, too expensive for per-round calls. Refresh updates it; a stale
+	// value changes only how much physical parallelism is used, never a
+	// result.
 	procs atomic.Int32
 )
 
@@ -55,32 +84,42 @@ func Procs() int {
 }
 
 // Refresh re-reads runtime.GOMAXPROCS(0) into the cache and returns it.
-// Long-running drivers (core.RunMany, the determinism tests) call it so
-// sharding tracks GOMAXPROCS changes; nothing correctness-critical depends
-// on it.
+// core.RunManyLanes calls it once per sweep and sizes both its trial pool
+// and the bundles' shard budget from the returned value.
 func Refresh() int {
 	p := runtime.GOMAXPROCS(0)
 	procs.Store(int32(p))
 	return p
 }
 
+// Stats returns the cumulative number of shards that multi-shard calls
+// handed to pool workers and ran inline on the caller. Single-shard calls
+// touch neither counter, so a delta of zero across a run proves the run
+// never dispatched.
+func Stats() (handedShards, inlineShards int64) {
+	return handed.Load(), inline.Load()
+}
+
 // sharedPool starts the workers on first use, sized to the processor count
 // at that moment. Worker count affects only physical parallelism, never
 // results, so a later GOMAXPROCS change at worst under- or over-subscribes
 // the machine.
-func sharedPool() *pool {
+func sharedPool() chan<- task {
 	poolOnce.Do(func() {
 		workers := runtime.GOMAXPROCS(0)
-		shared = &pool{work: make(chan func(), 4*workers)}
+		// Room for every worker to have a few shards queued behind the one
+		// it runs, so a burst of callers rarely falls back to inline.
+		work = make(chan task, 4*workers)
 		for i := 0; i < workers; i++ {
 			go func() {
-				for f := range shared.work {
-					f()
+				for t := range work {
+					t.c.run(t.shard)
+					t.c.wg.Done()
 				}
 			}()
 		}
 	})
-	return shared
+	return work
 }
 
 // Shards returns the number of contiguous shards Do will split n items
@@ -103,52 +142,57 @@ func Shards(n, grain int) int {
 	return s
 }
 
-// Do splits [0, n) into Shards(n, grain) contiguous shards and runs
-// fn(shard, lo, hi) for each, returning when all shards are done. With one
-// shard it calls fn(0, 0, n) inline. fn must confine its writes to state
-// owned by [lo, hi) and per-shard buffers (see the package comment).
+// Do is DoN at Shards(n, grain) shards, for callers outside the engine
+// that own the whole machine and size nothing per shard.
 func Do(n, grain int, fn func(shard, lo, hi int)) {
 	DoN(Shards(n, grain), n, fn)
 }
 
-// DoN is Do with the shard count fixed by the caller. Callers that size
-// per-shard output buffers must use DoN with the same count they sized
-// for: Do recomputes Shards from the (refreshable) processor cache, so a
-// concurrent Refresh could otherwise hand fn a shard index beyond the
-// caller's buffers.
+// DoN splits [0, n) into the given number of contiguous shards (at most n,
+// at least one) and runs fn(shard, lo, hi) for each, returning when all
+// are done. With one shard it calls fn(0, 0, n) inline. fn must confine
+// its writes to state owned by [lo, hi) and per-shard buffers (see the
+// package comment); callers that size per-shard buffers size them for the
+// count they pass.
 func DoN(shards, n int, fn func(shard, lo, hi int)) {
-	if shards <= 0 || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	if shards > n {
 		shards = n
 	}
-	if shards == 1 {
+	if shards <= 1 {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	p := sharedPool()
-	for s := 0; s < shards; s++ {
-		// Balanced split: shard s covers [s*n/shards, (s+1)*n/shards).
-		// Unlike ceil-division chunking this never produces empty or
-		// out-of-range shards, for any shards <= n.
-		lo := s * n / shards
-		hi := (s + 1) * n / shards
-		task := func(s, lo, hi int) func() {
-			return func() {
-				defer wg.Done()
-				fn(s, lo, hi)
-			}
-		}(s, lo, hi)
-		// Never block on a busy pool: running the shard inline keeps Do
-		// deadlock-free and self-balancing under trial-level parallelism.
+	var c *call
+	select {
+	case c = <-freeCalls:
+	default:
+		c = new(call)
+	}
+	c.fn, c.n, c.shards = fn, n, shards
+	c.wg.Add(shards - 1)
+	pool := sharedPool()
+	sent := 0
+	for s := 1; s < shards; s++ {
+		// Never block on a busy pool: running the shard inline keeps DoN
+		// deadlock-free and self-balancing under concurrent callers.
 		select {
-		case p.work <- task:
+		case pool <- task{c, s}:
+			sent++
 		default:
-			task()
+			c.run(s)
+			c.wg.Done()
 		}
 	}
-	wg.Wait()
+	c.run(0)
+	c.wg.Wait()
+	handed.Add(int64(sent))
+	inline.Add(int64(shards - sent))
+	c.fn = nil
+	select {
+	case freeCalls <- c:
+	default:
+	}
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -129,4 +130,54 @@ func TestDoConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDispatchStats: Stats counts the shards of multi-shard calls only —
+// every shard exactly once, as handed or inline, shard 0 always inline —
+// and a single-shard call leaves both counters alone.
+func TestDispatchStats(t *testing.T) {
+	nop := func(_, _, _ int) {}
+	h0, i0 := Stats()
+	DoN(1, 100, nop)
+	DoN(8, 1, nop) // capped to one shard by n
+	DoN(0, 100, nop)
+	if h, i := Stats(); h != h0 || i != i0 {
+		t.Fatalf("single-shard calls moved Stats by (%d, %d)", h-h0, i-i0)
+	}
+	DoN(5, 100, nop)
+	h, i := Stats()
+	if got := (h - h0) + (i - i0); got != 5 {
+		t.Errorf("5-shard call counted %d shards (handed %d, inline %d)", got, h-h0, i-i0)
+	}
+	if i-i0 < 1 {
+		t.Errorf("caller ran %d shards inline, want at least shard 0", i-i0)
+	}
+}
+
+// TestDoNZeroAllocs pins the dispatch path allocation-free once a call
+// record is in circulation: no closure per shard, no heap WaitGroup.
+func TestDoNZeroAllocs(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(_, lo, hi int) { sum.Add(int64(hi - lo)) }
+	for _, shards := range []int{1, 2, 8} {
+		if a := testing.AllocsPerRun(200, func() { DoN(shards, 1000, fn) }); a != 0 {
+			t.Errorf("DoN(%d shards) allocates %v per call, want 0", shards, a)
+		}
+	}
+}
+
+// BenchmarkDoN prices one call at 1, 2 and 8 shards of no work; run it
+// with -cpu 1,2 to see what a dispatch costs with and without a second
+// processor to take it. It loops on b.N because under go 1.24 a b.Loop
+// benchmark measures before the first -cpu value is applied.
+func BenchmarkDoN(b *testing.B) {
+	nop := func(_, _, _ int) {}
+	for _, shards := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				DoN(shards, 1<<16, nop)
+			}
+		})
+	}
 }

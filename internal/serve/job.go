@@ -230,7 +230,7 @@ func buildRunResponse(spec experiment.RunSpec, g *graph.Graph, src graph.Vertex,
 			Name:      g.Name(),
 			N:         g.N(),
 			M:         g.M(),
-			Bipartite: graph.IsBipartite(g),
+			Bipartite: g.Bipartite(),
 			Source:    int(src),
 		},
 		Trials: make([]trialJSON, 0, len(results)),

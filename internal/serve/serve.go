@@ -33,8 +33,10 @@
 // # Execution model
 //
 // Accepted jobs enter a bounded queue consumed by a fixed worker pool
-// sized to the machine (each simulation itself parallelizes across
-// internal/par, so a small number of workers saturates the cores). Every
+// sized to the machine (each simulation spreads its own trials over the
+// processors, one lane bundle per processor, so a small number of workers
+// saturates the cores; rounds shard over internal/par only for
+// simulations with fewer bundles than processors). Every
 // simulation — run and sweep points alike, all five protocols — executes
 // on core's unified lane engine: fused multi-lane bundles at the adaptive
 // bundle width, which is a pure throughput knob (results are bit-identical
@@ -71,7 +73,10 @@ const keyPrefix = "rumord/v1|"
 // Options configures a Server. The zero value selects all defaults.
 type Options struct {
 	// Workers bounds concurrently running simulations. Default: half the
-	// processors (min 1) — each simulation already shards across cores.
+	// processors (min 1) — a simulation spreads its trials over the
+	// processors itself, one lane bundle each (core.RunManyLanes), and
+	// splits rounds only when it has fewer bundles than processors, so two
+	// workers' worth of bundles already cover the machine.
 	Workers int
 	// QueueSize bounds accepted-but-not-started jobs; submissions beyond
 	// it are rejected with 429, and sweeps whose cross-product exceeds it

@@ -117,7 +117,7 @@ func EstimateMeetingTime(g *graph.Graph, trials int, seed uint64) (stats.Summary
 	if trials <= 0 {
 		return stats.Summary{}, fmt.Errorf("walkstats: trials must be positive")
 	}
-	lazy := graph.IsBipartite(g)
+	lazy := g.Bipartite()
 	times := make([]float64, trials)
 	for i := range times {
 		rng := xrand.New(xrand.Derive(seed, i))
