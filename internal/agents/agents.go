@@ -35,7 +35,7 @@
 // dominate the step cost there). Lane t draws from streams keyed
 // (seeds[t], agent, round) with seeds[t] consumed from trial t's RNG
 // exactly as New would, so every lane's trajectory is bit-identical to a
-// serial Walks — the contract core.RunManyBatched builds on.
+// serial Walks — the contract core.RunManyLanes builds on.
 //
 // The package also provides epoch-stamped occupancy counters so protocols
 // can track per-round vertex visits in O(|A|) per round without O(n)

@@ -13,26 +13,20 @@ import (
 )
 
 // The batched/serial equivalence contract: for every agent protocol, seed,
-// and batch width K, RunManyBatched must return []Result bit-identical to
+// and batch width K, RunManyLanes must return []Result bit-identical to
 // RunMany — Rounds, Completed, Messages, AllAgentsRound, and the full
 // History per trial — at any GOMAXPROCS. These tests pin K in {1, 2, 7}
 // (one lane, partial bundle, prime width straddling nothing) at GOMAXPROCS
 // 1 and 8.
 
-type batchedProto struct {
-	name    string
-	serial  Factory
-	batched BatchedFactory
-}
-
-func batchedProtos(g *graph.Graph, s graph.Vertex) []batchedProto {
-	return []batchedProto{
+func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
+	return []laneProto{
 		{
 			name: "visit-exchange",
 			serial: func(rng *xrand.RNG) (Process, error) {
 				return NewVisitExchange(g, s, rng, AgentOptions{})
 			},
-			batched: func(rngs []*xrand.RNG) (BatchedProcess, error) {
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedVisitExchange(g, s, rngs, AgentOptions{})
 			},
 		},
@@ -41,7 +35,7 @@ func batchedProtos(g *graph.Graph, s graph.Vertex) []batchedProto {
 			serial: func(rng *xrand.RNG) (Process, error) {
 				return NewMeetExchange(g, s, rng, AgentOptions{})
 			},
-			batched: func(rngs []*xrand.RNG) (BatchedProcess, error) {
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{})
 			},
 		},
@@ -50,7 +44,7 @@ func batchedProtos(g *graph.Graph, s graph.Vertex) []batchedProto {
 			serial: func(rng *xrand.RNG) (Process, error) {
 				return NewMeetExchange(g, s, rng, AgentOptions{Lazy: LazyOn})
 			},
-			batched: func(rngs []*xrand.RNG) (BatchedProcess, error) {
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{Lazy: LazyOn})
 			},
 		},
@@ -82,7 +76,7 @@ func TestBatchedEquivalence(t *testing.T) {
 	for _, g := range graphs {
 		for _, pc := range batchedProtos(g, 0) {
 			for _, k := range []int{1, 2, 7} {
-				compareLanes(t, g, laneProto(pc), k, 0, seed)
+				compareLanes(t, g, pc, k, 0, seed)
 			}
 		}
 	}
@@ -100,9 +94,9 @@ func TestBatchedEquivalenceMaxRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunManyBatched(g, func(rngs []*xrand.RNG) (BatchedProcess, error) {
+	batched, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
 		return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-	}, k, maxRounds, seed)
+	}, k, maxRounds, seed, batchK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +116,9 @@ func TestRunManyBatchedManyBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunManyBatched(g, func(rngs []*xrand.RNG) (BatchedProcess, error) {
+	batched, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
 		return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-	}, trials, 0, seed)
+	}, trials, 0, seed, batchK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +170,9 @@ func TestRunManyErrorConsistency(t *testing.T) {
 func TestRunManyBatchedFactoryError(t *testing.T) {
 	g := graph.Hypercube(5)
 	boom := fmt.Errorf("boom")
-	_, err := RunManyBatched(g, func(rngs []*xrand.RNG) (BatchedProcess, error) {
+	_, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
 		return nil, boom
-	}, 20, 0, 1)
+	}, 20, 0, 1, batchK, nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("expected factory error, got %v", err)
 	}
@@ -193,7 +187,7 @@ func TestRunManyBatchedErrorConsistency(t *testing.T) {
 	// Deterministic, seed-dependent failure keyed off the bundle's first
 	// trial RNG, with the draw embedded so matching errors imply matching
 	// bundles.
-	factory := func(rngs []*xrand.RNG) (BatchedProcess, error) {
+	factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
 		u := rngs[0].Uint64()
 		if u&1 == 1 {
 			return nil, fmt.Errorf("synthetic bundle failure %d", u)
@@ -203,7 +197,7 @@ func TestRunManyBatchedErrorConsistency(t *testing.T) {
 	const seed, trials = 42, 40
 	run := func(procs int) error {
 		return atGOMAXPROCS(t, procs, func() error {
-			_, err := RunManyBatched(g, factory, trials, 0, seed)
+			_, err := RunManyLanes(g, factory, trials, 0, seed, batchK, nil)
 			return err
 		})
 	}

@@ -62,7 +62,7 @@ type BatchedVisitExchange struct {
 	fuseMark bool
 }
 
-var _ BatchedProcess = (*BatchedVisitExchange)(nil)
+var _ LaneProcess = (*BatchedVisitExchange)(nil)
 
 // NewBatchedVisitExchange builds a K = len(rngs) lane visit-exchange
 // bundle. Lane t consumes rngs[t] exactly as NewVisitExchange would, so
@@ -111,32 +111,32 @@ func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, 
 	return v, nil
 }
 
-// Name implements BatchedProcess.
+// Name implements LaneProcess.
 func (v *BatchedVisitExchange) Name() string { return "visit-exchange" }
 
-// K implements BatchedProcess.
+// K implements LaneProcess.
 func (v *BatchedVisitExchange) K() int { return len(v.lanes) }
 
-// Source implements BatchedProcess.
+// Source implements LaneProcess.
 func (v *BatchedVisitExchange) Source() graph.Vertex { return v.src }
 
-// LaneDone implements BatchedProcess.
+// LaneDone implements LaneProcess.
 func (v *BatchedVisitExchange) LaneDone(t int) bool { return v.lanes[t].countV == v.g.N() }
 
-// LaneInformedCount implements BatchedProcess (vertices).
+// LaneInformedCount implements LaneProcess (vertices).
 func (v *BatchedVisitExchange) LaneInformedCount(t int) int { return v.lanes[t].countV }
 
-// LaneMessages implements BatchedProcess.
+// LaneMessages implements LaneProcess.
 func (v *BatchedVisitExchange) LaneMessages(t int) int64 { return v.lanes[t].messages }
 
-// LaneAllAgentsInformed implements BatchedProcess.
+// LaneAllAgentsInformed implements LaneProcess.
 func (v *BatchedVisitExchange) LaneAllAgentsInformed(t int) bool {
 	return v.lanes[t].countA == v.walks.N()
 }
 
 func (v *BatchedVisitExchange) setBudget(b budget) { v.budget = b }
 
-// Step implements BatchedProcess: one fused walk round — stamping the
+// Step implements LaneProcess: one fused walk round — stamping the
 // occupancy of lanes whose agents are all informed in the same pass — then
 // the informing stages as cross-lane sweeps over the active lanes.
 func (v *BatchedVisitExchange) Step(active []bool) {
@@ -276,7 +276,7 @@ type BatchedMeetExchange struct {
 	laneFn    func(shard, lo, hi int)
 }
 
-var _ BatchedProcess = (*BatchedMeetExchange)(nil)
+var _ LaneProcess = (*BatchedMeetExchange)(nil)
 
 // NewBatchedMeetExchange builds a K = len(rngs) lane meet-exchange bundle;
 // lane t replays serial trial t (see NewBatchedVisitExchange).
@@ -308,30 +308,30 @@ func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, o
 	return m, nil
 }
 
-// Name implements BatchedProcess.
+// Name implements LaneProcess.
 func (m *BatchedMeetExchange) Name() string { return "meet-exchange" }
 
-// K implements BatchedProcess.
+// K implements LaneProcess.
 func (m *BatchedMeetExchange) K() int { return len(m.lanes) }
 
-// Source implements BatchedProcess.
+// Source implements LaneProcess.
 func (m *BatchedMeetExchange) Source() graph.Vertex { return m.src }
 
-// LaneDone implements BatchedProcess: every agent informed.
+// LaneDone implements LaneProcess: every agent informed.
 func (m *BatchedMeetExchange) LaneDone(t int) bool { return m.lanes[t].countA == m.walks.N() }
 
-// LaneInformedCount implements BatchedProcess (agents).
+// LaneInformedCount implements LaneProcess (agents).
 func (m *BatchedMeetExchange) LaneInformedCount(t int) int { return m.lanes[t].countA }
 
-// LaneMessages implements BatchedProcess.
+// LaneMessages implements LaneProcess.
 func (m *BatchedMeetExchange) LaneMessages(t int) int64 { return m.lanes[t].messages }
 
-// LaneAllAgentsInformed implements BatchedProcess.
+// LaneAllAgentsInformed implements LaneProcess.
 func (m *BatchedMeetExchange) LaneAllAgentsInformed(t int) bool { return m.LaneDone(t) }
 
 func (m *BatchedMeetExchange) setBudget(b budget) { m.budget = b }
 
-// Step implements BatchedProcess: the walk step and the meeting pass each
+// Step implements LaneProcess: the walk step and the meeting pass each
 // do one unit of work per (active lane, agent).
 func (m *BatchedMeetExchange) Step(active []bool) {
 	m.activeIDs = activeLanes(m.activeIDs[:0], active, len(m.lanes))

@@ -38,8 +38,8 @@
 // BatchedHybrid): K trials step in lockstep through one blocked loop over
 // units per round, with per-lane state and per-trial done-masking. Serial
 // and fused execution share one engine — a serial Process runs as the
-// K = 1 lane of the same driver (see lane.go) — so RunMany, RunManyBatched,
-// and RunManyLanes differ only in bundle width. The trial lane of the
+// K = 1 lane of the same driver (see lane.go) — so RunMany and
+// RunManyLanes differ only in bundle width. The trial lane of the
 // stream keying (xrand.TrialSeed) guarantees lane t draws exactly what
 // serial trial t would, so the []Result is bit-identical for every seed
 // and K — pinned by the lane-equivalence tests at GOMAXPROCS 1 and 8.

@@ -60,10 +60,10 @@ func TestRunManyBatchedEmitOrderAndEquality(t *testing.T) {
 	const trials = 19                       // 2 full bundles + partial
 	for _, maxRounds := range []int{0, 3} { // completion and cutoff paths
 		em := &collectEmitter{t: t}
-		factory := func(rngs []*xrand.RNG) (BatchedProcess, error) {
+		factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
 			return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
 		}
-		results, err := RunManyBatchedEmit(g, factory, trials, maxRounds, 7, em.emit)
+		results, err := RunManyLanes(g, factory, trials, maxRounds, 7, batchK, em.emit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,12 +73,12 @@ func TestRunManyBatchedEmitOrderAndEquality(t *testing.T) {
 		if !reflect.DeepEqual(em.res, results) {
 			t.Fatalf("maxRounds=%d: emitted results differ from returned results", maxRounds)
 		}
-		plain, err := RunManyBatched(g, factory, trials, maxRounds, 7)
+		plain, err := RunManyLanes(g, factory, trials, maxRounds, 7, batchK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, results) {
-			t.Fatalf("maxRounds=%d: RunManyBatchedEmit results differ from RunManyBatched", maxRounds)
+			t.Fatalf("maxRounds=%d: emitting run differs from the emit-less run", maxRounds)
 		}
 	}
 }

@@ -19,9 +19,8 @@ import (
 // protocol implementations (BatchedPush, BatchedPushPull,
 // BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid) are
 // LaneProcesses with K > 1; a serial Process becomes the K = 1 special case
-// through processLane. RunMany is RunManyLanes at K = 1, RunManyBatched is
-// RunManyLanes at K = batchK, and both therefore share one worker pool, one
-// error discipline, and one emitter.
+// through processLane. RunMany is RunManyLanes at K = 1, so serial and fused
+// sweeps share one worker pool, one error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
 // streams keyed by the trial lane (xrand.TrialSeed(seed, t)) exactly as a

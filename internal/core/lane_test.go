@@ -124,12 +124,28 @@ func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, 
 // TestLaneEquivalenceBatchedCallProtocols: fused push/push-pull/hybrid
 // bundles equal serial RunMany results per trial on mixed-degree (star:
 // push's coupon tail enters boundary mode), bridge-wait (double star:
-// push-pull's boundary mode), and uniform-degree (hypercube) graphs.
+// push-pull's boundary mode), uniform-degree (hypercube), and seeded
+// streamed random (G(n, p) through the two-pass skip-sampling builder)
+// graphs.
 func TestLaneEquivalenceBatchedCallProtocols(t *testing.T) {
+	gnpSpec, err := graph.ParseSpec("gnp:400,0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnp, err := gnpSpec.BuildSeeded(417)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.IsConnected(gnp) {
+		// Fixed sampler seed, so this is deterministic: a trip here means
+		// the sampler changed, not that the engines diverge.
+		t.Fatal("gnp:400,0.05 @417 realization is disconnected")
+	}
 	graphs := []*graph.Graph{
 		graph.Star(301),      // extreme degree mix; push waits Ω(n log n)
 		graph.DoubleStar(96), // the Ω(n) bridge wait drives boundary mode
 		graph.Hypercube(7),   // n = 128, uniform degree 7
+		gnp,                  // irregular degrees ~20 off the streaming sampler
 	}
 	const seed = 2024
 	for _, g := range graphs {

@@ -179,6 +179,7 @@ func TestShapeVerdictFormats(t *testing.T) {
 // sync.Once contract (two goroutines racing LoadOrStore used to both pay
 // a paper-scale construction).
 func TestCachedGraphBuildsOnce(t *testing.T) {
+	isolateGraphs(t)
 	var builds atomic.Int32
 	const workers = 16
 	got := make([]*graph.Graph, workers)

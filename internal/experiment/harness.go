@@ -249,13 +249,15 @@ const graphCacheBytes = 2 << 30
 // still hold it, so eviction only drops the cache's reference and the
 // graph (plus any mmap backing, via its runtime cleanup) is collected
 // once the last trial finishes.
-var graphCache = func() *lru.Cache[string, *graph.Graph] {
+var graphCache = newGraphCache()
+
+func newGraphCache() *lru.Cache[string, *graph.Graph] {
 	c := lru.New[string, *graph.Graph](graphCacheCap)
 	c.SetCost(graphCacheBytes, func(_ string, g *graph.Graph) int64 {
 		return g.MemoryCost()
 	})
 	return c
-}()
+}
 
 // graphStore, when configured, spills giant deterministic graphs to a
 // content-addressed directory and reopens them mmap-backed (see

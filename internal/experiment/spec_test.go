@@ -13,6 +13,7 @@ import (
 // not accumulate every graph ever built). An evicted key rebuilds on next
 // use; a resident key never rebuilds.
 func TestCachedGraphEvictionRebuild(t *testing.T) {
+	isolateGraphs(t)
 	builds := 0
 	key := "test/evict-target"
 	get := func() *graph.Graph {

@@ -1,16 +1,36 @@
 package experiment
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"rumor/internal/graph"
 	"rumor/internal/lru"
 	"rumor/internal/xrand"
 )
+
+// isolateGraphs gives the test its own world: an empty graph memo and no
+// graph store, with the package's own restored on cleanup. The memo and
+// the store are package-level and outlive a test, so without this a
+// second run in one process (-count=2) finds the first run's graphs
+// resident and never reaches the builder or the spill path under test.
+func isolateGraphs(t *testing.T) {
+	t.Helper()
+	prevCache, prevStore := graphCache, graphStore.Load()
+	graphCache = newGraphCache()
+	graphStore.Store(nil)
+	t.Cleanup(func() {
+		graphCache = prevCache
+		graphStore.Store(prevStore)
+	})
+}
 
 // TestGraphCacheByteCostMixedSizes is the regression for the old
 // entry-count-only bound: one paper-scale graph among many tiny ones must
@@ -131,12 +151,8 @@ func TestSpilledGraphReplaysByteIdentical(t *testing.T) {
 // mmap-backed, and a fixed-seed sweep replays result-identically — the
 // property that makes caching a *random* graph sound at all.
 func TestSpilledRandomGraphReplaysByteIdentical(t *testing.T) {
+	isolateGraphs(t)
 	dir := t.TempDir()
-	defer func() {
-		if err := ConfigureGraphStorage("", 0); err != nil {
-			t.Fatal(err)
-		}
-	}()
 
 	spec := DefaultRunSpec()
 	spec.Graph = "randreg:96,4"
@@ -155,10 +171,6 @@ func TestSpilledRandomGraphReplaysByteIdentical(t *testing.T) {
 	key := graph.SeededKey(p.Canonical(), samplerSeed)
 
 	// Reference: heap-built realization, no store.
-	if err := ConfigureGraphStorage("", 0); err != nil {
-		t.Fatal(err)
-	}
-	graphCache.Delete(key)
 	want, err := spec.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +235,96 @@ func TestSpilledRandomGraphReplaysByteIdentical(t *testing.T) {
 	for _, f := range []string{pathA, pathB} {
 		if _, err := os.Stat(f); err != nil {
 			t.Fatalf("missing spill file: %v", err)
+		}
+	}
+}
+
+// giantSpecs sizes TestOutOfCoreGiant, e.g.
+//
+//	go test -run TestOutOfCoreGiant ./internal/experiment -args -giant-specs 'star:100000000;gnp:10000000,2e-7'
+var giantSpecs = flag.String("giant-specs", "", "semicolon-separated graph specs for TestOutOfCoreGiant (empty skips it)")
+
+// TestOutOfCoreGiant is the out-of-core contract of the TestSpilled*
+// tests at sizes where it binds (CI runs it under GOMEMLIMIT): per spec,
+// the streaming build's peak heap stays within 1.1x of the final CSR —
+// the two-pass builder allocates the CSR arrays and O(1) scratch, and
+// the random samplers' auxiliary state is file-backed — the graph spills
+// (under graph.SeededKey for random families) and reopens mmap-backed,
+// and a fixed-seed truncated push sweep is identical on both copies.
+func TestOutOfCoreGiant(t *testing.T) {
+	if *giantSpecs == "" {
+		t.Skip("no -giant-specs")
+	}
+	// One reproducible realization per random spec, not a distribution.
+	const samplerSeed = 424242
+	// Push on a star needs Θ(n log n) rounds; 3 rounds of 2 trials run the
+	// full draw/commit machinery and truncate deterministically, with
+	// per-lane state O(informed) so the sweep is tiny next to the graph.
+	sweep := RunSpec{Protocol: ProtoPush, Trials: 2, MaxRounds: 3, Seed: 12345}
+	store, err := graph.NewStore(t.TempDir(), 1) // 1-byte threshold: every size spills
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range strings.Split(*giantSpecs, ";") {
+		p, err := graph.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		baseline := ms.HeapAlloc
+		peak := baseline
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			// 10ms resolution is ample: the build's heap profile is two
+			// long plateaus (offsets, then offsets+neighbors), not spikes.
+			var ms runtime.MemStats
+			for {
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.HeapAlloc)
+				select {
+				case <-stop:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}()
+		g, err := p.BuildSeeded(samplerSeed)
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatalf("%s: build: %v", spec, err)
+		}
+		if ratio := float64(peak-baseline) / float64(g.CSRBytes()); ratio > 1.1 {
+			t.Fatalf("%s: build peak heap %d MiB is %.3fx the %d MiB CSR (bound 1.1x): streaming path regressed",
+				spec, (peak-baseline)>>20, ratio, g.CSRBytes()>>20)
+		}
+		want, err := sweep.RunOn(g, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: heap sweep: %v", spec, err)
+		}
+
+		key := "giant-" + p.Canonical()
+		if p.Random() {
+			key = graph.SeededKey(p.Canonical(), samplerSeed)
+		}
+		gm, err := store.GetOrBuild(key, func() (*graph.Graph, error) { return g, nil })
+		if err != nil {
+			t.Fatalf("%s: spill: %v", spec, err)
+		}
+		if !gm.MmapBacked() {
+			t.Fatalf("%s: reopened graph is not mmap-backed", spec)
+		}
+		g = nil
+		runtime.GC() // release the heap CSR before sweeping the mapped copy
+		got, err := sweep.RunOn(gm, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: mmap sweep: %v", spec, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: mmap-backed sweep diverges from the in-memory sweep", spec)
 		}
 	}
 }

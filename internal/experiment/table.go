@@ -2,8 +2,7 @@
 // experiment per figure/theorem of the paper, each of which sweeps graph
 // sizes, measures broadcast-time distributions for the relevant protocols,
 // fits growth shapes, and emits a results table. cmd/experiments regenerates
-// EXPERIMENTS.md from this registry; bench_test.go exposes each experiment
-// as a testing.B benchmark.
+// EXPERIMENTS.md from this registry.
 package experiment
 
 import (

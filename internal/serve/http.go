@@ -23,7 +23,7 @@ const maxBodyBytes = 1 << 20
 //	GET  /v1/jobs/{id}/stream NDJSON results, replay + follow
 //	GET  /v1/healthz          liveness + counters (200 while the process serves)
 //	GET  /v1/readyz           readiness: 200 with queue headroom, 503 once draining
-//	GET  /metrics             Prometheus text exposition (unless DisableMetrics)
+//	GET  /metrics             Prometheus text exposition
 //
 // Like /v1/healthz, /metrics answers 200 while the server drains — only
 // intake (run/sweep submissions, via readyz for routers) is refused, so
@@ -37,9 +37,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	if s.m != nil {
-		mux.Handle("GET /metrics", s.m.reg.Handler())
-	}
+	mux.Handle("GET /metrics", s.m.reg.Handler())
 	return mux
 }
 

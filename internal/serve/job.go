@@ -88,10 +88,13 @@ func (j *Job) appendLine(line []byte) {
 	j.mu.Unlock()
 }
 
-// complete finalizes the job and returns the terminal frame. Sweep
-// streams interleave one header frame per point with the trial frames,
-// so their terminal frame reports both counts.
-func (j *Job) complete(resp []byte, err error) []byte {
+// seal finalizes the job — state, payload, terminal frame — and returns
+// the terminal frame, without waking anyone: Server.finish publishes the
+// payload to the store between seal and wake, so no response can overtake
+// its own result's move into the cache. Sweep streams interleave one
+// header frame per point with the trial frames, so their terminal frame
+// reports both counts.
+func (j *Job) seal(resp []byte, err error) []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err != nil {
@@ -103,9 +106,15 @@ func (j *Job) complete(resp []byte, err error) []byte {
 		j.resp = resp
 		j.final = mustMarshalLine(streamFinal{Done: true, Job: j.ID, Points: j.points, Trials: len(j.lines) - j.points})
 	}
+	return j.final
+}
+
+// wake releases everyone waiting on a sealed job.
+func (j *Job) wake() {
+	j.mu.Lock()
 	j.bump()
 	close(j.done)
-	return j.final
+	j.mu.Unlock()
 }
 
 // bump wakes every waiter. Caller holds mu.

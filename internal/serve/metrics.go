@@ -9,9 +9,7 @@
 // cost. Only facts no existing counter captures (submission source
 // split, rejection reasons, sweep-plan resolution, stream followers,
 // latency observations) get dedicated instruments, all pre-resolved at
-// construction so the hot path never does a label lookup. Every
-// instrument field is nil-safe, so Options.DisableMetrics turns the
-// whole layer into no-ops — the property BENCH_PR8 measures.
+// construction so the hot path never does a label lookup.
 package serve
 
 import (
@@ -24,8 +22,7 @@ import (
 // graph) up to ~100s (paper-scale heavy trees), exponential ×2.
 var simBuckets = metrics.ExpBuckets(0.0001, 2, 21)
 
-// serveMetrics bundles the server's instruments. A nil *serveMetrics
-// (Options.DisableMetrics) no-ops every method.
+// serveMetrics bundles the server's instruments.
 type serveMetrics struct {
 	reg *metrics.Registry
 
@@ -164,9 +161,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 
 // countSource attributes a successful submission to its source series.
 func (m *serveMetrics) countSource(src source) {
-	if m == nil {
-		return
-	}
 	switch src {
 	case sourceRun:
 		m.srcRun.Inc()
@@ -183,9 +177,6 @@ func (m *serveMetrics) countSource(src source) {
 // Unknown errors (none exist today) land on the internal-error counter
 // so the conservation law still balances.
 func (m *serveMetrics) countRejection(err error) {
-	if m == nil {
-		return
-	}
 	switch err {
 	case ErrBusy:
 		m.rejBusy.Inc()
@@ -198,15 +189,12 @@ func (m *serveMetrics) countRejection(err error) {
 
 // countInternalError records an unexpected 500.
 func (m *serveMetrics) countInternalError() {
-	if m == nil {
-		return
-	}
 	m.internalErrors.Inc()
 }
 
 // countPlan records a fresh sweep plan's resolution tallies.
 func (m *serveMetrics) countPlan(plan *sweepPlan) {
-	if m == nil || plan == nil {
+	if plan == nil {
 		return
 	}
 	m.sweepHits.Add(int64(plan.hits))
@@ -218,9 +206,6 @@ func (m *serveMetrics) countPlan(plan *sweepPlan) {
 // its protocol. The five paper protocols are pre-resolved; anything else
 // (impossible after spec normalization) resolves lazily.
 func (m *serveMetrics) observeSim(p experiment.Proto, seconds float64) {
-	if m == nil {
-		return
-	}
 	h, ok := m.simByProto[p]
 	if !ok {
 		h = m.simSeconds.With(string(p))
@@ -231,9 +216,6 @@ func (m *serveMetrics) observeSim(p experiment.Proto, seconds float64) {
 // streamOpen counts a stream request and marks its follower present for
 // the duration of the returned func.
 func (m *serveMetrics) streamOpen() func() {
-	if m == nil {
-		return func() {}
-	}
 	m.streams.Inc()
 	m.followers.Inc()
 	return m.followers.Dec

@@ -162,20 +162,3 @@ func TestMetricsReadableWhileDraining(t *testing.T) {
 		t.Fatalf("jobs_live after drain = %v, want 0", v)
 	}
 }
-
-// TestDisableMetrics pins the benchmark configuration: no /metrics
-// route, and the serving paths still work.
-func TestDisableMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, DisableMetrics: true})
-	if code, _, body := postRun(t, ts, specStarVisitX); code != http.StatusOK {
-		t.Fatalf("run: %d %s", code, body)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics with DisableMetrics: %d, want 404", resp.StatusCode)
-	}
-}

@@ -45,7 +45,7 @@ func computeCompleted(norm experiment.RunSpec) (string, *completedJob) {
 			resp = mustMarshalLine(buildRunResponse(norm, g, src, results))
 		}
 	}
-	final := j.complete(resp, runErr)
+	final := j.seal(resp, runErr)
 	c := &completedJob{resp: resp, lines: j.snapshotLines(), final: final, trials: j.trials}
 	if runErr != nil {
 		c.errMsg = runErr.Error()
@@ -105,7 +105,7 @@ func ComputeSweepReference(points []experiment.SweepPoint) (Reference, error) {
 		}
 		resp.Points = append(resp.Points, entry)
 	}
-	final := j.complete(mustMarshalLine(resp), nil)
+	final := j.seal(mustMarshalLine(resp), nil)
 	body, _ := j.result()
 	return Reference{ID: sid, Body: body, Lines: j.snapshotLines(), Final: final}, nil
 }

@@ -93,10 +93,6 @@ type Options struct {
 	// LRU evicts persist as content-addressed files there and are replayed
 	// byte-identically — including across restarts on the same directory.
 	DataDir string
-	// DisableMetrics skips the /metrics registry entirely: every
-	// instrument becomes a nil no-op. Exists so the instrumentation's
-	// hot-path cost is itself measurable (cmd/bench -serve-overhead).
-	DisableMetrics bool
 }
 
 func (o Options) workers() int {
@@ -187,8 +183,7 @@ type Server struct {
 	sweeps      atomic.Int64
 	runningJobs atomic.Int64 // simulations executing right now (worker occupancy)
 
-	// m holds the /metrics instruments; nil (every hook a no-op) with
-	// Options.DisableMetrics.
+	// m holds the /metrics instruments.
 	m *serveMetrics
 
 	// drain tracks recent job completions so queue-full 429s can carry an
@@ -218,9 +213,7 @@ func New(opts Options) (*Server, error) {
 		store: newStore(opts.shards(), opts.cacheSize(), sp),
 		queue: make(chan *Job, opts.queueSize()),
 	}
-	if !opts.DisableMetrics {
-		s.m = newServeMetrics(s)
-	}
+	s.m = newServeMetrics(s)
 	for i := 0; i < opts.workers(); i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -413,17 +406,19 @@ func (s *Server) runJob(j *Job) {
 
 // finish completes j (success or failure) and publishes its payload to
 // the store: out of the in-flight table, into the result cache — from
-// which eviction spills to disk.
+// which eviction spills to disk. Waiters wake only once the payload is
+// cached, so a client's repeat of a request it has seen answered is a
+// cache hit, never a join of the finished job.
 func (s *Server) finish(j *Job, resp []byte, err error) {
 	if err != nil {
 		s.failures.Add(1)
 	}
-	final := j.complete(resp, err)
+	final := j.seal(resp, err)
 	c := &completedJob{resp: resp, lines: j.snapshotLines(), final: final, trials: j.trials, points: j.points}
 	if err != nil {
 		c.errMsg = err.Error()
 	}
-	s.store.complete(j.ID, c)
+	s.store.complete(j.ID, c, j.wake)
 	s.drainMu.Lock()
 	s.drain.note(time.Now())
 	s.drainMu.Unlock()

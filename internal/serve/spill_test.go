@@ -46,10 +46,13 @@ func TestSpillReplayAcrossRestart(t *testing.T) {
 		jobs[i] = hdr.Get("X-Rumord-Job")
 		streams[i] = strings.Join(streamLines(t, ts, jobs[i]), "\n")
 	}
-	if st := first.Stats(); st.SpillWrites != total-cap || st.SpillLen != total-cap {
-		t.Fatalf("after filling past capacity: spillWrites=%d spillLen=%d, want %d evictions on disk",
-			st.SpillWrites, st.SpillLen, total-cap)
-	}
+	// A response can overtake the write of the eviction its completion
+	// displaced (file I/O is off the waiters' path), so wait for the last
+	// file.
+	waitUntil(t, "evictions on disk", func() bool {
+		st := first.Stats()
+		return st.SpillWrites == total-cap && st.SpillLen == total-cap
+	})
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -122,6 +125,9 @@ func TestSpillPromotionAndIdempotence(t *testing.T) {
 	if code, _, _ := postRun(t, ts, spillSpec(1)); code != 200 { // evicts 0 to disk
 		t.Fatal("evictor failed")
 	}
+	// Until 0's file is in place a repeat is served from the shard's write
+	// buffer, which is a disk-sourced reply but not a spill read.
+	waitUntil(t, "eviction on disk", func() bool { return s.Stats().SpillWrites == 1 })
 	code, hdr, b := postRun(t, ts, spillSpec(0)) // disk hit, promotes (evicts 1)
 	if code != 200 || hdr.Get("X-Rumord-Source") != "disk" {
 		t.Fatalf("status %d source %q, want disk", code, hdr.Get("X-Rumord-Source"))
@@ -138,6 +144,49 @@ func TestSpillPromotionAndIdempotence(t *testing.T) {
 	}
 	if st := s.Stats(); st.Simulations != 2 || st.SpillHits != 1 {
 		t.Fatalf("stats %+v: want 2 simulations, 1 spill hit", st)
+	}
+}
+
+// TestEvictedStaysFindable closes the eviction window: from the instant
+// the LRU displaces a payload until its spill file is in place, find
+// (and so a repeat submission) must still resolve it — never a miss that
+// re-simulates. The test holds the window open by evicting under the
+// shard lock, as complete does, and withholding the write.
+func TestEvictedStaysFindable(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, CacheSize: 1, Shards: 1, DataDir: t.TempDir()})
+	code, hdr, fresh := postRun(t, ts, spillSpec(0))
+	if code != 200 {
+		t.Fatalf("fresh: %d %s", code, fresh)
+	}
+	victim := hdr.Get("X-Rumord-Job")
+	sh := s.store.shardFor(victim)
+	sh.mu.Lock()
+	evicted := sh.put(strings.Repeat("ab", 32), &completedJob{resp: []byte("{}\n"), final: []byte("{}\n"), trials: 1})
+	sh.mu.Unlock()
+	if len(evicted) != 1 || evicted[0].id != victim {
+		t.Fatalf("put evicted %v, want the victim", evicted)
+	}
+
+	if _, c, src, ok := s.store.find(victim, false); !ok || src != sourceDisk || !bytes.Equal(c.resp, fresh) {
+		t.Fatalf("find mid-eviction: ok=%v source=%q", ok, src)
+	}
+	code, hdr, b := postRun(t, ts, spillSpec(0))
+	if code != 200 || hdr.Get("X-Rumord-Source") != "disk" || !bytes.Equal(b, fresh) {
+		t.Fatalf("repeat mid-eviction: status %d source %q", code, hdr.Get("X-Rumord-Source"))
+	}
+	if st := s.Stats(); st.Simulations != 1 || st.SpillHits != 0 {
+		t.Fatalf("repeat mid-eviction: %d simulations, %d spill reads; want 1 and 0", st.Simulations, st.SpillHits)
+	}
+
+	s.store.spillEvicted(sh, evicted)
+	sh.mu.Lock()
+	parked := len(sh.pending)
+	sh.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d evictions still parked after their writes returned", parked)
+	}
+	if c, ok := s.store.spill.read(victim); !ok || !bytes.Equal(c.resp, fresh) {
+		t.Fatal("victim not on disk after its write returned")
 	}
 }
 

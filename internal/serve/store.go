@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
 	"rumor/internal/lru"
@@ -15,15 +16,17 @@ import (
 // instant its payload is in the cache — holds per shard under one lock.
 //
 // Below the memory tiers sits the optional disk spill (see spill.go):
-// shard LRUs write capacity-evicted payloads through their eviction hook,
-// and find falls through memory → disk, promoting disk hits back into
-// the owning shard.
+// shard LRUs hand capacity-evicted payloads to their eviction hook, which
+// parks them in the shard until the file is written, and find falls
+// through memory → parked → disk, promoting those hits back into the
+// owning shard. So the invariant extends downward: an evicted payload is
+// findable at every instant, never "in neither memory nor disk yet".
 type store struct {
 	shards []storeShard
 	spill  *spill // nil when no data dir is configured
 }
 
-// spillItem is one eviction awaiting its disk write.
+// spillItem is one eviction whose disk write has not returned yet.
 type spillItem struct {
 	id string
 	c  *completedJob
@@ -35,22 +38,34 @@ type storeShard struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	cache *lru.Cache[string, *completedJob]
-	// pending collects capacity evictions raised while mu was held (the
-	// LRU hook fires during Put); the caller that triggered them drains
-	// and writes after releasing mu, so disk I/O never blocks the shard.
+	// pending holds capacity evictions (the LRU hook fires during Put,
+	// under mu) from the moment they leave the LRU until their file is in
+	// place. The caller whose Put displaced them writes them after
+	// releasing mu, so disk I/O never blocks the shard, and find serves
+	// them from here meanwhile.
 	pending []spillItem
 	_       [64 - (8+8+8+24)%64]byte
 }
 
-// drainPending takes the evictions queued under mu and writes them with
-// the shard unlocked. Safe to call with nothing pending.
-func (st *store) drainPending(sh *storeShard) {
-	sh.mu.Lock()
-	items := sh.pending
-	sh.pending = nil
-	sh.mu.Unlock()
+// put inserts into the shard's LRU (mu held) and returns the evictions
+// that displaced, for the caller to hand to spillEvicted once it has
+// released mu.
+func (sh *storeShard) put(id string, c *completedJob) []spillItem {
+	n := len(sh.pending)
+	sh.cache.Put(id, c)
+	return slices.Clone(sh.pending[n:])
+}
+
+// spillEvicted writes put's evictions with the shard unlocked, releasing
+// each from pending only after its write has returned.
+func (st *store) spillEvicted(sh *storeShard, items []spillItem) {
 	for _, it := range items {
 		st.spill.write(it.id, it.c)
+		sh.mu.Lock()
+		if i := slices.Index(sh.pending, it); i >= 0 {
+			sh.pending = slices.Delete(sh.pending, i, i+1)
+		}
+		sh.mu.Unlock()
 	}
 }
 
@@ -72,10 +87,13 @@ func newStore(nshards, cacheSize int, sp *spill) *store {
 		sh.jobs = make(map[string]*Job)
 		sh.cache = lru.New[string, *completedJob](per)
 		if sp != nil {
-			// Put runs under sh.mu, so the hook only queues; the Put caller
-			// drains (and does the file I/O) once the shard is unlocked.
+			// Put runs under sh.mu, so the hook only parks; the Put caller
+			// does the file I/O once the shard is unlocked. Failures are
+			// deterministic to recompute and never earn a disk slot.
 			sh.cache.OnEvict(func(id string, c *completedJob) {
-				sh.pending = append(sh.pending, spillItem{id, c})
+				if !c.failed() {
+					sh.pending = append(sh.pending, spillItem{id, c})
+				}
 			})
 		}
 	}
@@ -110,7 +128,8 @@ func hexVal(c byte) (byte, bool) {
 }
 
 // find resolves an ID anywhere in the store: the in-flight map, the
-// memory cache, then the disk tier. With promote, a disk hit is also
+// memory cache, then the disk tier — a parked eviction counts as a disk
+// hit served from the write buffer. With promote, a disk hit is also
 // inserted into the owning shard's LRU so repeats are memory-speed (the
 // promotion may evict, which re-spills — an idempotent rewrite of
 // identical bytes). Promotion is for submissions, where reuse is
@@ -130,13 +149,20 @@ func (st *store) find(id string, promote bool) (j *Job, c *completedJob, src sou
 		sh.mu.Unlock()
 		return nil, c, sourceCache, true
 	}
-	sh.mu.Unlock()
-	if st.spill == nil {
-		return nil, nil, "", false
+	for _, it := range sh.pending {
+		if it.id == id {
+			c, ok = it.c, true
+			break
+		}
 	}
-	c, ok = st.spill.read(id)
+	sh.mu.Unlock()
 	if !ok {
-		return nil, nil, "", false
+		if st.spill == nil {
+			return nil, nil, "", false
+		}
+		if c, ok = st.spill.read(id); !ok {
+			return nil, nil, "", false
+		}
 	}
 	if !promote {
 		return nil, c, sourceDisk, true
@@ -153,24 +179,24 @@ func (st *store) find(id string, promote bool) (j *Job, c *completedJob, src sou
 		sh.mu.Unlock()
 		return nil, mc, sourceCache, true
 	}
-	sh.cache.Put(id, c)
+	evicted := sh.put(id, c)
 	sh.mu.Unlock()
-	st.drainPending(sh) // promotion may have evicted; re-spill is idempotent
+	st.spillEvicted(sh, evicted) // promotion may have evicted; re-spill is idempotent
 	return nil, c, sourceDisk, true
 }
 
 // complete publishes a finished job's payload: atomically (per shard)
-// moves the ID from the in-flight map to the result cache, then writes
-// any eviction this displaced to disk with the shard unlocked.
-func (st *store) complete(id string, c *completedJob) {
+// moves the ID from the in-flight map to the result cache, calls
+// published, then writes any eviction this displaced to disk — both with
+// the shard unlocked, and the file I/O off the waiters' path.
+func (st *store) complete(id string, c *completedJob, published func()) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
 	delete(sh.jobs, id)
-	sh.cache.Put(id, c)
+	evicted := sh.put(id, c)
 	sh.mu.Unlock()
-	if st.spill != nil {
-		st.drainPending(sh)
-	}
+	published()
+	st.spillEvicted(sh, evicted)
 }
 
 // jobsLive counts in-flight jobs across shards.

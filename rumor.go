@@ -165,45 +165,6 @@ var (
 	AgentCount = core.AgentCount
 )
 
-// Lane-based multi-trial execution: K >= 1 trials of a protocol stepped in
-// lockstep by one fused engine, bit-identical to RunMany for the same
-// seed. Every protocol has a fused bundle; a serial Process runs as the
-// K = 1 lane of the same driver.
-type (
-	// LaneProcess bundles K independent trials of one protocol.
-	LaneProcess = core.LaneProcess
-	// LaneFactory builds a bundle from per-trial RNGs.
-	LaneFactory = core.LaneFactory
-	// BatchedProcess is LaneProcess under its historical name.
-	BatchedProcess = core.BatchedProcess
-	// BatchedFactory is LaneFactory under its historical name.
-	BatchedFactory = core.BatchedFactory
-)
-
-var (
-	// RunManyLanes executes independent trials on the unified lane engine
-	// at an explicit bundle width (<= 0 picks AdaptiveBatchK), streaming
-	// per-trial results to an optional emit function.
-	RunManyLanes = core.RunManyLanes
-	// AdaptiveBatchK picks a bundle width from trials, graph size, and
-	// GOMAXPROCS; the width never changes results, only throughput.
-	AdaptiveBatchK = core.AdaptiveBatchK
-	// RunManyBatched executes independent trials through fused bundles at
-	// the default width, returning exactly what RunMany returns for the
-	// same seed.
-	RunManyBatched = core.RunManyBatched
-	// NewBatchedPush builds a K-trial push bundle.
-	NewBatchedPush = core.NewBatchedPush
-	// NewBatchedPushPull builds a K-trial push-pull bundle.
-	NewBatchedPushPull = core.NewBatchedPushPull
-	// NewBatchedVisitExchange builds a K-trial visit-exchange bundle.
-	NewBatchedVisitExchange = core.NewBatchedVisitExchange
-	// NewBatchedMeetExchange builds a K-trial meet-exchange bundle.
-	NewBatchedMeetExchange = core.NewBatchedMeetExchange
-	// NewBatchedHybrid builds a K-trial push-pull + visit-exchange bundle.
-	NewBatchedHybrid = core.NewBatchedHybrid
-)
-
 // Coupling exposes the executable proof machinery of Sections 5-6.
 type (
 	// CouplingConfig configures a coupled push/visit-exchange run.
