@@ -11,19 +11,12 @@ import (
 	"rumor/internal/xrand"
 )
 
-// hybridLane is one trial's hybrid (push-pull + visit-exchange) state.
+// hybridLane is one trial's hybrid (push-pull + visit-exchange) state:
+// the exchange lane over the vertices, plus the informed agents.
 type hybridLane struct {
-	informedV *bitset.Set
+	exchangeLane
 	informedA *bitset.Set
-	countV    int
 	countA    int
-	boundary  bool
-	stagnant  int
-	bnd       exchangeBoundary
-	srcs      []graph.Vertex
-	targets   []graph.Vertex
-	pendingV  []graph.Vertex
-	messages  int64
 }
 
 // BatchedHybrid runs K hybrid trials in fused lockstep: the exchange
@@ -32,19 +25,21 @@ type hybridLane struct {
 // BatchedWalks round for all lanes, and the informing passes (exchange
 // collect, agent deposit, commit, agent pickup) are sharded across lanes
 // like BatchedVisitExchange.laneShard — each lane writes only its own
-// state, so the shard split is deterministic. Each lane carries the
-// exchange-phase boundary optimization of the serial Hybrid (see
-// boundary.go), maintained against the lane's shared informed set so
-// agent deposits retire exchange senders exactly as exchange finds do.
+// state, so the shard split is deterministic. Each lane's exchange phase
+// is a BatchedPushPull lane's (smaller side of the cut, then the serial
+// Hybrid's boundary mode; see exchangeLane and boundary.go), maintained
+// against the lane's shared informed set so agent deposits move the cut
+// and retire exchange senders exactly as exchange finds do.
 type BatchedHybrid struct {
 	g       *graph.Graph
 	src     graph.Vertex
 	walks   *agents.BatchedWalks
-	opts    AgentOptions
 	seeds   []uint64 // per-lane exchange stream seeds, drawn like Hybrid.seed
 	sampler neighborSampler
 	callers int64
 	lanes   []hybridLane
+
+	forceSide side // tests only: see BatchedPush.forceSide
 
 	activeIDs    []int
 	denseIDs     []int
@@ -77,7 +72,6 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		g:       g,
 		src:     s,
 		walks:   w,
-		opts:    opts,
 		seeds:   make([]uint64, len(rngs)),
 		sampler: newNeighborSampler(g),
 		callers: callerCount(g),
@@ -90,10 +84,8 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		// seed is the next value, exactly as NewHybrid consumes them.
 		h.seeds[t] = rng.Uint64()
 		L := &h.lanes[t]
-		L.informedV = bitset.New(g.N())
+		L.init(g, s)
 		L.informedA = bitset.New(w.N())
-		L.countV = 1
-		L.informedV.Set(int(s))
 		for i, p := range w.Lane(t) {
 			if p == s {
 				L.informedA.Set(i)
@@ -114,10 +106,10 @@ func (h *BatchedHybrid) K() int { return len(h.lanes) }
 func (h *BatchedHybrid) Source() graph.Vertex { return h.src }
 
 // LaneDone implements LaneProcess.
-func (h *BatchedHybrid) LaneDone(t int) bool { return h.lanes[t].countV == h.g.N() }
+func (h *BatchedHybrid) LaneDone(t int) bool { return h.lanes[t].count == h.g.N() }
 
 // LaneInformedCount implements LaneProcess (vertices).
-func (h *BatchedHybrid) LaneInformedCount(t int) int { return h.lanes[t].countV }
+func (h *BatchedHybrid) LaneInformedCount(t int) int { return h.lanes[t].count }
 
 // LaneMessages implements LaneProcess.
 func (h *BatchedHybrid) LaneMessages(t int) int64 { return h.lanes[t].messages }
@@ -129,33 +121,27 @@ func (h *BatchedHybrid) LaneAllAgentsInformed(t int) bool {
 
 func (h *BatchedHybrid) setBudget(b budget) { h.budget = b }
 
-// Step implements LaneProcess: the fused dense exchange draw for
-// non-boundary lanes, one fused walk round, then the per-lane informing
-// passes. Exchange draws are counter-based pure functions of
-// (seed, vertex, round), so drawing before the walk step and collecting
-// after it consumes exactly the serial Hybrid's randomness.
+// Step implements LaneProcess: the fused dense exchange draw for the lanes
+// whose round is evaluated from every vertex, one fused walk round, then
+// the per-lane informing passes. Exchange calls are counter-based pure
+// functions of (seed, vertex, round), so drawing before the walk step and
+// collecting after it consumes exactly the serial Hybrid's randomness.
 func (h *BatchedHybrid) Step(active []bool) {
 	h.round++
 	h.activeIDs = activeLanes(h.activeIDs[:0], active, len(h.lanes))
 	h.denseIDs = h.denseIDs[:0]
 	h.denseTargets = h.denseTargets[:0]
-	n := h.g.N()
 	agentWork := len(h.activeIDs) * h.walks.N()
-	work := agentWork // plus the senders the lane passes draw for or collect from
+	work := agentWork // plus the units the exchange collects touch
 	for _, t := range h.activeIDs {
 		L := &h.lanes[t]
-		if L.boundary {
-			work += len(L.bnd.active)
-			continue
+		work += L.plan(h.g, h.forceSide)
+		if L.dense() {
+			h.denseIDs = append(h.denseIDs, t)
+			h.denseTargets = append(h.denseTargets, L.targets)
 		}
-		work += n
-		if L.targets == nil {
-			L.targets = make([]graph.Vertex, n)
-		}
-		h.denseIDs = append(h.denseIDs, t)
-		h.denseTargets = append(h.denseTargets, L.targets)
 	}
-	if len(h.denseIDs) > 0 {
+	if n := h.g.N(); len(h.denseIDs) > 0 {
 		par.DoN(h.budget.For(len(h.denseIDs)*n), n, h.denseFn)
 	}
 	h.walks.SetShards(h.budget.For(agentWork))
@@ -166,7 +152,7 @@ func (h *BatchedHybrid) Step(active []bool) {
 // drawDenseShard draws vertices [lo, hi) for every dense lane through the
 // shared cross-lane blocked sweep.
 func (h *BatchedHybrid) drawDenseShard(_, lo, hi int) {
-	drawExchangeLanes(h.sampler, h.seeds, h.denseIDs, h.denseTargets, lo, hi, uint64(h.round), 0)
+	drawExchangeLanes(&h.sampler, h.seeds, h.denseIDs, h.denseTargets, lo, hi, uint64(h.round), 0)
 }
 
 // laneShard runs the informing passes for active lanes [lo, hi).
@@ -185,64 +171,29 @@ func (h *BatchedHybrid) stepLane(t int) {
 	n := h.g.N()
 	na := h.walks.N()
 	L.messages += h.callers + int64(na)
-	L.pendingV = L.pendingV[:0]
-
-	// Exchange collect. Boundary lanes draw their small active list here
-	// (the dense sweep skipped them); either way informedness is evaluated
-	// against the pre-round state.
-	if L.boundary {
-		m := len(L.bnd.active)
-		if m > 0 {
-			h.drawActiveLane(t)
-			L.pendingV = collectExchangeActive(L.informedV, L.srcs[:m], L.targets[:m], L.pendingV)
-		}
-	} else {
-		L.pendingV = collectExchangeDenseWords(L.informedV, L.targets[:n], L.pendingV)
-	}
+	L.collect(h.g, &h.sampler, h.seeds[t], uint64(h.round), 0)
 
 	// Deposit: agents informed in a previous round inform the vertex they
 	// landed on, collected in agent-id order against the pre-commit
 	// informed set, exactly like the serial depositShard.
 	pos := h.walks.Lane(t)
-	if L.countA > 0 && L.countV < n {
+	if L.countA > 0 && L.count < n {
 		for wi, wd := range L.informedA.Words() {
 			for ; wd != 0; wd &= wd - 1 {
 				p := pos[wi<<6+bits.TrailingZeros64(wd)]
-				if !L.informedV.Test(int(p)) {
-					L.pendingV = append(L.pendingV, p)
+				if !L.informed.Test(int(p)) {
+					L.pending = append(L.pending, p)
 				}
 			}
 		}
 	}
 
 	// Commit newly informed vertices from both mechanisms.
-	countBefore := L.countV
-	L.countV = commitExchange(h.g, L.informedV, &L.bnd, L.boundary, L.pendingV, L.countV)
-	if !L.boundary {
-		if L.countV != countBefore {
-			L.stagnant = 0
-		} else if L.countV != n {
-			if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
-				L.bnd.build(h.g, L.informedV)
-				if L.srcs == nil {
-					L.srcs = make([]graph.Vertex, n)
-				}
-				L.boundary = true
-			}
-		}
-	}
+	L.commit(h.g)
 
 	// Pickup: agents standing on an informed vertex (old or new) become
 	// informed.
 	if L.countA < na {
-		L.countA = pickupAgents(L.informedA, L.countA, L.informedV, pos)
+		L.countA = pickupAgents(L.informedA, L.countA, L.informed, pos)
 	}
-}
-
-// drawActiveLane draws lane t's active-list exchange slots, recording the
-// sender alongside, with the serial exchangeActiveShard draw discipline.
-func (h *BatchedHybrid) drawActiveLane(t int) {
-	L := &h.lanes[t]
-	m := len(L.bnd.active)
-	drawExchangeActive(h.sampler, h.seeds[t], L.bnd.active, L.srcs[:m], L.targets[:m], uint64(h.round), 0)
 }

@@ -3,24 +3,10 @@ package core
 import (
 	"fmt"
 
-	"rumor/internal/bitset"
 	"rumor/internal/graph"
 	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
-
-// ppullLane is one trial's push-pull state.
-type ppullLane struct {
-	informed *bitset.Set
-	count    int
-	boundary bool
-	stagnant int
-	bnd      exchangeBoundary
-	srcs     []graph.Vertex // per-slot sender (boundary mode)
-	targets  []graph.Vertex // per-vertex (dense) or per-slot (boundary) draws
-	pending  []graph.Vertex
-	messages int64
-}
 
 // BatchedPushPull runs K push-pull trials in fused lockstep. The dense
 // exchange draw — every vertex samples a neighbor, the dominant per-round
@@ -30,17 +16,20 @@ type ppullLane struct {
 // all K lanes while cache-hot instead of streaming the whole graph once
 // per trial. Collect and commit run per lane with exactly the serial
 // semantics, sharded across lanes when the bundle's budget and the round's
-// work allow; lanes in boundary mode (see boundary.go) draw their small
-// active lists inside their lane pass.
+// work allow. A lane whose cut has a small side skips the sweep and
+// resolves only the calls across the cut inside its lane pass, as does a
+// lane in boundary mode with its active list (see exchangeLane and
+// boundary.go).
 type BatchedPushPull struct {
 	g       *graph.Graph
 	src     graph.Vertex
-	opts    PushPullOptions
 	seeds   []uint64
 	failTh  uint64
 	sampler neighborSampler
 	callers int64
-	lanes   []ppullLane
+	lanes   []exchangeLane
+
+	forceSide side // tests only: see BatchedPush.forceSide
 
 	activeIDs    []int
 	denseIDs     []int
@@ -70,21 +59,17 @@ func NewBatchedPushPull(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts 
 	p := &BatchedPushPull{
 		g:       g,
 		src:     s,
-		opts:    opts,
 		seeds:   make([]uint64, len(rngs)),
 		failTh:  xrand.BernoulliThreshold(opts.FailureProb),
 		sampler: newNeighborSampler(g),
 		callers: callerCount(g),
-		lanes:   make([]ppullLane, len(rngs)),
+		lanes:   make([]exchangeLane, len(rngs)),
 	}
 	p.denseFn = p.drawDenseShard
 	p.laneFn = p.laneShard
 	for t, rng := range rngs {
 		p.seeds[t] = rng.Uint64()
-		L := &p.lanes[t]
-		L.informed = bitset.New(g.N())
-		L.informed.Set(int(s))
-		L.count = 1
+		p.lanes[t].init(g, s)
 	}
 	return p, nil
 }
@@ -112,29 +97,24 @@ func (p *BatchedPushPull) LaneAllAgentsInformed(int) bool { return false }
 
 func (p *BatchedPushPull) setBudget(b budget) { p.budget = b }
 
-// Step implements LaneProcess: one fused dense draw across the non-boundary
-// active lanes, then the per-lane collect/commit passes.
+// Step implements LaneProcess: one fused dense draw across the active lanes
+// whose round is evaluated from every vertex, then the per-lane
+// collect/commit passes.
 func (p *BatchedPushPull) Step(active []bool) {
 	p.round++
 	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
 	p.denseIDs = p.denseIDs[:0]
 	p.denseTargets = p.denseTargets[:0]
-	n := p.g.N()
-	work := 0 // senders the lane passes draw for or collect from
+	work := 0 // units the lane passes touch
 	for _, t := range p.activeIDs {
 		L := &p.lanes[t]
-		if L.boundary {
-			work += len(L.bnd.active)
-			continue
+		work += L.plan(p.g, p.forceSide)
+		if L.dense() {
+			p.denseIDs = append(p.denseIDs, t)
+			p.denseTargets = append(p.denseTargets, L.targets)
 		}
-		work += n
-		if L.targets == nil {
-			L.targets = make([]graph.Vertex, n)
-		}
-		p.denseIDs = append(p.denseIDs, t)
-		p.denseTargets = append(p.denseTargets, L.targets)
 	}
-	if len(p.denseIDs) > 0 {
+	if n := p.g.N(); len(p.denseIDs) > 0 {
 		par.DoN(p.budget.For(len(p.denseIDs)*n), n, p.denseFn)
 	}
 	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
@@ -143,60 +123,19 @@ func (p *BatchedPushPull) Step(active []bool) {
 // drawDenseShard draws vertices [lo, hi) for every dense lane through the
 // shared cross-lane blocked sweep.
 func (p *BatchedPushPull) drawDenseShard(_, lo, hi int) {
-	drawExchangeLanes(p.sampler, p.seeds, p.denseIDs, p.denseTargets, lo, hi, uint64(p.round), p.failTh)
+	drawExchangeLanes(&p.sampler, p.seeds, p.denseIDs, p.denseTargets, lo, hi, uint64(p.round), p.failTh)
 }
 
-// laneShard runs the collect/commit passes for active lanes [lo, hi).
+// laneShard runs the collect/commit passes for active lanes [lo, hi):
+// per lane, the serial PushPull.Step pass structure — collect exchanges
+// against the pre-round informed state, then commit.
 func (p *BatchedPushPull) laneShard(_, lo, hi int) {
 	for _, t := range p.activeIDs[lo:hi] {
-		p.stepLane(t)
+		L := &p.lanes[t]
+		L.messages += p.callers // every non-isolated vertex calls a neighbor
+		L.collect(p.g, &p.sampler, p.seeds[t], uint64(p.round), p.failTh)
+		L.commit(p.g)
 	}
-}
-
-// stepLane applies one push-pull round to lane t, mirroring the serial
-// PushPull.Step pass structure: collect exchanges against the pre-round
-// informed state, then commit.
-func (p *BatchedPushPull) stepLane(t int) {
-	L := &p.lanes[t]
-	L.messages += p.callers // every non-isolated vertex calls a neighbor
-	L.pending = L.pending[:0]
-	n := p.g.N()
-	if L.boundary {
-		m := len(L.bnd.active)
-		if m == 0 {
-			return
-		}
-		p.drawActiveLane(t)
-		// Collect against the pre-round informed state (the active list
-		// itself mutates only in the commit below, hence srcs).
-		L.pending = collectExchangeActive(L.informed, L.srcs[:m], L.targets[:m], L.pending)
-	} else {
-		L.pending = collectExchangeDenseWords(L.informed, L.targets[:n], L.pending)
-	}
-	// Commit.
-	countBefore := L.count
-	L.count = commitExchange(p.g, L.informed, &L.bnd, L.boundary, L.pending, L.count)
-	if !L.boundary {
-		if L.count != countBefore {
-			L.stagnant = 0
-		} else if L.count != n {
-			if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
-				L.bnd.build(p.g, L.informed)
-				if L.srcs == nil {
-					L.srcs = make([]graph.Vertex, n)
-				}
-				L.boundary = true
-			}
-		}
-	}
-}
-
-// drawActiveLane draws lane t's active-list slots, recording the sender
-// alongside, with the serial drawActiveShard draw discipline.
-func (p *BatchedPushPull) drawActiveLane(t int) {
-	L := &p.lanes[t]
-	m := len(L.bnd.active)
-	drawExchangeActive(p.sampler, p.seeds[t], L.bnd.active, L.srcs[:m], L.targets[:m], uint64(p.round), p.failTh)
 }
 
 // exchangeBlock is the vertex-block width of the fused dense exchange
@@ -206,41 +145,33 @@ func (p *BatchedPushPull) drawActiveLane(t int) {
 // drawDenseShard (stream base and slices in registers).
 const exchangeBlock = 512
 
-// drawExchangeLanes draws the round's exchange neighbor choice for
-// vertices [lo, hi) of every listed lane into that lane's per-vertex
-// targets slot (-1 for isolated vertices and failed exchanges), as one
-// cross-lane blocked sweep. Draws are identical to the serial
-// drawDenseShard's: vertex u of lane laneIDs[j] consumes stream
-// (seeds[laneIDs[j]], u, round) exactly as its serial trial would.
-func drawExchangeLanes(sampler neighborSampler, seeds []uint64, laneIDs []int, targets [][]graph.Vertex, lo, hi int, round, failTh uint64) {
+// drawExchangeLanes resolves the round's exchange call of vertices
+// [lo, hi) of every listed lane into that lane's per-vertex targets slot
+// (-1 for isolated vertices and failed exchanges), as one cross-lane
+// blocked sweep: vertex u of lane laneIDs[j] calls exactly whom its serial
+// trial's drawDenseShard has it call.
+func drawExchangeLanes(sampler *neighborSampler, seeds []uint64, laneIDs []int, targets [][]graph.Vertex, lo, hi int, round, failTh uint64) {
 	idx, nbrs := sampler.idx, sampler.nbrs
 	for blo := lo; blo < hi; blo += exchangeBlock {
-		bhi := blo + exchangeBlock
-		if bhi > hi {
-			bhi = hi
-		}
+		bhi := min(blo+exchangeBlock, hi)
 		for j, t := range laneIDs {
-			seed := seeds[t]
-			if idx == nil || failTh != 0 {
-				ts := targets[j]
-				for u := blo; u < bhi; u++ {
-					s := xrand.NewStream(seed, uint64(u), round)
-					v := sampler.sample(graph.Vertex(u), &s)
-					if failTh != 0 && s.Uint64() < failTh {
-						v = -1
-					}
-					ts[u] = v
-				}
+			seed, ts := seeds[t], targets[j]
+			if idx != nil && failTh == 0 {
+				drawExchangeBlock(ts[blo:bhi], idx[blo:bhi], nbrs, xrand.MixBase(seed, uint64(blo), round))
 				continue
 			}
-			drawExchangeBlock(targets[j][blo:bhi], idx[blo:bhi], nbrs, xrand.MixBase(seed, uint64(blo), round))
+			for u := blo; u < bhi; u++ {
+				ts[u] = sampler.call(seed, graph.Vertex(u), round, failTh)
+			}
 		}
 	}
 }
 
-// drawExchangeBlock is one lane's turn over one vertex block: the inlined
-// packed-index sampling of the serial drawDenseShard, with the incremental
-// stream base.
+// drawExchangeBlock is one lane's turn over one vertex block: the
+// reliable-links arm of neighborSampler.call unrolled over consecutive
+// callers, so the stream base advances by one add per vertex and nothing
+// is called per draw — the sweep resolves 2n calls a round where the other
+// paths resolve a cut's worth. TestLaneExchangeBlockIsCall pins it to call.
 func drawExchangeBlock(targets []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
 	for i, word := range idx {
 		if graph.WalkDegreeOne(word) {

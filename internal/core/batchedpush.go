@@ -15,21 +15,15 @@ import (
 type pushLane struct {
 	informed *bitset.Set
 	frontier []graph.Vertex // all informed vertices, in discovery order
+	degInf   int64          // Σ deg over frontier (see pickSide)
+	side     side           // this round's side; meaningless in boundary mode
+	took     [numSides]int  // rounds evaluated from each side
 	boundary bool
 	stagnant int
 	bnd      pushBoundary
-	targets  []graph.Vertex // per-sender draw scratch; -1 marks a failed send
+	targets  []graph.Vertex // per-sender draw scratch (-1: failed send), or the reverse pass's finds
 	drawn    *bitset.Set    // word-commit scratch: this round's draw targets
 	messages int64
-}
-
-// senders returns the vertices that draw this round: the boundary senders
-// once the lane is in boundary mode, every informed vertex before.
-func (L *pushLane) senders() []graph.Vertex {
-	if L.boundary {
-		return L.bnd.active
-	}
-	return L.frontier
 }
 
 // BatchedPush runs K push trials in fused lockstep. Lanes step
@@ -37,17 +31,23 @@ func (L *pushLane) senders() []graph.Vertex {
 // budget and the round's sender count allow, since each lane writes only
 // its own state — so the packed walk index and CSR neighbor array are
 // touched by all K frontier scans while cache-hot.
-// Every lane carries the full serial boundary-sender optimization (see
-// boundary.go): dense frontier sends until two stagnant rounds, then only
+// Every lane evaluates a round from the cheaper side of its cut (see
+// boundary.go): the frontier's sends, or — once Σ deg(U) < |I| — the
+// uninformed vertices' informed neighbors' replayed sends; and after two
+// stagnant rounds it enters the serial process's boundary mode, where only
 // informed vertices with an uninformed neighbor draw.
 type BatchedPush struct {
 	g       *graph.Graph
 	src     graph.Vertex
-	opts    PushOptions
 	seeds   []uint64 // per-lane exchange stream seeds, drawn like Push.seed
 	failTh  uint64
 	sampler neighborSampler
 	lanes   []pushLane
+
+	// forceSide, when set (tests only), replaces pickSide's choice in
+	// every non-boundary round of every lane: each side is exact on each
+	// such round, so a forced run pins one path through all regimes.
+	forceSide side
 
 	activeIDs []int
 	budget    budget
@@ -74,7 +74,6 @@ func NewBatchedPush(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Push
 	p := &BatchedPush{
 		g:       g,
 		src:     s,
-		opts:    opts,
 		seeds:   make([]uint64, len(rngs)),
 		failTh:  xrand.BernoulliThreshold(opts.FailureProb),
 		sampler: newNeighborSampler(g),
@@ -94,6 +93,7 @@ func NewBatchedPush(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Push
 			pre = 1 << 20
 		}
 		L.frontier = append(make([]graph.Vertex, 0, pre), s)
+		L.degInf = int64(g.Degree(s))
 	}
 	return p, nil
 }
@@ -125,9 +125,21 @@ func (p *BatchedPush) setBudget(b budget) { p.budget = b }
 func (p *BatchedPush) Step(active []bool) {
 	p.round++
 	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
-	work := 0
+	n, twoM := p.g.N(), int64(p.g.EndpointCount())
+	work := 0 // units the lane passes touch
 	for _, t := range p.activeIDs {
-		work += len(p.lanes[t].senders())
+		L := &p.lanes[t]
+		if L.boundary {
+			work += len(L.bnd.active)
+			continue
+		}
+		s, cost := pickSide(false, len(L.frontier), L.degInf, n, twoM)
+		if p.forceSide != sideRule {
+			s = p.forceSide
+		}
+		L.side = s
+		L.took[s]++
+		work += int(cost)
 	}
 	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
 }
@@ -139,75 +151,63 @@ func (p *BatchedPush) laneShard(_, lo, hi int) {
 	}
 }
 
-// stepLane applies one push round to lane t, mirroring the serial
-// Push.Step structure: snapshot the sender set, draw every sender's
-// neighbor choice from its (seed, vertex, round) stream, then commit in
-// draw order.
+// stepLane applies one push round to lane t: the serial Push.Step — resolve
+// the round's sends, then commit — with the finds coming from either side
+// of the cut.
 func (p *BatchedPush) stepLane(t int) {
 	L := &p.lanes[t]
-	// Every informed vertex sends (and is counted), but only senders that
-	// can change state need to draw.
+	// Every informed vertex sends (and is counted), but only sends that
+	// can change state need to be resolved.
 	L.messages += int64(len(L.frontier))
-	senders := L.senders()
-	m := len(senders) // snapshot: commits below may mutate the active set
-	if m == 0 {
-		return
-	}
-	if cap(L.targets) < m {
-		// Grow geometrically: sized to the sender count, not N. On giant
-		// graphs a per-lane N-sized scratch (400 MB at 100M vertices)
-		// would rival the CSR itself; sender counts reach N only when the
-		// run is nearly done.
-		c := 2 * m
-		if c < 64 {
-			c = 64
-		}
-		L.targets = make([]graph.Vertex, c)
-	}
-	p.drawLane(t, senders, L.targets[:m])
 	before := len(L.frontier)
 	n := p.g.N()
-	if !L.boundary && m >= (n+63)/64 {
-		// Word-parallel commit: scatter the draws into a bitset, then
-		// merge 64 vertices per AND-NOT (bitset.CommitNew). With at least
-		// one sender per word the scatter+reset overhead is covered, and
-		// dense rounds — everyone informed, almost every draw redundant —
-		// collapse to one load-compare per word instead of 64 tests.
-		// Newly informed vertices join the frontier in vertex order rather
-		// than draw order; draws are keyed by vertex id, never by frontier
-		// position, so results are unchanged (the serial engine keeps the
-		// draw-order commit, and the equivalence suite pins the two).
-		if L.drawn == nil {
-			L.drawn = bitset.New(n)
-		}
-		for _, v := range L.targets[:m] {
-			if v >= 0 {
-				L.drawn.Set(int(v))
-			}
-		}
-		L.informed.CommitNew(L.drawn, func(i int) {
-			L.frontier = append(L.frontier, graph.Vertex(i))
-		})
-		L.drawn.Reset()
+	seed, round := p.seeds[t], uint64(p.round)
+	var found []graph.Vertex // this round's targets; -1 marks a failed send
+	if !L.boundary && L.side == sideUninformed {
+		found = collectFromUninformed(p.g, &p.sampler, L.informed, seed, round, p.failTh, false, L.targets[:0])
+		L.targets = found
 	} else {
-		// Commit in draw order; the informed test makes duplicates commit
-		// once. Boundary mode stays here: onInformed mutates the active
-		// list the next round snapshots, and boundary sender sets are
-		// small by construction.
-		for _, v := range L.targets[:m] {
-			if v >= 0 && !L.informed.Test(int(v)) {
-				L.informed.Set(int(v))
-				L.frontier = append(L.frontier, v)
-				if L.boundary {
-					L.bnd.onInformed(p.g, v)
-				}
+		// The senders: the boundary senders once the lane is in boundary
+		// mode, every informed vertex before.
+		senders := L.frontier
+		if L.boundary {
+			senders = L.bnd.active
+		}
+		m := len(senders) // snapshot: commits below may mutate the active set
+		if cap(L.targets) < m {
+			// Grow geometrically: sized to the sender count, not N. On
+			// giant graphs a per-lane N-sized scratch (400 MB at 100M
+			// vertices) would rival the CSR itself; sender counts reach N
+			// only when the run is nearly done.
+			L.targets = make([]graph.Vertex, max(2*m, 64))
+		}
+		found = L.targets[:m]
+		for k, u := range senders {
+			found[k] = p.sampler.call(seed, u, round, p.failTh)
+		}
+		if !L.boundary && m >= (n+63)/64 {
+			p.commitWords(L, found)
+			found = nil
+		}
+	}
+	// Commit in order; the informed test makes duplicates commit once.
+	// Boundary mode always commits here: onInformed mutates the active
+	// list the next round snapshots, and boundary sender sets are small by
+	// construction.
+	for _, v := range found {
+		if v >= 0 && !L.informed.Test(int(v)) {
+			L.informed.Set(int(v))
+			L.frontier = append(L.frontier, v)
+			L.degInf += int64(p.g.Degree(v))
+			if L.boundary {
+				L.bnd.onInformed(p.g, v)
 			}
 		}
 	}
 	if !L.boundary {
 		if len(L.frontier) != before {
 			L.stagnant = 0
-		} else if len(L.frontier) != p.g.N() {
+		} else if len(L.frontier) != n {
 			if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
 				L.bnd.build(p.g, L.frontier)
 				L.boundary = true
@@ -216,31 +216,27 @@ func (p *BatchedPush) stepLane(t int) {
 	}
 }
 
-// drawLane draws lane t's neighbor choice (and failure coin) for each
-// sender into targets, with exactly the serial Push.drawShard draw
-// discipline.
-func (p *BatchedPush) drawLane(t int, senders, targets []graph.Vertex) {
-	round := uint64(p.round)
-	seed := p.seeds[t]
-	idx, nbrs := p.sampler.idx, p.sampler.nbrs
-	if idx == nil || p.failTh != 0 {
-		for k, u := range senders {
-			s := xrand.NewStream(seed, uint64(u), round)
-			v := p.sampler.sample(u, &s)
-			if p.failTh != 0 && s.Uint64() < p.failTh {
-				v = -1 // transmission lost
-			}
-			targets[k] = v
-		}
-		return
+// commitWords is the word-parallel commit of a dense round's targets:
+// scatter the draws into a bitset, then merge 64 vertices per AND-NOT
+// (bitset.CommitNew). With at least one sender per word the scatter+reset
+// overhead is covered, and dense rounds — everyone informed, almost every
+// draw redundant — collapse to one load-compare per word instead of 64
+// tests. Newly informed vertices join the frontier in vertex order rather
+// than draw order; draws are keyed by vertex id, never by frontier
+// position, so results are unchanged (the serial engine keeps the
+// draw-order commit, and the equivalence suite pins the two).
+func (p *BatchedPush) commitWords(L *pushLane, targets []graph.Vertex) {
+	if L.drawn == nil {
+		L.drawn = bitset.New(p.g.N())
 	}
-	// Reliable-links fast path: one draw per sender, sampling inlined.
-	for k, u := range senders {
-		word := idx[u]
-		if graph.WalkDegreeOne(word) {
-			targets[k] = graph.WalkOnlyNeighbor(word, nbrs)
-		} else {
-			targets[k] = graph.WalkTarget(word, xrand.Mix3(seed, uint64(u), round), nbrs)
+	for _, v := range targets {
+		if v >= 0 {
+			L.drawn.Set(int(v))
 		}
 	}
+	L.informed.CommitNew(L.drawn, func(i int) {
+		L.frontier = append(L.frontier, graph.Vertex(i))
+		L.degInf += int64(p.g.Degree(graph.Vertex(i)))
+	})
+	L.drawn.Reset()
 }

@@ -30,6 +30,17 @@
 // exactly one seed value per independent mechanism from the trial RNG, so
 // RunMany's Derive(seed, trial) streams fully determine each trial.
 //
+// The same contract makes a vertex's round-t call a pure function of
+// (seed, vertex, t) that anyone may evaluate (neighborSampler.call), not
+// only the caller in its own turn. The fused call protocols use it to do
+// less than draw everybody: calls that cannot change state are never
+// resolved (boundary mode), and a round is evaluated from whichever side
+// of the informed/uninformed cut is cheaper, the other side's calls
+// replayed by the neighbors they may have reached — boundary.go states the
+// principle and the cost rule. Neither changes a Result; the serial
+// processes keep the plain every-caller evaluation the suites compare
+// against.
+//
 // # Lane-based multi-trial execution
 //
 // Because every empirical figure is a distribution over many independent

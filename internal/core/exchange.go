@@ -5,7 +5,6 @@ import (
 
 	"rumor/internal/bitset"
 	"rumor/internal/graph"
-	"rumor/internal/xrand"
 )
 
 // Exchange-phase helpers shared by push-pull and the hybrid, serial and
@@ -15,6 +14,104 @@ import (
 // semantics — a fix to any of them lands everywhere at once. The batched
 // agent-pickup pass shared by the visit-exchange and hybrid bundles lives
 // here too.
+
+// exchangeLane is one trial's exchange state in a fused bundle: all of a
+// push-pull lane, the vertex half of a hybrid lane.
+type exchangeLane struct {
+	informed *bitset.Set
+	count    int
+	degInf   int64         // Σ deg over informed (see pickSide)
+	side     side          // this round's side; meaningless in boundary mode
+	took     [numSides]int // rounds evaluated from each side
+	boundary bool
+	stagnant int
+	bnd      exchangeBoundary
+	srcs     []graph.Vertex // per-slot sender (boundary mode)
+	targets  []graph.Vertex // per-vertex (dense) or per-slot (boundary) calls
+	pending  []graph.Vertex
+	messages int64
+}
+
+func (L *exchangeLane) init(g *graph.Graph, s graph.Vertex) {
+	L.informed = bitset.New(g.N())
+	L.informed.Set(int(s))
+	L.count = 1
+	L.degInf = int64(g.Degree(s))
+}
+
+// plan settles where the coming round is evaluated from — pickSide's
+// choice, or force when set — and returns the units the lane's collect
+// will touch. A lane in boundary mode has nothing to settle: its active
+// list is the round.
+func (L *exchangeLane) plan(g *graph.Graph, force side) int {
+	if L.boundary {
+		return len(L.bnd.active)
+	}
+	n := g.N()
+	s, cost := pickSide(true, L.count, L.degInf, n, int64(g.EndpointCount()))
+	if force != sideRule {
+		s = force
+	}
+	L.side = s
+	L.took[s]++
+	if s != sideAll {
+		return int(cost)
+	}
+	if L.targets == nil {
+		L.targets = make([]graph.Vertex, n)
+	}
+	return n // the collect's half of the sweep; the draw is dispatched apart
+}
+
+// dense reports whether the planned round needs every vertex's call drawn
+// into targets before collect.
+func (L *exchangeLane) dense() bool { return !L.boundary && L.side == sideAll }
+
+// collect gathers into pending the planned round's transfers, evaluated
+// against the pre-round informed set. Boundary lanes resolve their small
+// active list here (recording the senders: the list mutates in commit),
+// sparse lanes the calls across their cut; dense lanes read the sweep's
+// targets.
+func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
+	L.pending = L.pending[:0]
+	switch {
+	case L.boundary:
+		m := len(L.bnd.active)
+		drawExchangeActive(sampler, seed, L.bnd.active, L.srcs[:m], L.targets[:m], round, failTh)
+		L.pending = collectExchangeActive(L.informed, L.srcs[:m], L.targets[:m], L.pending)
+	case L.side == sideInformed:
+		L.pending = collectFromInformed(g, sampler, L.informed, seed, round, failTh, L.pending)
+	case L.side == sideUninformed:
+		L.pending = collectFromUninformed(g, sampler, L.informed, seed, round, failTh, true, L.pending)
+	default:
+		L.pending = collectExchangeDenseWords(L.informed, L.targets[:g.N()], L.pending)
+	}
+}
+
+// commit informs the pending vertices and, after boundaryStagnantRounds
+// consecutive rounds that informed nobody, enters boundary mode. The
+// scratch is sized there, not at the first dense round: a lane can go from
+// sparse rounds straight to the boundary.
+func (L *exchangeLane) commit(g *graph.Graph) {
+	before := L.count
+	L.count = commitExchange(g, L.informed, &L.bnd, L.boundary, L.pending, L.count, &L.degInf)
+	if L.boundary {
+		return
+	}
+	n := g.N()
+	if L.count != before {
+		L.stagnant = 0
+	} else if L.count != n {
+		if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
+			L.bnd.build(g, L.informed)
+			L.srcs = make([]graph.Vertex, n)
+			if L.targets == nil {
+				L.targets = make([]graph.Vertex, n)
+			}
+			L.boundary = true
+		}
+	}
+}
 
 // collectExchangeDense appends to pending the transfers of a dense
 // exchange round: for each vertex u with a drawn partner targets[u] >= 0,
@@ -113,13 +210,17 @@ func collectExchangeActive(informed *bitset.Set, srcs, targets []graph.Vertex, p
 }
 
 // commitExchange commits pending newly informed vertices (duplicates
-// commit once), maintaining bnd when boundary is set, and returns the
-// updated informed count.
-func commitExchange(g *graph.Graph, informed *bitset.Set, bnd *exchangeBoundary, boundary bool, pending []graph.Vertex, count int) int {
+// commit once), maintaining bnd when boundary is set and adding their
+// degrees to *degInf when it is non-nil (the side rule's Σ deg(I), see
+// pickSide), and returns the updated informed count.
+func commitExchange(g *graph.Graph, informed *bitset.Set, bnd *exchangeBoundary, boundary bool, pending []graph.Vertex, count int, degInf *int64) int {
 	for _, v := range pending {
 		if !informed.Test(int(v)) {
 			informed.Set(int(v))
 			count++
+			if degInf != nil {
+				*degInf += int64(g.Degree(v))
+			}
 			if boundary {
 				bnd.onInformed(g, informed, v)
 			}
@@ -128,20 +229,78 @@ func commitExchange(g *graph.Graph, informed *bitset.Set, bnd *exchangeBoundary,
 	return count
 }
 
-// drawExchangeActive draws the exchange choice (and failure coin, when
-// failTh is nonzero) for each active-list sender in active, recording the
-// sender in srcs alongside the target. active, srcs, and targets must be
-// equal-length slices; sharded callers pass aligned subranges.
-func drawExchangeActive(sampler neighborSampler, seed uint64, active, srcs, targets []graph.Vertex, round, failTh uint64) {
+// drawExchangeActive resolves the exchange call (failure coin included,
+// when failTh is nonzero) of each active-list sender in active, recording
+// the sender in srcs alongside the target. active, srcs, and targets must
+// be equal-length slices; sharded callers pass aligned subranges.
+func drawExchangeActive(sampler *neighborSampler, seed uint64, active, srcs, targets []graph.Vertex, round, failTh uint64) {
 	for k, u := range active {
-		s := xrand.NewStream(seed, uint64(u), round)
-		v := sampler.sample(u, &s)
-		if failTh != 0 && s.Uint64() < failTh {
-			v = -1
-		}
 		srcs[k] = u
-		targets[k] = v
+		targets[k] = sampler.call(seed, u, round, failTh)
 	}
+}
+
+// uninformedWord returns word wi of the complement of informed: the
+// uninformed vertices among [64wi, 64wi+64), ghost bits past Len() clear.
+func uninformedWord(informed *bitset.Set, wi int) uint64 {
+	inv := ^informed.Words()[wi]
+	if rem := informed.Len() - wi<<6; rem < 64 {
+		inv &= 1<<uint(rem) - 1
+	}
+	return inv
+}
+
+// collectFromInformed appends to pending the transfers of an exchange
+// round evaluated from the informed side of the cut: each informed u
+// pushes to the vertex it calls, and each uninformed neighbor x of u —
+// whose call is replayed here, by the vertex it may have reached — pulls
+// from u if it called u. Σ deg(I) + |I| units; the same set (with
+// repeats, which commit once) as collectExchangeDense, evaluated against
+// the pre-commit informed set.
+func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pending []graph.Vertex) []graph.Vertex {
+	for wi, w := range informed.Words() {
+		for ; w != 0; w &= w - 1 {
+			u := graph.Vertex(wi<<6 + bits.TrailingZeros64(w))
+			if v := sampler.call(seed, u, round, failTh); v >= 0 && !informed.Test(int(v)) {
+				pending = append(pending, v)
+			}
+			for _, x := range g.Neighbors(u) {
+				if !informed.Test(int(x)) && sampler.call(seed, x, round, failTh) == u {
+					pending = append(pending, x)
+				}
+			}
+		}
+	}
+	return pending
+}
+
+// collectFromUninformed appends to pending the vertices a round informs,
+// evaluated from the uninformed side of the cut: an uninformed v becomes
+// informed iff it pulls from an informed vertex (its own call; exchange
+// rounds only, pull set) or the replayed call of one of its informed
+// neighbors lands on it. Σ deg(U) units, plus |U| with pull; each vertex
+// is appended at most once, evaluated against the pre-commit informed set.
+// With pull it is collectExchangeDense's set, without it the set of
+// targets push's informed senders draw.
+func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
+	for wi := range informed.Words() {
+		for inv := uninformedWord(informed, wi); inv != 0; inv &= inv - 1 {
+			v := graph.Vertex(wi<<6 + bits.TrailingZeros64(inv))
+			if pull {
+				if u := sampler.call(seed, v, round, failTh); u >= 0 && informed.Test(int(u)) {
+					pending = append(pending, v)
+					continue
+				}
+			}
+			for _, u := range g.Neighbors(v) {
+				if informed.Test(int(u)) && sampler.call(seed, u, round, failTh) == v {
+					pending = append(pending, v)
+					break
+				}
+			}
+		}
+	}
+	return pending
 }
 
 // collectPickups appends to buf the uninformed agents of bitset words

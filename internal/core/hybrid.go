@@ -203,7 +203,7 @@ func (h *Hybrid) Step() {
 
 	// Commit newly informed vertices from both mechanisms.
 	countBefore := h.countV
-	h.countV = commitExchange(h.g, h.informedV, &h.bnd, h.boundary, h.pendingV, h.countV)
+	h.countV = commitExchange(h.g, h.informedV, &h.bnd, h.boundary, h.pendingV, h.countV, nil)
 	if h.useBoundary && !h.boundary {
 		if h.countV != countBefore {
 			h.stagnant = 0
@@ -266,7 +266,7 @@ func (h *Hybrid) exchangeShard(_, lo, hi int) {
 // active-list slots [lo, hi), recording the sender alongside because the
 // active list mutates during the commit phase.
 func (h *Hybrid) exchangeActiveShard(_, lo, hi int) {
-	drawExchangeActive(h.sampler, h.seed, h.bnd.active[lo:hi], h.srcs[lo:hi], h.targets[lo:hi], uint64(h.round), 0)
+	drawExchangeActive(&h.sampler, h.seed, h.bnd.active[lo:hi], h.srcs[lo:hi], h.targets[lo:hi], uint64(h.round), 0)
 }
 
 // depositShard collects the positions of previously informed agents in

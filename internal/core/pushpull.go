@@ -149,7 +149,7 @@ func (p *PushPull) Step() {
 	}
 	// Commit.
 	countBefore := p.count
-	p.count = commitExchange(p.g, p.informed, &p.bnd, p.boundary, p.pending, p.count)
+	p.count = commitExchange(p.g, p.informed, &p.bnd, p.boundary, p.pending, p.count, nil)
 	if !p.boundary && p.opts.Observer == nil {
 		if p.count != countBefore {
 			p.stagnant = 0
@@ -202,7 +202,7 @@ func (p *PushPull) drawDenseShard(_, lo, hi int) {
 // sender alongside because the active list mutates during the commit
 // phase.
 func (p *PushPull) drawActiveShard(_, lo, hi int) {
-	drawExchangeActive(p.sampler, p.seed, p.bnd.active[lo:hi], p.srcs[lo:hi], p.targets[lo:hi], uint64(p.round), p.failTh)
+	drawExchangeActive(&p.sampler, p.seed, p.bnd.active[lo:hi], p.srcs[lo:hi], p.targets[lo:hi], uint64(p.round), p.failTh)
 }
 
 // stepSerial draws every vertex's stream one at a time so the observer

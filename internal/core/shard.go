@@ -118,3 +118,30 @@ func (ns *neighborSampler) sample(u graph.Vertex, s *xrand.Stream) graph.Vertex 
 	}
 	return nb[xrand.ReduceDeg(s.Uint64(), len(nb))]
 }
+
+// call is the one definition of "vertex u's call in round `round` under
+// (seed, failTh)": the neighbor u's (seed, u, round) stream picks — the
+// only neighbor of a degree-1 vertex, without a draw — or -1 when u is
+// isolated or the stream's next draw, the failure coin, falls under failTh.
+// It is a pure function of its arguments, so u's neighbor may evaluate it
+// as well as u: every path of the fused call protocols — forward, from the
+// other side of the cut, boundary — resolves calls here (see boundary.go).
+func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint64) graph.Vertex {
+	if ns.idx != nil && failTh == 0 {
+		// Reliable links on the packed index: at most one draw.
+		word := ns.idx[u]
+		if graph.WalkDegreeOne(word) {
+			return graph.WalkOnlyNeighbor(word, ns.nbrs)
+		}
+		if graph.WalkDegreeZero(word) {
+			return -1
+		}
+		return graph.WalkTarget(word, xrand.Mix3(seed, uint64(u), round), ns.nbrs)
+	}
+	s := xrand.NewStream(seed, uint64(u), round)
+	v := ns.sample(u, &s)
+	if failTh != 0 && s.Uint64() < failTh {
+		v = -1
+	}
+	return v
+}
