@@ -276,11 +276,10 @@ func hypercubeSpec(dim int) StreamSpec {
 		M:    int64(n) * int64(dim) / 2,
 		Name: fmt.Sprintf("hypercube(%d)", dim),
 		Emit: func(emit func(u, v Vertex)) {
+			// v's larger neighbours set one of its zero bits, lowest first.
 			for v := 0; v < n; v++ {
-				for bit := 0; bit < dim; bit++ {
-					if w := v ^ (1 << bit); v < w {
-						emit(Vertex(v), Vertex(w))
-					}
+				for z := ^v & (n - 1); z != 0; z &= z - 1 {
+					emit(Vertex(v), Vertex(v|z&-z))
 				}
 			}
 		},

@@ -262,45 +262,29 @@ func ErdosRenyiSeeded(n int, p float64, seed uint64) (*Graph, error) {
 
 func gnpSpec(n int, p float64, seed uint64) StreamSpec {
 	total := int64(n) * int64(n-1) / 2
-	// skips replays the edge-index walk: identical draws every call, so
-	// Count, pass 1, and pass 2 all see the same edge set.
-	skips := func(visit func(idx int64)) {
-		if p <= 0 || total == 0 {
-			return
-		}
-		s := xrand.NewStream(seed, gnpStreamUnit, 0)
-		idx := int64(-1)
-		for {
-			idx += s.Geometric64(p)
-			if idx >= total {
-				return
-			}
-			visit(idx)
-		}
-	}
 	return StreamSpec{
 		N:    n,
 		Name: fmt.Sprintf("gnp(%d,%g)", n, p),
-		// Counting doesn't need pair coordinates, so the prepass skips the
-		// unranking entirely.
-		Count: func() int64 {
-			var m int64
-			skips(func(int64) { m++ })
-			return m
-		},
+		// The edge-index walk replays identical draws on every call, so the
+		// count pass and the placement pass see the same edge set.
 		Emit: func(emit func(u, v Vertex)) {
+			if p <= 0 || total == 0 {
+				return
+			}
+			s := xrand.NewStream(seed, gnpStreamUnit, 0)
+			logQ := xrand.LogQ(p)
 			// The walk visits strictly increasing indices, so the row
 			// pointer only ever moves forward: unranking is O(n + m) total,
 			// with no per-edge binary search.
 			i, rowEnd := 0, int64(n-1)
-			skips(func(idx int64) {
+			for idx := s.GeometricLogQ(logQ) - 1; idx < total; idx += s.GeometricLogQ(logQ) {
 				for idx >= rowEnd {
 					i++
 					rowEnd += int64(n - 1 - i)
 				}
 				j := int64(i+1) + idx - (rowEnd - int64(n-1-i))
 				emit(Vertex(i), Vertex(j))
-			})
+			}
 		},
 	}
 }
@@ -520,10 +504,12 @@ func ChungLuSeeded(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 		Name: fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg),
 		Emit: func(emit func(u, v Vertex)) {
 			s := xrand.NewStream(seed, chungluStreamUnit, 0)
+			wi := w(0)
 			for i := 0; i < n-1; i++ {
-				wi := w(i)
+				// Row i's first-partner weight is row i+1's own weight.
+				wn := w(i + 1)
 				j := i + 1
-				p := math.Min(1, wi*w(j)/total)
+				p := math.Min(1, wi*wn/total)
 				for j < n && p > 0 {
 					if p < 1 {
 						j += int(s.Geometric64(p)) - 1
@@ -539,6 +525,7 @@ func ChungLuSeeded(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 					p = q
 					j++
 				}
+				wi = wn
 			}
 		},
 	})

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -112,6 +115,39 @@ func TestSeededSamplersReplayable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSeededRealizationsPinned pins random realizations across commits:
+// the SHA-256 of each point's CSR encoding is fixed, so a sampler change
+// that alters any draw, any float, or the emitted edge order fails here
+// instead of silently re-keying every spilled realization. The points
+// cover a gnp with p = 1 (every draw takes Geometric64's p >= 1 arm) and
+// a chunglu whose early rows have p >= 1 (the skip is bypassed there).
+func TestSeededRealizationsPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		seed uint64
+		sha  string
+	}{
+		{"gnp:2000,0.003", 1, "33733248df5a11f31ad9dc65a348d55206b4fefbbd0d5cf0a63a4b254d1b1cd2"},
+		{"gnp:60,1", 7, "a328739ce4f7c5322fc7695206777e9e17e82b044c4612b59cdf9a070c606cf2"},
+		{"randreg:1000,6", 1, "e8de6227c3738eef8a0996ede240bfc2ebee6f3fe5bfa13d460762a992ab113d"},
+		{"randreg:301,4", 977, "1567a2f14b197f0483dab5a6c3e2b78007682b629aca767e0994c68794ac9c8f"},
+		{"barabasi:1000,3", 1, "c60e6e27b960e33c0f5e2ec1cb3c140f422c13db83fdbf0d7d8e25310c8a724c"},
+		{"barabasi:500,5", 977, "4fae06043a3d86594cd3e5b93abc17a7fa7d7df40dba6ebe20891870cdb1309b"},
+		{"chunglu:2000,2.5,6", 1, "5a0c6e1c3f8d238b9479ffcde9e91263fe3c71ab70e30ee02e1c5777218e7cb3"},
+		{"chunglu:300,2.5,8", 977, "83209910d72870bd646a7815a06bdd82ca5e581c7e3129cb191c839aca946684"},
+	} {
+		g, err := mustParse(t, c.spec).BuildSeeded(c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		sum := sha256.Sum256(encodeCSRBytes(t, g))
+		if got := hex.EncodeToString(sum[:]); got != c.sha {
+			t.Errorf("%s seed %d: CSR SHA-256 %s, pinned %s — a sampler's draw sequence changed: bump RandomSamplerVersion and re-pin",
+				c.spec, c.seed, got, c.sha)
+		}
 	}
 }
 
@@ -322,12 +358,84 @@ func TestSeededKeyFormat(t *testing.T) {
 	}
 }
 
-// FuzzSeededGnpReplay fuzzes (n, p, seed) and asserts replayability plus
-// the builder's structural invariants.
+// geometricRef is the skip draw as the samplers first wrote it, with
+// ln(1−p) computed inside every draw.
+func geometricRef(s *xrand.Stream, p float64) int64 {
+	if p >= 1 {
+		s.Uint64()
+		return 1
+	}
+	g := int64(math.Ceil(math.Log(1-s.Float64()) / math.Log1p(-p)))
+	if g < 1 {
+		return 1
+	}
+	return g
+}
+
+// gnpRefSpec is the gnp emitter as first written: a skip walk that
+// recomputes ln(1−p) for every draw.
+func gnpRefSpec(n int, p float64, seed uint64) StreamSpec {
+	total := int64(n) * int64(n-1) / 2
+	return StreamSpec{N: n, Name: fmt.Sprintf("gnp(%d,%g)", n, p), Emit: func(emit func(u, v Vertex)) {
+		if p <= 0 || total == 0 {
+			return
+		}
+		s := xrand.NewStream(seed, gnpStreamUnit, 0)
+		for idx := int64(-1); ; {
+			idx += geometricRef(&s, p)
+			if idx >= total {
+				return
+			}
+			emit(pairFromIndex(idx, n))
+		}
+	}}
+}
+
+// chungluRefSpec is the chunglu emitter as first written: every row
+// recomputes its own weight and its first partner's.
+func chungluRefSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
+	exp := -1 / (beta - 1)
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += math.Pow(float64(i+1), exp)
+	}
+	scale := avgDeg * float64(n) / sum
+	total := avgDeg * float64(n)
+	w := func(i int) float64 { return scale * math.Pow(float64(i+1), exp) }
+	return StreamSpec{N: n, Name: fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg), Emit: func(emit func(u, v Vertex)) {
+		s := xrand.NewStream(seed, chungluStreamUnit, 0)
+		for i := 0; i < n-1; i++ {
+			wi := w(i)
+			j := i + 1
+			p := math.Min(1, wi*w(j)/total)
+			for j < n && p > 0 {
+				if p < 1 {
+					j += int(geometricRef(&s, p)) - 1
+					if j >= n {
+						break
+					}
+				}
+				q := math.Min(1, wi*w(j)/total)
+				if s.Float64()*p < q {
+					emit(Vertex(i), Vertex(j))
+				}
+				p = q
+				j++
+			}
+		}
+	}}
+}
+
+// FuzzSeededGnpReplay fuzzes (n, p, seed) and asserts replayability, the
+// builder's structural invariants, and byte identity with the reference
+// gnp and chunglu emitters built through the legacy Builder (chunglu's
+// exponent and average degree derive from p, reaching rows whose bound
+// is ≥ 1 as p approaches 1).
 func FuzzSeededGnpReplay(f *testing.F) {
 	f.Add(10, 0.3, uint64(1))
 	f.Add(100, 0.01, uint64(7))
 	f.Add(2, 1.0, uint64(0))
+	f.Add(300, 0.9, uint64(977))
 	f.Fuzz(func(t *testing.T, n int, p float64, seed uint64) {
 		if n < 2 || n > 400 || p < 0 || p > 1 || p != p {
 			t.Skip()
@@ -339,12 +447,25 @@ func FuzzSeededGnpReplay(f *testing.F) {
 		if err := g1.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		b1 := encodeCSRBytes(t, g1)
 		g2, err := ErdosRenyiSeeded(n, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeCSRBytes(t, g1), encodeCSRBytes(t, g2)) {
+		if !bytes.Equal(b1, encodeCSRBytes(t, g2)) {
 			t.Fatal("replay diverged")
+		}
+		if !bytes.Equal(b1, encodeCSRBytes(t, buildLegacy(t, gnpRefSpec(n, p, seed)))) {
+			t.Fatal("gnp diverged from the reference emitter")
+		}
+
+		beta, avg := 2.1+2*p, math.Max(0.5, p*float64(n-1))
+		cl, err := ChungLuSeeded(n, beta, avg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeCSRBytes(t, cl), encodeCSRBytes(t, buildLegacy(t, chungluRefSpec(n, beta, avg, seed)))) {
+			t.Fatalf("chunglu(%d,%g,%g) diverged from the reference emitter", n, beta, avg)
 		}
 	})
 }

@@ -29,6 +29,21 @@ func newOffsetStore(n int, endpoints int64) offsetStore {
 	return offsetStore{o64: make([]int64, n+1)}
 }
 
+// widenOffsets turns the streaming builder's uint32 degree counts into the
+// offset store for a graph with `endpoints` (= 2M) slots: the counts
+// themselves when every offset fits uint32, otherwise an int64 copy made
+// before the neighbor array exists, the narrow array left to the collector.
+func widenOffsets(counts []uint32, endpoints int64) offsetStore {
+	if endpoints < 1<<32 {
+		return offsetStore{o32: counts}
+	}
+	o64 := make([]int64, len(counts))
+	for i, c := range counts {
+		o64[i] = int64(c)
+	}
+	return offsetStore{o64: o64}
+}
+
 // len returns the array length (N+1), or 0 for the zero value.
 func (o offsetStore) len() int {
 	if o.o32 != nil {
@@ -46,8 +61,8 @@ func (o offsetStore) at(i int) int64 {
 }
 
 // set stores offset i. The caller is responsible for v fitting the width
-// chosen at allocation (newOffsetStore sized it from the final endpoint
-// count, so monotone fills cannot overflow).
+// chosen at allocation (newOffsetStore and widenOffsets pick it from the
+// final endpoint count, so monotone fills cannot overflow).
 func (o offsetStore) set(i int, v int64) {
 	if o.o32 != nil {
 		o.o32[i] = uint32(v)

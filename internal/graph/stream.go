@@ -12,10 +12,11 @@ import (
 // deterministic graph families don't need that: their edge sets are pure
 // functions of the parameters, so the edges can be *replayed* instead of
 // stored. StreamSpec captures a family as an edge-emitting closure and
-// BuildStream assembles the CSR in two passes over it:
+// BuildStream assembles the CSR in exactly two runs of it:
 //
-//	pass 1  count degrees directly into the offset array (off[v+1]++)
-//	        prefix-sum the offsets in place
+//	pass 1  count degrees into a uint32 offset array (off[v+1]++) — a
+//	        degree always fits 32 bits — learning m as it goes; widen to
+//	        int64 only if 2m ≥ 2³², then prefix-sum the offsets in place
 //	pass 2  place each endpoint at its vertex's cursor, using the offset
 //	        entries themselves as cursors (off[u] advances through u's
 //	        segment), then shift the array right one slot to restore it
@@ -25,7 +26,9 @@ import (
 // the endpoint count allows plus the int32 neighbor array — with O(1)
 // scratch. No per-vertex slices, no second copy, no degree array: the
 // offsets double as the counting buffer and then as the placement
-// cursors. A 100M-vertex star builds in 1.2 GB, the size of its CSR.
+// cursors, and a widened copy replaces the narrow counts before the
+// neighbor array exists. A 100M-vertex star builds in 1.2 GB, the size
+// of its CSR.
 //
 // The result is bit-identical to what the Builder produces for the same
 // edge set: both end with per-vertex sorted segments concatenated in
@@ -34,13 +37,12 @@ import (
 type StreamSpec struct {
 	// N is the vertex count.
 	N int
-	// M is the exact number of undirected edges Emit produces. Zero means
-	// unknown: BuildStream then calls Count when set, or runs a count-only
-	// Emit prepass otherwise, to learn the exact value before choosing the
-	// offset width. Stochastic samplers that know m only after sampling
-	// (gnp, chunglu) leave M zero; those that fix it from parameters
-	// (randreg: nd/2, ba: C(m+1,2)+(n−m−1)m) declare it, and BuildStream
-	// still verifies both passes emit exactly that many edges.
+	// M, when nonzero, declares the number of undirected edges Emit
+	// produces; BuildStream rejects a spec whose passes emit any other
+	// count. Zero declares nothing: pass 1 learns m either way. Samplers
+	// that fix m from parameters (randreg: nd/2, ba: C(m+1,2)+(n−m−1)m)
+	// declare it; those that know m only after sampling (gnp, chunglu)
+	// leave it zero.
 	M int64
 	// Name is the graph's human-readable name.
 	Name string
@@ -50,11 +52,6 @@ type StreamSpec struct {
 	// counter-based streams — reconstructing the same (seed, unit, round)
 	// key replays bit-identical draws on every pass.
 	Emit func(emit func(u, v Vertex))
-	// Count, when non-nil and M is zero, returns the exact number of edges
-	// Emit will produce. It lets samplers that can count cheaper than they
-	// can emit (gnp's skip loop without pair unranking) replace the full
-	// Emit prepass.
-	Count func() int64
 	// Landmarks names vertices for Graph.Landmark.
 	Landmarks map[string]Vertex
 }
@@ -67,22 +64,11 @@ func BuildStream(s StreamSpec) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: stream spec has negative N")
 	}
-	m := s.M
-	if m == 0 {
-		if s.Count != nil {
-			m = s.Count()
-		} else {
-			s.Emit(func(u, v Vertex) { m++ })
-		}
-	}
-	endpoints := 2 * m
-
-	off := newOffsetStore(n, endpoints)
-
-	// Pass 1: count degrees into off[v+1] so the in-place prefix sum lands
-	// each vertex's start at off[v]. Endpoint validation happens here,
-	// once; pass 2 trusts the (deterministic) emitter.
-	var emitted int64
+	// Pass 1: count degrees into counts[v+1] so the in-place prefix sum
+	// lands each vertex's start at off[v]. Endpoint validation happens
+	// here, once; pass 2 trusts the (deterministic) emitter.
+	counts := make([]uint32, n+1)
+	var m int64
 	var emitErr error
 	s.Emit(func(u, v Vertex) {
 		if emitErr != nil {
@@ -96,16 +82,18 @@ func BuildStream(s StreamSpec) (*Graph, error) {
 			emitErr = fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 			return
 		}
-		off.inc(int(u)+1, 1)
-		off.inc(int(v)+1, 1)
-		emitted++
+		counts[int(u)+1]++
+		counts[int(v)+1]++
+		m++
 	})
 	if emitErr != nil {
 		return nil, emitErr
 	}
-	if emitted != m {
-		return nil, fmt.Errorf("graph: stream spec %q declared %d edges, emitted %d", s.Name, m, emitted)
+	if s.M != 0 && m != s.M {
+		return nil, fmt.Errorf("graph: stream spec %q declared %d edges, emitted %d", s.Name, s.M, m)
 	}
+	endpoints := 2 * m
+	off := widenOffsets(counts, endpoints)
 	for v := 1; v <= n; v++ {
 		off.set(v, off.at(v)+off.at(v-1))
 	}

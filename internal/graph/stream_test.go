@@ -86,8 +86,8 @@ func TestStreamMatchesBuilderByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamUnknownEdgeCount checks the count-only prepass: a spec that
-// declares M=0 learns the edge count by replaying the emitter once.
+// TestStreamUnknownEdgeCount checks that a spec declaring M=0 needs no
+// extra run: the degree-count pass learns the edge count as it goes.
 func TestStreamUnknownEdgeCount(t *testing.T) {
 	spec := completeSpec(7)
 	spec.M = 0
@@ -97,6 +97,47 @@ func TestStreamUnknownEdgeCount(t *testing.T) {
 	}
 	if g.M() != 21 {
 		t.Fatalf("M = %d, want 21", g.M())
+	}
+}
+
+// TestStreamTwoEmitterRuns pins the builder's pass count: one counting run
+// and one placing run of Emit, whether M is declared or learned.
+func TestStreamTwoEmitterRuns(t *testing.T) {
+	undeclared := completeSpec(7)
+	undeclared.M = 0
+	for _, spec := range []StreamSpec{completeSpec(7), undeclared, gnpSpec(300, 0.05, 3)} {
+		runs := 0
+		emit := spec.Emit
+		spec.Emit = func(e func(u, v Vertex)) {
+			runs++
+			emit(e)
+		}
+		if _, err := BuildStream(spec); err != nil {
+			t.Fatalf("%s (M=%d): %v", spec.Name, spec.M, err)
+		}
+		if runs != 2 {
+			t.Errorf("%s (M=%d): Emit ran %d times, want 2", spec.Name, spec.M, runs)
+		}
+	}
+}
+
+// TestWidenOffsets covers the narrow→wide switch no test-sized graph can
+// reach: at 2³² endpoints every count moves into the int64 array
+// unchanged; below it the counts themselves become the offsets.
+func TestWidenOffsets(t *testing.T) {
+	counts := []uint32{0, 3, 1 << 31, 0, ^uint32(0)}
+	wide := widenOffsets(counts, 1<<32)
+	if !wide.wide() || wide.len() != len(counts) {
+		t.Fatalf("endpoints 2^32: wide=%v len=%d, want int64 offsets of length %d", wide.wide(), wide.len(), len(counts))
+	}
+	for i, c := range counts {
+		if wide.o64[i] != int64(c) {
+			t.Errorf("o64[%d] = %d, want %d", i, wide.o64[i], c)
+		}
+	}
+	narrow := widenOffsets(counts, 1<<32-1)
+	if narrow.wide() || &narrow.o32[0] != &counts[0] {
+		t.Fatal("endpoints below 2^32: offsets should be the counts array itself")
 	}
 }
 

@@ -176,20 +176,27 @@ func (s *Stream) Bernoulli(p float64) bool {
 // It is the skip-length primitive of the edge-stream samplers (gnp,
 // chunglu), where m expected draws replace n² coin flips. p must be in
 // (0, 1]; int64 range covers every gap a 64-bit pair index can need.
-func (s *Stream) Geometric64(p float64) int64 {
-	if p >= 1 {
-		s.Uint64() // keep draw counts position-independent across p
-		return 1
-	}
+func (s *Stream) Geometric64(p float64) int64 { return geometric(s.Float64(), LogQ(p)) }
+
+// LogQ returns ln(1−p), the per-distribution constant of the geometric
+// inversion, for loops that draw many skips at one p. p ≥ 1 maps to −Inf,
+// which makes every draw 1. p must be positive.
+func LogQ(p float64) float64 {
 	if p <= 0 {
-		panic("xrand: Geometric64 requires p > 0")
+		panic("xrand: geometric draw requires p > 0")
 	}
-	// 1 - Float64() is in (0, 1], so the log is finite and <= 0.
-	g := int64(math.Ceil(math.Log(1-s.Float64()) / math.Log1p(-p)))
-	if g < 1 {
-		return 1
-	}
-	return g
+	return math.Log1p(-min(p, 1))
+}
+
+// GeometricLogQ is Geometric64 with ln(1−p) supplied as logQ = LogQ(p):
+// the same draw, the same value, one Float64 consumed at every p.
+func (s *Stream) GeometricLogQ(logQ float64) int64 { return geometric(s.Float64(), logQ) }
+
+// geometric inverts the geometric CDF at u ∈ [0, 1): ceil(ln(1−u)/logQ),
+// at least 1. 1−u is in (0, 1], so the log is finite and ≤ 0. It is the
+// package's one geometric inversion; every geometric draw goes through it.
+func geometric(u, logQ float64) int64 {
+	return max(1, int64(math.Ceil(math.Log(1-u)/logQ)))
 }
 
 // BernoulliThreshold converts p into a threshold comparable against a raw

@@ -192,6 +192,39 @@ func TestStreamGeometric64(t *testing.T) {
 	}
 }
 
+// geometricRef is Geometric64 as it was written before ln(1−p) was
+// hoisted into LogQ: the reference every hoisted draw must reproduce.
+func geometricRef(s *Stream, p float64) int64 {
+	if p >= 1 {
+		s.Uint64()
+		return 1
+	}
+	g := int64(math.Ceil(math.Log(1-s.Float64()) / math.Log1p(-p)))
+	if g < 1 {
+		return 1
+	}
+	return g
+}
+
+// TestGeometricLogQMatchesGeometric64 runs twin streams draw for draw: the
+// hoisted form, the wrapper and the reference return the same values and
+// consume the same number of draws.
+func TestGeometricLogQMatchesGeometric64(t *testing.T) {
+	for _, p := range []float64{1e-12, 1e-6, 1.6e-5, 0.01, 0.3, 0.999999, 1} {
+		hoisted, wrapped, ref := NewStream(31, 7, 2), NewStream(31, 7, 2), NewStream(31, 7, 2)
+		logQ := LogQ(p)
+		for i := 0; i < 100_000; i++ {
+			h, w, r := hoisted.GeometricLogQ(logQ), wrapped.Geometric64(p), geometricRef(&ref, p)
+			if h != r || w != r {
+				t.Fatalf("p=%g draw %d: GeometricLogQ %d, Geometric64 %d, reference %d", p, i, h, w, r)
+			}
+		}
+		if hoisted != ref || wrapped != ref {
+			t.Fatalf("p=%g: streams ended in different states", p)
+		}
+	}
+}
+
 func TestBernoulliThreshold(t *testing.T) {
 	if BernoulliThreshold(0) != 0 {
 		t.Error("threshold(0) != 0")

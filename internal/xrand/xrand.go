@@ -10,10 +10,7 @@
 // do not overlap in practice.
 package xrand
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // RNG is a deterministic pseudo-random number generator. It wraps the
 // stdlib PCG generator behind a fixed construction so the whole repository
@@ -65,16 +62,7 @@ func (r *RNG) Geometric(p float64) int {
 	if p >= 1 {
 		return 1
 	}
-	if p <= 0 {
-		panic("xrand: Geometric requires p > 0")
-	}
-	// Inversion: ceil(ln(U) / ln(1-p)) with U uniform in (0,1].
-	u := 1 - r.Float64() // in (0, 1]
-	k := math.Ceil(math.Log(u) / math.Log1p(-p))
-	if k < 1 {
-		k = 1
-	}
-	return int(k)
+	return int(geometric(r.Float64(), LogQ(p)))
 }
 
 // Binomial returns a sample of Bin(n, p). It uses direct simulation for
