@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"rumor/internal/graph"
-	"rumor/internal/xrand"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func run(args []string, stdout io.Writer) error {
 		spec     = fs.String("spec", "", "graph spec to generate (e.g. star:100)")
 		in       = fs.String("in", "", "read a graph from this file instead of generating")
 		out      = fs.String("o", "", "write the graph to this file")
-		seed     = fs.Uint64("seed", 1, "seed for random families")
+		seed     = fs.Uint64("seed", 1, "graph seed for random families (the same realization cmd/rumor -seed and /v1/run graphSeed build)")
 		stats    = fs.Bool("stats", false, "print structural statistics")
 		validate = fs.Bool("validate", false, "run full structural validation")
 	)
@@ -56,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("decoding %s: %w", *in, err)
 		}
 	case *spec != "":
-		g, err = graph.FromSpec(*spec, xrand.New(*seed))
+		g, err = graph.FromSpec(*spec, *seed)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rumor"
+	"rumor/internal/experiment"
+	"rumor/internal/graph"
 )
 
 func TestGenerateAndStats(t *testing.T) {
@@ -70,4 +76,61 @@ func TestErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+}
+
+// TestOneRealizationPerSeed pins the one seed map: for every random family
+// and seed, the library facade, graph.FromSpec, a graphgen -seed export
+// read back through Decode, and the RunSpec path behind cmd/rumor and
+// /v1/run build the same realization, down to the binary CSR bytes.
+func TestOneRealizationPerSeed(t *testing.T) {
+	dir := t.TempDir()
+	for _, spec := range []string{"randreg:64,6", "gnp:120,0.05", "barabasi:90,3", "chunglu:150,2.5,6"} {
+		for _, seed := range []uint64{1, 7, 424242} {
+			facade, err := rumor.GraphFromSpec(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := csrBytes(t, facade)
+
+			lib, err := graph.FromSpec(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.g", strings.NewReplacer(":", "_", ",", "_").Replace(spec), seed))
+			var out strings.Builder
+			if err := run([]string{"-spec", spec, "-seed", fmt.Sprint(seed), "-o", path}, &out); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exported, err := graph.Decode(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			served, _, err := experiment.RunSpec{Graph: spec, GraphSeed: seed}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for name, g := range map[string]*graph.Graph{"graph.FromSpec": lib, "graphgen -o + Decode": exported, "RunSpec.Build": served} {
+				if !bytes.Equal(csrBytes(t, g), want) {
+					t.Errorf("%s seed %d: %s differs from rumor.GraphFromSpec", spec, seed, name)
+				}
+			}
+		}
+	}
+}
+
+func csrBytes(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.EncodeCSR(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

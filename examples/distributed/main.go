@@ -18,13 +18,13 @@ import (
 )
 
 func main() {
-	spec := flag.String("graph", "hypercube:9", "hypercube:D or randreg:N,D")
+	spec := flag.String("graph", "hypercube:9", "connected graph spec, e.g. hypercube:9 or randreg:1024,14")
 	protocol := flag.String("protocol", "push-pull", "push | push-pull")
 	trials := flag.Int("trials", 5, "distributed trials")
 	seed := flag.Uint64("seed", 1, "master seed")
 	flag.Parse()
 
-	g, err := buildGraph(*spec, *seed)
+	g, err := rumor.GraphFromSpec(*spec, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,15 +95,4 @@ func main() {
 		fmt.Printf("  trial %d: %d rounds, %d token messages\n", i, res.Rounds, res.Messages)
 	}
 	fmt.Printf("  mean %.1f rounds with |A| = n tokens\n", float64(sum)/float64(*trials))
-}
-
-func buildGraph(spec string, seed uint64) (*rumor.Graph, error) {
-	var dim, n, d int
-	if cnt, err := fmt.Sscanf(spec, "hypercube:%d", &dim); cnt == 1 && err == nil {
-		return rumor.Hypercube(dim), nil
-	}
-	if cnt, err := fmt.Sscanf(spec, "randreg:%d,%d", &n, &d); cnt == 2 && err == nil {
-		return rumor.RandomRegularConnected(n, d, rumor.NewRNG(seed))
-	}
-	return nil, fmt.Errorf("unsupported spec %q", spec)
 }

@@ -14,12 +14,12 @@ import (
 )
 
 func main() {
-	graphSpec := flag.String("graph", "star:1024", "graph family spec")
+	graphSpec := flag.String("graph", "star:1024", "graph spec, family:params (e.g. doublestar:512, randreg:256,6; cmd/rumor -help lists them)")
 	trials := flag.Int("trials", 5, "trials per protocol")
 	seed := flag.Uint64("seed", 1, "master seed")
 	flag.Parse()
 
-	g, err := buildGraph(*graphSpec, *seed)
+	g, err := rumor.GraphFromSpec(*graphSpec, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,27 +62,6 @@ func main() {
 	fmt.Println("\nOn the star (Lemma 2): push needs Θ(n log n) rounds while the")
 	fmt.Println("agent-based protocols finish in O(log n) — try -graph doublestar:512")
 	fmt.Println("to see push-pull lose too (Lemma 3).")
-}
-
-func buildGraph(spec string, seed uint64) (*rumor.Graph, error) {
-	// The examples keep their own tiny spec parser on purpose: it shows how
-	// little API a user needs. The cmd/ tools use the full FromSpec grammar.
-	var leaves int
-	if n, err := fmt.Sscanf(spec, "star:%d", &leaves); n == 1 && err == nil {
-		return rumor.Star(leaves), nil
-	}
-	if n, err := fmt.Sscanf(spec, "doublestar:%d", &leaves); n == 1 && err == nil {
-		return rumor.DoubleStar(leaves), nil
-	}
-	var dim int
-	if n, err := fmt.Sscanf(spec, "hypercube:%d", &dim); n == 1 && err == nil {
-		return rumor.Hypercube(dim), nil
-	}
-	var rn, rd int
-	if n, err := fmt.Sscanf(spec, "randreg:%d,%d", &rn, &rd); n == 2 && err == nil {
-		return rumor.RandomRegularConnected(rn, rd, rumor.NewRNG(seed))
-	}
-	return nil, fmt.Errorf("unsupported spec %q (star:N, doublestar:N, hypercube:D, randreg:N,D)", spec)
 }
 
 func summarize(results []rumor.Result) (mean float64, minR, maxR int) {

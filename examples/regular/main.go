@@ -24,7 +24,6 @@ func main() {
 		g    *rumor.Graph
 		d    int
 	}
-	rng := rumor.NewRNG(7)
 	var families []family
 	for _, dim := range []int{7, 8, 9, 10} {
 		g := rumor.Hypercube(dim)
@@ -32,7 +31,7 @@ func main() {
 	}
 	for _, n := range []int{512, 1024, 2048} {
 		d := 2 * int(math.Ceil(math.Log(float64(n))))
-		g, err := rumor.RandomRegularConnected(n, d, rng)
+		g, err := rumor.GraphFromSpec(fmt.Sprintf("randreg:%d,%d", n, d), 7)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "master seed")
 	flag.Parse()
 
-	raw, err := rumor.ChungLu(*n, *beta, *avgDeg, rumor.NewRNG(*seed))
+	raw, err := rumor.GraphFromSpec(fmt.Sprintf("chunglu:%d,%g,%g", *n, *beta, *avgDeg), *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestQuickCompletes(t *testing.T) {
 		if n*d%2 == 1 {
 			n++
 		}
-		g, err := graph.RandomRegularConnected(n, d, rng)
+		g, err := graph.RandomRegularConnected(n, d, rng.Uint64())
 		if err != nil {
 			return true
 		}

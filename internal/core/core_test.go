@@ -359,8 +359,7 @@ func allProtocols() []protoCase {
 
 func testGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	rng := xrand.New(4242)
-	rr, err := graph.RandomRegularConnected(48, 6, rng)
+	rr, err := graph.RandomRegularConnected(48, 6, 4242)
 	if err != nil {
 		t.Fatal(err)
 	}

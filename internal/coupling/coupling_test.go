@@ -31,8 +31,7 @@ func TestRunValidation(t *testing.T) {
 // τ_u ≤ C_u(t_u) is deterministic under the coupling; verify it exactly on
 // several regular graphs and seeds.
 func TestLemma13HoldsOnRegularFamilies(t *testing.T) {
-	rng := xrand.New(31337)
-	rr, err := graph.RandomRegularConnected(96, 8, rng)
+	rr, err := graph.RandomRegularConnected(96, 8, 31337)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestQuickLemma13(t *testing.T) {
 		if n*d%2 == 1 {
 			n++
 		}
-		g, err := graph.RandomRegularConnected(n, d, rng)
+		g, err := graph.RandomRegularConnected(n, d, rng.Uint64())
 		if err != nil {
 			return true // skip rare generation failure
 		}
@@ -140,8 +139,7 @@ func TestParentsFormTreeToSource(t *testing.T) {
 // canonical walk reconstructed from the information path has congestion
 // exactly C_u(t_u), and it is a legal walk (stay or move along an edge).
 func TestCanonicalWalkCertifiesCounter(t *testing.T) {
-	rng := xrand.New(171)
-	rr, err := graph.RandomRegularConnected(48, 6, rng)
+	rr, err := graph.RandomRegularConnected(48, 6, 171)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,7 @@ func TestOddEvenValidation(t *testing.T) {
 // families, and all per-vertex times are consistent (source at 0, others
 // positive).
 func TestOddEvenBothComplete(t *testing.T) {
-	rng := xrand.New(4242)
-	rr, err := graph.RandomRegularConnected(64, 8, rng)
+	rr, err := graph.RandomRegularConnected(64, 8, 4242)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestQuickOddEvenCompletes(t *testing.T) {
 		if n*d%2 == 1 {
 			n++
 		}
-		g, err := graph.RandomRegularConnected(n, d, rng)
+		g, err := graph.RandomRegularConnected(n, d, rng.Uint64())
 		if err != nil {
 			return true
 		}

@@ -12,8 +12,9 @@ import (
 	"rumor/internal/xrand"
 )
 
-// Scale selects the sweep size. Full is what EXPERIMENTS.md reports; Small
-// keeps unit tests and benchmarks fast while exercising the same code.
+// Scale selects the sweep size. Full is what `go run ./cmd/experiments`
+// prints (or writes to its -out file); Small keeps unit tests and
+// benchmarks fast while exercising the same code.
 type Scale int
 
 const (
@@ -335,6 +336,18 @@ func buildRandom(p graph.ParsedSpec, samplerSeed uint64) (*graph.Graph, error) {
 	})
 }
 
+// cachedRandom is buildRandom for a textual random-family spec: the
+// realization is keyed by the spec and the caller's sampler seed, so every
+// experiment that asks for the same (spec, seed) shares one instance — and
+// one walk index — per residency instead of re-sampling.
+func cachedRandom(spec string, samplerSeed uint64) (*graph.Graph, error) {
+	p, err := graph.ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return buildRandom(p, samplerSeed)
+}
+
 // cachedGraph returns the memoized graph for key, building it exactly once
 // on first use (concurrent first callers share one build). Use only for
 // deterministic (parameter-only) generators.
@@ -360,8 +373,8 @@ func sourceOr(g *graph.Graph, landmark string) graph.Vertex {
 // order (Fig. 1 families, then theorems, then extensions).
 var registry []Spec
 
-// presentationOrder fixes how experiments appear in EXPERIMENTS.md and
-// -list output; unknown ids sort last in registration order.
+// presentationOrder fixes how experiments appear in cmd/experiments'
+// tables and -list output; unknown ids sort last in registration order.
 var presentationOrder = []string{
 	"fig1a-star", "fig1b-doublestar", "fig1c-heavytree", "fig1d-siamese",
 	"fig1e-cyclestars", "thm1-regular", "thm23-meetx", "lb-log",

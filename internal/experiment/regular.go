@@ -25,7 +25,7 @@ type regularCase struct {
 // this suite, so each instance — and its walk-index/alias caches — is
 // built once across all of them. The random-regular graphs are keyed by
 // (spec, per-case derived seed) via the replayable seeded sampler
-// (cachedRandomRegular), so repeated sweeps at one experiment seed stop
+// (cachedRandom), so repeated sweeps at one experiment seed stop
 // re-sampling and giant instances ride the spill tier like any other.
 func regularSuite(cfg Config) ([]regularCase, error) {
 	var cases []regularCase
@@ -46,7 +46,7 @@ func regularSuite(cfg Config) ([]regularCase, error) {
 		if (n*d)%2 == 1 {
 			d++
 		}
-		g, err := cachedRandomRegular(n, d, xrand.Derive(xrand.Derive(cfg.Seed, 90001), i))
+		g, err := cachedRandom(fmt.Sprintf("randreg:%d,%d", n, d), xrand.Derive(xrand.Derive(cfg.Seed, 90001), i))
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func runLogLowerBounds(cfg Config) (*Table, error) {
 		if (n*d)%2 == 1 {
 			d++
 		}
-		g, err := cachedRandomRegular(n, d, xrand.Derive(xrand.Derive(cfg.Seed, 90002), i))
+		g, err := cachedRandom(fmt.Sprintf("randreg:%d,%d", n, d), xrand.Derive(xrand.Derive(cfg.Seed, 90002), i))
 		if err != nil {
 			return nil, err
 		}
@@ -229,19 +229,6 @@ func runLogLowerBounds(cfg Config) (*Table, error) {
 	tab.AddNote("worst normalized minima: visitx %.2f, meetx %.2f — %s", worstV, worstM, verdict)
 	tab.AddNote("minimum taken over %d trials per point (finite-sample stand-in for the w.h.p. statement)", trials)
 	return tab, nil
-}
-
-// cachedRandomRegular builds a connected random d-regular graph through
-// the graph memo/spill tiers: the realization is keyed by the randreg
-// spec and the caller's derived seed, so every experiment that asks for
-// the same (n, d, seed) shares one instance — and one walk index — per
-// residency instead of re-sampling a fresh pairing.
-func cachedRandomRegular(n, d int, seed uint64) (*graph.Graph, error) {
-	p, err := graph.ParseSpec(fmt.Sprintf("randreg:%d,%d", n, d))
-	if err != nil {
-		return nil, err
-	}
-	return buildRandom(p, seed)
 }
 
 func minMax(xs []float64) (lo, hi float64) {

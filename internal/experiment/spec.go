@@ -6,14 +6,7 @@ import (
 
 	"rumor/internal/core"
 	"rumor/internal/graph"
-	"rumor/internal/xrand"
 )
-
-// graphSeedLane is the Derive lane separating graph-construction
-// randomness from protocol randomness, shared with cmd/rumor's historical
-// behavior so a RunSpec with GraphSeed == Seed builds the same random
-// graph the CLI always built for that seed.
-const graphSeedLane = 1 << 20
 
 // RunSpec is a complete, data-form description of one simulation sweep
 // point: graph, protocol, trial count, and seed. It is the unit the
@@ -189,12 +182,11 @@ func (s RunSpec) AgentOptions() (core.AgentOptions, error) {
 // Build materializes the graph and the resolved source vertex.
 // Deterministic families come from the shared LRU graph memoization
 // (keyed by canonical spec, built exactly once per residency). Random
-// families resolve GraphSeed to a sampler seed exactly the way the
-// historical rng-driven path did — one Uint64 draw from the derived
-// graph-seed RNG — and then memoize the realization under
-// graph.SeededKey: the replayable samplers make (spec, seed) a complete
-// identity, so caching and disk spill are as safe as for deterministic
-// graphs, and the realization equals what Build(rng) would sample.
+// families map GraphSeed through graph.SamplerSeed — the one seed map,
+// so the realization equals graph.FromSpec(s.Graph, s.GraphSeed) — and
+// memoize it under graph.SeededKey: the replayable samplers make (spec,
+// seed) a complete identity, so caching and disk spill are as safe as
+// for deterministic graphs.
 func (s RunSpec) Build() (*graph.Graph, graph.Vertex, error) {
 	p, err := graph.ParseSpec(s.Graph)
 	if err != nil {
@@ -202,8 +194,7 @@ func (s RunSpec) Build() (*graph.Graph, graph.Vertex, error) {
 	}
 	var g *graph.Graph
 	if p.Random() {
-		samplerSeed := xrand.New(xrand.Derive(s.GraphSeed, graphSeedLane)).Uint64()
-		g, err = buildRandom(p, samplerSeed)
+		g, err = buildRandom(p, graph.SamplerSeed(s.GraphSeed))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -217,7 +208,7 @@ func (s RunSpec) Build() (*graph.Graph, graph.Vertex, error) {
 		// mmap-backed from the content-addressed store instead of being
 		// rebuilt on the heap.
 		g, err = buildDeterministic(p.Canonical(), func() (*graph.Graph, error) {
-			return p.Build(nil)
+			return p.BuildSeeded(0)
 		})
 		if err != nil {
 			return nil, 0, err

@@ -13,7 +13,6 @@ import (
 
 	"rumor/internal/graph"
 	"rumor/internal/lru"
-	"rumor/internal/xrand"
 )
 
 // isolateGraphs gives the test its own world: an empty graph memo and no
@@ -167,7 +166,7 @@ func TestSpilledRandomGraphReplaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samplerSeed := xrand.New(xrand.Derive(spec.GraphSeed, graphSeedLane)).Uint64()
+	samplerSeed := graph.SamplerSeed(spec.GraphSeed)
 	key := graph.SeededKey(p.Canonical(), samplerSeed)
 
 	// Reference: heap-built realization, no store.
@@ -216,7 +215,7 @@ func TestSpilledRandomGraphReplaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samplerSeed2 := xrand.New(xrand.Derive(spec2.GraphSeed, graphSeedLane)).Uint64()
+	samplerSeed2 := graph.SamplerSeed(spec2.GraphSeed)
 	if samplerSeed2 == samplerSeed {
 		t.Fatal("distinct graph seeds derived one sampler seed")
 	}

@@ -1,8 +1,8 @@
 // Package experiment defines the reproduction harness: one registered
 // experiment per figure/theorem of the paper, each of which sweeps graph
 // sizes, measures broadcast-time distributions for the relevant protocols,
-// fits growth shapes, and emits a results table. cmd/experiments regenerates
-// EXPERIMENTS.md from this registry.
+// fits growth shapes, and emits a results table. cmd/experiments renders
+// every registered table as markdown (stdout, or its -out file).
 package experiment
 
 import (

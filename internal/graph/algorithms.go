@@ -1,5 +1,7 @@
 package graph
 
+import "rumor/internal/bitset"
+
 // BFS returns the array of BFS distances from src; unreachable vertices get
 // distance -1.
 func BFS(g *Graph, src Vertex) []int32 {
@@ -24,17 +26,37 @@ func BFS(g *Graph, src Vertex) []int32 {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph is
-// considered connected.
+// considered connected. It keeps O(n) bits of visited state and no
+// per-vertex distance array, which matters where it is called on a
+// just-built giant randreg graph whose CSR already owns the heap budget:
+// the DFS stack, which can reach O(n) entries, lives in the samplers'
+// width-adaptive, file-backed-when-large scratch, so only the n-bit
+// visited set stays on the heap.
 func IsConnected(g *Graph) bool {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return true
 	}
-	for _, d := range BFS(g, 0) {
-		if d < 0 {
-			return false
+	visited := bitset.New(n)
+	stack := newScratch(n, int64(n))
+	defer stack.release()
+	top := int64(1)
+	stack.set(0, 0)
+	visited.Set(0)
+	seen := 1
+	for top > 0 {
+		top--
+		u := stack.at(top)
+		for _, v := range g.Neighbors(u) {
+			if !visited.Test(int(v)) {
+				visited.Set(int(v))
+				seen++
+				stack.set(top, v)
+				top++
+			}
 		}
 	}
-	return true
+	return seen == n
 }
 
 // Components returns the number of connected components and a component id
@@ -189,15 +211,19 @@ func GiantComponent(g *Graph) (*Graph, []Vertex) {
 			oldToNew[v] = -1
 		}
 	}
-	b := NewBuilder(len(newToOld), g.name+"-giant")
-	for _, old := range newToOld {
-		for _, w := range g.Neighbors(old) {
-			if old < w && oldToNew[w] >= 0 {
-				if err := b.AddEdge(oldToNew[old], oldToNew[w]); err != nil {
-					panic(err) // cannot happen: subgraph of a simple graph
+	// A subgraph of a simple graph cannot emit an invalid edge.
+	giant := mustStream(StreamSpec{
+		N:    len(newToOld),
+		Name: g.name + "-giant",
+		Emit: func(emit func(u, v Vertex)) {
+			for _, old := range newToOld {
+				for _, w := range g.Neighbors(old) {
+					if old < w && oldToNew[w] >= 0 {
+						emit(oldToNew[old], oldToNew[w])
+					}
 				}
 			}
-		}
-	}
-	return b.mustBuild(), newToOld
+		},
+	})
+	return giant, newToOld
 }

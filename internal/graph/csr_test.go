@@ -10,7 +10,7 @@ import (
 func TestCSRRoundTrip(t *testing.T) {
 	for _, spec := range deterministicSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
-			g := mustBuildStream(spec)
+			g := mustStream(spec)
 			raw := encodeCSRBytes(t, g)
 			// DecodeCSR aliases raw on little-endian hosts; keep raw alive
 			// and unmodified for the decoded graph's lifetime.
@@ -150,7 +150,7 @@ func TestDecodeCSRRejectsCorrupt(t *testing.T) {
 }
 
 func TestDecodeCSRRejectsBadLandmark(t *testing.T) {
-	g := mustBuildStream(StreamSpec{
+	g := mustStream(StreamSpec{
 		N: 3, M: 2, Name: "t",
 		Emit:      func(emit func(u, v Vertex)) { emit(0, 1); emit(1, 2) },
 		Landmarks: map[string]Vertex{"x": 2},

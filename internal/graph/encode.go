@@ -16,14 +16,20 @@ import (
 // Encode writes the graph in a simple line-oriented text format:
 //
 //	rumorgraph <n> <m> <name>
-//	u v        (one line per undirected edge, u < v)
+//	landmark <key> <v>   (one line per landmark, sorted by key)
+//	u v                  (one line per undirected edge, u < v)
 //
-// The format round-trips through Decode. Landmarks are not serialized;
-// they are generator metadata.
+// The format round-trips through Decode: the decoded graph encodes to the
+// same binary CSR bytes as the original.
 func (g *Graph) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "rumorgraph %d %d %s\n", g.N(), g.M(), sanitizeName(g.name)); err != nil {
 		return err
+	}
+	for _, k := range g.LandmarkNames() {
+		if _, err := fmt.Fprintf(bw, "landmark %s %d\n", k, g.landmarks[k]); err != nil {
+			return err
+		}
 	}
 	for v := 0; v < g.N(); v++ {
 		for _, u := range g.Neighbors(Vertex(v)) {
@@ -68,6 +74,14 @@ func Decode(r io.Reader) (*Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
+		if len(fields) == 3 && fields[0] == "landmark" {
+			v, err := strconv.Atoi(fields[2])
+			if err != nil || v < 0 || v >= n {
+				return nil, fmt.Errorf("graph: bad landmark line %q", line)
+			}
+			b.SetLandmark(fields[1], Vertex(v))
+			continue
+		}
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("graph: bad edge line %q", line)
 		}

@@ -1,23 +1,19 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-
-	"rumor/internal/xrand"
-)
+import "fmt"
 
 // The deterministic families below are defined as StreamSpecs — an edge
 // count, an edge-emitting closure, and landmarks — and built by the
 // two-pass streaming builder (see stream.go), so construction peaks at
 // exactly the final CSR size. The xxxSpec functions are separate from the
 // public constructors so tests can replay the same edge stream through
-// the legacy Builder and pin byte-identical output.
+// the Builder oracle and pin byte-identical output. The random families
+// are seeded edge-stream samplers in randstream.go.
 
 // Star returns the star S_n of the paper's Fig. 1(a): one center connected
 // to `leaves` leaves. Landmarks: "center", "leaf".
 func Star(leaves int) *Graph {
-	return mustBuildStream(starSpec(leaves))
+	return mustStream(starSpec(leaves))
 }
 
 func starSpec(leaves int) StreamSpec {
@@ -41,7 +37,7 @@ func starSpec(leaves int) StreamSpec {
 // `leavesPerStar` leaves each, whose centers are joined by an edge.
 // Landmarks: "centerA", "centerB", "leafA", "leafB".
 func DoubleStar(leavesPerStar int) *Graph {
-	return mustBuildStream(doubleStarSpec(leavesPerStar))
+	return mustStream(doubleStarSpec(leavesPerStar))
 }
 
 func doubleStarSpec(leavesPerStar int) StreamSpec {
@@ -72,7 +68,7 @@ func doubleStarSpec(leavesPerStar int) StreamSpec {
 // numbering) whose 2^(levels−1) leaves are additionally connected into a
 // clique. Landmarks: "root", "leaf".
 func HeavyBinaryTree(levels int) *Graph {
-	return mustBuildStream(heavyBinaryTreeSpec(levels))
+	return mustStream(heavyBinaryTreeSpec(levels))
 }
 
 func heavyBinaryTreeSpec(levels int) StreamSpec {
@@ -96,7 +92,7 @@ func heavyBinaryTreeSpec(levels int) StreamSpec {
 // SiameseHeavyTree returns the graph D_n of Fig. 1(d): two heavy binary
 // trees sharing a single root vertex. Landmarks: "root", "leafA", "leafB".
 func SiameseHeavyTree(levels int) *Graph {
-	return mustBuildStream(siameseHeavyTreeSpec(levels))
+	return mustStream(siameseHeavyTreeSpec(levels))
 }
 
 func siameseHeavyTreeSpec(levels int) StreamSpec {
@@ -140,7 +136,7 @@ func siameseHeavyTreeSpec(levels int) StreamSpec {
 // {l_{i,j}} ∪ Q_{i,j} induces a (k+1)-clique. Total n = k + k² + k³.
 // Landmarks: "ring", "starLeaf", "cliqueVertex".
 func CycleStarsCliques(k int) *Graph {
-	return mustBuildStream(cycleStarsCliquesSpec(k))
+	return mustStream(cycleStarsCliquesSpec(k))
 }
 
 func cycleStarsCliquesSpec(k int) StreamSpec {
@@ -179,7 +175,7 @@ func cycleStarsCliquesSpec(k int) StreamSpec {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	return mustBuildStream(completeSpec(n))
+	return mustStream(completeSpec(n))
 }
 
 func completeSpec(n int) StreamSpec {
@@ -196,7 +192,7 @@ func completeSpec(n int) StreamSpec {
 
 // Cycle returns the n-cycle, n >= 3.
 func Cycle(n int) *Graph {
-	return mustBuildStream(cycleSpec(n))
+	return mustStream(cycleSpec(n))
 }
 
 func cycleSpec(n int) StreamSpec {
@@ -217,7 +213,7 @@ func cycleSpec(n int) StreamSpec {
 
 // Path returns the path graph on n vertices, n >= 2.
 func Path(n int) *Graph {
-	return mustBuildStream(pathSpec(n))
+	return mustStream(pathSpec(n))
 }
 
 func pathSpec(n int) StreamSpec {
@@ -240,7 +236,7 @@ func pathSpec(n int) StreamSpec {
 // BinaryTree returns a complete binary tree with `levels` levels and
 // 2^levels − 1 vertices in heap order. Landmarks: "root", "leaf".
 func BinaryTree(levels int) *Graph {
-	return mustBuildStream(binaryTreeSpec(levels))
+	return mustStream(binaryTreeSpec(levels))
 }
 
 func binaryTreeSpec(levels int) StreamSpec {
@@ -263,7 +259,7 @@ func binaryTreeSpec(levels int) StreamSpec {
 // dim-regular with dim = log2 n, the natural "degree exactly log n" regular
 // graph for Theorem 1 experiments.
 func Hypercube(dim int) *Graph {
-	return mustBuildStream(hypercubeSpec(dim))
+	return mustStream(hypercubeSpec(dim))
 }
 
 func hypercubeSpec(dim int) StreamSpec {
@@ -289,7 +285,7 @@ func hypercubeSpec(dim int) StreamSpec {
 // Torus2D returns the rows×cols torus (wraparound grid). It is 4-regular.
 // Both dimensions must be at least 3 to keep the graph simple.
 func Torus2D(rows, cols int) *Graph {
-	return mustBuildStream(torus2DSpec(rows, cols))
+	return mustStream(torus2DSpec(rows, cols))
 }
 
 func torus2DSpec(rows, cols int) StreamSpec {
@@ -314,7 +310,7 @@ func torus2DSpec(rows, cols int) StreamSpec {
 
 // Grid2D returns the rows×cols grid without wraparound.
 func Grid2D(rows, cols int) *Graph {
-	return mustBuildStream(grid2DSpec(rows, cols))
+	return mustStream(grid2DSpec(rows, cols))
 }
 
 func grid2DSpec(rows, cols int) StreamSpec {
@@ -347,7 +343,7 @@ func grid2DSpec(rows, cols int) StreamSpec {
 // vertices — the regular "slow" graph for Theorem 1 experiments (information
 // must traverse Θ(k) cliques). Requires k >= 3, s >= 2.
 func RingOfCliques(k, s int) *Graph {
-	return mustBuildStream(ringOfCliquesSpec(k, s))
+	return mustStream(ringOfCliquesSpec(k, s))
 }
 
 func ringOfCliquesSpec(k, s int) StreamSpec {
@@ -376,7 +372,7 @@ func ringOfCliquesSpec(k, s int) StreamSpec {
 // of push is Ω(k·s) = Ω(n) because each bridge is found with probability 1/s
 // per round. Nearly regular (degrees s−1, s, s+1).
 func CliquePath(k, s int) *Graph {
-	return mustBuildStream(cliquePathSpec(k, s))
+	return mustStream(cliquePathSpec(k, s))
 }
 
 func cliquePathSpec(k, s int) StreamSpec {
@@ -399,296 +395,4 @@ func cliquePathSpec(k, s int) StreamSpec {
 		},
 		Landmarks: map[string]Vertex{"first": 0, "last": Vertex(k*s - 1)},
 	}
-}
-
-// RandomRegular returns a uniform-ish random d-regular simple graph on n
-// vertices via the configuration (stub pairing) model with edge-switch
-// repair of self-loops and duplicate edges. Requires n·d even and 0 < d < n.
-//
-// The repair step performs uniformly random edge switches, which preserves
-// the degree sequence; for d = O(log n) the result is statistically
-// indistinguishable from the uniform model for this repository's purposes.
-//
-// This is the legacy in-memory sampler, kept as the laptop-scale
-// reference API; spec builds (randreg:N,D) route through the streaming
-// RandomRegularSeeded in randstream.go, whose peak heap is the final CSR.
-func RandomRegular(n, d int, rng *xrand.RNG) (*Graph, error) {
-	if d <= 0 || d >= n {
-		return nil, fmt.Errorf("graph: RandomRegular needs 0 < d < n, got d=%d n=%d", d, n)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular needs n*d even, got n=%d d=%d", n, d)
-	}
-	const maxRestarts = 64
-	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := tryRandomRegular(n, d, rng)
-		if ok {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: RandomRegular(%d,%d) failed after %d restarts", n, d, maxRestarts)
-}
-
-func tryRandomRegular(n, d int, rng *xrand.RNG) (*Graph, bool) {
-	stubs := make([]Vertex, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs[v*d+i] = Vertex(v)
-		}
-	}
-	// Fisher-Yates shuffle of the stubs.
-	for i := len(stubs) - 1; i > 0; i-- {
-		j := rng.IntN(i + 1)
-		stubs[i], stubs[j] = stubs[j], stubs[i]
-	}
-
-	type pair struct{ u, v Vertex }
-	key := func(u, v Vertex) uint64 {
-		if u > v {
-			u, v = v, u
-		}
-		return uint64(u)<<32 | uint64(uint32(v))
-	}
-	edgeSet := make(map[uint64]bool, n*d/2)
-	good := make([]pair, 0, n*d/2)
-	bad := make([]pair, 0)
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || edgeSet[key(u, v)] {
-			bad = append(bad, pair{u, v})
-			continue
-		}
-		edgeSet[key(u, v)] = true
-		good = append(good, pair{u, v})
-	}
-
-	// Repair each bad pair with random edge switches against good pairs.
-	const maxSwitchTries = 200
-	for _, p := range bad {
-		repaired := false
-		for try := 0; try < maxSwitchTries; try++ {
-			j := rng.IntN(len(good))
-			q := good[j]
-			// Candidate new edges (p.u, q.u) and (p.v, q.v).
-			a, bb := p.u, q.u
-			c, dd := p.v, q.v
-			if try%2 == 1 { // alternate orientation
-				a, bb = p.u, q.v
-				c, dd = p.v, q.u
-			}
-			if a == bb || c == dd {
-				continue
-			}
-			k1, k2 := key(a, bb), key(c, dd)
-			if k1 == k2 || edgeSet[k1] || edgeSet[k2] {
-				continue
-			}
-			delete(edgeSet, key(q.u, q.v))
-			edgeSet[k1] = true
-			edgeSet[k2] = true
-			good[j] = pair{a, bb}
-			good = append(good, pair{c, dd})
-			repaired = true
-			break
-		}
-		if !repaired {
-			return nil, false
-		}
-	}
-
-	b := NewBuilder(n, fmt.Sprintf("randreg(%d,%d)", n, d))
-	for _, p := range good {
-		if err := b.AddEdge(p.u, p.v); err != nil {
-			return nil, false
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, false
-	}
-	return g, true
-}
-
-// RandomRegularConnected retries RandomRegular until the sample is connected
-// (at most 32 attempts). For d >= 3 almost every sample is connected, so
-// this nearly always succeeds on the first try.
-func RandomRegularConnected(n, d int, rng *xrand.RNG) (*Graph, error) {
-	for attempt := 0; attempt < 32; attempt++ {
-		g, err := RandomRegular(n, d, rng)
-		if err != nil {
-			return nil, err
-		}
-		if IsConnected(g) {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no connected %d-regular sample on %d vertices after 32 tries", d, n)
-}
-
-// ErdosRenyi returns a sample of G(n, p) using geometric skipping, so the
-// cost is proportional to the number of edges rather than n². It is the
-// legacy Builder-based sampler (peak memory ≈ 2× the CSR); spec builds
-// (gnp:N,P) route through the streaming ErdosRenyiSeeded in
-// randstream.go.
-func ErdosRenyi(n int, p float64, rng *xrand.RNG) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: ErdosRenyi needs n >= 1")
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("graph: ErdosRenyi needs p in [0,1], got %g", p)
-	}
-	b := NewBuilder(n, fmt.Sprintf("gnp(%d,%.4f)", n, p))
-	if p > 0 {
-		// Linearize pairs (i, j), i < j, and jump by Geometric(p) gaps.
-		total := int64(n) * int64(n-1) / 2
-		idx := int64(-1)
-		for {
-			idx += int64(rng.Geometric(p))
-			if idx >= total {
-				break
-			}
-			u, v := pairFromIndex(idx, n)
-			if err := b.AddEdge(u, v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Build()
-}
-
-// pairFromIndex maps a linear index over {(i,j) : 0 <= i < j < n} in
-// row-major order back to the pair.
-func pairFromIndex(idx int64, n int) (Vertex, Vertex) {
-	// Row i contains n-1-i pairs. Walk rows; n is laptop-scale so the loop
-	// is acceptable, but use the closed form to stay O(1).
-	// Pairs before row i: i*n - i*(i+1)/2.
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		before := int64(mid)*int64(n) - int64(mid)*int64(mid+1)/2
-		if before <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	i := lo
-	before := int64(i)*int64(n) - int64(i)*int64(i+1)/2
-	j := i + 1 + int(idx-before)
-	return Vertex(i), Vertex(j)
-}
-
-// BarabasiAlbert returns a preferential-attachment graph: starting from a
-// clique on m+1 vertices, each new vertex attaches to m distinct existing
-// vertices chosen proportionally to their degree. This is the classic
-// social-network model on which push-pull is provably much faster than push
-// (Doerr, Fouz & Friedrich [17]; Chierichetti et al. [12]) — the
-// observation the paper's introduction cites.
-//
-// Degree-proportional sampling uses the standard trick of picking a uniform
-// endpoint of an existing edge. This is the legacy in-memory sampler
-// (it materializes the full endpoint list); spec builds (barabasi:N,M)
-// route through the streaming BarabasiAlbertSeeded in randstream.go,
-// which resolves the endpoint pool analytically.
-func BarabasiAlbert(n, m int, rng *xrand.RNG) (*Graph, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("graph: BarabasiAlbert needs m >= 1")
-	}
-	if n < m+2 {
-		return nil, fmt.Errorf("graph: BarabasiAlbert needs n >= m+2, got n=%d m=%d", n, m)
-	}
-	b := NewBuilder(n, fmt.Sprintf("barabasi(%d,%d)", n, m))
-	// Endpoint list: every edge contributes both endpoints, so a uniform
-	// entry is a degree-proportional vertex.
-	endpoints := make([]Vertex, 0, 2*m*n)
-	addEdge := func(u, v Vertex) error {
-		if err := b.AddEdge(u, v); err != nil {
-			return err
-		}
-		endpoints = append(endpoints, u, v)
-		return nil
-	}
-	// Seed clique on m+1 vertices.
-	for i := 0; i <= m; i++ {
-		for j := i + 1; j <= m; j++ {
-			if err := addEdge(Vertex(i), Vertex(j)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	chosen := make([]Vertex, 0, m)
-	for v := m + 1; v < n; v++ {
-		chosen = chosen[:0]
-		for len(chosen) < m {
-			t := endpoints[rng.IntN(len(endpoints))]
-			if !containsVertex(chosen, t) {
-				chosen = append(chosen, t)
-			}
-		}
-		// Insertion order is the draw order, so the construction is a pure
-		// function of the RNG stream (no map-iteration nondeterminism).
-		for _, t := range chosen {
-			if err := addEdge(Vertex(v), t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	b.SetLandmark("hub", 0)
-	return b.Build()
-}
-
-// ChungLu returns a Chung-Lu random graph with power-law expected degrees:
-// weight w_i ∝ (i+1)^(−1/(β−1)) scaled to the requested average degree, and
-// each edge {i,j} present independently with probability
-// min(1, w_i·w_j / Σw). β must exceed 2 for a finite mean. The generator is
-// O(n²); it targets the social-network example (n in the low thousands).
-// Spec builds (chunglu:N,B,D) route through the streaming ChungLuSeeded
-// in randstream.go, whose skip sampling is O(n + m) expected.
-func ChungLu(n int, beta, avgDeg float64, rng *xrand.RNG) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: ChungLu needs n >= 2")
-	}
-	if beta <= 2 {
-		return nil, fmt.Errorf("graph: ChungLu needs beta > 2, got %g", beta)
-	}
-	if avgDeg <= 0 || avgDeg >= float64(n) {
-		return nil, fmt.Errorf("graph: ChungLu needs 0 < avgDeg < n, got %g", avgDeg)
-	}
-	w := make([]float64, n)
-	sum := 0.0
-	exp := -1 / (beta - 1)
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), exp)
-		sum += w[i]
-	}
-	scale := avgDeg * float64(n) / sum
-	total := 0.0
-	for i := range w {
-		w[i] *= scale
-		total += w[i]
-	}
-	b := NewBuilder(n, fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			p := w[i] * w[j] / total
-			if p > 1 {
-				p = 1
-			}
-			if rng.Bernoulli(p) {
-				if err := b.AddEdge(Vertex(i), Vertex(j)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return b.Build()
-}
-
-func containsVertex(vs []Vertex, v Vertex) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -217,7 +217,12 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Builder accumulates edges and produces an immutable Graph.
+// Builder accumulates edges and produces an immutable Graph. Every
+// generator builds through BuildStream instead, which replays its edge
+// emitter rather than staging per-vertex slices (half the peak memory).
+// Builder remains for input that cannot be replayed — Decode reads
+// external text once — and as the independent oracle FuzzStreamVsBuilder
+// and the stream tests hold BuildStream to, byte for byte.
 type Builder struct {
 	n    int
 	adj  [][]Vertex
@@ -284,14 +289,4 @@ func (b *Builder) Build() (*Graph, error) {
 		name:      b.name,
 		landmarks: b.lmk,
 	}, nil
-}
-
-// mustBuild is used by generators whose construction cannot produce
-// duplicate edges; a failure there is a programming error.
-func (b *Builder) mustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

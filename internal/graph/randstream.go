@@ -5,7 +5,6 @@ import (
 	"math"
 	"unsafe"
 
-	"rumor/internal/bitset"
 	"rumor/internal/xrand"
 )
 
@@ -55,7 +54,11 @@ const (
 // content-addressed graph caches can never serve a realization produced
 // by a different sampler algorithm for the same (spec, seed): any change
 // to a sampler's draw sequence must bump this constant.
-const RandomSamplerVersion = 1
+//
+// Version 2 saturates the geometric skip (gnp at p below about 4·10⁻¹⁸
+// used to wrap to a skip of 1 and build spurious edges), so no
+// realization spilled by version 1 is ever served again.
+const RandomSamplerVersion = 2
 
 // SeededKey returns the content-address key for one realization of a
 // random spec: the canonical spec plus the sampler seed plus the sampler
@@ -84,10 +87,10 @@ const scratchHeapMax = 32 << 20
 
 // newScratch allocates a zeroed scratch of count entries for vertex ids
 // below n.
-func newScratch(n int, count int64) (*scratch, error) {
+func newScratch(n int, count int64) *scratch {
 	st := &scratch{}
 	if count == 0 {
-		return st, nil
+		return st
 	}
 	wide := n > 1<<16
 	width := int64(2)
@@ -103,7 +106,7 @@ func newScratch(n int, count int64) (*scratch, error) {
 			} else {
 				st.u16 = unsafe.Slice((*uint16)(unsafe.Pointer(&m.data[0])), count)
 			}
-			return st, nil
+			return st
 		}
 		// Mapping failed (exotic tmpfs, fd limits): degrade to heap. The
 		// build still works; only the off-heap property is lost.
@@ -113,7 +116,7 @@ func newScratch(n int, count int64) (*scratch, error) {
 	} else {
 		st.u16 = make([]uint16, count)
 	}
-	return st, nil
+	return st
 }
 
 // at returns entry i.
@@ -203,54 +206,12 @@ func edgeKey(u, v Vertex) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
-// connectedLean reports connectivity with O(n) bits of visited state and
-// one preallocated queue — unlike BFS it allocates no per-vertex int32
-// distance array, which matters exactly where this is called: checking a
-// just-built giant randreg graph whose CSR already owns the heap budget.
-func connectedLean(g *Graph) bool {
-	n := g.N()
-	if n == 0 {
-		return true
-	}
-	visited := bitset.New(n)
-	// The DFS stack can reach O(n) entries, which at giant sizes would be
-	// the largest heap allocation of the whole connectivity check — so it
-	// lives in the same width-adaptive, file-backed-when-large scratch the
-	// samplers use for their aux arrays, keeping the check inside the
-	// streaming build's peak-heap envelope. Only the n-bit visited set
-	// stays on the heap.
-	stack, err := newScratch(n, int64(n))
-	if err != nil {
-		// newScratch degrades to heap on mmap failure, so this is
-		// unreachable; keep the check for future error paths.
-		return IsConnected(g)
-	}
-	defer stack.release()
-	top := int64(1)
-	stack.set(0, 0)
-	visited.Set(0)
-	seen := 1
-	for top > 0 {
-		top--
-		u := stack.at(top)
-		for _, v := range g.Neighbors(u) {
-			if !visited.Test(int(v)) {
-				visited.Set(int(v))
-				seen++
-				stack.set(top, v)
-				top++
-			}
-		}
-	}
-	return seen == n
-}
-
-// ErdosRenyiSeeded samples G(n, p) through the streaming builder using
+// ErdosRenyi samples G(n, p) through the streaming builder using
 // geometric skip-sampling: pairs (i, j), i < j, are linearized and the
 // sampler jumps between present edges in Geometric(p) steps — O(m)
 // expected draws, O(1) sampler state, peak heap equal to the final CSR.
 // The same (n, p, seed) always yields the same graph.
-func ErdosRenyiSeeded(n int, p float64, seed uint64) (*Graph, error) {
+func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: ErdosRenyi needs n >= 1")
 	}
@@ -277,7 +238,14 @@ func gnpSpec(n int, p float64, seed uint64) StreamSpec {
 			// pointer only ever moves forward: unranking is O(n + m) total,
 			// with no per-edge binary search.
 			i, rowEnd := 0, int64(n-1)
-			for idx := s.GeometricLogQ(logQ) - 1; idx < total; idx += s.GeometricLogQ(logQ) {
+			for idx := int64(-1); ; {
+				// A skip saturates at MaxInt64, so it is compared with what
+				// is left of the index range before it is added.
+				skip := s.GeometricLogQ(logQ)
+				if skip >= total-idx {
+					return
+				}
+				idx += skip
 				for idx >= rowEnd {
 					i++
 					rowEnd += int64(n - 1 - i)
@@ -289,14 +257,14 @@ func gnpSpec(n int, p float64, seed uint64) StreamSpec {
 	}
 }
 
-// RandomRegularSeeded samples a random d-regular simple graph on n
-// vertices via a replayable two-pass configuration model: stubs are
-// shuffled and paired left to right inside a scratch buffer, partners
-// that would form a self-loop or duplicate edge are redrawn in place
-// (a Bloom filter guarantees no duplicate survives), and the rare
-// unresolvable tail triggers a deterministic counter-keyed restart.
-// Requires n·d even and 0 < d < n.
-func RandomRegularSeeded(n, d int, seed uint64) (*Graph, error) {
+// randomRegular samples a random d-regular simple graph on n vertices via
+// a replayable two-pass configuration model: stubs are shuffled and
+// paired left to right inside a scratch buffer, partners that would form
+// a self-loop or duplicate edge are redrawn in place (a Bloom filter
+// guarantees no duplicate survives), and the rare unresolvable tail
+// triggers a deterministic counter-keyed restart. Requires n·d even and
+// 0 < d < n.
+func randomRegular(n, d int, seed uint64) (*Graph, error) {
 	if d <= 0 || d >= n {
 		return nil, fmt.Errorf("graph: RandomRegular needs 0 < d < n, got d=%d n=%d", d, n)
 	}
@@ -306,10 +274,7 @@ func RandomRegularSeeded(n, d int, seed uint64) (*Graph, error) {
 	m := int64(n) * int64(d) / 2
 	const maxRestarts = 64
 	for attempt := uint64(0); attempt < maxRestarts; attempt++ {
-		st, ok, err := randRegPairing(n, d, m, seed, attempt)
-		if err != nil {
-			return nil, err
-		}
+		st, ok := randRegPairing(n, d, m, seed, attempt)
 		if !ok {
 			continue
 		}
@@ -333,11 +298,8 @@ func RandomRegularSeeded(n, d int, seed uint64) (*Graph, error) {
 // entries (2k, 2k+1) are edge k's endpoints. ok is false on a dead end
 // (some stub cannot find a valid partner), telling the caller to restart
 // with the next attempt key.
-func randRegPairing(n, d int, m int64, seed, attempt uint64) (st *scratch, ok bool, err error) {
-	st, err = newScratch(n, 2*m)
-	if err != nil {
-		return nil, false, err
-	}
+func randRegPairing(n, d int, m int64, seed, attempt uint64) (st *scratch, ok bool) {
+	st = newScratch(n, 2*m)
 	idx := int64(0)
 	for v := 0; v < n; v++ {
 		for i := 0; i < d; i++ {
@@ -371,40 +333,45 @@ func randRegPairing(n, d int, m int64, seed, attempt uint64) (st *scratch, ok bo
 		}
 		if !paired {
 			st.release()
-			return nil, false, nil
+			return nil, false
 		}
 	}
-	return st, true, nil
+	return st, true
 }
 
-// RandomRegularConnectedSeeded retries RandomRegularSeeded with derived
-// seeds until the sample is connected (at most 32 attempts). For d >= 3
-// almost every sample is connected, so this nearly always returns the
-// first sample. Connectivity is checked with connectedLean, whose O(n/8)
-// bytes of state keep the giant-build heap envelope intact.
-func RandomRegularConnectedSeeded(n, d int, seed uint64) (*Graph, error) {
+// RandomRegularConnected samples a connected random d-regular graph: it
+// retries the configuration model with derived seeds until the sample is
+// connected (at most 32 attempts). For d >= 3 almost every sample is
+// connected, so this nearly always returns the first sample. IsConnected
+// keeps O(n/8) bytes of heap state, so the check stays inside the
+// giant-build heap envelope. Requires n·d even and 0 < d < n.
+func RandomRegularConnected(n, d int, seed uint64) (*Graph, error) {
 	for attempt := 0; attempt < 32; attempt++ {
-		g, err := RandomRegularSeeded(n, d, xrand.Derive(seed, attempt))
+		g, err := randomRegular(n, d, xrand.Derive(seed, attempt))
 		if err != nil {
 			return nil, err
 		}
-		if connectedLean(g) {
+		if IsConnected(g) {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("graph: no connected %d-regular sample on %d vertices after 32 tries", d, n)
 }
 
-// BarabasiAlbertSeeded samples a preferential-attachment graph through
-// the streaming builder: seed clique on m+1 vertices, then each new
-// vertex attaches to m distinct existing vertices chosen uniformly from
-// the endpoint multiset of all earlier edges (degree-proportional). In
-// the Batagelj–Brandes manner the endpoint pool is never materialized:
-// a pool position resolves analytically — clique endpoints and
-// attachment sources are arithmetic, earlier attachment targets are
+// BarabasiAlbert samples a preferential-attachment graph through the
+// streaming builder: seed clique on m+1 vertices, then each new vertex
+// attaches to m distinct existing vertices chosen uniformly from the
+// endpoint multiset of all earlier edges (degree-proportional). This is
+// the classic social-network model on which push-pull is provably much
+// faster than push (Doerr, Fouz & Friedrich [17]; Chierichetti et al.
+// [12]) — the observation the paper's introduction cites.
+//
+// In the Batagelj–Brandes manner the endpoint pool is never
+// materialized: a pool position resolves analytically — clique endpoints
+// and attachment sources are arithmetic, earlier attachment targets are
 // reads from the width-adaptive target array, which is the sampler's
-// only auxiliary state.
-func BarabasiAlbertSeeded(n, m int, seed uint64) (*Graph, error) {
+// only auxiliary state. Landmark: "hub" (vertex 0).
+func BarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("graph: BarabasiAlbert needs m >= 1")
 	}
@@ -414,10 +381,7 @@ func BarabasiAlbertSeeded(n, m int, seed uint64) (*Graph, error) {
 	cliqueN := m + 1
 	cq := cliqueEdges(cliqueN)
 	attach := int64(n-cliqueN) * int64(m)
-	targets, err := newScratch(n, attach)
-	if err != nil {
-		return nil, err
-	}
+	targets := newScratch(n, attach)
 	// resolve maps a position in the virtual endpoint pool (edge e
 	// contributes positions 2e and 2e+1, in emission order: clique pairs
 	// lexicographically, then attachment edges in draw order) to the
@@ -472,16 +436,45 @@ func BarabasiAlbertSeeded(n, m int, seed uint64) (*Graph, error) {
 	return g, err
 }
 
-// ChungLuSeeded samples a Chung-Lu power-law expected-degree graph
-// (weight w_i ∝ (i+1)^(−1/(β−1)) scaled to the requested average degree,
-// edge {i,j} present with probability min(1, w_i·w_j/Σw)) through the
+// pairFromIndex maps a linear index over {(i,j) : 0 <= i < j < n} in
+// row-major order back to the pair, by binary search over the row starts
+// (pairs before row i: i*n - i*(i+1)/2).
+func pairFromIndex(idx int64, n int) (Vertex, Vertex) {
+	lo, hi := 0, n-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		before := int64(mid)*int64(n) - int64(mid)*int64(mid+1)/2
+		if before <= idx {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	i := lo
+	before := int64(i)*int64(n) - int64(i)*int64(i+1)/2
+	j := i + 1 + int(idx-before)
+	return Vertex(i), Vertex(j)
+}
+
+func containsVertex(vs []Vertex, v Vertex) bool {
+	for _, x := range vs {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// ChungLu samples a Chung-Lu power-law expected-degree graph (weight
+// w_i ∝ (i+1)^(−1/(β−1)) scaled to the requested average degree, edge
+// {i,j} present with probability min(1, w_i·w_j/Σw)) through the
 // streaming builder via Miller–Hagberg per-vertex skip sampling: for
 // each i the partners j > i are visited in Geometric jumps under the
 // current probability bound, thinned to the exact probability as the
 // decreasing weights tighten the bound. Weights are computed
 // analytically on demand — the sampler holds no per-vertex array at all.
 // O(n + m) expected draws; β must exceed 2 for a finite mean.
-func ChungLuSeeded(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
+func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: ChungLu needs n >= 2")
 	}
@@ -512,10 +505,14 @@ func ChungLuSeeded(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 				p := math.Min(1, wi*wn/total)
 				for j < n && p > 0 {
 					if p < 1 {
-						j += int(s.Geometric64(p)) - 1
-						if j >= n {
+						// A skip saturates at MaxInt64, so it is compared
+						// with the partners left in the row before it is
+						// added: j+skip-1 >= n exactly when skip > n-j.
+						skip := s.Geometric64(p)
+						if skip > int64(n-j) {
 							break
 						}
+						j += int(skip) - 1
 					}
 					q := math.Min(1, wi*w(j)/total)
 					// The skip accepted at rate p; thin to the exact q ≤ p.

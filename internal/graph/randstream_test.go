@@ -32,21 +32,21 @@ func seededCases() []seededCase {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("gnp:%d,%g", p.n, p.p),
-			build: func(seed uint64) (*Graph, error) { return ErdosRenyiSeeded(p.n, p.p, seed) },
+			build: func(seed uint64) (*Graph, error) { return ErdosRenyi(p.n, p.p, seed) },
 		})
 	}
 	for _, p := range []struct{ n, d int }{{4, 3}, {30, 2}, {101, 4}, {300, 7}, {1024, 8}} {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("randreg:%d,%d", p.n, p.d),
-			build: func(seed uint64) (*Graph, error) { return RandomRegularSeeded(p.n, p.d, seed) },
+			build: func(seed uint64) (*Graph, error) { return randomRegular(p.n, p.d, seed) },
 		})
 	}
 	for _, p := range []struct{ n, m int }{{4, 1}, {50, 1}, {200, 3}, {500, 5}} {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("barabasi:%d,%d", p.n, p.m),
-			build: func(seed uint64) (*Graph, error) { return BarabasiAlbertSeeded(p.n, p.m, seed) },
+			build: func(seed uint64) (*Graph, error) { return BarabasiAlbert(p.n, p.m, seed) },
 		})
 	}
 	for _, p := range []struct {
@@ -57,7 +57,7 @@ func seededCases() []seededCase {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("chunglu:%d,%g,%g", p.n, p.beta, p.avg),
-			build: func(seed uint64) (*Graph, error) { return ChungLuSeeded(p.n, p.beta, p.avg, seed) },
+			build: func(seed uint64) (*Graph, error) { return ChungLu(p.n, p.beta, p.avg, seed) },
 		})
 	}
 	return cases
@@ -151,12 +151,32 @@ func TestSeededRealizationsPinned(t *testing.T) {
 	}
 }
 
-// TestRandomRegularSeededDegrees checks exact d-regularity and simplicity
-// for the configuration-model sampler, and connectivity for the
-// Connected variant.
-func TestRandomRegularSeededDegrees(t *testing.T) {
+// TestGnpTinyPBuildsNoEdges is the regression for skips past 2⁶³: at
+// these p every skip is beyond the pair range (the expected edge count is
+// below 10⁻¹⁶), so every seed must build the empty graph. Before the
+// geometric draw saturated, an out-of-range float→int64 conversion turned
+// such skips into skips of 1, and gnp:50,1e-300 built K₅₀.
+func TestGnpTinyPBuildsNoEdges(t *testing.T) {
+	for _, spec := range []string{"gnp:50,1e-20", "gnp:50,1e-300"} {
+		p := mustParse(t, spec)
+		for seed := uint64(1); seed <= 64; seed++ {
+			g, err := p.BuildSeeded(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.M() != 0 {
+				t.Fatalf("%s seed %d: %d edges, want 0", spec, seed, g.M())
+			}
+		}
+	}
+}
+
+// TestRandomRegularDegrees checks exact d-regularity and simplicity for
+// the configuration-model sampler, and connectivity for the Connected
+// variant.
+func TestRandomRegularDegrees(t *testing.T) {
 	for _, p := range []struct{ n, d int }{{30, 2}, {101, 4}, {300, 7}, {1024, 8}} {
-		g, err := RandomRegularSeeded(p.n, p.d, 7)
+		g, err := randomRegular(p.n, p.d, 7)
 		if err != nil {
 			t.Fatalf("randreg(%d,%d): %v", p.n, p.d, err)
 		}
@@ -169,42 +189,42 @@ func TestRandomRegularSeededDegrees(t *testing.T) {
 			t.Fatalf("randreg(%d,%d): %v", p.n, p.d, err)
 		}
 	}
-	g, err := RandomRegularConnectedSeeded(200, 4, 9)
+	g, err := RandomRegularConnected(200, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsConnected(g) {
-		t.Fatal("RandomRegularConnectedSeeded returned a disconnected graph")
-	}
-	if !connectedLean(g) {
-		t.Fatal("connectedLean disagrees with IsConnected on a connected graph")
-	}
-	if connectedLean(Star(3)) != IsConnected(Star(3)) {
-		t.Fatal("connectedLean disagrees on star")
+	if count, _ := Components(g); count != 1 {
+		t.Fatalf("RandomRegularConnected returned %d components", count)
 	}
 }
 
 // TestConnectedLeanMatchesIsConnected cross-checks the allocation-lean
-// DFS against the reference implementation on graphs with and without
-// isolated parts.
+// DFS of IsConnected against a component count on graphs with and
+// without isolated parts.
 func TestConnectedLeanMatchesIsConnected(t *testing.T) {
 	for _, c := range seededCases() {
 		g, err := c.build(5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := connectedLean(g), IsConnected(g); got != want {
-			t.Fatalf("%s: connectedLean = %v, IsConnected = %v", c.name, got, want)
+		count, _ := Components(g)
+		if got, want := IsConnected(g), count == 1; got != want {
+			t.Fatalf("%s: IsConnected = %v, %d components", c.name, got, count)
+		}
+	}
+	for _, g := range []*Graph{Star(3), Path(2)} {
+		if !IsConnected(g) {
+			t.Fatalf("%s: IsConnected = false", g.Name())
 		}
 	}
 }
 
-// TestBarabasiAlbertSeededShape checks the preferential-attachment
-// invariants: edge count C(m+1,2) + (n-m-1)m, minimum degree >= m, and
-// the hub landmark.
-func TestBarabasiAlbertSeededShape(t *testing.T) {
+// TestBarabasiAlbertShape checks the preferential-attachment invariants:
+// edge count C(m+1,2) + (n-m-1)m, minimum degree >= m, and the hub
+// landmark.
+func TestBarabasiAlbertShape(t *testing.T) {
 	const n, m = 500, 5
-	g, err := BarabasiAlbertSeeded(n, m, 3)
+	g, err := BarabasiAlbert(n, m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,46 +242,51 @@ func TestBarabasiAlbertSeededShape(t *testing.T) {
 
 // TestSeededSamplerErrors pins parameter validation.
 func TestSeededSamplerErrors(t *testing.T) {
-	if _, err := RandomRegularSeeded(5, 3, 1); err == nil {
+	if _, err := randomRegular(5, 3, 1); err == nil {
 		t.Error("odd n*d accepted")
 	}
-	if _, err := RandomRegularSeeded(4, 0, 1); err == nil {
+	if _, err := randomRegular(4, 0, 1); err == nil {
 		t.Error("d = 0 accepted")
 	}
-	if _, err := RandomRegularSeeded(4, 4, 1); err == nil {
+	if _, err := randomRegular(4, 4, 1); err == nil {
 		t.Error("d >= n accepted")
 	}
-	if _, err := ErdosRenyiSeeded(0, 0.5, 1); err == nil {
+	if _, err := ErdosRenyi(0, 0.5, 1); err == nil {
 		t.Error("n < 1 accepted")
 	}
-	if _, err := ErdosRenyiSeeded(10, -0.1, 1); err == nil {
+	if _, err := ErdosRenyi(10, -0.1, 1); err == nil {
 		t.Error("negative p accepted")
 	}
-	if _, err := ErdosRenyiSeeded(10, 1.5, 1); err == nil {
+	if _, err := ErdosRenyi(10, 1.5, 1); err == nil {
 		t.Error("p > 1 accepted")
 	}
-	if _, err := BarabasiAlbertSeeded(3, 2, 1); err == nil {
+	if _, err := BarabasiAlbert(3, 2, 1); err == nil {
 		t.Error("n < m+2 accepted")
 	}
-	if _, err := BarabasiAlbertSeeded(10, 0, 1); err == nil {
+	if _, err := BarabasiAlbert(10, 0, 1); err == nil {
 		t.Error("m = 0 accepted")
 	}
-	if _, err := ChungLuSeeded(1, 2.5, 1, 1); err == nil {
+	if _, err := ChungLu(1, 2.5, 1, 1); err == nil {
 		t.Error("n < 2 accepted")
 	}
-	if _, err := ChungLuSeeded(10, 2, 2, 1); err == nil {
+	if _, err := ChungLu(10, 2, 2, 1); err == nil {
 		t.Error("beta <= 2 accepted")
 	}
-	if _, err := ChungLuSeeded(10, 2.5, 0, 1); err == nil {
+	if _, err := ChungLu(10, 2.5, 0, 1); err == nil {
 		t.Error("avgDeg = 0 accepted")
 	}
 }
 
-// TestBuildSeededMatchesSpecRouting pins that ParsedSpec.BuildSeeded and
-// ParsedSpec.Build(rng) route random families through the same seeded
-// samplers: Build draws the sampler seed as rng.Uint64(), so BuildSeeded
-// with that drawn seed must reproduce the realization bit for bit.
+// TestBuildSeededMatchesSpecRouting pins that FromSpec and
+// ParsedSpec.BuildSeeded route random families through the same seeded
+// samplers: FromSpec maps its graph seed through SamplerSeed, so
+// BuildSeeded at that sampler seed must reproduce the realization bit for
+// bit — and the map must still be the one every spilled realization was
+// keyed under.
 func TestBuildSeededMatchesSpecRouting(t *testing.T) {
+	if got, want := SamplerSeed(99), xrand.New(xrand.Derive(99, 1<<20)).Uint64(); got != want {
+		t.Fatalf("SamplerSeed(99) = %#x, want %#x", got, want)
+	}
 	for _, spec := range []string{"gnp:120,0.06", "randreg:64,4", "barabasi:90,2", "chunglu:80,2.5,4"} {
 		p, err := ParseSpec(spec)
 		if err != nil {
@@ -270,17 +295,16 @@ func TestBuildSeededMatchesSpecRouting(t *testing.T) {
 		if !p.Random() {
 			t.Fatalf("%s: expected random family", spec)
 		}
-		rng := xrand.New(99)
-		g1, err := p.Build(rng)
+		g1, err := FromSpec(spec, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := p.BuildSeeded(xrand.New(99).Uint64())
+		g2, err := p.BuildSeeded(SamplerSeed(99))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encodeCSRBytes(t, g1), encodeCSRBytes(t, g2)) {
-			t.Fatalf("%s: Build(rng) and BuildSeeded(rng.Uint64()) diverge", spec)
+			t.Fatalf("%s: FromSpec(spec, s) and BuildSeeded(SamplerSeed(s)) diverge", spec)
 		}
 		// Deterministic families ignore the seed entirely.
 		if _, err := mustParse(t, "star:8").BuildSeeded(123); err != nil {
@@ -359,17 +383,17 @@ func TestSeededKeyFormat(t *testing.T) {
 }
 
 // geometricRef is the skip draw as the samplers first wrote it, with
-// ln(1−p) computed inside every draw.
+// ln(1−p) computed inside every draw, plus the saturation at 2⁶³.
 func geometricRef(s *xrand.Stream, p float64) int64 {
 	if p >= 1 {
 		s.Uint64()
 		return 1
 	}
-	g := int64(math.Ceil(math.Log(1-s.Float64()) / math.Log1p(-p)))
-	if g < 1 {
-		return 1
+	x := math.Ceil(math.Log(1-s.Float64()) / math.Log1p(-p))
+	if x >= math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return g
+	return max(1, int64(x))
 }
 
 // gnpRefSpec is the gnp emitter as first written: a skip walk that
@@ -382,10 +406,11 @@ func gnpRefSpec(n int, p float64, seed uint64) StreamSpec {
 		}
 		s := xrand.NewStream(seed, gnpStreamUnit, 0)
 		for idx := int64(-1); ; {
-			idx += geometricRef(&s, p)
-			if idx >= total {
+			skip := geometricRef(&s, p)
+			if skip >= total-idx {
 				return
 			}
+			idx += skip
 			emit(pairFromIndex(idx, n))
 		}
 	}}
@@ -410,10 +435,11 @@ func chungluRefSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 			p := math.Min(1, wi*w(j)/total)
 			for j < n && p > 0 {
 				if p < 1 {
-					j += int(geometricRef(&s, p)) - 1
-					if j >= n {
+					skip := geometricRef(&s, p)
+					if skip > int64(n-j) {
 						break
 					}
+					j += int(skip) - 1
 				}
 				q := math.Min(1, wi*w(j)/total)
 				if s.Float64()*p < q {
@@ -440,7 +466,7 @@ func FuzzSeededGnpReplay(f *testing.F) {
 		if n < 2 || n > 400 || p < 0 || p > 1 || p != p {
 			t.Skip()
 		}
-		g1, err := ErdosRenyiSeeded(n, p, seed)
+		g1, err := ErdosRenyi(n, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +474,7 @@ func FuzzSeededGnpReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		b1 := encodeCSRBytes(t, g1)
-		g2, err := ErdosRenyiSeeded(n, p, seed)
+		g2, err := ErdosRenyi(n, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +486,7 @@ func FuzzSeededGnpReplay(f *testing.F) {
 		}
 
 		beta, avg := 2.1+2*p, math.Max(0.5, p*float64(n-1))
-		cl, err := ChungLuSeeded(n, beta, avg, seed)
+		cl, err := ChungLu(n, beta, avg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

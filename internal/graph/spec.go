@@ -33,22 +33,20 @@ import (
 // specFamily describes one family of the grammar: its parameter shape
 // (kinds has one letter per parameter: 'i' int, 'f' float), whether its
 // construction consumes randomness, and how to build it from parsed
-// parameters. Random families carry a seeded builder — the edge-stream
-// sampler keyed by an explicit sampler seed (randstream.go) — and their
-// rng-driven build derives its seed from one rng draw, so both entry
-// points sample the same realization for the same randomness.
+// parameters and a sampler seed. Random families build through their
+// seeded edge-stream sampler (randstream.go); deterministic families
+// ignore the seed.
 type specFamily struct {
 	usage  string
 	kinds  string
 	random bool
-	build  func(p ParsedSpec, rng *xrand.RNG) (*Graph, error)
-	seeded func(p ParsedSpec, seed uint64) (*Graph, error)
+	build  func(p ParsedSpec, seed uint64) (*Graph, error)
 }
 
 // deterministic wraps a parameter-only generator, converting its
 // bad-parameter panics to errors for CLI friendliness.
-func deterministic(f func(p ParsedSpec) *Graph) func(p ParsedSpec, rng *xrand.RNG) (*Graph, error) {
-	return func(p ParsedSpec, _ *xrand.RNG) (g *Graph, err error) {
+func deterministic(f func(p ParsedSpec) *Graph) func(p ParsedSpec, seed uint64) (*Graph, error) {
+	return func(p ParsedSpec, _ uint64) (g *Graph, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("graph: spec %q: %v", p.Canonical(), r)
@@ -77,20 +75,20 @@ var specFamilies = map[string]specFamily{
 	"ringcliques": {usage: "ringcliques:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return RingOfCliques(p.Ints[0], p.Ints[1]) })},
 	"cliquepath":  {usage: "cliquepath:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return CliquePath(p.Ints[0], p.Ints[1]) })},
 	"randreg": {usage: "randreg:N,D", kinds: "ii", random: true,
-		seeded: func(p ParsedSpec, seed uint64) (*Graph, error) {
-			return RandomRegularConnectedSeeded(p.Ints[0], p.Ints[1], seed)
+		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
+			return RandomRegularConnected(p.Ints[0], p.Ints[1], seed)
 		}},
 	"gnp": {usage: "gnp:N,P", kinds: "if", random: true,
-		seeded: func(p ParsedSpec, seed uint64) (*Graph, error) {
-			return ErdosRenyiSeeded(p.Ints[0], p.Floats[0], seed)
+		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
+			return ErdosRenyi(p.Ints[0], p.Floats[0], seed)
 		}},
 	"barabasi": {usage: "barabasi:N,M", kinds: "ii", random: true,
-		seeded: func(p ParsedSpec, seed uint64) (*Graph, error) {
-			return BarabasiAlbertSeeded(p.Ints[0], p.Ints[1], seed)
+		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
+			return BarabasiAlbert(p.Ints[0], p.Ints[1], seed)
 		}},
 	"chunglu": {usage: "chunglu:N,B,D", kinds: "iff", random: true,
-		seeded: func(p ParsedSpec, seed uint64) (*Graph, error) {
-			return ChungLuSeeded(p.Ints[0], p.Floats[0], p.Floats[1], seed)
+		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
+			return ChungLu(p.Ints[0], p.Floats[0], p.Floats[1], seed)
 		}},
 }
 
@@ -182,10 +180,10 @@ func (p ParsedSpec) Canonical() string {
 	return sb.String()
 }
 
-// Random reports whether building this spec consumes randomness from the
-// RNG — true for the generated families (randreg, gnp, barabasi, chunglu),
-// whose identity depends on the build seed. Deterministic specs are safe
-// to memoize by Canonical form alone.
+// Random reports whether building this spec consumes randomness — true
+// for the generated families (randreg, gnp, barabasi, chunglu), whose
+// identity depends on the build seed. Deterministic specs are safe to
+// memoize by Canonical form alone.
 func (p ParsedSpec) Random() bool { return p.random }
 
 // Hash returns a stable 64-bit FNV-1a hash of the canonical form. It
@@ -200,36 +198,19 @@ func (p ParsedSpec) Hash() uint64 {
 	return h.Sum64()
 }
 
-// Build constructs the graph. Random families draw one Uint64 from rng
-// as the sampler seed and build through the streaming edge-stream
-// samplers (see BuildSeeded); deterministic families ignore rng (and
-// convert bad-parameter panics to errors).
-func (p ParsedSpec) Build(rng *xrand.RNG) (*Graph, error) {
-	fam, ok := specFamilies[p.Family]
-	if !ok {
-		return nil, fmt.Errorf("graph: unknown family %q (see the ParseSpec grammar)", p.Family)
-	}
-	if fam.seeded != nil {
-		return fam.seeded(p, rng.Uint64())
-	}
-	return fam.build(p, rng)
-}
-
 // BuildSeeded constructs the graph from an explicit sampler seed. For
-// random families it is the canonical entry point of the replayable
-// edge-stream samplers: the same (spec, seed) always yields a
-// byte-identical CSR, which is what lets realizations be memoized and
-// disk-spilled under SeededKey(p.Canonical(), seed). Deterministic
-// families ignore the seed and build normally.
+// random families it is the entry point of the replayable edge-stream
+// samplers: the same (spec, seed) always yields a byte-identical CSR,
+// which is what lets realizations be memoized and disk-spilled under
+// SeededKey(p.Canonical(), seed). Deterministic families ignore the seed.
+// Callers holding a graph seed map it through SamplerSeed first (FromSpec
+// does both).
 func (p ParsedSpec) BuildSeeded(seed uint64) (*Graph, error) {
 	fam, ok := specFamilies[p.Family]
 	if !ok {
 		return nil, fmt.Errorf("graph: unknown family %q (see the ParseSpec grammar)", p.Family)
 	}
-	if fam.seeded != nil {
-		return fam.seeded(p, seed)
-	}
-	return fam.build(p, nil)
+	return fam.build(p, seed)
 }
 
 // CanonicalSpec parses spec and returns its canonical form.
@@ -241,15 +222,29 @@ func CanonicalSpec(spec string) (string, error) {
 	return p.Canonical(), nil
 }
 
+// graphSeedLane is the Derive lane separating graph-construction
+// randomness from protocol randomness, so a run whose graph seed equals
+// its protocol seed still draws the two independently.
+const graphSeedLane = 1 << 20
+
+// SamplerSeed maps a graph seed — the -seed of cmd/graphgen and cmd/rumor,
+// the graphSeed of /v1/run, the seed of FromSpec — to the sampler seed
+// BuildSeeded and SeededKey take. It is the one place that mapping is
+// defined, so every entry point builds the same realization for the same
+// (spec, seed).
+func SamplerSeed(graphSeed uint64) uint64 {
+	return xrand.New(xrand.Derive(graphSeed, graphSeedLane)).Uint64()
+}
+
 // FromSpec builds a graph from a compact textual description (see the
-// grammar above): ParseSpec followed by Build. Random families consume
-// randomness from rng.
-func FromSpec(spec string, rng *xrand.RNG) (*Graph, error) {
+// grammar above) and a graph seed: ParseSpec, then BuildSeeded at
+// SamplerSeed(seed). Deterministic families ignore the seed.
+func FromSpec(spec string, seed uint64) (*Graph, error) {
 	p, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return p.Build(rng)
+	return p.BuildSeeded(SamplerSeed(seed))
 }
 
 // SpecFamilies lists the family usages FromSpec accepts, for CLI usage

@@ -1,14 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"strings"
 	"testing"
-
-	"rumor/internal/xrand"
 )
 
 func TestFromSpecAllFamilies(t *testing.T) {
-	rng := xrand.New(1)
 	cases := []struct {
 		spec  string
 		wantN int
@@ -32,7 +30,7 @@ func TestFromSpecAllFamilies(t *testing.T) {
 		{"chunglu:50,2.5,5", 50},
 	}
 	for _, c := range cases {
-		g, err := FromSpec(c.spec, rng)
+		g, err := FromSpec(c.spec, 1)
 		if err != nil {
 			t.Errorf("%s: %v", c.spec, err)
 			continue
@@ -47,19 +45,17 @@ func TestFromSpecAllFamilies(t *testing.T) {
 }
 
 func TestFromSpecWhitespaceAndCase(t *testing.T) {
-	rng := xrand.New(2)
-	g, err := FromSpec(" Star:8", rng)
+	g, err := FromSpec(" Star:8", 2)
 	if err != nil || g.N() != 9 {
 		t.Errorf("case/space-insensitive parse failed: %v", err)
 	}
-	g, err = FromSpec("torus: 3 , 3", rng)
+	g, err = FromSpec("torus: 3 , 3", 2)
 	if err != nil || g.N() != 9 {
 		t.Errorf("parameter whitespace parse failed: %v", err)
 	}
 }
 
 func TestFromSpecErrors(t *testing.T) {
-	rng := xrand.New(3)
 	bad := []string{
 		"",
 		"unknown:5",
@@ -74,19 +70,18 @@ func TestFromSpecErrors(t *testing.T) {
 		"randreg:10,11",  // d >= n
 	}
 	for _, spec := range bad {
-		if _, err := FromSpec(spec, rng); err == nil {
+		if _, err := FromSpec(spec, 3); err == nil {
 			t.Errorf("FromSpec(%q) succeeded, want error", spec)
 		}
 	}
 }
 
 func TestSpecFamiliesCoverSwitch(t *testing.T) {
-	rng := xrand.New(4)
 	for _, f := range SpecFamilies() {
 		name, _, _ := strings.Cut(f, ":")
 		// Each listed family must at least be recognized (parameter errors
 		// are fine, unknown-family errors are not).
-		_, err := FromSpec(name+":0", rng)
+		_, err := FromSpec(name+":0", 4)
 		if err != nil && strings.Contains(err.Error(), "unknown family") {
 			t.Errorf("listed family %q not recognized by FromSpec", name)
 		}
@@ -94,7 +89,7 @@ func TestSpecFamiliesCoverSwitch(t *testing.T) {
 }
 
 func TestFromSpecBarabasi(t *testing.T) {
-	g, err := FromSpec("barabasi:60,3", xrand.New(5))
+	g, err := FromSpec("barabasi:60,3", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +169,10 @@ func TestParsedSpecRandom(t *testing.T) {
 }
 
 func TestFromSpecMatchesParseBuild(t *testing.T) {
-	// FromSpec must be exactly ParseSpec+Build: same graph for the same
-	// rng seed, including for random families.
+	// FromSpec must be exactly ParseSpec+BuildSeeded at SamplerSeed: the
+	// same graph for the same seed, including for random families.
 	for _, spec := range []string{"doublestar:6", "randreg:24,4"} {
-		g1, err := FromSpec(spec, xrand.New(77))
+		g1, err := FromSpec(spec, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,12 +180,12 @@ func TestFromSpecMatchesParseBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := p.Build(xrand.New(77))
+		g2, err := p.BuildSeeded(SamplerSeed(77))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g1.N() != g2.N() || g1.M() != g2.M() {
-			t.Errorf("%s: FromSpec and ParseSpec+Build disagree", spec)
+		if !bytes.Equal(encodeCSRBytes(t, g1), encodeCSRBytes(t, g2)) {
+			t.Errorf("%s: FromSpec and ParseSpec+BuildSeeded disagree", spec)
 		}
 	}
 }

@@ -138,9 +138,9 @@ func BuildStream(s StreamSpec) (*Graph, error) {
 	}, nil
 }
 
-// mustBuildStream is used by generators whose emitters cannot produce
+// mustStream is used by generators whose emitters cannot produce
 // invalid edges; a failure there is a programming error.
-func mustBuildStream(s StreamSpec) *Graph {
+func mustStream(s StreamSpec) *Graph {
 	g, err := BuildStream(s)
 	if err != nil {
 		panic(err)

@@ -131,7 +131,7 @@ func TestQuickWalksStayOnGraph(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 8 + 2*rng.IntN(20)
-		g, err := graph.RandomRegularConnected(n, 3, rng)
+		g, err := graph.RandomRegularConnected(n, 3, rng.Uint64())
 		if err != nil {
 			return true
 		}
@@ -152,8 +152,7 @@ func TestQuickWalksStayOnGraph(t *testing.T) {
 // meeting time (here with |A| = n agents the broadcast time is in fact much
 // smaller; the bound direction is what matters).
 func TestDimitriouBound(t *testing.T) {
-	rng := xrand.New(99)
-	g, err := graph.RandomRegularConnected(128, 10, rng)
+	g, err := graph.RandomRegularConnected(128, 10, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,8 @@ func (s *Stream) Bernoulli(p float64) bool {
 // in a Bernoulli(p) sequence, sampled by inversion in one Float64 draw.
 // It is the skip-length primitive of the edge-stream samplers (gnp,
 // chunglu), where m expected draws replace n² coin flips. p must be in
-// (0, 1]; int64 range covers every gap a 64-bit pair index can need.
+// (0, 1]; a gap past int64 range saturates to MaxInt64, so callers compare
+// the skip against their remaining range before adding it.
 func (s *Stream) Geometric64(p float64) int64 { return geometric(s.Float64(), LogQ(p)) }
 
 // LogQ returns ln(1−p), the per-distribution constant of the geometric
@@ -193,10 +194,18 @@ func LogQ(p float64) float64 {
 func (s *Stream) GeometricLogQ(logQ float64) int64 { return geometric(s.Float64(), logQ) }
 
 // geometric inverts the geometric CDF at u ∈ [0, 1): ceil(ln(1−u)/logQ),
-// at least 1. 1−u is in (0, 1], so the log is finite and ≤ 0. It is the
-// package's one geometric inversion; every geometric draw goes through it.
+// at least 1. 1−u is in (0, 1], so the log is finite and ≤ 0. A quotient
+// at or past 2⁶³ (p below about 4·10⁻¹⁸, or +Inf at subnormal p)
+// saturates to MaxInt64 rather than going through float→int64, which is
+// implementation-defined out of range (MinInt64 on amd64, a skip of 1).
+// It is the package's one geometric inversion; every geometric draw goes
+// through it.
 func geometric(u, logQ float64) int64 {
-	return max(1, int64(math.Ceil(math.Log(1-u)/logQ)))
+	x := math.Ceil(math.Log(1-u) / logQ)
+	if x >= 0x1p63 {
+		return math.MaxInt64
+	}
+	return max(1, int64(x))
 }
 
 // BernoulliThreshold converts p into a threshold comparable against a raw

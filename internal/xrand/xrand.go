@@ -54,17 +54,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from the geometric distribution on {1, 2, ...}
-// with success probability p, i.e. the number of Bernoulli(p) trials up to
-// and including the first success. It uses inversion, which is exact up to
-// floating point.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	return int(geometric(r.Float64(), LogQ(p)))
-}
-
 // Binomial returns a sample of Bin(n, p). It uses direct simulation for
 // small n and a normal approximation is deliberately avoided: the simulator
 // only needs Binomial for test oracles and workload generators where n is

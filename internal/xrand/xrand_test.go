@@ -87,40 +87,56 @@ func TestBernoulliMean(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	r := New(13)
+	s := NewStream(13, 0, 0)
 	for _, p := range []float64{0.1, 0.5, 0.9} {
 		const trials = 20000
-		sum := 0
+		var sum int64
 		for i := 0; i < trials; i++ {
-			sum += r.Geometric(p)
+			sum += s.Geometric64(p)
 		}
 		got := float64(sum) / trials
 		want := 1 / p
 		if math.Abs(got-want) > 0.08*want+0.05 {
-			t.Errorf("Geometric(%g) mean %.3f, want %.3f", p, got, want)
+			t.Errorf("Geometric64(%g) mean %.3f, want %.3f", p, got, want)
 		}
 	}
 }
 
 func TestGeometricAlwaysPositive(t *testing.T) {
-	r := New(17)
+	s := NewStream(17, 0, 0)
 	for i := 0; i < 1000; i++ {
-		if g := r.Geometric(0.99); g < 1 {
-			t.Fatalf("Geometric returned %d < 1", g)
+		if g := s.Geometric64(0.99); g < 1 {
+			t.Fatalf("Geometric64 returned %d < 1", g)
 		}
 	}
-	if r.Geometric(1) != 1 {
-		t.Fatal("Geometric(1) != 1")
+	if s.Geometric64(1) != 1 {
+		t.Fatal("Geometric64(1) != 1")
 	}
 }
 
 func TestGeometricInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
+			t.Fatal("Geometric64(0) did not panic")
 		}
 	}()
-	New(1).Geometric(0)
+	s := NewStream(1, 0, 0)
+	s.Geometric64(0)
+}
+
+// TestGeometricSaturates pins the out-of-range arm: at p far below 2⁻⁶³
+// every skip is past int64 range and must come back as MaxInt64, the
+// "beyond any walk" value, never as a wrapped (negative, then clamped to 1)
+// skip.
+func TestGeometricSaturates(t *testing.T) {
+	for _, p := range []float64{1e-300, 5e-324} {
+		s := NewStream(19, 0, 0)
+		for i := 0; i < 10000; i++ {
+			if g := s.Geometric64(p); g != math.MaxInt64 {
+				t.Fatalf("Geometric64(%g) draw %d = %d, want MaxInt64", p, i, g)
+			}
+		}
+	}
 }
 
 func TestBinomialEdges(t *testing.T) {

@@ -83,17 +83,13 @@ var (
 	RingOfCliques = graph.RingOfCliques
 	// CliquePath returns the paper's "path of d-cliques" (broadcast Ω(n)).
 	CliquePath = graph.CliquePath
-	// RandomRegular samples a random d-regular graph.
-	RandomRegular = graph.RandomRegular
-	// RandomRegularConnected retries RandomRegular until connected.
-	RandomRegularConnected = graph.RandomRegularConnected
-	// ErdosRenyi samples G(n, p).
-	ErdosRenyi = graph.ErdosRenyi
-	// ChungLu samples a power-law expected-degree graph.
-	ChungLu = graph.ChungLu
-	// BarabasiAlbert samples a preferential-attachment graph (the
-	// social-network model of [12, 17]).
-	BarabasiAlbert = graph.BarabasiAlbert
+	// GraphFromSpec builds any family from a "family:params" spec (see
+	// cmd/rumor -help for the grammar) and a graph seed. The random
+	// families — randreg:N,D, gnp:N,P, chunglu:N,B,D and barabasi:N,M (the
+	// social-network model of [12, 17]) — map a seed to the same
+	// realization cmd/graphgen -seed, cmd/rumor -seed and the service's
+	// graphSeed build; deterministic families ignore the seed.
+	GraphFromSpec = graph.FromSpec
 	// DecodeGraph parses a graph in the text format written by
 	// (*Graph).Encode.
 	DecodeGraph = graph.Decode
@@ -268,7 +264,8 @@ type (
 
 // Experiment scale selectors.
 const (
-	// ScaleFull runs paper-scale sweeps (what EXPERIMENTS.md reports).
+	// ScaleFull runs paper-scale sweeps (what `go run ./cmd/experiments`
+	// prints, or writes to its -out file).
 	ScaleFull = experiment.ScaleFull
 	// ScaleSmall runs reduced sweeps for tests and quick benchmarks.
 	ScaleSmall = experiment.ScaleSmall

@@ -128,19 +128,21 @@ func TestFacadeExperiments(t *testing.T) {
 }
 
 func TestFacadeRandomGraphs(t *testing.T) {
-	rng := rumor.NewRNG(11)
-	g, err := rumor.RandomRegularConnected(64, 6, rng)
+	g, err := rumor.GraphFromSpec("randreg:64,6", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg, d := g.IsRegular(); !reg || d != 6 {
+	if reg, d := g.IsRegular(); !reg || d != 6 || !rumor.IsConnected(g) {
 		t.Error("random regular graph wrong through facade")
 	}
-	if _, err := rumor.ChungLu(100, 2.5, 6, rng); err != nil {
+	if _, err := rumor.GraphFromSpec("chunglu:100,2.5,6", 11); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rumor.ErdosRenyi(50, 0.1, rng); err != nil {
+	if _, err := rumor.GraphFromSpec("gnp:50,0.1", 11); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := rumor.GraphFromSpec("randreg:5,3", 11); err == nil {
+		t.Error("odd n*d accepted through facade")
 	}
 }
 
@@ -191,7 +193,7 @@ func TestFacadeDistributedVisitExchange(t *testing.T) {
 }
 
 func TestFacadeBarabasiAlbert(t *testing.T) {
-	g, err := rumor.BarabasiAlbert(120, 3, rumor.NewRNG(6))
+	g, err := rumor.GraphFromSpec("barabasi:120,3", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
