@@ -356,8 +356,9 @@ type harness struct {
 }
 
 // noteSource records one successful run/sweep response's provenance
-// headers. Responses missing either header (none, in practice) are
-// skipped rather than misattributed.
+// headers. Responses missing either header are skipped rather than
+// misattributed: the gateway's held replies carry neither, because no
+// backend served them.
 func (h *harness) noteSource(hdr http.Header) {
 	src, be := hdr.Get("X-Rumord-Source"), hdr.Get("X-Rumorgw-Backend")
 	if src == "" || be == "" {
@@ -576,8 +577,8 @@ func run(cfg config) error {
 		h.ctr.mismatches.Load(), h.ctr.dropped.Load(),
 		h.ctr.retriesClient.Load(), h.ctr.truncations.Load(), h.ctr.pollMisses.Load())
 	if gwErr == nil {
-		fmt.Printf("gateway: requests=%d retries=%d failovers=%d shed=%d exhausted=%d streamResumes=%d streamReruns=%d\n",
-			gwStats.Requests, gwStats.Retries, gwStats.Failovers, gwStats.Shed,
+		fmt.Printf("gateway: requests=%d held=%d retries=%d failovers=%d shed=%d exhausted=%d streamResumes=%d streamReruns=%d\n",
+			gwStats.Requests, gwStats.Held, gwStats.Retries, gwStats.Failovers, gwStats.Shed,
 			gwStats.Exhausted, gwStats.StreamResumes, gwStats.StreamReruns)
 	} else {
 		fmt.Printf("gateway: stats unavailable: %v\n", gwErr)
@@ -704,6 +705,7 @@ func (h *harness) killAndRestart(slot *backendSlot, bin string) error {
 // field-for-field against the gateway's own /metrics at exit.
 type gwSnapshot struct {
 	Requests      int64 `json:"requests"`
+	Held          int64 `json:"held"`
 	Retries       int64 `json:"retries"`
 	Failovers     int64 `json:"failovers"`
 	Shed          int64 `json:"shed"`

@@ -235,6 +235,7 @@ func (m *monitor) checkInvariants(gwStats gwSnapshot, gwErr error, killsDone int
 	} else {
 		want := map[string]int64{
 			"rumorgw_requests_total":       gwStats.Requests,
+			"rumorgw_held_replies_total":   gwStats.Held,
 			"rumorgw_retries_total":        gwStats.Retries,
 			"rumorgw_failovers_total":      gwStats.Failovers,
 			"rumorgw_shed_total":           gwStats.Shed,
@@ -296,6 +297,13 @@ func (m *monitor) checkInvariants(gwStats gwSnapshot, gwErr error, killsDone int
 	}
 	add("source-headers-vs-counters", len(srcDiffs) == 0,
 		"observed X-Rumord-Source counts <= counters on %d never-killed backends %v", checked, srcDiffs)
+
+	// Duplicate-spec traffic replays the same jobs again and again, so the
+	// gateway must have answered some of them from held replies. (Held
+	// replies carry no backend or source header, so they never enter the
+	// check above; their bodies are byte-checked like every other.)
+	held := int64(m.gw.Sum("rumorgw_held_replies_total"))
+	add("held-replies", held > 0, "rumorgw_held_replies_total=%d after the duplicate-spec traffic", held)
 
 	// Each SIGKILL must surface in the gateway's failure machinery: the
 	// checker ejects the dead backend, and in-flight or freshly-routed
@@ -427,7 +435,8 @@ func (m *monitor) buildReport(cfg config, killsDone int, killedAddrs []string, o
 	}
 	if m.gw != nil {
 		for _, n := range []string{
-			"rumorgw_requests_total", "rumorgw_retries_total", "rumorgw_failovers_total",
+			"rumorgw_requests_total", "rumorgw_held_replies_total", "rumorgw_held_bytes",
+			"rumorgw_retries_total", "rumorgw_failovers_total",
 			"rumorgw_shed_total", "rumorgw_exhausted_total",
 			"rumorgw_stream_resumes_total", "rumorgw_stream_reruns_total",
 			"rumorgw_backend_ejections_total", "rumorgw_backend_readmissions_total",

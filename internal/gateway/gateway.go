@@ -18,9 +18,18 @@
 // before their 503s start) and readmitted when probes recover. When every
 // backend is ejected the gateway load-sheds with 503 + Retry-After
 // instead of queueing unbounded work it cannot place.
+//
+// The same determinism lets the gateway answer replays itself. Once a
+// backend has answered a waited run or sweep from a store (its cache, its
+// disk tier, or an in-flight job it joined), the gateway holds that reply
+// under the job ID and answers the next waited request for it after
+// admission, with no backend hop. Held replies live in the job-ID memory
+// that stream rerun already keeps, bounded by bytes, and die with the
+// process.
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strings"
@@ -63,9 +72,6 @@ type Options struct {
 	// Defaults 2 / 2.
 	EjectAfter   int
 	ReadmitAfter int
-	// SpecMemory bounds the job-ID → original-request LRU that powers
-	// stream resume-by-rerun. Default 4096 entries.
-	SpecMemory int
 	// Client overrides the backend HTTP client (tests). Default: a
 	// dedicated client with a pooled transport.
 	Client *http.Client
@@ -146,19 +152,30 @@ func (o Options) readmitAfter() int {
 	return 2
 }
 
-func (o Options) specMemory() int {
-	if o.SpecMemory > 0 {
-		return o.SpecMemory
-	}
-	return 4096
-}
+// The job-ID memory is bounded by bytes, not entries: each entry is
+// charged specCost, and the least recently used entries go once the total
+// passes specMemoryBytes. Every entry costs at least specEntryOverhead
+// (roughly its LRU node, map slot and slice headers), so the byte budget
+// also bounds the entry count.
+const (
+	specMemoryBytes   = 32 << 20
+	specEntryOverhead = 256
+)
 
 // rerunSpec is what the gateway remembers about a request it routed: the
 // endpoint and the original body, enough to re-create the job on another
-// backend if the one streaming it dies mid-stream.
+// backend if the one streaming it dies mid-stream — and, once a backend
+// has replayed the job's result, that result, so the next waited request
+// for the job is answered without a backend hop.
 type rerunSpec struct {
 	path string // "/v1/run" or "/v1/sweep"
 	body []byte
+	resp []byte // held 200 body; nil until a backend answered from a store
+}
+
+// specCost prices one job-ID memory entry against specMemoryBytes.
+func specCost(id string, s rerunSpec) int64 {
+	return int64(len(id) + cap(s.body) + cap(s.resp) + specEntryOverhead)
 }
 
 // Gateway fronts the ring. Create with New, expose with Handler, stop
@@ -168,11 +185,10 @@ type Gateway struct {
 	ring     *ring
 	backends []*backend
 	client   *http.Client
-
-	specsMu sync.Mutex
-	specs   *lru.Cache[string, rerunSpec]
+	specs    *lru.Cache[string, rerunSpec] // job ID → request (+ held reply)
 
 	requests      atomic.Int64 // proxied requests accepted for routing
+	held          atomic.Int64 // waited submissions answered from a held reply
 	retries       atomic.Int64 // extra attempts after a failed one
 	failovers     atomic.Int64 // retries that moved to a different backend
 	shed          atomic.Int64 // 503s for keys with no healthy backend
@@ -219,9 +235,10 @@ func New(opts Options) (*Gateway, error) {
 		opts:   opts,
 		ring:   newRing(addrs, opts.replicas()),
 		client: client,
-		specs:  lru.New[string, rerunSpec](opts.specMemory()),
+		specs:  lru.New[string, rerunSpec](specMemoryBytes / specEntryOverhead),
 		stop:   make(chan struct{}),
 	}
+	g.specs.SetCost(specMemoryBytes, specCost)
 	for _, a := range addrs {
 		g.backends = append(g.backends, newBackend(a))
 	}
@@ -313,18 +330,24 @@ func (g *Gateway) aggregateHeadroom() (int, bool) {
 }
 
 // remember stores the original request for id so a dying stream can be
-// resumed by re-running the job on another backend.
+// resumed by re-running the job on another backend. An ID already
+// remembered keeps its entry: that entry may hold a reply, and the
+// request it carries is as good as this one.
 func (g *Gateway) remember(id, path string, body []byte) {
-	g.specsMu.Lock()
-	g.specs.Put(id, rerunSpec{path: path, body: body})
-	g.specsMu.Unlock()
+	g.specs.GetOrBuild(id, func() rerunSpec {
+		return rerunSpec{path: path, body: bytes.Clone(body)}
+	})
 }
 
-// recall fetches the remembered request for id.
-func (g *Gateway) recall(id string) (rerunSpec, bool) {
-	g.specsMu.Lock()
-	defer g.specsMu.Unlock()
-	return g.specs.Get(id)
+// hold adds resp to id's remembered request as the reply to its waited
+// requests. Every backend answers a job with the same bytes, so an entry
+// that already holds a reply is left as it is, and one the budget evicted
+// meanwhile is not brought back.
+func (g *Gateway) hold(id string, resp []byte) {
+	if s, ok := g.specs.Get(id); ok && s.resp == nil {
+		s.resp = bytes.Clone(resp)
+		g.specs.Put(id, s)
+	}
 }
 
 // BackendHealth is one backend's entry in the gateway health report.
@@ -342,7 +365,8 @@ type BackendHealth struct {
 // Stats is the gateway's counter snapshot, exposed on /v1/healthz and
 // read by cmd/soak for its exit summary.
 type Stats struct {
-	Requests      int64 `json:"requests"`
+	Requests      int64 `json:"requests"` // proxied; held replies are not counted
+	Held          int64 `json:"held"`     // waited submissions answered from a held reply
 	Retries       int64 `json:"retries"`
 	Failovers     int64 `json:"failovers"`
 	Shed          int64 `json:"shed"`
@@ -355,6 +379,7 @@ type Stats struct {
 func (g *Gateway) Snapshot() Stats {
 	return Stats{
 		Requests:      g.requests.Load(),
+		Held:          g.held.Load(),
 		Retries:       g.retries.Load(),
 		Failovers:     g.failovers.Load(),
 		Shed:          g.shed.Load(),

@@ -1,5 +1,5 @@
 // Metrics instrumentation for the gateway: the counters the gateway
-// already keeps (requests, retries, failovers, shed, stream resumes)
+// already keeps (requests, held replies, retries, failovers, shed, stream resumes)
 // surface as func-backed series — one source of truth, read at scrape
 // time — plus per-backend attempt/failure/ejection/readmission series
 // and per-route latency histograms, rendered on GET /metrics.
@@ -83,6 +83,10 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 
 	reg.CounterFunc("rumorgw_requests_total", "Proxied requests accepted for routing.",
 		func() float64 { return float64(g.requests.Load()) })
+	reg.CounterFunc("rumorgw_held_replies_total", "Waited submissions answered from a held reply, with no backend hop.",
+		func() float64 { return float64(g.held.Load()) })
+	reg.GaugeFunc("rumorgw_held_bytes", "Bytes charged to the job-ID memory (remembered requests and held replies).",
+		func() float64 { total, _ := g.specs.Cost(); return float64(total) })
 	reg.CounterFunc("rumorgw_retries_total", "Extra proxy attempts after a failed one.",
 		func() float64 { return float64(g.retries.Load()) })
 	reg.CounterFunc("rumorgw_failovers_total", "Retries that moved to a different backend.",

@@ -239,8 +239,10 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) (release func(),
 }
 
 // proxyBuffered routes one buffered request keyed by key: candidate
-// selection, load shedding, retry loop, and response replay.
-func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, key, path string, body []byte, pol proxyPolicy) {
+// selection, load shedding, retry loop, and response replay. It returns
+// the backend response it replayed, or nil when it answered with its own
+// 502/503.
+func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, key, path string, body []byte, pol proxyPolicy) *bufferedResponse {
 	g.requests.Add(1)
 	cands, down := g.candidates(key)
 	if len(cands) == 0 {
@@ -248,14 +250,14 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, key, pat
 		w.Header().Set("Retry-After", g.shedRetryAfter())
 		writeError(w, http.StatusServiceUnavailable,
 			"all %d ring backends for this key are unhealthy; retry after the next health sweep", down)
-		return
+		return nil
 	}
 	resp, err := g.attemptProxy(r.Context(), cands, r.Method, path, r.URL.RawQuery, body, pol)
 	if err != nil {
 		g.exhausted.Add(1)
 		writeError(w, http.StatusBadGateway,
 			"no backend could serve the request after %d attempts: %v", pol.attempts, err)
-		return
+		return nil
 	}
 	if resp.status == http.StatusTooManyRequests && resp.header.Get("Retry-After") == "" {
 		// Backstop for backends that 429 without a hint: the gateway's
@@ -263,6 +265,50 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, key, pat
 		resp.header.Set("Retry-After", g.shedRetryAfter())
 	}
 	replay(w, resp)
+	return resp
+}
+
+// storeReplay reports whether resp is a backend replaying a finished job
+// from one of its stores: a 200 whose X-Rumord-Source is cache, disk or
+// dedup. Only such replies are held — a job seen a second time — so a
+// spec asked for once costs the gateway no memory beyond its request.
+func storeReplay(resp *bufferedResponse) bool {
+	if resp == nil || resp.status != http.StatusOK {
+		return false
+	}
+	switch resp.header.Get("X-Rumord-Source") {
+	case "cache", "disk", "dedup":
+		return true
+	}
+	return false
+}
+
+// submit routes one run or sweep submission keyed by its job ID. It
+// passes admission first, so quotas, fair queueing and the conservation
+// law cover every reply. A waited request for a held ID is then answered
+// from memory; anything else is remembered for stream rerun and proxied,
+// and a waited reply the backend replayed from a store is held.
+func (g *Gateway) submit(w http.ResponseWriter, r *http.Request, id, path string, body []byte) {
+	release, ok := g.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
+	waited := r.URL.Query().Get("wait") != "0"
+	if s, _ := g.specs.Get(id); waited && s.resp != nil {
+		g.held.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Rumord-Job", id)
+		w.Header().Set("X-Rumorgw-Source", "held")
+		w.WriteHeader(http.StatusOK)
+		w.Write(s.resp)
+		return
+	}
+	g.remember(id, path, body)
+	resp := g.proxyBuffered(w, r, id, path, body, proxyPolicy{attempts: g.opts.attempts()})
+	if waited && storeReplay(resp) {
+		g.hold(id, resp.body)
+	}
 }
 
 // replay writes a buffered backend response to the client, tagging which
@@ -305,8 +351,8 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// handleRun proxies POST /v1/run: derive the job ID the backend will
-// derive, remember the request for stream rerun, route by the ID.
+// handleRun serves POST /v1/run: derive the job ID the backend will
+// derive and submit the request under it.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer g.m.timeRoute("run")()
 	body, err := readBody(r)
@@ -324,17 +370,10 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := serve.JobID(norm)
-	release, ok := g.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	g.remember(id, "/v1/run", body)
-	g.proxyBuffered(w, r, id, "/v1/run", body, proxyPolicy{attempts: g.opts.attempts()})
+	g.submit(w, r, serve.JobID(norm), "/v1/run", body)
 }
 
-// handleSweep proxies POST /v1/sweep, keyed by the sweep job ID so the
+// handleSweep serves POST /v1/sweep, keyed by the sweep job ID so the
 // whole sweep — and every poll or stream of it — lands on one backend.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer g.m.timeRoute("sweep")()
@@ -357,14 +396,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := serve.SweepJobID(points)
-	release, ok := g.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	g.remember(id, "/v1/sweep", body)
-	g.proxyBuffered(w, r, id, "/v1/sweep", body, proxyPolicy{attempts: g.opts.attempts()})
+	g.submit(w, r, serve.SweepJobID(points), "/v1/sweep", body)
 }
 
 // handleJob proxies GET /v1/jobs/{id}. The ring makes the job's owner

@@ -164,7 +164,7 @@ func (g *Gateway) streamOnce(ctx context.Context, b *backend, w http.ResponseWri
 // request with ?wait=0 — safe because the job is content-addressed and
 // deterministic: however many times it runs, its bytes are the same.
 func (g *Gateway) rerun(ctx context.Context, b *backend, id string) bool {
-	spec, ok := g.recall(id)
+	spec, ok := g.specs.Get(id)
 	if !ok {
 		return false
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rumor/internal/stats"
 	"rumor/internal/xrand"
 )
 
@@ -167,6 +168,58 @@ func TestGnpTinyPBuildsNoEdges(t *testing.T) {
 			if g.M() != 0 {
 				t.Fatalf("%s seed %d: %d edges, want 0", spec, seed, g.M())
 			}
+		}
+	}
+}
+
+// TestGnpEdgeCountLaw checks gnp against the law it claims rather than
+// against itself: over seeds 1..2000 the edge count of gnp:40,p must be
+// Binomial(780, p). Degenerate p must give exact counts; elsewhere a χ²
+// test over bins pooled to an expected count of at least 5 must not
+// reject at p < 1e-4. The seeds are fixed, so the verdict is too.
+func TestGnpEdgeCountLaw(t *testing.T) {
+	const n, pairs, seeds = 40, 780, 2000
+	for _, prob := range []float64{1e-20, 1e-17, 0.002, 0.01, 0.05, 0.5, 1 - 1e-12, 1} {
+		counts := make([]float64, pairs+1)
+		spec := mustParse(t, fmt.Sprintf("gnp:%d,%g", n, prob))
+		for seed := uint64(1); seed <= seeds; seed++ {
+			g, err := spec.BuildSeeded(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[g.M()]++
+		}
+		// Below 1e-15 or above 1 − 1e-11 a single edge (or a single
+		// missing one) over all 2000 realizations has probability < 1e-5.
+		if prob < 1e-15 || prob > 1-1e-11 {
+			want := 0
+			if prob > 0.5 {
+				want = pairs
+			}
+			if counts[want] != seeds {
+				t.Errorf("gnp p=%g: %v of %d realizations have %d edges", prob, counts[want], seeds, want)
+			}
+			continue
+		}
+		var obs, exp []float64
+		var o, e float64
+		lnC, _ := math.Lgamma(pairs + 1)
+		for k := 0; k <= pairs; k++ {
+			lk, _ := math.Lgamma(float64(k + 1))
+			lr, _ := math.Lgamma(float64(pairs - k + 1))
+			pmf := math.Exp(lnC - lk - lr + float64(k)*math.Log(prob) + float64(pairs-k)*math.Log1p(-prob))
+			o, e = o+counts[k], e+seeds*pmf
+			if e >= 5 {
+				obs, exp = append(obs, o), append(exp, e)
+				o, e = 0, 0
+			}
+		}
+		// The upper tail left over joins the last bin.
+		obs[len(obs)-1] += o
+		exp[len(exp)-1] += e
+		stat, df, p := stats.ChiSquare(obs, exp)
+		if p < 1e-4 {
+			t.Errorf("gnp p=%g: χ² = %.1f on %d df, p = %.2g: edge counts are not Binomial(%d, p)", prob, stat, df, p, pairs)
 		}
 	}
 }

@@ -68,6 +68,11 @@ type Cache[K comparable, V any] struct {
 	totalCost int64
 }
 
+// mapHintMax caps the map's initial size hint. Under a cost bound the
+// entry count is a ceiling, not a forecast, and a map sized for it up
+// front would cost its full footprint before the first Put.
+const mapHintMax = 4096
+
 // New returns a cache bounded to cap completed entries. cap < 1 is
 // treated as 1: a cache that can hold nothing would turn GetOrBuild into
 // "build every time" while still paying the locking.
@@ -75,7 +80,7 @@ func New[K comparable, V any](cap int) *Cache[K, V] {
 	if cap < 1 {
 		cap = 1
 	}
-	return &Cache[K, V]{cap: cap, m: make(map[K]*entry[K, V], cap+1)}
+	return &Cache[K, V]{cap: cap, m: make(map[K]*entry[K, V], min(cap, mapHintMax)+1)}
 }
 
 // OnEvict installs fn as the capacity-eviction observer: every entry the

@@ -320,6 +320,81 @@ func RatioBand(ts, us []float64) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
+// ChiSquare is Pearson's goodness-of-fit test of observed bin counts
+// against expected ones: stat = Σ (o−e)²/e, df = bins − 1, and p is the
+// chance that a χ²(df) variable is at least stat, the regularized upper
+// incomplete gamma Q(df/2, stat/2). Pool bins so that every expected
+// count is at least about 5 before calling it. A bin that expects nothing
+// but observes something makes stat +Inf and p 0. It panics unless both
+// slices have the same length of at least 2.
+func ChiSquare(observed, expected []float64) (stat float64, df int, p float64) {
+	if len(observed) != len(expected) || len(observed) < 2 {
+		panic("stats: ChiSquare needs two equal-length samples of size >= 2")
+	}
+	for i, o := range observed {
+		e := expected[i]
+		switch {
+		case e > 0:
+			stat += (o - e) * (o - e) / e
+		case o != 0:
+			stat = math.Inf(1)
+		}
+	}
+	df = len(observed) - 1
+	return stat, df, upperGammaQ(float64(df)/2, stat/2)
+}
+
+// upperGammaQ is the regularized upper incomplete gamma function
+// Q(a, x) = Γ(a, x)/Γ(a) for a > 0: by the series for P = 1 − Q below
+// x = a + 1, where it converges fast, and by Lentz's continued fraction
+// for Q above it (Numerical Recipes §6.2).
+func upperGammaQ(a, x float64) float64 {
+	switch {
+	case x <= 0:
+		return 1
+	case math.IsInf(x, 1):
+		return 0
+	}
+	const eps, tiny, maxIter = 1e-15, 1e-300, 100000
+	lg, _ := math.Lgamma(a)
+	front := math.Exp(a*math.Log(x) - x - lg)
+	if x < a+1 {
+		ap, del := a, 1/a
+		sum := del
+		for range maxIter {
+			ap++
+			del *= x / ap
+			sum += del
+			if math.Abs(del) < math.Abs(sum)*eps {
+				break
+			}
+		}
+		return max(0, 1-sum*front)
+	}
+	b := x + 1 - a
+	c, d := 1/tiny, 1/b
+	h := d
+	for i := 1; i <= maxIter; i++ {
+		an := -float64(i) * (float64(i) - a)
+		b += 2
+		d = an*d + b
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = b + an/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		del := d * c
+		h *= del
+		if math.Abs(del-1) < eps {
+			break
+		}
+	}
+	return front * h
+}
+
 // Running accumulates a sample incrementally and produces the exact
 // Summary that Summarize would compute over the values added so far. The
 // serving layer feeds it one broadcast time per emitted trial, so a

@@ -352,3 +352,45 @@ func TestRunningMatchesSummarize(t *testing.T) {
 		}
 	}
 }
+
+// TestChiSquare checks the p-value against χ² table values (upper 5 % and
+// 1 % points), the df = 2 closed form exp(−x/2), and the degenerate ends.
+func TestChiSquare(t *testing.T) {
+	for _, tc := range []struct {
+		x    float64
+		df   int
+		want float64
+	}{
+		{3.841, 1, 0.05}, {6.635, 1, 0.01}, {5.991, 2, 0.05}, {7.815, 3, 0.05},
+		{18.307, 10, 0.05}, {23.209, 10, 0.01}, {31.410, 20, 0.05},
+		{124.342, 100, 0.05}, {0.00393, 1, 0.95}, {3.940, 10, 0.95},
+	} {
+		if got := upperGammaQ(float64(tc.df)/2, tc.x/2); !almostEqual(got, tc.want, 2e-4) {
+			t.Errorf("Q(χ²=%v, df %d) = %.5f, want %.3f", tc.x, tc.df, got, tc.want)
+		}
+	}
+	for _, x := range []float64{0.1, 1, 4, 30, 200} {
+		if got, want := upperGammaQ(1, x/2), math.Exp(-x/2); !almostEqual(got, want, 1e-12*math.Max(want, 1e-300)+1e-300) {
+			t.Errorf("Q(χ²=%v, df 2) = %g, want exp(−x/2) = %g", x, got, want)
+		}
+	}
+
+	// Observed [30 14 34 45 57 20] against [20 20 30 40 60 30]: Σ (o−e)²/e
+	// = 5 + 1.8 + 0.5333 + 0.625 + 0.15 + 3.3333 = 11.4417 on 5 df.
+	stat, df, p := ChiSquare([]float64{30, 14, 34, 45, 57, 20}, []float64{20, 20, 30, 40, 60, 30})
+	if !almostEqual(stat, 11.441667, 1e-5) || df != 5 || !almostEqual(p, 0.04334, 1e-4) {
+		t.Errorf("ChiSquare = (%v, %d, %v), want (11.4417, 5, 0.0433)", stat, df, p)
+	}
+	if stat, _, p := ChiSquare([]float64{5, 5}, []float64{5, 5}); stat != 0 || p != 1 {
+		t.Errorf("perfect fit: stat %v p %v, want 0 and 1", stat, p)
+	}
+	if stat, _, p := ChiSquare([]float64{9, 1}, []float64{10, 0}); !math.IsInf(stat, 1) || p != 0 {
+		t.Errorf("count in an impossible bin: stat %v p %v, want +Inf and 0", stat, p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ChiSquare of one bin did not panic")
+		}
+	}()
+	ChiSquare([]float64{1}, []float64{1})
+}
