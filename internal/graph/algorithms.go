@@ -215,7 +215,7 @@ func GiantComponent(g *Graph) (*Graph, []Vertex) {
 	giant := mustStream(StreamSpec{
 		N:    len(newToOld),
 		Name: g.name + "-giant",
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for _, old := range newToOld {
 				for _, w := range g.Neighbors(old) {
 					if old < w && oldToNew[w] >= 0 {

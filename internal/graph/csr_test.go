@@ -152,7 +152,7 @@ func TestDecodeCSRRejectsCorrupt(t *testing.T) {
 func TestDecodeCSRRejectsBadLandmark(t *testing.T) {
 	g := mustStream(StreamSpec{
 		N: 3, M: 2, Name: "t",
-		Emit:      func(emit func(u, v Vertex)) { emit(0, 1); emit(1, 2) },
+		Emit:      func(_ int, emit func(u, v Vertex)) { emit(0, 1); emit(1, 2) },
 		Landmarks: map[string]Vertex{"x": 2},
 	})
 	raw := encodeCSRBytes(t, g)

@@ -24,7 +24,7 @@ func starSpec(leaves int) StreamSpec {
 		N:    leaves + 1,
 		M:    int64(leaves),
 		Name: fmt.Sprintf("star(%d)", leaves),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 1; i <= leaves; i++ {
 				emit(0, Vertex(i))
 			}
@@ -49,7 +49,7 @@ func doubleStarSpec(leavesPerStar int) StreamSpec {
 		N:    2 + 2*leavesPerStar,
 		M:    int64(1 + 2*leavesPerStar),
 		Name: fmt.Sprintf("doublestar(%d)", leavesPerStar),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			emit(a, c)
 			for i := 0; i < leavesPerStar; i++ {
 				emit(a, Vertex(2+i))
@@ -81,7 +81,7 @@ func heavyBinaryTreeSpec(levels int) StreamSpec {
 		N:    n,
 		M:    int64(n-1) + cliqueEdges(n-firstLeaf),
 		Name: fmt.Sprintf("heavytree(%d)", levels),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			emitCompleteBinaryTree(emit, 0, n)
 			emitClique(emit, firstLeaf, n)
 		},
@@ -113,7 +113,7 @@ func siameseHeavyTreeSpec(levels int) StreamSpec {
 		N:    n,
 		M:    2 * (int64(nA-1) + cliqueEdges(nA-firstLeafA)),
 		Name: fmt.Sprintf("siamesetree(%d)", levels),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			// Tree A occupies [0, nA) with heap numbering.
 			emitCompleteBinaryTree(emit, 0, nA)
 			emitClique(emit, firstLeafA, nA)
@@ -153,7 +153,7 @@ func cycleStarsCliquesSpec(k int) StreamSpec {
 		// contributing k leaf-to-clique edges plus a k-clique.
 		M:    int64(k) + int64(k)*int64(k)*(1+int64(k)) + int64(k)*int64(k)*cliqueEdges(k),
 		Name: fmt.Sprintf("cyclestars(%d)", k),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 0; i < k; i++ {
 				emit(center(i), center((i+1)%k))
 				for j := 0; j < k; j++ {
@@ -186,7 +186,7 @@ func completeSpec(n int) StreamSpec {
 		N:    n,
 		M:    cliqueEdges(n),
 		Name: fmt.Sprintf("complete(%d)", n),
-		Emit: func(emit func(u, v Vertex)) { emitClique(emit, 0, n) },
+		Emit: func(_ int, emit func(u, v Vertex)) { emitClique(emit, 0, n) },
 	}
 }
 
@@ -203,7 +203,7 @@ func cycleSpec(n int) StreamSpec {
 		N:    n,
 		M:    int64(n),
 		Name: fmt.Sprintf("cycle(%d)", n),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 0; i < n; i++ {
 				emit(Vertex(i), Vertex((i+1)%n))
 			}
@@ -224,7 +224,7 @@ func pathSpec(n int) StreamSpec {
 		N:    n,
 		M:    int64(n - 1),
 		Name: fmt.Sprintf("path(%d)", n),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 0; i+1 < n; i++ {
 				emit(Vertex(i), Vertex(i+1))
 			}
@@ -248,7 +248,7 @@ func binaryTreeSpec(levels int) StreamSpec {
 		N:    n,
 		M:    int64(n - 1),
 		Name: fmt.Sprintf("bintree(%d)", levels),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			emitCompleteBinaryTree(emit, 0, n)
 		},
 		Landmarks: map[string]Vertex{"root": 0, "leaf": Vertex(n - 1)},
@@ -271,7 +271,7 @@ func hypercubeSpec(dim int) StreamSpec {
 		N:    n,
 		M:    int64(n) * int64(dim) / 2,
 		Name: fmt.Sprintf("hypercube(%d)", dim),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			// v's larger neighbours set one of its zero bits, lowest first.
 			for v := 0; v < n; v++ {
 				for z := ^v & (n - 1); z != 0; z &= z - 1 {
@@ -297,7 +297,7 @@ func torus2DSpec(rows, cols int) StreamSpec {
 		N:    rows * cols,
 		M:    2 * int64(rows) * int64(cols),
 		Name: fmt.Sprintf("torus(%dx%d)", rows, cols),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					emit(id(r, c), id(r, (c+1)%cols))
@@ -322,7 +322,7 @@ func grid2DSpec(rows, cols int) StreamSpec {
 		N:    rows * cols,
 		M:    int64(rows)*int64(cols-1) + int64(rows-1)*int64(cols),
 		Name: fmt.Sprintf("grid(%dx%d)", rows, cols),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					if c+1 < cols {
@@ -355,7 +355,7 @@ func ringOfCliquesSpec(k, s int) StreamSpec {
 		N:    k * s,
 		M:    int64(k)*cliqueEdges(s) + int64(k)*int64(s),
 		Name: fmt.Sprintf("ringcliques(%dx%d)", k, s),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 0; i < k; i++ {
 				emitClique(emit, i*s, (i+1)*s)
 				for j := 0; j < s; j++ {
@@ -383,7 +383,7 @@ func cliquePathSpec(k, s int) StreamSpec {
 		N:    k * s,
 		M:    int64(k)*cliqueEdges(s) + int64(k-1),
 		Name: fmt.Sprintf("cliquepath(%dx%d)", k, s),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			for i := 0; i < k; i++ {
 				emitClique(emit, i*s, (i+1)*s)
 				if i+1 < k {

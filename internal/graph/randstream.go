@@ -24,7 +24,22 @@ import (
 // configuration-model stub array, the preferential-attachment target
 // array) lives in a width-adaptive scratch buffer backed by an unlinked
 // temp-file mapping once it is large, so it never counts against the Go
-// heap during the build (see mapScratch). Per family:
+// heap during the build (see mapScratch).
+//
+// Stream keys. gnp and chunglu split their edges into blocks that the
+// builder samples in parallel (stream.go), so each block draws from its
+// own key and never from a stream another block advanced:
+//
+//	gnp      block b — a fixed span of the pair index, a function of
+//	         (n, p) alone — draws from (seed, "gnp", b). A gnp of at most
+//	         about gnpBlockEdges expected edges is one block, keyed
+//	         exactly as the single-stream walk of versions 1 and 2 was.
+//	chunglu  row i draws from (seed, "cl", i), whatever block holds it,
+//	         so the builder cuts blocks wherever it balances the work.
+//	randreg, ba
+//	         one block, one stream per restart attempt.
+//
+// Per family:
 //
 //	gnp      geometric skip-sampling over the linearized pair index —
 //	         O(m) expected draws instead of O(n²) coin flips, no state.
@@ -57,8 +72,11 @@ const (
 //
 // Version 2 saturates the geometric skip (gnp at p below about 4·10⁻¹⁸
 // used to wrap to a skip of 1 and build spurious edges), so no
-// realization spilled by version 1 is ever served again.
-const RandomSamplerVersion = 2
+// realization spilled by version 1 is ever served again. Version 3 keys
+// gnp by block and chunglu by row (see above): every chunglu realization
+// and every gnp of more than one block changed; single-block gnp,
+// randreg and barabasi realizations did not.
+const RandomSamplerVersion = 3
 
 // SeededKey returns the content-address key for one realization of a
 // random spec: the canonical spec plus the sampler seed plus the sampler
@@ -221,28 +239,51 @@ func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 	return BuildStream(gnpSpec(n, p, seed))
 }
 
+// gnpBlockEdges is the expected edge count of one gnp block. Its buffer
+// (8 bytes an edge) is what the parallel build holds per block in flight.
+const gnpBlockEdges = 1 << 13
+
+// gnpSpan cuts gnp's total pairs into blocks of span pairs each,
+// ⌈gnpBlockEdges/p⌉, the last one shorter. The cut depends on (n, p)
+// alone, so it is part of the realization: a gnp whose span covers every
+// pair is one block.
+func gnpSpan(total int64, p float64) (span int64, blocks int) {
+	s := math.Ceil(gnpBlockEdges / p)
+	if !(s < float64(total)) { // p = 0 gives +Inf
+		return total, 1
+	}
+	span = int64(s)
+	return span, int((total + span - 1) / span)
+}
+
 func gnpSpec(n int, p float64, seed uint64) StreamSpec {
 	total := int64(n) * int64(n-1) / 2
+	span, blocks := gnpSpan(total, p)
 	return StreamSpec{
-		N:    n,
-		Name: fmt.Sprintf("gnp(%d,%g)", n, p),
-		// The edge-index walk replays identical draws on every call, so the
-		// count pass and the placement pass see the same edge set.
-		Emit: func(emit func(u, v Vertex)) {
+		N:      n,
+		Name:   fmt.Sprintf("gnp(%d,%g)", n, p),
+		Blocks: blocks,
+		// Block b walks the pair indices [b·span, (b+1)·span) with its own
+		// stream, replaying identical draws on every call, so the count
+		// pass and the placement pass see the same edge set.
+		Emit: func(b int, emit func(u, v Vertex)) {
 			if p <= 0 || total == 0 {
 				return
 			}
-			s := xrand.NewStream(seed, gnpStreamUnit, 0)
+			s := xrand.NewStream(seed, gnpStreamUnit, uint64(b))
 			logQ := xrand.LogQ(p)
+			lo := int64(b) * span
+			end := min(lo+span, total)
 			// The walk visits strictly increasing indices, so the row
-			// pointer only ever moves forward: unranking is O(n + m) total,
-			// with no per-edge binary search.
-			i, rowEnd := 0, int64(n-1)
-			for idx := int64(-1); ; {
+			// pointer only ever moves forward: unranking is one binary
+			// search per block plus O(rows + edges), not one per edge.
+			i := pairRow(lo, n)
+			rowEnd := rowStart(i+1, n)
+			for idx := lo - 1; ; {
 				// A skip saturates at MaxInt64, so it is compared with what
 				// is left of the index range before it is added.
 				skip := s.GeometricLogQ(logQ)
-				if skip >= total-idx {
+				if skip >= end-idx {
 					return
 				}
 				idx += skip
@@ -282,7 +323,7 @@ func randomRegular(n, d int, seed uint64) (*Graph, error) {
 			N:    n,
 			M:    m,
 			Name: fmt.Sprintf("randreg(%d,%d)", n, d),
-			Emit: func(emit func(u, v Vertex)) {
+			Emit: func(_ int, emit func(u, v Vertex)) {
 				for k := int64(0); k < m; k++ {
 					emit(st.at(2*k), st.at(2*k+1))
 				}
@@ -424,7 +465,7 @@ func BarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
 		N:    n,
 		M:    cq + attach,
 		Name: fmt.Sprintf("barabasi(%d,%d)", n, m),
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			emitClique(emit, 0, cliqueN)
 			for e := int64(0); e < attach; e++ {
 				emit(Vertex(cliqueN+int(e)/m), targets.at(e))
@@ -436,24 +477,33 @@ func BarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
 	return g, err
 }
 
-// pairFromIndex maps a linear index over {(i,j) : 0 <= i < j < n} in
-// row-major order back to the pair, by binary search over the row starts
-// (pairs before row i: i*n - i*(i+1)/2).
-func pairFromIndex(idx int64, n int) (Vertex, Vertex) {
+// rowStart returns the linear index of row i's first pair in the
+// row-major order of {(i,j) : 0 <= i < j < n}: the i*n - i*(i+1)/2 pairs
+// of the rows before it.
+func rowStart(i, n int) int64 {
+	return int64(i)*int64(n) - int64(i)*int64(i+1)/2
+}
+
+// pairRow returns the row of linear pair index idx, by binary search over
+// the row starts.
+func pairRow(idx int64, n int) int {
 	lo, hi := 0, n-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		before := int64(mid)*int64(n) - int64(mid)*int64(mid+1)/2
-		if before <= idx {
+		if rowStart(mid, n) <= idx {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	i := lo
-	before := int64(i)*int64(n) - int64(i)*int64(i+1)/2
-	j := i + 1 + int(idx-before)
-	return Vertex(i), Vertex(j)
+	return lo
+}
+
+// pairFromIndex maps a linear index over {(i,j) : 0 <= i < j < n} in
+// row-major order back to the pair.
+func pairFromIndex(idx int64, n int) (Vertex, Vertex) {
+	i := pairRow(idx, n)
+	return Vertex(i), Vertex(i + 1 + int(idx-rowStart(i, n)))
 }
 
 func containsVertex(vs []Vertex, v Vertex) bool {
@@ -484,6 +534,15 @@ func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 	if avgDeg <= 0 || avgDeg >= float64(n) {
 		return nil, fmt.Errorf("graph: ChungLu needs 0 < avgDeg < n, got %g", avgDeg)
 	}
+	return BuildStream(chungluSpec(n, beta, avgDeg, seed))
+}
+
+// chungluBlockWeight is the weight mass of one chunglu block. Row i
+// expects at most w_i edges to later rows, so a block expects at most
+// this many edges, and about half of it on average.
+const chungluBlockWeight = gnpBlockEdges
+
+func chungluSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 	exp := -1 / (beta - 1)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -492,13 +551,15 @@ func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 	scale := avgDeg * float64(n) / sum
 	total := avgDeg * float64(n) // Σ of the scaled weights
 	w := func(i int) float64 { return scale * math.Pow(float64(i+1), exp) }
-	return BuildStream(StreamSpec{
-		N:    n,
-		Name: fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg),
-		Emit: func(emit func(u, v Vertex)) {
-			s := xrand.NewStream(seed, chungluStreamUnit, 0)
-			wi := w(0)
-			for i := 0; i < n-1; i++ {
+	starts := chungluBlockStarts(n, 1+exp, scale)
+	return StreamSpec{
+		N:      n,
+		Name:   fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg),
+		Blocks: len(starts) - 1,
+		Emit: func(b int, emit func(u, v Vertex)) {
+			wi := w(starts[b])
+			for i := starts[b]; i < starts[b+1]; i++ {
+				s := xrand.NewStream(seed, chungluStreamUnit, uint64(i))
 				// Row i's first-partner weight is row i+1's own weight.
 				wn := w(i + 1)
 				j := i + 1
@@ -525,5 +586,26 @@ func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 				wi = wn
 			}
 		},
-	})
+	}
+}
+
+// chungluBlockStarts cuts chunglu's rows 0..n−2 into blocks of about
+// chungluBlockWeight weight each, returning each block's first row and
+// then n−1. The cuts fall where the integral of the weight curve,
+// ∫₀ᵏ scale·(t+1)^(e−1) dt = scale·((k+1)^e − 1)/e, crosses a multiple of
+// the block weight; a row heavier than a block is a block of its own.
+// They only balance the work: every row draws from a stream of its own,
+// so no cut changes the realization.
+func chungluBlockStarts(n int, e, scale float64) []int {
+	starts := []int{0}
+	for c := float64(chungluBlockWeight); ; c += chungluBlockWeight {
+		k := math.Pow(1+e*c/scale, 1/e) - 1
+		if !(k < float64(n-1)) { // +Inf once the power overflows
+			break
+		}
+		if r := int(k); r > starts[len(starts)-1] {
+			starts = append(starts, r)
+		}
+	}
+	return append(starts, n-1)
 }

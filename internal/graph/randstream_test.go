@@ -6,10 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
-	"runtime"
 	"testing"
 
+	"rumor/internal/par"
 	"rumor/internal/stats"
 	"rumor/internal/xrand"
 )
@@ -29,7 +30,7 @@ func seededCases() []seededCase {
 	for _, p := range []struct {
 		n int
 		p float64
-	}{{2, 0.5}, {50, 0}, {50, 1}, {64, 0.01}, {300, 0.05}, {1000, 0.003}, {70000, 0.00005}} {
+	}{{2, 0.5}, {50, 0}, {50, 1}, {64, 0.01}, {300, 0.05}, {400, 0.5}, {1000, 0.003}, {70000, 0.00005}} {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("gnp:%d,%g", p.n, p.p),
@@ -54,7 +55,7 @@ func seededCases() []seededCase {
 		n    int
 		beta float64
 		avg  float64
-	}{{16, 3, 2}, {300, 2.5, 6}, {1000, 2.2, 4}} {
+	}{{16, 3, 2}, {300, 2.5, 6}, {1000, 2.2, 4}, {3000, 2.5, 16}} {
 		p := p
 		cases = append(cases, seededCase{
 			name:  fmt.Sprintf("chunglu:%d,%g,%g", p.n, p.beta, p.avg),
@@ -66,9 +67,11 @@ func seededCases() []seededCase {
 
 // TestSeededSamplersReplayable pins the tentpole contract: the same
 // (family, params, seed) yields a byte-identical CSR on every build —
-// across repeated builds and across GOMAXPROCS settings — while distinct
-// seeds yield distinct realizations (except where the distribution is a
-// point mass, e.g. p = 0 or p = 1).
+// across repeated builds and across worker counts (GOMAXPROCS 1, 2 and 8,
+// with par's cached count refreshed) — while distinct seeds yield
+// distinct realizations (except where the distribution is a point mass,
+// e.g. p = 0 or p = 1). The gnp:400,0.5 and chunglu:3000,… cases are
+// multi-block.
 func TestSeededSamplersReplayable(t *testing.T) {
 	for _, c := range seededCases() {
 		c := c
@@ -90,11 +93,10 @@ func TestSeededSamplersReplayable(t *testing.T) {
 				t.Fatal("same seed produced different CSR bytes")
 			}
 
-			prev := runtime.GOMAXPROCS(0)
-			for _, procs := range []int{1, 8} {
-				runtime.GOMAXPROCS(procs)
-				g, err := c.build(42)
-				runtime.GOMAXPROCS(prev)
+			for _, procs := range []int{1, 2, 8} {
+				var g *Graph
+				var err error
+				atProcs(procs, func() { g, err = c.build(42) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,6 +127,9 @@ func TestSeededSamplersReplayable(t *testing.T) {
 // instead of silently re-keying every spilled realization. The points
 // cover a gnp with p = 1 (every draw takes Geometric64's p >= 1 arm) and
 // a chunglu whose early rows have p >= 1 (the skip is bypassed there).
+// The two single-block gnp points, randreg and barabasi carry their
+// version-2 digests: block 0 is the single-stream walk. gnp:3000,0.01 and
+// chunglu:3000,2.5,16 are six blocks each.
 func TestSeededRealizationsPinned(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -133,12 +138,14 @@ func TestSeededRealizationsPinned(t *testing.T) {
 	}{
 		{"gnp:2000,0.003", 1, "33733248df5a11f31ad9dc65a348d55206b4fefbbd0d5cf0a63a4b254d1b1cd2"},
 		{"gnp:60,1", 7, "a328739ce4f7c5322fc7695206777e9e17e82b044c4612b59cdf9a070c606cf2"},
+		{"gnp:3000,0.01", 5, "5ffb8f39a9099ecabc1f4d68b90c570ea38e20e4265f428cbf62d3570d3012dc"},
 		{"randreg:1000,6", 1, "e8de6227c3738eef8a0996ede240bfc2ebee6f3fe5bfa13d460762a992ab113d"},
 		{"randreg:301,4", 977, "1567a2f14b197f0483dab5a6c3e2b78007682b629aca767e0994c68794ac9c8f"},
 		{"barabasi:1000,3", 1, "c60e6e27b960e33c0f5e2ec1cb3c140f422c13db83fdbf0d7d8e25310c8a724c"},
 		{"barabasi:500,5", 977, "4fae06043a3d86594cd3e5b93abc17a7fa7d7df40dba6ebe20891870cdb1309b"},
-		{"chunglu:2000,2.5,6", 1, "5a0c6e1c3f8d238b9479ffcde9e91263fe3c71ab70e30ee02e1c5777218e7cb3"},
-		{"chunglu:300,2.5,8", 977, "83209910d72870bd646a7815a06bdd82ca5e581c7e3129cb191c839aca946684"},
+		{"chunglu:2000,2.5,6", 1, "e73e0935717e596badbda823e4312a106545575f2008ce1371206eb52b91d314"},
+		{"chunglu:300,2.5,8", 977, "871b215f49d9e07877d0dd80a2599b0f80f4277d81d78464b9e8d7dcfb540b47"},
+		{"chunglu:3000,2.5,16", 5, "9ab129e3dc829efe57acfe1ab97fbe8056af7f86273fd1dd6b151c75598c1c10"},
 	} {
 		g, err := mustParse(t, c.spec).BuildSeeded(c.seed)
 		if err != nil {
@@ -172,17 +179,53 @@ func TestGnpTinyPBuildsNoEdges(t *testing.T) {
 	}
 }
 
+// TestGnpMultiBlockComplete builds gnp:N,1 over at least three blocks:
+// every pair is an edge, so a pair lost or doubled at a block boundary
+// shows as a missing edge or a duplicate, and the graph must be K_N.
+func TestGnpMultiBlockComplete(t *testing.T) {
+	const n = 200
+	if b := gnpSpec(n, 1, 1).Blocks; b < 3 {
+		t.Fatalf("gnp:%d,1 is %d blocks, want at least 3", n, b)
+	}
+	for _, procs := range []int{1, 2} {
+		var g *Graph
+		var err error
+		atProcs(procs, func() { g, err = ErdosRenyi(n, 1, 7) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.M() != n*(n-1)/2 || g.MinDegree() != n-1 {
+			t.Fatalf("%d procs: gnp:%d,1 has %d edges and minimum degree %d, want K_%d", procs, n, g.M(), g.MinDegree(), n)
+		}
+	}
+}
+
 // TestGnpEdgeCountLaw checks gnp against the law it claims rather than
 // against itself: over seeds 1..2000 the edge count of gnp:40,p must be
-// Binomial(780, p). Degenerate p must give exact counts; elsewhere a χ²
-// test over bins pooled to an expected count of at least 5 must not
-// reject at p < 1e-4. The seeds are fixed, so the verdict is too.
+// Binomial(780, p), and over seeds 1..500 that of the two-block
+// gnp:180,0.9 Binomial(16110, 0.9). Degenerate p must give exact counts;
+// elsewhere a χ² test over bins pooled to an expected count of at least 5
+// must not reject at p < 1e-4. The seeds are fixed, so the verdict is too.
 func TestGnpEdgeCountLaw(t *testing.T) {
-	const n, pairs, seeds = 40, 780, 2000
+	type point struct {
+		n     int
+		prob  float64
+		seeds int
+	}
+	var points []point
 	for _, prob := range []float64{1e-20, 1e-17, 0.002, 0.01, 0.05, 0.5, 1 - 1e-12, 1} {
+		points = append(points, point{40, prob, 2000})
+	}
+	points = append(points, point{180, 0.9, 500})
+	if gnpSpec(180, 0.9, 1).Blocks < 2 {
+		t.Fatal("gnp:180,0.9 is one block; the law needs a multi-block point")
+	}
+	for _, pt := range points {
+		n, prob, seeds := pt.n, pt.prob, pt.seeds
+		pairs := n * (n - 1) / 2
 		counts := make([]float64, pairs+1)
 		spec := mustParse(t, fmt.Sprintf("gnp:%d,%g", n, prob))
-		for seed := uint64(1); seed <= seeds; seed++ {
+		for seed := uint64(1); seed <= uint64(seeds); seed++ {
 			g, err := spec.BuildSeeded(seed)
 			if err != nil {
 				t.Fatal(err)
@@ -190,25 +233,25 @@ func TestGnpEdgeCountLaw(t *testing.T) {
 			counts[g.M()]++
 		}
 		// Below 1e-15 or above 1 − 1e-11 a single edge (or a single
-		// missing one) over all 2000 realizations has probability < 1e-5.
+		// missing one) over all realizations has probability < 1e-5.
 		if prob < 1e-15 || prob > 1-1e-11 {
 			want := 0
 			if prob > 0.5 {
 				want = pairs
 			}
-			if counts[want] != seeds {
-				t.Errorf("gnp p=%g: %v of %d realizations have %d edges", prob, counts[want], seeds, want)
+			if counts[want] != float64(seeds) {
+				t.Errorf("gnp:%d,%g: %v of %d realizations have %d edges", n, prob, counts[want], seeds, want)
 			}
 			continue
 		}
 		var obs, exp []float64
 		var o, e float64
-		lnC, _ := math.Lgamma(pairs + 1)
+		lnC, _ := math.Lgamma(float64(pairs + 1))
 		for k := 0; k <= pairs; k++ {
 			lk, _ := math.Lgamma(float64(k + 1))
 			lr, _ := math.Lgamma(float64(pairs - k + 1))
 			pmf := math.Exp(lnC - lk - lr + float64(k)*math.Log(prob) + float64(pairs-k)*math.Log1p(-prob))
-			o, e = o+counts[k], e+seeds*pmf
+			o, e = o+counts[k], e+float64(seeds)*pmf
 			if e >= 5 {
 				obs, exp = append(obs, o), append(exp, e)
 				o, e = 0, 0
@@ -219,8 +262,73 @@ func TestGnpEdgeCountLaw(t *testing.T) {
 		exp[len(exp)-1] += e
 		stat, df, p := stats.ChiSquare(obs, exp)
 		if p < 1e-4 {
-			t.Errorf("gnp p=%g: χ² = %.1f on %d df, p = %.2g: edge counts are not Binomial(%d, p)", prob, stat, df, p, pairs)
+			t.Errorf("gnp:%d,%g: χ² = %.1f on %d df, p = %.2g: edge counts are not Binomial(%d, p)", n, prob, stat, df, p, pairs)
 		}
+	}
+}
+
+// TestChungLuPairLaw checks chunglu against the law it claims rather than
+// against itself: pair {i, j} is an edge with probability
+// q_ij = min(1, w_i·w_j/Σw), independently of every other pair. Pairs are
+// classed by the binary magnitudes of i+1 and j+1; over seeds 1..100 of
+// the six-block chunglu:3000,2.5,16, the edges realized in each class
+// must match 100·Σ q_ij over it by a χ² test at p ≥ 1e-4, classes pooled
+// to an expected count of at least 5. A class count is a sum of
+// independent Bernoullis, whose variance is below the Poisson variance
+// the test assumes, so it errs toward accepting; a 3 % bias in q still
+// moves the total by some 45 standard deviations. The seeds are fixed, so
+// the verdict is too.
+func TestChungLuPairLaw(t *testing.T) {
+	const n, beta, avg, seeds = 3000, 2.5, 16.0, 100
+	if b := chungluSpec(n, beta, avg, 1).Blocks; b < 3 {
+		t.Fatalf("chunglu:%d,%g,%g is %d blocks; the law needs a multi-block point", n, beta, avg, b)
+	}
+	exp := -1 / (beta - 1)
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += math.Pow(float64(i+1), exp)
+	}
+	total := avg * n
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = total / sum * math.Pow(float64(i+1), exp)
+	}
+	classes := bits.Len(uint(n))
+	bin := func(i, j int) int { return (bits.Len(uint(i+1))-1)*classes + bits.Len(uint(j+1)) - 1 }
+	expected := make([]float64, classes*classes)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			expected[bin(i, j)] += seeds * math.Min(1, w[i]*w[j]/total)
+		}
+	}
+	observed := make([]float64, len(expected))
+	for seed := uint64(1); seed <= seeds; seed++ {
+		g, err := ChungLu(n, beta, avg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range g.Neighbors(Vertex(u)) {
+				if int(v) > u {
+					observed[bin(u, int(v))]++
+				}
+			}
+		}
+	}
+	var obs, exps []float64
+	var o, e float64
+	for k := range expected {
+		o, e = o+observed[k], e+expected[k]
+		if e >= 5 {
+			obs, exps = append(obs, o), append(exps, e)
+			o, e = 0, 0
+		}
+	}
+	obs[len(obs)-1] += o
+	exps[len(exps)-1] += e
+	stat, df, p := stats.ChiSquare(obs, exps)
+	if p < 1e-4 {
+		t.Errorf("chunglu:%d,%g,%g: χ² = %.1f on %d df, p = %.2g: pair classes do not follow min(1, w_i·w_j/Σw)", n, beta, avg, stat, df, p)
 	}
 }
 
@@ -449,18 +557,27 @@ func geometricRef(s *xrand.Stream, p float64) int64 {
 	return max(1, int64(x))
 }
 
-// gnpRefSpec is the gnp emitter as first written: a skip walk that
-// recomputes ln(1−p) for every draw.
+// gnpRefSpec is the gnp emitter as first written — a skip walk that
+// recomputes ln(1−p) for every draw and unranks every pair by binary
+// search — cut into blocks as the sampler defines them: block b walks the
+// pair indices [b·span, (b+1)·span) with span = ⌈2¹³/p⌉, drawing from
+// (seed, "gnp", b).
 func gnpRefSpec(n int, p float64, seed uint64) StreamSpec {
 	total := int64(n) * int64(n-1) / 2
-	return StreamSpec{N: n, Name: fmt.Sprintf("gnp(%d,%g)", n, p), Emit: func(emit func(u, v Vertex)) {
+	span, blocks := total, 1
+	if s := math.Ceil(8192 / p); s < float64(total) {
+		span = int64(s)
+		blocks = int((total + span - 1) / span)
+	}
+	return StreamSpec{N: n, Name: fmt.Sprintf("gnp(%d,%g)", n, p), Blocks: blocks, Emit: func(b int, emit func(u, v Vertex)) {
 		if p <= 0 || total == 0 {
 			return
 		}
-		s := xrand.NewStream(seed, gnpStreamUnit, 0)
-		for idx := int64(-1); ; {
+		s := xrand.NewStream(seed, gnpStreamUnit, uint64(b))
+		end := min(int64(b+1)*span, total)
+		for idx := int64(b)*span - 1; ; {
 			skip := geometricRef(&s, p)
-			if skip >= total-idx {
+			if skip >= end-idx {
 				return
 			}
 			idx += skip
@@ -469,8 +586,11 @@ func gnpRefSpec(n int, p float64, seed uint64) StreamSpec {
 	}}
 }
 
-// chungluRefSpec is the chunglu emitter as first written: every row
-// recomputes its own weight and its first partner's.
+// chungluRefSpec is the chunglu emitter as first written, every row
+// recomputing its own weight and its first partner's, keyed by row: row i
+// draws from (seed, "cl", i). It is one block, so its agreement with the
+// multi-block sampler also shows that where blocks are cut does not
+// matter.
 func chungluRefSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 	exp := -1 / (beta - 1)
 	sum := 0.0
@@ -480,9 +600,9 @@ func chungluRefSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 	scale := avgDeg * float64(n) / sum
 	total := avgDeg * float64(n)
 	w := func(i int) float64 { return scale * math.Pow(float64(i+1), exp) }
-	return StreamSpec{N: n, Name: fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg), Emit: func(emit func(u, v Vertex)) {
-		s := xrand.NewStream(seed, chungluStreamUnit, 0)
+	return StreamSpec{N: n, Name: fmt.Sprintf("chunglu(%d,%.1f,%.1f)", n, beta, avgDeg), Emit: func(_ int, emit func(u, v Vertex)) {
 		for i := 0; i < n-1; i++ {
+			s := xrand.NewStream(seed, chungluStreamUnit, uint64(i))
 			wi := w(i)
 			j := i + 1
 			p := math.Min(1, wi*w(j)/total)
@@ -509,14 +629,17 @@ func chungluRefSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 // builder's structural invariants, and byte identity with the reference
 // gnp and chunglu emitters built through the legacy Builder (chunglu's
 // exponent and average degree derive from p, reaching rows whose bound
-// is ≥ 1 as p approaches 1).
+// is ≥ 1 as p approaches 1). gnp is multi-block once n(n−1)p/2 passes
+// 2¹³, chunglu once n·avg does: from p ≈ 0.03 at n = 600.
 func FuzzSeededGnpReplay(f *testing.F) {
 	f.Add(10, 0.3, uint64(1))
 	f.Add(100, 0.01, uint64(7))
 	f.Add(2, 1.0, uint64(0))
 	f.Add(300, 0.9, uint64(977))
+	f.Add(250, 1.0, uint64(9))
+	f.Add(600, 0.2, uint64(3))
 	f.Fuzz(func(t *testing.T, n int, p float64, seed uint64) {
-		if n < 2 || n > 400 || p < 0 || p > 1 || p != p {
+		if n < 2 || n > 600 || p < 0 || p > 1 || p != p {
 			t.Skip()
 		}
 		g1, err := ErdosRenyi(n, p, seed)
@@ -547,4 +670,26 @@ func FuzzSeededGnpReplay(f *testing.F) {
 			t.Fatalf("chunglu(%d,%g,%g) diverged from the reference emitter", n, beta, avg)
 		}
 	})
+}
+
+// BenchmarkBuildSeeded times one seeded build per family of the
+// benchmark's graph-build table. Compare runs at equal -cpu: at 1 every
+// emitter runs inline, above it gnp and chunglu sample their blocks in
+// parallel. par's processor count is refreshed, since -cpu changes
+// GOMAXPROCS between sub-benchmarks.
+func BenchmarkBuildSeeded(b *testing.B) {
+	for _, spec := range []string{"star:500000", "hypercube:17", "gnp:500000,1.6e-5", "randreg:200000,8", "barabasi:300000,4", "chunglu:100000,2.5,8"} {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			par.Refresh()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.BuildSeeded(uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -3,7 +3,13 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"rumor/internal/par"
 )
 
 // buildLegacy replays a StreamSpec's edges through the slice-of-slices
@@ -13,11 +19,13 @@ func buildLegacy(t testing.TB, s StreamSpec) *Graph {
 	t.Helper()
 	b := NewBuilder(s.N, s.Name)
 	var emitErr error
-	s.Emit(func(u, v Vertex) {
-		if err := b.AddEdge(u, v); err != nil && emitErr == nil {
-			emitErr = err
-		}
-	})
+	for block := range max(s.Blocks, 1) {
+		s.Emit(block, func(u, v Vertex) {
+			if err := b.AddEdge(u, v); err != nil && emitErr == nil {
+				emitErr = err
+			}
+		})
+	}
 	if emitErr != nil {
 		t.Fatalf("legacy build: %v", emitErr)
 	}
@@ -100,24 +108,158 @@ func TestStreamUnknownEdgeCount(t *testing.T) {
 	}
 }
 
-// TestStreamTwoEmitterRuns pins the builder's pass count: one counting run
-// and one placing run of Emit, whether M is declared or learned.
+// atProcs runs f at GOMAXPROCS procs with par's cached processor count
+// refreshed, so BuildStream really starts that many workers, and restores
+// both afterwards.
+func atProcs(procs int, f func()) {
+	prev := runtime.GOMAXPROCS(procs)
+	par.Refresh()
+	defer func() {
+		runtime.GOMAXPROCS(prev)
+		par.Refresh()
+	}()
+	f()
+}
+
+// TestStreamTwoEmitterRuns pins the builder's pass count: every block is
+// emitted exactly twice, one counting run and one placing run, whether M
+// is declared or learned and at any worker count.
 func TestStreamTwoEmitterRuns(t *testing.T) {
 	undeclared := completeSpec(7)
 	undeclared.M = 0
-	for _, spec := range []StreamSpec{completeSpec(7), undeclared, gnpSpec(300, 0.05, 3)} {
-		runs := 0
-		emit := spec.Emit
-		spec.Emit = func(e func(u, v Vertex)) {
-			runs++
-			emit(e)
+	specs := []StreamSpec{completeSpec(7), undeclared, gnpSpec(300, 0.05, 3), gnpSpec(400, 0.5, 3), chungluSpec(3000, 2.5, 16, 3)}
+	for _, spec := range specs[3:] {
+		if spec.Blocks < 3 {
+			t.Fatalf("%s: %d blocks, want a multi-block point", spec.Name, spec.Blocks)
 		}
-		if _, err := BuildStream(spec); err != nil {
-			t.Fatalf("%s (M=%d): %v", spec.Name, spec.M, err)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		for _, spec := range specs {
+			runs := make([]atomic.Int32, max(spec.Blocks, 1))
+			emit := spec.Emit
+			spec.Emit = func(b int, e func(u, v Vertex)) {
+				runs[b].Add(1)
+				emit(b, e)
+			}
+			var err error
+			atProcs(procs, func() { _, err = BuildStream(spec) })
+			if err != nil {
+				t.Fatalf("%s (M=%d): %v", spec.Name, spec.M, err)
+			}
+			for b := range runs {
+				if got := runs[b].Load(); got != 2 {
+					t.Errorf("%s (M=%d) at %d procs: block %d ran %d times, want 2", spec.Name, spec.M, procs, b, got)
+				}
+			}
 		}
-		if runs != 2 {
-			t.Errorf("%s (M=%d): Emit ran %d times, want 2", spec.Name, spec.M, runs)
-		}
+	}
+}
+
+// TestStreamBlockErrors holds multi-block builds to the serial error
+// contract at every worker count. Self-loops are planted in blocks 3 and
+// 7, and block 3 is held back so that parallel workers finish block 7
+// first: the error must still name block 3's edge. Duplicates are planted
+// at vertices in the first and the last sort shard: the lower vertex is
+// reported. A wrong declared M and an emitter that loses an edge on replay
+// are caught across blocks.
+func TestStreamBlockErrors(t *testing.T) {
+	const blocks = 10
+	path := func(b int, emit func(u, v Vertex)) { emit(Vertex(b), Vertex(b+1)) }
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(procs, func() {
+			loops := StreamSpec{N: blocks + 1, Blocks: blocks, Name: "loops", Emit: func(b int, emit func(u, v Vertex)) {
+				switch b {
+				case 3:
+					time.Sleep(20 * time.Millisecond)
+					emit(3, 3)
+				case 7:
+					emit(7, 7)
+				default:
+					path(b, emit)
+				}
+			}}
+			if _, err := BuildStream(loops); err == nil || err.Error() != "graph: self-loop at 3" {
+				t.Errorf("%d procs: self-loops in blocks 3 and 7 reported as %v, want block 3's", procs, err)
+			}
+
+			const n = 3 * sortGrain
+			dups := StreamSpec{N: n, Blocks: blocks, Name: "dups", Emit: func(b int, emit func(u, v Vertex)) {
+				switch b {
+				case 2:
+					emit(n-10, n-9)
+					emit(n-9, n-10)
+				case 6:
+					emit(100, 101)
+					emit(101, 100)
+				}
+			}}
+			if _, err := BuildStream(dups); err == nil || err.Error() != "graph: duplicate edge {100,101}" {
+				t.Errorf("%d procs: duplicates at vertices 100 and %d reported as %v, want vertex 100's", procs, n-10, err)
+			}
+
+			declared := StreamSpec{N: blocks + 1, M: blocks - 1, Blocks: blocks, Name: "declared", Emit: path}
+			if _, err := BuildStream(declared); err == nil || !strings.Contains(err.Error(), "declared") {
+				t.Errorf("%d procs: wrong declared M reported as %v", procs, err)
+			}
+
+			var runs [blocks]atomic.Int32
+			lossy := StreamSpec{N: blocks + 1, Blocks: blocks, Name: "lossy", Emit: func(b int, emit func(u, v Vertex)) {
+				if runs[b].Add(1) == 2 && b == 5 {
+					return
+				}
+				path(b, emit)
+			}}
+			if _, err := BuildStream(lossy); err == nil || !strings.Contains(err.Error(), "on replay") {
+				t.Errorf("%d procs: an edge lost on replay reported as %v", procs, err)
+			}
+		})
+	}
+}
+
+// TestStreamManyTinyBlocks is the deadlock regression of the in-order
+// apply: far more one-edge blocks than buffers. A worker that claimed a
+// block before taking a buffer could hold the block the applier waits for
+// while every buffer holds a later one, or send a later block into the
+// ring slot the applier is reading (which the applier rejects). It also
+// checks that the build leaves no goroutine behind.
+func TestStreamManyTinyBlocks(t *testing.T) {
+	const blocks = 20000
+	spec := StreamSpec{N: blocks + 1, M: blocks, Blocks: blocks, Name: "path", Emit: func(b int, emit func(u, v Vertex)) {
+		emit(Vertex(b), Vertex(b+1))
+	}}
+	want := encodeCSRBytes(t, buildLegacy(t, spec))
+	for _, procs := range []int{2, 8} {
+		atProcs(procs, func() {
+			for round := range 2 { // the first round starts par's pool
+				before := runtime.NumGoroutine()
+				done := make(chan *Graph, 1)
+				go func() {
+					g, err := BuildStream(spec)
+					if err != nil {
+						t.Error(err)
+					}
+					done <- g
+				}()
+				select {
+				case g := <-done:
+					if g != nil && !bytes.Equal(encodeCSRBytes(t, g), want) {
+						t.Fatalf("%d procs: CSR differs from the serial build", procs)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%d procs: %d blocks did not build in 30 s: the in-order apply deadlocked", procs, blocks)
+				}
+				if round == 0 {
+					continue
+				}
+				// Joined workers may still be on their way out.
+				for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if after := runtime.NumGoroutine(); after > before {
+					t.Fatalf("%d procs: %d goroutines before the build, %d after", procs, before, after)
+				}
+			}
+		})
 	}
 }
 
@@ -146,13 +288,13 @@ func TestStreamRejectsBadEdges(t *testing.T) {
 		name string
 		spec StreamSpec
 	}{
-		{"self-loop", StreamSpec{N: 3, M: 1, Emit: func(emit func(u, v Vertex)) { emit(1, 1) }}},
-		{"out-of-range", StreamSpec{N: 3, M: 1, Emit: func(emit func(u, v Vertex)) { emit(0, 3) }}},
-		{"negative", StreamSpec{N: 3, M: 1, Emit: func(emit func(u, v Vertex)) { emit(-1, 0) }}},
-		{"duplicate", StreamSpec{N: 3, M: 2, Emit: func(emit func(u, v Vertex)) { emit(0, 1); emit(1, 0) }}},
-		{"undercount", StreamSpec{N: 3, M: 2, Emit: func(emit func(u, v Vertex)) { emit(0, 1) }}},
-		{"overcount", StreamSpec{N: 3, M: 1, Emit: func(emit func(u, v Vertex)) { emit(0, 1); emit(0, 2) }}},
-		{"negative-n", StreamSpec{N: -1, M: 0, Emit: func(emit func(u, v Vertex)) {}}},
+		{"self-loop", StreamSpec{N: 3, M: 1, Emit: func(_ int, emit func(u, v Vertex)) { emit(1, 1) }}},
+		{"out-of-range", StreamSpec{N: 3, M: 1, Emit: func(_ int, emit func(u, v Vertex)) { emit(0, 3) }}},
+		{"negative", StreamSpec{N: 3, M: 1, Emit: func(_ int, emit func(u, v Vertex)) { emit(-1, 0) }}},
+		{"duplicate", StreamSpec{N: 3, M: 2, Emit: func(_ int, emit func(u, v Vertex)) { emit(0, 1); emit(1, 0) }}},
+		{"undercount", StreamSpec{N: 3, M: 2, Emit: func(_ int, emit func(u, v Vertex)) { emit(0, 1) }}},
+		{"overcount", StreamSpec{N: 3, M: 1, Emit: func(_ int, emit func(u, v Vertex)) { emit(0, 1); emit(0, 2) }}},
+		{"negative-n", StreamSpec{N: -1, M: 0, Emit: func(_ int, emit func(u, v Vertex)) {}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,14 +308,14 @@ func TestStreamRejectsBadEdges(t *testing.T) {
 // TestStreamEmptyGraph covers the n=0 and edgeless corners the harness
 // never generates but the builder must not crash on.
 func TestStreamEmptyGraph(t *testing.T) {
-	g, err := BuildStream(StreamSpec{N: 0, Name: "empty", Emit: func(emit func(u, v Vertex)) {}})
+	g, err := BuildStream(StreamSpec{N: 0, Name: "empty", Emit: func(_ int, emit func(u, v Vertex)) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph has n=%d m=%d", g.N(), g.M())
 	}
-	g, err = BuildStream(StreamSpec{N: 4, Name: "edgeless", Emit: func(emit func(u, v Vertex)) {}})
+	g, err = BuildStream(StreamSpec{N: 4, Name: "edgeless", Emit: func(_ int, emit func(u, v Vertex)) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +401,7 @@ func ExampleBuildStream() {
 		N:    4,
 		M:    3,
 		Name: "claw",
-		Emit: func(emit func(u, v Vertex)) {
+		Emit: func(_ int, emit func(u, v Vertex)) {
 			emit(0, 1)
 			emit(0, 2)
 			emit(0, 3)

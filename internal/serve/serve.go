@@ -56,19 +56,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rumor/internal/core"
 	"rumor/internal/experiment"
+	"rumor/internal/graph"
 	"rumor/internal/par"
 )
 
 // keyPrefix versions the request-identity scheme: bump it when the
 // canonical encoding or the response format changes so stale cache (and
-// disk-spill) identities can never alias new ones.
-const keyPrefix = "rumord/v1|"
+// disk-spill) identities can never alias new ones. It carries the random
+// samplers' generation as well: a result on a random family is a function
+// of the realization, so a sampler change re-keys every result, and
+// results spilled by an earlier generation are never served.
+var keyPrefix = fmt.Sprintf("rumord/v1;sampler=v%d|", graph.RandomSamplerVersion)
 
 // Options configures a Server. The zero value selects all defaults.
 type Options struct {

@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -10,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rumor/internal/experiment"
 )
 
 // spillSpec renders the i-th distinct spec of the eviction ladder.
@@ -247,5 +252,57 @@ func TestSpillCorruptEntryRecovery(t *testing.T) {
 	}
 	if n := sp.resident.Load(); n != 1 {
 		t.Fatalf("resident = %d after rewrite, want 1", n)
+	}
+}
+
+// TestSpillIgnoresEarlierSamplerGenerations is the regression for result
+// identities that left out the sampler generation: a result spilled under
+// the identity an earlier generation gave a random spec ("rumord/v1|" plus
+// the canonical JSON, before the generation joined the key) must never be
+// served. A fresh server on that data dir recomputes the reference bytes.
+func TestSpillIgnoresEarlierSamplerGenerations(t *testing.T) {
+	const req = `{"graph":"chunglu:300,2.5,8","protocol":"push-pull","trials":3,"seed":5}`
+	spec := experiment.DefaultRunSpec()
+	if err := json.Unmarshal([]byte(req), &spec); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ComputeReference(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append([]byte("rumord/v1|"), norm.CanonicalJSON()...))
+	stale := hex.EncodeToString(sum[:])
+	if stale == ref.ID {
+		t.Fatal("the job ID does not depend on the sampler generation")
+	}
+
+	dir := t.TempDir()
+	sp, err := openSpill(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []byte("{\"planted\":true}\n")
+	sp.write(stale, &completedJob{resp: planted, final: planted, trials: 1})
+	if _, ok := sp.read(stale); !ok {
+		t.Fatal("planted spill file unreadable")
+	}
+
+	s, ts := newTestServer(t, Options{Workers: 1, DataDir: dir})
+	code, hdr, body := postRun(t, ts, req)
+	if code != 200 {
+		t.Fatalf("status %d body %s", code, body)
+	}
+	if src := hdr.Get("X-Rumord-Source"); src != "run" {
+		t.Fatalf("served from %q, want a fresh run", src)
+	}
+	if !bytes.Equal(body, ref.Body) {
+		t.Fatalf("body %q is not the reference bytes", body)
+	}
+	if st := s.Stats(); st.Simulations != 1 || st.SpillHits != 0 {
+		t.Fatalf("%d simulations, %d spill reads; want 1 and 0", st.Simulations, st.SpillHits)
 	}
 }
