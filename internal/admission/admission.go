@@ -4,7 +4,13 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"rumor/internal/stats"
 )
+
+// drainWindow is how far back the drain-rate estimate behind Retry-After
+// looks.
+const drainWindow = 10 * time.Second
 
 // Outcome classifies what the controller did with one submission.
 type Outcome uint8
@@ -179,7 +185,7 @@ type Controller struct {
 	canceled   int64
 	byClass    map[string]*ClassStats
 
-	drain drainEstimator
+	drain stats.RateRing
 }
 
 // NewController builds a Controller over opts.
@@ -200,7 +206,6 @@ func NewController(opts Options) *Controller {
 	for _, class := range opts.Config.Classes() {
 		c.byClass[class] = &ClassStats{}
 	}
-	c.drain.init(10 * time.Second)
 	return c
 }
 
@@ -350,7 +355,7 @@ func (c *Controller) releaseLocked(cl *clientState) {
 	cl.inFlight--
 	c.inFlight--
 	cl.lastSeen = c.now()
-	c.drain.note(cl.lastSeen)
+	c.drain.Note(cl.lastSeen)
 	c.pumpLocked()
 }
 
@@ -467,7 +472,7 @@ func (c *Controller) RetryAfter() time.Duration {
 // Options.RetryFallback; the result is clamped to [1s, 60s] — honest but
 // never hammering, never parking a client for minutes on a blip.
 func (c *Controller) retryAfterLocked(now time.Time, pending int) time.Duration {
-	rate := c.drain.rate(now)
+	rate := c.drain.Rate(now, drainWindow)
 	var d time.Duration
 	if rate <= 0 {
 		d = c.opts.retryFallback()
@@ -492,63 +497,4 @@ func maxDur(a, b time.Duration) time.Duration {
 		return a
 	}
 	return b
-}
-
-// drainEstimator measures the recent completion rate from a ring of
-// completion timestamps. Guarded by the Controller's mutex.
-type drainEstimator struct {
-	times  []time.Time
-	idx    int
-	filled bool
-	window time.Duration
-}
-
-func (d *drainEstimator) init(window time.Duration) {
-	d.times = make([]time.Time, 256)
-	d.window = window
-}
-
-func (d *drainEstimator) note(t time.Time) {
-	d.times[d.idx] = t
-	d.idx++
-	if d.idx == len(d.times) {
-		d.idx = 0
-		d.filled = true
-	}
-}
-
-// rate returns completions per second over the window (0 when none).
-// When the ring wrapped inside the window the rate is computed over the
-// span actually covered, so a burst faster than the ring holds is not
-// underestimated into an inflated Retry-After.
-func (d *drainEstimator) rate(now time.Time) float64 {
-	cutoff := now.Add(-d.window)
-	n := d.idx
-	if d.filled {
-		n = len(d.times)
-	}
-	count := 0
-	oldest := now
-	for i := 0; i < n; i++ {
-		t := d.times[i]
-		if t.After(cutoff) {
-			count++
-			if t.Before(oldest) {
-				oldest = t
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	span := d.window
-	if d.filled || count == len(d.times) {
-		if s := now.Sub(oldest); s > 0 && s < span {
-			span = s
-		}
-	}
-	if span <= 0 {
-		return 0
-	}
-	return float64(count) / span.Seconds()
 }

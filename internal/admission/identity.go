@@ -15,8 +15,9 @@
 //     saturated, held submissions dispatch across clients in proportion
 //     to their configured weights instead of FIFO, so a flooding client
 //     cannot starve polite ones;
-//   - a drain-rate estimator (admission.go): Retry-After values are
-//     derived from the observed completion rate, not a constant.
+//   - a drain-rate estimator (stats.RateRing, shared with rumord):
+//     Retry-After values are derived from the observed completion rate,
+//     not a constant.
 //
 // Every submission resolves to exactly one of four outcomes — admitted,
 // throttled, shed, or canceled — so the controller's counters obey a

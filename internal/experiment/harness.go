@@ -280,6 +280,16 @@ func GraphMemoStats() (calls, builds, evictions int64) {
 	return graphMemoCalls.Load(), graphMemoBuilds.Load(), graphCache.Evictions()
 }
 
+// GraphStoreStats reports the configured graph store's counters
+// (graph.Store.Stats: mmap opens, builds on misses, spill writes); all
+// zero while no store is configured.
+func GraphStoreStats() (opens, builds, spills int64) {
+	if st := graphStore.Load(); st != nil {
+		return st.Stats()
+	}
+	return 0, 0, 0
+}
+
 // ConfigureGraphStorage routes deterministic graphs through an on-disk
 // content-addressed store rooted at dir (conventionally <data-dir>/graphs,
 // next to the serve layer's result spill): graphs whose CSR is at least

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"rumor/internal/cas"
 )
 
 func TestStoreSpillsAndReopens(t *testing.T) {
@@ -23,6 +28,9 @@ func TestStoreSpillsAndReopens(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("builds = %d, want 1", builds)
 	}
+	if opens, builds, spills := st.Stats(); opens != 1 || builds != 1 || spills != 1 {
+		t.Fatalf("stats after the cold build: opens %d builds %d spills %d, want 1 1 1", opens, builds, spills)
+	}
 	if _, err := os.Stat(st.Path("star:500")); err != nil {
 		t.Fatalf("spill file missing: %v", err)
 	}
@@ -38,6 +46,9 @@ func TestStoreSpillsAndReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGraphsEqual(t, want, g2)
+	if opens, builds, spills := st.Stats(); opens != 2 || builds != 1 || spills != 1 {
+		t.Fatalf("stats after the reopen: opens %d builds %d spills %d, want 2 1 1", opens, builds, spills)
+	}
 }
 
 func TestStoreThresholdKeepsSmallGraphsInMemory(t *testing.T) {
@@ -126,5 +137,101 @@ func TestStoreDirCreationFailure(t *testing.T) {
 	}
 	if _, err := NewStore(filepath.Join(blocked, "graphs"), 1); err == nil {
 		t.Fatal("store created under a regular file")
+	}
+}
+
+// TestStoreKeepsUnopenableFile: a file at Path(key) that cannot be opened
+// or mapped — here a directory, which opens but does not mmap; in
+// production EACCES, EMFILE or ENOMEM — says nothing about its bytes. The
+// store must build in memory and leave it in place, never delete it.
+func TestStoreKeepsUnopenableFile(t *testing.T) {
+	st, err := NewStore(filepath.Join(t.TempDir(), "graphs"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.Path("cycle:12")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	g, err := st.GetOrBuild("cycle:12", func() (*Graph, error) { return Cycle(12), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsEqual(t, Cycle(12), g)
+	if info, err := os.Stat(path); err != nil || !info.IsDir() {
+		t.Fatalf("unopenable entry was removed or replaced: %v", err)
+	}
+	if _, _, spills := st.Stats(); spills != 0 {
+		t.Fatalf("spilled over an unopenable entry (%d writes)", spills)
+	}
+}
+
+// TestStoreSweepsTempDebris: a crash mid-spill leaves a temp file beside
+// the store's files. NewStore removes it once it is cas.DebrisAge old and
+// keeps a younger one, which may be another process's write in flight.
+func TestStoreSweepsTempDebris(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "graphs")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	aged := filepath.Join(dir, ".csr.123.tmp") // the name an earlier writer used
+	fresh := filepath.Join(dir, storeName("star:9")+".csr.456.tmp")
+	for _, f := range []string{aged, fresh} {
+		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-cas.DebrisAge - time.Minute)
+	if err := os.Chtimes(aged, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStore(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(aged); !os.IsNotExist(err) {
+		t.Fatalf("aged temp file survived NewStore: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("fresh temp file was swept: %v", err)
+	}
+}
+
+// TestStoreReadsParentLayout pins the on-disk layout: a CSR written by
+// hand to <dir>/<hex(sha256(key))>.csr, as every earlier version of the
+// store named it, reopens mmap-backed with no build.
+func TestStoreReadsParentLayout(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "graphs")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const key = "hypercube:6"
+	sum := sha256.Sum256([]byte(key))
+	f, err := os.Create(filepath.Join(dir, hex.EncodeToString(sum[:])+".csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Hypercube(6).EncodeCSR(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := st.GetOrBuild(key, func() (*Graph, error) {
+		t.Fatal("built a graph whose file was on disk")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsEqual(t, Hypercube(6), g)
+	if !g.MmapBacked() {
+		t.Fatal("reopened graph is not mmap-backed")
+	}
+	if opens, builds, _ := st.Stats(); opens != 1 || builds != 0 {
+		t.Fatalf("opens %d builds %d, want 1 0", opens, builds)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"rumor/internal/cas"
 )
 
 // Encode writes the graph in a simple line-oriented text format:
@@ -411,28 +411,10 @@ func decodeCSR(data []byte) (g *Graph, aliased bool, err error) {
 	return &Graph{off: off, neighbors: neighbors, name: name, landmarks: landmarks}, aliased, nil
 }
 
-// WriteCSRFile encodes g atomically into path (temp file + rename), so
-// concurrent or crashed writers leave either the full file or none.
-func WriteCSRFile(g *Graph, path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".csr.*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	err = g.EncodeCSR(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
+// WriteCSRFile encodes g atomically into path (cas.WriteFile: temp file
+// + rename), so concurrent or crashed writers leave either the full file
+// or none.
+func WriteCSRFile(g *Graph, path string) error { return cas.WriteFile(path, g.EncodeCSR) }
 
 // OpenCSRFile maps path read-only and decodes it as a binary CSR graph.
 // On little-endian hosts the graph's arrays alias the mapping — pages
@@ -440,22 +422,31 @@ func WriteCSRFile(g *Graph, path string) error {
 // and the mapping is released by a runtime cleanup once the graph is
 // unreachable. Decode errors leave no mapping behind.
 func OpenCSRFile(path string) (*Graph, error) {
+	g, _, err := openCSR(path)
+	return g, err
+}
+
+// openCSR is OpenCSRFile that also says whether a failure is corruption:
+// the bytes were mapped and did not decode. Open and map failures
+// (EACCES, EMFILE, ENOMEM, a directory at path) say nothing about the
+// file's contents.
+func openCSR(path string) (g *Graph, corrupt bool, err error) {
 	m, err := mapFile(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	g, aliased, err := decodeCSR(m.data)
 	if err != nil {
 		m.close()
-		return nil, err
+		return nil, true, err
 	}
 	if !aliased {
 		// Arrays were copied to the heap; the mapping is no longer needed
 		// and the graph is accounted as heap-resident.
 		m.close()
-		return g, nil
+		return g, false, nil
 	}
 	g.backing = m
 	runtime.AddCleanup(g, func(m *mapping) { m.close() }, m)
-	return g, nil
+	return g, false, nil
 }

@@ -693,3 +693,40 @@ func BenchmarkBuildSeeded(b *testing.B) {
 		})
 	}
 }
+
+// TestRandomRegularExchangeable checks randreg against a law it claims:
+// the sampler treats vertices alike, so in randomRegular(8, 3) every pair
+// {i, j} is an edge with probability 3/7. Over seeds 1..20000 the 28 pair
+// counts must match 20000·3/7 by a χ² test at p ≥ 1e-4. The counts are
+// negatively correlated (every realization has 12 edges), so the test errs
+// toward accepting. The law does not say the sampler is uniform over
+// simple regular graphs, and it is not: the redraw-on-collision repair
+// biases which graphs appear (ROADMAP item 2). The seeds are fixed, so the
+// verdict is too.
+func TestRandomRegularExchangeable(t *testing.T) {
+	const n, d, seeds = 8, 3, 20000
+	var observed [n][n]float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		g, err := randomRegular(n, d, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range g.Neighbors(Vertex(u)) {
+				if int(v) > u {
+					observed[u][v]++
+				}
+			}
+		}
+	}
+	var obs, exp []float64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			obs = append(obs, observed[i][j])
+			exp = append(exp, seeds*float64(d)/float64(n-1))
+		}
+	}
+	if stat, df, p := stats.ChiSquare(obs, exp); p < 1e-4 {
+		t.Errorf("randreg:%d,%d: χ² = %.1f on %d df, p = %.2g: pair inclusions are not exchangeable", n, d, stat, df, p)
+	}
+}

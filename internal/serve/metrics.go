@@ -14,7 +14,6 @@ package serve
 
 import (
 	"rumor/internal/experiment"
-	"rumor/internal/graph"
 	"rumor/internal/metrics"
 )
 
@@ -112,7 +111,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 		})
 	}
 	spillCounter("rumord_spill_writes_total", "Payloads persisted to the disk tier on eviction.",
-		func(sp *spill) int64 { return sp.writes.Load() })
+		func(sp *spill) int64 { return sp.dir.Writes() })
 	spillCounter("rumord_spill_write_bytes_total", "Payload bytes persisted to the disk tier.",
 		func(sp *spill) int64 { return sp.writeBytes.Load() })
 	spillCounter("rumord_spill_reads_total", "Lookups served from the disk tier.",
@@ -120,11 +119,11 @@ func newServeMetrics(s *Server) *serveMetrics {
 	spillCounter("rumord_spill_read_bytes_total", "Payload bytes replayed from the disk tier.",
 		func(sp *spill) int64 { return sp.readBytes.Load() })
 	spillCounter("rumord_spill_errors_total", "Failed spill writes/reads (corrupt files count here).",
-		func(sp *spill) int64 { return sp.errors.Load() })
+		func(sp *spill) int64 { return sp.dir.Errors() })
 	reg.GaugeFunc("rumord_spill_resident", "Valid entries resident on disk.",
 		func() float64 {
 			if sp := s.store.spill; sp != nil {
-				return float64(sp.resident.Load())
+				return float64(sp.dir.Resident())
 			}
 			return 0
 		})
@@ -141,8 +140,8 @@ func newServeMetrics(s *Server) *serveMetrics {
 		m.simByProto[p] = m.simSeconds.With(string(p))
 	}
 
-	// Graph substrate: the memo and the CSR disk store keep their own
-	// atomics (no import cycle); surface them here.
+	// Graph substrate: the memo and the configured CSR disk store keep
+	// their own atomics, which experiment reports; surface them here.
 	reg.CounterFunc("rumor_graph_memo_hits_total", "Deterministic-graph memo lookups served without building.",
 		func() float64 { calls, builds, _ := experiment.GraphMemoStats(); return float64(calls - builds) })
 	reg.CounterFunc("rumor_graph_memo_misses_total", "Deterministic-graph memo lookups that invoked a build.",
@@ -150,11 +149,11 @@ func newServeMetrics(s *Server) *serveMetrics {
 	reg.CounterFunc("rumor_graph_memo_evictions_total", "Graphs evicted from the memo LRU.",
 		func() float64 { _, _, ev := experiment.GraphMemoStats(); return float64(ev) })
 	reg.CounterFunc("rumor_graph_csr_opens_total", "Spilled CSR files reopened mmap-backed.",
-		func() float64 { opens, _, _ := graph.StoreStats(); return float64(opens) })
+		func() float64 { opens, _, _ := experiment.GraphStoreStats(); return float64(opens) })
 	reg.CounterFunc("rumor_graph_store_builds_total", "Graph builds invoked on CSR-store misses.",
-		func() float64 { _, builds, _ := graph.StoreStats(); return float64(builds) })
+		func() float64 { _, builds, _ := experiment.GraphStoreStats(); return float64(builds) })
 	reg.CounterFunc("rumor_graph_store_spills_total", "Built graphs encoded to the CSR store.",
-		func() float64 { _, _, spills := graph.StoreStats(); return float64(spills) })
+		func() float64 { _, _, spills := experiment.GraphStoreStats(); return float64(spills) })
 
 	return m
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rumor/internal/stats"
 )
 
 // postAsync submits to path with ?wait=0 semantics so held jobs do not
@@ -91,9 +93,9 @@ func TestQueueFull429CarriesRetryAfter(t *testing.T) {
 	// ceil((1+1)/0.5) = 4 seconds.
 	now := time.Now()
 	s.drainMu.Lock()
-	s.drain = completionRing{}
+	s.drain = stats.RateRing{}
 	for i := 0; i < 5; i++ {
-		s.drain.note(now.Add(-time.Duration(i) * time.Second))
+		s.drain.Note(now.Add(-time.Duration(i) * time.Second))
 	}
 	s.drainMu.Unlock()
 	if got := s.retryAfterSeconds(); got != 4 {
@@ -105,9 +107,9 @@ func TestQueueFull429CarriesRetryAfter(t *testing.T) {
 	waitUntil(t, "held jobs to finish", func() bool { return s.Stats().JobsLive == 0 })
 	// Idle server draining fast: the clamp floor keeps the hint at 1.
 	s.drainMu.Lock()
-	s.drain = completionRing{}
+	s.drain = stats.RateRing{}
 	for i := 0; i < 40; i++ {
-		s.drain.note(time.Now())
+		s.drain.Note(time.Now())
 	}
 	s.drainMu.Unlock()
 	if got := s.retryAfterSeconds(); got != 1 {

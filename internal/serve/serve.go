@@ -65,6 +65,7 @@ import (
 	"rumor/internal/experiment"
 	"rumor/internal/graph"
 	"rumor/internal/par"
+	"rumor/internal/stats"
 )
 
 // keyPrefix versions the request-identity scheme: bump it when the
@@ -194,7 +195,7 @@ type Server struct {
 	// drain tracks recent job completions so queue-full 429s can carry an
 	// honest Retry-After derived from the observed drain rate.
 	drainMu sync.Mutex
-	drain   completionRing
+	drain   stats.RateRing
 
 	// testRunGate, when set (tests only), runs at the top of each
 	// simulation; blocking it holds jobs in the running state so tests can
@@ -232,7 +233,7 @@ func (s *Server) SpillLen() int64 {
 	if s.store.spill == nil {
 		return 0
 	}
-	return s.store.spill.resident.Load()
+	return s.store.spill.dir.Resident()
 }
 
 // Draining reports whether Shutdown has stopped intake: submissions are
@@ -268,8 +269,8 @@ func (s *Server) Stats() Stats {
 	}
 	if sp := s.store.spill; sp != nil {
 		st.SpillHits = sp.hits.Load()
-		st.SpillWrites = sp.writes.Load()
-		st.SpillLen = sp.resident.Load()
+		st.SpillWrites = sp.dir.Writes()
+		st.SpillLen = sp.dir.Resident()
 	}
 	return st
 }
@@ -425,60 +426,8 @@ func (s *Server) finish(j *Job, resp []byte, err error) {
 	}
 	s.store.complete(j.ID, c, j.wake)
 	s.drainMu.Lock()
-	s.drain.note(time.Now())
+	s.drain.Note(time.Now())
 	s.drainMu.Unlock()
-}
-
-// completionRing holds recent completion timestamps; rate() reads the
-// drain rate off them. Guarded by Server.drainMu.
-type completionRing struct {
-	times  [256]time.Time
-	idx    int
-	filled bool
-}
-
-func (r *completionRing) note(t time.Time) {
-	r.times[r.idx] = t
-	r.idx++
-	if r.idx == len(r.times) {
-		r.idx = 0
-		r.filled = true
-	}
-}
-
-// rate returns completions per second over the trailing window. When the
-// ring wrapped inside the window the rate is computed over the span it
-// actually covers, so a fast burst is not underestimated.
-func (r *completionRing) rate(now time.Time, window time.Duration) float64 {
-	cutoff := now.Add(-window)
-	n := r.idx
-	if r.filled {
-		n = len(r.times)
-	}
-	count := 0
-	oldest := now
-	for i := 0; i < n; i++ {
-		t := r.times[i]
-		if t.After(cutoff) {
-			count++
-			if t.Before(oldest) {
-				oldest = t
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	span := window
-	if r.filled || count == len(r.times) {
-		if s := now.Sub(oldest); s > 0 && s < span {
-			span = s
-		}
-	}
-	if span <= 0 {
-		return 0
-	}
-	return float64(count) / span.Seconds()
 }
 
 // retryAfterSeconds derives the Retry-After for a queue-full 429: the
@@ -490,7 +439,7 @@ func (s *Server) retryAfterSeconds() int {
 	depth, _ := s.QueueDepth()
 	pending := depth + int(s.runningJobs.Load())
 	s.drainMu.Lock()
-	rate := s.drain.rate(time.Now(), 10*time.Second)
+	rate := s.drain.Rate(time.Now(), 10*time.Second)
 	s.drainMu.Unlock()
 	if rate <= 0 {
 		return 2

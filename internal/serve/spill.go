@@ -3,12 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"rumor/internal/cas"
 )
 
 // spill is the persistent result tier under the completed-result LRU:
@@ -18,20 +17,19 @@ import (
 // through memory → disk before recomputing. Because the stored bytes are
 // the exact response and stream frames a fresh run produced, a disk
 // replay is byte-identical to the original — across LRU churn and across
-// server restarts on the same directory.
+// server restarts on the same directory. Publishing, debris sweeping,
+// corrupt-file removal and the write/error/resident counters are the
+// content-addressed directory's (internal/cas); this file owns the entry
+// format.
 //
 // The tier is best-effort durable: a write failure loses nothing but the
 // shortcut (the engines recompute bit-identical bytes), so errors are
 // counted, not fatal.
 type spill struct {
-	dir        string
-	mu         sync.Mutex   // serializes the stat+rename publish step (accounting only)
-	writes     atomic.Int64 // files persisted (including overwrites)
+	dir        *cas.Dir
 	writeBytes atomic.Int64 // payload bytes persisted
 	hits       atomic.Int64 // lookups served from disk
 	readBytes  atomic.Int64 // payload bytes replayed from disk
-	errors     atomic.Int64 // failed writes/reads (corrupt files count here)
-	resident   atomic.Int64 // valid entries on disk (scanned at open, then tracked)
 }
 
 // spillEntry is the on-disk form of a completedJob. []byte fields
@@ -45,74 +43,26 @@ type spillEntry struct {
 	Final  []byte   `json:"final"`
 }
 
-// tmpDebrisAge is how old a leftover .tmp file must be before the
-// startup scan deletes it. Genuine debris (an interrupted write from a
-// crashed process) ages indefinitely and is collected on a later boot;
-// a young .tmp might be an in-flight write of another process sharing
-// the directory, which the scan must not destroy.
-const tmpDebrisAge = 15 * time.Minute
-
-// openSpill prepares the tier rooted at dir: creates the directory,
-// sweeps aged-out temp files from interrupted writes, and counts the
-// resident entries (the startup scan cmd/rumord logs).
+// openSpill opens the tier rooted at dir (see cas.Open: the startup scan
+// sweeps aged-out temp files and counts the resident entries cmd/rumord
+// logs).
 //
 // A data dir belongs to one server process at a time: the resident
 // count (and so SpillLen) tracks only this process's writes, and
 // concurrent replicas should each get their own directory — a shared
 // result tier behind a router is a follow-on (ROADMAP).
 func openSpill(dir string) (*spill, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: spill dir: %w", err)
-	}
-	sp := &spill{dir: dir}
-	entries, err := os.ReadDir(dir)
+	d, err := cas.Open(dir, ".json")
 	if err != nil {
-		return nil, fmt.Errorf("serve: spill scan: %w", err)
+		return nil, fmt.Errorf("serve: spill: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// An interrupted write; the rename never happened, so the entry
-			// was never visible. Remove it once it is unambiguously debris.
-			if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > tmpDebrisAge {
-				os.Remove(filepath.Join(dir, name))
-			}
-		case strings.HasSuffix(name, ".json") && isJobID(strings.TrimSuffix(name, ".json")):
-			sp.resident.Add(1)
-		}
-	}
-	return sp, nil
+	return &spill{dir: d}, nil
 }
 
-// isJobID reports whether s is a well-formed job ID (lowercase hex
-// SHA-256; the character rule is hexVal, shared with the store's shard
-// selector). Spill file names are derived from IDs, so anything else —
-// including path metacharacters from a hostile GET /v1/jobs/{id} — is
-// rejected before touching the filesystem.
-func isJobID(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if _, ok := hexVal(s[i]); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (sp *spill) path(id string) string { return filepath.Join(sp.dir, id+".json") }
-
-// write persists a completed payload under its content address. The
-// write is atomic (temp file + rename), so readers — concurrent or after
-// a crash — see either the full entry or none. Identical IDs hold
-// identical bytes by construction, so concurrent writers for one ID are
-// idempotent, not conflicting.
+// write persists a completed payload under its job ID. Failures are
+// deterministic to recompute; only successful payloads earn a disk slot.
 func (sp *spill) write(id string, c *completedJob) {
-	if !isJobID(id) || c.failed() {
-		// Failures are deterministic to recompute; only successful payloads
-		// earn a disk slot.
+	if c.failed() {
 		return
 	}
 	b, err := json.Marshal(spillEntry{
@@ -122,54 +72,38 @@ func (sp *spill) write(id string, c *completedJob) {
 		// completedJob has no unmarshalable fields; this cannot happen.
 		panic(fmt.Sprintf("serve: marshal spill entry: %v", err))
 	}
-	f, err := os.CreateTemp(sp.dir, id+".*.tmp")
-	if err != nil {
-		sp.errors.Add(1)
-		return
+	if sp.dir.Put(id, func(w io.Writer) error { _, err := w.Write(b); return err }) == nil {
+		sp.writeBytes.Add(int64(len(b)))
 	}
-	tmp := f.Name()
-	_, werr := f.Write(b)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp)
-		sp.errors.Add(1)
-		return
-	}
-	// Publish: the stat+rename pair runs under sp.mu so two concurrent
-	// writers of one ID cannot both count it as fresh. The payload write
-	// above stays unlocked; this critical section is metadata-only.
-	dst := sp.path(id)
-	sp.mu.Lock()
-	_, statErr := os.Stat(dst)
-	err = os.Rename(tmp, dst)
-	if err == nil && statErr != nil {
-		sp.resident.Add(1) // fresh entry, not an overwrite
-	}
-	sp.mu.Unlock()
-	if err != nil {
-		os.Remove(tmp)
-		sp.errors.Add(1)
-		return
-	}
-	sp.writes.Add(1)
-	sp.writeBytes.Add(int64(len(b)))
 }
 
-// read loads the payload spilled for id, if any. Corrupt entries (a torn
-// disk, a foreign file) are removed and reported as misses — the job
-// recomputes bit-identically.
-func (sp *spill) read(id string) (*completedJob, bool) {
-	if !isJobID(id) {
-		return nil, false
+// decodeSpill parses a spill file; ok is false for a corrupt one (a torn
+// disk, a foreign file).
+func decodeSpill(b []byte) (spillEntry, bool) {
+	var e spillEntry
+	if err := json.Unmarshal(b, &e); err != nil || len(e.Final) == 0 {
+		return e, false
 	}
-	b, err := os.ReadFile(sp.path(id))
+	return e, true
+}
+
+// read loads the payload spilled for id, if any. Corrupt entries are
+// dropped and reported as misses — the job recomputes bit-identically.
+func (sp *spill) read(id string) (*completedJob, bool) {
+	b, err := sp.dir.ReadFile(id)
 	if err != nil {
 		return nil, false
 	}
-	var e spillEntry
-	if err := json.Unmarshal(b, &e); err != nil || len(e.Final) == 0 {
-		sp.removeCorrupt(id)
-		sp.errors.Add(1)
+	e, ok := decodeSpill(b)
+	if !ok {
+		sp.dir.Drop(id, func(path string) bool {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return false // already gone
+			}
+			_, ok := decodeSpill(b)
+			return !ok
+		})
 		return nil, false
 	}
 	sp.hits.Add(1)
@@ -177,25 +111,4 @@ func (sp *spill) read(id string) (*completedJob, bool) {
 	return &completedJob{
 		resp: e.Resp, lines: e.Lines, final: e.Final, trials: e.Trials, points: e.Points,
 	}, true
-}
-
-// removeCorrupt deletes id's entry after re-verifying, under sp.mu, that
-// it is still corrupt: a concurrent write may have renamed a fresh valid
-// entry into place after the reader loaded the torn bytes, and writes
-// publish under the same lock, so the re-read is coherent. Corruption is
-// a rare crash-recovery path; paying a second read here is fine.
-func (sp *spill) removeCorrupt(id string) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	b, err := os.ReadFile(sp.path(id))
-	if err != nil {
-		return // already gone
-	}
-	var e spillEntry
-	if err := json.Unmarshal(b, &e); err == nil && len(e.Final) > 0 {
-		return // rewritten and valid; keep it
-	}
-	if os.Remove(sp.path(id)) == nil {
-		sp.resident.Add(-1)
-	}
 }

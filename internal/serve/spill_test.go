@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -208,7 +209,7 @@ func TestSpillRejectsHostileIDs(t *testing.T) {
 		}
 		sp.write(id, &completedJob{resp: []byte("{}\n"), final: []byte("{}\n")})
 	}
-	if n := sp.resident.Load(); n != 0 {
+	if n := sp.dir.Resident(); n != 0 {
 		t.Fatalf("hostile writes left %d files", n)
 	}
 }
@@ -226,13 +227,13 @@ func TestSpillCorruptEntryRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sp.resident.Load(); n != 1 {
+	if n := sp.dir.Resident(); n != 1 {
 		t.Fatalf("scan counted %d residents, want 1 (corruption detected lazily)", n)
 	}
 	if _, ok := sp.read(id); ok {
 		t.Fatal("corrupt entry produced a hit")
 	}
-	if n := sp.resident.Load(); n != 0 {
+	if n := sp.dir.Resident(); n != 0 {
 		t.Fatalf("resident = %d after corrupt read, want 0", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, id+".json")); !os.IsNotExist(err) {
@@ -242,7 +243,7 @@ func TestSpillCorruptEntryRecovery(t *testing.T) {
 	if _, ok := sp.read(id); ok {
 		t.Fatal("removed entry produced a hit")
 	}
-	if n := sp.resident.Load(); n != 0 {
+	if n := sp.dir.Resident(); n != 0 {
 		t.Fatalf("resident = %d after second read, want 0", n)
 	}
 	// A rewrite makes the id readable again.
@@ -250,7 +251,7 @@ func TestSpillCorruptEntryRecovery(t *testing.T) {
 	if c, ok := sp.read(id); !ok || string(c.final) != "{\"done\":true}\n" {
 		t.Fatal("rewritten entry not readable")
 	}
-	if n := sp.resident.Load(); n != 1 {
+	if n := sp.dir.Resident(); n != 1 {
 		t.Fatalf("resident = %d after rewrite, want 1", n)
 	}
 }
@@ -304,5 +305,54 @@ func TestSpillIgnoresEarlierSamplerGenerations(t *testing.T) {
 	}
 	if st := s.Stats(); st.Simulations != 1 || st.SpillHits != 0 {
 		t.Fatalf("%d simulations, %d spill reads; want 1 and 0", st.Simulations, st.SpillHits)
+	}
+}
+
+// TestSpillReadsParentLayout pins the on-disk layout: an entry written by
+// hand as <id>.json in the format every earlier version of the tier used
+// (base64 bytes under trials/resp/lines/final) is counted at startup and
+// served from disk as the reference bytes, with nothing simulated.
+func TestSpillReadsParentLayout(t *testing.T) {
+	const req = `{"graph":"star:40","protocol":"push","trials":3,"seed":9}`
+	spec := experiment.DefaultRunSpec()
+	if err := json.Unmarshal([]byte(req), &spec); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ComputeReference(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString
+	lines := make([]string, len(ref.Lines))
+	for i, l := range ref.Lines {
+		lines[i] = `"` + b64(l) + `"`
+	}
+	entry := fmt.Sprintf(`{"trials":3,"resp":"%s","lines":[%s],"final":"%s"}`,
+		b64(ref.Body), strings.Join(lines, ","), b64(ref.Final))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ref.ID+".json"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Options{Workers: 1, DataDir: dir})
+	if n := s.SpillLen(); n != 1 {
+		t.Fatalf("startup scan found %d entries, want 1", n)
+	}
+	code, hdr, body := postRun(t, ts, req)
+	if code != 200 || hdr.Get("X-Rumord-Source") != "disk" {
+		t.Fatalf("status %d source %q, want 200 from disk", code, hdr.Get("X-Rumord-Source"))
+	}
+	if !bytes.Equal(body, ref.Body) {
+		t.Fatalf("body %q is not the reference bytes", body)
+	}
+	want := make([]string, 0, len(ref.Lines)+1)
+	for _, l := range append(ref.Lines, ref.Final) {
+		want = append(want, strings.TrimSuffix(string(l), "\n"))
+	}
+	if got := streamLines(t, ts, ref.ID); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("stream replay %q differs from the reference %q", got, want)
+	}
+	if st := s.Stats(); st.Simulations != 0 || st.SpillHits != 1 {
+		t.Fatalf("%d simulations, %d spill reads; want 0 and 1", st.Simulations, st.SpillHits)
 	}
 }

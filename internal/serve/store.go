@@ -115,8 +115,8 @@ func (st *store) shardFor(id string) *storeShard {
 	return &st.shards[int(hi<<4|lo)%len(st.shards)]
 }
 
-// hexVal is the single definition of the ID alphabet (lowercase hex),
-// shared by the shard selector and spill.isJobID.
+// hexVal decodes one character of the ID alphabet (lowercase hex, the
+// alphabet cas.ValidName admits).
 func hexVal(c byte) (byte, bool) {
 	switch {
 	case c >= '0' && c <= '9':
