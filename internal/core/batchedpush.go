@@ -9,9 +9,32 @@ import (
 	"rumor/internal/xrand"
 )
 
-// pushLane is one trial's push state: the per-trial half of the serial
-// Push process (informed set, frontier, boundary bookkeeping, messages),
-// with the graph, sampler, and draw machinery shared across the bundle.
+// PushOptions configures the push protocol.
+type PushOptions struct {
+	// FailureProb is the probability that a transmission silently fails,
+	// modeling the random link failures of Elsässer & Sauerwald [22] that
+	// the paper's Lemma 4(a) relies on. Zero means reliable links.
+	FailureProb float64
+}
+
+// NewPush builds one push trial with the rumor placed on s in round zero:
+// the one-lane view of NewBatchedPush, push's only implementation. It
+// consumes exactly one value from rng (the protocol's stream seed).
+func NewPush(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushOptions) (Process, error) {
+	p, err := NewBatchedPush(g, s, []*xrand.RNG{rng}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newLaneView(p), nil
+}
+
+func errFailureProb(p float64) error {
+	return fmt.Errorf("core: FailureProb must be in [0,1), got %g", p)
+}
+
+// pushLane is one trial's push state (informed set, frontier, boundary
+// bookkeeping, messages); the graph, sampler, and draw machinery are
+// shared across the bundle.
 type pushLane struct {
 	informed *bitset.Set
 	frontier []graph.Vertex // all informed vertices, in discovery order
@@ -26,20 +49,23 @@ type pushLane struct {
 	messages int64
 }
 
-// BatchedPush runs K push trials in fused lockstep. Lanes step
-// back-to-back within each round — sharded across lanes when the bundle's
-// budget and the round's sender count allow, since each lane writes only
-// its own state — so the packed walk index and CSR neighbor array are
-// touched by all K frontier scans while cache-hot.
+// BatchedPush is the classic randomized rumor-spreading protocol (Section
+// 3) — in every round, every vertex informed in a previous round calls a
+// uniform random neighbor and informs it — for K trials in fused lockstep.
+// Lanes step back-to-back within each round — sharded across lanes when
+// the bundle's budget and the round's sender count allow, since each lane
+// writes only its own state — so the packed walk index and CSR neighbor
+// array are touched by all K frontier scans while cache-hot.
 // Every lane evaluates a round from the cheaper side of its cut (see
 // boundary.go): the frontier's sends, or — once Σ deg(U) < |I| — the
 // uninformed vertices' informed neighbors' replayed sends; and after two
-// stagnant rounds it enters the serial process's boundary mode, where only
-// informed vertices with an uninformed neighbor draw.
+// stagnant rounds it enters boundary mode, where only informed vertices
+// with an uninformed neighbor draw. Messages still count one send per
+// informed vertex per round, as the protocol defines.
 type BatchedPush struct {
 	g       *graph.Graph
 	src     graph.Vertex
-	seeds   []uint64 // per-lane exchange stream seeds, drawn like Push.seed
+	seeds   []uint64 // per-lane stream seeds, one draw from each lane's RNG
 	failTh  uint64
 	sampler neighborSampler
 	lanes   []pushLane
@@ -58,18 +84,14 @@ type BatchedPush struct {
 var _ LaneProcess = (*BatchedPush)(nil)
 
 // NewBatchedPush builds a K = len(rngs) lane push bundle. Lane t consumes
-// rngs[t] exactly as NewPush would (one stream seed), so lane t replays
-// serial trial t bit for bit. Observer configurations are rejected;
-// callers fall back to serial processes on the K = 1 lane path.
+// exactly one value from rngs[t] (its stream seed), so lane t of any
+// bundle replays the one-lane trial on the same RNG bit for bit.
 func NewBatchedPush(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts PushOptions) (*BatchedPush, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
 	if opts.FailureProb < 0 || opts.FailureProb >= 1 {
 		return nil, errFailureProb(opts.FailureProb)
-	}
-	if opts.Observer != nil {
-		return nil, fmt.Errorf("push: batched runs do not support observers")
 	}
 	p := &BatchedPush{
 		g:       g,
@@ -151,9 +173,9 @@ func (p *BatchedPush) laneShard(_, lo, hi int) {
 	}
 }
 
-// stepLane applies one push round to lane t: the serial Push.Step — resolve
-// the round's sends, then commit — with the finds coming from either side
-// of the cut.
+// stepLane applies one push round to lane t — the one definition of a
+// push round: resolve the round's sends, then commit — with the finds
+// coming from either side of the cut.
 func (p *BatchedPush) stepLane(t int) {
 	L := &p.lanes[t]
 	// Every informed vertex sends (and is counted), but only sends that
@@ -223,8 +245,7 @@ func (p *BatchedPush) stepLane(t int) {
 // draw redundant — collapse to one load-compare per word instead of 64
 // tests. Newly informed vertices join the frontier in vertex order rather
 // than draw order; draws are keyed by vertex id, never by frontier
-// position, so results are unchanged (the serial engine keeps the
-// draw-order commit, and the equivalence suite pins the two).
+// position, so results are unchanged.
 func (p *BatchedPush) commitWords(L *pushLane, targets []graph.Vertex) {
 	if L.drawn == nil {
 		L.drawn = bitset.New(p.g.N())

@@ -13,8 +13,10 @@ import (
 // is a pure function anybody can evaluate (neighborSampler.call), and
 // leaving a draw out shifts nobody else's randomness. The fused call
 // protocols (BatchedPush, BatchedPushPull, BatchedHybrid) use that twice,
-// and every Result stays bit-identical to the serial processes, which keep
-// the plain every-caller-draws evaluation as the reference.
+// and every Result stays bit-identical to the plain every-caller-draws
+// evaluation: the serial push-pull and hybrid keep it as the reference,
+// and push, whose bundle is its only implementation, is pinned by
+// TestGoldenEngines and TestExactPushLaw.
 //
 // Skip draws that cannot change state (boundary mode). Push skips informed
 // senders whose whole neighborhood is informed; push-pull and the hybrid's

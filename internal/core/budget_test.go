@@ -116,8 +116,8 @@ func TestBudgetForcedSerialEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lane := newProcessLane(p)
-				lane.setBudget(b)
+				lane := laneOf(p)
+				lane.(budgeted).setBudget(b)
 				var out [1]Result
 				driveBatch(g, lane, 4000, out[:], nil, 0)
 				return out[0]

@@ -37,9 +37,11 @@
 // resolved (boundary mode), and a round is evaluated from whichever side
 // of the informed/uninformed cut is cheaper, the other side's calls
 // replayed by the neighbors they may have reached — boundary.go states the
-// principle and the cost rule. Neither changes a Result; the serial
-// processes keep the plain every-caller evaluation the suites compare
-// against.
+// principle and the cost rule. Neither changes a Result: the serial
+// push-pull and hybrid keep the plain every-caller evaluation the suites
+// compare against, and push, which has no serial process, is held to a
+// record of every engine's outcomes (testdata/golden.json) and to its
+// exact law (internal/exact).
 //
 // # Lane-based multi-trial execution
 //
@@ -54,8 +56,10 @@
 // stream keying (xrand.TrialSeed) guarantees lane t draws exactly what
 // serial trial t would, so the []Result is bit-identical for every seed
 // and K — pinned by the lane-equivalence tests at GOMAXPROCS 1 and 8.
-// Configurations the fused bundles cannot express (churn, observers) run
-// serial processes on the K = 1 path.
+// Push exists only as its bundle: NewPush returns the one-lane view of
+// BatchedPush. For the other protocols, configurations the fused bundles
+// cannot express (churn, observers) run serial processes on the K = 1
+// path.
 package core
 
 import (
@@ -156,9 +160,12 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	base := p.Round()
 	left := max(maxRounds-base, 0)
 	var out [1]Result
-	lane := newProcessLane(p)
-	lane.setBudget(machineBudget())
+	lane := laneOf(p)
+	lane.(budgeted).setBudget(machineBudget())
 	driveBatch(g, lane, left, out[:], nil, 0)
+	if v, ok := p.(interface{ stepped(int) }); ok {
+		v.stepped(out[0].Rounds) // driveBatch stepped the view's bundle, not the view
+	}
 	res := out[0]
 	if base > 0 {
 		res.Rounds += base

@@ -568,26 +568,6 @@ func TestMeetExchangeChurnRuns(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryPushMessage(t *testing.T) {
-	g := graph.Complete(12)
-	var calls int64
-	p, err := NewPush(g, 0, xrand.New(41), PushOptions{
-		Observer: func(round int, from, to graph.Vertex) {
-			calls++
-			if !g.HasEdge(from, to) {
-				t.Fatalf("observer saw non-edge %d-%d", from, to)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(g, p, 0)
-	if calls != res.Messages {
-		t.Errorf("observer calls %d != messages %d", calls, res.Messages)
-	}
-}
-
 func TestVisitExchangeObserverSeesAgentSteps(t *testing.T) {
 	g := graph.Hypercube(4)
 	var calls int64

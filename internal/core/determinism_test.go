@@ -71,7 +71,8 @@ func runAt(t *testing.T, procs int, factory func(g *graph.Graph, s graph.Vertex,
 // (rounds, messages, full History) at GOMAXPROCS 1, 2, and 8, for every
 // protocol. Run hands a single trial the whole machine as its budget, so
 // the hypercube's dense rounds (n = 16384, four shards' worth of work)
-// split at 2 and 8 processors, while the star exercises mixed
+// split at 2 and 8 processors (push's one-lane bundle splits across lanes
+// only, so its rounds stay inline), while the star exercises mixed
 // degree-1/huge-degree paths and stays inline (see
 // TestBudgetForcedSerialEquivalence for small graphs under forced shards).
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {

@@ -18,9 +18,11 @@ import (
 // bundle with identical round/History/finalization semantics. The fused
 // protocol implementations (BatchedPush, BatchedPushPull,
 // BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid) are
-// LaneProcesses with K > 1; a serial Process becomes the K = 1 special case
-// through processLane. RunMany is RunManyLanes at K = 1, so serial and fused
-// sweeps share one worker pool, one error discipline, and one emitter.
+// LaneProcesses with K > 1; a single trial is the K = 1 special case: a
+// one-lane bundle behind a laneView (push, whose bundle is its only
+// implementation), or a serial Process behind a processLane. RunMany is
+// RunManyLanes at K = 1, so serial and fused sweeps share one worker pool,
+// one error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
 // streams keyed by the trial lane (xrand.TrialSeed(seed, t)) exactly as a
@@ -33,8 +35,8 @@ import (
 
 // LaneProcess is a bundle of K independent trials of one protocol stepping
 // in lockstep. Lanes are completely independent simulations; the bundle
-// exists so their hot loops can fuse. K = 1 recovers the serial engine
-// (see processLane).
+// exists so their hot loops can fuse. K = 1 is a single trial (see
+// laneView and processLane).
 type LaneProcess interface {
 	// Name returns the protocol name, identical to the serial Process.
 	Name() string
@@ -103,17 +105,61 @@ func (l *processLane) setBudget(b budget) {
 	}
 }
 
-// serialLanes wraps a per-trial Factory as a LaneFactory so serial
-// processes run on the unified driver. RunManyLanes only ever calls it
-// with one RNG per bundle (batchK 1).
+// serialLanes wraps a per-trial Factory as a LaneFactory so single trials
+// run on the unified driver, each as laneOf its Process. RunManyLanes only
+// ever calls it with one RNG per bundle (batchK 1).
 func serialLanes(factory Factory) LaneFactory {
 	return func(rngs []*xrand.RNG) (LaneProcess, error) {
 		p, err := factory(rngs[0])
 		if err != nil {
 			return nil, err
 		}
-		return newProcessLane(p), nil
+		return laneOf(p), nil
 	}
+}
+
+// laneOf returns the K = 1 LaneProcess that runs p: a view's own bundle,
+// or p behind a processLane.
+func laneOf(p Process) LaneProcess {
+	if v, ok := p.(interface{ bundle() LaneProcess }); ok {
+		return v.bundle()
+	}
+	return newProcessLane(p)
+}
+
+// laneView is the single-trial Process of a protocol whose one-lane
+// bundle is its only implementation (NewPush returns one). Step steps the
+// lane and Round counts Steps, as a bundle keeps no count. Run and RunMany
+// step the bundle itself (laneOf); Run then settles the count.
+type laneView[L laneBundle] struct {
+	lp     L
+	active []bool
+	round  int
+}
+
+// laneBundle is what a laneView needs of its bundle.
+type laneBundle interface {
+	LaneProcess
+	budgeted
+}
+
+func newLaneView[L laneBundle](lp L) *laneView[L] {
+	return &laneView[L]{lp: lp, active: []bool{true}}
+}
+
+func (v *laneView[L]) Name() string         { return v.lp.Name() }
+func (v *laneView[L]) Round() int           { return v.round }
+func (v *laneView[L]) Done() bool           { return v.lp.LaneDone(0) }
+func (v *laneView[L]) InformedCount() int   { return v.lp.LaneInformedCount(0) }
+func (v *laneView[L]) Messages() int64      { return v.lp.LaneMessages(0) }
+func (v *laneView[L]) Source() graph.Vertex { return v.lp.Source() }
+func (v *laneView[L]) setBudget(b budget)   { v.lp.setBudget(b) }
+func (v *laneView[L]) bundle() LaneProcess  { return v.lp }
+func (v *laneView[L]) stepped(rounds int)   { v.round += rounds }
+
+func (v *laneView[L]) Step() {
+	v.lp.Step(v.active)
+	v.round++
 }
 
 // batchK is the default (and maximum) number of trials fused per bundle.

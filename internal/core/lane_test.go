@@ -19,7 +19,10 @@ import (
 // test-sized bundles inline at any GOMAXPROCS, again under inner budgets
 // {1, 2, 8} forced through the hook (see budget_test.go), so the sharded
 // lane passes, dense draws and walk steps stay pinned; batched_test.go
-// pins visit-exchange and meet-exchange the same way.
+// pins visit-exchange and meet-exchange the same way. Push's serial
+// reference is the K = 1 view NewPush returns, its bundle being its only
+// implementation; golden_test.go and exact_test.go hold that view to
+// outcomes the bundle did not produce.
 
 // laneProto pairs a serial factory with its fused bundle factory.
 type laneProto struct {

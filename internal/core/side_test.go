@@ -17,7 +17,11 @@ import (
 // the serial process's. The serial processes know nothing of sides, and
 // until they stagnate they draw every caller in their own loops
 // (neighborSampler.sample or the inlined packed index), not through call:
-// they are the independent reference.
+// they are the independent reference. Push has no serial process: its
+// reference is the K = 1 view of its bundle under the rule, so forced
+// sides, wider bundles and the CSR fallback are checked against the
+// rule's one-lane run, which TestGoldenEngines and TestExactPushLaw hold
+// to outcomes the bundle did not produce.
 
 // sideHooks reaches the unexported side state of the three fused call
 // bundles.
@@ -442,7 +446,7 @@ func TestBudgetSparseLaneWork(t *testing.T) {
 // positive degree), a protocol, a bundle width, a seed and a round cutoff
 // (disconnected inputs never finish); the fused bundle — under the rule
 // and forced to each side, on the packed index or the CSR fallback — must
-// return the serial processes' Results.
+// return the serial processes' Results (for push, the K = 1 view's).
 func FuzzSmallerSideVsSerial(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 20, 1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5})                        // path, push
 	f.Add([]byte{9, 2, 3, 30, 7, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})                        // star + isolated, push-pull
