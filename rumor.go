@@ -248,7 +248,7 @@ var RunDistributedVisitExchange = distnet.RunVisitExchange
 type EdgeUsage = trace.EdgeUsage
 
 // NewEdgeUsage returns an edge-usage counter; wire its Observe method into
-// PushOptions.Observer / AgentOptions.Observer.
+// PushPullOptions.Observer / AgentOptions.Observer.
 var NewEdgeUsage = trace.NewEdgeUsage
 
 // Experiment harness: the registry that regenerates every figure and
