@@ -143,6 +143,9 @@ func (p *BatchedPush) LaneAllAgentsInformed(int) bool { return false }
 
 func (p *BatchedPush) setBudget(b budget) { p.budget = b }
 
+// Round returns the number of rounds the bundle has stepped.
+func (p *BatchedPush) Round() int { return p.round }
+
 // Step implements LaneProcess.
 func (p *BatchedPush) Step(active []bool) {
 	p.round++

@@ -117,7 +117,7 @@ func TestBudgetForcedSerialEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				lane := laneOf(p)
-				lane.(budgeted).setBudget(b)
+				lane.setBudget(b)
 				var out [1]Result
 				driveBatch(g, lane, 4000, out[:], nil, 0)
 				return out[0]

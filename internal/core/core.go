@@ -161,11 +161,8 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	left := max(maxRounds-base, 0)
 	var out [1]Result
 	lane := laneOf(p)
-	lane.(budgeted).setBudget(machineBudget())
+	lane.setBudget(machineBudget())
 	driveBatch(g, lane, left, out[:], nil, 0)
-	if v, ok := p.(interface{ stepped(int) }); ok {
-		v.stepped(out[0].Rounds) // driveBatch stepped the view's bundle, not the view
-	}
 	res := out[0]
 	if base > 0 {
 		res.Rounds += base

@@ -22,8 +22,7 @@ import (
 
 const (
 	exactAlpha  = 1e-3
-	exactTrials = 500   // per graph, source, failure probability and path
-	exactTail   = 1e-12 // law mass PushPMF may leave unfinished
+	exactTrials = 500 // per graph, source, failure probability and path
 )
 
 // lawCheck is one comparison of engine samples with a law.
@@ -180,7 +179,7 @@ func TestExactPushLaw(t *testing.T) {
 	seed := uint64(0)
 	for _, c := range cases {
 		for _, f := range []float64{0, 0.25} {
-			pmf, err := exact.PushPMF(c.g, c.src, f, exactTail)
+			pmf, err := exact.PushPMF(c.g, c.src, f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,6 +87,7 @@ func (l *processLane) LaneDone(int) bool         { return l.p.Done() }
 func (l *processLane) LaneInformedCount(int) int { return l.p.InformedCount() }
 func (l *processLane) LaneMessages(int) int64    { return l.p.Messages() }
 func (l *processLane) Source() graph.Vertex      { return l.src }
+func (l *processLane) Round() int                { return l.p.Round() }
 
 func (l *processLane) Step(active []bool) {
 	if active[0] {
@@ -118,49 +119,43 @@ func serialLanes(factory Factory) LaneFactory {
 	}
 }
 
-// laneOf returns the K = 1 LaneProcess that runs p: a view's own bundle,
-// or p behind a processLane.
-func laneOf(p Process) LaneProcess {
-	if v, ok := p.(interface{ bundle() LaneProcess }); ok {
-		return v.bundle()
+// laneOf returns the K = 1 bundle that runs p: a view's own bundle, or p
+// behind a processLane.
+func laneOf(p Process) laneBundle {
+	if v, ok := p.(*laneView); ok {
+		return v.lp
 	}
 	return newProcessLane(p)
 }
 
-// laneView is the single-trial Process of a protocol whose one-lane
-// bundle is its only implementation (NewPush returns one). Step steps the
-// lane and Round counts Steps, as a bundle keeps no count. Run and RunMany
-// step the bundle itself (laneOf); Run then settles the count.
-type laneView[L laneBundle] struct {
-	lp     L
-	active []bool
-	round  int
-}
-
-// laneBundle is what a laneView needs of its bundle.
+// laneBundle is a K = 1 bundle that takes a shard budget and counts the
+// rounds it has stepped.
 type laneBundle interface {
 	LaneProcess
 	budgeted
+	Round() int
 }
 
-func newLaneView[L laneBundle](lp L) *laneView[L] {
-	return &laneView[L]{lp: lp, active: []bool{true}}
+// laneView is the single-trial Process of a protocol whose one-lane
+// bundle is its only implementation (NewPush returns one). Run and RunMany
+// step the bundle itself (laneOf).
+type laneView struct {
+	lp     laneBundle
+	active []bool
 }
 
-func (v *laneView[L]) Name() string         { return v.lp.Name() }
-func (v *laneView[L]) Round() int           { return v.round }
-func (v *laneView[L]) Done() bool           { return v.lp.LaneDone(0) }
-func (v *laneView[L]) InformedCount() int   { return v.lp.LaneInformedCount(0) }
-func (v *laneView[L]) Messages() int64      { return v.lp.LaneMessages(0) }
-func (v *laneView[L]) Source() graph.Vertex { return v.lp.Source() }
-func (v *laneView[L]) setBudget(b budget)   { v.lp.setBudget(b) }
-func (v *laneView[L]) bundle() LaneProcess  { return v.lp }
-func (v *laneView[L]) stepped(rounds int)   { v.round += rounds }
-
-func (v *laneView[L]) Step() {
-	v.lp.Step(v.active)
-	v.round++
+func newLaneView(lp laneBundle) *laneView {
+	return &laneView{lp: lp, active: []bool{true}}
 }
+
+func (v *laneView) Name() string         { return v.lp.Name() }
+func (v *laneView) Round() int           { return v.lp.Round() }
+func (v *laneView) Done() bool           { return v.lp.LaneDone(0) }
+func (v *laneView) InformedCount() int   { return v.lp.LaneInformedCount(0) }
+func (v *laneView) Messages() int64      { return v.lp.LaneMessages(0) }
+func (v *laneView) Source() graph.Vertex { return v.lp.Source() }
+func (v *laneView) setBudget(b budget)   { v.lp.setBudget(b) }
+func (v *laneView) Step()                { v.lp.Step(v.active) }
 
 // batchK is the default (and maximum) number of trials fused per bundle.
 // Eight lanes amortize the per-unit loop overhead and keep every lane's

@@ -15,6 +15,9 @@ import (
 // informed subsets.
 const MaxN = 12
 
+// tail is the law mass PushPMF may leave unfinished.
+const tail = 1e-14
+
 // PushPMF returns the law of push's broadcast time from src on the
 // connected graph g when every call fails independently with probability
 // f: pmf[t] = P(T = t). Push has the paper's snapshot semantics (Section
@@ -23,7 +26,7 @@ const MaxN = 12
 // informed in round t first calls in round t+1. The program carries the
 // law of the informed set forward one round at a time and stops once less
 // than tail of the mass is still unfinished, so 1 − Σ pmf < tail.
-func PushPMF(g *graph.Graph, src graph.Vertex, f, tail float64) ([]float64, error) {
+func PushPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
 	n := g.N()
 	switch {
 	case n < 2 || n > MaxN:
@@ -34,8 +37,6 @@ func PushPMF(g *graph.Graph, src graph.Vertex, f, tail float64) ([]float64, erro
 		return nil, fmt.Errorf("exact: %s is disconnected; push never finishes", g.Name())
 	case f < 0 || f >= 1:
 		return nil, fmt.Errorf("exact: failure probability %g outside [0, 1)", f)
-	case tail <= 0:
-		return nil, fmt.Errorf("exact: tail %g must be positive", tail)
 	}
 	full := uint32(1)<<n - 1
 	cur, next, sends, step := newLaw(n), newLaw(n), newLaw(n), newLaw(n)

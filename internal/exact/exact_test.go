@@ -9,7 +9,7 @@ import (
 
 func pmfOf(t *testing.T, g *graph.Graph, src graph.Vertex, f float64) []float64 {
 	t.Helper()
-	pmf, err := PushPMF(g, src, f, 1e-14)
+	pmf, err := PushPMF(g, src, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +93,17 @@ func TestPushPMFRejects(t *testing.T) {
 	}
 	edge := graph.Path(2)
 	for _, c := range []struct {
-		name    string
-		g       *graph.Graph
-		src     graph.Vertex
-		f, tail float64
+		name string
+		g    *graph.Graph
+		src  graph.Vertex
+		f    float64
 	}{
-		{"disconnected", split, 0, 0, 1e-9},
-		{"too large", graph.Star(MaxN), 0, 0, 1e-9},
-		{"source out of range", edge, 2, 0, 1e-9},
-		{"f = 1", edge, 0, 1, 1e-9},
-		{"no tail", edge, 0, 0, 0},
+		{"disconnected", split, 0, 0},
+		{"too large", graph.Star(MaxN), 0, 0},
+		{"source out of range", edge, 2, 0},
+		{"f = 1", edge, 0, 1},
 	} {
-		if _, err := PushPMF(c.g, c.src, c.f, c.tail); err == nil {
+		if _, err := PushPMF(c.g, c.src, c.f); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
