@@ -346,7 +346,7 @@ type harness struct {
 	mismatch   []string
 
 	recentMu sync.Mutex
-	recent   []string // completed job IDs for poll traffic
+	recent   []*serve.Reference // completed jobs, for poll traffic
 
 	// obs counts the X-Rumord-Source values the clients actually saw,
 	// attributed to the backend X-Rumorgw-Backend names — the ground
@@ -855,7 +855,7 @@ func (h *harness) doRun(ctx context.Context, rs *refSpec, ctr *atomic.Int64) {
 			}
 			ctr.Add(1)
 			h.noteSource(hdr)
-			h.noteRecent(rs.ref.ID)
+			h.noteRecent(&rs.ref)
 			return 0, true, nil
 		case status == http.StatusServiceUnavailable, status == http.StatusBadGateway, status == http.StatusTooManyRequests:
 			return retryAfterOf(hdr), false, nil
@@ -879,7 +879,7 @@ func (h *harness) doSweep(ctx context.Context, rs *refSweep) {
 			}
 			h.ctr.sweeps.Add(1)
 			h.noteSource(hdr)
-			h.noteRecent(rs.ref.ID)
+			h.noteRecent(&rs.ref)
 			return 0, true, nil
 		case status == http.StatusServiceUnavailable, status == http.StatusBadGateway, status == http.StatusTooManyRequests:
 			return retryAfterOf(hdr), false, nil
@@ -929,7 +929,7 @@ func (h *harness) doStream(ctx context.Context, rs *refSpec) {
 		}
 		if bytes.Equal(got, want) {
 			h.ctr.streams.Add(1)
-			h.noteRecent(id)
+			h.noteRecent(&rs.ref)
 			return 0, true, nil
 		}
 		if bytes.HasPrefix(want, got) {
@@ -944,16 +944,18 @@ func (h *harness) doStream(ctx context.Context, rs *refSpec) {
 
 // doPoll GETs the status of a recently completed job. Backends hold
 // results in memory only, so after a kill the job may be gone everywhere
-// — a 404 is a recorded miss, not a failure.
+// — a 404 is a recorded miss, not a failure — or be running again where a
+// retry re-created it. A done poll must embed the reference result, byte
+// for byte, whether a backend or the gateway's held poll answered it.
 func (h *harness) doPoll(ctx context.Context) {
-	id, ok := h.takeRecent()
+	ref, ok := h.takeRecent()
 	if !ok {
 		return
 	}
-	h.retryLoop(ctx, "poll "+id[:12], func(ctx context.Context) (time.Duration, bool, error) {
+	h.retryLoop(ctx, "poll "+ref.ID[:12], func(ctx context.Context) (time.Duration, bool, error) {
 		reqCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
-		req, err := http.NewRequestWithContext(reqCtx, "GET", h.gwURL+"/v1/jobs/"+id, nil)
+		req, err := http.NewRequestWithContext(reqCtx, "GET", h.gwURL+"/v1/jobs/"+ref.ID, nil)
 		if err != nil {
 			return 0, false, nil
 		}
@@ -968,6 +970,9 @@ func (h *harness) doPoll(ctx context.Context) {
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
+			if err := checkPoll(body, ref.Body); err != nil {
+				return 0, false, err
+			}
 			h.ctr.polls.Add(1)
 			return 0, true, nil
 		case http.StatusNotFound:
@@ -982,20 +987,45 @@ func (h *harness) doPoll(ctx context.Context) {
 	})
 }
 
-func (h *harness) noteRecent(id string) {
+// checkPoll verifies a 200 poll body: a done job's embedded result must be
+// the reference body (which ends in the newline the embedding drops). A
+// queued or running job has no result yet, and neither has a job a
+// re-created copy just finished: a backend reports it done a moment
+// before its result reaches the backend's store. Nothing else passes.
+func checkPoll(body, want []byte) error {
+	var st struct {
+		Status string          `json:"status"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		return fmt.Errorf("poll body does not decode: %v: %s", err, truncate(body))
+	}
+	switch st.Status {
+	case "done":
+		if len(st.Result) > 0 && !bytes.Equal(append(st.Result, '\n'), want) {
+			return fmt.Errorf("done poll's result diverged from reference (%d vs %d bytes)", len(st.Result)+1, len(want))
+		}
+		return nil
+	case "queued", "running":
+		return nil
+	}
+	return fmt.Errorf("poll status %q: %s", st.Status, truncate(body))
+}
+
+func (h *harness) noteRecent(ref *serve.Reference) {
 	h.recentMu.Lock()
-	h.recent = append(h.recent, id)
+	h.recent = append(h.recent, ref)
 	if len(h.recent) > 64 {
 		h.recent = h.recent[len(h.recent)-64:]
 	}
 	h.recentMu.Unlock()
 }
 
-func (h *harness) takeRecent() (string, bool) {
+func (h *harness) takeRecent() (*serve.Reference, bool) {
 	h.recentMu.Lock()
 	defer h.recentMu.Unlock()
 	if len(h.recent) == 0 {
-		return "", false
+		return nil, false
 	}
 	return h.recent[len(h.recent)-1], true
 }

@@ -69,3 +69,27 @@ func TestWorkloadReferences(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckPoll: a done poll that embeds a result passes only with the
+// reference result; a queued or running poll, or a done one whose result
+// has not reached the backend's store yet, has nothing to check; a failed
+// or undecodable poll is a hard failure.
+func TestCheckPoll(t *testing.T) {
+	want := []byte(`{"rounds":3}` + "\n")
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"job":"j","status":"done","result":{"rounds":3}}`, true},
+		{`{"job":"j","status":"done","result":{"rounds":4}}`, false},
+		{`{"job":"j","status":"done"}`, true},
+		{`{"job":"j","status":"queued"}`, true},
+		{`{"job":"j","status":"running","emitted":1}`, true},
+		{`{"job":"j","status":"failed","error":"boom"}`, false},
+		{`not json`, false},
+	} {
+		if err := checkPoll([]byte(tc.body), want); (err == nil) != tc.ok {
+			t.Errorf("checkPoll(%s) = %v, want ok %v", tc.body, err, tc.ok)
+		}
+	}
+}

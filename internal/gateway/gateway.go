@@ -23,9 +23,11 @@
 // backend has answered a waited run or sweep from a store (its cache, its
 // disk tier, or an in-flight job it joined), the gateway holds that reply
 // under the job ID and answers the next waited request for it after
-// admission, with no backend hop. Held replies live in the job-ID memory
-// that stream rerun already keeps, bounded by bytes, and die with the
-// process.
+// admission, with no backend hop. Reads of a finished job are held the
+// same way: its poll once the backend reports it done, and its stream once
+// the terminal frame reports done without an error. Held replies live in
+// the job-ID memory that stream rerun already keeps, bounded by bytes, and
+// die with the process.
 package gateway
 
 import (
@@ -156,26 +158,36 @@ func (o Options) readmitAfter() int {
 // charged specCost, and the least recently used entries go once the total
 // passes specMemoryBytes. Every entry costs at least specEntryOverhead
 // (roughly its LRU node, map slot and slice headers), so the byte budget
-// also bounds the entry count.
+// also bounds the entry count. A reply larger than maxHeldBytes is relayed
+// but not held, so a few big replies cannot flush the memory.
 const (
 	specMemoryBytes   = 32 << 20
 	specEntryOverhead = 256
+	maxHeldBytes      = specMemoryBytes / 256
 )
 
-// rerunSpec is what the gateway remembers about a request it routed: the
-// endpoint and the original body, enough to re-create the job on another
-// backend if the one streaming it dies mid-stream — and, once a backend
-// has replayed the job's result, that result, so the next waited request
-// for the job is answered without a backend hop.
-type rerunSpec struct {
-	path string // "/v1/run" or "/v1/sweep"
-	body []byte
-	resp []byte // held 200 body; nil until a backend answered from a store
+// jobEntry is what the gateway remembers about a job submitted through
+// it: the endpoint and the original body, enough to re-create the job on
+// another backend if the one streaming it dies mid-stream — and, as
+// backends answer reads of the job, the replies that answer the next such
+// read without a backend hop. Every backend answers a job with the same
+// bytes, so a filled reply slot is never replaced.
+type jobEntry struct {
+	path   string // "/v1/run" or "/v1/sweep"
+	body   []byte
+	resp   []byte // a waited submission's 200, once a backend answered it from a store
+	poll   []byte // GET /v1/jobs/{id}'s 200, once it reported the job done
+	stream []byte // GET /v1/jobs/{id}/stream's NDJSON, once it ended done without an error
 }
 
+// The reply slots of a jobEntry, as hold takes them.
+func respSlot(e *jobEntry) *[]byte   { return &e.resp }
+func pollSlot(e *jobEntry) *[]byte   { return &e.poll }
+func streamSlot(e *jobEntry) *[]byte { return &e.stream }
+
 // specCost prices one job-ID memory entry against specMemoryBytes.
-func specCost(id string, s rerunSpec) int64 {
-	return int64(len(id) + cap(s.body) + cap(s.resp) + specEntryOverhead)
+func specCost(id string, e jobEntry) int64 {
+	return int64(len(id) + cap(e.body) + cap(e.resp) + cap(e.poll) + cap(e.stream) + specEntryOverhead)
 }
 
 // Gateway fronts the ring. Create with New, expose with Handler, stop
@@ -185,10 +197,10 @@ type Gateway struct {
 	ring     *ring
 	backends []*backend
 	client   *http.Client
-	specs    *lru.Cache[string, rerunSpec] // job ID → request (+ held reply)
+	specs    *lru.Cache[string, jobEntry] // job ID → request (+ held replies)
 
 	requests      atomic.Int64 // proxied requests accepted for routing
-	held          atomic.Int64 // waited submissions answered from a held reply
+	held          atomic.Int64 // requests answered from a held reply
 	retries       atomic.Int64 // extra attempts after a failed one
 	failovers     atomic.Int64 // retries that moved to a different backend
 	shed          atomic.Int64 // 503s for keys with no healthy backend
@@ -235,7 +247,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:   opts,
 		ring:   newRing(addrs, opts.replicas()),
 		client: client,
-		specs:  lru.New[string, rerunSpec](specMemoryBytes / specEntryOverhead),
+		specs:  lru.New[string, jobEntry](specMemoryBytes / specEntryOverhead),
 		stop:   make(chan struct{}),
 	}
 	g.specs.SetCost(specMemoryBytes, specCost)
@@ -276,6 +288,9 @@ func (g *Gateway) Close() {
 //	GET  /v1/jobs/{id}/stream proxied NDJSON; resumes by rerun on failure
 //	GET  /v1/healthz          gateway + per-backend health and counters
 //	GET  /metrics             Prometheus text exposition
+//
+// Submissions, polls and streams of a finished job may be answered from
+// a held reply instead (see the package doc).
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", g.handleRun)
@@ -331,23 +346,43 @@ func (g *Gateway) aggregateHeadroom() (int, bool) {
 
 // remember stores the original request for id so a dying stream can be
 // resumed by re-running the job on another backend. An ID already
-// remembered keeps its entry: that entry may hold a reply, and the
+// remembered keeps its entry: that entry may hold replies, and the
 // request it carries is as good as this one.
 func (g *Gateway) remember(id, path string, body []byte) {
-	g.specs.GetOrBuild(id, func() rerunSpec {
-		return rerunSpec{path: path, body: bytes.Clone(body)}
+	g.specs.GetOrBuild(id, func() jobEntry {
+		return jobEntry{path: path, body: bytes.Clone(body)}
 	})
 }
 
-// hold adds resp to id's remembered request as the reply to its waited
-// requests. Every backend answers a job with the same bytes, so an entry
-// that already holds a reply is left as it is, and one the budget evicted
-// meanwhile is not brought back.
-func (g *Gateway) hold(id string, resp []byte) {
-	if s, ok := g.specs.Get(id); ok && s.resp == nil {
-		s.resp = bytes.Clone(resp)
-		g.specs.Put(id, s)
+// hold puts a copy of reply into the slot of id's entry that slot picks.
+// Only an empty slot of a remembered entry is filled: a held reply is
+// never replaced, and an entry the budget evicted meanwhile is not
+// brought back. The read-modify-write runs under the memory's lock, so
+// holds of different slots of one entry never drop each other.
+func (g *Gateway) hold(id string, reply []byte, slot func(*jobEntry) *[]byte) {
+	if len(reply) > maxHeldBytes {
+		return
 	}
+	reply = bytes.Clone(reply)
+	g.specs.Update(id, func(e jobEntry) (jobEntry, bool) {
+		if p := slot(&e); *p == nil {
+			*p = reply
+			return e, true
+		}
+		return e, false
+	})
+}
+
+// writeHeld answers a request about job id from a held reply, with no
+// backend hop.
+func (g *Gateway) writeHeld(w http.ResponseWriter, id, contentType string, reply []byte) {
+	g.held.Add(1)
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("X-Rumord-Job", id)
+	h.Set("X-Rumorgw-Source", "held")
+	w.WriteHeader(http.StatusOK)
+	w.Write(reply)
 }
 
 // BackendHealth is one backend's entry in the gateway health report.
@@ -366,7 +401,7 @@ type BackendHealth struct {
 // read by cmd/soak for its exit summary.
 type Stats struct {
 	Requests      int64 `json:"requests"` // proxied; held replies are not counted
-	Held          int64 `json:"held"`     // waited submissions answered from a held reply
+	Held          int64 `json:"held"`     // requests answered from a held reply
 	Retries       int64 `json:"retries"`
 	Failovers     int64 `json:"failovers"`
 	Shed          int64 `json:"shed"`

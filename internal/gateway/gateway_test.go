@@ -177,8 +177,9 @@ func TestLoadShedWhenAllDown(t *testing.T) {
 	}
 }
 
-// TestBadRequestsDontBurnRetries: a malformed spec is rejected at the
-// gateway with 400 before any backend attempt.
+// TestBadRequestsDontBurnRetries: a malformed spec — including a graph
+// outside its family's parsed domain — is rejected at the gateway with
+// 400 before any backend attempt.
 func TestBadRequestsDontBurnRetries(t *testing.T) {
 	var hits atomic.Int32
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -191,6 +192,10 @@ func TestBadRequestsDontBurnRetries(t *testing.T) {
 	for _, body := range []string{
 		`{"graph":"star:16","bogus":1}`,
 		`{"graph":"nonsense:4","protocol":"push","trials":1}`,
+		`{"graph":"hypercube:31","protocol":"push","trials":1}`,
+		`{"graph":"randreg:9,3","protocol":"push","trials":1}`,
+		`{"graph":"randreg:10,11","protocol":"push","trials":1}`,
+		`{"graph":"star:3000000000","protocol":"push","trials":1}`,
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))

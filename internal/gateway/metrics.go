@@ -83,9 +83,9 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 
 	reg.CounterFunc("rumorgw_requests_total", "Proxied requests accepted for routing.",
 		func() float64 { return float64(g.requests.Load()) })
-	reg.CounterFunc("rumorgw_held_replies_total", "Waited submissions answered from a held reply, with no backend hop.",
+	reg.CounterFunc("rumorgw_held_replies_total", "Requests answered from a held reply, with no backend hop: waited submissions, polls of done jobs and streams of finished ones.",
 		func() float64 { return float64(g.held.Load()) })
-	reg.GaugeFunc("rumorgw_held_bytes", "Bytes charged to the job-ID memory (remembered requests and held replies).",
+	reg.GaugeFunc("rumorgw_held_bytes", "Bytes charged to the job-ID memory (remembered requests and held submission, poll and stream replies).",
 		func() float64 { total, _ := g.specs.Cost(); return float64(total) })
 	reg.CounterFunc("rumorgw_retries_total", "Extra proxy attempts after a failed one.",
 		func() float64 { return float64(g.retries.Load()) })

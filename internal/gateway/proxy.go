@@ -295,19 +295,14 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request, id, path string
 	}
 	defer release()
 	waited := r.URL.Query().Get("wait") != "0"
-	if s, _ := g.specs.Get(id); waited && s.resp != nil {
-		g.held.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Rumord-Job", id)
-		w.Header().Set("X-Rumorgw-Source", "held")
-		w.WriteHeader(http.StatusOK)
-		w.Write(s.resp)
+	if e, _ := g.specs.Get(id); waited && e.resp != nil {
+		g.writeHeld(w, id, "application/json", e.resp)
 		return
 	}
 	g.remember(id, path, body)
 	resp := g.proxyBuffered(w, r, id, path, body, proxyPolicy{attempts: g.opts.attempts()})
 	if waited && storeReplay(resp) {
-		g.hold(id, resp.body)
+		g.hold(id, resp.body, respSlot)
 	}
 }
 
@@ -399,15 +394,39 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	g.submit(w, r, serve.SweepJobID(points), "/v1/sweep", body)
 }
 
-// handleJob proxies GET /v1/jobs/{id}. The ring makes the job's owner
-// the first candidate, but a job may live elsewhere (it predates a ring
-// change, or a failover re-ran it), so 404s walk the whole ring before
-// the gateway reports one.
+// handleJob serves GET /v1/jobs/{id}: from the held poll when there is
+// one, else by proxy. The ring makes the job's owner the first candidate,
+// but a job may live elsewhere (it predates a ring change, or a failover
+// re-ran it), so 404s walk the whole ring before the gateway reports one.
+// A final poll of a job submitted through this gateway is held.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer g.m.timeRoute("job")()
 	id := r.PathValue("id")
-	g.proxyBuffered(w, r, id, "/v1/jobs/"+id, nil, proxyPolicy{
+	e, known := g.specs.Get(id)
+	if e.poll != nil {
+		g.writeHeld(w, id, "application/json", e.poll)
+		return
+	}
+	resp := g.proxyBuffered(w, r, id, "/v1/jobs/"+id, nil, proxyPolicy{
 		attempts:  g.opts.attempts(),
 		spread404: true,
 	})
+	if known && finalPoll(resp) {
+		g.hold(id, resp.body, pollSlot)
+	}
+}
+
+// finalPoll reports whether resp is a poll body that can no longer
+// change: a 200 whose status is "done" and which embeds the result. A
+// poll that races the job's move into the backend's store reports done
+// without the result, and is not final.
+func finalPoll(resp *bufferedResponse) bool {
+	if resp == nil || resp.status != http.StatusOK {
+		return false
+	}
+	var st struct {
+		Status string          `json:"status"`
+		Result json.RawMessage `json:"result"`
+	}
+	return json.Unmarshal(resp.body, &st) == nil && st.Status == "done" && len(st.Result) > 0
 }

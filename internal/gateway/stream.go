@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 )
 
@@ -19,18 +20,30 @@ type streamState struct {
 	delivered int  // frames already written to the client
 	headerOut bool // response header written (commits us to 200)
 	finished  bool // terminal frame delivered
+	// keep reports whether the frames written so far are collected in
+	// frames, to be held once the stream ends done without an error.
+	keep   bool
+	frames []byte
 }
 
-// handleStream proxies GET /v1/jobs/{id}/stream. Frames for a given job
-// are byte-identical wherever and whenever it runs, so the gateway can
+// handleStream serves GET /v1/jobs/{id}/stream: from the held stream
+// when there is one, else by proxy. Frames for a given job are
+// byte-identical wherever and whenever it runs, so the gateway can
 // survive a backend dying mid-stream: fail over to the next ring node,
 // re-create the job there if needed from the remembered request
 // (resume-by-rerun), skip the frames the client already has, and keep
-// going — the client sees one seamless, complete stream.
+// going — the client sees one seamless, complete stream. A complete
+// stream of a job submitted through this gateway is held, unless its
+// terminal frame reports an error.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer g.m.timeRoute("stream")()
-	g.requests.Add(1)
 	id := r.PathValue("id")
+	e, known := g.specs.Get(id)
+	if e.stream != nil {
+		g.writeHeld(w, id, "application/x-ndjson", e.stream)
+		return
+	}
+	g.requests.Add(1)
 	cands, down := g.candidates(id)
 	if len(cands) == 0 {
 		g.shed.Add(1)
@@ -39,7 +52,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 			"all %d ring backends for this key are unhealthy; retry after the next health sweep", down)
 		return
 	}
-	st := &streamState{id: id}
+	st := &streamState{id: id, keep: known}
 	ctx := r.Context()
 	// Streams may legitimately need to visit every backend (404 walk) and
 	// then retry; bound total attempts by attempts tries per candidate.
@@ -152,23 +165,41 @@ func (g *Gateway) streamOnce(ctx context.Context, b *backend, w http.ResponseWri
 		if flusher != nil {
 			flusher.Flush()
 		}
+		if st.keep {
+			st.frames = append(st.frames, line...)
+			if st.keep = len(st.frames) <= maxHeldBytes; !st.keep {
+				st.frames = nil
+			}
+		}
 		if bytes.HasPrefix(line, terminalPrefix) {
 			st.finished = true
+			if st.keep && cleanFinish(line) {
+				g.hold(st.id, st.frames, streamSlot)
+			}
 			return http.StatusOK
 		}
 		st.delivered++
 	}
 }
 
+// cleanFinish reports whether a terminal frame ends its stream done
+// without an error: only such a stream is the job's final one.
+func cleanFinish(final []byte) bool {
+	var f struct {
+		Error string `json:"error"`
+	}
+	return json.Unmarshal(final, &f) == nil && f.Error == ""
+}
+
 // rerun re-creates job id on b by replaying the remembered original
 // request with ?wait=0 — safe because the job is content-addressed and
 // deterministic: however many times it runs, its bytes are the same.
 func (g *Gateway) rerun(ctx context.Context, b *backend, id string) bool {
-	spec, ok := g.specs.Get(id)
+	e, ok := g.specs.Get(id)
 	if !ok {
 		return false
 	}
-	resp, err := g.once(ctx, b, "POST", spec.path, "wait=0", spec.body)
+	resp, err := g.once(ctx, b, "POST", e.path, "wait=0", e.body)
 	if err != nil {
 		b.noteFailure(g.opts.ejectAfter())
 		return false

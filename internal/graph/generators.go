@@ -262,9 +262,18 @@ func Hypercube(dim int) *Graph {
 	return mustStream(hypercubeSpec(dim))
 }
 
-func hypercubeSpec(dim int) StreamSpec {
+// hypercubeDomain rejects dimensions outside [1, 30]; 30 keeps the 2^dim
+// vertices in the int32 range.
+func hypercubeDomain(dim int) error {
 	if dim < 1 || dim > 30 {
-		panic("graph: Hypercube dimension out of range [1,30]")
+		return fmt.Errorf("graph: Hypercube dimension %d out of range [1,30]", dim)
+	}
+	return nil
+}
+
+func hypercubeSpec(dim int) StreamSpec {
+	if err := hypercubeDomain(dim); err != nil {
+		panic(err.Error())
 	}
 	n := 1 << dim
 	return StreamSpec{

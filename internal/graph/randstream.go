@@ -306,11 +306,8 @@ func gnpSpec(n int, p float64, seed uint64) StreamSpec {
 // triggers a deterministic counter-keyed restart. Requires n·d even and
 // 0 < d < n.
 func randomRegular(n, d int, seed uint64) (*Graph, error) {
-	if d <= 0 || d >= n {
-		return nil, fmt.Errorf("graph: RandomRegular needs 0 < d < n, got d=%d n=%d", d, n)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular needs n*d even, got n=%d d=%d", n, d)
+	if err := randRegDomain(n, d); err != nil {
+		return nil, err
 	}
 	m := int64(n) * int64(d) / 2
 	const maxRestarts = 64
@@ -333,6 +330,17 @@ func randomRegular(n, d int, seed uint64) (*Graph, error) {
 		return g, err
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(%d,%d) failed after %d restarts", n, d, maxRestarts)
+}
+
+// randRegDomain rejects (n, d) the configuration model cannot pair.
+func randRegDomain(n, d int) error {
+	if d <= 0 || d >= n {
+		return fmt.Errorf("graph: RandomRegular needs 0 < d < n, got d=%d n=%d", d, n)
+	}
+	if n*d%2 != 0 {
+		return fmt.Errorf("graph: RandomRegular needs n*d even, got n=%d d=%d", n, d)
+	}
+	return nil
 }
 
 // randRegPairing samples one configuration-model pairing into scratch:

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"strings"
 
@@ -40,7 +41,11 @@ type specFamily struct {
 	usage  string
 	kinds  string
 	random bool
-	build  func(p ParsedSpec, seed uint64) (*Graph, error)
+	// check rejects parameters outside the family's domain at parse time,
+	// so a request naming them is refused before it is queued; nil leaves
+	// every check to build.
+	check func(p ParsedSpec) error
+	build func(p ParsedSpec, seed uint64) (*Graph, error)
 }
 
 // deterministic wraps a parameter-only generator, converting its
@@ -60,7 +65,8 @@ func deterministic(f func(p ParsedSpec) *Graph) func(p ParsedSpec, seed uint64) 
 // happens over this map directly (ordering comes from specOrder), so the
 // canonical form and usage text stay stable.
 var specFamilies = map[string]specFamily{
-	"star":        {usage: "star:L", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Star(p.Ints[0]) })},
+	"star": {usage: "star:L", kinds: "i", check: checkStar,
+		build: deterministic(func(p ParsedSpec) *Graph { return Star(p.Ints[0]) })},
 	"doublestar":  {usage: "doublestar:L", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return DoubleStar(p.Ints[0]) })},
 	"heavytree":   {usage: "heavytree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return HeavyBinaryTree(p.Ints[0]) })},
 	"siamesetree": {usage: "siamesetree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return SiameseHeavyTree(p.Ints[0]) })},
@@ -69,12 +75,13 @@ var specFamilies = map[string]specFamily{
 	"cycle":       {usage: "cycle:N", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Cycle(p.Ints[0]) })},
 	"path":        {usage: "path:N", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Path(p.Ints[0]) })},
 	"bintree":     {usage: "bintree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return BinaryTree(p.Ints[0]) })},
-	"hypercube":   {usage: "hypercube:D", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Hypercube(p.Ints[0]) })},
+	"hypercube": {usage: "hypercube:D", kinds: "i", check: checkHypercube,
+		build: deterministic(func(p ParsedSpec) *Graph { return Hypercube(p.Ints[0]) })},
 	"torus":       {usage: "torus:R,C", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return Torus2D(p.Ints[0], p.Ints[1]) })},
 	"grid":        {usage: "grid:R,C", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return Grid2D(p.Ints[0], p.Ints[1]) })},
 	"ringcliques": {usage: "ringcliques:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return RingOfCliques(p.Ints[0], p.Ints[1]) })},
 	"cliquepath":  {usage: "cliquepath:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return CliquePath(p.Ints[0], p.Ints[1]) })},
-	"randreg": {usage: "randreg:N,D", kinds: "ii", random: true,
+	"randreg": {usage: "randreg:N,D", kinds: "ii", random: true, check: checkRandReg,
 		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
 			return RandomRegularConnected(p.Ints[0], p.Ints[1], seed)
 		}},
@@ -90,6 +97,28 @@ var specFamilies = map[string]specFamily{
 		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
 			return ChungLu(p.Ints[0], p.Floats[0], p.Floats[1], seed)
 		}},
+}
+
+// checkStar bounds a star's vertex count, L + 1, by the int32 vertex
+// range. L < 1 is left to build.
+func checkStar(p ParsedSpec) error {
+	if l := p.Ints[0]; l > math.MaxInt32-1 {
+		return specError(p, fmt.Errorf("graph: star needs L + 1 <= %d vertices, got L = %d", math.MaxInt32, l))
+	}
+	return nil
+}
+
+// checkHypercube and checkRandReg run their generators' own domain
+// checks at parse time.
+func checkHypercube(p ParsedSpec) error { return specError(p, hypercubeDomain(p.Ints[0])) }
+func checkRandReg(p ParsedSpec) error   { return specError(p, randRegDomain(p.Ints[0], p.Ints[1])) }
+
+// specError names the spec a domain error is about; nil stays nil.
+func specError(p ParsedSpec, err error) error {
+	if err != nil {
+		return fmt.Errorf("graph: spec %q: %w", p.Canonical(), err)
+	}
+	return nil
 }
 
 // specOrder fixes the presentation order of SpecFamilies.
@@ -117,8 +146,10 @@ type ParsedSpec struct {
 }
 
 // ParseSpec validates and normalizes a textual graph spec without building
-// the graph. It checks family, arity, and parameter syntax; value-range
-// errors surface when the graph is built.
+// the graph. It checks family, arity and parameter syntax, and the bounds
+// a family can state without building: the star's vertex count, the
+// hypercube's dimension, and randreg's 0 < D < N with N·D even. Other
+// value-range errors surface when the graph is built.
 func ParseSpec(spec string) (ParsedSpec, error) {
 	name, args, _ := strings.Cut(spec, ":")
 	name = strings.ToLower(strings.TrimSpace(name))
@@ -149,6 +180,11 @@ func ParseSpec(spec string) (ParsedSpec, error) {
 				return ParsedSpec{}, fmt.Errorf("graph: spec %q parameter %q: %w", spec, raw, err)
 			}
 			p.Floats = append(p.Floats, v)
+		}
+	}
+	if fam.check != nil {
+		if err := fam.check(p); err != nil {
+			return ParsedSpec{}, err
 		}
 	}
 	return p, nil

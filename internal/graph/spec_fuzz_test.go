@@ -37,6 +37,9 @@ func FuzzParseSpec(f *testing.F) {
 		// Rejected shapes, so the fuzzer explores the error paths too.
 		"", "star", "star:", "star:1,2", "torus:4", "nope:3", "star:1.5",
 		"star:1;2", "gnp:10,", "star:9999999999999999999999",
+		// Either side of the domain bounds ParseSpec checks.
+		"hypercube:30", "hypercube:31", "randreg:10,9", "randreg:9,3",
+		"randreg:10,11", "star:2147483646", "star:2147483647",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -76,6 +76,41 @@ func TestFromSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecDomain: the bounds a family can state without building
+// are checked at parse time, with the bound named, and the values just
+// inside them still parse.
+func TestParseSpecDomain(t *testing.T) {
+	for _, tc := range []struct {
+		spec, bound string // bound == "" means the spec parses
+	}{
+		{"hypercube:0", "[1,30]"},
+		{"hypercube:31", "[1,30]"},
+		{"hypercube:70", "[1,30]"},
+		{"hypercube:1", ""},
+		{"hypercube:30", ""},
+		{"randreg:9,3", "n*d even"},
+		{"randreg:10,11", "0 < d < n"},
+		{"randreg:10,10", "0 < d < n"},
+		{"randreg:10,0", "0 < d < n"},
+		{"randreg:10,-2", "0 < d < n"},
+		{"randreg:10,9", ""},
+		{"randreg:9,4", ""},
+		{"star:3000000000", "2147483647"},
+		{"star:2147483647", "2147483647"},
+		{"star:2147483646", ""},
+	} {
+		_, err := ParseSpec(tc.spec)
+		switch {
+		case tc.bound == "" && err != nil:
+			t.Errorf("ParseSpec(%q): %v, want it to parse", tc.spec, err)
+		case tc.bound != "" && err == nil:
+			t.Errorf("ParseSpec(%q) parsed, want an error naming %s", tc.spec, tc.bound)
+		case tc.bound != "" && !strings.Contains(err.Error(), tc.bound):
+			t.Errorf("ParseSpec(%q): %v, want it to name %s", tc.spec, err, tc.bound)
+		}
+	}
+}
+
 func TestSpecFamiliesCoverSwitch(t *testing.T) {
 	for _, f := range SpecFamilies() {
 		name, _, _ := strings.Cut(f, ":")

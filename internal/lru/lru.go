@@ -13,9 +13,9 @@
 // graph construction, say) can Delete the key without ever having
 // displaced a resident entry.
 //
-// Values are immutable once published: Put replaces the entry rather
-// than overwriting its value, so readers that obtained an entry never
-// race a writer.
+// Values are immutable once published: Put and Update replace the entry
+// rather than overwriting its value, so readers that obtained an entry
+// never race a writer.
 //
 // OnEvict installs a callback observing capacity evictions — the hook the
 // serving layer's disk spill tier hangs off: an entry displaced by the
@@ -140,14 +140,46 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 // callers the value they build.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
+	evicted, fn := c.replace(k, v), c.onEvict
+	c.mu.Unlock()
+	fire(fn, evicted)
+}
+
+// Update is a read-modify-write of k's completed entry under the cache
+// lock: fn receives the current value and returns the new one, or false
+// to leave the entry as it is. Two Updates of one key therefore never
+// lose each other's change, as a Get followed by a Put can. The new value
+// replaces the entry like Put does — priced afresh, marked most recently
+// used, possibly evicting others. Absent keys and unfinished builds are
+// not updated and fn is not called. fn runs under the lock, so it must
+// not use the cache. Update reports whether the entry was replaced.
+func (c *Cache[K, V]) Update(k K, fn func(V) (V, bool)) bool {
+	c.mu.Lock()
+	e, ok := c.m[k]
+	if !ok || !e.ready.Load() || e.err != nil {
+		c.mu.Unlock()
+		return false
+	}
+	v, ok := fn(e.val)
+	if !ok {
+		c.mu.Unlock()
+		return false
+	}
+	evicted, onEvict := c.replace(k, v), c.onEvict
+	c.mu.Unlock()
+	fire(onEvict, evicted)
+	return true
+}
+
+// replace swaps in a completed entry holding v for k and links it,
+// returning what the link evicted. Caller holds mu.
+func (c *Cache[K, V]) replace(k K, v V) []*entry[K, V] {
 	c.detach(k)
 	e := &entry[K, V]{key: k, val: v}
 	e.once.Do(func() {})
 	e.ready.Store(true)
 	c.m[k] = e
-	evicted, fn := c.link(e), c.onEvict
-	c.mu.Unlock()
-	fire(fn, evicted)
+	return c.link(e)
 }
 
 // fire hands capacity-evicted entries to the observer. Runs with the

@@ -422,3 +422,100 @@ func TestMoveToFrontFromMiddle(t *testing.T) {
 		t.Fatal("b evicted despite being freshened")
 	}
 }
+
+// TestUpdateSkipsAbsentAndUnfinished: Update touches only completed
+// entries — an absent key and an in-flight build are left alone and fn is
+// never called — and fn declining leaves the entry as it was.
+func TestUpdateSkipsAbsentAndUnfinished(t *testing.T) {
+	c := New[string, int](4)
+	called := false
+	bump := func(v int) (int, bool) { called = true; return v + 1, true }
+	if c.Update("absent", bump) || called {
+		t.Fatal("Update of an absent key ran fn or reported a change")
+	}
+	if _, ok := c.Get("absent"); ok {
+		t.Fatal("Update created an absent key")
+	}
+
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan int)
+	go func() {
+		done <- c.GetOrBuild("slow", func() int {
+			close(started)
+			<-release
+			return 7
+		})
+	}()
+	<-started
+	if c.Update("slow", bump) || called {
+		t.Fatal("Update of an unfinished build ran fn or reported a change")
+	}
+	close(release)
+	if v := <-done; v != 7 {
+		t.Fatalf("build returned %d, want 7", v)
+	}
+	if !c.Update("slow", bump) {
+		t.Fatal("Update of the finished build reported no change")
+	}
+	if v, _ := c.Get("slow"); v != 8 {
+		t.Fatalf("slow = %d after Update, want 8", v)
+	}
+
+	c.Put("a", 1)
+	if c.Update("a", func(v int) (int, bool) { return v * 10, false }) {
+		t.Fatal("a declined Update reported a change")
+	}
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("a = %d, %v after a declined Update, want 1", v, ok)
+	}
+}
+
+// TestUpdateRechargesCost: the updated value is priced afresh and marked
+// most recently used, so growing one entry evicts the least recently used
+// others — observed as evictions — and never the entry itself.
+func TestUpdateRechargesCost(t *testing.T) {
+	c := New[string, int](64)
+	c.SetCost(100, func(k string, v int) int64 { return int64(v) })
+	var evicted []string
+	c.OnEvict(func(k string, v int) { evicted = append(evicted, k) })
+	c.Put("a", 30)
+	c.Put("b", 30)
+	c.Put("c", 30)
+	if !c.Update("a", func(v int) (int, bool) { return v + 40, true }) {
+		t.Fatal("Update of a resident entry reported no change")
+	}
+	if total, _ := c.Cost(); total != 100 {
+		t.Fatalf("total = %d after growing a to 70, want 100 (a + c)", total)
+	}
+	if v, ok := c.Get("a"); !ok || v != 70 {
+		t.Fatalf("a = %d, %v, want 70", v, ok)
+	}
+	if len(evicted) != 1 || evicted[0] != "b" {
+		t.Fatalf("evicted %v, want [b] (the LRU once a moved to the front)", evicted)
+	}
+	if c.Evictions() != 1 {
+		t.Fatalf("evictions = %d, want 1", c.Evictions())
+	}
+}
+
+// TestUpdateConcurrentNoLostChange: concurrent read-modify-writes of one
+// key each see the previous one's result, so none is lost — the property
+// a Get followed by a Put lacks.
+func TestUpdateConcurrentNoLostChange(t *testing.T) {
+	c := New[string, int](4)
+	c.Put("n", 0)
+	const workers, each = 8, 200
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				c.Update("n", func(v int) (int, bool) { return v + 1, true })
+			}
+		}()
+	}
+	wg.Wait()
+	if v, _ := c.Get("n"); v != workers*each {
+		t.Fatalf("n = %d after %d increments", v, workers*each)
+	}
+}

@@ -412,6 +412,10 @@ func TestRequestValidation(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 		{`{"graph":"star:8"}{"graph":"star:16"}`, http.StatusBadRequest},  // trailing content
 		{`{"graph":"star:0","trials":1}`, http.StatusUnprocessableEntity}, // parses, fails to build
+		{`{"graph":"hypercube:31","trials":1}`, http.StatusBadRequest},    // outside the parsed domain
+		{`{"graph":"randreg:9,3","trials":1}`, http.StatusBadRequest},
+		{`{"graph":"randreg:10,11","trials":1}`, http.StatusBadRequest},
+		{`{"graph":"star:3000000000","trials":1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, _, body := postRun(t, ts, c.body)
