@@ -2,6 +2,7 @@ package agents
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,25 +10,36 @@ import (
 	"rumor/internal/xrand"
 )
 
+// newLane builds a one-lane walk system from rng.
+func newLane(g *graph.Graph, cfg Config, rng *xrand.RNG) (*BatchedWalks, error) {
+	return NewBatched(g, cfg, []*xrand.RNG{rng})
+}
+
 func TestNewValidation(t *testing.T) {
 	g := graph.Cycle(5)
 	rng := xrand.New(1)
-	if _, err := New(g, Config{Count: 0}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 0}, rng); err == nil {
 		t.Error("Count=0 accepted")
 	}
-	if _, err := New(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
 		t.Error("PlaceOnePerVertex with Count != N accepted")
 	}
-	if _, err := New(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
 		t.Error("PlaceFixed with wrong length accepted")
 	}
-	if _, err := New(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
 		t.Error("PlaceFixed out of range accepted")
 	}
-	if _, err := New(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
 		t.Error("ChurnRate >= 1 accepted")
 	}
-	if _, err := New(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
+	if _, err := newLane(g, Config{Count: 1, ChurnRate: -0.1}, rng); err == nil {
+		t.Error("negative ChurnRate accepted")
+	}
+	if _, err := NewBatched(g, Config{Count: 1}, nil); err == nil {
+		t.Error("zero lanes accepted")
+	}
+	if _, err := newLane(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
 		t.Error("unknown placement accepted")
 	}
 }
@@ -36,24 +48,24 @@ func TestPlacementModes(t *testing.T) {
 	g := graph.Cycle(6)
 	rng := xrand.New(2)
 
-	w, err := New(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
+	w, err := newLane(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if w.Pos(i) != graph.Vertex(i) {
-			t.Errorf("one-per-vertex agent %d at %d", i, w.Pos(i))
+	for i, p := range w.Lane(0) {
+		if p != graph.Vertex(i) {
+			t.Errorf("one-per-vertex agent %d at %d", i, p)
 		}
 	}
 
 	fixed := []graph.Vertex{3, 3, 0}
-	w, err = New(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
+	w, err = newLane(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range fixed {
-		if w.Pos(i) != want {
-			t.Errorf("fixed agent %d at %d, want %d", i, w.Pos(i), want)
+		if w.Lane(0)[i] != want {
+			t.Errorf("fixed agent %d at %d, want %d", i, w.Lane(0)[i], want)
 		}
 	}
 }
@@ -65,13 +77,13 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 	g := graph.Star(100)
 	rng := xrand.New(3)
 	const agents = 20000
-	w, err := New(g, Config{Count: agents}, rng)
+	w, err := newLane(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	center := 0
 	for i := 0; i < agents; i++ {
-		if w.Pos(i) == 0 {
+		if w.Lane(0)[i] == 0 {
 			center++
 		}
 	}
@@ -84,14 +96,14 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 func TestStepMovesAlongEdges(t *testing.T) {
 	g := graph.Hypercube(4)
 	rng := xrand.New(4)
-	w, err := New(g, Config{Count: 50}, rng)
+	w, err := newLane(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
 		w.Step(nil)
 		for i := 0; i < w.N(); i++ {
-			from, to := w.Prev(i), w.Pos(i)
+			from, to := w.Prev(0)[i], w.Lane(0)[i]
 			if !g.HasEdge(from, to) {
 				t.Fatalf("agent %d jumped %d -> %d (not an edge)", i, from, to)
 			}
@@ -105,14 +117,14 @@ func TestStepMovesAlongEdges(t *testing.T) {
 func TestLazyWalksSometimesStay(t *testing.T) {
 	g := graph.Cycle(8)
 	rng := xrand.New(5)
-	w, err := New(g, Config{Count: 400, Lazy: true}, rng)
+	w, err := newLane(g, Config{Count: 400, Lazy: true}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Step(nil)
 	stayed := 0
 	for i := 0; i < w.N(); i++ {
-		if w.Pos(i) == w.Prev(i) {
+		if w.Lane(0)[i] == w.Prev(0)[i] {
 			stayed++
 		}
 	}
@@ -125,74 +137,53 @@ func TestLazyWalksSometimesStay(t *testing.T) {
 func TestNonLazyAlwaysMoves(t *testing.T) {
 	g := graph.Cycle(8) // no self-loops, so moving means changing vertex
 	rng := xrand.New(6)
-	w, err := New(g, Config{Count: 100}, rng)
+	w, err := newLane(g, Config{Count: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
 		w.Step(nil)
 		for i := 0; i < w.N(); i++ {
-			if w.Pos(i) == w.Prev(i) {
+			if w.Lane(0)[i] == w.Prev(0)[i] {
 				t.Fatalf("non-lazy agent %d stayed put", i)
 			}
 		}
 	}
 }
 
-func TestChooseFuncOverride(t *testing.T) {
-	g := graph.Star(5)
-	rng := xrand.New(7)
-	w, err := New(g, Config{Count: 3, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0, 1}}, rng)
+// TestLaneOverrideRoutesAgents: positions an owner writes into a lane
+// between steps are where the next step walks on from (the couplings route
+// departures this way).
+func TestLaneOverrideRoutesAgents(t *testing.T) {
+	g := graph.Path(5)
+	w, err := newLane(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0}}, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force agents leaving the center to go to leaf 4; let others default.
-	w.Step(func(agent int, from graph.Vertex) (graph.Vertex, bool) {
-		if from == 0 {
-			return 4, true
-		}
-		return 0, false
-	})
-	if w.Pos(0) != 4 || w.Pos(1) != 4 {
-		t.Errorf("override ignored: agents at %d, %d", w.Pos(0), w.Pos(1))
-	}
-	if w.Pos(2) != 0 {
-		t.Errorf("leaf agent must move to center, at %d", w.Pos(2))
-	}
-}
-
-func TestChurnRespawns(t *testing.T) {
-	g := graph.Complete(10)
-	rng := xrand.New(8)
-	w, err := New(g, Config{Count: 1000, ChurnRate: 0.3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.Step(nil) // both agents must move to vertex 1
+	w.Lane(0)[1] = 4
 	w.Step(nil)
-	got := len(w.Respawned())
-	if got < 200 || got > 400 {
-		t.Errorf("churn respawned %d of 1000 agents, want about 300", got)
+	if p := w.Prev(0)[1]; p != 4 {
+		t.Fatalf("overridden agent left from %d, want 4", p)
 	}
-	// Respawned ids must be valid and strictly increasing (id order).
-	prev := -1
-	for _, id := range w.Respawned() {
-		if id <= prev || id >= w.N() {
-			t.Fatalf("bad respawn id %d after %d", id, prev)
-		}
-		prev = id
+	if p := w.Lane(0)[1]; p != 3 {
+		t.Fatalf("overridden agent at %d, want 3 (vertex 4's only neighbor)", p)
+	}
+	if p := w.Prev(0)[0]; p != 1 {
+		t.Fatalf("agent 0 left from %d, want 1", p)
 	}
 }
 
 func TestNoChurnNoRespawns(t *testing.T) {
 	g := graph.Complete(5)
 	rng := xrand.New(9)
-	w, err := New(g, Config{Count: 50}, rng)
+	w, err := newLane(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		w.Step(nil)
-		if len(w.Respawned()) != 0 {
+		if len(w.Respawned(0)) != 0 {
 			t.Fatal("respawn without churn")
 		}
 	}
@@ -201,18 +192,14 @@ func TestNoChurnNoRespawns(t *testing.T) {
 func TestDeterministicWalks(t *testing.T) {
 	g := graph.Hypercube(5)
 	mk := func() []graph.Vertex {
-		w, err := New(g, Config{Count: 64}, xrand.New(42))
+		w, err := newLane(g, Config{Count: 64}, xrand.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
 			w.Step(nil)
 		}
-		out := make([]graph.Vertex, w.N())
-		for i := range out {
-			out[i] = w.Pos(i)
-		}
-		return out
+		return w.Lane(0)
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -230,7 +217,7 @@ func TestStationaryIsInvariant(t *testing.T) {
 	g := graph.Star(50) // heavily non-regular: center prob 1/2
 	rng := xrand.New(10)
 	const agents = 4000
-	w, err := New(g, Config{Count: agents}, rng)
+	w, err := newLane(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +231,7 @@ func TestStationaryIsInvariant(t *testing.T) {
 	for r := 0; r < window; r++ {
 		w.Step(nil)
 		for i := 0; i < agents; i++ {
-			if w.Pos(i) == 0 {
+			if w.Lane(0)[i] == 0 {
 				total++
 			}
 		}
@@ -313,51 +300,37 @@ func TestQuickOccupancyMatchesMap(t *testing.T) {
 
 func TestStepStampedMatchesStep(t *testing.T) {
 	g := graph.DoubleStar(64)
-	for _, lazy := range []bool{false, true} {
-		cfg := Config{Count: 200, Lazy: lazy}
-		plain, err := New(g, cfg, xrand.New(5))
+	for _, cfg := range []Config{
+		{Count: 200},
+		{Count: 200, Lazy: true},
+		{Count: 200, ChurnRate: 0.1},
+	} {
+		plain, err := newLane(g, cfg, xrand.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stamped, err := New(g, cfg, xrand.New(5))
+		stamped, err := newLane(g, cfg, xrand.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		stamp := make([]uint32, g.N())
 		for round := 1; round <= 20; round++ {
 			plain.Step(nil)
-			stamped.StepStamped(stamp, uint32(round))
-			for i := 0; i < plain.N(); i++ {
-				if plain.Pos(i) != stamped.Pos(i) {
-					t.Fatalf("lazy=%v round %d: agent %d at %d (plain) vs %d (stamped)",
-						lazy, round, i, plain.Pos(i), stamped.Pos(i))
-				}
+			stamped.StepStamped(nil, [][]uint32{stamp}, []uint32{uint32(round)})
+			if !reflect.DeepEqual(plain.Lane(0), stamped.Lane(0)) || !reflect.DeepEqual(plain.Respawned(0), stamped.Respawned(0)) {
+				t.Fatalf("%+v round %d: stamped step diverges from the plain step", cfg, round)
 			}
 			// The stamped set must be exactly the occupied vertices.
 			occupied := make(map[graph.Vertex]bool)
-			for i := 0; i < stamped.N(); i++ {
-				occupied[stamped.Pos(i)] = true
+			for _, p := range stamped.Lane(0) {
+				occupied[p] = true
 			}
 			for v := 0; v < g.N(); v++ {
 				if got := stamp[v] == uint32(round); got != occupied[graph.Vertex(v)] {
-					t.Fatalf("lazy=%v round %d: vertex %d stamped=%v occupied=%v",
-						lazy, round, v, got, occupied[graph.Vertex(v)])
+					t.Fatalf("%+v round %d: vertex %d stamped=%v occupied=%v",
+						cfg, round, v, got, occupied[graph.Vertex(v)])
 				}
 			}
 		}
 	}
-}
-
-func TestStepStampedPanicsWithChurn(t *testing.T) {
-	g := graph.Complete(8)
-	w, err := New(g, Config{Count: 8, ChurnRate: 0.5}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepStamped with churn did not panic")
-		}
-	}()
-	w.StepStamped(make([]uint32, g.N()), 1)
 }

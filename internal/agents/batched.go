@@ -15,35 +15,41 @@ import (
 // stay cache-hot across the K lanes and the loop control is paid once per
 // agent instead of once per (trial, agent).
 //
-// Lane t draws from streams keyed (seeds[t], agent, round) with exactly the
-// draw discipline of the serial Walks — seeds[t] is drawn from trial t's
-// RNG precisely as New does — so lane positions are bit-identical to K
-// serial systems built from the same RNGs. The fused loop resolves
-// neighbor draws branchlessly (graph.WalkTargetAny): on mixed-degree
-// families the serial degree-1 branch is data-dependent and mispredicts,
-// while the select compiles to a conditional move; the draws consumed are
-// unchanged.
+// Lane t draws from streams keyed (seeds[t], agent, round), seeds[t] being
+// the first value of trial t's RNG, so a lane's trajectory depends on its
+// own RNG alone: lane t of a K-lane system is bit-identical to a one-lane
+// system built from the same RNG. The churn-free loop resolves neighbor
+// draws branchlessly (graph.WalkTargetAny): on mixed-degree families a
+// degree-1 branch is data-dependent and mispredicts, while the select
+// compiles to a conditional move.
 //
 // Positions use a struct-of-arrays [K][numAgents] layout (lane-major), so
-// each lane's positions remain a contiguous slice (Lane) that the batched
-// protocol drivers scan exactly like the serial ones.
+// each lane's positions remain a contiguous slice (Lane) that the protocol
+// drivers scan directly.
 //
 // Done lanes are masked out per Step: a finished trial stops consuming CPU
 // while its siblings keep stepping, and its frozen positions stay readable.
-//
-// Churn and ChooseFunc are not supported — callers with either fall back
-// to serial trials (core.RunMany).
 type BatchedWalks struct {
 	g   *graph.Graph
 	cfg Config
 
 	k     int
 	count int
-	seeds []uint64 // per-lane stream seeds, drawn like Walks.seed
+	seeds []uint64 // per-lane stream seeds, the first value of each RNG
+
+	// churnThreshold is ChurnRate as a raw-uint64 comparison bound, used
+	// when churn is set.
+	churn          bool
+	churnThreshold uint64
 
 	// pos/prev are lane-major: lane t's agent i lives at [t*count+i].
 	pos  []graph.Vertex
 	prev []graph.Vertex
+
+	// respawned[t] lists lane t's agents replaced by churn in the latest
+	// Step; shardResp[s][t] is shard s's part of it, merged in shard order.
+	respawned [][]int
+	shardResp [][][]int
 
 	// laneIDs lists the lanes active this Step, rebuilt from the mask each
 	// round; a lane's pos/prev offset is laneIDs[j]*count.
@@ -100,7 +106,7 @@ func classify(g *graph.Graph) walkClass {
 
 // NewBatched creates K = len(rngs) walk systems sharing one fused stepper.
 // It consumes exactly one value from each rng — lane t's stream seed, drawn
-// in lane order — matching what New would consume for each trial.
+// in lane order.
 func NewBatched(g *graph.Graph, cfg Config, rngs []*xrand.RNG) (*BatchedWalks, error) {
 	if len(rngs) == 0 {
 		return nil, fmt.Errorf("agents: NewBatched needs at least one trial RNG")
@@ -111,27 +117,29 @@ func NewBatched(g *graph.Graph, cfg Config, rngs []*xrand.RNG) (*BatchedWalks, e
 	if g.M() == 0 {
 		return nil, fmt.Errorf("agents: graph has no edges")
 	}
-	if cfg.ChurnRate != 0 {
-		return nil, fmt.Errorf("agents: batched walks do not support churn (ChurnRate=%g)", cfg.ChurnRate)
+	if cfg.ChurnRate < 0 || cfg.ChurnRate >= 1 {
+		return nil, fmt.Errorf("agents: ChurnRate must be in [0,1), got %g", cfg.ChurnRate)
 	}
 	k := len(rngs)
 	w := &BatchedWalks{
-		g:     g,
-		cfg:   cfg,
-		k:     k,
-		count: cfg.Count,
-		seeds: make([]uint64, k),
-		pos:   make([]graph.Vertex, k*cfg.Count),
-		prev:  make([]graph.Vertex, k*cfg.Count),
-		dirty: make([]bool, k),
+		g:              g,
+		cfg:            cfg,
+		k:              k,
+		count:          cfg.Count,
+		seeds:          make([]uint64, k),
+		churn:          cfg.ChurnRate > 0,
+		churnThreshold: xrand.BernoulliThreshold(cfg.ChurnRate),
+		pos:            make([]graph.Vertex, k*cfg.Count),
+		prev:           make([]graph.Vertex, k*cfg.Count),
+		respawned:      make([][]int, k),
+		dirty:          make([]bool, k),
 	}
 	for t, rng := range rngs {
 		w.seeds[t] = rng.Uint64()
 	}
 	w.class = classify(g)
 	w.stepFn = w.stepShard
-	// Lane t's agent i draws from stream (seeds[t], i, 0) through the same
-	// placement code the serial constructor uses.
+	// Lane t's agent i draws its placement from stream (seeds[t], i, 0).
 	for t := 0; t < k; t++ {
 		if err := placeLane(g, cfg, w.seeds[t], w.pos[t*cfg.Count:(t+1)*cfg.Count]); err != nil {
 			return nil, err
@@ -148,20 +156,36 @@ func (w *BatchedWalks) K() int { return w.k }
 func (w *BatchedWalks) N() int { return w.count }
 
 // SetShards sets how many contiguous agent shards each following step is
-// split into over the worker pool (fewer than two: inline), as
-// Walks.SetShards does. The owner may change it every round, as lanes
-// finish and the step's work shrinks.
+// split into over the worker pool (fewer than two: inline). The owner may
+// change it every round, as lanes finish and the step's work shrinks; the
+// count never changes a trajectory, only who executes it.
 func (w *BatchedWalks) SetShards(shards int) { w.shards = shards }
 
 // Round returns the number of Step calls so far.
 func (w *BatchedWalks) Round() int { return w.round }
 
 // Lane returns lane t's current positions, indexed by agent id. The slice
-// aliases internal state: treat it as read-only and do not retain it across
-// Step calls.
+// aliases internal state and must not be retained across Step calls. An
+// owner may overwrite entries between steps of a lane it keeps active, to
+// route an agent itself (the couplings of package coupling do, on one
+// lane); the next Step walks on from there.
 func (w *BatchedWalks) Lane(t int) []graph.Vertex {
 	return w.pos[t*w.count : (t+1)*w.count]
 }
+
+// Prev returns lane t's positions before the latest Step, indexed by agent
+// id (a lane masked out of that Step did not move: Prev equals Lane). The
+// slice aliases internal state: treat it as read-only and do not retain it
+// across Step calls.
+func (w *BatchedWalks) Prev(t int) []graph.Vertex {
+	return w.prev[t*w.count : (t+1)*w.count]
+}
+
+// Respawned returns the ids of lane t's agents replaced by churn during the
+// latest Step, in increasing id order at any shard count (empty without
+// churn, and for a lane masked out of that Step). The slice is reused
+// between rounds; callers must not retain it.
+func (w *BatchedWalks) Respawned(t int) []int { return w.respawned[t] }
 
 // Step advances every lane with active[t] true by one synchronous round
 // (inactive lanes keep their positions and consume no draws — their streams
@@ -174,8 +198,7 @@ func (w *BatchedWalks) Step(active []bool) {
 // StepStamped is Step fused with per-lane occupancy stamping: every active
 // lane t with a non-nil stamps[t] additionally gets epochs[t] stored into
 // stamps[t] at each of its agents' destinations, in the same blocked pass
-// that writes the positions. It is the batched counterpart of the serial
-// Walks.StepStamped — protocols whose lanes reach the "every agent
+// that writes the positions. Protocols whose lanes reach the "every agent
 // informed" regime (the Ω(n) tails of the paper's star-like families) use
 // it to drop those lanes' separate mark-informed-positions pass (see
 // core.BatchedVisitExchange). The walk draws are identical to Step's for
@@ -186,13 +209,14 @@ func (w *BatchedWalks) Step(active []bool) {
 // run after StepStamped returns. Passing nil stamps is exactly Step.
 func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []uint32) {
 	w.round++
-	// Swap buffers as the serial stepper does: the fused loop reads prev and
-	// writes pos for active lanes; a lane masked off after stepping needs
-	// its frozen positions carried across once (dirty), after which both
-	// buffers agree and the lane costs nothing per round.
+	// Swap buffers: the fused loop reads prev and writes pos for active
+	// lanes; a lane masked off after stepping needs its frozen positions
+	// carried across once (dirty), after which both buffers agree and the
+	// lane costs nothing per round.
 	w.prev, w.pos = w.pos, w.prev
 	w.laneIDs = w.laneIDs[:0]
 	for t := 0; t < w.k; t++ {
+		w.respawned[t] = w.respawned[t][:0]
 		if active == nil || active[t] {
 			w.laneIDs = append(w.laneIDs, t)
 			w.dirty[t] = true
@@ -205,32 +229,45 @@ func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []ui
 		return
 	}
 	w.stamps, w.epochs = stamps, epochs
-	w.sharedStamp = w.shards > 1
-	par.DoN(w.shards, w.count, w.stepFn)
+	shards := min(max(w.shards, 1), w.count)
+	w.sharedStamp = shards > 1
+	if w.churn {
+		for len(w.shardResp) < shards {
+			w.shardResp = append(w.shardResp, make([][]int, w.k))
+		}
+	}
+	par.DoN(shards, w.count, w.stepFn)
+	if w.churn {
+		for _, t := range w.laneIDs {
+			for _, part := range w.shardResp[:shards] {
+				w.respawned[t] = append(w.respawned[t], part[t]...)
+			}
+		}
+	}
 }
 
 // batchBlock is the agent-block width of the fused step: lanes take turns
 // over one block before the loop moves to the next, so the block's packed
 // walk-index and CSR lines are touched by all K lanes while still hot, and
-// the per-lane inner loop stays as tight as the serial stepper (stream base
-// and offsets in registers).
+// the per-lane inner loop stays tight (stream base and offsets in
+// registers).
 const batchBlock = 512
 
 // stepShard is the fused loop: agents [lo, hi) of every active lane,
-// blocked so each lane's turn is a tight serial-style scan. Each
-// (lane, agent) step is one packed-index load, one draw resolution, and
-// one store — identical draws to the serial stepper, minus its
-// data-dependent branches: uniform-degree-class graphs run a loop with no
+// blocked so each lane's turn is a tight scan. Each (lane, agent) step is
+// one packed-index load, one draw resolution, and one store, with no
+// data-dependent branch: uniform-degree-class graphs run a loop with no
 // reduction dispatch at all, mixed graphs a branchless arithmetic select
-// (the serial degree-1/power-of-two branches are taken near-randomly per
-// agent on the star and tree families, and their mispredictions dominate
-// the step cost there). The six loop bodies are written out rather than
+// (degree-1/power-of-two branches are taken near-randomly per agent on the
+// star and tree families, and their mispredictions would dominate the step
+// cost there). The six loop bodies are written out rather than
 // parameterized: an indirect call per (lane, agent) would give back more
-// than the specialization wins.
-func (w *BatchedWalks) stepShard(_, lo, hi int) {
+// than the specialization wins. Churn, and graphs too large to pack, take
+// the per-agent stream path (stepShardStreams) instead.
+func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 	idx := w.g.WalkIndex()
-	if idx == nil {
-		w.stepShardGeneral(lo, hi)
+	if idx == nil || w.churn {
+		w.stepShardStreams(shard, lo, hi)
 		return
 	}
 	nbrs := w.g.NeighborsRaw()
@@ -269,8 +306,7 @@ func (w *BatchedWalks) stepShard(_, lo, hi int) {
 			}
 			if w.stamps != nil && w.stamps[t] != nil {
 				// Stamp the block's fresh destinations while they are still
-				// in registers/L1 — the batched analogue of the serial
-				// stepRangeStamp store.
+				// in registers/L1.
 				stampBlock(ps, w.stamps[t], w.epochs[t], w.sharedStamp)
 			}
 		}
@@ -326,8 +362,8 @@ func stepBlockAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base
 }
 
 // The lazy bodies fund the stay coin (top bit) and the neighbor index
-// (low 32 bits) from one draw, as the serial lazy loop does; the coin
-// applies as a conditional move instead of a 50/50 branch.
+// (low 32 bits) from one draw; the coin applies as a conditional move
+// instead of a 50/50 branch.
 
 func stepBlockLazyPow2(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
 	ps = ps[:len(pv)]
@@ -368,36 +404,51 @@ func stepBlockLazyAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, 
 	}
 }
 
-// stepShardGeneral mirrors stepShard through Graph.Neighbors for graphs
-// without a packed walk index, consuming identical draws (it matches the
-// serial stepRangeGeneral lane for lane).
-func (w *BatchedWalks) stepShardGeneral(lo, hi int) {
+// stepShardStreams steps agents [lo, hi) of every active lane through
+// their own streams and Graph.Neighbors, consuming exactly the draws of the
+// fused loop — plus, with churn, a death coin first: a dead agent samples
+// its respawn vertex from the stationary distribution on the same stream
+// and is recorded in the shard's respawn list, in id order; a survivor
+// takes the walk draw next.
+func (w *BatchedWalks) stepShardStreams(shard, lo, hi int) {
 	round := uint64(w.round)
+	lazy, churn, threshold := w.cfg.Lazy, w.churn, w.churnThreshold
+	var alias *xrand.Alias
+	if churn {
+		alias = w.g.StationaryAlias()
+	}
 	for _, t := range w.laneIDs {
 		off := t * w.count
 		seed := w.seeds[t]
+		pos, prev := w.pos[off:off+w.count], w.prev[off:off+w.count]
+		var resp []int
+		if churn {
+			resp = w.shardResp[shard][t][:0]
+		}
 		for i := lo; i < hi; i++ {
-			from := w.prev[off+i]
+			from := prev[i]
 			s := xrand.NewStream(seed, uint64(i), round)
+			if churn && s.Uint64() < threshold {
+				pos[i] = graph.Vertex(alias.SampleStream(&s))
+				resp = append(resp, i)
+				continue
+			}
 			u := s.Uint64()
-			if w.cfg.Lazy {
-				if u>>63 != 0 {
-					w.pos[off+i] = from
-					continue
-				}
-				nb := w.g.Neighbors(from)
-				w.pos[off+i] = nb[xrand.ReduceDeg32(uint32(u), len(nb))]
-				continue
-			}
 			nb := w.g.Neighbors(from)
-			if len(nb) == 1 {
-				w.pos[off+i] = nb[0]
-				continue
+			switch {
+			case lazy && u>>63 != 0:
+				pos[i] = from
+			case lazy:
+				pos[i] = nb[xrand.ReduceDeg32(uint32(u), len(nb))]
+			default:
+				pos[i] = nb[xrand.ReduceDeg(u, len(nb))]
 			}
-			w.pos[off+i] = nb[xrand.ReduceDeg(u, len(nb))]
+		}
+		if churn {
+			w.shardResp[shard][t] = resp
 		}
 		if w.stamps != nil && w.stamps[t] != nil {
-			stampBlock(w.pos[off+lo:off+hi], w.stamps[t], w.epochs[t], w.sharedStamp)
+			stampBlock(pos[lo:hi], w.stamps[t], w.epochs[t], w.sharedStamp)
 		}
 	}
 }

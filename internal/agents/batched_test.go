@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"reflect"
 	"testing"
 
 	"rumor/internal/graph"
@@ -16,52 +17,19 @@ func trialRNGs(seed uint64, k int) []*xrand.RNG {
 	return rngs
 }
 
-// TestBatchedWalksMatchSerial: every lane of a BatchedWalks must trace
-// exactly the positions of a serial Walks built from the same trial RNG,
-// for simple and lazy walks, across many rounds.
-func TestBatchedWalksMatchSerial(t *testing.T) {
-	graphs := []*graph.Graph{
-		graph.Hypercube(8), // uniform power-of-two degree (classPow2 loops)
-		graph.Star(257),    // mixed degree 1 / huge (branchless select loops)
-	}
-	for _, g := range graphs {
-		for _, lazy := range []bool{false, true} {
-			const k, agents, rounds = 5, 300, 40
-			cfg := Config{Count: agents, Lazy: lazy}
-			bw, err := NewBatched(g, cfg, trialRNGs(42, k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := make([]*Walks, k)
-			for tr, rng := range trialRNGs(42, k) {
-				w, err := New(g, cfg, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial[tr] = w
-			}
-			check := func(round int) {
-				t.Helper()
-				for tr := 0; tr < k; tr++ {
-					lane := bw.Lane(tr)
-					for i := 0; i < agents; i++ {
-						if lane[i] != serial[tr].Pos(i) {
-							t.Fatalf("%s lazy=%v round %d lane %d agent %d: batched %d != serial %d",
-								g.Name(), lazy, round, tr, i, lane[i], serial[tr].Pos(i))
-						}
-					}
-				}
-			}
-			check(0)
-			for r := 1; r <= rounds; r++ {
-				bw.Step(nil)
-				for _, w := range serial {
-					w.Step(nil)
-				}
-				check(r)
-			}
+// oneLaneSystems builds one one-lane system per trial RNG: the reference
+// every lane of a wider system must reproduce.
+func oneLaneSystems(t testing.TB, g *graph.Graph, cfg Config, rngs []*xrand.RNG) []*BatchedWalks {
+	t.Helper()
+	out := make([]*BatchedWalks, len(rngs))
+	for tr, rng := range rngs {
+		w, err := NewBatched(g, cfg, []*xrand.RNG{rng})
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[tr] = w
 	}
+	return out
 }
 
 // TestBatchedWalksDoneMasking: a masked lane freezes while the others keep
@@ -70,18 +38,12 @@ func TestBatchedWalksMatchSerial(t *testing.T) {
 func TestBatchedWalksDoneMasking(t *testing.T) {
 	g := graph.Hypercube(7)
 	const k, agents = 4, 200
-	cfg := Config{Count: agents}
+	cfg := Config{Count: agents, ChurnRate: 0.05}
 	bw, err := NewBatched(g, cfg, trialRNGs(7, k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := make([]*Walks, k)
-	for tr, rng := range trialRNGs(7, k) {
-		serial[tr], err = New(g, cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	serial := oneLaneSystems(t, g, cfg, trialRNGs(7, k))
 	// Lane 1 stops after round 3, lane 2 after round 7.
 	stopAt := map[int]int{1: 3, 2: 7}
 	active := []bool{true, true, true, true}
@@ -96,18 +58,13 @@ func TestBatchedWalksDoneMasking(t *testing.T) {
 		for tr := 0; tr < k; tr++ {
 			lane := bw.Lane(tr)
 			if want, ok := frozen[tr]; ok {
-				for i := range want {
-					if lane[i] != want[i] {
-						t.Fatalf("round %d: masked lane %d moved at agent %d", r, tr, i)
-					}
+				if !reflect.DeepEqual(lane, want) || !reflect.DeepEqual(bw.Prev(tr), want) || len(bw.Respawned(tr)) != 0 {
+					t.Fatalf("round %d: masked lane %d moved or respawned", r, tr)
 				}
 				continue
 			}
-			for i := 0; i < agents; i++ {
-				if lane[i] != serial[tr].Pos(i) {
-					t.Fatalf("round %d lane %d agent %d: batched %d != serial %d",
-						r, tr, i, lane[i], serial[tr].Pos(i))
-				}
+			if !reflect.DeepEqual(lane, serial[tr].Lane(0)) || !reflect.DeepEqual(bw.Respawned(tr), serial[tr].Respawned(0)) {
+				t.Fatalf("round %d lane %d: diverges from its one-lane system", r, tr)
 			}
 		}
 		for tr, stop := range stopAt {
@@ -119,32 +76,16 @@ func TestBatchedWalksDoneMasking(t *testing.T) {
 	}
 }
 
-// TestBatchedWalksRejectsChurn pins the documented fallback contract.
-func TestBatchedWalksRejectsChurn(t *testing.T) {
-	g := graph.Hypercube(5)
-	_, err := NewBatched(g, Config{Count: 8, ChurnRate: 0.1}, trialRNGs(1, 2))
-	if err == nil {
-		t.Fatal("expected error for churned batched walks")
-	}
-}
-
-// Benchmarks: K serial trials stepped one system at a time versus the fused
-// batched stepper, per (lane, agent) step.
+// Benchmarks: K one-lane systems stepped one at a time versus one fused
+// K-lane system, per (lane, agent) step.
 
 func benchGraph() *graph.Graph { return graph.Hypercube(12) }
 
-func BenchmarkSerialWalksStep8(b *testing.B) {
+func BenchmarkOneLaneWalksStep8(b *testing.B) {
 	g := benchGraph()
 	const k = 8
 	count := g.N()
-	ws := make([]*Walks, k)
-	for tr, rng := range trialRNGs(1, k) {
-		w, err := New(g, Config{Count: count}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws[tr] = w
-	}
+	ws := oneLaneSystems(b, g, Config{Count: count}, trialRNGs(1, k))
 	b.SetBytes(int64(k * count))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,18 +110,11 @@ func BenchmarkBatchedWalksStep8(b *testing.B) {
 	}
 }
 
-func BenchmarkSerialWalksStepStar8(b *testing.B) {
+func BenchmarkOneLaneWalksStepStar8(b *testing.B) {
 	g := graph.Star(4097)
 	const k = 8
 	count := g.N()
-	ws := make([]*Walks, k)
-	for tr, rng := range trialRNGs(1, k) {
-		w, err := New(g, Config{Count: count}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws[tr] = w
-	}
+	ws := oneLaneSystems(b, g, Config{Count: count}, trialRNGs(1, k))
 	b.SetBytes(int64(k * count))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -86,24 +86,38 @@ func hashRound(h hash.Hash, round int, pos []graph.Vertex, resp []int) {
 	fmt.Fprintf(h, "\nrespawned %v\n", resp)
 }
 
-// recordWalks digests every trial of every case: the placement, then each
-// round's positions and respawn list.
-func recordWalks(t *testing.T) map[string]string {
+// recordWalks digests every trial of every case — the placement, then each
+// round's positions and respawn list — stepping trials walkGoldenTrials at
+// a time as the lanes of one system of width k, split into the given
+// number of shards.
+func recordWalks(t *testing.T, k, shards int) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, c := range walkGoldenCases(t) {
-		for tr := 0; tr < walkGoldenTrials; tr++ {
-			w, err := New(c.g, c.cfg, xrand.New(xrand.TrialSeed(walkGoldenSeed, tr)))
+		for t0 := 0; t0 < walkGoldenTrials; t0 += k {
+			rngs := make([]*xrand.RNG, min(k, walkGoldenTrials-t0))
+			for i := range rngs {
+				rngs[i] = xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i))
+			}
+			w, err := NewBatched(c.g, c.cfg, rngs)
 			if err != nil {
 				t.Fatalf("%s: %v", c.key, err)
 			}
-			h := sha256.New()
-			hashRound(h, 0, w.Positions(), nil)
+			w.SetShards(shards)
+			hs := make([]hash.Hash, len(rngs))
+			for i := range hs {
+				hs[i] = sha256.New()
+				hashRound(hs[i], 0, w.Lane(i), nil)
+			}
 			for r := 1; r <= walkGoldenRounds; r++ {
 				w.Step(nil)
-				hashRound(h, r, w.Positions(), w.Respawned())
+				for i, h := range hs {
+					hashRound(h, r, w.Lane(i), w.Respawned(i))
+				}
 			}
-			out[fmt.Sprintf("%s/trial=%d", c.key, tr)] = hex.EncodeToString(h.Sum(nil))
+			for i, h := range hs {
+				out[fmt.Sprintf("%s/trial=%d", c.key, t0+i)] = hex.EncodeToString(h.Sum(nil))
+			}
 		}
 	}
 	return out
@@ -111,16 +125,36 @@ func recordWalks(t *testing.T) map[string]string {
 
 // TestGoldenWalks pins walk trajectories — positions and respawn lists,
 // round by round — for simple and lazy walks, with and without churn,
-// under every placement, against testdata/walks_golden.json. `go test
-// -run TestGoldenWalks -update` rewrites the file, which a
-// behaviour-preserving change never needs.
+// under every placement, against testdata/walks_golden.json, which was
+// recorded from the serial walk system this package used to have: here,
+// one-lane systems stepped inline. `go test -run TestGoldenWalks -update`
+// rewrites the file, which a behaviour-preserving change never needs.
 func TestGoldenWalks(t *testing.T) {
-	got := recordWalks(t)
 	if *updateGolden {
-		writeGolden(t, walkGoldenPath, got)
+		writeGolden(t, walkGoldenPath, recordWalks(t, 1, 1))
 		return
 	}
-	checkGolden(t, walkGoldenPath, got)
+	checkGolden(t, walkGoldenPath, recordWalks(t, 1, 1))
+}
+
+// TestBatchedWalksMatchSerial: every lane of a three-lane system traces
+// exactly the trajectory the serial walk system recorded for its trial
+// RNG (testdata/walks_golden.json).
+func TestBatchedWalksMatchSerial(t *testing.T) {
+	checkGolden(t, walkGoldenPath, recordWalks(t, 3, 1))
+}
+
+// TestBudgetShardedWalksMatchInline: split into 2 or 8 shards, one-lane and
+// three-lane systems still reproduce the recorded trajectories — the churn
+// respawn merge included.
+func TestBudgetShardedWalksMatchInline(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		for _, shards := range []int{2, 8} {
+			t.Run(fmt.Sprintf("K=%d/shards=%d", k, shards), func(t *testing.T) {
+				checkGolden(t, walkGoldenPath, recordWalks(t, k, shards))
+			})
+		}
+	}
 }
 
 func writeGolden(t *testing.T, path string, got map[string]string) {

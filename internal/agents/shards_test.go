@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rumor/internal/graph"
-	"rumor/internal/xrand"
 )
 
 // The shard-count contract: SetShards decides only who executes a step.
@@ -13,73 +12,36 @@ import (
 // these tests force 2 and 8 to keep the sharded paths — the churn respawn
 // merge, the atomic stamp stores — pinned bit for bit against the inline
 // step. 8 exceeds the processors of most runners: surplus shards run on
-// the caller, which is the same code.
-
-// TestBudgetShardedWalksMatchInline: positions, respawn lists and stamps of
-// a serial walk system are identical at 1, 2 and 8 shards, for simple,
-// lazy, churned and stamped stepping.
-func TestBudgetShardedWalksMatchInline(t *testing.T) {
-	g := graph.DoubleStar(64)
-	type snap struct {
-		pos, stamp []uint32
-		resp       []int
-	}
-	run := func(cfg Config, stamped bool, shards int) snap {
-		w, err := New(g, cfg, xrand.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetShards(shards)
-		var s snap
-		s.stamp = make([]uint32, g.N())
-		for round := 1; round <= 25; round++ {
-			if stamped {
-				w.StepStamped(s.stamp, uint32(round))
-			} else {
-				w.Step(nil)
-			}
-			s.resp = append(s.resp, w.Respawned()...)
-			for _, p := range w.Positions() {
-				s.pos = append(s.pos, uint32(p))
-			}
-		}
-		return s
-	}
-	for _, c := range []struct {
-		cfg     Config
-		stamped bool
-	}{
-		{Config{Count: 200}, false},
-		{Config{Count: 200, Lazy: true}, false},
-		{Config{Count: 200, ChurnRate: 0.1}, false},
-		{Config{Count: 200}, true},
-		{Config{Count: 200, Lazy: true}, true},
-		{Config{Count: 3}, true}, // fewer agents than shards
-	} {
-		base := run(c.cfg, c.stamped, 1)
-		for _, shards := range []int{2, 8} {
-			if got := run(c.cfg, c.stamped, shards); !reflect.DeepEqual(base, got) {
-				t.Errorf("%+v stamped=%v: %d shards diverge from inline", c.cfg, c.stamped, shards)
-			}
-		}
-	}
-}
+// the caller, which is the same code. TestBudgetShardedWalksMatchInline
+// (golden_test.go) holds sharded trajectories to the recorded digests.
 
 // TestBudgetShardedBatchedWalksMatchInline: the fused stepper, with lanes
 // masked off mid-run and one lane stamped, is identical at 1, 2 and 8
-// shards — including when the owner changes the count between rounds.
+// shards — including when the owner changes the count between rounds —
+// for simple, lazy and churned walks, and with fewer agents than shards.
 func TestBudgetShardedBatchedWalksMatchInline(t *testing.T) {
-	const k, count, rounds = 5, 300, 30
+	const k, rounds = 5, 30
+	type snap struct {
+		pos   [][]graph.Vertex
+		resp  [][]int
+		stamp []uint32
+	}
 	for _, g := range []*graph.Graph{graph.Hypercube(8), graph.Star(257)} {
-		for _, lazy := range []bool{false, true} {
-			run := func(shards func(round int) int) (pos [][]graph.Vertex, stamp []uint32) {
-				bw, err := NewBatched(g, Config{Count: count, Lazy: lazy}, trialRNGs(42, k))
+		for _, cfg := range []Config{
+			{Count: 300},
+			{Count: 300, Lazy: true},
+			{Count: 300, ChurnRate: 0.1},
+			{Count: 300, Lazy: true, ChurnRate: 0.1},
+			{Count: 3}, // fewer agents than shards
+		} {
+			run := func(shards func(round int) int) (s snap) {
+				bw, err := NewBatched(g, cfg, trialRNGs(42, k))
 				if err != nil {
 					t.Fatal(err)
 				}
-				stamp = make([]uint32, g.N())
+				s.stamp = make([]uint32, g.N())
 				stamps := make([][]uint32, k)
-				stamps[2] = stamp
+				stamps[2] = s.stamp
 				epochs := make([]uint32, k)
 				active := []bool{true, true, true, true, true}
 				for r := 1; r <= rounds; r++ {
@@ -88,20 +50,20 @@ func TestBudgetShardedBatchedWalksMatchInline(t *testing.T) {
 					bw.SetShards(shards(r))
 					bw.StepStamped(active, stamps, epochs)
 					for tr := 0; tr < k; tr++ {
-						pos = append(pos, append([]graph.Vertex(nil), bw.Lane(tr)...))
+						s.pos = append(s.pos, append([]graph.Vertex(nil), bw.Lane(tr)...))
+						s.resp = append(s.resp, append([]int{}, bw.Respawned(tr)...))
 					}
 				}
-				return pos, stamp
+				return s
 			}
-			basePos, baseStamp := run(func(int) int { return 1 })
+			base := run(func(int) int { return 1 })
 			for name, shards := range map[string]func(int) int{
 				"2":       func(int) int { return 2 },
 				"8":       func(int) int { return 8 },
 				"varying": func(r int) int { return 1 + r%3 },
 			} {
-				pos, stamp := run(shards)
-				if !reflect.DeepEqual(basePos, pos) || !reflect.DeepEqual(baseStamp, stamp) {
-					t.Errorf("%s lazy=%v: %s shards diverge from inline", g.Name(), lazy, name)
+				if got := run(shards); !reflect.DeepEqual(base, got) {
+					t.Errorf("%s %+v: %s shards diverge from inline", g.Name(), cfg, name)
 				}
 			}
 		}

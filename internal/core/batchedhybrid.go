@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rumor/internal/agents"
 	"rumor/internal/bitset"
@@ -54,9 +53,9 @@ var _ LaneProcess = (*BatchedHybrid)(nil)
 
 // NewBatchedHybrid builds a K = len(rngs) lane hybrid bundle. Lane t
 // consumes rngs[t] exactly as NewHybrid would — the walk-system seed, then
-// the exchange stream seed — so lane t replays serial trial t bit for bit.
-// Options requiring the serial path (churn, observers) are rejected;
-// callers fall back to serial processes on the K = 1 lane path.
+// the exchange stream seed — so lane t replays serial trial t bit for bit,
+// churn included. Observers are rejected; callers run serial Hybrid
+// processes on the K = 1 lane path for them.
 func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedHybrid, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
@@ -173,19 +172,14 @@ func (h *BatchedHybrid) stepLane(t int) {
 	L.messages += h.callers + int64(na)
 	L.collect(h.g, &h.sampler, h.seeds[t], uint64(h.round), 0)
 
-	// Deposit: agents informed in a previous round inform the vertex they
-	// landed on, collected in agent-id order against the pre-commit
-	// informed set, exactly like the serial depositShard.
+	// Deposit: agents informed in a previous round — churn replacements
+	// forget the rumor first — inform the vertex they landed on, collected
+	// in agent-id order against the pre-commit informed set, exactly like
+	// the serial Hybrid.
+	L.countA = forgetRespawned(L.informedA, L.countA, h.walks.Respawned(t))
 	pos := h.walks.Lane(t)
 	if L.countA > 0 && L.count < n {
-		for wi, wd := range L.informedA.Words() {
-			for ; wd != 0; wd &= wd - 1 {
-				p := pos[wi<<6+bits.TrailingZeros64(wd)]
-				if !L.informed.Test(int(p)) {
-					L.pending = append(L.pending, p)
-				}
-			}
-		}
+		L.pending = collectDeposits(L.informedA, L.informed, pos, L.pending)
 	}
 
 	// Commit newly informed vertices from both mechanisms.

@@ -20,13 +20,19 @@ import (
 // full pass sequence in isolation. Lanes in the all-agents-informed regime
 // — the Ω(n) broadcast tails of the paper's star-like families, where the
 // stamping pass used to dominate batched rounds — skip the stamping stage
-// entirely: their marks are written by the fused walk step itself
-// (agents.BatchedWalks.StepStamped), one store per agent in the same pass
-// that writes the position. When the bundle's budget and the round's work
-// allow, the sweeps shard across lanes, since lanes touch only their own
-// state; every stage keeps exactly the serial pass semantics, so every
-// lane's informed sets evolve bit-identically to a serial trial with the
-// same trial RNG.
+// entirely when there is no churn: their marks are written by the fused
+// walk step itself (agents.BatchedWalks.StepStamped), one store per agent
+// in the same pass that writes the position. When the bundle's budget and
+// the round's work allow, the sweeps shard across lanes, since lanes touch
+// only their own state; every stage keeps exactly the one-trial pass
+// semantics, so every lane's informed sets evolve bit-identically to a
+// one-lane bundle with the same trial RNG — which is what
+// NewVisitExchange and NewMeetExchange return.
+//
+// With churn, agents the walk step respawned are fresh and uninformed:
+// each lane clears their informed bits before its informing passes. A
+// one-lane bundle may carry an Observer, called with every agent traversal
+// after the walk step.
 
 // visitLane is one trial's visit-exchange state.
 type visitLane struct {
@@ -41,10 +47,12 @@ type visitLane struct {
 
 // BatchedVisitExchange runs K visit-exchange trials in fused lockstep.
 type BatchedVisitExchange struct {
-	g     *graph.Graph
-	src   graph.Vertex
-	walks *agents.BatchedWalks
-	lanes []visitLane
+	g       *graph.Graph
+	src     graph.Vertex
+	walks   *agents.BatchedWalks
+	lanes   []visitLane
+	observe MoveObserver // one-lane bundles only
+	churn   bool
 
 	activeIDs []int
 	// stamps/epochs/fused carry the per-round StepStamped wiring: lane t
@@ -65,21 +73,21 @@ type BatchedVisitExchange struct {
 var _ LaneProcess = (*BatchedVisitExchange)(nil)
 
 // NewBatchedVisitExchange builds a K = len(rngs) lane visit-exchange
-// bundle. Lane t consumes rngs[t] exactly as NewVisitExchange would, so
-// lane t replays serial trial t. Options requiring the serial path (churn,
-// observers) are rejected; callers fall back to RunMany.
+// bundle; lane t's trial depends on rngs[t] alone, so lane t replays the
+// one-lane bundle NewVisitExchange builds from the same RNG. Any churn rate
+// is supported; an Observer needs K = 1.
 func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedVisitExchange, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	if opts.Observer != nil {
-		return nil, fmt.Errorf("visit-exchange: batched runs do not support observers")
+	if opts.Observer != nil && len(rngs) != 1 {
+		return nil, errObserverLanes
 	}
 	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rngs)
 	if err != nil {
 		return nil, fmt.Errorf("visit-exchange: %w", err)
 	}
-	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs))}
+	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs)), observe: opts.Observer, churn: opts.ChurnRate > 0}
 	v.laneFn = v.laneShard
 	v.fuseMark = true
 	v.stamps = make([][]uint32, len(rngs))
@@ -136,6 +144,9 @@ func (v *BatchedVisitExchange) LaneAllAgentsInformed(t int) bool {
 
 func (v *BatchedVisitExchange) setBudget(b budget) { v.budget = b }
 
+// Round returns the number of Step calls so far.
+func (v *BatchedVisitExchange) Round() int { return v.walks.Round() }
+
 // Step implements LaneProcess: one fused walk round — stamping the
 // occupancy of lanes whose agents are all informed in the same pass — then
 // the informing stages as cross-lane sweeps over the active lanes.
@@ -150,11 +161,11 @@ func (v *BatchedVisitExchange) Step(active []bool) {
 			continue
 		}
 		L := &v.lanes[t]
-		if v.fuseMark && L.countA == na && L.countV < n {
-			// Every agent is informed (a permanent state: batched lanes
-			// have no churn), so "stamp every informed agent's position"
-			// is exactly "stamp every agent's destination" — the walk step
-			// does it in the pass that writes positions.
+		if v.fuseMark && !v.churn && L.countA == na && L.countV < n {
+			// Every agent is informed (a permanent state without churn),
+			// so "stamp every informed agent's position" is exactly
+			// "stamp every agent's destination" — the walk step does it in
+			// the pass that writes positions.
 			L.occInf.next()
 			v.stamps[t] = L.occInf.stamp
 			v.epochs[t] = L.occInf.epoch
@@ -171,6 +182,9 @@ func (v *BatchedVisitExchange) Step(active []bool) {
 		v.walks.StepStamped(active, v.stamps, v.epochs)
 	} else {
 		v.walks.Step(active)
+	}
+	if v.observe != nil {
+		observeMoves(v.observe, v.walks)
 	}
 	par.DoN(shards, len(v.activeIDs), v.laneFn)
 }
@@ -199,13 +213,15 @@ func (v *BatchedVisitExchange) laneShard(_, lo, hi int) {
 // markLane is pass 1's stamping for lane t: mark the position of every
 // agent informed in a previous round (one store per agent beats a probe
 // per agent: the stamp retires without a dependent branch). Fused lanes
-// were stamped inside the walk step and are skipped. It also charges the
-// round's token messages, being the first stage of the round.
+// were stamped inside the walk step and are skipped. Being the first stage
+// of the round, it also charges the round's token messages and forgets
+// the agents churn replaced.
 func (v *BatchedVisitExchange) markLane(t int) {
 	L := &v.lanes[t]
 	pos := v.walks.Lane(t)
 	na := len(pos)
 	L.messages += int64(na)
+	L.countA = forgetRespawned(L.informedA, L.countA, v.walks.Respawned(t))
 	if v.fused[t] || L.countA == 0 || L.countV == v.g.N() {
 		return
 	}
@@ -218,7 +234,7 @@ func (v *BatchedVisitExchange) markLane(t int) {
 		return
 	}
 	aw := L.informedA.Words()
-	markInformed(L.occInf, aw, pos, 0, len(aw), false)
+	markInformed(L.occInf, aw, pos)
 }
 
 // sweepLane is pass 1's commit for lane t: sweep the uninformed vertex
@@ -266,10 +282,11 @@ type meetLane struct {
 
 // BatchedMeetExchange runs K meet-exchange trials in fused lockstep.
 type BatchedMeetExchange struct {
-	g     *graph.Graph
-	src   graph.Vertex
-	walks *agents.BatchedWalks
-	lanes []meetLane
+	g       *graph.Graph
+	src     graph.Vertex
+	walks   *agents.BatchedWalks
+	lanes   []meetLane
+	observe MoveObserver // one-lane bundles only
 
 	activeIDs []int
 	budget    budget
@@ -279,19 +296,20 @@ type BatchedMeetExchange struct {
 var _ LaneProcess = (*BatchedMeetExchange)(nil)
 
 // NewBatchedMeetExchange builds a K = len(rngs) lane meet-exchange bundle;
-// lane t replays serial trial t (see NewBatchedVisitExchange).
+// lane t replays the one-lane bundle NewMeetExchange builds from rngs[t]
+// (see NewBatchedVisitExchange).
 func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedMeetExchange, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	if opts.Observer != nil {
-		return nil, fmt.Errorf("meet-exchange: batched runs do not support observers")
+	if opts.Observer != nil && len(rngs) != 1 {
+		return nil, errObserverLanes
 	}
 	w, err := agents.NewBatched(g, opts.walkConfig(g, true), rngs)
 	if err != nil {
 		return nil, fmt.Errorf("meet-exchange: %w", err)
 	}
-	m := &BatchedMeetExchange{g: g, src: s, walks: w, lanes: make([]meetLane, len(rngs))}
+	m := &BatchedMeetExchange{g: g, src: s, walks: w, lanes: make([]meetLane, len(rngs)), observe: opts.Observer}
 	m.laneFn = m.laneShard
 	for t := range m.lanes {
 		L := &m.lanes[t]
@@ -331,6 +349,9 @@ func (m *BatchedMeetExchange) LaneAllAgentsInformed(t int) bool { return m.LaneD
 
 func (m *BatchedMeetExchange) setBudget(b budget) { m.budget = b }
 
+// Round returns the number of Step calls so far.
+func (m *BatchedMeetExchange) Round() int { return m.walks.Round() }
+
 // Step implements LaneProcess: the walk step and the meeting pass each
 // do one unit of work per (active lane, agent).
 func (m *BatchedMeetExchange) Step(active []bool) {
@@ -338,6 +359,9 @@ func (m *BatchedMeetExchange) Step(active []bool) {
 	shards := m.budget.For(len(m.activeIDs) * m.walks.N())
 	m.walks.SetShards(shards)
 	m.walks.Step(active)
+	if m.observe != nil {
+		observeMoves(m.observe, m.walks)
+	}
 	par.DoN(shards, len(m.activeIDs), m.laneFn)
 }
 
@@ -348,13 +372,14 @@ func (m *BatchedMeetExchange) laneShard(_, lo, hi int) {
 	}
 }
 
-// stepLane applies one round of meet-exchange informing to lane t,
-// mirroring the serial MeetExchange.Step.
+// stepLane applies one round of meet-exchange informing to lane t: churn
+// replacements forget the rumor, then meetings and the source rule inform.
 func (m *BatchedMeetExchange) stepLane(t int) {
 	L := &m.lanes[t]
 	pos := m.walks.Lane(t)
 	na := len(pos)
 	L.messages += int64(na)
+	L.countA = forgetRespawned(L.informedA, L.countA, m.walks.Respawned(t))
 
 	// Mark vertices occupied by agents informed in a previous round, then
 	// collect uninformed agents meeting them.
@@ -362,7 +387,7 @@ func (m *BatchedMeetExchange) stepLane(t int) {
 	L.newly = L.newly[:0]
 	if L.countA > 0 && L.countA < na {
 		aw := L.informedA.Words()
-		markInformed(L.occInf, aw, pos, 0, len(aw), false)
+		markInformed(L.occInf, aw, pos)
 		for wi := range aw {
 			inv := ^aw[wi]
 			if rem := na - wi<<6; rem < 64 {
@@ -397,6 +422,18 @@ func (m *BatchedMeetExchange) stepLane(t int) {
 			L.countA++
 		}
 	}
+}
+
+// forgetRespawned clears the informed bits of the agents churn replaced —
+// fresh agents are uninformed — and returns the new informed count.
+func forgetRespawned(informedA *bitset.Set, countA int, respawned []int) int {
+	for _, id := range respawned {
+		if informedA.Test(id) {
+			informedA.Clear(id)
+			countA--
+		}
+	}
+	return countA
 }
 
 // activeLanes appends the indices of active lanes (all k when active is

@@ -25,6 +25,7 @@ func TestBatchedVisitExchangeFusedStampEquivalence(t *testing.T) {
 	opts := []AgentOptions{
 		{},             // simple walks, alpha 1
 		{Lazy: LazyOn}, // exercises the lazy stamped walk loop
+		{Alpha: 2.0},   // more agents than vertices
 		{Count: 5},     // sparse agents: fused regime hits late per lane
 	}
 	const seed = 99

@@ -56,10 +56,11 @@
 // stream keying (xrand.TrialSeed) guarantees lane t draws exactly what
 // serial trial t would, so the []Result is bit-identical for every seed
 // and K — pinned by the lane-equivalence tests at GOMAXPROCS 1 and 8.
-// Push exists only as its bundle: NewPush returns the one-lane view of
-// BatchedPush. For the other protocols, configurations the fused bundles
-// cannot express (churn, observers) run serial processes on the K = 1
-// path.
+// Push, visit-exchange and meet-exchange exist only as their bundles:
+// NewPush, NewVisitExchange and NewMeetExchange return one-lane views, and
+// the agent bundles carry churn and, at K = 1, observers. Push-pull and
+// the hybrid keep serial processes as their bundles' references; the
+// hybrid's observer runs use the serial process on the K = 1 path.
 package core
 
 import (
@@ -92,7 +93,8 @@ type Process interface {
 }
 
 // MoveObserver receives every information-bearing channel use: a neighbor
-// call (push/push-pull) or an agent traversal (agent protocols). The trace
+// call (push/push-pull) or an agent traversal (agent protocols; an agent
+// replaced by churn traversed nothing and is not reported). The trace
 // package uses it for the bandwidth-fairness accounting of Section 1.
 // Observers add overhead; leave nil in benchmarks.
 type MoveObserver func(round int, from, to graph.Vertex)

@@ -34,6 +34,12 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// visitBundle returns the one-lane bundle behind a visit-exchange view.
+func visitBundle(p Process) *BatchedVisitExchange { return laneOf(p).(*BatchedVisitExchange) }
+
+// meetBundle returns the one-lane bundle behind a meet-exchange view.
+func meetBundle(p Process) *BatchedMeetExchange { return laneOf(p).(*BatchedMeetExchange) }
+
 func TestAgentCountHelper(t *testing.T) {
 	cases := []struct {
 		n     int
@@ -150,7 +156,7 @@ func TestVisitExchangeRoundZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.InformedAgents(); got != 2 {
+	if got := visitBundle(v).lanes[0].countA; got != 2 {
 		t.Errorf("round-zero informed agents = %d, want 2", got)
 	}
 	if v.InformedCount() != 1 {
@@ -174,11 +180,11 @@ func TestVisitExchangeAgentInformedByVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.InformedAgents() != 0 {
+	if visitBundle(v).lanes[0].countA != 0 {
 		t.Fatal("agent informed at round zero while off-source")
 	}
 	v.Step()
-	if v.InformedAgents() != 1 {
+	if visitBundle(v).lanes[0].countA != 1 {
 		t.Fatal("agent not informed after stepping onto informed center")
 	}
 	if v.InformedCount() != 1 {
@@ -208,7 +214,7 @@ func TestVisitExchangeCurrentRoundVertexInformsAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Step()
-	if got := v.InformedAgents(); got != 2 {
+	if got := visitBundle(v).lanes[0].countA; got != 2 {
 		t.Fatalf("after round 1, informed agents = %d, want 2 (current-round rule)", got)
 	}
 	if v.InformedCount() != 2 { // leaf 1 + center
@@ -258,7 +264,7 @@ func TestMeetExchangeRoundZeroAndSourceRule(t *testing.T) {
 	if m.InformedCount() != 1 {
 		t.Fatalf("round-zero informed agents = %d, want 1", m.InformedCount())
 	}
-	if m.SourceActive() {
+	if meetBundle(m).lanes[0].sourceActive {
 		t.Fatal("source still active though an agent started on it")
 	}
 }
@@ -276,12 +282,12 @@ func TestMeetExchangeFirstVisitInforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.SourceActive() || m.InformedCount() != 0 {
+	if !meetBundle(m).lanes[0].sourceActive || m.InformedCount() != 0 {
 		t.Fatal("bad round-zero state")
 	}
 	m.Step()
-	if m.InformedCount() != 1 || m.SourceActive() {
-		t.Fatalf("first visit did not inform: count=%d active=%v", m.InformedCount(), m.SourceActive())
+	if m.InformedCount() != 1 || meetBundle(m).lanes[0].sourceActive {
+		t.Fatalf("first visit did not inform: count=%d active=%v", m.InformedCount(), meetBundle(m).lanes[0].sourceActive)
 	}
 	if !m.Done() {
 		t.Fatal("single-agent meetx not done once the agent is informed")
@@ -403,7 +409,7 @@ func TestAllProtocolsCompleteOnAllFamilies(t *testing.T) {
 				}
 				want := g.N()
 				if pc.name == "meetx" {
-					want = p.(*MeetExchange).AgentCount()
+					want = meetBundle(p).walks.N()
 				}
 				if got := p.InformedCount(); got != want {
 					t.Fatalf("final informed = %d, want %d", got, want)
@@ -442,7 +448,7 @@ func TestVisitExchangeAllAgentsAtVertexCompletion(t *testing.T) {
 		if res.AllAgentsRound < 0 || res.AllAgentsRound > res.Rounds {
 			t.Fatalf("seed %d: AllAgentsRound = %d, Rounds = %d", seed, res.AllAgentsRound, res.Rounds)
 		}
-		if !v.AllAgentsInformed() {
+		if !laneOf(v).LaneAllAgentsInformed(0) {
 			t.Fatalf("seed %d: agents uninformed at vertex completion", seed)
 		}
 	}
@@ -592,6 +598,35 @@ func TestVisitExchangeObserverSeesAgentSteps(t *testing.T) {
 	}
 }
 
+// TestObserverSkipsChurnRespawns: an observer receives agent traversals,
+// and an agent replaced by churn traversed nothing — it reappears at a
+// stationary sample, usually not a neighbor. So every observed move with
+// from != to must be an edge, for every agent protocol with heavy churn on
+// a cycle, where almost no respawn lands next to where the agent was.
+func TestObserverSkipsChurnRespawns(t *testing.T) {
+	g := graph.Cycle(64)
+	for name, build := range map[string]func(rng *xrand.RNG, o AgentOptions) (Process, error){
+		"visitx": func(rng *xrand.RNG, o AgentOptions) (Process, error) { return NewVisitExchange(g, 0, rng, o) },
+		"meetx":  func(rng *xrand.RNG, o AgentOptions) (Process, error) { return NewMeetExchange(g, 0, rng, o) },
+		"hybrid": func(rng *xrand.RNG, o AgentOptions) (Process, error) { return NewHybrid(g, 0, rng, o) },
+	} {
+		moves, bad := 0, 0
+		p, err := build(xrand.New(3), AgentOptions{ChurnRate: 0.2, Observer: func(_ int, from, to graph.Vertex) {
+			moves++
+			if from != to && !g.HasEdge(from, to) {
+				bad++
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Run(g, p, 200)
+		if moves == 0 || bad > 0 {
+			t.Errorf("%s: %d of %d observed moves are not edges", name, bad, moves)
+		}
+	}
+}
+
 func TestHistoryStartsAtRoundZero(t *testing.T) {
 	g := graph.Complete(8)
 	p, err := NewPush(g, 0, xrand.New(1), PushOptions{})
@@ -637,8 +672,8 @@ func TestOnePerVertexPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.AgentCount() != g.N() {
-		t.Fatalf("agent count %d != n %d", v.AgentCount(), g.N())
+	if visitBundle(v).walks.N() != g.N() {
+		t.Fatalf("agent count %d != n %d", visitBundle(v).walks.N(), g.N())
 	}
 	res := Run(g, v, 0)
 	if !res.Completed {
@@ -814,12 +849,12 @@ func TestMeetExchangePairwiseRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InformedCount() != 0 || !m.SourceActive() {
+	if m.InformedCount() != 0 || !meetBundle(m).lanes[0].sourceActive {
 		t.Fatal("bad initial state")
 	}
 	for i := 0; i < 50 && m.InformedCount() == 0; i++ {
 		m.Step()
-		if m.InformedCount() > 0 && m.SourceActive() {
+		if m.InformedCount() > 0 && meetBundle(m).lanes[0].sourceActive {
 			t.Fatal("agents informed while source still active — meeting of uninformed agents created information")
 		}
 	}

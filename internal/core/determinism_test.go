@@ -150,13 +150,9 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		var resp []int
 		for r := 0; r < 30; r++ {
 			w.Step(nil)
-			resp = append(resp, w.Respawned()...)
+			resp = append(resp, w.Respawned(0)...)
 		}
-		pos := make([]graph.Vertex, w.N())
-		for i := range pos {
-			pos[i] = w.Pos(i)
-		}
-		return snap{pos: pos, resp: resp}
+		return snap{pos: w.Lane(0), resp: resp}
 	}
 	for _, cfg := range []struct {
 		churn float64
@@ -172,7 +168,7 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// newWalksForTest builds a walk system with a fixed-seed RNG.
-func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.Walks, error) {
-	return agents.New(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, xrand.New(1234))
+// newWalksForTest builds a one-lane walk system with a fixed-seed RNG.
+func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.BatchedWalks, error) {
+	return agents.NewBatched(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, []*xrand.RNG{xrand.New(1234)})
 }

@@ -11,8 +11,8 @@ import (
 // batched. Each is a plain function over concrete state (no per-unit
 // indirection lands in a hot loop), so the four engines that perform an
 // exchange round share one copy of the collect, commit, and active-draw
-// semantics — a fix to any of them lands everywhere at once. The batched
-// agent-pickup pass shared by the visit-exchange and hybrid bundles lives
+// semantics — a fix to any of them lands everywhere at once. The agent
+// deposit and pickup passes shared by visit-exchange and the hybrid live
 // here too.
 
 // exchangeLane is one trial's exchange state in a fused bundle: all of a
@@ -303,23 +303,19 @@ func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *b
 	return pending
 }
 
-// collectPickups appends to buf the uninformed agents of bitset words
-// [lo, hi) standing on an informed vertex: the sharded, collect-only form
-// of pickupAgents, shared by the serial visit-exchange and hybrid.
-func collectPickups(informedA, informedV *bitset.Set, pos []graph.Vertex, lo, hi int, buf []int32) []int32 {
-	aw := informedA.Words()
-	for wi := lo; wi < hi; wi++ {
-		inv := ^aw[wi]
-		if rem := len(pos) - wi<<6; rem < 64 {
-			inv &= 1<<uint(rem) - 1 // mask ghost bits past the last agent
-		}
-		for ; inv != 0; inv &= inv - 1 {
-			if i := wi<<6 + bits.TrailingZeros64(inv); informedV.Test(int(pos[i])) {
-				buf = append(buf, int32(i))
+// collectDeposits appends to pending, in agent-id order, the vertex of
+// every informed agent that is not yet informed: the visit-exchange
+// deposit of the hybrid, serial and batched, evaluated against the
+// pre-commit informed set.
+func collectDeposits(informedA, informedV *bitset.Set, pos []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
+	for wi, wd := range informedA.Words() {
+		for ; wd != 0; wd &= wd - 1 {
+			if p := pos[wi<<6+bits.TrailingZeros64(wd)]; !informedV.Test(int(p)) {
+				pending = append(pending, p)
 			}
 		}
 	}
-	return buf
+	return pending
 }
 
 // pickupAgents informs every uninformed agent standing on an informed

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rumor/internal/agents"
 	"rumor/internal/bitset"
@@ -39,7 +38,7 @@ import (
 type Hybrid struct {
 	g     *graph.Graph
 	src   graph.Vertex
-	walks *agents.Walks
+	walks *agents.BatchedWalks // one lane
 	opts  AgentOptions
 
 	seed    uint64 // keys the push-pull exchange streams
@@ -63,16 +62,9 @@ type Hybrid struct {
 	stagnant    int
 	bnd         exchangeBoundary
 
-	shardV     shardBufs[graph.Vertex]
-	shardA     shardBufs[int32]
-	bufsV      [][]graph.Vertex
-	bufsA      [][]int32
 	budget     budget
-	shardsA    int // shards of an agent pass (deposit, pickup)
 	exchangeFn func(shard, lo, hi int)
 	activeFn   func(shard, lo, hi int)
-	depositFn  func(shard, lo, hi int)
-	pickupFn   func(shard, lo, hi int)
 	round      int
 	messages   int64
 }
@@ -84,7 +76,7 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	w, err := agents.New(g, opts.walkConfig(g, false), rng)
+	w, err := agents.NewBatched(g, opts.walkConfig(g, false), []*xrand.RNG{rng})
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
@@ -100,15 +92,12 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 		informedA: bitset.New(w.N()),
 		countV:    1,
 	}
-	h.shardsA = 1
 	h.useBoundary = true
 	h.exchangeFn = h.exchangeShard
 	h.activeFn = h.exchangeActiveShard
-	h.depositFn = h.depositShard
-	h.pickupFn = h.pickupShard
 	h.informedV.Set(int(s))
-	for i := 0; i < w.N(); i++ {
-		if w.Pos(i) == s {
+	for i, p := range w.Lane(0) {
+		if p == s {
 			h.informedA.Set(i)
 			h.countA++
 		}
@@ -139,12 +128,12 @@ func (h *Hybrid) Messages() int64 { return h.messages }
 // Source implements the sourced interface.
 func (h *Hybrid) Source() graph.Vertex { return h.src }
 
-// setBudget sizes the walk step and the agent passes (one unit per agent)
-// once; the exchange draws are sized per round from their sender count.
+// setBudget sizes the walk step (one unit per agent) once; the exchange
+// draws are sized per round from their sender count. The agent passes run
+// inline.
 func (h *Hybrid) setBudget(b budget) {
 	h.budget = b
-	h.shardsA = b.For(h.walks.N())
-	h.walks.SetShards(h.shardsA)
+	h.walks.SetShards(b.For(h.walks.N()))
 }
 
 // Step implements Process.
@@ -181,24 +170,13 @@ func (h *Hybrid) Step() {
 	h.walks.Step(nil)
 	na := h.walks.N()
 	h.messages += int64(na)
-	for _, id := range h.walks.Respawned() {
-		if h.informedA.Test(id) {
-			h.informedA.Clear(id)
-			h.countA--
-		}
-	}
+	h.countA = forgetRespawned(h.informedA, h.countA, h.walks.Respawned(0))
 	if h.opts.Observer != nil {
-		for i := 0; i < na; i++ {
-			h.opts.Observer(h.round, h.walks.Prev(i), h.walks.Pos(i))
-		}
+		observeMoves(h.opts.Observer, h.walks)
 	}
-	words := len(h.informedA.Words())
+	pos := h.walks.Lane(0)
 	if h.countA > 0 && h.countV < n {
-		h.bufsV = h.shardV.acquire(h.shardsA)
-		par.DoN(h.shardsA, words, h.depositFn)
-		for _, buf := range h.bufsV {
-			h.pendingV = append(h.pendingV, buf...)
-		}
+		h.pendingV = collectDeposits(h.informedA, h.informedV, pos, h.pendingV)
 	}
 
 	// Commit newly informed vertices from both mechanisms.
@@ -223,14 +201,7 @@ func (h *Hybrid) Step() {
 
 	// Agents standing on an informed vertex (old or new) become informed.
 	if h.countA < na {
-		h.bufsA = h.shardA.acquire(h.shardsA)
-		par.DoN(h.shardsA, words, h.pickupFn)
-		for _, buf := range h.bufsA {
-			for _, i := range buf {
-				h.informedA.Set(int(i))
-				h.countA++
-			}
-		}
+		h.countA = pickupAgents(h.informedA, h.countA, h.informedV, pos)
 	}
 }
 
@@ -267,28 +238,4 @@ func (h *Hybrid) exchangeShard(_, lo, hi int) {
 // active list mutates during the commit phase.
 func (h *Hybrid) exchangeActiveShard(_, lo, hi int) {
 	drawExchangeActive(&h.sampler, h.seed, h.bnd.active[lo:hi], h.srcs[lo:hi], h.targets[lo:hi], uint64(h.round), 0)
-}
-
-// depositShard collects the positions of previously informed agents in
-// bitset words [lo, hi) whose vertex is not yet informed.
-func (h *Hybrid) depositShard(shard, lo, hi int) {
-	aw := h.informedA.Words()
-	pos := h.walks.Positions()
-	buf := h.bufsV[shard]
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			i := wi<<6 + bits.TrailingZeros64(wd)
-			p := pos[i]
-			if !h.informedV.Test(int(p)) {
-				buf = append(buf, p)
-			}
-		}
-	}
-	h.bufsV[shard] = buf
-}
-
-// pickupShard collects the uninformed agents in bitset words [lo, hi)
-// standing on an informed vertex.
-func (h *Hybrid) pickupShard(shard, lo, hi int) {
-	h.bufsA[shard] = collectPickups(h.informedA, h.informedV, h.walks.Positions(), lo, hi, h.bufsA[shard])
 }

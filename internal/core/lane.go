@@ -19,10 +19,11 @@ import (
 // protocol implementations (BatchedPush, BatchedPushPull,
 // BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid) are
 // LaneProcesses with K > 1; a single trial is the K = 1 special case: a
-// one-lane bundle behind a laneView (push, whose bundle is its only
-// implementation), or a serial Process behind a processLane. RunMany is
-// RunManyLanes at K = 1, so serial and fused sweeps share one worker pool,
-// one error discipline, and one emitter.
+// one-lane bundle behind a laneView (push, visit-exchange and
+// meet-exchange, whose bundles are their only implementations), or a
+// serial Process behind a processLane (push-pull and the hybrid). RunMany
+// is RunManyLanes at K = 1, so serial and fused sweeps share one worker
+// pool, one error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
 // streams keyed by the trial lane (xrand.TrialSeed(seed, t)) exactly as a
@@ -64,8 +65,8 @@ type LaneProcess interface {
 type LaneFactory func(rngs []*xrand.RNG) (LaneProcess, error)
 
 // processLane adapts one serial Process to the K = 1 LaneProcess the
-// unified driver runs. It is how observer and churn configurations — which
-// the fused bundles reject — still execute on the lane engine.
+// unified driver runs: serial push-pull and Hybrid trials, the references
+// their bundles are tested against, and the hybrid's observer runs.
 type processLane struct {
 	p       Process
 	tracker agentTracker // nil when p has no agents
@@ -137,8 +138,9 @@ type laneBundle interface {
 }
 
 // laneView is the single-trial Process of a protocol whose one-lane
-// bundle is its only implementation (NewPush returns one). Run and RunMany
-// step the bundle itself (laneOf).
+// bundle is its only implementation (NewPush, NewVisitExchange and
+// NewMeetExchange return one). Run and RunMany step the bundle itself
+// (laneOf).
 type laneView struct {
 	lp     laneBundle
 	active []bool

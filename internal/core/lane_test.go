@@ -239,6 +239,53 @@ func TestRunManyLanesAdaptiveK(t *testing.T) {
 	}
 }
 
+// churnProtos are the agent protocols with churn: visit-exchange and
+// meet-exchange against their one-lane views, the hybrid against the
+// serial Hybrid.
+func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
+	o := AgentOptions{ChurnRate: churn}
+	return []laneProto{
+		{
+			name:    "visit-exchange-churn",
+			serial:  func(rng *xrand.RNG) (Process, error) { return NewVisitExchange(g, s, rng, o) },
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, s, rngs, o) },
+		},
+		{
+			name:    "meet-exchange-churn",
+			serial:  func(rng *xrand.RNG) (Process, error) { return NewMeetExchange(g, s, rng, o) },
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, s, rngs, o) },
+		},
+		{
+			name:    "hybrid-churn",
+			serial:  func(rng *xrand.RNG) (Process, error) { return NewHybrid(g, s, rng, o) },
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, s, rngs, o) },
+		},
+	}
+}
+
+// TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles equal
+// K = 1 per trial — visit-exchange and meet-exchange their one-lane views,
+// the hybrid the serial Hybrid — at GOMAXPROCS 1 and 8 and under forced
+// budgets (see compareLanes). Meet-exchange may lose the rumor to churn,
+// so runs are cut at 600 rounds and truncated lanes are compared too.
+func TestLaneEquivalenceChurn(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Star(301),      // degree mix: respawns land on the hub half the time
+		graph.DoubleStar(64), // bridge wait
+		graph.Hypercube(7),
+	}
+	const seed, maxRounds = 404, 600
+	for _, g := range graphs {
+		for _, churn := range []float64{0.01, 0.2} {
+			for _, pc := range churnProtos(g, 0, churn) {
+				for _, k := range []int{2, 7} {
+					compareLanes(t, g, pc, k, maxRounds, seed)
+				}
+			}
+		}
+	}
+}
+
 // TestHybridBoundaryEquivalence: the hybrid's boundary-active exchange
 // phase must be bit-identical to the dense path — a non-boundary vertex's
 // exchange provably transfers nothing, and counter-based streams make

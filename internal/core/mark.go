@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"rumor/internal/graph"
 )
@@ -11,9 +10,9 @@ import (
 // epoch, used for "does this vertex currently host an informed agent"
 // queries. Unlike agents.Occupancy it stores no counts and keeps no
 // touched list: marking is a single unconditional store, which also makes
-// it safe to mark from concurrent shards (markInformed: all writers store
-// the same epoch value through the atomic API, and readers run strictly
-// after the parallel phase's barrier).
+// it safe to mark from concurrent shards (the fused walk step stamps
+// through the atomic API — all writers store the same epoch value — and
+// readers run strictly after the parallel phase's barrier).
 type epochMark struct {
 	stamp []uint32
 	epoch uint32
@@ -33,20 +32,13 @@ func (m *epochMark) next() {
 	}
 }
 
-// markInformed marks the vertex pos[i] of every agent i set in bitset words
-// aw[lo:hi]. shared selects atomic stores — a full fence on amd64, so only
-// for passes split into concurrent shards, which may stamp the same vertex
-// (always with the same epoch); a single shard uses plain stores.
-func markInformed(m *epochMark, aw []uint64, pos []graph.Vertex, lo, hi int, shared bool) {
+// markInformed marks the vertex pos[i] of every agent i set in the bitset
+// words aw.
+func markInformed(m *epochMark, aw []uint64, pos []graph.Vertex) {
 	stamp, epoch := m.stamp, m.epoch
-	for wi := lo; wi < hi; wi++ {
-		for wd := aw[wi]; wd != 0; wd &= wd - 1 {
-			p := pos[wi<<6+bits.TrailingZeros64(wd)]
-			if shared {
-				atomic.StoreUint32(&stamp[p], epoch)
-			} else {
-				stamp[p] = epoch
-			}
+	for wi, wd := range aw {
+		for ; wd != 0; wd &= wd - 1 {
+			stamp[pos[wi<<6+bits.TrailingZeros64(wd)]] = epoch
 		}
 	}
 }

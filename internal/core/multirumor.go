@@ -42,7 +42,7 @@ type MultiRumorResult struct {
 // how many rumors are in flight.
 type MultiRumorVisitExchange struct {
 	g      *graph.Graph
-	walks  *agents.Walks
+	walks  *agents.BatchedWalks // one lane
 	rumors []Rumor
 
 	vMask []uint64 // rumor bits held by each vertex
@@ -70,7 +70,7 @@ func NewMultiRumorVisitExchange(g *graph.Graph, rumors []Rumor, rng *xrand.RNG, 
 			return nil, fmt.Errorf("core: rumor %d has negative injection round", i)
 		}
 	}
-	w, err := agents.New(g, opts.walkConfig(g, false), rng)
+	w, err := agents.NewBatched(g, opts.walkConfig(g, false), []*xrand.RNG{rng})
 	if err != nil {
 		return nil, fmt.Errorf("multi-rumor: %w", err)
 	}
@@ -103,8 +103,8 @@ func (m *MultiRumorVisitExchange) inject(round int) {
 			m.vMask[ru.Source] |= bit
 			m.vCnt[r]++
 		}
-		for i := 0; i < m.walks.N(); i++ {
-			if m.walks.Pos(i) == ru.Source {
+		for i, p := range m.walks.Lane(0) {
+			if p == ru.Source {
 				m.aMask[i] |= bit
 			}
 		}
@@ -142,14 +142,13 @@ func (m *MultiRumorVisitExchange) Step() {
 	m.round++
 	m.walks.Step(nil)
 	m.msgs += int64(m.walks.N())
-	for _, id := range m.walks.Respawned() {
+	for _, id := range m.walks.Respawned(0) {
 		m.aMask[id] = 0
 	}
-	na := m.walks.N()
+	pos := m.walks.Lane(0)
 	// Pass 1: agents deposit previously held rumors.
-	for i := 0; i < na; i++ {
+	for i, v := range pos {
 		if carry := m.aMask[i]; carry != 0 {
-			v := m.walks.Pos(i)
 			if newBits := carry &^ m.vMask[v]; newBits != 0 {
 				m.vMask[v] |= newBits
 				for b := newBits; b != 0; b &= b - 1 {
@@ -164,8 +163,8 @@ func (m *MultiRumorVisitExchange) Step() {
 	// the single-rumor round-zero semantics.
 	m.inject(m.round)
 	// Pass 2: agents pick up everything their vertex now holds.
-	for i := 0; i < na; i++ {
-		m.aMask[i] |= m.vMask[m.walks.Pos(i)]
+	for i, v := range pos {
+		m.aMask[i] |= m.vMask[v]
 	}
 }
 

@@ -57,29 +57,11 @@ type budgeted interface{ setBudget(b budget) }
 
 // NOTE: the bitset-word scans over agents share a helper only where the
 // per-agent predicate is the same concrete test (markInformed,
-// collectPickups). The rest (meetx meetShard, hybrid depositShard,
-// pickupAgents) repeat the loop shape — including the ghost-bit mask
-// `inv &= 1<<rem - 1` for the final partial word — rather than take a
-// predicate closure: an indirect call per agent would land in the engine's
-// hottest loops. A fix to the masking must be applied at every site.
-
-// shardBufs is a set of per-shard append buffers reused across rounds, so
-// steady-state stepping allocates nothing.
-type shardBufs[T any] struct {
-	bufs [][]T
-}
-
-// acquire returns `shards` empty buffers, retaining backing arrays.
-func (s *shardBufs[T]) acquire(shards int) [][]T {
-	for len(s.bufs) < shards {
-		s.bufs = append(s.bufs, nil)
-	}
-	bs := s.bufs[:shards]
-	for i := range bs {
-		bs[i] = bs[i][:0]
-	}
-	return bs
-}
+// collectDeposits, pickupAgents). The meet-exchange meeting scan repeats
+// the loop shape — including the ghost-bit mask `inv &= 1<<rem - 1` for
+// the final partial word — rather than take a predicate closure: an
+// indirect call per agent would land in the engine's hottest loops. A fix
+// to the masking must be applied at every site.
 
 // neighborSampler resolves uniform neighbor draws against the graph's
 // packed walk index when available (single load + AND or multiply-shift),

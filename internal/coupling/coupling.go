@@ -109,10 +109,11 @@ func Run(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Result, e
 // of Eq. (4).
 func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds int, recordZ bool, choice func(graph.Vertex, int) graph.Vertex, res *Result) error {
 	n := g.N()
-	walks, err := agents.New(g, agents.Config{Count: na}, rng)
+	walks, err := agents.NewBatched(g, agents.Config{Count: na}, []*xrand.RNG{rng})
 	if err != nil {
 		return fmt.Errorf("coupling: %w", err)
 	}
+	pos := walks.Lane(0)
 	informedV := make([]bool, n)
 	informedA := make([]bool, na)
 	countV := 0
@@ -135,10 +136,9 @@ func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds
 	// initial placement.
 	informVertex(s, 0, -1, 0)
 	occ.NextRound()
-	for i := 0; i < na; i++ {
-		pos := walks.Pos(i)
-		occ.Add(pos)
-		if pos == s {
+	for i, p := range pos {
+		occ.Add(p)
+		if p == s {
 			informedA[i] = true
 		}
 	}
@@ -166,19 +166,22 @@ func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds
 
 	for t := 1; countV < n && t <= maxRounds; t++ {
 		// Agents departing an informed vertex follow the shared choice
-		// list, in agent-id order (the paper's tie-breaking).
-		walks.Step(func(agent int, from graph.Vertex) (graph.Vertex, bool) {
+		// list, in agent-id order (the paper's tie-breaking), instead of
+		// their own walk draw.
+		walks.Step(nil)
+		pos = walks.Lane(0)
+		prev := walks.Prev(0)
+		for i, from := range prev {
 			if informedV[from] {
 				departs[from]++
-				return choice(from, departs[from]), true
+				pos[i] = choice(from, departs[from])
 			}
-			return 0, false
-		})
+		}
 
 		// Z_u(t): occupancy after the move.
 		occ.NextRound()
-		for i := 0; i < na; i++ {
-			occ.Add(walks.Pos(i))
+		for _, p := range pos {
+			occ.Add(p)
 		}
 		recordRound(t)
 
@@ -191,11 +194,11 @@ func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds
 			if !informedA[i] {
 				continue
 			}
-			to := walks.Pos(i)
+			to := pos[i]
 			if informedV[to] {
 				continue
 			}
-			from := walks.Prev(i)
+			from := prev[i]
 			// from is informed with t_from < t (see Section 5.3): the
 			// agent was informed in a previous round, so its round-(t-1)
 			// vertex was informed by round t-1 at the latest.
@@ -214,8 +217,8 @@ func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds
 
 		// Pass 2: agents on informed vertices (including this round's)
 		// become informed.
-		for i := 0; i < na; i++ {
-			if !informedA[i] && informedV[walks.Pos(i)] {
+		for i, p := range pos {
+			if !informedA[i] && informedV[p] {
 				informedA[i] = true
 			}
 		}

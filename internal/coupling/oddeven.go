@@ -71,10 +71,11 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 	}
 
 	// --- visit-exchange side ---------------------------------------------
-	walks, err := agents.New(g, agents.Config{Count: na}, rng)
+	walks, err := agents.NewBatched(g, agents.Config{Count: na}, []*xrand.RNG{rng})
 	if err != nil {
 		return nil, fmt.Errorf("coupling: %w", err)
 	}
+	pos := walks.Lane(0)
 	informedV := make([]bool, n)
 	informedA := make([]bool, na)
 	countV := 1
@@ -86,15 +87,15 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 	// round, or 0.
 	evenVisits := make([]int, n)
 	forcedIdx := make([]int, na)
-	for i := 0; i < na; i++ {
-		if walks.Pos(i) == s {
+	for i, u := range pos {
+		if u == s {
 			informedA[i] = true
 		}
 	}
 	// Round 0 is even: visits to informed vertices assign forced moves for
 	// round 1.
-	for i := 0; i < na; i++ {
-		if u := walks.Pos(i); informedV[u] {
+	for i, u := range pos {
+		if informedV[u] {
 			evenVisits[u]++
 			forcedIdx[i] = evenVisits[u]
 		}
@@ -102,18 +103,22 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 
 	for t := 1; countV < n && t <= maxRounds; t++ {
 		odd := t%2 == 1
-		walks.Step(func(agent int, from graph.Vertex) (graph.Vertex, bool) {
-			if odd && forcedIdx[agent] > 0 {
-				idx := forcedIdx[agent]
-				forcedIdx[agent] = 0
-				return choice(from, idx), true
+		// In odd rounds, forced agents take their coupled choice instead of
+		// their own walk draw, in agent-id order.
+		walks.Step(nil)
+		pos = walks.Lane(0)
+		prev := walks.Prev(0)
+		if odd {
+			for i, idx := range forcedIdx {
+				if idx > 0 {
+					forcedIdx[i] = 0
+					pos[i] = choice(prev[i], idx)
+				}
 			}
-			return 0, false
-		})
+		}
 		// Pass 1: previously informed agents inform their vertices.
-		for i := 0; i < na; i++ {
+		for i, to := range pos {
 			if informedA[i] {
-				to := walks.Pos(i)
 				if !informedV[to] {
 					informedV[to] = true
 					res.TV[to] = t
@@ -122,15 +127,15 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 			}
 		}
 		// Pass 2: agents on informed vertices become informed.
-		for i := 0; i < na; i++ {
-			if !informedA[i] && informedV[walks.Pos(i)] {
+		for i, u := range pos {
+			if !informedA[i] && informedV[u] {
 				informedA[i] = true
 			}
 		}
 		// Even rounds tag visits for the next odd round's coupled moves.
 		if !odd {
-			for i := 0; i < na; i++ {
-				if u := walks.Pos(i); informedV[u] {
+			for i, u := range pos {
+				if informedV[u] {
 					evenVisits[u]++
 					forcedIdx[i] = evenVisits[u]
 				} else {

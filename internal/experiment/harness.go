@@ -102,9 +102,8 @@ type Measurement struct {
 // round budget.
 //
 // Every protocol runs on the unified lane engine (core.RunManyLanes):
-// fused multi-lane bundles at the adaptive bundle width for standard
-// configurations, serial processes as K = 1 lanes when the configuration
-// needs them (observers; churn for the agent protocols). Bundle width
+// fused multi-lane bundles at the adaptive bundle width, churn included,
+// and single trials as K = 1 lanes when an observer is set. Bundle width
 // never changes results — the engines are bit-identical per trial (see
 // core's lane-equivalence tests) — so batching is purely a throughput
 // decision.
@@ -127,8 +126,8 @@ func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOpti
 // runTrials dispatches a protocol sweep to the unified lane engine: every
 // protocol has a fused multi-lane bundle, run at the adaptive bundle width
 // (core.AdaptiveBatchK picks K from trials, graph size, and GOMAXPROCS);
-// configurations the bundles cannot express fall back to serial processes
-// on the K = 1 lane path. Bundle width produces bit-identical results (see
+// observer runs, whose callbacks must not interleave, run single trials on
+// the K = 1 lane path. Bundle width produces bit-identical results (see
 // core's lane-equivalence tests); batching is purely a throughput
 // decision. emit, when non-nil, receives each trial's Result in strict
 // trial order as trials complete.
@@ -141,10 +140,8 @@ func runTrials(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOp
 	}, trials, maxRounds, seed, emit)
 }
 
-// laneFactory returns the fused-bundle constructor for p, or nil when the
-// configuration requires the serial path (observers force serial
-// everywhere; churn is only meaningful — and only serial — for the agent
-// protocols).
+// laneFactory returns the fused-bundle constructor for p, or nil when an
+// observer needs single trials. Churn applies to the agent protocols only.
 func laneFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions) core.LaneFactory {
 	if agentOpts.Observer != nil {
 		return nil
@@ -158,11 +155,6 @@ func laneFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.Agent
 		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
 			return core.NewBatchedPushPull(g, src, rngs, core.PushPullOptions{})
 		}
-	}
-	if agentOpts.ChurnRate != 0 {
-		return nil
-	}
-	switch p {
 	case ProtoVisitX:
 		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
 			return core.NewBatchedVisitExchange(g, src, rngs, agentOpts)

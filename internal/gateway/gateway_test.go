@@ -189,23 +189,30 @@ func TestBadRequestsDontBurnRetries(t *testing.T) {
 	g := newGateway(t, Options{Backends: []string{hostPort(t, backend.URL)}})
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
-	for _, body := range []string{
-		`{"graph":"star:16","bogus":1}`,
-		`{"graph":"nonsense:4","protocol":"push","trials":1}`,
-		`{"graph":"hypercube:31","protocol":"push","trials":1}`,
-		`{"graph":"randreg:9,3","protocol":"push","trials":1}`,
-		`{"graph":"randreg:10,11","protocol":"push","trials":1}`,
-		`{"graph":"star:3000000000","protocol":"push","trials":1}`,
-		`not json`,
+	for body, bound := range map[string]string{
+		`{"graph":"star:16","bogus":1}`:                                "",
+		`{"graph":"nonsense:4","protocol":"push","trials":1}`:          "",
+		`{"graph":"hypercube:31","protocol":"push","trials":1}`:        "[1,30]",
+		`{"graph":"randreg:9,3","protocol":"push","trials":1}`:         "n*d even",
+		`{"graph":"randreg:10,11","protocol":"push","trials":1}`:       "0 < d < n",
+		`{"graph":"star:3000000000","protocol":"push","trials":1}`:     "2147483647",
+		`{"graph":"chunglu:100,0.5,8","protocol":"push","trials":1}`:   "beta > 2",
+		`{"graph":"chunglu:100,2.5,200","protocol":"push","trials":1}`: "0 < avgDeg < n",
+		`{"graph":"chunglu:1,2.5,0.5","protocol":"push","trials":1}`:   "n >= 2",
+		`not json`: "",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
+		var e struct{ Error string }
+		if bound != "" && (json.Unmarshal(msg, &e) != nil || !strings.Contains(e.Error, bound)) {
+			t.Errorf("body %q: answer %s does not name the bound %s", body, msg, bound)
 		}
 	}
 	if n := hits.Load(); n != 0 {

@@ -533,16 +533,25 @@ func containsVertex(vs []Vertex, v Vertex) bool {
 // analytically on demand — the sampler holds no per-vertex array at all.
 // O(n + m) expected draws; β must exceed 2 for a finite mean.
 func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: ChungLu needs n >= 2")
-	}
-	if beta <= 2 {
-		return nil, fmt.Errorf("graph: ChungLu needs beta > 2, got %g", beta)
-	}
-	if avgDeg <= 0 || avgDeg >= float64(n) {
-		return nil, fmt.Errorf("graph: ChungLu needs 0 < avgDeg < n, got %g", avgDeg)
+	if err := chungLuDomain(n, beta, avgDeg); err != nil {
+		return nil, err
 	}
 	return BuildStream(chungluSpec(n, beta, avgDeg, seed))
+}
+
+// chungLuDomain is ChungLu's parameter domain, checked by the generator
+// and at parse time.
+func chungLuDomain(n int, beta, avgDeg float64) error {
+	if n < 2 {
+		return fmt.Errorf("graph: ChungLu needs n >= 2, got %d", n)
+	}
+	if beta <= 2 {
+		return fmt.Errorf("graph: ChungLu needs beta > 2, got %g", beta)
+	}
+	if avgDeg <= 0 || avgDeg >= float64(n) {
+		return fmt.Errorf("graph: ChungLu needs 0 < avgDeg < n, got %g", avgDeg)
+	}
+	return nil
 }
 
 // chungluBlockWeight is the weight mass of one chunglu block. Row i

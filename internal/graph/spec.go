@@ -93,7 +93,7 @@ var specFamilies = map[string]specFamily{
 		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
 			return BarabasiAlbert(p.Ints[0], p.Ints[1], seed)
 		}},
-	"chunglu": {usage: "chunglu:N,B,D", kinds: "iff", random: true,
+	"chunglu": {usage: "chunglu:N,B,D", kinds: "iff", random: true, check: checkChungLu,
 		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
 			return ChungLu(p.Ints[0], p.Floats[0], p.Floats[1], seed)
 		}},
@@ -108,10 +108,13 @@ func checkStar(p ParsedSpec) error {
 	return nil
 }
 
-// checkHypercube and checkRandReg run their generators' own domain
-// checks at parse time.
+// checkHypercube, checkRandReg and checkChungLu run their generators' own
+// domain checks at parse time.
 func checkHypercube(p ParsedSpec) error { return specError(p, hypercubeDomain(p.Ints[0])) }
 func checkRandReg(p ParsedSpec) error   { return specError(p, randRegDomain(p.Ints[0], p.Ints[1])) }
+func checkChungLu(p ParsedSpec) error {
+	return specError(p, chungLuDomain(p.Ints[0], p.Floats[0], p.Floats[1]))
+}
 
 // specError names the spec a domain error is about; nil stays nil.
 func specError(p ParsedSpec, err error) error {

@@ -40,6 +40,8 @@ func FuzzParseSpec(f *testing.F) {
 		// Either side of the domain bounds ParseSpec checks.
 		"hypercube:30", "hypercube:31", "randreg:10,9", "randreg:9,3",
 		"randreg:10,11", "star:2147483646", "star:2147483647",
+		"chunglu:2,2.01,1.99", "chunglu:1,2.5,0.5", "chunglu:100,2,8",
+		"chunglu:100,2.5,100",
 	}
 	for _, s := range seeds {
 		f.Add(s)

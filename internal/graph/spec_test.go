@@ -98,6 +98,13 @@ func TestParseSpecDomain(t *testing.T) {
 		{"star:3000000000", "2147483647"},
 		{"star:2147483647", "2147483647"},
 		{"star:2147483646", ""},
+		{"chunglu:100,0.5,8", "beta > 2"},
+		{"chunglu:100,2,8", "beta > 2"},
+		{"chunglu:100,2.5,200", "0 < avgDeg < n"},
+		{"chunglu:100,2.5,100", "0 < avgDeg < n"},
+		{"chunglu:100,2.5,0", "0 < avgDeg < n"},
+		{"chunglu:1,2.5,0.5", "n >= 2"},
+		{"chunglu:2,2.01,1.99", ""},
 	} {
 		_, err := ParseSpec(tc.spec)
 		switch {

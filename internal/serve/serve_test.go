@@ -403,24 +403,32 @@ func TestSweepAndJobEndpoint(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
-		body string
-		want int
+		body  string
+		want  int
+		bound string // named by the error body, when set
 	}{
-		{`{"graph":"star:16","protocol":"gossip"}`, http.StatusBadRequest},
-		{`{"graph":"nope:1"}`, http.StatusBadRequest},
-		{`{"graph":"star:16","bogusKnob":3}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
-		{`{"graph":"star:8"}{"graph":"star:16"}`, http.StatusBadRequest},  // trailing content
-		{`{"graph":"star:0","trials":1}`, http.StatusUnprocessableEntity}, // parses, fails to build
-		{`{"graph":"hypercube:31","trials":1}`, http.StatusBadRequest},    // outside the parsed domain
-		{`{"graph":"randreg:9,3","trials":1}`, http.StatusBadRequest},
-		{`{"graph":"randreg:10,11","trials":1}`, http.StatusBadRequest},
-		{`{"graph":"star:3000000000","trials":1}`, http.StatusBadRequest},
+		{`{"graph":"star:16","protocol":"gossip"}`, http.StatusBadRequest, ""},
+		{`{"graph":"nope:1"}`, http.StatusBadRequest, ""},
+		{`{"graph":"star:16","bogusKnob":3}`, http.StatusBadRequest, ""},
+		{`not json`, http.StatusBadRequest, ""},
+		{`{"graph":"star:8"}{"graph":"star:16"}`, http.StatusBadRequest, ""},     // trailing content
+		{`{"graph":"star:0","trials":1}`, http.StatusUnprocessableEntity, ""},    // parses, fails to build
+		{`{"graph":"hypercube:31","trials":1}`, http.StatusBadRequest, "[1,30]"}, // outside the parsed domain
+		{`{"graph":"randreg:9,3","trials":1}`, http.StatusBadRequest, "n*d even"},
+		{`{"graph":"randreg:10,11","trials":1}`, http.StatusBadRequest, "0 < d < n"},
+		{`{"graph":"star:3000000000","trials":1}`, http.StatusBadRequest, "2147483647"},
+		{`{"graph":"chunglu:100,0.5,8","trials":1}`, http.StatusBadRequest, "beta > 2"},
+		{`{"graph":"chunglu:100,2.5,200","trials":1}`, http.StatusBadRequest, "0 < avgDeg < n"},
+		{`{"graph":"chunglu:1,2.5,0.5","trials":1}`, http.StatusBadRequest, "n >= 2"},
 	}
 	for _, c := range cases {
 		code, _, body := postRun(t, ts, c.body)
 		if code != c.want {
 			t.Errorf("POST %s: status %d body %s, want %d", c.body, code, body, c.want)
+		}
+		var e struct{ Error string }
+		if c.bound != "" && (json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, c.bound)) {
+			t.Errorf("POST %s: body %s does not name the bound %s", c.body, body, c.bound)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/deadbeef")

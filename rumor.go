@@ -147,9 +147,11 @@ var (
 	NewPush = core.NewPush
 	// NewPushPull builds the push-pull protocol of Section 3.
 	NewPushPull = core.NewPushPull
-	// NewVisitExchange builds the visit-exchange protocol of Section 3.
+	// NewVisitExchange builds the visit-exchange protocol of Section 3 as
+	// a Process (one trial of the engine's visit-exchange bundle).
 	NewVisitExchange = core.NewVisitExchange
-	// NewMeetExchange builds the meet-exchange protocol of Section 3.
+	// NewMeetExchange builds the meet-exchange protocol of Section 3 as a
+	// Process (one trial of the engine's meet-exchange bundle).
 	NewMeetExchange = core.NewMeetExchange
 	// NewHybrid builds the combined push-pull + visit-exchange protocol.
 	NewHybrid = core.NewHybrid
