@@ -46,6 +46,12 @@ type visitLane struct {
 }
 
 // BatchedVisitExchange runs K visit-exchange trials in fused lockstep.
+// Visit-exchange is the agent-based protocol where both vertices and
+// agents store the rumor (Section 3): in round zero the source vertex and
+// all agents on it become informed; in each subsequent round all agents
+// take one random-walk step, every agent informed in a previous round
+// informs the vertex it visits, and every agent standing on a vertex
+// informed in a previous or the current round becomes informed.
 type BatchedVisitExchange struct {
 	g       *graph.Graph
 	src     graph.Vertex
@@ -281,6 +287,14 @@ type meetLane struct {
 }
 
 // BatchedMeetExchange runs K meet-exchange trials in fused lockstep.
+// Meet-exchange is the agent-only protocol (Section 3): in round zero every
+// agent standing on the source becomes informed; if none stands there, the
+// first agent(s) to visit the source in a later round become informed,
+// after which the source goes silent; thereafter the rumor passes only
+// between agents that meet at a vertex, and only from agents informed in a
+// previous round. On bipartite graphs two walks can have permanently
+// disjoint parities, so the paper (and LazyAuto) uses lazy walks there;
+// T_meetx would otherwise be infinite with positive probability.
 type BatchedMeetExchange struct {
 	g       *graph.Graph
 	src     graph.Vertex
