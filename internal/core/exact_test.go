@@ -5,18 +5,19 @@ import (
 	"math"
 	"testing"
 
+	"rumor/internal/distnet"
 	"rumor/internal/exact"
 	"rumor/internal/graph"
 	"rumor/internal/stats"
 	"rumor/internal/xrand"
 )
 
-// Push against its exact law. internal/exact derives the law of push's
-// broadcast time by a forward program over informed subsets; it shares no
-// code with this package and draws no random numbers. Every path a push
-// round can take must sample that law: the K = 1 view NewPush returns,
-// K = 7 bundles under the side rule, and K = 7 bundles with each side
-// forced for whole runs. The seeds are fixed, so the tests are
+// Push and push-pull against their exact laws. internal/exact derives the
+// law of each protocol's broadcast time by a forward program over informed
+// subsets; it shares no code with this package and draws no random
+// numbers. Every path a round can take must sample that law: the K = 1
+// process the constructor returns, K = 7 bundles under the side rule, and
+// K = 7 bundles with each side forced for whole runs. The seeds are fixed, so the tests are
 // deterministic; exactAlpha is the chance that fresh seeds raise a false
 // alarm, split evenly over a test's checks (Bonferroni).
 
@@ -165,19 +166,59 @@ func lawPValue(pmf []float64, rounds []int) float64 {
 	return p
 }
 
+// rootedSmall returns the 73 rooted connected graphs on two to five
+// vertices that the law tests run on.
+func rootedSmall(t *testing.T) []rooted {
+	t.Helper()
+	cases, classes := smallRooted(t, 5)
+	if classes != 30 || len(cases) != 73 {
+		t.Fatalf("%d connected graphs and %d rooted ones on 2..5 vertices, want 30 and 73", classes, len(cases))
+	}
+	return cases
+}
+
+// lawPath is one way of running a protocol's trials: a bundle factory at
+// a bundle width.
+type lawPath struct {
+	name    string
+	k       int
+	factory LaneFactory
+}
+
+// lawChecks runs exactTrials trials down each path, each on its own seed,
+// and returns one check per path of the broadcast times against pmf. A
+// time the law rules out fails the test at once.
+func lawChecks(t *testing.T, c rooted, f float64, pmf []float64, paths []lawPath, seed *uint64) []lawCheck {
+	t.Helper()
+	var checks []lawCheck
+	for _, path := range paths {
+		*seed++
+		res, err := RunManyLanes(c.g, path.factory, exactTrials, 0, *seed, path.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s from %d, f = %g, %s", c.g.Name(), c.src, f, path.name)
+		rounds := make([]int, len(res))
+		for i, r := range res {
+			if !r.Completed || r.Rounds >= len(pmf) || pmf[r.Rounds] == 0 {
+				t.Fatalf("%s trial %d: broadcast time %d (completed %v), which the law rules out", name, i, r.Rounds, r.Completed)
+			}
+			rounds[i] = r.Rounds
+		}
+		checks = append(checks, lawCheck{name, lawPValue(pmf, rounds)})
+	}
+	return checks
+}
+
 // TestExactPushLaw: on every connected graph with two to five vertices,
 // from a source in every orbit of its automorphisms, on reliable links and
 // at failure probability 0.25, each push path's broadcast times follow
 // exact.PushPMF: no time the law rules out, and Pearson's χ² within the
 // budget.
 func TestExactPushLaw(t *testing.T) {
-	cases, classes := smallRooted(t, 5)
-	if classes != 30 || len(cases) != 73 {
-		t.Fatalf("%d connected graphs and %d rooted ones on 2..5 vertices, want 30 and 73", classes, len(cases))
-	}
 	var checks []lawCheck
 	seed := uint64(0)
-	for _, c := range cases {
+	for _, c := range rootedSmall(t) {
 		for _, f := range []float64{0, 0.25} {
 			pmf, err := exact.PushPMF(c.g, c.src, f)
 			if err != nil {
@@ -186,32 +227,72 @@ func TestExactPushLaw(t *testing.T) {
 			opts := PushOptions{FailureProb: f}
 			view := func(rng *xrand.RNG) (Process, error) { return NewPush(c.g, c.src, rng, opts) }
 			bundle := func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedPush(c.g, c.src, rngs, opts) }
-			for _, path := range []struct {
-				name    string
-				k       int
-				factory LaneFactory
-			}{
+			checks = append(checks, lawChecks(t, c, f, pmf, []lawPath{
 				{"K=1 view", 1, serialLanes(view)},
 				{"K=7", 7, bundle},
 				{"K=7 side=all", 7, withSide(bundle, sideAll, false, nil)},
 				{"K=7 side=uninformed", 7, withSide(bundle, sideUninformed, false, nil)},
-			} {
-				seed++
-				res, err := RunManyLanes(c.g, path.factory, exactTrials, 0, seed, path.k, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s from %d, f = %g, %s", c.g.Name(), c.src, f, path.name)
-				rounds := make([]int, len(res))
-				for i, r := range res {
-					if !r.Completed || r.Rounds >= len(pmf) || pmf[r.Rounds] == 0 {
-						t.Fatalf("%s trial %d: broadcast time %d (completed %v), which the law rules out", name, i, r.Rounds, r.Completed)
-					}
-					rounds[i] = r.Rounds
-				}
-				checks = append(checks, lawCheck{name, lawPValue(pmf, rounds)})
-			}
+			}, &seed)...)
 		}
+	}
+	requireLaw(t, checks)
+}
+
+// TestExactPushPullLaw is TestExactPushLaw for push-pull against
+// exact.PushPullPMF: the K = 1 process NewPushPull returns, K = 7 bundles
+// under the side rule, and K = 7 bundles with each of the three sides
+// forced for whole runs.
+func TestExactPushPullLaw(t *testing.T) {
+	var checks []lawCheck
+	seed := uint64(1000)
+	for _, c := range rootedSmall(t) {
+		for _, f := range []float64{0, 0.25} {
+			pmf, err := exact.PushPullPMF(c.g, c.src, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := PushPullOptions{FailureProb: f}
+			view := func(rng *xrand.RNG) (Process, error) { return NewPushPull(c.g, c.src, rng, opts) }
+			bundle := func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedPushPull(c.g, c.src, rngs, opts) }
+			checks = append(checks, lawChecks(t, c, f, pmf, []lawPath{
+				{"K=1 process", 1, serialLanes(view)},
+				{"K=7", 7, bundle},
+				{"K=7 side=all", 7, withSide(bundle, sideAll, false, nil)},
+				{"K=7 side=informed", 7, withSide(bundle, sideInformed, false, nil)},
+				{"K=7 side=uninformed", 7, withSide(bundle, sideUninformed, false, nil)},
+			}, &seed)...)
+		}
+	}
+	requireLaw(t, checks)
+}
+
+// TestExactDistnetPushPullLaw: the message-passing runtime's push-pull
+// (internal/distnet: one goroutine per vertex, calls and replies through
+// mailboxes, its own randomness) follows the same law on reliable links,
+// which is all it models.
+func TestExactDistnetPushPullLaw(t *testing.T) {
+	const trials = 300
+	var checks []lawCheck
+	seed := uint64(0)
+	for _, c := range rootedSmall(t) {
+		pmf, err := exact.PushPullPMF(c.g, c.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s from %d, distnet", c.g.Name(), c.src)
+		rounds := make([]int, trials)
+		for i := range rounds {
+			seed++
+			r, err := distnet.Run(c.g, c.src, distnet.Config{Protocol: distnet.PushPull, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Completed || r.Rounds >= len(pmf) || pmf[r.Rounds] == 0 {
+				t.Fatalf("%s trial %d: broadcast time %d (completed %v), which the law rules out", name, i, r.Rounds, r.Completed)
+			}
+			rounds[i] = r.Rounds
+		}
+		checks = append(checks, lawCheck{name, lawPValue(pmf, rounds)})
 	}
 	requireLaw(t, checks)
 }

@@ -31,8 +31,7 @@ var goldenSpecs = []string{
 }
 
 // goldenVariant is one protocol configuration of the record. batched is
-// nil where the configuration has no fused bundle (churn), so it is
-// recorded at K = 1 only.
+// nil where the configuration is recorded at K = 1 only.
 type goldenVariant struct {
 	name    string
 	serial  func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error)
@@ -99,15 +98,28 @@ func goldenVariants() []goldenVariant {
 			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedHybrid(g, s, rngs, AgentOptions{})
 			}},
+		{"hybrid-churn",
+			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
+				return NewHybrid(g, s, rng, churn)
+			},
+			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
+				return NewBatchedHybrid(g, s, rngs, churn)
+			}},
 	}
 }
 
 // goldenObserved are the configurations whose observer sequences are
-// recorded: every protocol that takes an observer.
+// recorded: every protocol that takes an observer, push-pull with failing
+// calls (which are observed) and the hybrid with churn (whose respawns are
+// not).
 func goldenObserved(obs MoveObserver) []goldenVariant {
+	churn := AgentOptions{ChurnRate: 0.01, Observer: obs}
 	return []goldenVariant{
 		{name: "push-pull", serial: func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 			return NewPushPull(g, s, rng, PushPullOptions{Observer: obs})
+		}},
+		{name: "push-pull-f0.25", serial: func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
+			return NewPushPull(g, s, rng, PushPullOptions{FailureProb: 0.25, Observer: obs})
 		}},
 		{name: "visitx", serial: func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 			return NewVisitExchange(g, s, rng, AgentOptions{Observer: obs})
@@ -117,6 +129,9 @@ func goldenObserved(obs MoveObserver) []goldenVariant {
 		}},
 		{name: "hybrid", serial: func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 			return NewHybrid(g, s, rng, AgentOptions{Observer: obs})
+		}},
+		{name: "hybrid-churn", serial: func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
+			return NewHybrid(g, s, rng, churn)
 		}},
 	}
 }

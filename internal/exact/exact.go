@@ -11,11 +11,11 @@ import (
 	"rumor/internal/graph"
 )
 
-// MaxN is the largest graph PushPMF accepts: its state space has 2^n
-// informed subsets.
+// MaxN is the largest graph PushPMF and PushPullPMF accept: their state
+// space has 2^n informed subsets.
 const MaxN = 12
 
-// tail is the law mass PushPMF may leave unfinished.
+// tail is the law mass the forward program may leave unfinished.
 const tail = 1e-14
 
 // PushPMF returns the law of push's broadcast time from src on the
@@ -27,6 +27,21 @@ const tail = 1e-14
 // law of the informed set forward one round at a time and stops once less
 // than tail of the mass is still unfinished, so 1 − Σ pmf < tail.
 func PushPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
+	return forward(g, src, f, false)
+}
+
+// PushPullPMF is PushPMF for push-pull (Karp et al., the paper's Section
+// 3): in round t every vertex calls one uniform neighbor, and the call,
+// unless it fails, informs whichever endpoint was uninformed when exactly
+// one of the two was informed before round t.
+func PushPullPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
+	return forward(g, src, f, true)
+}
+
+// forward is the program behind PushPMF (every informed vertex calls) and
+// PushPullPMF (pull: every vertex calls, and an uninformed caller learns
+// from an informed callee).
+func forward(g *graph.Graph, src graph.Vertex, f float64, pull bool) ([]float64, error) {
 	n := g.N()
 	switch {
 	case n < 2 || n > MaxN:
@@ -34,7 +49,7 @@ func PushPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
 	case src < 0 || int(src) >= n:
 		return nil, fmt.Errorf("exact: source %d out of range", src)
 	case !graph.IsConnected(g):
-		return nil, fmt.Errorf("exact: %s is disconnected; push never finishes", g.Name())
+		return nil, fmt.Errorf("exact: %s is disconnected; the rumor never reaches every vertex", g.Name())
 	case f < 0 || f >= 1:
 		return nil, fmt.Errorf("exact: failure probability %g outside [0, 1)", f)
 	}
@@ -44,11 +59,13 @@ func PushPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
 	pmf := []float64{0}
 	for left := 1.0; left >= tail; {
 		for _, s := range cur.on {
-			// The senders are s, fixed for the round; their calls are
-			// independent, so fold them in one at a time.
+			// The callers and what each call can carry are fixed by s, the
+			// informed set before the round; the calls are independent, so
+			// fold them in one at a time.
 			sends.add(s, cur.p[s])
 			for u := 0; u < n; u++ {
-				if s>>u&1 == 0 {
+				in := s>>u&1 == 1
+				if !in && !pull {
 					continue
 				}
 				nb := g.Neighbors(graph.Vertex(u))
@@ -57,7 +74,14 @@ func PushPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error) {
 					m := sends.p[x]
 					step.add(x, m*f)
 					for _, v := range nb {
-						step.add(x|1<<v, m*hit)
+						switch {
+						case in:
+							step.add(x|1<<v, m*hit) // push (nothing new if v is informed)
+						case s>>v&1 == 1:
+							step.add(x|1<<u, m*hit) // pull
+						default:
+							step.add(x, m*hit) // neither endpoint informed
+						}
 					}
 				}
 				sends, step = step, sends

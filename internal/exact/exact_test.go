@@ -51,6 +51,77 @@ func TestPushPMFByHand(t *testing.T) {
 	}
 }
 
+// TestPushPullPMFByHand checks push-pull's program against laws worked
+// out on paper. One edge: both endpoints call each other, so the rumor
+// crosses unless both calls fail, probability 1 − f² a round. The path
+// 0-1-2 from an end: the middle learns in a round unless the end's call
+// fails and the middle's own call does not reach the end unfailed,
+// q = 1 − f(1 + f)/2, and the far end learns from the middle with the same
+// q once it is informed (its own call, or the middle's), so T is the sum
+// of two geometric waits, P(T = t) = (t − 1)q²(1 − q)^(t−2). From the
+// middle every leaf pulls in round 1. The triangle: the source pushes to
+// one of the two others, and the third pulls from the source with
+// probability 1/2; otherwise its round-2 call reaches an informed vertex
+// for certain. The star from a leaf: the centre learns in round 1, and
+// every other leaf pulls from it in round 2.
+func TestPushPullPMFByHand(t *testing.T) {
+	negBinomial := func(q float64) func(int) float64 {
+		return func(r int) float64 {
+			if r < 2 {
+				return 0
+			}
+			return float64(r-1) * q * q * math.Pow(1-q, float64(r-2))
+		}
+	}
+	pointMass := func(at int) func(int) float64 {
+		return func(r int) float64 {
+			if r == at {
+				return 1
+			}
+			return 0
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		src  graph.Vertex
+		f    float64
+		want func(int) float64
+	}{
+		{"edge, f = 0.3", graph.Path(2), 0, 0.3, func(r int) float64 {
+			if r < 1 {
+				return 0
+			}
+			return (1 - 0.09) * math.Pow(0.09, float64(r-1))
+		}},
+		{"path 0-1-2 from an end, f = 0.3", graph.Path(3), 0, 0.3, negBinomial(1 - 0.3*1.3/2)},
+		{"path 0-1-2 from an end", graph.Path(3), 0, 0, pointMass(2)},
+		{"path 0-1-2 from the middle", graph.Path(3), 1, 0, pointMass(1)},
+		{"triangle", graph.Complete(3), 0, 0, func(r int) float64 {
+			if r == 1 || r == 2 {
+				return 0.5
+			}
+			return 0
+		}},
+		{"star:5 from a leaf", graph.Star(5), 1, 0, pointMass(2)},
+	} {
+		pmf, err := PushPullPMF(c.g, c.src, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0.0
+		for r, q := range pmf {
+			total += q
+			if math.Abs(q-c.want(r)) > 1e-12 {
+				t.Errorf("%s: P(T = %d) = %.15g, want %.15g", c.name, r, q, c.want(r))
+			}
+		}
+		if 1-total >= tail {
+			t.Errorf("%s: the law sums to %.15g", c.name, total)
+		}
+	}
+}
+
 // TestPushPMFStarMoments: from the centre of a star the program's mean
 // and variance are the coupon collector's (StarPush), whose mean is
 // L·H_L/(1 − f).
@@ -81,7 +152,7 @@ func TestPushPMFStarMoments(t *testing.T) {
 }
 
 // TestPushPMFRejects: inputs without a finite law, or too large to
-// enumerate.
+// enumerate, for both programs.
 func TestPushPMFRejects(t *testing.T) {
 	b := graph.NewBuilder(3, "edge+isolated")
 	if err := b.AddEdge(0, 1); err != nil {
@@ -104,7 +175,10 @@ func TestPushPMFRejects(t *testing.T) {
 		{"f = 1", edge, 0, 1},
 	} {
 		if _, err := PushPMF(c.g, c.src, c.f); err == nil {
-			t.Errorf("%s: accepted", c.name)
+			t.Errorf("push, %s: accepted", c.name)
+		}
+		if _, err := PushPullPMF(c.g, c.src, c.f); err == nil {
+			t.Errorf("push-pull, %s: accepted", c.name)
 		}
 	}
 }
