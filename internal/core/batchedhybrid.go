@@ -10,6 +10,17 @@ import (
 	"rumor/internal/xrand"
 )
 
+// NewHybrid builds one trial of the combined push-pull + visit-exchange
+// protocol: the one-lane view of NewBatchedHybrid, the hybrid's only
+// implementation.
+func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
+	h, err := NewBatchedHybrid(g, s, []*xrand.RNG{rng}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newLaneView(h), nil
+}
+
 // hybridLane is one trial's hybrid (push-pull + visit-exchange) state:
 // the exchange lane over the vertices, plus the informed agents.
 type hybridLane struct {
@@ -18,25 +29,40 @@ type hybridLane struct {
 	countA    int
 }
 
-// BatchedHybrid runs K hybrid trials in fused lockstep: the exchange
-// phase's dense draw is the cross-lane blocked sweep shared with
-// BatchedPushPull (drawExchangeLanes), the agent phase is one fused
+// BatchedHybrid runs push-pull and visit-exchange simultaneously over a
+// shared informed-vertex set, for K trials in fused lockstep. It realizes
+// the paper's suggestion (Section 1) that "agent-based information
+// dissemination, separately or in combination with push-pull, can
+// significantly improve the broadcast time". Each round first performs a
+// push-pull exchange step, then an agent step with visit-exchange
+// semantics; a vertex informed by either mechanism counts. On every Fig. 1
+// family the hybrid inherits the faster mechanism: logarithmic on the star
+// and double star (agents), and logarithmic on the heavy and Siamese trees
+// (push-pull). Messages count one call per non-isolated vertex plus |A|
+// agent steps per round.
+//
+// The exchange phase's dense draw is the cross-lane blocked sweep shared
+// with BatchedPushPull (drawExchangeLanes), the agent phase is one fused
 // BatchedWalks round for all lanes, and the informing passes (exchange
 // collect, agent deposit, commit, agent pickup) are sharded across lanes
 // like BatchedVisitExchange.laneShard — each lane writes only its own
 // state, so the shard split is deterministic. Each lane's exchange phase
-// is a BatchedPushPull lane's (smaller side of the cut, then the serial
-// Hybrid's boundary mode; see exchangeLane and boundary.go), maintained
-// against the lane's shared informed set so agent deposits move the cut
-// and retire exchange senders exactly as exchange finds do.
+// is a BatchedPushPull lane's (smaller side of the cut, then boundary
+// mode; see exchangeLane and boundary.go), maintained against the lane's
+// shared informed set, so agent deposits move the cut and retire exchange
+// senders exactly as exchange finds do. With churn, respawned agents
+// forget the rumor before the informing passes. A one-lane bundle may
+// carry an Observer, called with every agent traversal after the walk
+// step; the exchange calls are not reported.
 type BatchedHybrid struct {
 	g       *graph.Graph
 	src     graph.Vertex
 	walks   *agents.BatchedWalks
-	seeds   []uint64 // per-lane exchange stream seeds, drawn like Hybrid.seed
+	seeds   []uint64 // per-lane exchange stream seeds, drawn after the walk seeds
 	sampler neighborSampler
 	callers int64
 	lanes   []hybridLane
+	observe MoveObserver // one-lane bundles only
 
 	forceSide side // tests only: see BatchedPush.forceSide
 
@@ -52,16 +78,15 @@ type BatchedHybrid struct {
 var _ LaneProcess = (*BatchedHybrid)(nil)
 
 // NewBatchedHybrid builds a K = len(rngs) lane hybrid bundle. Lane t
-// consumes rngs[t] exactly as NewHybrid would — the walk-system seed, then
-// the exchange stream seed — so lane t replays serial trial t bit for bit,
-// churn included. Observers are rejected; callers run serial Hybrid
-// processes on the K = 1 lane path for them.
+// consumes rngs[t] alone — the walk-system seed, then the exchange stream
+// seed — so lane t of any bundle replays the one-lane trial on the same
+// RNG bit for bit, churn included. An Observer needs K = 1.
 func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedHybrid, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	if opts.Observer != nil {
-		return nil, fmt.Errorf("hybrid: batched runs do not support observers")
+	if opts.Observer != nil && len(rngs) != 1 {
+		return nil, errObserverLanes
 	}
 	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rngs)
 	if err != nil {
@@ -75,12 +100,13 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		sampler: newNeighborSampler(g),
 		callers: callerCount(g),
 		lanes:   make([]hybridLane, len(rngs)),
+		observe: opts.Observer,
 	}
 	h.denseFn = h.drawDenseShard
 	h.laneFn = h.laneShard
 	for t, rng := range rngs {
 		// NewBatched drew lane t's walk seed from rngs[t]; the exchange
-		// seed is the next value, exactly as NewHybrid consumes them.
+		// seed is the next value.
 		h.seeds[t] = rng.Uint64()
 		L := &h.lanes[t]
 		L.init(g, s)
@@ -120,11 +146,14 @@ func (h *BatchedHybrid) LaneAllAgentsInformed(t int) bool {
 
 func (h *BatchedHybrid) setBudget(b budget) { h.budget = b }
 
+// Round returns the number of rounds the bundle has stepped.
+func (h *BatchedHybrid) Round() int { return h.round }
+
 // Step implements LaneProcess: the fused dense exchange draw for the lanes
 // whose round is evaluated from every vertex, one fused walk round, then
 // the per-lane informing passes. Exchange calls are counter-based pure
-// functions of (seed, vertex, round), so drawing before the walk step and
-// collecting after it consumes exactly the serial Hybrid's randomness.
+// functions of (seed, vertex, round), so drawing them before the walk step
+// and collecting after it is the same as drawing them in between.
 func (h *BatchedHybrid) Step(active []bool) {
 	h.round++
 	h.activeIDs = activeLanes(h.activeIDs[:0], active, len(h.lanes))
@@ -145,6 +174,9 @@ func (h *BatchedHybrid) Step(active []bool) {
 	}
 	h.walks.SetShards(h.budget.For(agentWork))
 	h.walks.Step(active)
+	if h.observe != nil {
+		observeMoves(h.observe, h.walks)
+	}
 	par.DoN(h.budget.For(work), len(h.activeIDs), h.laneFn)
 }
 
@@ -161,10 +193,9 @@ func (h *BatchedHybrid) laneShard(_, lo, hi int) {
 	}
 }
 
-// stepLane applies one hybrid round to lane t, mirroring the serial
-// Hybrid.Step pass structure: exchange collect against the pre-round
-// informed set, agent deposit, commit of both mechanisms' finds, then
-// agent pickup.
+// stepLane applies one hybrid round to lane t: exchange collect against
+// the pre-round informed set, agent deposit, commit of both mechanisms'
+// finds, then agent pickup.
 func (h *BatchedHybrid) stepLane(t int) {
 	L := &h.lanes[t]
 	n := h.g.N()
@@ -174,8 +205,7 @@ func (h *BatchedHybrid) stepLane(t int) {
 
 	// Deposit: agents informed in a previous round — churn replacements
 	// forget the rumor first — inform the vertex they landed on, collected
-	// in agent-id order against the pre-commit informed set, exactly like
-	// the serial Hybrid.
+	// in agent-id order against the pre-commit informed set.
 	L.countA = forgetRespawned(L.informedA, L.countA, h.walks.Respawned(t))
 	pos := h.walks.Lane(t)
 	if L.countA > 0 && L.count < n {

@@ -14,9 +14,9 @@ import (
 // leaving a draw out shifts nobody else's randomness. The fused call
 // protocols (BatchedPush, BatchedPushPull, BatchedHybrid) use that twice,
 // and every Result stays bit-identical to the plain every-caller-draws
-// evaluation: the serial push-pull and hybrid keep it as the reference,
-// and push, whose bundle is its only implementation, is pinned by
-// TestGoldenEngines and TestExactPushLaw.
+// evaluation, which test code keeps as the reference (plain_test.go); the
+// bundles, each its protocol's only implementation, are also pinned by
+// TestGoldenEngines and, for push and push-pull, by their exact laws.
 //
 // Skip draws that cannot change state (boundary mode). Push skips informed
 // senders whose whole neighborhood is informed; push-pull and the hybrid's

@@ -81,7 +81,7 @@ func TestBudgetFor(t *testing.T) {
 }
 
 // TestBudgetEveryProcessTakesIt: the hook reaches every process of the
-// package, serial (through processLane) and fused.
+// package, single trials (through their views) and bundles.
 func TestBudgetEveryProcessTakesIt(t *testing.T) {
 	g := graph.Hypercube(4)
 	for _, pc := range detProtocols() {
@@ -90,7 +90,7 @@ func TestBudgetEveryProcessTakesIt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, ok := p.(budgeted); !ok {
-			t.Errorf("serial %s does not take a budget", pc.name)
+			t.Errorf("single-trial %s does not take a budget", pc.name)
 		}
 	}
 	for _, pc := range nestedProtos(g) {
@@ -104,8 +104,8 @@ func TestBudgetEveryProcessTakesIt(t *testing.T) {
 	}
 }
 
-// TestBudgetForcedSerialEquivalence: every serial process — whose sharded
-// draw, mark, deposit, pickup and churn paths the policy now rarely takes —
+// TestBudgetForcedSerialEquivalence: every single trial — whose sharded
+// draw, mark, deposit, pickup and churn paths the policy rarely takes —
 // returns the inline Result at forced budgets 2 and 8, on a uniform-degree
 // graph and on the star (boundary mode, lazy meet-exchange, fused marks).
 func TestBudgetForcedSerialEquivalence(t *testing.T) {
@@ -116,7 +116,7 @@ func TestBudgetForcedSerialEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lane := laneOf(p)
+				lane := p.bundle()
 				lane.setBudget(b)
 				var out [1]Result
 				driveBatch(g, lane, 4000, out[:], nil, 0)

@@ -3,12 +3,12 @@
 // push-pull+visit-exchange combination suggested in the paper's
 // introduction, all with the exact synchronous-round semantics of Section 3.
 //
-// Each protocol is a Process: Init places the rumor at the source in round
-// zero, Step executes one synchronous round, and Done reports whether the
-// protocol-specific broadcast condition holds (all vertices informed for
-// push, push-pull, visit-exchange, and the hybrid; all agents informed for
-// meet-exchange). Run drives a Process to completion and records the
-// broadcast time.
+// Each protocol trial is a Process: its constructor places the rumor at
+// the source in round zero, Step executes one synchronous round, and Done
+// reports whether the protocol-specific broadcast condition holds (all
+// vertices informed for push, push-pull, visit-exchange, and the hybrid;
+// all agents informed for meet-exchange). Run drives a Process to
+// completion and records the broadcast time.
 //
 // # Deterministic parallelism
 //
@@ -37,11 +37,11 @@
 // resolved (boundary mode), and a round is evaluated from whichever side
 // of the informed/uninformed cut is cheaper, the other side's calls
 // replayed by the neighbors they may have reached — boundary.go states the
-// principle and the cost rule. Neither changes a Result: the serial
-// push-pull and hybrid keep the plain every-caller evaluation the suites
-// compare against, and push, which has no serial process, is held to a
-// record of every engine's outcomes (testdata/golden.json) and to its
-// exact law (internal/exact).
+// principle and the cost rule. Neither changes a Result: the suites compare
+// every side and mode with a plain every-caller round kept in test code,
+// and every engine is held to a record of its outcomes
+// (testdata/golden.json), push and push-pull also to their exact laws
+// (internal/exact).
 //
 // # Lane-based multi-trial execution
 //
@@ -49,18 +49,16 @@
 // trials, every protocol also has a fused multi-lane bundle (BatchedPush,
 // BatchedPushPull, BatchedVisitExchange, BatchedMeetExchange,
 // BatchedHybrid): K trials step in lockstep through one blocked loop over
-// units per round, with per-lane state and per-trial done-masking. Serial
-// and fused execution share one engine — a serial Process runs as the
-// K = 1 lane of the same driver (see lane.go) — so RunMany and
-// RunManyLanes differ only in bundle width. The trial lane of the
-// stream keying (xrand.TrialSeed) guarantees lane t draws exactly what
-// serial trial t would, so the []Result is bit-identical for every seed
-// and K — pinned by the lane-equivalence tests at GOMAXPROCS 1 and 8.
-// Push, visit-exchange and meet-exchange exist only as their bundles:
-// NewPush, NewVisitExchange and NewMeetExchange return one-lane views, and
-// the agent bundles carry churn and, at K = 1, observers. Push-pull and
-// the hybrid keep serial processes as their bundles' references; the
-// hybrid's observer runs use the serial process on the K = 1 path.
+// units per round, with per-lane state and per-trial done-masking. The
+// bundles are the only implementations: every constructor (NewPush,
+// NewPushPull, NewVisitExchange, NewMeetExchange, NewHybrid) returns the
+// one-lane view of its bundle, which the driver runs as the K = 1 lane
+// (see lane.go), so RunMany and RunManyLanes differ only in bundle width.
+// The trial lane of the stream keying (xrand.TrialSeed) guarantees lane t
+// draws exactly what a one-lane trial t would, so the []Result is
+// bit-identical for every seed and K — pinned by the lane-equivalence
+// tests at GOMAXPROCS 1 and 8. The agent bundles carry churn, and every
+// bundle takes an observer at K = 1.
 package core
 
 import (
@@ -72,9 +70,10 @@ import (
 	"rumor/internal/xrand"
 )
 
-// Process is one protocol instance bound to a graph, source, and RNG.
-// Implementations are single-goroutine; RunMany gives each trial its own
-// Process.
+// Process is one protocol trial bound to a graph, source, and RNG: the
+// one-lane view of the protocol's bundle, which the protocol constructors
+// return. It is single-goroutine; RunMany gives each trial its own
+// Process. The interface is sealed: only this package implements it.
 type Process interface {
 	// Name returns the protocol name ("push", "push-pull", ...).
 	Name() string
@@ -90,13 +89,18 @@ type Process interface {
 	// Messages returns the cumulative message count: one per neighbor call
 	// for push/push-pull, one per agent step for the agent protocols.
 	Messages() int64
+
+	// bundle returns the one-lane bundle the drivers step.
+	bundle() laneBundle
 }
 
-// MoveObserver receives every information-bearing channel use: a neighbor
-// call (push/push-pull) or an agent traversal (agent protocols; an agent
-// replaced by churn traversed nothing and is not reported). The trace
-// package uses it for the bandwidth-fairness accounting of Section 1.
-// Observers add overhead; leave nil in benchmarks.
+// MoveObserver receives a protocol's channel uses, round by round: for
+// push-pull every neighbor call (failed ones included), for visit-exchange,
+// meet-exchange and the hybrid every agent traversal (an agent replaced by
+// churn traversed nothing and is not reported). The hybrid reports its
+// agent channel only, not its push-pull calls. The trace package uses it
+// for the bandwidth-fairness accounting of Section 1. Observers add
+// overhead; leave nil in benchmarks.
 type MoveObserver func(round int, from, to graph.Vertex)
 
 // Result records one completed (or cut off) run.
@@ -162,7 +166,7 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	base := p.Round()
 	left := max(maxRounds-base, 0)
 	var out [1]Result
-	lane := laneOf(p)
+	lane := p.bundle()
 	lane.setBudget(machineBudget())
 	driveBatch(g, lane, left, out[:], nil, 0)
 	res := out[0]
@@ -173,16 +177,6 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 		}
 	}
 	return res
-}
-
-// agentTracker is implemented by agent-based processes.
-type agentTracker interface {
-	AllAgentsInformed() bool
-}
-
-// sourced exposes the source vertex for result reporting.
-type sourced interface {
-	Source() graph.Vertex
 }
 
 // Factory builds one Process for a trial; RunMany derives a distinct seed
@@ -235,7 +229,7 @@ func (e *orderedEmitter) complete(t int) {
 	e.mu.Unlock()
 }
 
-// RunMany executes `trials` independent runs of serial processes on the
+// RunMany executes `trials` independent single-trial processes on the
 // unified lane engine at K = 1: each trial is its own bundle, claimed in
 // increasing order by a GOMAXPROCS-sized worker pool. Trial t's stream is
 // xrand.New(xrand.TrialSeed(seed, t)) regardless of scheduling, so results
@@ -249,15 +243,7 @@ func (e *orderedEmitter) complete(t int) {
 // the single-worker path returns for the same seed, since trials are
 // claimed in increasing order.
 func RunMany(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64) ([]Result, error) {
-	return RunManyEmit(g, factory, trials, maxRounds, seed, nil)
-}
-
-// RunManyEmit is RunMany with streaming: emit (when non-nil) receives each
-// trial's Result in strict trial order as trials complete, before
-// RunManyEmit returns. On a factory error, trials past the failure are
-// never emitted; everything emitted is final.
-func RunManyEmit(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64, emit EmitFunc) ([]Result, error) {
-	return RunManyLanes(g, serialLanes(factory), trials, maxRounds, seed, 1, emit)
+	return RunManyLanes(g, serialLanes(factory), trials, maxRounds, seed, 1, nil)
 }
 
 // AgentCount converts the paper's agent density α into a concrete |A| =

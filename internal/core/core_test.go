@@ -35,10 +35,10 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // visitBundle returns the one-lane bundle behind a visit-exchange view.
-func visitBundle(p Process) *BatchedVisitExchange { return laneOf(p).(*BatchedVisitExchange) }
+func visitBundle(p Process) *BatchedVisitExchange { return p.bundle().(*BatchedVisitExchange) }
 
 // meetBundle returns the one-lane bundle behind a meet-exchange view.
-func meetBundle(p Process) *BatchedMeetExchange { return laneOf(p).(*BatchedMeetExchange) }
+func meetBundle(p Process) *BatchedMeetExchange { return p.bundle().(*BatchedMeetExchange) }
 
 func TestAgentCountHelper(t *testing.T) {
 	cases := []struct {
@@ -448,7 +448,7 @@ func TestVisitExchangeAllAgentsAtVertexCompletion(t *testing.T) {
 		if res.AllAgentsRound < 0 || res.AllAgentsRound > res.Rounds {
 			t.Fatalf("seed %d: AllAgentsRound = %d, Rounds = %d", seed, res.AllAgentsRound, res.Rounds)
 		}
-		if !laneOf(v).LaneAllAgentsInformed(0) {
+		if !v.bundle().LaneAllAgentsInformed(0) {
 			t.Fatalf("seed %d: agents uninformed at vertex completion", seed)
 		}
 	}
@@ -863,7 +863,10 @@ func TestMeetExchangePairwiseRule(t *testing.T) {
 	}
 }
 
-func TestHybridObserverSeesAllChannels(t *testing.T) {
+// TestHybridObserverSeesAgentTraversals: the hybrid's observer receives its
+// agent channel only — one traversal per agent per round — and none of its
+// push-pull calls, which Messages does count.
+func TestHybridObserverSeesAgentTraversals(t *testing.T) {
 	g := graph.Complete(12)
 	var calls int64
 	h, err := NewHybrid(g, 0, xrand.New(9), AgentOptions{
@@ -876,10 +879,34 @@ func TestHybridObserverSeesAllChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Run(g, h, 0)
-	// The observer sees agent traversals only (push-pull calls are counted
-	// in Messages but the fairness accounting targets the agent channel);
-	// 8 agent moves per round.
 	if calls != int64(res.Rounds)*8 {
 		t.Errorf("observer calls %d != rounds %d × 8 agents", calls, res.Rounds)
+	}
+	if want := int64(res.Rounds) * (12 + 8); res.Messages != want {
+		t.Errorf("messages %d != rounds %d × (12 calls + 8 agent steps)", res.Messages, res.Rounds)
+	}
+}
+
+// TestObserversNeedOneLane: every bundle that takes an observer takes it
+// at K = 1 only, and refuses it on several lanes, whose callbacks would
+// interleave.
+func TestObserversNeedOneLane(t *testing.T) {
+	g := graph.Hypercube(4)
+	obs := func(int, graph.Vertex, graph.Vertex) {}
+	ao := AgentOptions{Observer: obs}
+	for name, build := range map[string]func(rngs []*xrand.RNG) (LaneProcess, error){
+		"push-pull": func(rngs []*xrand.RNG) (LaneProcess, error) {
+			return NewBatchedPushPull(g, 0, rngs, PushPullOptions{Observer: obs})
+		},
+		"visitx": func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, rngs, ao) },
+		"meetx":  func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, 0, rngs, ao) },
+		"hybrid": func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, 0, rngs, ao) },
+	} {
+		if _, err := build([]*xrand.RNG{xrand.New(1)}); err != nil {
+			t.Errorf("%s: one lane with an observer: %v", name, err)
+		}
+		if _, err := build([]*xrand.RNG{xrand.New(1), xrand.New(2)}); err != errObserverLanes {
+			t.Errorf("%s: two lanes with an observer: err %v, want %v", name, err, errObserverLanes)
+		}
 	}
 }

@@ -28,14 +28,16 @@ func (c *collectEmitter) emit(trial int, r Result) {
 	c.res = append(c.res, r)
 }
 
-func TestRunManyEmitOrderAndEquality(t *testing.T) {
+// TestRunManyOneLaneEmitOrderAndEquality: single trials (K = 1 bundles,
+// as RunMany runs them) emit in trial order, and emitting changes nothing.
+func TestRunManyOneLaneEmitOrderAndEquality(t *testing.T) {
 	g := graph.DoubleStar(24)
 	const trials = 13
 	em := &collectEmitter{t: t}
 	factory := func(rng *xrand.RNG) (Process, error) {
 		return NewPush(g, 1, rng, PushOptions{})
 	}
-	results, err := RunManyEmit(g, factory, trials, 0, 42, em.emit)
+	results, err := RunManyLanes(g, serialLanes(factory), trials, 0, 42, 1, em.emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestRunManyEmitOrderAndEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, results) {
-		t.Fatal("RunManyEmit results differ from RunMany")
+		t.Fatal("emitting one-lane results differ from RunMany")
 	}
 }
 

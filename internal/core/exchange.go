@@ -7,13 +7,12 @@ import (
 	"rumor/internal/graph"
 )
 
-// Exchange-phase helpers shared by push-pull and the hybrid, serial and
-// batched. Each is a plain function over concrete state (no per-unit
-// indirection lands in a hot loop), so the four engines that perform an
-// exchange round share one copy of the collect, commit, and active-draw
-// semantics — a fix to any of them lands everywhere at once. The agent
-// deposit and pickup passes shared by visit-exchange and the hybrid live
-// here too.
+// Exchange-phase helpers shared by the push-pull and hybrid bundles. Each
+// is a plain function or method over concrete state (no per-unit
+// indirection lands in a hot loop), so both engines that perform an
+// exchange round share one copy of the collect and commit semantics — a
+// fix to either lands in both at once. The agent deposit and pickup passes
+// shared by visit-exchange and the hybrid live here too.
 
 // exchangeLane is one trial's exchange state in a fused bundle: all of a
 // push-pull lane, the vertex half of a hybrid lane.
@@ -26,8 +25,7 @@ type exchangeLane struct {
 	boundary bool
 	stagnant int
 	bnd      exchangeBoundary
-	srcs     []graph.Vertex // per-slot sender (boundary mode)
-	targets  []graph.Vertex // per-vertex (dense) or per-slot (boundary) calls
+	targets  []graph.Vertex // per-vertex calls of a dense round
 	pending  []graph.Vertex
 	messages int64
 }
@@ -68,17 +66,26 @@ func (L *exchangeLane) plan(g *graph.Graph, force side) int {
 func (L *exchangeLane) dense() bool { return !L.boundary && L.side == sideAll }
 
 // collect gathers into pending the planned round's transfers, evaluated
-// against the pre-round informed set. Boundary lanes resolve their small
-// active list here (recording the senders: the list mutates in commit),
+// against the pre-round informed set. Boundary lanes resolve the calls of
+// their small active list here (it mutates in commit, after this pass),
 // sparse lanes the calls across their cut; dense lanes read the sweep's
 // targets.
 func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
 	L.pending = L.pending[:0]
 	switch {
 	case L.boundary:
-		m := len(L.bnd.active)
-		drawExchangeActive(sampler, seed, L.bnd.active, L.srcs[:m], L.targets[:m], round, failTh)
-		L.pending = collectExchangeActive(L.informed, L.srcs[:m], L.targets[:m], L.pending)
+		for _, u := range L.bnd.active {
+			v := sampler.call(seed, u, round, failTh)
+			if v < 0 {
+				continue
+			}
+			switch iu, iv := L.informed.Test(int(u)), L.informed.Test(int(v)); {
+			case iu && !iv:
+				L.pending = append(L.pending, v)
+			case !iu && iv:
+				L.pending = append(L.pending, u)
+			}
+		}
 	case L.side == sideInformed:
 		L.pending = collectFromInformed(g, sampler, L.informed, seed, round, failTh, L.pending)
 	case L.side == sideUninformed:
@@ -88,61 +95,45 @@ func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, r
 	}
 }
 
-// commit informs the pending vertices and, after boundaryStagnantRounds
-// consecutive rounds that informed nobody, enters boundary mode. The
-// scratch is sized there, not at the first dense round: a lane can go from
-// sparse rounds straight to the boundary.
+// commit informs the pending vertices (duplicates commit once), keeping
+// Σ deg(I) for the side rule and, in boundary mode, the active list; after
+// boundaryStagnantRounds consecutive rounds that informed nobody, it
+// enters boundary mode.
 func (L *exchangeLane) commit(g *graph.Graph) {
 	before := L.count
-	L.count = commitExchange(g, L.informed, &L.bnd, L.boundary, L.pending, L.count, &L.degInf)
+	for _, v := range L.pending {
+		if !L.informed.Test(int(v)) {
+			L.informed.Set(int(v))
+			L.count++
+			L.degInf += int64(g.Degree(v))
+			if L.boundary {
+				L.bnd.onInformed(g, L.informed, v)
+			}
+		}
+	}
 	if L.boundary {
 		return
 	}
-	n := g.N()
 	if L.count != before {
 		L.stagnant = 0
-	} else if L.count != n {
+	} else if L.count != g.N() {
 		if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
 			L.bnd.build(g, L.informed)
-			L.srcs = make([]graph.Vertex, n)
-			if L.targets == nil {
-				L.targets = make([]graph.Vertex, n)
-			}
 			L.boundary = true
 		}
 	}
 }
 
-// collectExchangeDense appends to pending the transfers of a dense
+// collectExchangeDenseWords appends to pending the transfers of a dense
 // exchange round: for each vertex u with a drawn partner targets[u] >= 0,
 // if exactly one endpoint is informed, the other becomes pending.
 // Evaluated against the pre-commit informed set; targets must hold one
-// slot per vertex.
-func collectExchangeDense(informed *bitset.Set, targets []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
-	for u, v := range targets {
-		if v < 0 {
-			continue
-		}
-		iu, iv := informed.Test(u), informed.Test(int(v))
-		switch {
-		case iu && !iv:
-			pending = append(pending, v)
-		case !iu && iv:
-			pending = append(pending, graph.Vertex(u))
-		}
-	}
-	return pending
-}
-
-// collectExchangeDenseWords is collectExchangeDense with the sender-side
-// informed test read word-at-a-time: one 64-bit load answers "is u
-// informed" for a whole vertex block, and the two uniform blocks — all 64
-// senders informed (the common case late in a run) or none (early) —
-// drop to a single-branch inner loop. The pending sequence it produces is
-// exactly collectExchangeDense's (same iteration order, same pre-commit
-// informed reads), so the serial engines that stay on the scalar collect
-// cross-validate this path through the serial-vs-batched equivalence
-// suites. The batched dense engines (push-pull, hybrid) call this.
+// slot per vertex. The sender-side informed test is read word-at-a-time:
+// one 64-bit load answers "is u informed" for a whole vertex block, and
+// the two uniform blocks — all 64 senders informed (the common case late
+// in a run) or none (early) — drop to a single-branch inner loop. The
+// plain reference rounds of the equivalence suites collect each call on
+// its own, so they cross-validate every arm (TestLaneEquivalenceWordPaths).
 func collectExchangeDenseWords(informed *bitset.Set, targets []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
 	words := informed.Words()
 	n := len(targets)
@@ -189,57 +180,6 @@ func collectExchangeDenseWords(informed *bitset.Set, targets []graph.Vertex, pen
 	return pending
 }
 
-// collectExchangeActive is collectExchangeDense for boundary mode, where
-// slot k's sender is srcs[k] (the active list mutates during the commit,
-// so the draw phase recorded it).
-func collectExchangeActive(informed *bitset.Set, srcs, targets []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
-	for k, v := range targets {
-		if v < 0 {
-			continue
-		}
-		u := srcs[k]
-		iu, iv := informed.Test(int(u)), informed.Test(int(v))
-		switch {
-		case iu && !iv:
-			pending = append(pending, v)
-		case !iu && iv:
-			pending = append(pending, u)
-		}
-	}
-	return pending
-}
-
-// commitExchange commits pending newly informed vertices (duplicates
-// commit once), maintaining bnd when boundary is set and adding their
-// degrees to *degInf when it is non-nil (the side rule's Σ deg(I), see
-// pickSide), and returns the updated informed count.
-func commitExchange(g *graph.Graph, informed *bitset.Set, bnd *exchangeBoundary, boundary bool, pending []graph.Vertex, count int, degInf *int64) int {
-	for _, v := range pending {
-		if !informed.Test(int(v)) {
-			informed.Set(int(v))
-			count++
-			if degInf != nil {
-				*degInf += int64(g.Degree(v))
-			}
-			if boundary {
-				bnd.onInformed(g, informed, v)
-			}
-		}
-	}
-	return count
-}
-
-// drawExchangeActive resolves the exchange call (failure coin included,
-// when failTh is nonzero) of each active-list sender in active, recording
-// the sender in srcs alongside the target. active, srcs, and targets must
-// be equal-length slices; sharded callers pass aligned subranges.
-func drawExchangeActive(sampler *neighborSampler, seed uint64, active, srcs, targets []graph.Vertex, round, failTh uint64) {
-	for k, u := range active {
-		srcs[k] = u
-		targets[k] = sampler.call(seed, u, round, failTh)
-	}
-}
-
 // uninformedWord returns word wi of the complement of informed: the
 // uninformed vertices among [64wi, 64wi+64), ghost bits past Len() clear.
 func uninformedWord(informed *bitset.Set, wi int) uint64 {
@@ -255,7 +195,7 @@ func uninformedWord(informed *bitset.Set, wi int) uint64 {
 // pushes to the vertex it calls, and each uninformed neighbor x of u —
 // whose call is replayed here, by the vertex it may have reached — pulls
 // from u if it called u. Σ deg(I) + |I| units; the same set (with
-// repeats, which commit once) as collectExchangeDense, evaluated against
+// repeats, which commit once) as collectExchangeDenseWords, evaluated against
 // the pre-commit informed set.
 func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pending []graph.Vertex) []graph.Vertex {
 	for wi, w := range informed.Words() {
@@ -280,7 +220,7 @@ func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bit
 // rounds only, pull set) or the replayed call of one of its informed
 // neighbors lands on it. Σ deg(U) units, plus |U| with pull; each vertex
 // is appended at most once, evaluated against the pre-commit informed set.
-// With pull it is collectExchangeDense's set, without it the set of
+// With pull it is collectExchangeDenseWords' set, without it the set of
 // targets push's informed senders draw.
 func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
 	for wi := range informed.Words() {
@@ -304,9 +244,8 @@ func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *b
 }
 
 // collectDeposits appends to pending, in agent-id order, the vertex of
-// every informed agent that is not yet informed: the visit-exchange
-// deposit of the hybrid, serial and batched, evaluated against the
-// pre-commit informed set.
+// every informed agent that is not yet informed: the hybrid's
+// visit-exchange deposit, evaluated against the pre-commit informed set.
 func collectDeposits(informedA, informedV *bitset.Set, pos []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
 	for wi, wd := range informedA.Words() {
 		for ; wd != 0; wd &= wd - 1 {

@@ -12,34 +12,32 @@ import (
 
 // The lane-based protocol core.
 //
-// Every multi-trial run in this package — serial or fused — executes on one
-// engine: trials are grouped into bundles of K >= 1 lanes, each bundle is a
-// LaneProcess stepping its lanes in lockstep, and driveBatch drives every
-// bundle with identical round/History/finalization semantics. The fused
-// protocol implementations (BatchedPush, BatchedPushPull,
-// BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid) are
-// LaneProcesses with K > 1; a single trial is the K = 1 special case: a
-// one-lane bundle behind a laneView (push, visit-exchange and
-// meet-exchange, whose bundles are their only implementations), or a
-// serial Process behind a processLane (push-pull and the hybrid). RunMany
-// is RunManyLanes at K = 1, so serial and fused sweeps share one worker
-// pool, one error discipline, and one emitter.
+// Every run in this package executes on one engine: trials are grouped
+// into bundles of K >= 1 lanes, each bundle is a LaneProcess stepping its
+// lanes in lockstep, and driveBatch drives every bundle with identical
+// round/History/finalization semantics. Each protocol has exactly one
+// implementation, its bundle (BatchedPush, BatchedPushPull,
+// BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid); a single
+// trial is the K = 1 special case, a one-lane bundle behind a laneView,
+// which is what the protocol constructors return. RunMany is RunManyLanes
+// at K = 1, so single-trial and fused sweeps share one worker pool, one
+// error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
 // streams keyed by the trial lane (xrand.TrialSeed(seed, t)) exactly as a
-// serial trial t would, and finished lanes are masked out without shifting
-// any sibling's draws (streams are keyed by round, not by draw count). For
-// every protocol, seed, and K, RunManyLanes returns the same []Result —
-// Rounds, Messages, AllAgentsRound, and the full History per trial — and
-// the lane-equivalence tests pin this at GOMAXPROCS 1 and 8 for K in
-// {1, 2, 7}.
+// one-lane trial t would, and finished lanes are masked out without
+// shifting any sibling's draws (streams are keyed by round, not by draw
+// count). For every protocol, seed, and K, RunManyLanes returns the same
+// []Result — Rounds, Messages, AllAgentsRound, and the full History per
+// trial — and the lane-equivalence tests pin this at GOMAXPROCS 1 and 8
+// for K in {1, 2, 7}.
 
 // LaneProcess is a bundle of K independent trials of one protocol stepping
 // in lockstep. Lanes are completely independent simulations; the bundle
 // exists so their hot loops can fuse. K = 1 is a single trial (see
-// laneView and processLane).
+// laneView).
 type LaneProcess interface {
-	// Name returns the protocol name, identical to the serial Process.
+	// Name returns the protocol name, identical to its laneView's.
 	Name() string
 	// K returns the number of lanes (trials) in the bundle.
 	K() int
@@ -49,7 +47,7 @@ type LaneProcess interface {
 	// LaneDone reports lane t's broadcast condition.
 	LaneDone(t int) bool
 	// LaneInformedCount returns lane t's informed units (vertices or
-	// agents, matching the serial protocol's InformedCount).
+	// agents, matching the protocol's Process.InformedCount).
 	LaneInformedCount(t int) int
 	// LaneMessages returns lane t's cumulative message count.
 	LaneMessages(t int) int64
@@ -64,51 +62,8 @@ type LaneProcess interface {
 // as RunMany derives it, and len(rngs) sets K.
 type LaneFactory func(rngs []*xrand.RNG) (LaneProcess, error)
 
-// processLane adapts one serial Process to the K = 1 LaneProcess the
-// unified driver runs: serial push-pull and Hybrid trials, the references
-// their bundles are tested against, and the hybrid's observer runs.
-type processLane struct {
-	p       Process
-	tracker agentTracker // nil when p has no agents
-	src     graph.Vertex
-}
-
-func newProcessLane(p Process) *processLane {
-	l := &processLane{p: p}
-	l.tracker, _ = p.(agentTracker)
-	if sp, ok := p.(sourced); ok {
-		l.src = sp.Source()
-	}
-	return l
-}
-
-func (l *processLane) Name() string              { return l.p.Name() }
-func (l *processLane) K() int                    { return 1 }
-func (l *processLane) LaneDone(int) bool         { return l.p.Done() }
-func (l *processLane) LaneInformedCount(int) int { return l.p.InformedCount() }
-func (l *processLane) LaneMessages(int) int64    { return l.p.Messages() }
-func (l *processLane) Source() graph.Vertex      { return l.src }
-func (l *processLane) Round() int                { return l.p.Round() }
-
-func (l *processLane) Step(active []bool) {
-	if active[0] {
-		l.p.Step()
-	}
-}
-
-func (l *processLane) LaneAllAgentsInformed(int) bool {
-	return l.tracker != nil && l.tracker.AllAgentsInformed()
-}
-
-// setBudget forwards the bundle's budget to the wrapped process.
-func (l *processLane) setBudget(b budget) {
-	if p, ok := l.p.(budgeted); ok {
-		p.setBudget(b)
-	}
-}
-
 // serialLanes wraps a per-trial Factory as a LaneFactory so single trials
-// run on the unified driver, each as laneOf its Process. RunManyLanes only
+// run on the unified driver, each as its view's bundle. RunManyLanes only
 // ever calls it with one RNG per bundle (batchK 1).
 func serialLanes(factory Factory) LaneFactory {
 	return func(rngs []*xrand.RNG) (LaneProcess, error) {
@@ -116,17 +71,8 @@ func serialLanes(factory Factory) LaneFactory {
 		if err != nil {
 			return nil, err
 		}
-		return laneOf(p), nil
+		return p.bundle(), nil
 	}
-}
-
-// laneOf returns the K = 1 bundle that runs p: a view's own bundle, or p
-// behind a processLane.
-func laneOf(p Process) laneBundle {
-	if v, ok := p.(*laneView); ok {
-		return v.lp
-	}
-	return newProcessLane(p)
 }
 
 // laneBundle is a K = 1 bundle that takes a shard budget and counts the
@@ -137,10 +83,10 @@ type laneBundle interface {
 	Round() int
 }
 
-// laneView is the single-trial Process of a protocol whose one-lane
-// bundle is its only implementation (NewPush, NewVisitExchange and
-// NewMeetExchange return one). Run and RunMany step the bundle itself
-// (laneOf).
+// laneView is the single-trial Process: the one-lane bundle of a protocol
+// behind the Process methods (every constructor — NewPush, NewPushPull,
+// NewVisitExchange, NewMeetExchange, NewHybrid — returns one). Run and
+// RunMany step the bundle itself.
 type laneView struct {
 	lp     laneBundle
 	active []bool
@@ -158,6 +104,7 @@ func (v *laneView) Messages() int64      { return v.lp.LaneMessages(0) }
 func (v *laneView) Source() graph.Vertex { return v.lp.Source() }
 func (v *laneView) setBudget(b budget)   { v.lp.setBudget(b) }
 func (v *laneView) Step()                { v.lp.Step(v.active) }
+func (v *laneView) bundle() laneBundle   { return v.lp }
 
 // batchK is the default (and maximum) number of trials fused per bundle.
 // Eight lanes amortize the per-unit loop overhead and keep every lane's

@@ -11,20 +11,21 @@ import (
 
 // The lane-equivalence contract: for every protocol, seed, and bundle
 // width K, RunManyLanes must return []Result bit-identical to RunMany's
-// serial processes — Rounds, Completed, Messages, AllAgentsRound, and the
-// full History per trial — at any GOMAXPROCS. These tests pin the fused
-// bundles of the call protocols (push, push-pull) and the hybrid, added by
-// the lane refactor, for K in {1, 2, 7} (one lane, partial bundle, prime
-// width) at GOMAXPROCS 1 and 8 — and, since the engine's budget keeps
-// test-sized bundles inline at any GOMAXPROCS, again under inner budgets
-// {1, 2, 8} forced through the hook (see budget_test.go), so the sharded
-// lane passes, dense draws and walk steps stay pinned; batched_test.go
-// pins visit-exchange and meet-exchange the same way. Push's serial
-// reference is the K = 1 view NewPush returns, its bundle being its only
-// implementation; golden_test.go and exact_test.go hold that view to
-// outcomes the bundle did not produce.
+// single trials of a reference — Rounds, Completed, Messages,
+// AllAgentsRound, and the full History per trial — at any GOMAXPROCS.
+// These tests pin the bundles of the call protocols (push, push-pull) and
+// the hybrid for K in {1, 2, 7} (one lane, partial bundle, prime width) at
+// GOMAXPROCS 1 and 8 — and, since the engine's budget keeps test-sized
+// bundles inline at any GOMAXPROCS, again under inner budgets {1, 2, 8}
+// forced through the hook (see budget_test.go), so the sharded lane
+// passes, dense draws and walk steps stay pinned. Their reference is the
+// plain round of plain_test.go, which shares no boundary mode, side or
+// sweep with the bundles; golden_test.go and exact_test.go hold the
+// bundles to outcomes recorded before the serial engines were deleted and
+// to exact laws. batched_test.go pins visit-exchange and meet-exchange
+// against their one-lane views.
 
-// laneProto pairs a serial factory with its fused bundle factory.
+// laneProto pairs a single-trial reference factory with a bundle factory.
 type laneProto struct {
 	name    string
 	serial  Factory
@@ -36,7 +37,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "push",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewPush(g, s, rng, PushOptions{})
+				return plainPush(g, s, rng, 0), nil
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedPush(g, s, rngs, PushOptions{})
@@ -45,7 +46,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "push-failures",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewPush(g, s, rng, PushOptions{FailureProb: 0.25})
+				return plainPush(g, s, rng, 0.25), nil
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedPush(g, s, rngs, PushOptions{FailureProb: 0.25})
@@ -54,7 +55,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "push-pull",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewPushPull(g, s, rng, PushPullOptions{})
+				return plainPushPull(g, s, rng, 0), nil
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedPushPull(g, s, rngs, PushPullOptions{})
@@ -63,7 +64,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "push-pull-failures",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewPushPull(g, s, rng, PushPullOptions{FailureProb: 0.25})
+				return plainPushPull(g, s, rng, 0.25), nil
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedPushPull(g, s, rngs, PushPullOptions{FailureProb: 0.25})
@@ -72,7 +73,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "hybrid",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewHybrid(g, s, rng, AgentOptions{})
+				return plainHybrid(g, s, rng, AgentOptions{})
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedHybrid(g, s, rngs, AgentOptions{})
@@ -81,7 +82,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "hybrid-sparse-agents",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewHybrid(g, s, rng, AgentOptions{Count: 5})
+				return plainHybrid(g, s, rng, AgentOptions{Count: 5})
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedHybrid(g, s, rngs, AgentOptions{Count: 5})
@@ -90,20 +91,20 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 	}
 }
 
-// compareLanes runs k trials through both engines — the fused one at
-// GOMAXPROCS 1 and 8 and under each forced inner budget — and reports any
-// per-trial divergence.
+// compareLanes runs k trials through the reference and through the
+// bundle — at GOMAXPROCS 1 and 8 and under each forced inner budget — and
+// reports any per-trial divergence.
 func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, seed uint64) {
 	t.Helper()
 	serial, err := RunMany(g, pc.serial, k, maxRounds, seed)
 	if err != nil {
-		t.Fatalf("%s on %s: serial: %v", pc.name, g.Name(), err)
+		t.Fatalf("%s on %s: reference: %v", pc.name, g.Name(), err)
 	}
 	check := func(how string, batched []Result) {
 		t.Helper()
 		for tr := range serial {
 			if !reflect.DeepEqual(serial[tr], batched[tr]) {
-				t.Errorf("%s on %s K=%d %s trial %d: batched diverges\nserial:  rounds %d completed %v messages %d allAgents %d hist %d\nbatched: rounds %d completed %v messages %d allAgents %d hist %d",
+				t.Errorf("%s on %s K=%d %s trial %d: batched diverges\nreference: rounds %d completed %v messages %d allAgents %d hist %d\nbatched:   rounds %d completed %v messages %d allAgents %d hist %d",
 					pc.name, g.Name(), k, how, tr,
 					serial[tr].Rounds, serial[tr].Completed, serial[tr].Messages, serial[tr].AllAgentsRound, len(serial[tr].History),
 					batched[tr].Rounds, batched[tr].Completed, batched[tr].Messages, batched[tr].AllAgentsRound, len(batched[tr].History))
@@ -124,8 +125,8 @@ func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, 
 	}
 }
 
-// TestLaneEquivalenceBatchedCallProtocols: fused push/push-pull/hybrid
-// bundles equal serial RunMany results per trial on mixed-degree (star:
+// TestLaneEquivalenceBatchedCallProtocols: push/push-pull/hybrid bundles
+// equal the plain reference's results per trial on mixed-degree (star:
 // push's coupon tail enters boundary mode), bridge-wait (double star:
 // push-pull's boundary mode), uniform-degree (hypercube), and seeded
 // streamed random (G(n, p) through the two-pass skip-sampling builder)
@@ -164,8 +165,8 @@ func TestLaneEquivalenceBatchedCallProtocols(t *testing.T) {
 // 64-vertex-block exchange collect (collectExchangeDenseWords, with its
 // all-informed and none-informed block arms) and BatchedPush's
 // scatter-then-CommitNew frontier commit (taken once a round's sender
-// count reaches one per word) — must reproduce the serial scalar engines
-// bit for bit. The complete graph saturates in a few rounds, so most
+// count reaches one per word) — must reproduce the plain reference's
+// one-call-at-a-time rounds bit for bit. The complete graph saturates in a few rounds, so most
 // blocks take the all-informed arm and push rounds exceed the word-commit
 // sender threshold almost immediately; the cycle spreads one vertex per
 // direction per round, keeping the boundary word mixed for the whole run;
@@ -189,7 +190,7 @@ func TestLaneEquivalenceWordPaths(t *testing.T) {
 
 // TestLaneEquivalenceMaxRounds: a lane cut off at maxRounds must report
 // the same truncated Result (Completed false, Rounds == maxRounds, partial
-// History) as the serial path, for every fused protocol.
+// History) as the reference, for every call protocol and the hybrid.
 func TestLaneEquivalenceMaxRounds(t *testing.T) {
 	g := graph.Star(301)
 	const seed, k, maxRounds = 7, 7, 3
@@ -199,8 +200,8 @@ func TestLaneEquivalenceMaxRounds(t *testing.T) {
 }
 
 // TestLaneEquivalenceIsolatedVertices: on a graph with isolated vertices —
-// the PR-2 callerCount regression shape — the fused bundles must charge
-// exactly the serial per-round messages (isolated vertices place no call)
+// the callerCount regression shape — the bundles must charge exactly the
+// reference's per-round messages (isolated vertices place no call)
 // and diverge nowhere else. Isolated vertices can never be informed, so
 // every run is driven into the maxRounds cutoff, with enough rounds that
 // push and push-pull lanes enter boundary mode on the way.
@@ -229,7 +230,7 @@ func TestRunManyLanesAdaptiveK(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("adaptive-K lane results diverge from serial")
+		t.Error("adaptive-K lane results diverge from the reference")
 	}
 	if k := AdaptiveBatchK(g, trials); k < 1 || k > batchK {
 		t.Errorf("AdaptiveBatchK = %d, want in [1, %d]", k, batchK)
@@ -240,8 +241,8 @@ func TestRunManyLanesAdaptiveK(t *testing.T) {
 }
 
 // churnProtos are the agent protocols with churn: visit-exchange and
-// meet-exchange against their one-lane views, the hybrid against the
-// serial Hybrid.
+// meet-exchange against their one-lane views, the hybrid against its
+// plain reference.
 func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 	o := AgentOptions{ChurnRate: churn}
 	return []laneProto{
@@ -257,7 +258,7 @@ func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 		},
 		{
 			name:    "hybrid-churn",
-			serial:  func(rng *xrand.RNG) (Process, error) { return NewHybrid(g, s, rng, o) },
+			serial:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, o) },
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, s, rngs, o) },
 		},
 	}
@@ -265,7 +266,7 @@ func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 
 // TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles equal
 // K = 1 per trial — visit-exchange and meet-exchange their one-lane views,
-// the hybrid the serial Hybrid — at GOMAXPROCS 1 and 8 and under forced
+// the hybrid its plain reference — at GOMAXPROCS 1 and 8 and under forced
 // budgets (see compareLanes). Meet-exchange may lose the rumor to churn,
 // so runs are cut at 600 rounds and truncated lanes are compared too.
 func TestLaneEquivalenceChurn(t *testing.T) {
@@ -286,11 +287,13 @@ func TestLaneEquivalenceChurn(t *testing.T) {
 	}
 }
 
-// TestHybridBoundaryEquivalence: the hybrid's boundary-active exchange
-// phase must be bit-identical to the dense path — a non-boundary vertex's
-// exchange provably transfers nothing, and counter-based streams make
-// skipping its draw invisible to every other vertex. The double star's
-// bridge wait and the isolated-vertex ring both force boundary entry.
+// TestHybridBoundaryEquivalence: the boundary-active exchange phase of
+// push-pull and the hybrid must be bit-identical to the plain every-caller
+// round — a non-boundary vertex's exchange provably transfers nothing, and
+// counter-based streams make skipping its draw invisible to every other
+// vertex. The double star's bridge wait and the isolated-vertex ring force
+// boundary entry, and each protocol must enter it somewhere, or the test
+// proves nothing.
 func TestHybridBoundaryEquivalence(t *testing.T) {
 	type hcase struct {
 		g         *graph.Graph
@@ -301,23 +304,49 @@ func TestHybridBoundaryEquivalence(t *testing.T) {
 		{graph.Star(128), 0},
 		{ringWithIsolated(t), 12},
 	}
-	for _, procs := range []int{1, 8} {
-		for _, c := range cases {
-			run := func(useBoundary bool) Result {
-				return atGOMAXPROCS(t, procs, func() Result {
-					h, err := NewHybrid(c.g, 0, xrand.New(77), AgentOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					h.useBoundary = useBoundary
-					return Run(c.g, h, c.maxRounds)
-				})
+	type proto struct {
+		name  string
+		view  func(g *graph.Graph, rng *xrand.RNG) (Process, error)
+		plain func(g *graph.Graph, rng *xrand.RNG) (Process, error)
+	}
+	protos := []proto{
+		{"push-pull",
+			func(g *graph.Graph, rng *xrand.RNG) (Process, error) {
+				return NewPushPull(g, 0, rng, PushPullOptions{})
+			},
+			func(g *graph.Graph, rng *xrand.RNG) (Process, error) { return plainPushPull(g, 0, rng, 0), nil }},
+		{"hybrid",
+			func(g *graph.Graph, rng *xrand.RNG) (Process, error) { return NewHybrid(g, 0, rng, AgentOptions{}) },
+			func(g *graph.Graph, rng *xrand.RNG) (Process, error) { return plainHybrid(g, 0, rng, AgentOptions{}) }},
+	}
+	for _, pc := range protos {
+		entered := 0
+		for _, procs := range []int{1, 8} {
+			for _, c := range cases {
+				run := func(build func(*graph.Graph, *xrand.RNG) (Process, error)) (res Result, p Process) {
+					atGOMAXPROCS(t, procs, func() error {
+						var err error
+						if p, err = build(c.g, xrand.New(77)); err != nil {
+							t.Fatal(err)
+						}
+						res = Run(c.g, p, c.maxRounds)
+						return nil
+					})
+					return res, p
+				}
+				got, view := run(pc.view)
+				want, _ := run(pc.plain)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s procs=%d %s: view and plain results differ:\nview  %+v\nplain %+v",
+						pc.name, procs, c.g.Name(), got, want)
+				}
+				if _, _, _, boundary := sideHooks(view.bundle()); boundary(0) {
+					entered++
+				}
 			}
-			bounded, dense := run(true), run(false)
-			if !reflect.DeepEqual(bounded, dense) {
-				t.Errorf("procs=%d %s: boundary and dense hybrid results differ:\nboundary %+v\ndense    %+v",
-					procs, c.g.Name(), bounded, dense)
-			}
+		}
+		if entered == 0 {
+			t.Errorf("%s: no run entered boundary mode", pc.name)
 		}
 	}
 }

@@ -26,8 +26,8 @@ func ringWithIsolated(t *testing.T) *graph.Graph {
 }
 
 // TestPushPullMessagesSkipIsolated: push-pull charges one call per
-// non-isolated vertex per round. Isolated vertices draw no neighbor
-// (exchangeShard marks them -1), so charging all n would overcount.
+// non-isolated vertex per round. Isolated vertices have nobody to call
+// (neighborSampler.call returns -1), so charging all n would overcount.
 func TestPushPullMessagesSkipIsolated(t *testing.T) {
 	g := ringWithIsolated(t)
 	p, err := NewPushPull(g, 0, xrand.New(5), PushPullOptions{})

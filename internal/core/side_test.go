@@ -14,14 +14,10 @@ import (
 // may evaluate a non-boundary round from either side of its
 // informed/uninformed cut — every side is exact on every such round — so
 // whichever the rule picks, and whichever a test forces, the Result equals
-// the serial process's. The serial processes know nothing of sides, and
-// until they stagnate they draw every caller in their own loops
-// (neighborSampler.sample or the inlined packed index), not through call:
-// they are the independent reference. Push has no serial process: its
-// reference is the K = 1 view of its bundle under the rule, so forced
-// sides, wider bundles and the CSR fallback are checked against the
-// rule's one-lane run, which TestGoldenEngines and TestExactPushLaw hold
-// to outcomes the bundle did not produce.
+// the plain reference's (plain_test.go), which knows nothing of sides or
+// boundary mode and resolves every caller's call in vertex order.
+// TestGoldenEngines and the exact-law tests hold the bundles, under the
+// rule, to outcomes no bundle produced.
 
 // sideHooks reaches the unexported side state of the three fused call
 // bundles.
@@ -134,7 +130,7 @@ func seededGraph(t testing.TB, spec string, seed uint64) *graph.Graph {
 }
 
 // TestLaneEquivalenceSmallerSide: push, push-pull and the hybrid (reliable
-// and failing links) equal the serial processes — full Result, History
+// and failing links) equal the plain reference — full Result, History
 // included — on regular graphs (the rule walks through every side), a
 // preferential-attachment graph (hubs, then a thin periphery), the heavy
 // tree (degree-1 leaves draw nothing), a graph with isolated vertices
@@ -296,9 +292,8 @@ func TestBoundaryModeSkipsSideRule(t *testing.T) {
 
 // TestBoundaryEntryFromSparseLane: a push-pull or hybrid lane can reach
 // boundary mode without ever having swept — sparse rounds, stagnation,
-// entry — and must find its per-slot scratch allocated there (it used to
-// be allocated by the first dense round only, and the first boundary round
-// sliced nil). Forced to a sparse side on the double star that is every
+// entry — and must finish from there with nothing a dense round would
+// have set up. Forced to a sparse side on the double star that is every
 // lane's path; on the lossy cycle it is the rule's own.
 func TestBoundaryEntryFromSparseLane(t *testing.T) {
 	type ecase struct {
@@ -441,13 +436,13 @@ func TestBudgetSparseLaneWork(t *testing.T) {
 	}
 }
 
-// FuzzSmallerSideVsSerial: bytes become a small simple graph (n <= 64,
+// FuzzSmallerSideVsPlain: bytes become a small simple graph (n <= 64,
 // leaves and isolated vertices allowed, the source its first vertex of
 // positive degree), a protocol, a bundle width, a seed and a round cutoff
-// (disconnected inputs never finish); the fused bundle — under the rule
-// and forced to each side, on the packed index or the CSR fallback — must
-// return the serial processes' Results (for push, the K = 1 view's).
-func FuzzSmallerSideVsSerial(f *testing.F) {
+// (disconnected inputs never finish); the bundle — under the rule and
+// forced to each side, on the packed index or the CSR fallback — must
+// return the plain reference's Results.
+func FuzzSmallerSideVsPlain(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 20, 1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5})                        // path, push
 	f.Add([]byte{9, 2, 3, 30, 7, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})                        // star + isolated, push-pull
 	f.Add([]byte{4, 4, 7, 12, 9, 9, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})                  // K5 minus a vertex, hybrid
@@ -497,7 +492,7 @@ func FuzzSmallerSideVsSerial(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s n=%d K=%d maxRounds=%d seed=%d side %d noIndex=%v: fused results differ from serial\nserial %+v\nfused  %+v",
+				t.Fatalf("%s n=%d K=%d maxRounds=%d seed=%d side %d noIndex=%v: bundle results differ from the plain reference\nplain  %+v\nbundle %+v",
 					pc.name, n, k, maxRounds, seed, s, noIndex, want, got)
 			}
 		}

@@ -21,8 +21,8 @@ const (
 	LazyOn
 )
 
-// AgentOptions configures the agent system shared by visit-exchange and
-// meet-exchange.
+// AgentOptions configures the agent system shared by visit-exchange,
+// meet-exchange and the hybrid.
 type AgentOptions struct {
 	// Alpha is the agent density: |A| = max(1, round(Alpha·n)). Ignored if
 	// Count > 0. The paper's default regime is Alpha = Θ(1); this
@@ -43,7 +43,8 @@ type AgentOptions struct {
 	// probability.
 	ChurnRate float64
 	// Observer, if non-nil, receives every agent traversal (a churn
-	// respawn is not one). Only single trials take one.
+	// respawn is not one). The hybrid reports its agent traversals only,
+	// not its push-pull calls. Only single trials take one.
 	Observer MoveObserver
 }
 

@@ -103,18 +103,20 @@ func TestCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestBuildProcessAllProtos(t *testing.T) {
+// TestLaneFactoryAllProtos: every protocol name builds a bundle, and an
+// unknown one fails the sweep.
+func TestLaneFactoryAllProtos(t *testing.T) {
 	g := graph.Complete(8)
 	for _, p := range Protos() {
-		proc, err := BuildProcess(p, g, 0, newTestRNG(), core.AgentOptions{})
+		bp, err := laneFactory(p, g, 0, core.AgentOptions{})([]*xrand.RNG{newTestRNG()})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if proc.Name() == "" {
+		if bp.Name() == "" {
 			t.Errorf("%s: empty name", p)
 		}
 	}
-	if _, err := BuildProcess("bogus", g, 0, newTestRNG(), core.AgentOptions{}); err == nil {
+	if _, err := runTrials("bogus", g, 0, core.AgentOptions{}, 2, 0, 1, nil); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 }
@@ -122,8 +124,7 @@ func TestBuildProcessAllProtos(t *testing.T) {
 func TestMeasureRejectsIncompleteRuns(t *testing.T) {
 	// Opposite-parity meet-exchange on a star with forced non-lazy walks
 	// cannot complete; Measure must report the failure. Use a tiny graph and
-	// explicit options via BuildProcess equivalence: Measure always uses the
-	// given agent options.
+	// explicit options: Measure always uses the given agent options.
 	g := graph.Star(4)
 	_, err := Measure(ProtoMeetX, g, 0, core.AgentOptions{Lazy: core.LazyOff, Count: 8}, 2, 3)
 	if err == nil {
@@ -215,9 +216,7 @@ func TestMeasureBatchedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := core.RunMany(g, func(rng *xrand.RNG) (core.Process, error) {
-			return BuildProcess(p, g, 0, rng, core.AgentOptions{})
-		}, 7, 0, 99)
+		serial, err := core.RunManyLanes(g, laneFactory(p, g, 0, core.AgentOptions{}), 7, 0, 99, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

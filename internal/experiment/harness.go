@@ -70,24 +70,6 @@ func Protos() []Proto {
 	return []Proto{ProtoPush, ProtoPPull, ProtoVisitX, ProtoMeetX, ProtoHybrid}
 }
 
-// BuildProcess constructs a protocol instance by name.
-func BuildProcess(p Proto, g *graph.Graph, src graph.Vertex, rng *xrand.RNG, agentOpts core.AgentOptions) (core.Process, error) {
-	switch p {
-	case ProtoPush:
-		return core.NewPush(g, src, rng, core.PushOptions{})
-	case ProtoPPull:
-		return core.NewPushPull(g, src, rng, core.PushPullOptions{})
-	case ProtoVisitX:
-		return core.NewVisitExchange(g, src, rng, agentOpts)
-	case ProtoMeetX:
-		return core.NewMeetExchange(g, src, rng, agentOpts)
-	case ProtoHybrid:
-		return core.NewHybrid(g, src, rng, agentOpts)
-	default:
-		return nil, fmt.Errorf("experiment: unknown protocol %q", p)
-	}
-}
-
 // Measurement is the distribution of broadcast times of one protocol on one
 // graph.
 type Measurement struct {
@@ -102,11 +84,10 @@ type Measurement struct {
 // round budget.
 //
 // Every protocol runs on the unified lane engine (core.RunManyLanes):
-// fused multi-lane bundles at the adaptive bundle width, churn included,
-// and single trials as K = 1 lanes when an observer is set. Bundle width
-// never changes results — the engines are bit-identical per trial (see
-// core's lane-equivalence tests) — so batching is purely a throughput
-// decision.
+// bundles at the adaptive bundle width, churn included, and single trials
+// as K = 1 bundles when an observer is set. Bundle width never changes
+// results — lanes are bit-identical per trial (see core's lane-equivalence
+// tests) — so batching is purely a throughput decision.
 func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions, trials int, seed uint64) (Measurement, error) {
 	results, err := runTrials(p, g, src, agentOpts, trials, 0, seed, nil)
 	if err != nil {
@@ -123,29 +104,24 @@ func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOpti
 	return Measurement{Proto: p, N: g.N(), Summary: stats.Summarize(rounds)}, nil
 }
 
-// runTrials dispatches a protocol sweep to the unified lane engine: every
-// protocol has a fused multi-lane bundle, run at the adaptive bundle width
-// (core.AdaptiveBatchK picks K from trials, graph size, and GOMAXPROCS);
-// observer runs, whose callbacks must not interleave, run single trials on
-// the K = 1 lane path. Bundle width produces bit-identical results (see
-// core's lane-equivalence tests); batching is purely a throughput
-// decision. emit, when non-nil, receives each trial's Result in strict
-// trial order as trials complete.
+// runTrials runs a protocol sweep on the unified lane engine, in bundles
+// of the adaptive width (core.AdaptiveBatchK picks K from trials, graph
+// size, and GOMAXPROCS), or of one trial when an observer is set: its
+// callbacks must not interleave. Bundle width produces bit-identical
+// results (see core's lane-equivalence tests); batching is purely a
+// throughput decision. emit, when non-nil, receives each trial's Result in
+// strict trial order as trials complete.
 func runTrials(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions, trials, maxRounds int, seed uint64, emit core.EmitFunc) ([]core.Result, error) {
-	if factory := laneFactory(p, g, src, agentOpts); factory != nil {
-		return core.RunManyLanes(g, factory, trials, maxRounds, seed, core.AdaptiveBatchK(g, trials), emit)
+	k := core.AdaptiveBatchK(g, trials)
+	if agentOpts.Observer != nil {
+		k = 1
 	}
-	return core.RunManyEmit(g, func(rng *xrand.RNG) (core.Process, error) {
-		return BuildProcess(p, g, src, rng, agentOpts)
-	}, trials, maxRounds, seed, emit)
+	return core.RunManyLanes(g, laneFactory(p, g, src, agentOpts), trials, maxRounds, seed, k, emit)
 }
 
-// laneFactory returns the fused-bundle constructor for p, or nil when an
-// observer needs single trials. Churn applies to the agent protocols only.
+// laneFactory returns the bundle constructor for p; an unknown protocol's
+// factory fails. Churn and observers apply to the agent protocols only.
 func laneFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions) core.LaneFactory {
-	if agentOpts.Observer != nil {
-		return nil
-	}
 	switch p {
 	case ProtoPush:
 		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
@@ -168,7 +144,9 @@ func laneFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.Agent
 			return core.NewBatchedHybrid(g, src, rngs, agentOpts)
 		}
 	}
-	return nil
+	return func([]*xrand.RNG) (core.LaneProcess, error) {
+		return nil, fmt.Errorf("experiment: unknown protocol %q", p)
+	}
 }
 
 // fmtMean renders "mean ± ci95".

@@ -225,9 +225,8 @@ func (s RunSpec) Build() (*graph.Graph, graph.Vertex, error) {
 }
 
 // Run executes the spec end to end: Build, then Trials independent trials
-// through the unified lane engine — fused multi-lane bundles at the
-// adaptive width for every protocol, serial K = 1 lanes for
-// configurations the bundles cannot express (see runTrials). emit, when
+// through the unified lane engine — bundles at the adaptive width, one
+// trial per bundle when an observer is set (see runTrials). emit, when
 // non-nil, receives each trial's Result in strict trial order as trials
 // complete. Callers wanting canonical behavior should Normalize first;
 // Run itself does not mutate s.

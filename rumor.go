@@ -112,7 +112,8 @@ var (
 	GiantComponent = graph.GiantComponent
 )
 
-// Process is one protocol instance (see core.Process for the contract).
+// Process is one protocol trial, as the constructors below return it (see
+// core.Process for the contract; only core implements it).
 type Process = core.Process
 
 // Result records one completed or cut-off run.
@@ -126,7 +127,8 @@ type (
 	PushPullOptions = core.PushPullOptions
 	// AgentOptions configures visit-exchange, meet-exchange, and the hybrid.
 	AgentOptions = core.AgentOptions
-	// MoveObserver receives every neighbor call or agent traversal.
+	// MoveObserver receives push-pull's neighbor calls, or the agent
+	// traversals of visit-exchange, meet-exchange and the hybrid.
 	MoveObserver = core.MoveObserver
 )
 
@@ -143,9 +145,11 @@ const (
 
 // Protocol constructors.
 var (
-	// NewPush builds the push protocol of Section 3.
+	// NewPush builds the push protocol of Section 3 as a Process (one
+	// trial of the engine's push bundle).
 	NewPush = core.NewPush
-	// NewPushPull builds the push-pull protocol of Section 3.
+	// NewPushPull builds the push-pull protocol of Section 3 as a Process
+	// (one trial of the engine's push-pull bundle).
 	NewPushPull = core.NewPushPull
 	// NewVisitExchange builds the visit-exchange protocol of Section 3 as
 	// a Process (one trial of the engine's visit-exchange bundle).
@@ -153,7 +157,8 @@ var (
 	// NewMeetExchange builds the meet-exchange protocol of Section 3 as a
 	// Process (one trial of the engine's meet-exchange bundle).
 	NewMeetExchange = core.NewMeetExchange
-	// NewHybrid builds the combined push-pull + visit-exchange protocol.
+	// NewHybrid builds the combined push-pull + visit-exchange protocol as
+	// a Process (one trial of the engine's hybrid bundle).
 	NewHybrid = core.NewHybrid
 	// Run drives a Process to completion (or a round bound).
 	Run = core.Run
