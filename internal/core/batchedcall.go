@@ -1,10 +1,20 @@
 package core
 
 import (
+	"fmt"
+
 	"rumor/internal/graph"
 	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
+
+// PushOptions configures the push protocol.
+type PushOptions struct {
+	// FailureProb is the probability that a transmission silently fails,
+	// modeling the random link failures of Elsässer & Sauerwald [22] that
+	// the paper's Lemma 4(a) relies on. Zero means reliable links.
+	FailureProb float64
+}
 
 // PushPullOptions configures the push-pull protocol.
 type PushPullOptions struct {
@@ -14,6 +24,17 @@ type PushPullOptions struct {
 	// included. Only single trials take one; it changes no draw or
 	// outcome.
 	Observer MoveObserver
+}
+
+// NewPush builds one push trial with the rumor placed on s in round zero:
+// the one-lane view of NewBatchedPush, push's only implementation. It
+// consumes exactly one value from rng (the protocol's stream seed).
+func NewPush(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushOptions) (Process, error) {
+	p, err := NewBatchedPush(g, s, []*xrand.RNG{rng}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newLaneView(p), nil
 }
 
 // NewPushPull builds one push-pull trial with the rumor placed on s in
@@ -28,36 +49,45 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 	return newLaneView(p), nil
 }
 
-// BatchedPushPull is the bidirectional rumor-spreading protocol of Karp et
-// al. (Section 3) — in every round, every vertex (informed or not) calls a
-// uniform random neighbor, and if exactly one endpoint of the call was
-// informed before the round, the other becomes informed — for K trials in
-// fused lockstep. Messages count one call per non-isolated vertex per
-// round: an isolated vertex has nobody to call.
+// BatchedCall is the call model of Section 3 for K trials in fused
+// lockstep: in every round, vertices call a uniform random neighbor. It is
+// both call protocols, fixed per bundle by its constructor. Push
+// (NewBatchedPush) lets only the vertices informed before the round call,
+// and a call informs its target. Push-pull (NewBatchedPushPull, Karp et
+// al.) lets every vertex call, and if exactly one endpoint of a call was
+// informed before the round, the other becomes informed. Messages count
+// one call per caller per round: the informed vertices for push, every
+// non-isolated vertex for push-pull (an isolated vertex has nobody to
+// call).
 //
-// The dense exchange draw — every vertex samples a neighbor — is one
+// A push-pull round evaluated from every vertex draws through one
 // cross-lane blocked sweep (drawExchangeLanes): vertex blocks are the
 // outer loop and lanes the inner, so each block's packed walk-index and
 // CSR lines are touched by all K lanes while cache-hot instead of
 // streaming the whole graph once per trial. Collect and commit run per
 // lane, sharded across lanes when the bundle's budget and the round's work
 // allow. A lane whose cut has a small side skips the sweep and resolves
-// only the calls across the cut inside its lane pass, and after two
-// stagnant rounds a lane enters boundary mode, where only vertices with a
-// neighbor in the opposite informed state call (see exchangeLane and
-// boundary.go): on the double star that turns the Ω(n) bridge-crossing
-// wait from Θ(n) work per round into Θ(1).
-type BatchedPushPull struct {
+// only the calls across the cut inside its lane pass — push always does,
+// its every-caller pass being its informed side — and after two stagnant
+// rounds a lane enters boundary mode, where only the vertices whose call
+// can transfer the rumor call (see callLane and boundary.go): on the
+// double star that turns the Ω(n) bridge-crossing wait from Θ(n) work per
+// round into Θ(1), on the star push's coupon-collector tail likewise.
+type BatchedCall struct {
 	g       *graph.Graph
 	src     graph.Vertex
+	pull    bool // push-pull; push when false
 	seeds   []uint64
 	failTh  uint64
 	sampler neighborSampler
 	callers int64
-	lanes   []exchangeLane
-	observe MoveObserver // one-lane bundles only
+	lanes   []callLane
+	observe MoveObserver // one-lane push-pull bundles only
 
-	forceSide side // tests only: see BatchedPush.forceSide
+	// forceSide, when set (tests only), replaces pickSide's choice in
+	// every non-boundary round of every lane: each side is exact on each
+	// such round, so a forced run pins one path through all regimes.
+	forceSide side
 
 	activeIDs    []int
 	denseIDs     []int
@@ -68,71 +98,89 @@ type BatchedPushPull struct {
 	round        int
 }
 
-var _ LaneProcess = (*BatchedPushPull)(nil)
+var _ LaneProcess = (*BatchedCall)(nil)
+
+// NewBatchedPush builds a K = len(rngs) lane push bundle. Lane t consumes
+// exactly one value from rngs[t] (its stream seed), so lane t of any
+// bundle replays the one-lane trial on the same RNG bit for bit.
+func NewBatchedPush(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts PushOptions) (*BatchedCall, error) {
+	return newBatchedCall(g, s, rngs, false, opts.FailureProb, nil)
+}
 
 // NewBatchedPushPull builds a K = len(rngs) lane push-pull bundle. Lane t
 // consumes exactly one value from rngs[t] (its stream seed), so lane t of
 // any bundle replays the one-lane trial on the same RNG bit for bit. An
 // Observer needs K = 1.
-func NewBatchedPushPull(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts PushPullOptions) (*BatchedPushPull, error) {
+func NewBatchedPushPull(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts PushPullOptions) (*BatchedCall, error) {
+	return newBatchedCall(g, s, rngs, true, opts.FailureProb, opts.Observer)
+}
+
+func newBatchedCall(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, pull bool, failureProb float64, observe MoveObserver) (*BatchedCall, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	if opts.FailureProb < 0 || opts.FailureProb >= 1 {
-		return nil, errFailureProb(opts.FailureProb)
+	if failureProb < 0 || failureProb >= 1 {
+		return nil, fmt.Errorf("core: FailureProb must be in [0,1), got %g", failureProb)
 	}
-	if opts.Observer != nil && len(rngs) != 1 {
+	if observe != nil && len(rngs) != 1 {
 		return nil, errObserverLanes
 	}
-	p := &BatchedPushPull{
+	p := &BatchedCall{
 		g:       g,
 		src:     s,
+		pull:    pull,
 		seeds:   make([]uint64, len(rngs)),
-		failTh:  xrand.BernoulliThreshold(opts.FailureProb),
+		failTh:  xrand.BernoulliThreshold(failureProb),
 		sampler: newNeighborSampler(g),
 		callers: callerCount(g),
-		lanes:   make([]exchangeLane, len(rngs)),
-		observe: opts.Observer,
+		lanes:   make([]callLane, len(rngs)),
+		observe: observe,
 	}
 	p.denseFn = p.drawDenseShard
 	p.laneFn = p.laneShard
 	for t, rng := range rngs {
 		p.seeds[t] = rng.Uint64()
-		p.lanes[t].init(g, s)
+		p.lanes[t].init(g, s, pull)
 	}
 	return p, nil
 }
 
 // Name implements LaneProcess.
-func (p *BatchedPushPull) Name() string { return "push-pull" }
+func (p *BatchedCall) Name() string {
+	if p.pull {
+		return "push-pull"
+	}
+	return "push"
+}
 
 // K implements LaneProcess.
-func (p *BatchedPushPull) K() int { return len(p.lanes) }
+func (p *BatchedCall) K() int { return len(p.lanes) }
 
 // Source implements LaneProcess.
-func (p *BatchedPushPull) Source() graph.Vertex { return p.src }
+func (p *BatchedCall) Source() graph.Vertex { return p.src }
 
 // LaneDone implements LaneProcess.
-func (p *BatchedPushPull) LaneDone(t int) bool { return p.lanes[t].count == p.g.N() }
+func (p *BatchedCall) LaneDone(t int) bool { return p.lanes[t].count == p.g.N() }
 
 // LaneInformedCount implements LaneProcess (vertices).
-func (p *BatchedPushPull) LaneInformedCount(t int) int { return p.lanes[t].count }
+func (p *BatchedCall) LaneInformedCount(t int) int { return p.lanes[t].count }
 
 // LaneMessages implements LaneProcess.
-func (p *BatchedPushPull) LaneMessages(t int) int64 { return p.lanes[t].messages }
+func (p *BatchedCall) LaneMessages(t int) int64 { return p.lanes[t].messages }
 
-// LaneAllAgentsInformed implements LaneProcess: push-pull has no agents.
-func (p *BatchedPushPull) LaneAllAgentsInformed(int) bool { return false }
+// LaneAllAgentsInformed implements LaneProcess: the call protocols have no
+// agents.
+func (p *BatchedCall) LaneAllAgentsInformed(int) bool { return false }
 
-func (p *BatchedPushPull) setBudget(b budget) { p.budget = b }
+func (p *BatchedCall) setBudget(b budget) { p.budget = b }
 
 // Round returns the number of rounds the bundle has stepped.
-func (p *BatchedPushPull) Round() int { return p.round }
+func (p *BatchedCall) Round() int { return p.round }
 
 // Step implements LaneProcess: one fused dense draw across the active lanes
 // whose round is evaluated from every vertex, then the per-lane
 // collect/commit passes, then the observer's replay of the round's calls.
-func (p *BatchedPushPull) Step(active []bool) {
+func (p *BatchedCall) Step(active []bool) {
 	p.round++
 	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
 	p.denseIDs = p.denseIDs[:0]
@@ -146,7 +194,8 @@ func (p *BatchedPushPull) Step(active []bool) {
 			p.denseTargets = append(p.denseTargets, L.targets)
 		}
 	}
-	if n := p.g.N(); len(p.denseIDs) > 0 {
+	if len(p.denseIDs) > 0 {
+		n := p.g.N()
 		par.DoN(p.budget.For(len(p.denseIDs)*n), n, p.denseFn)
 	}
 	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
@@ -159,7 +208,7 @@ func (p *BatchedPushPull) Step(active []bool) {
 // non-isolated vertex's call, in vertex order, failed ones included. A
 // call is a pure function of (seed, vertex, round), so it is replayed here
 // whichever side, or boundary mode, the round was evaluated from.
-func (p *BatchedPushPull) observeCalls() {
+func (p *BatchedCall) observeCalls() {
 	round := uint64(p.round)
 	for u := range p.g.N() {
 		if v := p.sampler.call(p.seeds[0], graph.Vertex(u), round, 0); v >= 0 {
@@ -170,18 +219,23 @@ func (p *BatchedPushPull) observeCalls() {
 
 // drawDenseShard draws vertices [lo, hi) for every dense lane through the
 // shared cross-lane blocked sweep.
-func (p *BatchedPushPull) drawDenseShard(_, lo, hi int) {
+func (p *BatchedCall) drawDenseShard(_, lo, hi int) {
 	drawExchangeLanes(&p.sampler, p.seeds, p.denseIDs, p.denseTargets, lo, hi, uint64(p.round), p.failTh)
 }
 
-// laneShard runs the push-pull round for active lanes [lo, hi): per lane,
-// collect the exchanges against the pre-round informed state, then commit.
-// A vertex informed during round t neither pushes nor can be pulled from
-// until round t+1, exactly as Section 3 specifies.
-func (p *BatchedPushPull) laneShard(_, lo, hi int) {
+// laneShard runs the round for active lanes [lo, hi): per lane, count the
+// round's calls, collect the transfers against the pre-round informed
+// state, then commit. A vertex informed during round t neither calls (in
+// push) nor passes the rumor on until round t+1, exactly as Section 3
+// specifies.
+func (p *BatchedCall) laneShard(_, lo, hi int) {
 	for _, t := range p.activeIDs[lo:hi] {
 		L := &p.lanes[t]
-		L.messages += p.callers // every non-isolated vertex calls a neighbor
+		if p.pull {
+			L.messages += p.callers // every non-isolated vertex calls a neighbor
+		} else {
+			L.messages += int64(L.count) // every informed vertex calls
+		}
 		L.collect(p.g, &p.sampler, p.seeds[t], uint64(p.round), p.failTh)
 		L.commit(p.g)
 	}

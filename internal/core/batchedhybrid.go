@@ -22,9 +22,9 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 }
 
 // hybridLane is one trial's hybrid (push-pull + visit-exchange) state:
-// the exchange lane over the vertices, plus the informed agents.
+// the call lane over the vertices (pull on), plus the informed agents.
 type hybridLane struct {
-	exchangeLane
+	callLane
 	informedA *bitset.Set
 	countA    int
 }
@@ -42,13 +42,13 @@ type hybridLane struct {
 // agent steps per round.
 //
 // The exchange phase's dense draw is the cross-lane blocked sweep shared
-// with BatchedPushPull (drawExchangeLanes), the agent phase is one fused
-// BatchedWalks round for all lanes, and the informing passes (exchange
-// collect, agent deposit, commit, agent pickup) are sharded across lanes
-// like BatchedVisitExchange.laneShard — each lane writes only its own
-// state, so the shard split is deterministic. Each lane's exchange phase
-// is a BatchedPushPull lane's (smaller side of the cut, then boundary
-// mode; see exchangeLane and boundary.go), maintained against the lane's
+// with push-pull's BatchedCall (drawExchangeLanes), the agent phase is one
+// fused BatchedWalks round for all lanes, and the informing passes
+// (exchange collect, agent deposit, commit, agent pickup) are sharded
+// across lanes like BatchedVisitExchange.laneShard — each lane writes only
+// its own state, so the shard split is deterministic. Each lane's exchange
+// phase is a push-pull lane's (smaller side of the cut, then boundary
+// mode; see callLane and boundary.go), maintained against the lane's
 // shared informed set, so agent deposits move the cut and retire exchange
 // senders exactly as exchange finds do. With churn, respawned agents
 // forget the rumor before the informing passes. A one-lane bundle may
@@ -64,7 +64,7 @@ type BatchedHybrid struct {
 	lanes   []hybridLane
 	observe MoveObserver // one-lane bundles only
 
-	forceSide side // tests only: see BatchedPush.forceSide
+	forceSide side // tests only: see BatchedCall.forceSide
 
 	activeIDs    []int
 	denseIDs     []int
@@ -109,7 +109,7 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		// seed is the next value.
 		h.seeds[t] = rng.Uint64()
 		L := &h.lanes[t]
-		L.init(g, s)
+		L.init(g, s, true)
 		L.informedA = bitset.New(w.N())
 		for i, p := range w.Lane(t) {
 			if p == s {

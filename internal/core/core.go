@@ -46,10 +46,11 @@
 // # Lane-based multi-trial execution
 //
 // Because every empirical figure is a distribution over many independent
-// trials, every protocol also has a fused multi-lane bundle (BatchedPush,
-// BatchedPushPull, BatchedVisitExchange, BatchedMeetExchange,
-// BatchedHybrid): K trials step in lockstep through one blocked loop over
-// units per round, with per-lane state and per-trial done-masking. The
+// trials, every protocol also has a fused multi-lane bundle (BatchedCall,
+// BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid): K trials step
+// in lockstep through one blocked loop over units per round, with
+// per-lane state and per-trial done-masking. Push and push-pull share
+// BatchedCall, one call model with the pull direction off or on. The
 // bundles are the only implementations: every constructor (NewPush,
 // NewPushPull, NewVisitExchange, NewMeetExchange, NewHybrid) returns the
 // one-lane view of its bundle, which the driver runs as the K = 1 lane
@@ -58,7 +59,7 @@
 // draws exactly what a one-lane trial t would, so the []Result is
 // bit-identical for every seed and K — pinned by the lane-equivalence
 // tests at GOMAXPROCS 1 and 8. The agent bundles carry churn, and every
-// bundle takes an observer at K = 1.
+// protocol but push takes an observer at K = 1.
 package core
 
 import (

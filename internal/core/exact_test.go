@@ -230,7 +230,7 @@ func TestExactPushLaw(t *testing.T) {
 			checks = append(checks, lawChecks(t, c, f, pmf, []lawPath{
 				{"K=1 view", 1, serialLanes(view)},
 				{"K=7", 7, bundle},
-				{"K=7 side=all", 7, withSide(bundle, sideAll, false, nil)},
+				{"K=7 side=informed", 7, withSide(bundle, sideInformed, false, nil)},
 				{"K=7 side=uninformed", 7, withSide(bundle, sideUninformed, false, nil)},
 			}, &seed)...)
 		}

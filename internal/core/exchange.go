@@ -7,31 +7,35 @@ import (
 	"rumor/internal/graph"
 )
 
-// Exchange-phase helpers shared by the push-pull and hybrid bundles. Each
-// is a plain function or method over concrete state (no per-unit
-// indirection lands in a hot loop), so both engines that perform an
-// exchange round share one copy of the collect and commit semantics — a
-// fix to either lands in both at once. The agent deposit and pickup passes
-// shared by visit-exchange and the hybrid live here too.
+// The call lane and the collect helpers shared by the call bundles:
+// BatchedCall's push and push-pull lanes and the vertex half of
+// BatchedHybrid's. Each is a plain function or method over concrete state
+// (no per-unit indirection lands in a hot loop), so every engine that
+// performs a call round shares one copy of the collect and commit
+// semantics — a fix lands in all of them at once. Push is the call lane
+// with the pull direction off. The agent deposit and pickup passes shared
+// by visit-exchange and the hybrid live here too.
 
-// exchangeLane is one trial's exchange state in a fused bundle: all of a
-// push-pull lane, the vertex half of a hybrid lane.
-type exchangeLane struct {
+// callLane is one trial's call-protocol state in a fused bundle: all of a
+// push or push-pull lane, the vertex half of a hybrid lane.
+type callLane struct {
 	informed *bitset.Set
+	pull     bool // every vertex calls and a call carries both ways; push when false
 	count    int
 	degInf   int64         // Σ deg over informed (see pickSide)
 	side     side          // this round's side; meaningless in boundary mode
 	took     [numSides]int // rounds evaluated from each side
 	boundary bool
 	stagnant int
-	bnd      exchangeBoundary
+	bnd      callBoundary
 	targets  []graph.Vertex // per-vertex calls of a dense round
 	pending  []graph.Vertex
 	messages int64
 }
 
-func (L *exchangeLane) init(g *graph.Graph, s graph.Vertex) {
+func (L *callLane) init(g *graph.Graph, s graph.Vertex, pull bool) {
 	L.informed = bitset.New(g.N())
+	L.pull = pull
 	L.informed.Set(int(s))
 	L.count = 1
 	L.degInf = int64(g.Degree(s))
@@ -41,12 +45,12 @@ func (L *exchangeLane) init(g *graph.Graph, s graph.Vertex) {
 // choice, or force when set — and returns the units the lane's collect
 // will touch. A lane in boundary mode has nothing to settle: its active
 // list is the round.
-func (L *exchangeLane) plan(g *graph.Graph, force side) int {
+func (L *callLane) plan(g *graph.Graph, force side) int {
 	if L.boundary {
 		return len(L.bnd.active)
 	}
 	n := g.N()
-	s, cost := pickSide(true, L.count, L.degInf, n, int64(g.EndpointCount()))
+	s, cost := pickSide(L.pull, L.count, L.degInf, n, int64(g.EndpointCount()))
 	if force != sideRule {
 		s = force
 	}
@@ -63,14 +67,14 @@ func (L *exchangeLane) plan(g *graph.Graph, force side) int {
 
 // dense reports whether the planned round needs every vertex's call drawn
 // into targets before collect.
-func (L *exchangeLane) dense() bool { return !L.boundary && L.side == sideAll }
+func (L *callLane) dense() bool { return !L.boundary && L.side == sideAll }
 
 // collect gathers into pending the planned round's transfers, evaluated
 // against the pre-round informed set. Boundary lanes resolve the calls of
 // their small active list here (it mutates in commit, after this pass),
 // sparse lanes the calls across their cut; dense lanes read the sweep's
 // targets.
-func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
+func (L *callLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
 	L.pending = L.pending[:0]
 	switch {
 	case L.boundary:
@@ -87,9 +91,9 @@ func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, r
 			}
 		}
 	case L.side == sideInformed:
-		L.pending = collectFromInformed(g, sampler, L.informed, seed, round, failTh, L.pending)
+		L.pending = collectFromInformed(g, sampler, L.informed, seed, round, failTh, L.pull, L.pending)
 	case L.side == sideUninformed:
-		L.pending = collectFromUninformed(g, sampler, L.informed, seed, round, failTh, true, L.pending)
+		L.pending = collectFromUninformed(g, sampler, L.informed, seed, round, failTh, L.pull, L.pending)
 	default:
 		L.pending = collectExchangeDenseWords(L.informed, L.targets[:g.N()], L.pending)
 	}
@@ -99,7 +103,7 @@ func (L *exchangeLane) collect(g *graph.Graph, sampler *neighborSampler, seed, r
 // Σ deg(I) for the side rule and, in boundary mode, the active list; after
 // boundaryStagnantRounds consecutive rounds that informed nobody, it
 // enters boundary mode.
-func (L *exchangeLane) commit(g *graph.Graph) {
+func (L *callLane) commit(g *graph.Graph) {
 	before := L.count
 	for _, v := range L.pending {
 		if !L.informed.Test(int(v)) {
@@ -118,7 +122,7 @@ func (L *exchangeLane) commit(g *graph.Graph) {
 		L.stagnant = 0
 	} else if L.count != g.N() {
 		if L.stagnant++; L.stagnant >= boundaryStagnantRounds {
-			L.bnd.build(g, L.informed)
+			L.bnd.build(g, L.informed, L.pull)
 			L.boundary = true
 		}
 	}
@@ -190,19 +194,29 @@ func uninformedWord(informed *bitset.Set, wi int) uint64 {
 	return inv
 }
 
-// collectFromInformed appends to pending the transfers of an exchange
-// round evaluated from the informed side of the cut: each informed u
-// pushes to the vertex it calls, and each uninformed neighbor x of u —
+// collectFromInformed appends to pending the transfers of a round
+// evaluated from the informed side of the cut: each informed u pushes to
+// the vertex it calls, and, with pull, each uninformed neighbor x of u —
 // whose call is replayed here, by the vertex it may have reached — pulls
-// from u if it called u. Σ deg(I) + |I| units; the same set (with
-// repeats, which commit once) as collectExchangeDenseWords, evaluated against
-// the pre-commit informed set.
-func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pending []graph.Vertex) []graph.Vertex {
-	for wi, w := range informed.Words() {
+// from u if it called u. |I| units, plus Σ deg(I) with pull. Without pull
+// it is push's every-caller pass; with it, the same set (with repeats,
+// which commit once) as collectExchangeDenseWords. Evaluated against the
+// pre-commit informed set.
+func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
+	words := informed.Words()
+	for wi, w := range words {
 		for ; w != 0; w &= w - 1 {
 			u := graph.Vertex(wi<<6 + bits.TrailingZeros64(w))
-			if v := sampler.call(seed, u, round, failTh); v >= 0 && !informed.Test(int(v)) {
+			if v := sampler.call(seed, u, round, failTh); v >= 0 {
+				// Kept iff v is uninformed, without a branch: whether a
+				// call lands on an informed vertex is a coin flip for
+				// much of a run, and a mispredicted test here would stall
+				// behind each call's dependent loads.
 				pending = append(pending, v)
+				pending = pending[:len(pending)-1+int(^words[v>>6]>>(uint(v)&63)&1)]
+			}
+			if !pull {
+				continue
 			}
 			for _, x := range g.Neighbors(u) {
 				if !informed.Test(int(x)) && sampler.call(seed, x, round, failTh) == u {
@@ -216,12 +230,12 @@ func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bit
 
 // collectFromUninformed appends to pending the vertices a round informs,
 // evaluated from the uninformed side of the cut: an uninformed v becomes
-// informed iff it pulls from an informed vertex (its own call; exchange
-// rounds only, pull set) or the replayed call of one of its informed
-// neighbors lands on it. Σ deg(U) units, plus |U| with pull; each vertex
-// is appended at most once, evaluated against the pre-commit informed set.
-// With pull it is collectExchangeDenseWords' set, without it the set of
-// targets push's informed senders draw.
+// informed iff it pulls from an informed vertex (its own call, with pull)
+// or the replayed call of one of its informed neighbors lands on it.
+// Σ deg(U) units, plus |U| with pull; each vertex is appended at most
+// once, evaluated against the pre-commit informed set. With pull it is
+// collectExchangeDenseWords' set, without it the set of targets push's
+// informed callers draw.
 func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
 	for wi := range informed.Words() {
 		for inv := uninformedWord(informed, wi); inv != 0; inv &= inv - 1 {

@@ -16,12 +16,12 @@ import (
 // into bundles of K >= 1 lanes, each bundle is a LaneProcess stepping its
 // lanes in lockstep, and driveBatch drives every bundle with identical
 // round/History/finalization semantics. Each protocol has exactly one
-// implementation, its bundle (BatchedPush, BatchedPushPull,
-// BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid); a single
-// trial is the K = 1 special case, a one-lane bundle behind a laneView,
-// which is what the protocol constructors return. RunMany is RunManyLanes
-// at K = 1, so single-trial and fused sweeps share one worker pool, one
-// error discipline, and one emitter.
+// implementation, its bundle (BatchedCall for push and push-pull, which
+// differ only in its pull flag; BatchedVisitExchange, BatchedMeetExchange,
+// BatchedHybrid); a single trial is the K = 1 special case, a one-lane
+// bundle behind a laneView, which is what the protocol constructors
+// return. RunMany is RunManyLanes at K = 1, so single-trial and fused
+// sweeps share one worker pool, one error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
 // streams keyed by the trial lane (xrand.TrialSeed(seed, t)) exactly as a

@@ -161,17 +161,16 @@ func TestLaneEquivalenceBatchedCallProtocols(t *testing.T) {
 	}
 }
 
-// TestLaneEquivalenceWordPaths: the word-parallel dense passes — the
+// TestLaneEquivalenceWordPaths: the word-parallel dense pass — the
 // 64-vertex-block exchange collect (collectExchangeDenseWords, with its
-// all-informed and none-informed block arms) and BatchedPush's
-// scatter-then-CommitNew frontier commit (taken once a round's sender
-// count reaches one per word) — must reproduce the plain reference's
-// one-call-at-a-time rounds bit for bit. The complete graph saturates in a few rounds, so most
-// blocks take the all-informed arm and push rounds exceed the word-commit
-// sender threshold almost immediately; the cycle spreads one vertex per
-// direction per round, keeping the boundary word mixed for the whole run;
-// the 193-vertex sizes exercise the partial tail block (ghost bits past
-// Len() must keep the tail word off the all-informed arm).
+// all-informed and none-informed block arms) — and the word-walked
+// informed and uninformed sides must reproduce the plain reference's
+// one-call-at-a-time rounds bit for bit. The complete graph saturates in a
+// few rounds, so most blocks take the all-informed arm; the cycle spreads
+// one vertex per direction per round, keeping the boundary word mixed for
+// the whole run; the 193-vertex sizes exercise the partial tail block
+// (ghost bits past Len() must keep the tail word off the all-informed
+// arm).
 func TestLaneEquivalenceWordPaths(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Complete(193), // dense: all-informed blocks, instant word commits

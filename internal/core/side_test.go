@@ -19,15 +19,11 @@ import (
 // TestGoldenEngines and the exact-law tests hold the bundles, under the
 // rule, to outcomes no bundle produced.
 
-// sideHooks reaches the unexported side state of the three fused call
+// sideHooks reaches the unexported side state of the two fused call
 // bundles.
 func sideHooks(bp LaneProcess) (force *side, sampler *neighborSampler, took func(lane int) [numSides]int, boundary func(lane int) bool) {
 	switch b := bp.(type) {
-	case *BatchedPush:
-		return &b.forceSide, &b.sampler,
-			func(t int) [numSides]int { return b.lanes[t].took },
-			func(t int) bool { return b.lanes[t].boundary }
-	case *BatchedPushPull:
+	case *BatchedCall:
 		return &b.forceSide, &b.sampler,
 			func(t int) [numSides]int { return b.lanes[t].took },
 			func(t int) bool { return b.lanes[t].boundary }
@@ -85,10 +81,10 @@ func withSide(f LaneFactory, force side, noIndex bool, tally *sideTally) LaneFac
 }
 
 // validSides are the sides a protocol's round can be evaluated from; push
-// has no informed side apart from its every-caller pass.
+// has no dense sweep, its every-caller pass being its informed side.
 func validSides(proto string) []side {
 	if proto == "push" || proto == "push-failures" {
-		return []side{sideAll, sideUninformed}
+		return []side{sideInformed, sideUninformed}
 	}
 	return []side{sideAll, sideInformed, sideUninformed}
 }
@@ -189,9 +185,9 @@ func TestLaneEquivalenceSmallerSide(t *testing.T) {
 	}
 }
 
-// TestLaneSideRule pins pickSide itself: on a d-regular graph push turns
-// to the uninformed side exactly when |U| < n/(d+1) — d|U| replays
-// against |I| sends — and the exchange leaves the sweep for the informed
+// TestLaneSideRule pins pickSide itself: on a d-regular graph push leaves
+// its every-caller pass (the informed side) for the uninformed side
+// exactly when |U| < n/(d+1) — d|U| replays against |I| sends — and the exchange leaves the sweep for the informed
 // side at replayUnits·(d+1)|I| < 2n and for the uninformed side at
 // (replayUnits+d)|U| < 2n; no choice ever costs more than the
 // every-caller pass it replaces.
@@ -204,7 +200,7 @@ func TestLaneSideRule(t *testing.T) {
 			degInf := int64(inf) * int64(d)
 
 			s, cost := pickSide(false, inf, degInf, n, twoM)
-			want := sideAll
+			want := sideInformed
 			if unf*(d+1) < n {
 				want = sideUninformed
 			}
@@ -406,8 +402,6 @@ func TestBudgetSparseLaneWork(t *testing.T) {
 				switch s, cost := pickSide(pc.name != "push", inf, int64(inf)*dim, n, twoM); {
 				case s != sideAll:
 					sparse++
-					work += int(cost)
-				case pc.name == "push":
 					work += int(cost)
 				default:
 					dense++
