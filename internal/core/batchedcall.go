@@ -60,15 +60,13 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 // non-isolated vertex for push-pull (an isolated vertex has nobody to
 // call).
 //
-// A push-pull round evaluated from every vertex draws through one
-// cross-lane blocked sweep (drawExchangeLanes): vertex blocks are the
-// outer loop and lanes the inner, so each block's packed walk-index and
-// CSR lines are touched by all K lanes while cache-hot instead of
-// streaming the whole graph once per trial. Collect and commit run per
-// lane, sharded across lanes when the bundle's budget and the round's work
-// allow. A lane whose cut has a small side skips the sweep and resolves
-// only the calls across the cut inside its lane pass — push always does,
-// its every-caller pass being its informed side — and after two stagnant
+// A push-pull round evaluated from every vertex resolves each vertex's
+// call and keeps its transfer in one pass per lane (collectExchangeDense),
+// with nothing materialized between the draw and the collect. The lane
+// passes run sharded across lanes when the bundle's budget and the round's
+// work allow. A lane whose cut has a small side skips the every-vertex
+// pass and resolves only the calls across the cut — push always does, its
+// every-caller pass being its informed side — and after two stagnant
 // rounds a lane enters boundary mode, where only the vertices whose call
 // can transfer the rumor call (see callLane and boundary.go): on the
 // double star that turns the Ω(n) bridge-crossing wait from Θ(n) work per
@@ -89,13 +87,10 @@ type BatchedCall struct {
 	// such round, so a forced run pins one path through all regimes.
 	forceSide side
 
-	activeIDs    []int
-	denseIDs     []int
-	denseTargets [][]graph.Vertex // parallel to denseIDs
-	budget       budget
-	denseFn      func(shard, lo, hi int)
-	laneFn       func(shard, lo, hi int)
-	round        int
+	activeIDs []int
+	budget    budget
+	laneFn    func(shard, lo, hi int)
+	round     int
 }
 
 var _ LaneProcess = (*BatchedCall)(nil)
@@ -136,7 +131,6 @@ func newBatchedCall(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, pull bool
 		lanes:   make([]callLane, len(rngs)),
 		observe: observe,
 	}
-	p.denseFn = p.drawDenseShard
 	p.laneFn = p.laneShard
 	for t, rng := range rngs {
 		p.seeds[t] = rng.Uint64()
@@ -177,26 +171,14 @@ func (p *BatchedCall) setBudget(b budget) { p.budget = b }
 // Round returns the number of rounds the bundle has stepped.
 func (p *BatchedCall) Round() int { return p.round }
 
-// Step implements LaneProcess: one fused dense draw across the active lanes
-// whose round is evaluated from every vertex, then the per-lane
-// collect/commit passes, then the observer's replay of the round's calls.
+// Step implements LaneProcess: the per-lane collect/commit passes, then
+// the observer's replay of the round's calls.
 func (p *BatchedCall) Step(active []bool) {
 	p.round++
 	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
-	p.denseIDs = p.denseIDs[:0]
-	p.denseTargets = p.denseTargets[:0]
 	work := 0 // units the lane passes touch
 	for _, t := range p.activeIDs {
-		L := &p.lanes[t]
-		work += L.plan(p.g, p.forceSide)
-		if L.dense() {
-			p.denseIDs = append(p.denseIDs, t)
-			p.denseTargets = append(p.denseTargets, L.targets)
-		}
-	}
-	if len(p.denseIDs) > 0 {
-		n := p.g.N()
-		par.DoN(p.budget.For(len(p.denseIDs)*n), n, p.denseFn)
+		work += p.lanes[t].plan(p.g, p.forceSide)
 	}
 	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
 	if p.observe != nil {
@@ -217,12 +199,6 @@ func (p *BatchedCall) observeCalls() {
 	}
 }
 
-// drawDenseShard draws vertices [lo, hi) for every dense lane through the
-// shared cross-lane blocked sweep.
-func (p *BatchedCall) drawDenseShard(_, lo, hi int) {
-	drawExchangeLanes(&p.sampler, p.seeds, p.denseIDs, p.denseTargets, lo, hi, uint64(p.round), p.failTh)
-}
-
 // laneShard runs the round for active lanes [lo, hi): per lane, count the
 // round's calls, collect the transfers against the pre-round informed
 // state, then commit. A vertex informed during round t neither calls (in
@@ -238,52 +214,5 @@ func (p *BatchedCall) laneShard(_, lo, hi int) {
 		}
 		L.collect(p.g, &p.sampler, p.seeds[t], uint64(p.round), p.failTh)
 		L.commit(p.g)
-	}
-}
-
-// exchangeBlock is the vertex-block width of the fused dense exchange
-// draw: lanes take turns over one block before the sweep moves on, so the
-// block's packed walk-index and CSR lines are touched by all K lanes while
-// still hot, and each lane's inner loop stays tight (stream base and
-// slices in registers).
-const exchangeBlock = 512
-
-// drawExchangeLanes resolves the round's exchange call of vertices
-// [lo, hi) of every listed lane into that lane's per-vertex targets slot
-// (-1 for isolated vertices and failed exchanges), as one cross-lane
-// blocked sweep: vertex u of lane laneIDs[j] calls exactly whom
-// neighborSampler.call has it call (TestLaneExchangeBlockIsCall).
-func drawExchangeLanes(sampler *neighborSampler, seeds []uint64, laneIDs []int, targets [][]graph.Vertex, lo, hi int, round, failTh uint64) {
-	idx, nbrs := sampler.idx, sampler.nbrs
-	for blo := lo; blo < hi; blo += exchangeBlock {
-		bhi := min(blo+exchangeBlock, hi)
-		for j, t := range laneIDs {
-			seed, ts := seeds[t], targets[j]
-			if idx != nil && failTh == 0 {
-				drawExchangeBlock(ts[blo:bhi], idx[blo:bhi], nbrs, xrand.MixBase(seed, uint64(blo), round))
-				continue
-			}
-			for u := blo; u < bhi; u++ {
-				ts[u] = sampler.call(seed, graph.Vertex(u), round, failTh)
-			}
-		}
-	}
-}
-
-// drawExchangeBlock is one lane's turn over one vertex block: the
-// reliable-links arm of neighborSampler.call unrolled over consecutive
-// callers, so the stream base advances by one add per vertex and nothing
-// is called per draw — the sweep resolves 2n calls a round where the other
-// paths resolve a cut's worth. TestLaneExchangeBlockIsCall pins it to call.
-func drawExchangeBlock(targets []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
-	for i, word := range idx {
-		if graph.WalkDegreeOne(word) {
-			targets[i] = graph.WalkOnlyNeighbor(word, nbrs)
-		} else if graph.WalkDegreeZero(word) {
-			targets[i] = -1 // isolated vertex: no call
-		} else {
-			targets[i] = graph.WalkTarget(word, xrand.Mix(base), nbrs)
-		}
-		base += xrand.UnitStride
 	}
 }

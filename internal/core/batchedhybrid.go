@@ -41,18 +41,17 @@ type hybridLane struct {
 // (push-pull). Messages count one call per non-isolated vertex plus |A|
 // agent steps per round.
 //
-// The exchange phase's dense draw is the cross-lane blocked sweep shared
-// with push-pull's BatchedCall (drawExchangeLanes), the agent phase is one
-// fused BatchedWalks round for all lanes, and the informing passes
-// (exchange collect, agent deposit, commit, agent pickup) are sharded
-// across lanes like BatchedVisitExchange.laneShard — each lane writes only
-// its own state, so the shard split is deterministic. Each lane's exchange
-// phase is a push-pull lane's (smaller side of the cut, then boundary
-// mode; see callLane and boundary.go), maintained against the lane's
-// shared informed set, so agent deposits move the cut and retire exchange
-// senders exactly as exchange finds do. With churn, respawned agents
-// forget the rumor before the informing passes. A one-lane bundle may
-// carry an Observer, called with every agent traversal after the walk
+// The agent phase is one fused BatchedWalks round for all lanes, and the
+// informing passes (exchange collect, agent deposit, commit, agent pickup)
+// are sharded across lanes like BatchedVisitExchange.laneShard — each lane
+// writes only its own state, so the shard split is deterministic. Each
+// lane's exchange phase is a push-pull lane's (every vertex's call
+// resolved and collected in one pass, or the smaller side of the cut, then
+// boundary mode; see callLane and boundary.go), maintained against the
+// lane's shared informed set, so agent deposits move the cut and retire
+// exchange senders exactly as exchange finds do. With churn, respawned
+// agents forget the rumor before the informing passes. A one-lane bundle
+// may carry an Observer, called with every agent traversal after the walk
 // step; the exchange calls are not reported.
 type BatchedHybrid struct {
 	g       *graph.Graph
@@ -66,13 +65,10 @@ type BatchedHybrid struct {
 
 	forceSide side // tests only: see BatchedCall.forceSide
 
-	activeIDs    []int
-	denseIDs     []int
-	denseTargets [][]graph.Vertex // parallel to denseIDs
-	budget       budget
-	denseFn      func(shard, lo, hi int)
-	laneFn       func(shard, lo, hi int)
-	round        int
+	activeIDs []int
+	budget    budget
+	laneFn    func(shard, lo, hi int)
+	round     int
 }
 
 var _ LaneProcess = (*BatchedHybrid)(nil)
@@ -102,7 +98,6 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		lanes:   make([]hybridLane, len(rngs)),
 		observe: opts.Observer,
 	}
-	h.denseFn = h.drawDenseShard
 	h.laneFn = h.laneShard
 	for t, rng := range rngs {
 		// NewBatched drew lane t's walk seed from rngs[t]; the exchange
@@ -149,28 +144,17 @@ func (h *BatchedHybrid) setBudget(b budget) { h.budget = b }
 // Round returns the number of rounds the bundle has stepped.
 func (h *BatchedHybrid) Round() int { return h.round }
 
-// Step implements LaneProcess: the fused dense exchange draw for the lanes
-// whose round is evaluated from every vertex, one fused walk round, then
-// the per-lane informing passes. Exchange calls are counter-based pure
-// functions of (seed, vertex, round), so drawing them before the walk step
-// and collecting after it is the same as drawing them in between.
+// Step implements LaneProcess: one fused walk round, then the per-lane
+// informing passes. Exchange calls are counter-based pure functions of
+// (seed, vertex, round), so resolving them after the walk step is the same
+// as resolving them before it.
 func (h *BatchedHybrid) Step(active []bool) {
 	h.round++
 	h.activeIDs = activeLanes(h.activeIDs[:0], active, len(h.lanes))
-	h.denseIDs = h.denseIDs[:0]
-	h.denseTargets = h.denseTargets[:0]
 	agentWork := len(h.activeIDs) * h.walks.N()
 	work := agentWork // plus the units the exchange collects touch
 	for _, t := range h.activeIDs {
-		L := &h.lanes[t]
-		work += L.plan(h.g, h.forceSide)
-		if L.dense() {
-			h.denseIDs = append(h.denseIDs, t)
-			h.denseTargets = append(h.denseTargets, L.targets)
-		}
-	}
-	if n := h.g.N(); len(h.denseIDs) > 0 {
-		par.DoN(h.budget.For(len(h.denseIDs)*n), n, h.denseFn)
+		work += h.lanes[t].plan(h.g, h.forceSide)
 	}
 	h.walks.SetShards(h.budget.For(agentWork))
 	h.walks.Step(active)
@@ -178,12 +162,6 @@ func (h *BatchedHybrid) Step(active []bool) {
 		observeMoves(h.observe, h.walks)
 	}
 	par.DoN(h.budget.For(work), len(h.activeIDs), h.laneFn)
-}
-
-// drawDenseShard draws vertices [lo, hi) for every dense lane through the
-// shared cross-lane blocked sweep.
-func (h *BatchedHybrid) drawDenseShard(_, lo, hi int) {
-	drawExchangeLanes(&h.sampler, h.seeds, h.denseIDs, h.denseTargets, lo, hi, uint64(h.round), 0)
 }
 
 // laneShard runs the informing passes for active lanes [lo, hi).

@@ -66,7 +66,7 @@ type side uint8
 
 const (
 	sideRule       side = iota // as a forced value: none, pickSide decides
-	sideAll                    // push-pull's dense sweep: every vertex's call drawn, then collected
+	sideAll                    // push-pull's dense sweep: every vertex's call resolved and collected in one pass
 	sideInformed               // each informed vertex's call (push's every-caller pass), and with pull its uninformed neighbors'
 	sideUninformed             // each uninformed vertex's call (with pull) and its informed neighbors'
 	numSides

@@ -5,6 +5,7 @@ import (
 
 	"rumor/internal/bitset"
 	"rumor/internal/graph"
+	"rumor/internal/xrand"
 )
 
 // The call lane and the collect helpers shared by the call bundles:
@@ -28,7 +29,6 @@ type callLane struct {
 	boundary bool
 	stagnant int
 	bnd      callBoundary
-	targets  []graph.Vertex // per-vertex calls of a dense round
 	pending  []graph.Vertex
 	messages int64
 }
@@ -49,31 +49,20 @@ func (L *callLane) plan(g *graph.Graph, force side) int {
 	if L.boundary {
 		return len(L.bnd.active)
 	}
-	n := g.N()
-	s, cost := pickSide(L.pull, L.count, L.degInf, n, int64(g.EndpointCount()))
+	s, cost := pickSide(L.pull, L.count, L.degInf, g.N(), int64(g.EndpointCount()))
 	if force != sideRule {
 		s = force
 	}
 	L.side = s
 	L.took[s]++
-	if s != sideAll {
-		return int(cost)
-	}
-	if L.targets == nil {
-		L.targets = make([]graph.Vertex, n)
-	}
-	return n // the collect's half of the sweep; the draw is dispatched apart
+	return int(cost)
 }
-
-// dense reports whether the planned round needs every vertex's call drawn
-// into targets before collect.
-func (L *callLane) dense() bool { return !L.boundary && L.side == sideAll }
 
 // collect gathers into pending the planned round's transfers, evaluated
 // against the pre-round informed set. Boundary lanes resolve the calls of
 // their small active list here (it mutates in commit, after this pass),
-// sparse lanes the calls across their cut; dense lanes read the sweep's
-// targets.
+// sparse lanes the calls across their cut, dense lanes every vertex's call
+// in one pass.
 func (L *callLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
 	L.pending = L.pending[:0]
 	switch {
@@ -95,7 +84,7 @@ func (L *callLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round
 	case L.side == sideUninformed:
 		L.pending = collectFromUninformed(g, sampler, L.informed, seed, round, failTh, L.pull, L.pending)
 	default:
-		L.pending = collectExchangeDenseWords(L.informed, L.targets[:g.N()], L.pending)
+		L.pending = collectExchangeDense(sampler, L.informed, seed, round, failTh, L.pending)
 	}
 }
 
@@ -128,61 +117,61 @@ func (L *callLane) commit(g *graph.Graph) {
 	}
 }
 
-// collectExchangeDenseWords appends to pending the transfers of a dense
-// exchange round: for each vertex u with a drawn partner targets[u] >= 0,
-// if exactly one endpoint is informed, the other becomes pending.
-// Evaluated against the pre-commit informed set; targets must hold one
-// slot per vertex. The sender-side informed test is read word-at-a-time:
-// one 64-bit load answers "is u informed" for a whole vertex block, and
-// the two uniform blocks — all 64 senders informed (the common case late
-// in a run) or none (early) — drop to a single-branch inner loop. The
-// plain reference rounds of the equivalence suites collect each call on
-// its own, so they cross-validate every arm (TestLaneEquivalenceWordPaths).
-func collectExchangeDenseWords(informed *bitset.Set, targets []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
+// collectExchangeDense appends to pending the transfers of a round
+// evaluated from every vertex: each vertex u calls whom
+// neighborSampler.call has it call, and if exactly one endpoint of the call
+// was informed before the round, the other becomes pending. On reliable
+// links over the packed index each call is resolved inline in vertex
+// order, one informed word at a time, and each transfer is kept without a
+// branch (keepTransfer): whether a call crosses the cut is a coin flip for
+// much of a run, and a mispredicted test would stall behind the call's
+// random neighbor load. Isolated vertices are skipped before the draw, as
+// call skips them: WalkTargetAny on one reads the next vertex's first
+// neighbor, or past nbrs for the last vertex. Degree-1 vertices take their
+// only neighbor without a draw, which on the star is nearly every vertex.
+// Lossy links and unpacked graphs go through call per
+// vertex. TestLaneExchangeDenseIsCall pins both arms to the per-call rule.
+func collectExchangeDense(sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pending []graph.Vertex) []graph.Vertex {
 	words := informed.Words()
-	n := len(targets)
-	for base := 0; base < n; base += 64 {
-		w := words[base>>6]
-		hi := base + 64
-		if hi > n {
-			hi = n
+	if sampler.idx == nil || failTh != 0 {
+		for u := range graph.Vertex(informed.Len()) {
+			if v := sampler.call(seed, u, round, failTh); v >= 0 {
+				pending = keepTransfer(pending, u, v, wordBit(words, u), wordBit(words, v))
+			}
 		}
-		switch w {
-		case ^uint64(0):
-			// Every sender in the block is informed: only the push
-			// direction can transfer. (Ghost bits past Len() are kept
-			// clear, so a tail block never takes this arm spuriously.)
-			for u := base; u < hi; u++ {
-				if v := targets[u]; v >= 0 && !informed.Test(int(v)) {
-					pending = append(pending, v)
-				}
+		return pending
+	}
+	idx, nbrs := sampler.idx, sampler.nbrs
+	base := xrand.MixBase(seed, 0, round) // vertex u's draw is Mix(base + u·UnitStride)
+	for wi, w := range words {
+		for u := wi << 6; u < min(wi<<6+64, len(idx)); u++ {
+			word := idx[u]
+			var v graph.Vertex
+			switch {
+			case graph.WalkDegreeOne(word):
+				v = graph.WalkOnlyNeighbor(word, nbrs)
+			case graph.WalkDegreeZero(word):
+				continue
+			default:
+				v = graph.WalkTargetAny(word, xrand.Mix(base+uint64(u)*xrand.UnitStride), nbrs)
 			}
-		case 0:
-			// No sender in the block is informed: only the pull direction.
-			for u := base; u < hi; u++ {
-				if v := targets[u]; v >= 0 && informed.Test(int(v)) {
-					pending = append(pending, graph.Vertex(u))
-				}
-			}
-		default:
-			for u := base; u < hi; u++ {
-				v := targets[u]
-				if v < 0 {
-					continue
-				}
-				iu := w>>(uint(u)&63)&1 != 0
-				iv := informed.Test(int(v))
-				switch {
-				case iu && !iv:
-					pending = append(pending, v)
-				case !iu && iv:
-					pending = append(pending, graph.Vertex(u))
-				}
-			}
+			pending = keepTransfer(pending, graph.Vertex(u), v, w>>(uint(u)&63)&1, wordBit(words, v))
 		}
 	}
 	return pending
 }
+
+// keepTransfer appends the transfer of u's call to v, given the endpoints'
+// informed bits iu and iv (each 0 or 1): v when only u is informed, u when
+// only v is. The candidate is always written and then kept iff iu != iv,
+// so the outcome costs no branch.
+func keepTransfer(pending []graph.Vertex, u, v graph.Vertex, iu, iv uint64) []graph.Vertex {
+	pending = append(pending, u^(u^v)&-graph.Vertex(iu))
+	return pending[:len(pending)-1+int(iu^iv)]
+}
+
+// wordBit returns bit v of the bitset words as 0 or 1.
+func wordBit(words []uint64, v graph.Vertex) uint64 { return words[v>>6] >> (uint(v) & 63) & 1 }
 
 // uninformedWord returns word wi of the complement of informed: the
 // uninformed vertices among [64wi, 64wi+64), ghost bits past Len() clear.
@@ -200,7 +189,7 @@ func uninformedWord(informed *bitset.Set, wi int) uint64 {
 // whose call is replayed here, by the vertex it may have reached — pulls
 // from u if it called u. |I| units, plus Σ deg(I) with pull. Without pull
 // it is push's every-caller pass; with it, the same set (with repeats,
-// which commit once) as collectExchangeDenseWords. Evaluated against the
+// which commit once) as collectExchangeDense. Evaluated against the
 // pre-commit informed set.
 func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
 	words := informed.Words()
@@ -234,8 +223,8 @@ func collectFromInformed(g *graph.Graph, sampler *neighborSampler, informed *bit
 // or the replayed call of one of its informed neighbors lands on it.
 // Σ deg(U) units, plus |U| with pull; each vertex is appended at most
 // once, evaluated against the pre-commit informed set. With pull it is
-// collectExchangeDenseWords' set, without it the set of targets push's
-// informed callers draw.
+// collectExchangeDense's set, without it the set of uninformed vertices
+// push's informed callers reach.
 func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *bitset.Set, seed, round, failTh uint64, pull bool, pending []graph.Vertex) []graph.Vertex {
 	for wi := range informed.Words() {
 		for inv := uninformedWord(informed, wi); inv != 0; inv &= inv - 1 {

@@ -178,9 +178,11 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(g)
 	}
-	// Warm the graph's shared sampling caches once, outside the race.
+	// Warm the packed walk index, which every protocol samples through,
+	// once outside the race. The stationary alias stays lazy behind its
+	// sync.Once: only agent placement and churn read it, so a call
+	// protocol never builds it.
 	g.WalkIndex()
-	g.StationaryAlias()
 	results := make([]Result, trials)
 	em := newOrderedEmitter(emit, results)
 	bundles := (trials + k - 1) / k

@@ -161,16 +161,15 @@ func TestLaneEquivalenceBatchedCallProtocols(t *testing.T) {
 	}
 }
 
-// TestLaneEquivalenceWordPaths: the word-parallel dense pass — the
-// 64-vertex-block exchange collect (collectExchangeDenseWords, with its
-// all-informed and none-informed block arms) — and the word-walked
-// informed and uninformed sides must reproduce the plain reference's
-// one-call-at-a-time rounds bit for bit. The complete graph saturates in a
-// few rounds, so most blocks take the all-informed arm; the cycle spreads
-// one vertex per direction per round, keeping the boundary word mixed for
-// the whole run; the 193-vertex sizes exercise the partial tail block
-// (ghost bits past Len() must keep the tail word off the all-informed
-// arm).
+// TestLaneEquivalenceWordPaths: the every-vertex pass — each call
+// resolved inline and its transfer kept by the branch-free filter
+// (collectExchangeDense) — and the word-walked informed and uninformed
+// sides must reproduce the plain reference's one-call-at-a-time rounds bit
+// for bit. The complete graph saturates in a few rounds, so most informed
+// words are all ones; the cycle spreads one vertex per direction per
+// round, keeping the boundary word mixed for the whole run; the 193-vertex
+// sizes exercise the partial tail word (ghost bits past Len() must stay
+// clear, or the uninformed side would enumerate vertices past n).
 func TestLaneEquivalenceWordPaths(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Complete(193), // dense: all-informed blocks, instant word commits

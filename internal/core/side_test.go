@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"rumor/internal/bitset"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
@@ -333,24 +335,61 @@ func TestBoundaryEntryFromSparseLane(t *testing.T) {
 	}
 }
 
-// TestLaneExchangeBlockIsCall: the dense sweep's block draw is the one
-// place that resolves calls without going through neighborSampler.call;
-// it must agree with it on every vertex — degree 0, 1, powers of two and
-// not — at every block offset.
-func TestLaneExchangeBlockIsCall(t *testing.T) {
-	for _, g := range []*graph.Graph{isolatedMix(t), graph.HeavyBinaryTree(6), graph.Star(130), seededGraph(t, "barabasi:700,3", 2)} {
-		sampler := newNeighborSampler(g)
+// TestLaneExchangeDenseIsCall: the every-vertex pass resolves calls
+// inline instead of through neighborSampler.call and keeps transfers with a
+// branch-free filter, so it must return exactly the pending list of the
+// plain per-call rule (u's call v, then v if only u is informed, u if only
+// v is): on an isolated last vertex, degree-1 leaves and mixed degrees;
+// with all-ones, all-zero and mixed informed words and a partial tail
+// word; on reliable and lossy links; on the packed index and without it.
+func TestLaneExchangeDenseIsCall(t *testing.T) {
+	graphs := []*graph.Graph{isolatedMix(t), ringWithIsolated(t), graph.HeavyBinaryTree(6), graph.Star(130), seededGraph(t, "barabasi:700,3", 2)}
+	for _, g := range graphs {
 		n := g.N()
-		seeds := []uint64{11, 0xdeadbeef}
-		targets := [][]graph.Vertex{make([]graph.Vertex, n), make([]graph.Vertex, n)}
-		for _, round := range []uint64{1, 77} {
-			drawExchangeLanes(&sampler, seeds, []int{0, 1}, targets, 0, n/3, round, 0)
-			drawExchangeLanes(&sampler, seeds, []int{0, 1}, targets, n/3, n, round, 0)
-			for j, seed := range seeds {
-				for u := 0; u < n; u++ {
-					if want := sampler.call(seed, graph.Vertex(u), round, 0); targets[j][u] != want {
-						t.Fatalf("%s seed %d round %d vertex %d (degree %d): sweep calls %d, call says %d",
-							g.Name(), seed, round, u, g.Degree(graph.Vertex(u)), targets[j][u], want)
+		// Vertex sets by predicate: every vertex, none, a prefix ending
+		// inside a word (all-ones words, then a mixed one, then zeros), a
+		// suffix (zeros, then ones to the partial tail word) and a
+		// scattered half.
+		sets := map[string]func(u int) bool{
+			"all":       func(int) bool { return true },
+			"none":      func(int) bool { return false },
+			"prefix":    func(u int) bool { return u < n/2+5 },
+			"suffix":    func(u int) bool { return u >= n/3 },
+			"scattered": func(u int) bool { return xrand.Mix3(5, uint64(u), 0)&1 == 0 },
+		}
+		for _, packed := range []bool{true, false} {
+			sampler := newNeighborSampler(g)
+			if !packed {
+				sampler.idx = nil
+			}
+			for name, in := range sets {
+				informed := bitset.New(n)
+				for u := range n {
+					if in(u) {
+						informed.Set(u)
+					}
+				}
+				for _, failTh := range []uint64{0, xrand.BernoulliThreshold(0.3)} {
+					for _, round := range []uint64{1, 77} {
+						const seed = 0xdeadbeef
+						var want []graph.Vertex
+						for u := range graph.Vertex(n) {
+							v := sampler.call(seed, u, round, failTh)
+							if v < 0 {
+								continue
+							}
+							switch iu, iv := informed.Test(int(u)), informed.Test(int(v)); {
+							case iu && !iv:
+								want = append(want, v)
+							case !iu && iv:
+								want = append(want, u)
+							}
+						}
+						got := collectExchangeDense(&sampler, informed, seed, round, failTh, nil)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s packed %v informed %s failTh %d round %d: dense pass keeps %v, per-call rule %v",
+								g.Name(), packed, name, failTh, round, got, want)
+						}
 					}
 				}
 			}
@@ -359,10 +398,11 @@ func TestLaneExchangeBlockIsCall(t *testing.T) {
 }
 
 // TestBudgetSparseLaneWork: a lane evaluated from a small side of its cut
-// contributes that side's cost to the round's work, not n — so a bundle
-// whose every lane is sparse runs its round inline even on a graph whose
-// sweep splits four ways. The expectation is recomputed per round from the
-// rule and the budget, and must match whether the round dispatched.
+// contributes that side's cost to the round's work, not the every-vertex
+// pass's 2n — so a bundle whose every lane is sparse runs its round inline
+// even on a graph whose every-vertex rounds split four ways. The
+// expectation is recomputed per round from the rule and the budget, and
+// must match whether the round dispatched.
 func TestBudgetSparseLaneWork(t *testing.T) {
 	const dim, k = 14, 2
 	g := graph.Hypercube(dim) // n = 4 shards of work per lane
@@ -399,19 +439,18 @@ func TestBudgetSparseLaneWork(t *testing.T) {
 					continue
 				}
 				inf := bp.LaneInformedCount(i)
-				switch s, cost := pickSide(pc.name != "push", inf, int64(inf)*dim, n, twoM); {
-				case s != sideAll:
+				s, cost := pickSide(pc.name != "push", inf, int64(inf)*dim, n, twoM)
+				if s != sideAll {
 					sparse++
-					work += int(cost)
-				default:
+				} else {
 					dense++
-					work += n
 				}
+				work += int(cost)
 			}
 			if lanes == 0 {
 				break
 			}
-			want := lanes > 1 && b.For(work) > 1 || dense > 0 && b.For(dense*n) > 1
+			want := lanes > 1 && b.For(work) > 1
 			got := dispatched(func() { bp.Step(active) }) != 0
 			if got != want {
 				t.Fatalf("%s round %d: %d lanes (%d sparse, %d sweeping), %d units: dispatched %v, want %v",

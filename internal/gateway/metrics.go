@@ -6,6 +6,7 @@
 package gateway
 
 import (
+	"bytes"
 	"net/http"
 	"sync"
 	"time"
@@ -30,48 +31,29 @@ type gwMetrics struct {
 	reg       *metrics.Registry
 	byRoute   map[string]*metrics.Histogram
 	queueWait map[string]*metrics.Histogram // per admission class
-	view      *admView
 	adm       *admission.Controller
+
+	// render serializes expositions; admSnap holds the one admission.Stats
+	// snapshot the rendering exposition's rumorgw_admission_* series all
+	// read, so the conservation law (submitted == accepted + throttled +
+	// shed + canceled + queued) holds exactly on every exposition, however
+	// long it takes to render. cmd/soak asserts it per scrape.
+	render  sync.Mutex
+	admSnap admission.Stats
 }
 
-// admView caches one admission.Stats snapshot briefly so every
-// func-backed rumorgw_admission_* series rendered in one scrape reads
-// the SAME snapshot — the conservation law (submitted == accepted +
-// throttled + shed + canceled + queued) then holds exactly on every
-// exposition, which cmd/soak asserts per scrape.
-type admView struct {
-	mu sync.Mutex
-	at time.Time
-	st admission.Stats
-}
-
-func (v *admView) get(c *admission.Controller) admission.Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.st.ByClass == nil || time.Since(v.at) > 25*time.Millisecond {
-		v.st = c.Stats()
-		v.at = time.Now()
-	}
-	return v.st
-}
-
-// refresh forces a fresh snapshot, restarting the TTL. The /metrics
-// handler calls it before rendering so the cache never expires mid-render
-// (which would mix two snapshots in one exposition and break the law).
-func (v *admView) refresh(c *admission.Controller) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.st = c.Stats()
-	v.at = time.Now()
-}
-
-// scrapeHandler wraps the registry handler with a snapshot refresh per
-// request, pinning every admission series in one scrape to one snapshot.
+// scrapeHandler renders GET /metrics: one admission snapshot taken at the
+// start of the exposition, then the registry, under the render lock. The
+// text is written to the client after the lock is released.
 func (m *gwMetrics) scrapeHandler() http.Handler {
-	inner := m.reg.Handler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.view.refresh(m.adm)
-		inner.ServeHTTP(w, r)
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		var b bytes.Buffer
+		m.render.Lock()
+		m.admSnap = m.adm.Stats()
+		m.reg.WriteText(&b)
+		m.render.Unlock()
+		w.Header().Set("Content-Type", metrics.ContentType)
+		w.Write(b.Bytes())
 	})
 }
 
@@ -144,11 +126,10 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 	}
 
 	// Admission series: every class pre-registered (scrapes see zeros, not
-	// absent series), every value read off one cached snapshot per scrape
-	// so the conservation law holds on each exposition.
-	view := &admView{}
-	m.view, m.adm = view, g.adm
-	snap := func() admission.Stats { return view.get(g.adm) }
+	// absent series), every value read off the exposition's one snapshot
+	// (see scrapeHandler).
+	m.adm = g.adm
+	snap := func() *admission.Stats { return &m.admSnap }
 	reg.CounterFunc("rumorgw_admission_submitted_total",
 		"Submissions that entered admission (accepted + throttled + shed + canceled + queued).",
 		func() float64 { return float64(snap().Submitted) })

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,5 +136,60 @@ func TestGatewayMetricsEjection(t *testing.T) {
 	}
 	if v, _ := sc.Value("rumorgw_backend_checks_total", map[string]string{"backend": addr}); v < 2 {
 		t.Fatalf("checks = %v, want >= 2", v)
+	}
+}
+
+// TestGatewayMetricsAdmissionConservedSlowRender: every exposition reads
+// one admission snapshot, however long it takes to render. A probe series
+// that sleeps 30 ms sorts between the admission series read before it
+// (accepted, canceled, queue occupancy) and after it (shed, submitted,
+// throttled) while clients keep submitting, so a render that re-read the
+// controller part-way through would break submitted == accepted +
+// throttled + shed + canceled + queued.
+func TestGatewayMetricsAdmissionConservedSlowRender(t *testing.T) {
+	sb := newStubBackend(t)
+	sb.headroom.Store(8)
+	g := newGateway(t, Options{Backends: []string{hostPort(t, sb.ts.URL)}})
+	g.m.reg.GaugeFunc("rumorgw_admission_render_probe", "Sleeps to slow the render (test only).",
+		func() float64 { time.Sleep(30 * time.Millisecond); return 0 })
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := uint64(c) << 32; ; seed++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(runSpec(seed)))
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	var last float64
+	for range 6 {
+		sc := scrapeGW(t, ts.URL)
+		sub := sc.Sum("rumorgw_admission_submitted_total")
+		sum := sc.Sum("rumorgw_admission_accepted_total") + sc.Sum("rumorgw_admission_throttled_total") +
+			sc.Sum("rumorgw_admission_shed_total") + sc.Sum("rumorgw_admission_canceled_total") +
+			sc.Sum("rumorgw_admission_queue_occupancy")
+		if sub != sum {
+			t.Errorf("exposition mixes snapshots: submitted %v, accepted + throttled + shed + canceled + queued %v", sub, sum)
+		}
+		last = sub
+	}
+	close(stop)
+	wg.Wait()
+	if last == 0 {
+		t.Fatal("no submission reached admission while the scrapes rendered")
 	}
 }

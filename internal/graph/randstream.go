@@ -22,9 +22,9 @@ import (
 //
 // Auxiliary sampler state that must survive across passes (the
 // configuration-model stub array, the preferential-attachment target
-// array) lives in a width-adaptive scratch buffer backed by an unlinked
-// temp-file mapping once it is large, so it never counts against the Go
-// heap during the build (see mapScratch).
+// array, chunglu's weight table) lives in a scratch buffer backed by an
+// unlinked temp-file mapping once it is large, so it never counts
+// against the Go heap during the build (see mapScratch).
 //
 // Stream keys. gnp and chunglu split their edges into blocks that the
 // builder samples in parallel (stream.go), so each block draws from its
@@ -52,8 +52,9 @@ import (
 //	         array is the only auxiliary state; the degree-proportional
 //	         pool is resolved analytically (clique pairs and attachment
 //	         sources are arithmetic, earlier targets are array reads).
-//	chunglu  Miller–Hagberg per-vertex skip sampling over analytically
-//	         computed decreasing weights — no weight array at all.
+//	chunglu  Miller–Hagberg per-vertex skip sampling over decreasing
+//	         weights, each power computed once into an n-entry table
+//	         that both emitter runs read.
 
 // Stream-key lanes separating each family's draws (and, within randreg,
 // each restart attempt) at a shared seed.
@@ -97,6 +98,7 @@ type scratch struct {
 	m   *mapping
 	u16 []uint16
 	u32 []uint32
+	f64 []float64 // newFloatScratch only
 }
 
 // scratchHeapMax is the largest scratch kept heap-resident. Above it the
@@ -115,26 +117,45 @@ func newScratch(n int, count int64) *scratch {
 	if wide {
 		width = 4
 	}
-	if bytes := count * width; bytes > scratchHeapMax {
-		m, err := mapScratch(int(bytes))
-		if err == nil {
-			st.m = m
-			if wide {
-				st.u32 = unsafe.Slice((*uint32)(unsafe.Pointer(&m.data[0])), count)
-			} else {
-				st.u16 = unsafe.Slice((*uint16)(unsafe.Pointer(&m.data[0])), count)
-			}
-			return st
-		}
-		// Mapping failed (exotic tmpfs, fd limits): degrade to heap. The
-		// build still works; only the off-heap property is lost.
-	}
-	if wide {
+	st.m = offHeap(count * width)
+	switch {
+	case st.m != nil && wide:
+		st.u32 = unsafe.Slice((*uint32)(unsafe.Pointer(&st.m.data[0])), count)
+	case st.m != nil:
+		st.u16 = unsafe.Slice((*uint16)(unsafe.Pointer(&st.m.data[0])), count)
+	case wide:
 		st.u32 = make([]uint32, count)
-	} else {
+	default:
 		st.u16 = make([]uint16, count)
 	}
 	return st
+}
+
+// newFloatScratch allocates a zeroed scratch of count float64 entries,
+// read and written through f64, under the same heap-or-mapping rule.
+func newFloatScratch(count int) *scratch {
+	st := &scratch{m: offHeap(int64(count) * 8)}
+	if st.m != nil {
+		st.f64 = unsafe.Slice((*float64)(unsafe.Pointer(&st.m.data[0])), count)
+	} else {
+		st.f64 = make([]float64, count)
+	}
+	return st
+}
+
+// offHeap returns a file-backed mapping of size bytes when size exceeds
+// scratchHeapMax, or nil when the buffer belongs on the heap.
+func offHeap(size int64) *mapping {
+	if size <= scratchHeapMax {
+		return nil
+	}
+	m, err := mapScratch(int(size))
+	if err != nil {
+		// Mapping failed (exotic tmpfs, fd limits): degrade to heap. The
+		// build still works; only the off-heap property is lost.
+		return nil
+	}
+	return m
 }
 
 // at returns entry i.
@@ -166,7 +187,7 @@ func (s *scratch) swap(i, j int64) {
 // release unmaps any file backing and drops the slices. The scratch must
 // not be used afterwards.
 func (s *scratch) release() {
-	s.u16, s.u32 = nil, nil
+	s.u16, s.u32, s.f64 = nil, nil, nil
 	if s.m != nil {
 		s.m.close()
 		s.m = nil
@@ -529,14 +550,18 @@ func containsVertex(vs []Vertex, v Vertex) bool {
 // streaming builder via Miller–Hagberg per-vertex skip sampling: for
 // each i the partners j > i are visited in Geometric jumps under the
 // current probability bound, thinned to the exact probability as the
-// decreasing weights tighten the bound. Weights are computed
-// analytically on demand — the sampler holds no per-vertex array at all.
-// O(n + m) expected draws; β must exceed 2 for a finite mean.
+// decreasing weights tighten the bound. The sampler's one per-vertex
+// array is the table of the n powers (i+1)^(−1/(β−1)), computed once by
+// the weight sum and held as scratch (off the heap above scratchHeapMax)
+// until the build returns. O(n + m) expected draws; β must exceed 2 for
+// a finite mean.
 func ChungLu(n int, beta, avgDeg float64, seed uint64) (*Graph, error) {
 	if err := chungLuDomain(n, beta, avgDeg); err != nil {
 		return nil, err
 	}
-	return BuildStream(chungluSpec(n, beta, avgDeg, seed))
+	spec, release := chungluSpec(n, beta, avgDeg, seed)
+	defer release()
+	return BuildStream(spec)
 }
 
 // chungLuDomain is ChungLu's parameter domain, checked by the generator
@@ -559,15 +584,20 @@ func chungLuDomain(n int, beta, avgDeg float64) error {
 // this many edges, and about half of it on average.
 const chungluBlockWeight = gnpBlockEdges
 
-func chungluSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
+// chungluSpec returns chunglu's stream spec and the release of its power
+// table, which the spec's emitter reads until then.
+func chungluSpec(n int, beta, avgDeg float64, seed uint64) (StreamSpec, func()) {
 	exp := -1 / (beta - 1)
+	pt := newFloatScratch(n)
+	pw := pt.f64
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Pow(float64(i+1), exp)
+	for i := range pw {
+		pw[i] = math.Pow(float64(i+1), exp)
+		sum += pw[i]
 	}
 	scale := avgDeg * float64(n) / sum
 	total := avgDeg * float64(n) // Σ of the scaled weights
-	w := func(i int) float64 { return scale * math.Pow(float64(i+1), exp) }
+	w := func(i int) float64 { return scale * pw[i] }
 	starts := chungluBlockStarts(n, 1+exp, scale)
 	return StreamSpec{
 		N:      n,
@@ -603,7 +633,7 @@ func chungluSpec(n int, beta, avgDeg float64, seed uint64) StreamSpec {
 				wi = wn
 			}
 		},
-	}
+	}, pt.release
 }
 
 // chungluBlockStarts cuts chunglu's rows 0..n−2 into blocks of about

@@ -280,7 +280,9 @@ func TestGnpEdgeCountLaw(t *testing.T) {
 // the verdict is too.
 func TestChungLuPairLaw(t *testing.T) {
 	const n, beta, avg, seeds = 3000, 2.5, 16.0, 100
-	if b := chungluSpec(n, beta, avg, 1).Blocks; b < 3 {
+	spec, release := chungluSpec(n, beta, avg, 1)
+	release()
+	if b := spec.Blocks; b < 3 {
 		t.Fatalf("chunglu:%d,%g,%g is %d blocks; the law needs a multi-block point", n, beta, avg, b)
 	}
 	exp := -1 / (beta - 1)
@@ -329,6 +331,30 @@ func TestChungLuPairLaw(t *testing.T) {
 	stat, df, p := stats.ChiSquare(obs, exps)
 	if p < 1e-4 {
 		t.Errorf("chunglu:%d,%g,%g: χ² = %.1f on %d df, p = %.2g: pair classes do not follow min(1, w_i·w_j/Σw)", n, beta, avg, stat, df, p)
+	}
+}
+
+// TestFloatScratchPlacement: chunglu's power table follows the scratch
+// rule — on the heap up to scratchHeapMax, a mapping above it — and both
+// placements read back what was written until release.
+func TestFloatScratchPlacement(t *testing.T) {
+	for _, c := range []struct {
+		count  int
+		mapped bool
+	}{{16, false}, {scratchHeapMax/8 + 1, true}} {
+		st := newFloatScratch(c.count)
+		if got := st.m != nil; got != c.mapped || len(st.f64) != c.count {
+			t.Fatalf("%d entries: mapped %v, len %d; want mapped %v", c.count, got, len(st.f64), c.mapped)
+		}
+		last := c.count - 1
+		st.f64[0], st.f64[last] = 1.5, -2.25
+		if st.f64[0] != 1.5 || st.f64[last] != -2.25 {
+			t.Fatalf("%d entries: read back %v, %v", c.count, st.f64[0], st.f64[last])
+		}
+		st.release()
+		if st.f64 != nil || st.m != nil {
+			t.Fatalf("%d entries: release left the table reachable", c.count)
+		}
 	}
 }
 

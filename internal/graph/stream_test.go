@@ -127,7 +127,9 @@ func atProcs(procs int, f func()) {
 func TestStreamTwoEmitterRuns(t *testing.T) {
 	undeclared := completeSpec(7)
 	undeclared.M = 0
-	specs := []StreamSpec{completeSpec(7), undeclared, gnpSpec(300, 0.05, 3), gnpSpec(400, 0.5, 3), chungluSpec(3000, 2.5, 16, 3)}
+	cl, release := chungluSpec(3000, 2.5, 16, 3)
+	defer release()
+	specs := []StreamSpec{completeSpec(7), undeclared, gnpSpec(300, 0.05, 3), gnpSpec(400, 0.5, 3), cl}
 	for _, spec := range specs[3:] {
 		if spec.Blocks < 3 {
 			t.Fatalf("%s: %d blocks, want a multi-block point", spec.Name, spec.Blocks)

@@ -396,11 +396,14 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return err
 }
 
+// ContentType is the media type of the text exposition format.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // Handler returns an http.Handler serving WriteText — mount as
 // GET /metrics.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", ContentType)
 		r.WriteText(w)
 	})
 }
