@@ -27,9 +27,11 @@ const (
 )
 
 // walkGoldenSpecs mix a star (degree 1 against a hub), a heavy tree, a
-// power-of-two regular graph and a seeded random graph with no isolated
-// vertex; each has more than one 512-agent block.
-var walkGoldenSpecs = []string{"star:600", "heavytree:9", "hypercube:10", "gnp:700,0.02"}
+// power-of-two regular graph, a seeded random graph with no isolated
+// vertex, a seeded random regular graph of power-of-two degree and a path
+// (every degree a power of two, yet not regular); each has more than one
+// 512-agent block.
+var walkGoldenSpecs = []string{"star:600", "heavytree:9", "hypercube:10", "gnp:700,0.02", "randreg:700,8", "path:700"}
 
 // walkCase is one configuration of the record.
 type walkCase struct {
