@@ -6,9 +6,12 @@
 // at a churn rate (the dynamic-agents variant of Section 9).
 //
 // BatchedWalks is the package's one walk system. It steps K ≥ 1
-// independent trials' walks — its lanes — in one fused loop per round, so
-// the packed walk index and CSR neighbor array are touched by all K lanes
-// while cache-hot; a single trial is the one-lane system.
+// independent trials' walks — its lanes — in one blocked loop per round,
+// paying the loop control once per agent block rather than per trial; a
+// single trial is the one-lane system. On regular graphs a block's step
+// computes every agent's neighbor slot first and gathers after, so the
+// random CSR loads overlap; other graphs step through the packed walk
+// index in one fused, branchless pass.
 //
 // # Deterministic parallelism
 //

@@ -2,6 +2,7 @@ package agents
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"rumor/internal/graph"
@@ -10,18 +11,15 @@ import (
 )
 
 // BatchedWalks runs K independent trials' walk systems over one graph in a
-// single fused loop per round: the agent loop is shared and every lane
-// (trial) steps inside it, so the packed walk index and CSR neighbor array
-// stay cache-hot across the K lanes and the loop control is paid once per
-// agent instead of once per (trial, agent).
+// single blocked loop per round: the agent loop is shared and every lane
+// (trial) steps a block of agents inside it, so the loop control is paid
+// once per block instead of once per (trial, agent).
 //
 // Lane t draws from streams keyed (seeds[t], agent, round), seeds[t] being
 // the first value of trial t's RNG, so a lane's trajectory depends on its
 // own RNG alone: lane t of a K-lane system is bit-identical to a one-lane
-// system built from the same RNG. The churn-free loop resolves neighbor
-// draws branchlessly (graph.WalkTargetAny): on mixed-degree families a
-// degree-1 branch is data-dependent and mispredicts, while the select
-// compiles to a conditional move.
+// system built from the same RNG. The churn-free loop takes no
+// data-dependent branch (see stepShard).
 //
 // Positions use a struct-of-arrays [K][numAgents] layout (lane-major), so
 // each lane's positions remain a contiguous slice (Lane) that the protocol
@@ -60,9 +58,10 @@ type BatchedWalks struct {
 	// copied across exactly once and then costs nothing per round.
 	dirty []bool
 
-	// class is the walk-index degree-class specialization the fused loop
-	// runs with (see walkClass).
-	class walkClass
+	// deg is the graph's regular degree (graph.RegularDegree), 0 when its
+	// degrees differ: regular graphs step through the slot-and-gather
+	// bodies, which need no walk-index load.
+	deg uint32
 
 	// stepFn is stepShard bound once, so sharded dispatch allocates no
 	// closure per round.
@@ -79,29 +78,6 @@ type BatchedWalks struct {
 
 	shards int // shards per step, set by the owner (SetShards)
 	round  int
-}
-
-// walkClass selects the fused loop's neighbor-draw reduction, from
-// Graph.WalkDegreeMix: uniform-class graphs skip the per-vertex class
-// dispatch entirely, mixed graphs use the branchless select.
-type walkClass uint8
-
-const (
-	classMixed walkClass = iota // both reductions present: branchless select
-	classPow2                   // every positive degree a power of two: AND only
-	classMul                    // no power-of-two degrees: multiply-shift only
-)
-
-func classify(g *graph.Graph) walkClass {
-	hasPow2, hasMul := g.WalkDegreeMix()
-	switch {
-	case hasPow2 && !hasMul:
-		return classPow2
-	case hasMul && !hasPow2:
-		return classMul
-	default:
-		return classMixed
-	}
 }
 
 // NewBatched creates K = len(rngs) walk systems sharing one fused stepper.
@@ -137,7 +113,7 @@ func NewBatched(g *graph.Graph, cfg Config, rngs []*xrand.RNG) (*BatchedWalks, e
 	for t, rng := range rngs {
 		w.seeds[t] = rng.Uint64()
 	}
-	w.class = classify(g)
+	w.deg = uint32(g.RegularDegree())
 	w.stepFn = w.stepShard
 	// Lane t's agent i draws its placement from stream (seeds[t], i, 0).
 	for t := 0; t < k; t++ {
@@ -247,23 +223,31 @@ func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []ui
 }
 
 // batchBlock is the agent-block width of the fused step: lanes take turns
-// over one block before the loop moves to the next, so the block's packed
-// walk-index and CSR lines are touched by all K lanes while still hot, and
-// the per-lane inner loop stays tight (stream base and offsets in
-// registers).
+// over one block before the loop moves to the next, so the per-lane inner
+// loop stays tight (stream base and offsets in registers) and the regular
+// bodies' slot lists fit on the stack.
 const batchBlock = 512
 
 // stepShard is the fused loop: agents [lo, hi) of every active lane,
-// blocked so each lane's turn is a tight scan. Each (lane, agent) step is
-// one packed-index load, one draw resolution, and one store, with no
-// data-dependent branch: uniform-degree-class graphs run a loop with no
-// reduction dispatch at all, mixed graphs a branchless arithmetic select
-// (degree-1/power-of-two branches are taken near-randomly per agent on the
-// star and tree families, and their mispredictions would dominate the step
-// cost there). The six loop bodies are written out rather than
-// parameterized: an indirect call per (lane, agent) would give back more
-// than the specialization wins. Churn, and graphs too large to pack, take
-// the per-agent stream path (stepShardStreams) instead.
+// blocked so each lane's turn is a tight scan. No (lane, agent) step takes
+// a data-dependent branch.
+//
+// A walk step is a random load from the CSR, and what bounds it is how
+// many of those loads are in flight. On a regular graph the step needs no
+// walk-index word, so the regular bodies split it in two passes: compute
+// every agent's neighbor slot from (position, draw) into a stack list,
+// then gather. The gather's loads are independent of each other, so the
+// processor keeps many in flight, where a fused step waits on two
+// dependent loads (index word, then neighbor) per agent. Other graphs
+// take the fused branchless bodies, one index load and one neighbor load
+// per step: the star and tree families mix degree 1 with large degrees,
+// and a branch on the class would mispredict near-randomly per agent.
+//
+// The six block bodies are written out rather than parameterized: an
+// indirect call per (lane, agent) would give back more than the
+// specialization wins. Churn, and graphs too large to pack, take the
+// per-agent stream path (stepShardStreams) instead; every path consumes
+// the same draws and applies the same reductions.
 func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 	idx := w.g.WalkIndex()
 	if idx == nil || w.churn {
@@ -273,36 +257,29 @@ func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 	nbrs := w.g.NeighborsRaw()
 	round := uint64(w.round)
 	pos, prev := w.pos, w.prev
-	lazy := w.cfg.Lazy
-	class := w.class
+	lazy, d := w.cfg.Lazy, w.deg
+	pow2 := d&(d-1) == 0
+	var slots, moved [batchBlock]uint32
 	for blo := lo; blo < hi; blo += batchBlock {
-		bhi := blo + batchBlock
-		if bhi > hi {
-			bhi = hi
-		}
+		bhi := min(blo+batchBlock, hi)
 		for _, t := range w.laneIDs {
 			off := t * w.count
 			base := xrand.MixBase(w.seeds[t], uint64(blo), round)
 			pv := prev[off+blo : off+bhi]
 			ps := pos[off+blo : off+bhi]
-			if lazy {
-				switch class {
-				case classPow2:
-					stepBlockLazyPow2(pv, ps, idx, nbrs, base)
-				case classMul:
-					stepBlockLazyMul(pv, ps, idx, nbrs, base)
-				default:
-					stepBlockLazyAny(pv, ps, idx, nbrs, base)
-				}
-			} else {
-				switch class {
-				case classPow2:
-					stepBlockPow2(pv, ps, idx, nbrs, base)
-				case classMul:
-					stepBlockMul(pv, ps, idx, nbrs, base)
-				default:
-					stepBlockAny(pv, ps, idx, nbrs, base)
-				}
+			switch {
+			case d == 0 && lazy:
+				stepBlockLazyAny(pv, ps, idx, nbrs, base)
+			case d == 0:
+				stepBlockAny(pv, ps, idx, nbrs, base)
+			case lazy && pow2:
+				stepBlockLazyPow2(pv, ps, nbrs, d, base, &slots, &moved)
+			case lazy:
+				stepBlockLazyMul(pv, ps, nbrs, d, base, &slots, &moved)
+			case pow2:
+				stepBlockPow2(pv, ps, nbrs, d, base, &slots)
+			default:
+				stepBlockMul(pv, ps, nbrs, d, base, &slots)
 			}
 			if w.stamps != nil && w.stamps[t] != nil {
 				// Stamp the block's fresh destinations while they are still
@@ -328,29 +305,10 @@ func stampBlock(ps []graph.Vertex, stamp []uint32, epoch uint32, shared bool) {
 	}
 }
 
-// The six block bodies below are deliberately separate small functions
-// rather than one switch-laden loop: each gets its own register
-// allocation, keeping the walk index and CSR pointers out of stack spills
-// in the innermost loop. The call per (block, lane) is amortized over
-// batchBlock agents.
-
-func stepBlockPow2(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
-	ps = ps[:len(pv)]
-	for i, from := range pv {
-		u := xrand.Mix(base)
-		base += xrand.UnitStride
-		ps[i] = graph.WalkTargetPow2(idx[from], u, nbrs)
-	}
-}
-
-func stepBlockMul(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
-	ps = ps[:len(pv)]
-	for i, from := range pv {
-		u := xrand.Mix(base)
-		base += xrand.UnitStride
-		ps[i] = graph.WalkTargetMul(idx[from], u, nbrs)
-	}
-}
+// The block bodies below are deliberately separate small functions rather
+// than one switch-laden loop: each gets its own register allocation,
+// keeping the array pointers out of stack spills in the innermost loop.
+// The call per (block, lane) is amortized over batchBlock agents.
 
 func stepBlockAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
 	ps = ps[:len(pv)]
@@ -365,32 +323,6 @@ func stepBlockAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base
 // (low 32 bits) from one draw; the coin applies as a conditional move
 // instead of a 50/50 branch.
 
-func stepBlockLazyPow2(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
-	ps = ps[:len(pv)]
-	for i, from := range pv {
-		u := xrand.Mix(base)
-		base += xrand.UnitStride
-		to := graph.WalkTarget32Pow2(idx[from], uint32(u), nbrs)
-		if u>>63 != 0 {
-			to = from
-		}
-		ps[i] = to
-	}
-}
-
-func stepBlockLazyMul(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
-	ps = ps[:len(pv)]
-	for i, from := range pv {
-		u := xrand.Mix(base)
-		base += xrand.UnitStride
-		to := graph.WalkTarget32Mul(idx[from], uint32(u), nbrs)
-		if u>>63 != 0 {
-			to = from
-		}
-		ps[i] = to
-	}
-}
-
 func stepBlockLazyAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, base uint64) {
 	ps = ps[:len(pv)]
 	for i, from := range pv {
@@ -401,6 +333,84 @@ func stepBlockLazyAny(pv, ps []graph.Vertex, idx []uint64, nbrs []graph.Vertex, 
 			to = from
 		}
 		ps[i] = to
+	}
+}
+
+// The regular bodies: v's neighbors sit at nbrs[v·d : v·d+d], and slots
+// fit in 32 bits because graph.RegularDegree is nonzero only for packable
+// graphs. A power-of-two d reduces a draw with the AND mask, any other d
+// with multiply-shift, exactly as the walk index does.
+
+func stepBlockPow2(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots *[batchBlock]uint32) {
+	sl := slots[:len(pv)]
+	mask := uint64(d - 1)
+	for i, from := range pv {
+		u := xrand.Mix(base)
+		base += xrand.UnitStride
+		sl[i] = uint32(from)*d + uint32(u&mask)
+	}
+	gather(ps, sl, nbrs)
+}
+
+func stepBlockMul(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots *[batchBlock]uint32) {
+	sl := slots[:len(pv)]
+	for i, from := range pv {
+		u := xrand.Mix(base)
+		base += xrand.UnitStride
+		hi, _ := bits.Mul64(u, uint64(d))
+		sl[i] = uint32(from)*d + uint32(hi)
+	}
+	gather(ps, sl, nbrs)
+}
+
+// gather writes each agent's new position from its slot.
+func gather(ps []graph.Vertex, slots []uint32, nbrs []graph.Vertex) {
+	ps = ps[:len(slots)]
+	for i, s := range slots {
+		ps[i] = nbrs[s]
+	}
+}
+
+// The lazy regular bodies write every agent's position as a stay, then
+// list only the movers — agent index in moved, slot in slots, the count
+// advancing by 1 − coin without a branch — and gather those. The count
+// never exceeds the agent index, so masking it to the block width only
+// drops a bounds check.
+
+func stepBlockLazyPow2(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots, moved *[batchBlock]uint32) {
+	ps = ps[:len(pv)]
+	mask := d - 1
+	n := 0
+	for i, from := range pv {
+		u := xrand.Mix(base)
+		base += xrand.UnitStride
+		ps[i] = from
+		slots[n&(batchBlock-1)] = uint32(from)*d + uint32(u)&mask
+		moved[n&(batchBlock-1)] = uint32(i)
+		n += int(1 - u>>63)
+	}
+	gatherMoved(ps, slots[:n], moved[:n], nbrs)
+}
+
+func stepBlockLazyMul(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots, moved *[batchBlock]uint32) {
+	ps = ps[:len(pv)]
+	n := 0
+	for i, from := range pv {
+		u := xrand.Mix(base)
+		base += xrand.UnitStride
+		ps[i] = from
+		slots[n&(batchBlock-1)] = uint32(from)*d + uint32(uint64(uint32(u))*uint64(d)>>32)
+		moved[n&(batchBlock-1)] = uint32(i)
+		n += int(1 - u>>63)
+	}
+	gatherMoved(ps, slots[:n], moved[:n], nbrs)
+}
+
+// gatherMoved moves each listed agent to its slot's neighbor.
+func gatherMoved(ps []graph.Vertex, slots, moved []uint32, nbrs []graph.Vertex) {
+	moved = moved[:len(slots)]
+	for j, s := range slots {
+		ps[moved[j]] = nbrs[s]
 	}
 }
 

@@ -77,12 +77,13 @@ func TestBatchedWalksDoneMasking(t *testing.T) {
 }
 
 // Benchmarks: K one-lane systems stepped one at a time versus one fused
-// K-lane system, per (lane, agent) step.
+// K-lane system, per (lane, agent) step. hypercube:12's CSR (96 KiB) stays
+// cache-resident; hypercube:15's (about 2 MiB) does not, which is where the
+// regular bodies' split into slot and gather passes pays.
 
 func benchGraph() *graph.Graph { return graph.Hypercube(12) }
 
-func BenchmarkOneLaneWalksStep8(b *testing.B) {
-	g := benchGraph()
+func benchOneLane(b *testing.B, g *graph.Graph) {
 	const k = 8
 	count := g.N()
 	ws := oneLaneSystems(b, g, Config{Count: count}, trialRNGs(1, k))
@@ -95,11 +96,10 @@ func BenchmarkOneLaneWalksStep8(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchedWalksStep8(b *testing.B) {
-	g := benchGraph()
+func benchBatched(b *testing.B, g *graph.Graph, lazy bool) {
 	const k = 8
 	count := g.N()
-	bw, err := NewBatched(g, Config{Count: count}, trialRNGs(1, k))
+	bw, err := NewBatched(g, Config{Count: count, Lazy: lazy}, trialRNGs(1, k))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,31 +110,75 @@ func BenchmarkBatchedWalksStep8(b *testing.B) {
 	}
 }
 
-func BenchmarkOneLaneWalksStepStar8(b *testing.B) {
-	g := graph.Star(4097)
-	const k = 8
-	count := g.N()
-	ws := oneLaneSystems(b, g, Config{Count: count}, trialRNGs(1, k))
-	b.SetBytes(int64(k * count))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range ws {
-			w.Step(nil)
+func BenchmarkOneLaneWalksStep8(b *testing.B) { benchOneLane(b, benchGraph()) }
+func BenchmarkBatchedWalksStep8(b *testing.B) { benchBatched(b, benchGraph(), false) }
+func BenchmarkBatchedWalksStep8Large(b *testing.B) {
+	benchBatched(b, graph.Hypercube(15), false)
+}
+func BenchmarkBatchedWalksStep8LargeLazy(b *testing.B) {
+	benchBatched(b, graph.Hypercube(15), true)
+}
+func BenchmarkOneLaneWalksStepStar8(b *testing.B) { benchOneLane(b, graph.Star(4097)) }
+func BenchmarkBatchedWalksStepStar8(b *testing.B) { benchBatched(b, graph.Star(4097), false) }
+
+// TestWalkKernelsMatchStreams: every block body of the fused step — the
+// regular slot-and-gather bodies for a power-of-two and for any other
+// degree, and the branchless bodies on a mixed-degree graph and on a path
+// (every degree a power of two, yet not regular), simple and lazy — moves
+// each agent exactly where the per-agent stream path moves it. Systems of
+// one and three lanes step three full blocks and a ragged tail, split into
+// one to three shards, under random active masks, against a twin whose
+// every step goes through stepShardStreams. A step allocates nothing.
+func TestWalkKernelsMatchStreams(t *testing.T) {
+	const count = 3*batchBlock + 37
+	for _, c := range []struct {
+		spec string
+		deg  int // the graph's regular degree, 0 if its degrees differ
+	}{
+		{"randreg:700,8", 8},
+		{"randreg:700,7", 7},
+		{"star:600", 0},
+		{"path:700", 0},
+	} {
+		g, err := graph.FromSpec(c.spec, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkBatchedWalksStepStar8(b *testing.B) {
-	g := graph.Star(4097)
-	const k = 8
-	count := g.N()
-	bw, err := NewBatched(g, Config{Count: count}, trialRNGs(1, k))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(k * count))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bw.Step(nil)
+		if got := g.RegularDegree(); got != c.deg {
+			t.Fatalf("%s: RegularDegree %d, want %d", c.spec, got, c.deg)
+		}
+		for _, lazy := range []bool{false, true} {
+			for _, k := range []int{1, 3} {
+				for shards := 1; shards <= 3; shards++ {
+					cfg := Config{Count: count, Lazy: lazy}
+					w, err := NewBatched(g, cfg, trialRNGs(11, k))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := NewBatched(g, cfg, trialRNGs(11, k))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref.stepFn = ref.stepShardStreams
+					w.SetShards(shards)
+					ref.SetShards(shards)
+					masks := xrand.New(uint64(shards))
+					active := make([]bool, k)
+					for r := 1; r <= 8; r++ {
+						for tr := range active {
+							active[tr] = masks.IntN(4) != 0
+						}
+						w.Step(active)
+						ref.Step(active)
+						if !reflect.DeepEqual(w.pos, ref.pos) {
+							t.Fatalf("%s lazy=%v K=%d shards=%d round %d: kernels diverge from the stream path", c.spec, lazy, k, shards, r)
+						}
+					}
+					if allocs := testing.AllocsPerRun(5, func() { w.Step(nil) }); allocs != 0 {
+						t.Errorf("%s lazy=%v K=%d shards=%d: Step allocates %v times", c.spec, lazy, k, shards, allocs)
+					}
+				}
+			}
+		}
 	}
 }

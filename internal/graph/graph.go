@@ -37,12 +37,10 @@ type Graph struct {
 	// trials, so these amortize to one build per graph, not per trial.
 	walkOnce sync.Once
 	walkIdx  []uint64
-	// walkHasPow2/walkHasMul record, during the WalkIndex build, whether
-	// any positive-degree vertex uses the AND-mask (power-of-two degree)
-	// or the multiply-shift reduction; the batched stepper picks a
-	// specialized inner loop from them (see WalkDegreeMix).
-	walkHasPow2 bool
-	walkHasMul  bool
+	// walkRegular is the common degree of every vertex, recorded during
+	// the WalkIndex build; 0 when degrees differ or no index was built
+	// (see RegularDegree).
+	walkRegular int
 	aliasOnce   sync.Once
 	alias       *xrand.Alias
 	posDegOnce  sync.Once

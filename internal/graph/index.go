@@ -24,6 +24,12 @@ import (
 // For power-of-two degrees the stored value is directly the AND-mask for
 // the draw, so `u & mask` replaces the multiply-shift reduction; degree 1
 // stores mask 0 and needs no random bits at all.
+//
+// A regular graph needs no index word at all: its CSR places v's
+// neighbors at v·d, so the walk stepper computes each agent's slot from
+// (v, d) and gathers (RegularDegree). The index is still built for it —
+// the build is where the regular degree is recorded, and other callers
+// (the call protocols' samplers) read the words.
 const (
 	walkBaseShift = 32
 	walkPow2Bit   = 1
@@ -57,19 +63,21 @@ func (g *Graph) WalkIndex() []uint64 {
 			return
 		}
 		idx := make([]uint64, g.N())
+		d := len(g.neighbors) / g.N() // the degree, if the graph is regular
+		regular := true
 		for v := 0; v < g.N(); v++ {
 			lo, hi := g.off.span(Vertex(v))
 			base := uint64(lo) << walkBaseShift
 			deg := uint64(hi - lo)
 			if deg > 0 && deg&(deg-1) == 0 {
 				idx[v] = base | (deg-1)<<1 | walkPow2Bit
-				g.walkHasPow2 = true
 			} else {
 				idx[v] = base | deg<<1
-				if deg > 0 {
-					g.walkHasMul = true
-				}
 			}
+			regular = regular && hi-lo == d
+		}
+		if regular {
+			g.walkRegular = d
 		}
 		g.walkIdx = idx
 	})
@@ -115,7 +123,8 @@ func WalkTarget32(word uint64, u uint32, neighbors []Vertex) Vertex {
 // the AND branch already returns the single neighbor. Both reduction
 // results are computed and the power-of-two flag selects one, which the
 // compiler turns into a conditional move — no branch to mispredict. The
-// batched multi-trial stepper uses this: on mixed-degree families (star,
+// batched multi-trial stepper uses this on graphs that are not regular: on
+// mixed-degree families (star,
 // double star) the degree-1 branch of the serial loop is taken
 // near-randomly per agent, and the mispredictions cost more than the spare
 // multiply. Draw-for-draw it returns exactly what the
@@ -143,43 +152,17 @@ func WalkTarget32Any(word uint64, u uint32, neighbors []Vertex) Vertex {
 	return neighbors[word>>walkBaseShift+i]
 }
 
-// WalkDegreeMix reports which reduction classes the packed walk index
-// holds across positive-degree vertices: AND-mask (power-of-two degrees,
-// including degree 1) and multiply-shift (all other degrees). Uniform
-// graphs (hypercube, random regular) have exactly one class, so steppers
-// can run a class-specialized loop whose reduction branch vanishes; mixed
-// graphs (star, trees) are the ones where the per-vertex class branch is
-// data-dependent and a branchless select (WalkTargetAny) wins. Builds the
-// index as a side effect; both values are false when the graph is too
-// large to pack.
-func (g *Graph) WalkDegreeMix() (hasPow2, hasMul bool) {
+// RegularDegree returns d when every vertex has degree d, which puts v's
+// neighbors at Neighbors()[v·d : v·d+d]: a walk step on such a graph needs
+// no walk-index load, only the slot v·d + reduce(u, d). It returns 0 for
+// graphs whose degrees differ, edgeless graphs, and graphs too large to
+// pack (the walk-index bound is what keeps every slot below 2^32). Builds
+// the walk index as a side effect.
+func (g *Graph) RegularDegree() int {
 	if g.WalkIndex() == nil {
-		return false, false
+		return 0
 	}
-	return g.walkHasPow2, g.walkHasMul
-}
-
-// WalkTargetPow2 resolves a draw for a vertex known to have a power-of-two
-// degree: a single AND against the stored mask (degree 1 has mask 0).
-func WalkTargetPow2(word, u uint64, neighbors []Vertex) Vertex {
-	return neighbors[word>>walkBaseShift+(u&uint64(uint32(word)>>1))]
-}
-
-// WalkTargetMul resolves a draw for a vertex known to have a
-// non-power-of-two degree: one multiply-shift reduction.
-func WalkTargetMul(word, u uint64, neighbors []Vertex) Vertex {
-	hi, _ := bits.Mul64(u, uint64(uint32(word)>>1))
-	return neighbors[word>>walkBaseShift+hi]
-}
-
-// WalkTarget32Pow2 is WalkTargetPow2 on the 32-bit lazy-walk draw scheme.
-func WalkTarget32Pow2(word uint64, u uint32, neighbors []Vertex) Vertex {
-	return neighbors[word>>walkBaseShift+uint64(u&(uint32(word)>>1))]
-}
-
-// WalkTarget32Mul is WalkTargetMul on the 32-bit lazy-walk draw scheme.
-func WalkTarget32Mul(word uint64, u uint32, neighbors []Vertex) Vertex {
-	return neighbors[word>>walkBaseShift+uint64(u)*uint64(uint32(word)>>1)>>32]
+	return g.walkRegular
 }
 
 // WalkDegreeOne reports whether a packed walk-index word denotes a

@@ -102,22 +102,16 @@ func TestWalkIndexCachedOnce(t *testing.T) {
 
 // TestWalkTargetAnyMatchesSplitPaths: the branchless resolvers must return
 // exactly what the WalkDegreeOne/WalkTarget split returns for every degree
-// class (1, power-of-two, general) and many draws, and the class-
-// specialized variants must agree on their own classes.
+// class (1, power-of-two, general) and many draws.
 func TestWalkTargetAnyMatchesSplitPaths(t *testing.T) {
 	graphs := []*Graph{Star(9), Hypercube(4), HeavyBinaryTree(4), RingOfCliques(4, 5)}
 	for _, g := range graphs {
 		idx := g.WalkIndex()
 		nbrs := g.NeighborsRaw()
-		hasPow2, hasMul := g.WalkDegreeMix()
 		for v := 0; v < g.N(); v++ {
 			word := idx[v]
 			if WalkDegreeZero(word) {
 				continue
-			}
-			pow2 := uint32(word)&1 != 0
-			if pow2 && !hasPow2 || !pow2 && !hasMul {
-				t.Fatalf("%s: WalkDegreeMix inconsistent with vertex %d", g.Name(), v)
 			}
 			for draw := uint64(0); draw < 64; draw++ {
 				u := draw * 0x9e3779b97f4a7c15
@@ -130,15 +124,6 @@ func TestWalkTargetAnyMatchesSplitPaths(t *testing.T) {
 				if got := WalkTargetAny(word, u, nbrs); got != want {
 					t.Fatalf("%s v=%d u=%#x: WalkTargetAny %d != %d", g.Name(), v, u, got, want)
 				}
-				if pow2 {
-					if got := WalkTargetPow2(word, u, nbrs); got != want {
-						t.Fatalf("%s v=%d: WalkTargetPow2 %d != %d", g.Name(), v, got, want)
-					}
-				} else {
-					if got := WalkTargetMul(word, u, nbrs); got != want {
-						t.Fatalf("%s v=%d: WalkTargetMul %d != %d", g.Name(), v, got, want)
-					}
-				}
 				// 32-bit scheme against WalkTarget32.
 				u32 := uint32(u)
 				var want32 Vertex
@@ -150,36 +135,42 @@ func TestWalkTargetAnyMatchesSplitPaths(t *testing.T) {
 				if got := WalkTarget32Any(word, u32, nbrs); got != want32 {
 					t.Fatalf("%s v=%d: WalkTarget32Any %d != %d", g.Name(), v, got, want32)
 				}
-				if pow2 {
-					if got := WalkTarget32Pow2(word, u32, nbrs); got != want32 {
-						t.Fatalf("%s v=%d: WalkTarget32Pow2 %d != %d", g.Name(), v, got, want32)
-					}
-				} else {
-					if got := WalkTarget32Mul(word, u32, nbrs); got != want32 {
-						t.Fatalf("%s v=%d: WalkTarget32Mul %d != %d", g.Name(), v, got, want32)
-					}
-				}
 			}
 		}
 	}
 }
 
-// TestWalkDegreeMixClasses pins the class summary on known families.
-func TestWalkDegreeMixClasses(t *testing.T) {
+// TestRegularDegree pins the regular degree on known families: a
+// regular graph's neighbors of v must start at slot v·d, where the walk
+// stepper's regular bodies read them.
+func TestRegularDegree(t *testing.T) {
+	edgeless, err := NewBuilder(3, "edgeless").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		g       *Graph
-		hasPow2 bool
-		hasMul  bool
+		g   *Graph
+		deg int
 	}{
-		{Hypercube(4), true, false},        // uniform degree 4: pure pow2
-		{Hypercube(5), false, true},        // uniform degree 5: pure multiply-shift
-		{Star(9), true, true},              // leaves deg 1 (pow2), hub deg 9
-		{RingOfCliques(4, 5), false, true}, // uniform degree 6
+		{Hypercube(4), 4},        // power-of-two degree
+		{Hypercube(5), 5},        // multiply-shift degree
+		{RingOfCliques(4, 5), 6}, // regular, not vertex-transitive
+		{Star(9), 0},             // leaves deg 1, hub deg 9
+		{Path(8), 0},             // degrees 1 and 2: all powers of two, not regular
+		{edgeless, 0},
 	}
 	for _, c := range cases {
-		p, m := c.g.WalkDegreeMix()
-		if p != c.hasPow2 || m != c.hasMul {
-			t.Errorf("%s: WalkDegreeMix = (%v,%v), want (%v,%v)", c.g.Name(), p, m, c.hasPow2, c.hasMul)
+		if got := c.g.RegularDegree(); got != c.deg {
+			t.Errorf("%s: RegularDegree = %d, want %d", c.g.Name(), got, c.deg)
+		}
+		if c.deg == 0 {
+			continue
+		}
+		for v := 0; v < c.g.N(); v++ {
+			lo := int(c.g.WalkIndex()[v] >> walkBaseShift)
+			if lo != v*c.deg {
+				t.Fatalf("%s: vertex %d's neighbors start at %d, not v·d = %d", c.g.Name(), v, lo, v*c.deg)
+			}
 		}
 	}
 }
