@@ -222,13 +222,16 @@ func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []ui
 	}
 }
 
-// batchBlock is the agent-block width of the fused step: lanes take turns
+// batchBlock is the agent-block width of the step: lanes take turns
 // over one block before the loop moves to the next, so the per-lane inner
 // loop stays tight (stream base and offsets in registers) and the regular
 // bodies' slot lists fit on the stack.
-const batchBlock = 512
+const (
+	blockBits  = 9
+	batchBlock = 1 << blockBits
+)
 
-// stepShard is the fused loop: agents [lo, hi) of every active lane,
+// stepShard is the blocked loop: agents [lo, hi) of every active lane,
 // blocked so each lane's turn is a tight scan. No (lane, agent) step takes
 // a data-dependent branch.
 //
@@ -259,7 +262,8 @@ func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 	pos, prev := w.pos, w.prev
 	lazy, d := w.cfg.Lazy, w.deg
 	pow2 := d&(d-1) == 0
-	var slots, moved [batchBlock]uint32
+	var slots [batchBlock]uint32
+	var moves [batchBlock]uint64
 	for blo := lo; blo < hi; blo += batchBlock {
 		bhi := min(blo+batchBlock, hi)
 		for _, t := range w.laneIDs {
@@ -273,9 +277,9 @@ func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 			case d == 0:
 				stepBlockAny(pv, ps, idx, nbrs, base)
 			case lazy && pow2:
-				stepBlockLazyPow2(pv, ps, nbrs, d, base, &slots, &moved)
+				stepBlockLazyPow2(pv, ps, nbrs, d, base, &moves)
 			case lazy:
-				stepBlockLazyMul(pv, ps, nbrs, d, base, &slots, &moved)
+				stepBlockLazyMul(pv, ps, nbrs, d, base, &moves)
 			case pow2:
 				stepBlockPow2(pv, ps, nbrs, d, base, &slots)
 			default:
@@ -371,46 +375,45 @@ func gather(ps []graph.Vertex, slots []uint32, nbrs []graph.Vertex) {
 	}
 }
 
-// The lazy regular bodies write every agent's position as a stay, then
-// list only the movers — agent index in moved, slot in slots, the count
-// advancing by 1 − coin without a branch — and gather those. The count
-// never exceeds the agent index, so masking it to the block width only
-// drops a bounds check.
+// The lazy regular bodies copy every agent's position across as a stay,
+// then list only the movers, each as its slot and agent index packed in
+// one word, the count advancing by 1 − coin without a branch, and gather
+// those. The count never exceeds the agent index, so masking it to the
+// block width only drops a bounds check.
 
-func stepBlockLazyPow2(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots, moved *[batchBlock]uint32) {
+func stepBlockLazyPow2(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, moves *[batchBlock]uint64) {
 	ps = ps[:len(pv)]
+	copy(ps, pv)
 	mask := d - 1
 	n := 0
 	for i, from := range pv {
 		u := xrand.Mix(base)
 		base += xrand.UnitStride
-		ps[i] = from
-		slots[n&(batchBlock-1)] = uint32(from)*d + uint32(u)&mask
-		moved[n&(batchBlock-1)] = uint32(i)
+		slot := uint32(from)*d + uint32(u)&mask
+		moves[n&(batchBlock-1)] = uint64(slot)<<blockBits | uint64(i)
 		n += int(1 - u>>63)
 	}
-	gatherMoved(ps, slots[:n], moved[:n], nbrs)
+	gatherMoves(ps, moves[:n], nbrs)
 }
 
-func stepBlockLazyMul(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, slots, moved *[batchBlock]uint32) {
+func stepBlockLazyMul(pv, ps, nbrs []graph.Vertex, d uint32, base uint64, moves *[batchBlock]uint64) {
 	ps = ps[:len(pv)]
+	copy(ps, pv)
 	n := 0
 	for i, from := range pv {
 		u := xrand.Mix(base)
 		base += xrand.UnitStride
-		ps[i] = from
-		slots[n&(batchBlock-1)] = uint32(from)*d + uint32(uint64(uint32(u))*uint64(d)>>32)
-		moved[n&(batchBlock-1)] = uint32(i)
+		slot := uint32(from)*d + uint32(uint64(uint32(u))*uint64(d)>>32)
+		moves[n&(batchBlock-1)] = uint64(slot)<<blockBits | uint64(i)
 		n += int(1 - u>>63)
 	}
-	gatherMoved(ps, slots[:n], moved[:n], nbrs)
+	gatherMoves(ps, moves[:n], nbrs)
 }
 
-// gatherMoved moves each listed agent to its slot's neighbor.
-func gatherMoved(ps []graph.Vertex, slots, moved []uint32, nbrs []graph.Vertex) {
-	moved = moved[:len(slots)]
-	for j, s := range slots {
-		ps[moved[j]] = nbrs[s]
+// gatherMoves moves each listed agent to its slot's neighbor.
+func gatherMoves(ps []graph.Vertex, moves []uint64, nbrs []graph.Vertex) {
+	for _, e := range moves {
+		ps[e&(batchBlock-1)] = nbrs[e>>blockBits]
 	}
 }
 
