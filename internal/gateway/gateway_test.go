@@ -196,6 +196,8 @@ func TestBadRequestsDontBurnRetries(t *testing.T) {
 		`{"graph":"randreg:9,3","protocol":"push","trials":1}`:         "n*d even",
 		`{"graph":"randreg:10,11","protocol":"push","trials":1}`:       "0 < d < n",
 		`{"graph":"star:3000000000","protocol":"push","trials":1}`:     "2147483647",
+		`{"graph":"complete:100000000","protocol":"push","trials":1}`:  "70368744177664",
+		`{"graph":"torus:100000,100000","protocol":"push","trials":1}`: "2147483647",
 		`{"graph":"chunglu:100,0.5,8","protocol":"push","trials":1}`:   "beta > 2",
 		`{"graph":"chunglu:100,2.5,200","protocol":"push","trials":1}`: "0 < avgDeg < n",
 		`{"graph":"chunglu:1,2.5,0.5","protocol":"push","trials":1}`:   "n >= 2",

@@ -45,6 +45,9 @@ type specFamily struct {
 	// so a request naming them is refused before it is queued; nil leaves
 	// every check to build.
 	check func(p ParsedSpec) error
+	// size computes a deterministic family's vertex and edge counts from
+	// its parameters in saturating arithmetic, for checkSize.
+	size  func(a, b int64) (n, m int64)
 	build func(p ParsedSpec, seed uint64) (*Graph, error)
 }
 
@@ -65,22 +68,34 @@ func deterministic(f func(p ParsedSpec) *Graph) func(p ParsedSpec, seed uint64) 
 // happens over this map directly (ordering comes from specOrder), so the
 // canonical form and usage text stay stable.
 var specFamilies = map[string]specFamily{
-	"star": {usage: "star:L", kinds: "i", check: checkStar,
+	"star": {usage: "star:L", kinds: "i", size: starSize,
 		build: deterministic(func(p ParsedSpec) *Graph { return Star(p.Ints[0]) })},
-	"doublestar":  {usage: "doublestar:L", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return DoubleStar(p.Ints[0]) })},
-	"heavytree":   {usage: "heavytree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return HeavyBinaryTree(p.Ints[0]) })},
-	"siamesetree": {usage: "siamesetree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return SiameseHeavyTree(p.Ints[0]) })},
-	"cyclestars":  {usage: "cyclestars:K", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return CycleStarsCliques(p.Ints[0]) })},
-	"complete":    {usage: "complete:N", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Complete(p.Ints[0]) })},
-	"cycle":       {usage: "cycle:N", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Cycle(p.Ints[0]) })},
-	"path":        {usage: "path:N", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return Path(p.Ints[0]) })},
-	"bintree":     {usage: "bintree:LV", kinds: "i", build: deterministic(func(p ParsedSpec) *Graph { return BinaryTree(p.Ints[0]) })},
+	"doublestar": {usage: "doublestar:L", kinds: "i", size: doubleStarSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return DoubleStar(p.Ints[0]) })},
+	"heavytree": {usage: "heavytree:LV", kinds: "i", size: heavyTreeSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return HeavyBinaryTree(p.Ints[0]) })},
+	"siamesetree": {usage: "siamesetree:LV", kinds: "i", size: siameseTreeSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return SiameseHeavyTree(p.Ints[0]) })},
+	"cyclestars": {usage: "cyclestars:K", kinds: "i", size: cycleStarsSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return CycleStarsCliques(p.Ints[0]) })},
+	"complete": {usage: "complete:N", kinds: "i", size: completeSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return Complete(p.Ints[0]) })},
+	"cycle": {usage: "cycle:N", kinds: "i", size: cycleSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return Cycle(p.Ints[0]) })},
+	"path": {usage: "path:N", kinds: "i", size: pathSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return Path(p.Ints[0]) })},
+	"bintree": {usage: "bintree:LV", kinds: "i", size: binTreeSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return BinaryTree(p.Ints[0]) })},
 	"hypercube": {usage: "hypercube:D", kinds: "i", check: checkHypercube,
 		build: deterministic(func(p ParsedSpec) *Graph { return Hypercube(p.Ints[0]) })},
-	"torus":       {usage: "torus:R,C", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return Torus2D(p.Ints[0], p.Ints[1]) })},
-	"grid":        {usage: "grid:R,C", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return Grid2D(p.Ints[0], p.Ints[1]) })},
-	"ringcliques": {usage: "ringcliques:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return RingOfCliques(p.Ints[0], p.Ints[1]) })},
-	"cliquepath":  {usage: "cliquepath:K,S", kinds: "ii", build: deterministic(func(p ParsedSpec) *Graph { return CliquePath(p.Ints[0], p.Ints[1]) })},
+	"torus": {usage: "torus:R,C", kinds: "ii", size: torusSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return Torus2D(p.Ints[0], p.Ints[1]) })},
+	"grid": {usage: "grid:R,C", kinds: "ii", size: gridSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return Grid2D(p.Ints[0], p.Ints[1]) })},
+	"ringcliques": {usage: "ringcliques:K,S", kinds: "ii", size: ringCliquesSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return RingOfCliques(p.Ints[0], p.Ints[1]) })},
+	"cliquepath": {usage: "cliquepath:K,S", kinds: "ii", size: cliquePathSize,
+		build: deterministic(func(p ParsedSpec) *Graph { return CliquePath(p.Ints[0], p.Ints[1]) })},
 	"randreg": {usage: "randreg:N,D", kinds: "ii", random: true, check: checkRandReg,
 		build: func(p ParsedSpec, seed uint64) (*Graph, error) {
 			return RandomRegularConnected(p.Ints[0], p.Ints[1], seed)
@@ -99,13 +114,130 @@ var specFamilies = map[string]specFamily{
 		}},
 }
 
-// checkStar bounds a star's vertex count, L + 1, by the int32 vertex
-// range. L < 1 is left to build.
-func checkStar(p ParsedSpec) error {
-	if l := p.Ints[0]; l > math.MaxInt32-1 {
-		return specError(p, fmt.Errorf("graph: star needs L + 1 <= %d vertices, got L = %d", math.MaxInt32, l))
+// Every graph's size bounds. Vertices are int32, so n is at most
+// math.MaxInt32. The CSR keeps its 2m neighbor slots of 4 bytes in one
+// slice, on the heap or mapped, and no Go slice on a 64-bit platform
+// exceeds 2^48 bytes, so 2m is at most 2^46.
+const (
+	maxSpecVertices  = math.MaxInt32
+	maxSpecEndpoints = 1 << 46
+)
+
+// checkSize refuses a deterministic spec whose graph would exceed the
+// size bounds, naming the bound. Its counts saturate rather than wrap, so
+// no parameter is large enough to slip under a bound; parameters below a
+// family's minimum are left to build.
+func checkSize(p ParsedSpec, size func(a, b int64) (n, m int64)) error {
+	var a, b int64
+	a = int64(p.Ints[0])
+	if len(p.Ints) > 1 {
+		b = int64(p.Ints[1])
+	}
+	n, m := size(a, b)
+	switch {
+	case n > maxSpecVertices:
+		return specError(p, fmt.Errorf("graph: %s needs n <= %d vertices, got n = %s", p.Family, maxSpecVertices, satString(n)))
+	case m > maxSpecEndpoints/2:
+		return specError(p, fmt.Errorf("graph: %s needs 2m <= %d neighbor slots, got m = %s edges", p.Family, int64(maxSpecEndpoints), satString(m)))
 	}
 	return nil
+}
+
+// satString renders a count; a saturated one reads as a lower bound.
+func satString(x int64) string {
+	if x == math.MaxInt64 {
+		return ">= " + strconv.FormatInt(x, 10)
+	}
+	return strconv.FormatInt(x, 10)
+}
+
+// Saturating arithmetic for spec sizes: negative operands read as 0 and
+// results stop at math.MaxInt64, which every bound is far below.
+
+func satAdd(a, b int64) int64 {
+	a, b = max(a, 0), max(b, 0)
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func satMul(a, b int64) int64 {
+	a, b = max(a, 0), max(b, 0)
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// satDec returns a − 1, staying saturated.
+func satDec(a int64) int64 {
+	if a == math.MaxInt64 {
+		return a
+	}
+	return max(a, 1) - 1
+}
+
+// satPow2 returns 2^e.
+func satPow2(e int64) int64 {
+	if e >= 63 {
+		return math.MaxInt64
+	}
+	return 1 << max(e, 0)
+}
+
+// satPairs returns C(s, 2), the edges of an s-clique.
+func satPairs(s int64) int64 { return satMul(s, satDec(s)) / 2 }
+
+// The deterministic families' vertex and edge counts from their one or
+// two parameters, as their generators (generators.go) declare them in
+// StreamSpec.N and StreamSpec.M.
+
+func starSize(l, _ int64) (n, m int64)       { return satAdd(l, 1), l }
+func doubleStarSize(l, _ int64) (n, m int64) { return satAdd(satMul(2, l), 2), satAdd(satMul(2, l), 1) }
+func completeSize(n, _ int64) (int64, int64) { return n, satPairs(n) }
+func cycleSize(n, _ int64) (int64, int64)    { return n, n }
+func pathSize(n, _ int64) (int64, int64)     { return n, satDec(n) }
+func torusSize(r, c int64) (n, m int64)      { n = satMul(r, c); return n, satMul(2, n) }
+
+func binTreeSize(lv, _ int64) (n, m int64) {
+	n = satDec(satPow2(lv))
+	return n, satDec(n)
+}
+
+// heavyTreeSize: a binary tree of LV levels whose 2^(LV−1) leaves form a
+// clique.
+func heavyTreeSize(lv, _ int64) (n, m int64) {
+	n = satDec(satPow2(lv))
+	return n, satAdd(satDec(n), satPairs(satPow2(satDec(lv))))
+}
+
+// siameseTreeSize: two heavy trees sharing their root.
+func siameseTreeSize(lv, _ int64) (n, m int64) {
+	nA, mA := heavyTreeSize(lv, 0)
+	return satDec(satMul(2, nA)), satMul(2, mA)
+}
+
+// cycleStarsSize: K centres on a cycle, K leaves per centre, and a
+// K-clique hanging off every leaf.
+func cycleStarsSize(k, _ int64) (n, m int64) {
+	k2 := satMul(k, k)
+	n = satAdd(k, satAdd(k2, satMul(k2, k)))
+	m = satAdd(k, satAdd(satMul(k2, satAdd(k, 1)), satMul(k2, satPairs(k))))
+	return n, m
+}
+
+func gridSize(r, c int64) (n, m int64) {
+	return satMul(r, c), satAdd(satMul(r, satDec(c)), satMul(satDec(r), c))
+}
+
+func ringCliquesSize(k, s int64) (n, m int64) {
+	n = satMul(k, s)
+	return n, satAdd(satMul(k, satPairs(s)), n)
+}
+
+func cliquePathSize(k, s int64) (n, m int64) {
+	return satMul(k, s), satAdd(satMul(k, satPairs(s)), satDec(k))
 }
 
 // checkHypercube, checkRandReg and checkChungLu run their generators' own
@@ -150,9 +282,10 @@ type ParsedSpec struct {
 
 // ParseSpec validates and normalizes a textual graph spec without building
 // the graph. It checks family, arity and parameter syntax, and the bounds
-// a family can state without building: the star's vertex count, the
-// hypercube's dimension, and randreg's 0 < D < N with N·D even. Other
-// value-range errors surface when the graph is built.
+// a family can state without building: every deterministic family's
+// vertex and edge counts (checkSize), the hypercube's dimension, randreg's
+// 0 < D < N with N·D even and chunglu's parameters. Other value-range
+// errors surface when the graph is built.
 func ParseSpec(spec string) (ParsedSpec, error) {
 	name, args, _ := strings.Cut(spec, ":")
 	name = strings.ToLower(strings.TrimSpace(name))
@@ -183,6 +316,11 @@ func ParseSpec(spec string) (ParsedSpec, error) {
 				return ParsedSpec{}, fmt.Errorf("graph: spec %q parameter %q: %w", spec, raw, err)
 			}
 			p.Floats = append(p.Floats, v)
+		}
+	}
+	if fam.size != nil {
+		if err := checkSize(p, fam.size); err != nil {
+			return ParsedSpec{}, err
 		}
 	}
 	if fam.check != nil {

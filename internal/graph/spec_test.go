@@ -98,6 +98,33 @@ func TestParseSpecDomain(t *testing.T) {
 		{"star:3000000000", "2147483647"},
 		{"star:2147483647", "2147483647"},
 		{"star:2147483646", ""},
+		{"star:9223372036854775807", ">= 9223372036854775807"},
+		{"doublestar:3000000000", "2147483647"},
+		{"doublestar:1073741822", ""},
+		{"doublestar:1073741823", "2147483647"},
+		{"cycle:3000000000", "2147483647"},
+		{"cycle:2147483647", ""},
+		{"path:2147483648", "2147483647"},
+		{"torus:100000,100000", "2147483647"},
+		{"torus:4294967296,4294967296", ">= 9223372036854775807"},
+		{"grid:46341,46341", "2147483647"},
+		{"bintree:31", ""},
+		{"bintree:32", "2147483647"},
+		{"bintree:9000", ">= 9223372036854775807"},
+		{"complete:100000000", "70368744177664"},
+		{"complete:8388608", ""}, // C(2^23, 2) < 2^45 edges
+		{"complete:8388609", "70368744177664"},
+		{"heavytree:23", ""},
+		{"heavytree:24", "70368744177664"},
+		{"heavytree:70", "2147483647"},
+		{"siamesetree:23", ""},
+		{"siamesetree:24", "70368744177664"},
+		{"cyclestars:1289", ""},
+		{"cyclestars:1290", "2147483647"},
+		{"ringcliques:3,700000000", "70368744177664"},
+		{"ringcliques:3000000000,1", "2147483647"},
+		{"cliquepath:2,1073741823", "70368744177664"},
+		{"cliquepath:1,-5", ""}, // below the family's minimum: left to build
 		{"chunglu:100,0.5,8", "beta > 2"},
 		{"chunglu:100,2,8", "beta > 2"},
 		{"chunglu:100,2.5,200", "0 < avgDeg < n"},
@@ -114,6 +141,37 @@ func TestParseSpecDomain(t *testing.T) {
 			t.Errorf("ParseSpec(%q) parsed, want an error naming %s", tc.spec, tc.bound)
 		case tc.bound != "" && !strings.Contains(err.Error(), tc.bound):
 			t.Errorf("ParseSpec(%q): %v, want it to name %s", tc.spec, err, tc.bound)
+		}
+	}
+}
+
+// TestSpecSizeMatchesBuild: the counts checkSize bounds are the ones the
+// generators build, for every deterministic family with a size.
+func TestSpecSizeMatchesBuild(t *testing.T) {
+	for _, spec := range []string{
+		"star:5", "doublestar:4", "heavytree:5", "siamesetree:4", "cyclestars:3",
+		"complete:7", "cycle:9", "path:6", "bintree:4", "torus:3,5", "grid:2,7",
+		"ringcliques:3,4", "cliquepath:3,4",
+	} {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := p.BuildSeeded(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b int64
+		if len(p.Ints) > 1 {
+			b = int64(p.Ints[1])
+		}
+		if n, m := specFamilies[p.Family].size(int64(p.Ints[0]), b); n != int64(g.N()) || m != int64(g.M()) {
+			t.Errorf("%s: size (%d, %d), built (%d, %d)", spec, n, m, g.N(), g.M())
+		}
+	}
+	for name, fam := range specFamilies {
+		if !fam.random && fam.size == nil && fam.check == nil {
+			t.Errorf("deterministic family %s has no size bound", name)
 		}
 	}
 }

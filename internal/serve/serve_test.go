@@ -417,6 +417,10 @@ func TestRequestValidation(t *testing.T) {
 		{`{"graph":"randreg:9,3","trials":1}`, http.StatusBadRequest, "n*d even"},
 		{`{"graph":"randreg:10,11","trials":1}`, http.StatusBadRequest, "0 < d < n"},
 		{`{"graph":"star:3000000000","trials":1}`, http.StatusBadRequest, "2147483647"},
+		{`{"graph":"doublestar:3000000000","trials":1}`, http.StatusBadRequest, "2147483647"},
+		{`{"graph":"cycle:3000000000","trials":1}`, http.StatusBadRequest, "2147483647"},
+		{`{"graph":"torus:100000,100000","trials":1}`, http.StatusBadRequest, "2147483647"},
+		{`{"graph":"complete:100000000","trials":1}`, http.StatusBadRequest, "70368744177664"},
 		{`{"graph":"chunglu:100,0.5,8","trials":1}`, http.StatusBadRequest, "beta > 2"},
 		{`{"graph":"chunglu:100,2.5,200","trials":1}`, http.StatusBadRequest, "0 < avgDeg < n"},
 		{`{"graph":"chunglu:1,2.5,0.5","trials":1}`, http.StatusBadRequest, "n >= 2"},
