@@ -124,10 +124,9 @@ func WalkTarget32(word uint64, u uint32, neighbors []Vertex) Vertex {
 // results are computed and the power-of-two flag selects one, which the
 // compiler turns into a conditional move — no branch to mispredict. The
 // batched multi-trial stepper uses this on graphs that are not regular: on
-// mixed-degree families (star,
-// double star) the degree-1 branch of the serial loop is taken
-// near-randomly per agent, and the mispredictions cost more than the spare
-// multiply. Draw-for-draw it returns exactly what the
+// mixed-degree families (star, double star) the degree-1 branch of the
+// serial loop is taken near-randomly per agent, and the mispredictions
+// cost more than the spare multiply. Draw-for-draw it returns exactly what the
 // WalkDegreeOne/WalkTarget split returns for the same (word, u).
 func WalkTargetAny(word, u uint64, neighbors []Vertex) Vertex {
 	dp := uint32(word)
