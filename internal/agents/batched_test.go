@@ -121,7 +121,7 @@ func BenchmarkBatchedWalksStep8LargeLazy(b *testing.B) {
 func BenchmarkOneLaneWalksStepStar8(b *testing.B) { benchOneLane(b, graph.Star(4097)) }
 func BenchmarkBatchedWalksStepStar8(b *testing.B) { benchBatched(b, graph.Star(4097), false) }
 
-// TestWalkKernelsMatchStreams: every block body of the fused step — the
+// TestWalkKernelsMatchStreams: every block body of the step — the
 // regular slot-and-gather bodies for a power-of-two and for any other
 // degree, and the branchless bodies on a mixed-degree graph and on a path
 // (every degree a power of two, yet not regular), simple and lazy — moves
