@@ -31,9 +31,11 @@
 // shard order, which — shards being contiguous, ascending id ranges —
 // preserves the paper's "ties broken by agent id" ordering.
 //
-// The package also provides epoch-stamped occupancy counters so protocols
-// can track per-round vertex visits in O(|A|) per round without O(n)
-// clears.
+// The walk step writes positions only; what the protocols do with them
+// (deposits, pickups, meetings) is theirs, in package core. The package
+// also provides Occupancy, an epoch-stamped per-vertex visit counter
+// (package coupling counts meetings with it) that resets in O(1) per
+// round.
 package agents
 
 import (

@@ -2,7 +2,6 @@ package agents
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -295,42 +294,5 @@ func TestQuickOccupancyMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStepStampedMatchesStep(t *testing.T) {
-	g := graph.DoubleStar(64)
-	for _, cfg := range []Config{
-		{Count: 200},
-		{Count: 200, Lazy: true},
-		{Count: 200, ChurnRate: 0.1},
-	} {
-		plain, err := newLane(g, cfg, xrand.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stamped, err := newLane(g, cfg, xrand.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stamp := make([]uint32, g.N())
-		for round := 1; round <= 20; round++ {
-			plain.Step(nil)
-			stamped.StepStamped(nil, [][]uint32{stamp}, []uint32{uint32(round)})
-			if !reflect.DeepEqual(plain.Lane(0), stamped.Lane(0)) || !reflect.DeepEqual(plain.Respawned(0), stamped.Respawned(0)) {
-				t.Fatalf("%+v round %d: stamped step diverges from the plain step", cfg, round)
-			}
-			// The stamped set must be exactly the occupied vertices.
-			occupied := make(map[graph.Vertex]bool)
-			for _, p := range stamped.Lane(0) {
-				occupied[p] = true
-			}
-			for v := 0; v < g.N(); v++ {
-				if got := stamp[v] == uint32(round); got != occupied[graph.Vertex(v)] {
-					t.Fatalf("%+v round %d: vertex %d stamped=%v occupied=%v",
-						cfg, round, v, got, occupied[graph.Vertex(v)])
-				}
-			}
-		}
 	}
 }

@@ -3,7 +3,6 @@ package agents
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"rumor/internal/graph"
 	"rumor/internal/par"
@@ -66,15 +65,6 @@ type BatchedWalks struct {
 	// stepFn is stepShard bound once, so sharded dispatch allocates no
 	// closure per round.
 	stepFn func(shard, lo, hi int)
-
-	// stamps/epochs carry StepStamped's per-lane occupancy marking through
-	// the pre-bound stepFn closure; stamps[t] == nil means lane t steps
-	// without stamping. sharedStamp selects atomic stamp stores on the
-	// sharded path (concurrent shards may stamp the same vertex of one
-	// lane's array with the same epoch value).
-	stamps      [][]uint32
-	epochs      []uint32
-	sharedStamp bool
 
 	shards int // shards per step, set by the owner (SetShards)
 	round  int
@@ -168,22 +158,6 @@ func (w *BatchedWalks) Respawned(t int) []int { return w.respawned[t] }
 // are keyed by round, so skipping rounds never shifts later draws). active
 // must have length K; passing nil steps every lane.
 func (w *BatchedWalks) Step(active []bool) {
-	w.StepStamped(active, nil, nil)
-}
-
-// StepStamped is Step fused with per-lane occupancy stamping: every active
-// lane t with a non-nil stamps[t] additionally gets epochs[t] stored into
-// stamps[t] at each of its agents' destinations, in the same blocked pass
-// that writes the positions. Protocols whose lanes reach the "every agent
-// informed" regime (the Ω(n) tails of the paper's star-like families) use
-// it to drop those lanes' separate mark-informed-positions pass (see
-// core.BatchedVisitExchange). The walk draws are identical to Step's for
-// every lane, stamped or not, so fusing never perturbs a trajectory.
-//
-// Stores into a lane's stamp array go through atomics on the sharded path
-// (two shards may stamp the same vertex with the same value); readers must
-// run after StepStamped returns. Passing nil stamps is exactly Step.
-func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []uint32) {
 	w.round++
 	// Swap buffers: the fused loop reads prev and writes pos for active
 	// lanes; a lane masked off after stepping needs its frozen positions
@@ -204,9 +178,7 @@ func (w *BatchedWalks) StepStamped(active []bool, stamps [][]uint32, epochs []ui
 	if len(w.laneIDs) == 0 {
 		return
 	}
-	w.stamps, w.epochs = stamps, epochs
 	shards := min(max(w.shards, 1), w.count)
-	w.sharedStamp = shards > 1
 	if w.churn {
 		for len(w.shardResp) < shards {
 			w.shardResp = append(w.shardResp, make([][]int, w.k))
@@ -285,27 +257,7 @@ func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 			default:
 				stepBlockMul(pv, ps, nbrs, d, base, &slots)
 			}
-			if w.stamps != nil && w.stamps[t] != nil {
-				// Stamp the block's fresh destinations while they are still
-				// in registers/L1.
-				stampBlock(ps, w.stamps[t], w.epochs[t], w.sharedStamp)
-			}
 		}
-	}
-}
-
-// stampBlock stores epoch at each destination in ps. shared selects atomic
-// stores for the sharded path, where concurrent shards may stamp the same
-// vertex (always with the same epoch value).
-func stampBlock(ps []graph.Vertex, stamp []uint32, epoch uint32, shared bool) {
-	if shared {
-		for _, p := range ps {
-			atomic.StoreUint32(&stamp[p], epoch)
-		}
-		return
-	}
-	for _, p := range ps {
-		stamp[p] = epoch
 	}
 }
 
@@ -459,9 +411,6 @@ func (w *BatchedWalks) stepShardStreams(shard, lo, hi int) {
 		}
 		if churn {
 			w.shardResp[shard][t] = resp
-		}
-		if w.stamps != nil && w.stamps[t] != nil {
-			stampBlock(pos[lo:hi], w.stamps[t], w.epochs[t], w.sharedStamp)
 		}
 	}
 }

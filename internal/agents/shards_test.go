@@ -9,22 +9,21 @@ import (
 
 // The shard-count contract: SetShards decides only who executes a step.
 // The engine's budget rarely hands a walk system more than one shard, so
-// these tests force 2 and 8 to keep the sharded paths — the churn respawn
-// merge, the atomic stamp stores — pinned bit for bit against the inline
+// these tests force 2 and 8 to keep the sharded paths — the block split
+// and the churn respawn merge — pinned bit for bit against the inline
 // step. 8 exceeds the processors of most runners: surplus shards run on
 // the caller, which is the same code. TestBudgetShardedWalksMatchInline
 // (golden_test.go) holds sharded trajectories to the recorded digests.
 
 // TestBudgetShardedBatchedWalksMatchInline: the fused stepper, with lanes
-// masked off mid-run and one lane stamped, is identical at 1, 2 and 8
-// shards — including when the owner changes the count between rounds —
-// for simple, lazy and churned walks, and with fewer agents than shards.
+// masked off mid-run, is identical at 1, 2 and 8 shards — including when
+// the owner changes the count between rounds — for simple, lazy and
+// churned walks, and with fewer agents than shards.
 func TestBudgetShardedBatchedWalksMatchInline(t *testing.T) {
 	const k, rounds = 5, 30
 	type snap struct {
-		pos   [][]graph.Vertex
-		resp  [][]int
-		stamp []uint32
+		pos  [][]graph.Vertex
+		resp [][]int
 	}
 	for _, g := range []*graph.Graph{graph.Hypercube(8), graph.Star(257)} {
 		for _, cfg := range []Config{
@@ -39,16 +38,11 @@ func TestBudgetShardedBatchedWalksMatchInline(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.stamp = make([]uint32, g.N())
-				stamps := make([][]uint32, k)
-				stamps[2] = s.stamp
-				epochs := make([]uint32, k)
 				active := []bool{true, true, true, true, true}
 				for r := 1; r <= rounds; r++ {
 					active[1] = r <= 10 // lane 1 finishes early
-					epochs[2] = uint32(r)
 					bw.SetShards(shards(r))
-					bw.StepStamped(active, stamps, epochs)
+					bw.Step(active)
 					for tr := 0; tr < k; tr++ {
 						s.pos = append(s.pos, append([]graph.Vertex(nil), bw.Lane(tr)...))
 						s.resp = append(s.resp, append([]int{}, bw.Respawned(tr)...))

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"rumor/internal/agents"
 	"rumor/internal/graph"
 	"rumor/internal/par"
 	"rumor/internal/xrand"
@@ -17,14 +19,15 @@ import (
 // RunMany — Rounds, Completed, Messages, AllAgentsRound, and the full
 // History per trial — at any GOMAXPROCS. These tests pin K in {1, 2, 7}
 // (one lane, partial bundle, prime width straddling nothing) at GOMAXPROCS
-// 1 and 8.
+// 1 and 8. Visit-exchange's reference is the plain round of plain_test.go,
+// meet-exchange's its one-lane view.
 
 func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 	return []laneProto{
 		{
 			name: "visit-exchange",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewVisitExchange(g, s, rng, AgentOptions{})
+				return plainVisitExchange(g, s, rng, AgentOptions{})
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedVisitExchange(g, s, rngs, AgentOptions{})
@@ -209,5 +212,67 @@ func TestRunManyBatchedErrorConsistency(t *testing.T) {
 		if errPar := run(procs); errPar == nil || errPar.Error() != errSerial.Error() {
 			t.Errorf("GOMAXPROCS=%d error %v != single-worker error %v", procs, errPar, errSerial)
 		}
+	}
+}
+
+// TestVisitLaneStateBudget is the first engine-memory assertion: a
+// visit-exchange lane holds two bitsets, informed vertices and informed
+// agents, and no per-vertex array. Building a K-lane bundle may allocate
+// at most K·(⌈n/64⌉ + ⌈|A|/64⌉) words plus a small constant beyond what its
+// walk system allocates. The graph's walk index and stationary alias are
+// built first, since the graph caches them for every later walk system.
+func TestVisitLaneStateBudget(t *testing.T) {
+	g := graph.Hypercube(14)
+	const k, slack = 4, 2048
+	rngs := func() []*xrand.RNG {
+		r := make([]*xrand.RNG, k)
+		for i := range r {
+			r[i] = xrand.New(xrand.TrialSeed(1, i))
+		}
+		return r
+	}
+	cfg := AgentOptions{}.walkConfig(g, false)
+	if _, err := agents.NewBatched(g, cfg, rngs()); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(build func() error) uint64 {
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := build(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	walks := allocated(func() error { _, err := agents.NewBatched(g, cfg, rngs()); return err })
+	bundle := allocated(func() error { _, err := NewBatchedVisitExchange(g, 0, rngs(), AgentOptions{}); return err })
+	words := func(n int) uint64 { return uint64(n+63) / 64 }
+	limit := k*(words(g.N())+words(cfg.Count))*8 + slack
+	if lane := bundle - walks; lane > limit {
+		t.Errorf("visit-exchange lane state: %d bytes over the walk system's %d, want at most %d (K·(⌈n/64⌉+⌈|A|/64⌉)·8 + %d)",
+			lane, walks, limit, slack)
+	}
+}
+
+// BenchmarkBatchedVisitExchange times a 16-trial visit-exchange point on a
+// tail-bound graph, where lanes spend most rounds with every agent
+// informed (collectDeposits' position scan), and on a regular graph larger
+// than L2, where most rounds bit-iterate a partly informed agent set.
+func BenchmarkBatchedVisitExchange(b *testing.B) {
+	for _, g := range []*graph.Graph{graph.HeavyBinaryTree(9), graph.Hypercube(15)} {
+		factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
+			return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
+		}
+		b.Run(g.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunManyLanes(g, factory, 16, 0, 1, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -43,16 +43,18 @@ type hybridLane struct {
 //
 // The agent phase is one fused BatchedWalks round for all lanes, and the
 // informing passes (exchange collect, agent deposit, commit, agent pickup)
-// are sharded across lanes like BatchedVisitExchange.laneShard — each lane
-// writes only its own state, so the shard split is deterministic. Each
-// lane's exchange phase is a push-pull lane's (every vertex's call
-// resolved and collected in one pass, or the smaller side of the cut, then
-// boundary mode; see callLane and boundary.go), maintained against the
-// lane's shared informed set, so agent deposits move the cut and retire
-// exchange senders exactly as exchange finds do. With churn, respawned
-// agents forget the rumor before the informing passes. A one-lane bundle
-// may carry an Observer, called with every agent traversal after the walk
-// step; the exchange calls are not reported.
+// are sharded across lanes like BatchedVisitExchange's — each lane writes
+// only its own state, so the shard split is deterministic. The agent half
+// is visit-exchange's round, through the same collectDeposits and
+// pickupAgents, so its deposits scan positions once every agent is
+// informed. Each lane's exchange phase is a push-pull lane's (every
+// vertex's call resolved and collected in one pass, or the smaller side of
+// the cut, then boundary mode; see callLane and boundary.go), maintained
+// against the lane's shared informed set, so agent deposits move the cut
+// and retire exchange senders exactly as exchange finds do. With churn,
+// respawned agents forget the rumor before the informing passes. A
+// one-lane bundle may carry an Observer, called with every agent traversal
+// after the walk step; the exchange calls are not reported.
 type BatchedHybrid struct {
 	g       *graph.Graph
 	src     graph.Vertex
@@ -187,7 +189,7 @@ func (h *BatchedHybrid) stepLane(t int) {
 	L.countA = forgetRespawned(L.informedA, L.countA, h.walks.Respawned(t))
 	pos := h.walks.Lane(t)
 	if L.countA > 0 && L.count < n {
-		L.pending = collectDeposits(L.informedA, L.informed, pos, L.pending)
+		L.pending = collectDeposits(L.informedA, L.countA, L.informed, pos, L.pending)
 	}
 
 	// Commit newly informed vertices from both mechanisms.

@@ -12,22 +12,18 @@ import (
 )
 
 // Batched visit-exchange and meet-exchange bundles. Each lane carries the
-// full per-trial protocol state (informed sets, counts, occupancy marks);
-// the walk step is fused across lanes by agents.BatchedWalks, and the
-// visit-exchange informing passes are fused into cross-lane sweeps: one
-// pass-major sweep per stage (occupancy stamping, uninformed-vertex sweep,
-// agent pickup) over all active lanes, instead of each lane running its
-// full pass sequence in isolation. Lanes in the all-agents-informed regime
-// — the Ω(n) broadcast tails of the paper's star-like families, where the
-// stamping pass used to dominate batched rounds — skip the stamping stage
-// entirely when there is no churn: their marks are written by the fused
-// walk step itself (agents.BatchedWalks.StepStamped), one store per agent
-// in the same pass that writes the position. When the bundle's budget and
-// the round's work allow, the sweeps shard across lanes, since lanes touch
-// only their own state; every stage keeps exactly the one-trial pass
-// semantics, so every lane's informed sets evolve bit-identically to a
-// one-lane bundle with the same trial RNG — which is what
-// NewVisitExchange and NewMeetExchange return.
+// full per-trial protocol state (informed bitsets, counts); the walk step
+// is fused across lanes by agents.BatchedWalks, and the informing passes
+// run per lane after it. When the bundle's budget and the round's work
+// allow, those passes shard across lanes, since lanes touch only their own
+// state; every lane's informed sets evolve bit-identically to a one-lane
+// bundle with the same trial RNG — which is what NewVisitExchange and
+// NewMeetExchange return.
+//
+// Visit-exchange informs vertices the way the hybrid's agent half does
+// (collectDeposits, then pickupAgents): the deposit pass walks the agents,
+// not the vertices, so a lane keeps no per-vertex state beyond its
+// informed bitset.
 //
 // With churn, agents the walk step respawned are fresh and uninformed:
 // each lane clears their informed bits before its informing passes. A
@@ -40,8 +36,7 @@ type visitLane struct {
 	informedA *bitset.Set
 	countV    int
 	countA    int
-	uninfV    []graph.Vertex
-	occInf    *epochMark
+	pending   []graph.Vertex
 	messages  int64
 }
 
@@ -58,22 +53,10 @@ type BatchedVisitExchange struct {
 	walks   *agents.BatchedWalks
 	lanes   []visitLane
 	observe MoveObserver // one-lane bundles only
-	churn   bool
 
 	activeIDs []int
-	// stamps/epochs/fused carry the per-round StepStamped wiring: lane t
-	// is fused when every one of its agents is informed, in which case the
-	// walk step stamps its occupancy and the stamping stage skips it.
-	stamps [][]uint32
-	epochs []uint32
-	fused  []bool
-	budget budget
-	laneFn func(shard, lo, hi int)
-
-	// fuseMark enables folding fused lanes' occupancy stamping into the
-	// walk step. On by default; the equivalence test clears it to pin the
-	// fused path against the separate-stage path.
-	fuseMark bool
+	budget    budget
+	laneFn    func(shard, lo, hi int)
 }
 
 var _ LaneProcess = (*BatchedVisitExchange)(nil)
@@ -93,27 +76,13 @@ func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, 
 	if err != nil {
 		return nil, fmt.Errorf("visit-exchange: %w", err)
 	}
-	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs)), observe: opts.Observer, churn: opts.ChurnRate > 0}
+	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs)), observe: opts.Observer}
 	v.laneFn = v.laneShard
-	v.fuseMark = true
-	v.stamps = make([][]uint32, len(rngs))
-	v.epochs = make([]uint32, len(rngs))
-	v.fused = make([]bool, len(rngs))
-	// The initial uninformed-vertex list is the same for every lane; build
-	// it once and copy.
-	uninf := make([]graph.Vertex, 0, g.N()-1)
-	for u := 0; u < g.N(); u++ {
-		if graph.Vertex(u) != s {
-			uninf = append(uninf, graph.Vertex(u))
-		}
-	}
 	for t := range v.lanes {
 		L := &v.lanes[t]
 		L.informedV = bitset.New(g.N())
 		L.informedA = bitset.New(w.N())
 		L.countV = 1
-		L.occInf = newEpochMark(g.N())
-		L.uninfV = append(make([]graph.Vertex, 0, g.N()-1), uninf...)
 		L.informedV.Set(int(s))
 		for i, p := range w.Lane(t) {
 			if p == s {
@@ -153,127 +122,48 @@ func (v *BatchedVisitExchange) setBudget(b budget) { v.budget = b }
 // Round returns the number of Step calls so far.
 func (v *BatchedVisitExchange) Round() int { return v.walks.Round() }
 
-// Step implements LaneProcess: one fused walk round — stamping the
-// occupancy of lanes whose agents are all informed in the same pass — then
-// the informing stages as cross-lane sweeps over the active lanes.
+// Step implements LaneProcess: one fused walk round, then the per-lane
+// informing passes. The walk step and the informing passes each do one
+// unit of work per (active lane, agent).
 func (v *BatchedVisitExchange) Step(active []bool) {
-	n := v.g.N()
-	na := v.walks.N()
-	anyFused := false
-	for t := range v.lanes {
-		v.stamps[t] = nil
-		v.fused[t] = false
-		if active != nil && !active[t] {
-			continue
-		}
-		L := &v.lanes[t]
-		if v.fuseMark && !v.churn && L.countA == na && L.countV < n {
-			// Every agent is informed (a permanent state without churn),
-			// so "stamp every informed agent's position" is exactly
-			// "stamp every agent's destination" — the walk step does it in
-			// the pass that writes positions.
-			L.occInf.next()
-			v.stamps[t] = L.occInf.stamp
-			v.epochs[t] = L.occInf.epoch
-			v.fused[t] = true
-			anyFused = true
-		}
-	}
-	// The walk step and the informing sweeps each do one unit of work per
-	// (active lane, agent).
 	v.activeIDs = activeLanes(v.activeIDs[:0], active, len(v.lanes))
-	shards := v.budget.For(len(v.activeIDs) * na)
+	shards := v.budget.For(len(v.activeIDs) * v.walks.N())
 	v.walks.SetShards(shards)
-	if anyFused {
-		v.walks.StepStamped(active, v.stamps, v.epochs)
-	} else {
-		v.walks.Step(active)
-	}
+	v.walks.Step(active)
 	if v.observe != nil {
 		observeMoves(v.observe, v.walks)
 	}
 	par.DoN(shards, len(v.activeIDs), v.laneFn)
 }
 
-// laneShard runs the informing passes for active lanes [lo, hi) as one
-// cross-lane sweep per stage — all lanes' occupancy stamping, then all
-// lanes' uninformed-vertex sweeps, then all lanes' agent pickups — rather
-// than each lane running its full pass sequence in isolation. Stages keep
-// the serial per-lane pass order (a lane's sweep always sees its own
-// completed stamping) while each sweep runs one uniform access pattern
-// across the shard's lanes; with StepStamped fusion the first stage is
-// empty for lanes in the all-informed regime.
+// laneShard runs the informing passes for active lanes [lo, hi).
 func (v *BatchedVisitExchange) laneShard(_, lo, hi int) {
-	ids := v.activeIDs[lo:hi]
-	for _, t := range ids {
-		v.markLane(t)
-	}
-	for _, t := range ids {
-		v.sweepLane(t)
-	}
-	for _, t := range ids {
-		v.pickupLane(t)
+	for _, t := range v.activeIDs[lo:hi] {
+		v.stepLane(t)
 	}
 }
 
-// markLane is pass 1's stamping for lane t: mark the position of every
-// agent informed in a previous round (one store per agent beats a probe
-// per agent: the stamp retires without a dependent branch). Fused lanes
-// were stamped inside the walk step and are skipped. Being the first stage
-// of the round, it also charges the round's token messages and forgets
-// the agents churn replaced.
-func (v *BatchedVisitExchange) markLane(t int) {
+// stepLane applies one round of visit-exchange informing to lane t: churn
+// replacements forget the rumor, agents informed in a previous round
+// deposit it on the vertices they landed on, then agents standing on an
+// informed vertex (old or new) pick it up.
+func (v *BatchedVisitExchange) stepLane(t int) {
 	L := &v.lanes[t]
 	pos := v.walks.Lane(t)
-	na := len(pos)
-	L.messages += int64(na)
+	L.messages += int64(len(pos))
 	L.countA = forgetRespawned(L.informedA, L.countA, v.walks.Respawned(t))
-	if v.fused[t] || L.countA == 0 || L.countV == v.g.N() {
-		return
-	}
-	L.occInf.next()
-	if L.countA == na {
-		stamp, epoch := L.occInf.stamp, L.occInf.epoch
-		for _, p := range pos {
-			stamp[p] = epoch
+	if L.countA > 0 && L.countV < v.g.N() {
+		L.pending = collectDeposits(L.informedA, L.countA, L.informedV, pos, L.pending[:0])
+		for _, p := range L.pending {
+			if !L.informedV.Test(int(p)) {
+				L.informedV.Set(int(p))
+				L.countV++
+			}
 		}
-		return
 	}
-	aw := L.informedA.Words()
-	markInformed(L.occInf, aw, pos)
-}
-
-// sweepLane is pass 1's commit for lane t: sweep the uninformed vertex
-// list for stamped entries, swap-removing each one it informs.
-func (v *BatchedVisitExchange) sweepLane(t int) {
-	L := &v.lanes[t]
-	if L.countA == 0 || L.countV == v.g.N() {
-		return
+	if L.countA < len(pos) {
+		L.countA = pickupAgents(L.informedA, L.countA, L.informedV, pos)
 	}
-	list := L.uninfV
-	for k := 0; k < len(list); {
-		p := list[k]
-		if L.occInf.marked(p) {
-			L.informedV.Set(int(p))
-			L.countV++
-			list[k] = list[len(list)-1]
-			list = list[:len(list)-1]
-			continue // re-examine the swapped-in entry
-		}
-		k++
-	}
-	L.uninfV = list
-}
-
-// pickupLane is pass 2 for lane t: agents on a vertex informed in a
-// previous or this round become informed (see pickupAgents).
-func (v *BatchedVisitExchange) pickupLane(t int) {
-	L := &v.lanes[t]
-	pos := v.walks.Lane(t)
-	if L.countA == len(pos) {
-		return
-	}
-	L.countA = pickupAgents(L.informedA, L.countA, L.informedV, pos)
 }
 
 // meetLane is one trial's meet-exchange state.

@@ -107,7 +107,8 @@ func TestBudgetEveryProcessTakesIt(t *testing.T) {
 // TestBudgetForcedSerialEquivalence: every single trial — whose sharded
 // draw, mark, deposit, pickup and churn paths the policy rarely takes —
 // returns the inline Result at forced budgets 2 and 8, on a uniform-degree
-// graph and on the star (boundary mode, lazy meet-exchange, fused marks).
+// graph and on the star (boundary mode, lazy meet-exchange, the
+// all-informed deposit scan).
 func TestBudgetForcedSerialEquivalence(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Hypercube(8), graph.Star(301), graph.DoubleStar(96)} {
 		for _, pc := range detProtocols() {

@@ -50,7 +50,11 @@
 // BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid): K trials step
 // in lockstep through one blocked loop over units per round, with
 // per-lane state and per-trial done-masking. Push and push-pull share
-// BatchedCall, one call model with the pull direction off or on. The
+// BatchedCall, one call model with the pull direction off or on.
+// Visit-exchange is the hybrid's agent half without its calls: both inform
+// through one deposit pass and one pickup pass over the agents
+// (collectDeposits, pickupAgents), keeping no per-vertex state beyond the
+// informed bitset. The
 // bundles are the only implementations: every constructor (NewPush,
 // NewPushPull, NewVisitExchange, NewMeetExchange, NewHybrid) returns the
 // one-lane view of its bundle, which the driver runs as the K = 1 lane

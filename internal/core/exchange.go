@@ -14,8 +14,9 @@ import (
 // (no per-unit indirection lands in a hot loop), so every engine that
 // performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane
-// with the pull direction off. The agent deposit and pickup passes shared
-// by visit-exchange and the hybrid live here too.
+// with the pull direction off. The agent deposit and pickup passes live
+// here too: they are visit-exchange's whole informing round and the
+// hybrid's agent half, one copy for both.
 
 // callLane is one trial's call-protocol state in a fused bundle: all of a
 // push or push-pull lane, the vertex half of a hybrid lane.
@@ -247,9 +248,27 @@ func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *b
 }
 
 // collectDeposits appends to pending, in agent-id order, the vertex of
-// every informed agent that is not yet informed: the hybrid's
-// visit-exchange deposit, evaluated against the pre-commit informed set.
-func collectDeposits(informedA, informedV *bitset.Set, pos []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
+// every informed agent that is not yet informed: the visit-exchange
+// deposit of BatchedVisitExchange and of the hybrid's agent half,
+// evaluated against the pre-commit informed set (duplicates commit once).
+// countA is the number of informed agents. When it is every agent — the
+// Ω(n) broadcast tails of the star-like families — the pass scans the
+// positions directly instead of bit-iterating the agent set, with a plain
+// branch: late in a run nearly every vertex is informed, so the branch is
+// well predicted, where a branch-free append would make each append wait
+// on the previous informed-bit load. The informed case continues, so it
+// is the straight-line path of the loop.
+func collectDeposits(informedA *bitset.Set, countA int, informedV *bitset.Set, pos []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
+	if countA == len(pos) {
+		words := informedV.Words()
+		for _, p := range pos {
+			if words[uint32(p)>>6]>>(uint32(p)&63)&1 != 0 {
+				continue
+			}
+			pending = append(pending, p)
+		}
+		return pending
+	}
 	for wi, wd := range informedA.Words() {
 		for ; wd != 0; wd &= wd - 1 {
 			if p := pos[wi<<6+bits.TrailingZeros64(wd)]; !informedV.Test(int(p)) {

@@ -13,8 +13,8 @@ import (
 // width K, RunManyLanes must return []Result bit-identical to RunMany's
 // single trials of a reference — Rounds, Completed, Messages,
 // AllAgentsRound, and the full History per trial — at any GOMAXPROCS.
-// These tests pin the bundles of the call protocols (push, push-pull) and
-// the hybrid for K in {1, 2, 7} (one lane, partial bundle, prime width) at
+// These tests pin the bundles of the call protocols (push, push-pull),
+// the hybrid and visit-exchange for K in {1, 2, 7} (one lane, partial bundle, prime width) at
 // GOMAXPROCS 1 and 8 — and, since the engine's budget keeps test-sized
 // bundles inline at any GOMAXPROCS, again under inner budgets {1, 2, 8}
 // forced through the hook (see budget_test.go), so the sharded lane
@@ -22,8 +22,8 @@ import (
 // plain round of plain_test.go, which shares no boundary mode, side or
 // sweep with the bundles; golden_test.go and exact_test.go hold the
 // bundles to outcomes recorded before the serial engines were deleted and
-// to exact laws. batched_test.go pins visit-exchange and meet-exchange
-// against their one-lane views.
+// to exact laws. batched_test.go pins meet-exchange against its one-lane
+// view and visit-exchange against the plain round on larger graphs.
 
 // laneProto pairs a single-trial reference factory with a bundle factory.
 type laneProto struct {
@@ -213,6 +213,40 @@ func TestLaneEquivalenceIsolatedVertices(t *testing.T) {
 	}
 }
 
+// TestLaneEquivalenceVisitExchange: visit-exchange bundles equal the plain
+// reference's per-agent deposits and pickups per trial, and every run
+// completes. The star spends most of its run with every agent informed
+// (collectDeposits' position scan), the double star mixes lane progress
+// across its bridge wait, and the hypercube is uniform; lazy walks, more
+// agents than vertices, and five agents that reach the all-informed
+// regime late per lane vary the split between collectDeposits' two arms.
+func TestLaneEquivalenceVisitExchange(t *testing.T) {
+	graphs := []*graph.Graph{graph.Star(96), graph.DoubleStar(48), graph.Hypercube(6)}
+	opts := []AgentOptions{{}, {Lazy: LazyOn}, {Alpha: 2}, {Count: 5}}
+	const seed = 99
+	for _, g := range graphs {
+		for oi, o := range opts {
+			pc := laneProto{
+				name:    fmt.Sprintf("visit-exchange opts[%d]", oi),
+				serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, 0, rng, o) },
+				batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, rngs, o) },
+			}
+			for _, k := range []int{1, 2, 7} {
+				compareLanes(t, g, pc, k, 0, seed)
+			}
+			res, err := RunMany(g, pc.serial, 7, 0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tr, r := range res {
+				if !r.Completed {
+					t.Errorf("%s on %s trial %d: run did not complete", pc.name, g.Name(), tr)
+				}
+			}
+		}
+	}
+}
+
 // TestRunManyLanesAdaptiveK: the adaptive width never changes results —
 // RunManyLanes with k <= 0 (AdaptiveBatchK) equals explicit K = 1.
 func TestRunManyLanesAdaptiveK(t *testing.T) {
@@ -238,15 +272,15 @@ func TestRunManyLanesAdaptiveK(t *testing.T) {
 	}
 }
 
-// churnProtos are the agent protocols with churn: visit-exchange and
-// meet-exchange against their one-lane views, the hybrid against its
-// plain reference.
+// churnProtos are the agent protocols with churn: meet-exchange against
+// its one-lane view, visit-exchange and the hybrid against their plain
+// references.
 func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 	o := AgentOptions{ChurnRate: churn}
 	return []laneProto{
 		{
 			name:    "visit-exchange-churn",
-			serial:  func(rng *xrand.RNG) (Process, error) { return NewVisitExchange(g, s, rng, o) },
+			serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, s, rng, o) },
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, s, rngs, o) },
 		},
 		{
@@ -263,8 +297,8 @@ func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 }
 
 // TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles equal
-// K = 1 per trial — visit-exchange and meet-exchange their one-lane views,
-// the hybrid its plain reference — at GOMAXPROCS 1 and 8 and under forced
+// K = 1 per trial — meet-exchange its one-lane view, visit-exchange and
+// the hybrid their plain references — at GOMAXPROCS 1 and 8 and under forced
 // budgets (see compareLanes). Meet-exchange may lose the rumor to churn,
 // so runs are cut at 600 rounds and truncated lanes are compared too.
 func TestLaneEquivalenceChurn(t *testing.T) {

@@ -7,12 +7,11 @@ import (
 )
 
 // epochMark is a per-vertex boolean reset in O(1) per round by bumping an
-// epoch, used for "does this vertex currently host an informed agent"
-// queries. Unlike agents.Occupancy it stores no counts and keeps no
-// touched list: marking is a single unconditional store, which also makes
-// it safe to mark from concurrent shards (the fused walk step stamps
-// through the atomic API — all writers store the same epoch value — and
-// readers run strictly after the parallel phase's barrier).
+// epoch, used for meet-exchange's "does this vertex currently host an
+// informed agent" queries. Unlike agents.Occupancy it stores no counts and
+// keeps no touched list: marking is a single unconditional store. Each
+// meet-exchange lane owns one and marks it from the one shard that steps
+// the lane, so no store is shared.
 type epochMark struct {
 	stamp []uint32
 	epoch uint32

@@ -7,21 +7,24 @@ import (
 	"rumor/internal/xrand"
 )
 
-// Plain reference rounds of the call protocols, kept in test code as the
-// equivalence suites' reference. Every caller's call resolves through
-// neighborSampler.call, the round collects its transfers against the
-// pre-round informed set and then commits them. There is no boundary mode,
-// no side of the cut, no dense sweep and no sharding: every path the
-// bundles take must reproduce these rounds bit for bit. A reference is a
-// one-lane bundle, so RunMany runs it behind a laneView like any trial.
+// Plain reference rounds of the call protocols and of visit-exchange, kept
+// in test code as the equivalence suites' reference. Every caller's call
+// resolves through neighborSampler.call, the round collects its transfers
+// against the pre-round informed set and then commits them; agents deposit
+// and pick up the rumor one agent at a time, in id order. There is no
+// boundary mode, no side of the cut, no dense sweep, no word scan and no
+// sharding: every path the bundles take must reproduce these rounds bit
+// for bit. A reference is a one-lane bundle, so RunMany runs it behind a
+// laneView like any trial.
 
-// plainRef is one trial of push (pull false), push-pull (pull true) or the
-// hybrid (pull true, walks set).
+// plainRef is one trial of push (pull false), push-pull (pull true), the
+// hybrid (pull true, walks set) or visit-exchange (walks set, noCalls).
 type plainRef struct {
 	name    string
 	g       *graph.Graph
 	src     graph.Vertex
 	pull    bool // every non-isolated vertex calls, and a call carries both ways
+	noCalls bool // visit-exchange: agents alone inform
 	seed    uint64
 	failTh  uint64
 	sampler neighborSampler
@@ -74,12 +77,33 @@ func plainPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, f float64) Pr
 // one-lane walk step with visit-exchange deposits and pickups. It draws
 // the walk seed from rng first, then the exchange seed.
 func plainHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
+	r, err := newPlainAgents("ppull+visitx", g, s, rng, o)
+	if err != nil {
+		return nil, err
+	}
+	r.seed = rng.Uint64()
+	return newLaneView(r), nil
+}
+
+// plainVisitExchange is one visit-exchange trial: the hybrid's agent half
+// without its calls.
+func plainVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
+	r, err := newPlainAgents("visit-exchange", g, s, rng, o)
+	if err != nil {
+		return nil, err
+	}
+	r.noCalls = true
+	return newLaneView(r), nil
+}
+
+// newPlainAgents builds a reference with a one-lane walk system drawn from
+// rng, every agent on s informed.
+func newPlainAgents(name string, g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (*plainRef, error) {
 	w, err := agents.NewBatched(g, o.walkConfig(g, false), []*xrand.RNG{rng})
 	if err != nil {
 		return nil, err
 	}
-	r := newPlainRef("ppull+visitx", g, s, true, 0)
-	r.seed = rng.Uint64()
+	r := newPlainRef(name, g, s, true, 0)
 	r.walks, r.informedA = w, bitset.New(w.N())
 	for i, p := range w.Lane(0) {
 		if p == s {
@@ -87,7 +111,7 @@ func plainHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions)
 			r.countA++
 		}
 	}
-	return newLaneView(r), nil
+	return r, nil
 }
 
 func (r *plainRef) Name() string                   { return r.name }
@@ -107,6 +131,42 @@ func (r *plainRef) Step(active []bool) {
 	r.round++
 	round := uint64(r.round)
 	r.pending = r.pending[:0]
+	if !r.noCalls {
+		r.calls(round)
+	}
+	var pos []graph.Vertex
+	if r.walks != nil {
+		r.walks.Step(nil)
+		r.messages += int64(r.walks.N())
+		pos = r.walks.Lane(0)
+		for _, i := range r.walks.Respawned(0) {
+			if r.informedA.Test(i) { // a fresh agent is uninformed
+				r.informedA.Clear(i)
+				r.countA--
+			}
+		}
+		for i, p := range pos {
+			if r.informedA.Test(i) && !r.informed.Test(int(p)) {
+				r.pending = append(r.pending, p)
+			}
+		}
+	}
+	for _, v := range r.pending {
+		if !r.informed.Test(int(v)) {
+			r.informed.Set(int(v))
+			r.count++
+		}
+	}
+	for i, p := range pos {
+		if !r.informedA.Test(i) && r.informed.Test(int(p)) {
+			r.informedA.Set(i)
+			r.countA++
+		}
+	}
+}
+
+// calls charges the round's calls and collects their transfers.
+func (r *plainRef) calls(round uint64) {
 	if r.pull {
 		r.messages += r.callers
 	} else {
@@ -127,22 +187,5 @@ func (r *plainRef) Step(active []bool) {
 		case !iu && iv:
 			r.pending = append(r.pending, graph.Vertex(u))
 		}
-	}
-	var pos []graph.Vertex
-	if r.walks != nil {
-		r.walks.Step(nil)
-		r.messages += int64(r.walks.N())
-		r.countA = forgetRespawned(r.informedA, r.countA, r.walks.Respawned(0))
-		pos = r.walks.Lane(0)
-		r.pending = collectDeposits(r.informedA, r.informed, pos, r.pending)
-	}
-	for _, v := range r.pending {
-		if !r.informed.Test(int(v)) {
-			r.informed.Set(int(v))
-			r.count++
-		}
-	}
-	if r.walks != nil {
-		r.countA = pickupAgents(r.informedA, r.countA, r.informed, pos)
 	}
 }

@@ -56,8 +56,9 @@ func (b budget) For(work int) int {
 type budgeted interface{ setBudget(b budget) }
 
 // NOTE: the bitset-word scans over agents share a helper only where the
-// per-agent predicate is the same concrete test (markInformed,
-// collectDeposits, pickupAgents). The meet-exchange meeting scan repeats
+// per-agent predicate is the same concrete test (markInformed for
+// meet-exchange; collectDeposits and pickupAgents for visit-exchange and
+// the hybrid's agent half). The meet-exchange meeting scan repeats
 // the loop shape — including the ghost-bit mask `inv &= 1<<rem - 1` for
 // the final partial word — rather than take a predicate closure: an
 // indirect call per agent would land in the engine's hottest loops. A fix
