@@ -2,6 +2,8 @@ package admission
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -398,30 +400,26 @@ func (c *Controller) clientLocked(id, apiKey string, keyed bool, now time.Time) 
 
 // evictIdleLocked drops clients with no live work, oldest-first, until
 // the map is a quarter under its cap — enough headroom that a scan per
-// new client is amortized away. Evicting an idle client only forgets
-// rate-limit history, never live accounting.
+// new client is amortized away. The idle clients are sorted once by
+// (lastSeen, id), so ties break the same way every time and the pass
+// costs one sort rather than a scan per evicted client. Evicting an idle
+// client only forgets rate-limit history, never live accounting.
 func (c *Controller) evictIdleLocked() {
-	target := c.opts.maxClients() * 3 / 4
-	type idle struct {
-		id   string
-		seen time.Time
-	}
-	var idles []idle
-	for id, cl := range c.clients {
+	idle := make([]*clientState, 0, len(c.clients))
+	for _, cl := range c.clients {
 		if cl.inFlight == 0 && cl.queued == 0 {
-			idles = append(idles, idle{id, cl.lastSeen})
+			idle = append(idle, cl)
 		}
 	}
-	for len(c.clients) > target && len(idles) > 0 {
-		oldest := 0
-		for i := 1; i < len(idles); i++ {
-			if idles[i].seen.Before(idles[oldest].seen) {
-				oldest = i
-			}
+	slices.SortFunc(idle, func(a, b *clientState) int {
+		if by := a.lastSeen.Compare(b.lastSeen); by != 0 {
+			return by
 		}
-		delete(c.clients, idles[oldest].id)
-		idles[oldest] = idles[len(idles)-1]
-		idles = idles[:len(idles)-1]
+		return strings.Compare(a.id, b.id)
+	})
+	excess := len(c.clients) - c.opts.maxClients()*3/4
+	for _, cl := range idle[:max(0, min(excess, len(idle)))] {
+		delete(c.clients, cl.id)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -448,6 +449,50 @@ func TestClientEviction(t *testing.T) {
 	}
 	held.Release()
 	checkConservation(t, c.Stats())
+}
+
+// TestClientEvictionOldestIdle pins which clients an eviction drops: the
+// idle ones, oldest lastSeen first, ties broken by identity, until the map
+// is at ¾ of its cap. The live client is the oldest of all and stays; the
+// two clients seen at the same instant straddle the cut, so a tie broken
+// by map order would drop the wrong one in some of the repeats.
+func TestClientEvictionOldestIdle(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	seen := []time.Duration{ // client 10.0.0.(i+2)'s first and only request
+		1 * time.Second, 2 * time.Second, 2 * time.Second,
+		3 * time.Second, 4 * time.Second, 5 * time.Second, 6 * time.Second,
+	}
+	for rep := 0; rep < 20; rep++ {
+		now := base
+		c := NewController(Options{MaxClients: 8, Now: func() time.Time { return now }})
+		held := c.Acquire(context.Background(), "", "10.0.0.1:1")
+		if held.Outcome != Admitted {
+			t.Fatalf("held acquire: %v", held.Outcome)
+		}
+		for i, d := range seen {
+			now = base.Add(d)
+			dec := c.Acquire(context.Background(), "", fmt.Sprintf("10.0.0.%d:1", i+2))
+			if dec.Outcome != Admitted {
+				t.Fatalf("acquire %d: %v", i, dec.Outcome)
+			}
+			dec.Release()
+		}
+		now = base.Add(10 * time.Second)
+		c.mu.Lock()
+		c.evictIdleLocked()
+		var got []string
+		for id := range c.clients {
+			got = append(got, id)
+		}
+		c.mu.Unlock()
+		slices.Sort(got)
+		want := []string{"addr:10.0.0.1", "addr:10.0.0.4", "addr:10.0.0.5", "addr:10.0.0.6", "addr:10.0.0.7", "addr:10.0.0.8"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("rep %d: clients after eviction %v, want %v (¾ of the cap, oldest idle dropped)", rep, got, want)
+		}
+		held.Release()
+		checkConservation(t, c.Stats())
+	}
 }
 
 func TestLoadConfigStrictAndMerge(t *testing.T) {
