@@ -48,21 +48,6 @@ func (s *Set) Clear(i int) {
 	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
-// SetAll sets every bit in [0, Len()).
-func (s *Set) SetAll() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trimTail()
-}
-
-// Reset clears every bit.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0
@@ -70,35 +55,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Full reports whether every bit in [0, Len()) is set.
-func (s *Set) Full() bool { return s.Count() == s.n }
-
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Union sets s to s ∪ o. Both sets must have the same capacity.
-func (s *Set) Union(o *Set) {
-	s.checkSameLen(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect sets s to s ∩ o. Both sets must have the same capacity.
-func (s *Set) Intersect(o *Set) {
-	s.checkSameLen(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
 }
 
 // CopyFrom overwrites s with the contents of o. Both sets must have the same
@@ -147,8 +103,8 @@ func (s *Set) NextClear(from int) int {
 // Words exposes the backing words (bit i lives at words[i/64], bit i%64).
 // The slice aliases internal storage: callers may read it — e.g. to iterate
 // set bits shard-by-shard without per-bit calls — but must not modify it.
-// Bits at positions >= Len() in the final word are not guaranteed clear
-// unless only Set/Clear/Reset were used.
+// Bits at positions >= Len() in the final word are always clear: no method
+// sets a bit outside [0, Len()).
 func (s *Set) Words() []uint64 { return s.words }
 
 // CommitNew ORs src into s one word at a time and calls fn for each bit
@@ -202,13 +158,5 @@ func (s *Set) String() string {
 func (s *Set) checkSameLen(o *Set) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d != %d", s.n, o.n))
-	}
-}
-
-// trimTail clears bits at positions >= n in the last word so Count stays
-// correct after SetAll.
-func (s *Set) trimTail() {
-	if s.n%wordBits != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << (uint(s.n) % wordBits)) - 1
 	}
 }

@@ -15,12 +15,6 @@ func TestNewEmpty(t *testing.T) {
 		if s.Count() != 0 {
 			t.Errorf("New(%d).Count() = %d, want 0", n, s.Count())
 		}
-		if s.Any() {
-			t.Errorf("New(%d).Any() = true, want false", n)
-		}
-		if n > 0 && s.Full() {
-			t.Errorf("New(%d).Full() = true, want false", n)
-		}
 	}
 }
 
@@ -56,32 +50,11 @@ func TestSetTestClear(t *testing.T) {
 	}
 }
 
-func TestSetAllFull(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 200} {
-		s := New(n)
-		s.SetAll()
-		if got := s.Count(); got != n {
-			t.Errorf("n=%d: Count after SetAll = %d", n, got)
-		}
-		if !s.Full() {
-			t.Errorf("n=%d: Full() = false after SetAll", n)
-		}
-		s.Reset()
-		if s.Any() {
-			t.Errorf("n=%d: Any() = true after Reset", n)
-		}
-	}
-}
-
-func TestFullZeroCapacity(t *testing.T) {
-	if !New(0).Full() {
-		t.Error("empty set with capacity 0 should be trivially full")
-	}
-}
-
 func TestNextClear(t *testing.T) {
 	s := New(200)
-	s.SetAll()
+	for i := range 200 {
+		s.Set(i)
+	}
 	if got := s.NextClear(0); got != -1 {
 		t.Errorf("NextClear on full set = %d, want -1", got)
 	}
@@ -114,32 +87,6 @@ func TestNextClearEmpty(t *testing.T) {
 	}
 }
 
-func TestUnionIntersect(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	a.Set(3)
-	a.Set(64)
-	b.Set(64)
-	b.Set(99)
-
-	u := a.Clone()
-	u.Union(b)
-	for _, i := range []int{3, 64, 99} {
-		if !u.Test(i) {
-			t.Errorf("union missing %d", i)
-		}
-	}
-	if u.Count() != 3 {
-		t.Errorf("union Count = %d, want 3", u.Count())
-	}
-
-	x := a.Clone()
-	x.Intersect(b)
-	if x.Count() != 1 || !x.Test(64) {
-		t.Errorf("intersect = %v, want {64}", x)
-	}
-}
-
 func TestCopyFromClone(t *testing.T) {
 	a := New(77)
 	a.Set(5)
@@ -158,10 +105,10 @@ func TestCopyFromClone(t *testing.T) {
 func TestCapacityMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Union with mismatched capacity did not panic")
+			t.Fatal("CopyFrom with mismatched capacity did not panic")
 		}
 	}()
-	New(10).Union(New(11))
+	New(10).CopyFrom(New(11))
 }
 
 func TestForEachOrder(t *testing.T) {
@@ -318,7 +265,7 @@ func TestCommitNewRedundant(t *testing.T) {
 	}
 }
 
-// TestCommitNewCapacityMismatchPanics mirrors the Union/Intersect contract.
+// TestCommitNewCapacityMismatchPanics mirrors the CopyFrom contract.
 func TestCommitNewCapacityMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -172,15 +172,6 @@ func DiameterEstimate(g *Graph) int {
 	return Eccentricity(g, far)
 }
 
-// DegreeHistogram returns a map degree -> count of vertices.
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(Vertex(v))]++
-	}
-	return h
-}
-
 // GiantComponent extracts the largest connected component as a new graph
 // with vertices renumbered densely. The second return value maps new vertex
 // ids back to ids in the original graph. Random-graph models such as
