@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"rumor/internal/async"
 	"rumor/internal/distnet"
 	"rumor/internal/exact"
 	"rumor/internal/graph"
@@ -293,6 +294,42 @@ func TestExactDistnetPushPullLaw(t *testing.T) {
 			rounds[i] = r.Rounds
 		}
 		checks = append(checks, lawCheck{name, lawPValue(pmf, rounds)})
+	}
+	requireLaw(t, checks)
+}
+
+// TestExactAsyncLaw: the asynchronous engine (internal/async: a Poisson
+// clock per vertex, one exchange per tick) against the continuous-time mean
+// exact.AsyncMean derives over informed subsets, on every rooted graph of
+// rootedSmall, for push and push-pull. Each check is a two-sided z-test of
+// the mean of exactTrials broadcast times on their sample variance.
+func TestExactAsyncLaw(t *testing.T) {
+	var checks []lawCheck
+	seed := uint64(2000)
+	for _, c := range rootedSmall(t) {
+		for _, p := range []async.Protocol{async.Push, async.PushPull} {
+			want, err := exact.AsyncMean(c.g, c.src, p == async.PushPull)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var times stats.Welford
+			for range exactTrials {
+				seed++
+				r, err := async.Run(c.g, c.src, xrand.New(seed), async.Config{Protocol: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.Completed {
+					t.Fatalf("%s from %d, async %s: trial did not complete", c.g.Name(), c.src, p)
+				}
+				times.Add(r.Time)
+			}
+			z := (times.Mean() - want) / math.Sqrt(times.Variance()/exactTrials)
+			checks = append(checks, lawCheck{
+				fmt.Sprintf("%s from %d, async %s: mean %.3f against %.3f", c.g.Name(), c.src, p, times.Mean(), want),
+				math.Erfc(math.Abs(z) / math.Sqrt2),
+			})
+		}
 	}
 	requireLaw(t, checks)
 }

@@ -1,7 +1,9 @@
 // Package exact computes rumor-spreading laws exactly, as an oracle the
 // simulation engines did not write: it shares no code with internal/core
-// and draws no random numbers. On small graphs it runs the protocol's
-// Markov chain over informed subsets; where the paper's analysis has a
+// or internal/async and draws no random numbers. On small graphs it runs
+// the protocol's Markov chain over informed subsets: forward in rounds for
+// the law of the synchronous broadcast time, and backward for the mean of
+// the asynchronous (continuous-time) one. Where the paper's analysis has a
 // closed form, it evaluates that.
 package exact
 
@@ -11,8 +13,8 @@ import (
 	"rumor/internal/graph"
 )
 
-// MaxN is the largest graph PushPMF and PushPullPMF accept: their state
-// space has 2^n informed subsets.
+// MaxN is the largest graph PushPMF, PushPullPMF and AsyncMean accept:
+// their state space has 2^n informed subsets.
 const MaxN = 12
 
 // tail is the law mass the forward program may leave unfinished.
@@ -42,17 +44,13 @@ func PushPullPMF(g *graph.Graph, src graph.Vertex, f float64) ([]float64, error)
 // PushPullPMF (pull: every vertex calls, and an uninformed caller learns
 // from an informed callee).
 func forward(g *graph.Graph, src graph.Vertex, f float64, pull bool) ([]float64, error) {
-	n := g.N()
-	switch {
-	case n < 2 || n > MaxN:
-		return nil, fmt.Errorf("exact: n = %d outside [2, %d]", n, MaxN)
-	case src < 0 || int(src) >= n:
-		return nil, fmt.Errorf("exact: source %d out of range", src)
-	case !graph.IsConnected(g):
-		return nil, fmt.Errorf("exact: %s is disconnected; the rumor never reaches every vertex", g.Name())
-	case f < 0 || f >= 1:
+	if err := check(g, src); err != nil {
+		return nil, err
+	}
+	if f < 0 || f >= 1 {
 		return nil, fmt.Errorf("exact: failure probability %g outside [0, 1)", f)
 	}
+	n := g.N()
 	full := uint32(1)<<n - 1
 	cur, next, sends, step := newLaw(n), newLaw(n), newLaw(n), newLaw(n)
 	cur.add(1<<src, 1)
@@ -103,6 +101,70 @@ func forward(g *graph.Graph, src graph.Vertex, f float64, pull bool) ([]float64,
 		next.reset()
 	}
 	return pmf, nil
+}
+
+// check rejects the inputs the subset programs cannot take: too few or
+// too many vertices, a source out of range, and a graph the rumor never
+// covers.
+func check(g *graph.Graph, src graph.Vertex) error {
+	n := g.N()
+	switch {
+	case n < 2 || n > MaxN:
+		return fmt.Errorf("exact: n = %d outside [2, %d]", n, MaxN)
+	case src < 0 || int(src) >= n:
+		return fmt.Errorf("exact: source %d out of range", src)
+	case !graph.IsConnected(g):
+		return fmt.Errorf("exact: %s is disconnected; the rumor never reaches every vertex", g.Name())
+	}
+	return nil
+}
+
+// AsyncMean returns the mean broadcast time of asynchronous push (pull
+// false) or push-pull from src on the connected graph g. Every vertex has
+// its own unit-rate Poisson clock (the paper's Section 2) and at each tick
+// calls one uniform neighbour; the call informs the callee if only the
+// caller knows the rumor, and with pull also the caller if only the callee
+// does. The informed set S is then a continuous-time chain that only
+// grows: an uninformed v joins at rate
+//
+//	r_v(S) = Σ_{u ∈ N(v) ∩ S} 1/deg(u) + pull·|N(v) ∩ S|/deg(v),
+//
+// so with Λ(S) = Σ_v r_v(S) the mean time to cover the graph from S is
+// E[S] = (1 + Σ_{v ∉ S} r_v(S)·E[S ∪ v]) / Λ(S), E[V] = 0. Every S ∪ v is
+// a larger mask than S, so one pass down from the full set solves it.
+func AsyncMean(g *graph.Graph, src graph.Vertex, pull bool) (float64, error) {
+	if err := check(g, src); err != nil {
+		return 0, err
+	}
+	n := g.N()
+	full := uint32(1)<<n - 1
+	mean := make([]float64, full+1)
+	for s := full - 1; s > 0; s-- {
+		if s>>src&1 == 0 {
+			continue // the source is informed from the start
+		}
+		var total, next float64
+		for v := range n {
+			if s>>v&1 == 1 {
+				continue
+			}
+			nb := g.Neighbors(graph.Vertex(v))
+			rate, in := 0.0, 0
+			for _, u := range nb {
+				if s>>u&1 == 1 {
+					rate += 1 / float64(g.Degree(u)) // u pushes to v
+					in++
+				}
+			}
+			if pull {
+				rate += float64(in) / float64(len(nb)) // v pulls from S
+			}
+			total += rate
+			next += rate * mean[s|1<<v]
+		}
+		mean[s] = (1 + next) / total
+	}
+	return mean[1<<src], nil
 }
 
 // law is a sparse probability vector over informed subsets: the masses

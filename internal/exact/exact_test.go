@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestPushPMFStarMoments(t *testing.T) {
 }
 
 // TestPushPMFRejects: inputs without a finite law, or too large to
-// enumerate, for both programs.
+// enumerate, for every program.
 func TestPushPMFRejects(t *testing.T) {
 	b := graph.NewBuilder(3, "edge+isolated")
 	if err := b.AddEdge(0, 1); err != nil {
@@ -180,5 +181,55 @@ func TestPushPMFRejects(t *testing.T) {
 		if _, err := PushPullPMF(c.g, c.src, c.f); err == nil {
 			t.Errorf("push-pull, %s: accepted", c.name)
 		}
+		if c.f != 0 {
+			continue // AsyncMean takes no failure probability
+		}
+		if _, err := AsyncMean(c.g, c.src, false); err == nil {
+			t.Errorf("async, %s: accepted", c.name)
+		}
+	}
+}
+
+// TestAsyncMeanClosedForms checks the backward program against means
+// worked out on paper, where each vertex's joining time is a sum or a
+// maximum of independent exponential waits.
+//   - Star from its centre, push: only the centre's calls inform, so it is
+//     the continuous coupon collector, L·H_L.
+//   - Star from its centre, push-pull: each leaf joins at rate 1 + 1/L (its
+//     own call, or the centre's) independently of the others, so the mean
+//     is the maximum of L such waits, H_L·L/(L + 1).
+//   - Path from an end, n ≥ 3, push: the end informs its neighbour at rate
+//     1, and each of the n − 2 inner vertices its successor at rate 1/2,
+//     1 + 2(n − 2).
+//   - Path from an end, push-pull: the first and the last step run at rate
+//     1 + 1/2 and the n − 3 between at rate 1/2 + 1/2, 4/3 + (n − 3).
+func TestAsyncMeanClosedForms(t *testing.T) {
+	mean := func(g *graph.Graph, src graph.Vertex, pull bool) float64 {
+		t.Helper()
+		m, err := AsyncMean(g, src, pull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s: AsyncMean %.15g, closed form %.15g", name, got, want)
+		}
+	}
+	harmonic := 0.0
+	for leaves := 1; leaves < MaxN; leaves++ {
+		harmonic += 1 / float64(leaves)
+		g := graph.Star(leaves)
+		center, _ := g.Landmark("center")
+		l := float64(leaves)
+		near(fmt.Sprintf("star:%d push", leaves), mean(g, center, false), l*harmonic)
+		near(fmt.Sprintf("star:%d push-pull", leaves), mean(g, center, true), harmonic*l/(l+1))
+	}
+	for n := 3; n <= MaxN; n++ {
+		g := graph.Path(n)
+		near(fmt.Sprintf("path:%d push", n), mean(g, 0, false), 1+2*float64(n-2))
+		near(fmt.Sprintf("path:%d push-pull", n), mean(g, 0, true), 4.0/3+float64(n-3))
 	}
 }
