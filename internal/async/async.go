@@ -79,6 +79,11 @@ func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, 
 	if g.M() == 0 {
 		return Result{}, fmt.Errorf("async: graph has no edges")
 	}
+	for v := range n {
+		if g.Degree(graph.Vertex(v)) == 0 {
+			return Result{}, fmt.Errorf("async: vertex %d is isolated; its ticks have no neighbour to call", v)
+		}
+	}
 	switch cfg.Protocol {
 	case Push, PushPull:
 	default:

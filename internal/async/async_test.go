@@ -2,6 +2,7 @@ package async
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,17 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(g, 0, xrand.New(1), Config{Protocol: "bogus"}); err == nil {
 		t.Error("bad protocol accepted")
+	}
+	b := graph.NewBuilder(3, "edge+isolated")
+	if err := b.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	split, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(split, 0, xrand.New(1), Config{Protocol: PushPull}); err == nil || !strings.Contains(err.Error(), "vertex 2") {
+		t.Errorf("isolated vertex: err = %v, want one naming vertex 2", err)
 	}
 }
 
