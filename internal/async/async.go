@@ -6,14 +6,15 @@
 // Woelfel [27] give tight sync-vs-async relations for push-pull; the
 // experiment harness checks the regular-graph correspondence empirically.
 //
-// The simulation is discrete-event: a binary heap of pending activations,
-// exponential inter-arrival times, instantaneous exchanges. Broadcast time
-// is reported in continuous time units (one unit = one expected activation
-// per node), directly comparable to synchronous rounds.
+// n independent unit-rate clocks are one rate-n clock whose every tick
+// belongs to a node drawn uniformly at random (Poisson superposition), so
+// the simulation keeps one clock: exponential waits of mean 1/n, a uniform
+// node per tick, instantaneous exchanges. Broadcast time is reported in
+// continuous time units (one unit = one expected activation per node),
+// directly comparable to synchronous rounds.
 package async
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -49,27 +50,6 @@ type Result struct {
 	Completed bool
 }
 
-// event is one pending node activation.
-type event struct {
-	at   float64
-	node graph.Vertex
-}
-
-// eventHeap is a min-heap of activations ordered by time.
-type eventHeap []event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // Run simulates the asynchronous protocol on g from source src.
 func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, error) {
 	n := g.N()
@@ -98,22 +78,16 @@ func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, 
 	informed.Set(int(src))
 	count := 1
 
-	// Initial activation per node: Exp(1) from time zero.
-	h := make(eventHeap, 0, n)
-	for v := 0; v < n; v++ {
-		h = append(h, event{at: expSample(rng), node: graph.Vertex(v)})
-	}
-	heap.Init(&h)
-
 	var res Result
+	now := 0.0
 	for count < n {
-		ev := heap.Pop(&h).(event)
-		if ev.at > maxTime {
+		now += expSample(rng) / float64(n)
+		if now > maxTime {
 			res.Time = maxTime
 			return res, nil
 		}
 		res.Activations++
-		u := ev.node
+		u := graph.Vertex(rng.IntN(n))
 		nb := g.Neighbors(u)
 		v := nb[rng.IntN(len(nb))]
 		iu, iv := informed.Test(int(u)), informed.Test(int(v))
@@ -122,14 +96,13 @@ func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, 
 			// push direction: both protocols transmit u -> v.
 			informed.Set(int(v))
 			count++
-			res.Time = ev.at
+			res.Time = now
 		case !iu && iv && cfg.Protocol == PushPull:
 			// pull direction: only push-pull retrieves v -> u.
 			informed.Set(int(u))
 			count++
-			res.Time = ev.at
+			res.Time = now
 		}
-		heap.Push(&h, event{at: ev.at + expSample(rng), node: u})
 	}
 	res.Completed = true
 	return res, nil

@@ -172,3 +172,69 @@ func TestQuickCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClosedFormMeans holds the engine's mean broadcast time to means worked
+// out on paper (exact.AsyncMean agrees with each at n ≤ 12). In each case
+// the broadcast time is a sum of independent exponential waits:
+//   - star:L from its centre, push: the continuous coupon collector, waits
+//     of rate k/L for k = 1..L, mean L·H_L;
+//   - star:L from its centre, push-pull: the maximum of L independent waits
+//     of rate λ = 1 + 1/L, which is a sum of waits of rate kλ, mean H_L/λ;
+//   - path:n from an end, push: one wait of rate 1, then n − 2 of rate 1/2;
+//   - path:n from an end, push-pull: rate 3/2 for the first and the last
+//     step, rate 1 for the n − 3 between.
+//
+// Each is a two-sided z-test on the exact variance at α = 1e-3 split over
+// the four cases. The trial counts keep the whole test near 3·10⁶ ticks.
+func TestClosedFormMeans(t *testing.T) {
+	rates := func(steps int, rate func(k int) float64) []float64 {
+		rs := make([]float64, steps)
+		for i := range rs {
+			rs[i] = rate(i + 1)
+		}
+		return rs
+	}
+	const bound = 1e-3 / 4
+	for _, c := range []struct {
+		spec   string
+		g      *graph.Graph
+		p      Protocol
+		trials int
+		rates  []float64
+	}{
+		{"star:64", graph.Star(64), Push, 40, rates(64, func(k int) float64 { return float64(k) / 64 })},
+		{"star:1024", graph.Star(1024), PushPull, 100, rates(1024, func(k int) float64 { return float64(k) * (1 + 1.0/1024) })},
+		{"path:64", graph.Path(64), Push, 100, rates(63, func(k int) float64 {
+			if k == 1 {
+				return 1
+			}
+			return 0.5
+		})},
+		{"path:128", graph.Path(128), PushPull, 40, rates(127, func(k int) float64 {
+			if k == 1 || k == 127 {
+				return 1.5
+			}
+			return 1
+		})},
+	} {
+		var mean, variance float64
+		for _, r := range c.rates {
+			mean += 1 / r
+			variance += 1 / (r * r)
+		}
+		sum := 0.0
+		for i := range c.trials {
+			// Vertex 0 is the star's centre and the path's first end.
+			res, err := Run(c.g, 0, xrand.New(uint64(1000+i)), Config{Protocol: c.p})
+			if err != nil || !res.Completed {
+				t.Fatalf("%s %s: %v (completed %v)", c.spec, c.p, err, res.Completed)
+			}
+			sum += res.Time
+		}
+		got := sum / float64(c.trials)
+		z := (got - mean) / math.Sqrt(variance/float64(c.trials))
+		if p := math.Erfc(math.Abs(z) / math.Sqrt2); p < bound {
+			t.Errorf("%s %s: mean %.2f over %d trials, closed form %.2f (z = %.2f, p = %.3g)", c.spec, c.p, got, c.trials, mean, z, p)
+		}
+	}
+}

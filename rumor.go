@@ -218,8 +218,8 @@ const (
 	AsyncPushPull = async.PushPull
 )
 
-// RunAsync simulates asynchronous rumor spreading by discrete-event
-// simulation.
+// RunAsync simulates asynchronous rumor spreading: a unit-rate Poisson
+// clock per vertex, run as one superposed clock of rate n.
 var RunAsync = async.Run
 
 // Distributed runtime (one goroutine per vertex).
