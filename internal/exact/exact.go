@@ -122,8 +122,8 @@ func check(g *graph.Graph, src graph.Vertex) error {
 // AsyncMean returns the mean broadcast time of asynchronous push (pull
 // false) or push-pull from src on the connected graph g. Every vertex has
 // its own unit-rate Poisson clock (the paper's Section 2) and at each tick
-// calls one uniform neighbour; the call informs the callee if only the
-// caller knows the rumor, and with pull also the caller if only the callee
+// calls one uniform neighbour. The call informs the callee if only the
+// caller knows the rumor and, with pull, the caller if only the callee
 // does. The informed set S is then a continuous-time chain that only
 // grows: an uninformed v joins at rate
 //
