@@ -22,14 +22,11 @@
 // samples its respawn vertex from the stationary distribution on the same
 // stream, a survivor takes its walk draw next. No draw depends on
 // execution order, on how many values other agents consumed, or on which
-// lanes step alongside, so a step may be split into any number of shards
-// over the worker pool in internal/par, and a lane may sit out rounds, with
-// bit-identical results. A walk system never decides its shard count for
-// itself: it steps inline until its owner — the protocol engine in core,
-// which holds the parallelism budget — calls SetShards. The order-sensitive
-// output, each lane's Respawned list, is collected per shard and merged in
-// shard order, which — shards being contiguous, ascending id ranges —
-// preserves the paper's "ties broken by agent id" ordering.
+// lanes step alongside, so a lane may sit out rounds with bit-identical
+// results. A step runs on the goroutine that calls it; the engine in core
+// runs whole walk systems in parallel, never parts of one. The
+// order-sensitive output, each lane's Respawned list, is built in
+// ascending agent id, the paper's "ties broken by agent id" ordering.
 //
 // The walk step writes positions only; what the protocols do with them
 // (deposits, pickups, meetings) is theirs, in package core. The package
@@ -87,8 +84,7 @@ func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) err
 	case PlaceStationary:
 		// O(1) alias sampling per agent (table cached on the graph); agent
 		// i draws from its round-0 stream, so placement is order-independent
-		// too. It runs inline: constructors execute on the engine's trial
-		// workers, before any shard budget exists.
+		// too.
 		alias := g.StationaryAlias()
 		for i := range lane {
 			s := xrand.NewStream(seed, uint64(i), 0)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"rumor/internal/graph"
-	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
 
@@ -18,7 +17,7 @@ import (
 // the first value of trial t's RNG, so a lane's trajectory depends on its
 // own RNG alone: lane t of a K-lane system is bit-identical to a one-lane
 // system built from the same RNG. The churn-free loop takes no
-// data-dependent branch (see stepShard).
+// data-dependent branch (see stepBlocks).
 //
 // Positions use a struct-of-arrays [K][numAgents] layout (lane-major), so
 // each lane's positions remain a contiguous slice (Lane) that the protocol
@@ -44,9 +43,8 @@ type BatchedWalks struct {
 	prev []graph.Vertex
 
 	// respawned[t] lists lane t's agents replaced by churn in the latest
-	// Step; shardResp[s][t] is shard s's part of it, merged in shard order.
+	// Step, in id order.
 	respawned [][]int
-	shardResp [][][]int
 
 	// laneIDs lists the lanes active this Step, rebuilt from the mask each
 	// round; a lane's pos/prev offset is laneIDs[j]*count.
@@ -62,12 +60,7 @@ type BatchedWalks struct {
 	// bodies, which need no walk-index load.
 	deg uint32
 
-	// stepFn is stepShard bound once, so sharded dispatch allocates no
-	// closure per round.
-	stepFn func(shard, lo, hi int)
-
-	shards int // shards per step, set by the owner (SetShards)
-	round  int
+	round int
 }
 
 // NewBatched creates K = len(rngs) walk systems sharing one fused stepper.
@@ -104,7 +97,6 @@ func NewBatched(g *graph.Graph, cfg Config, rngs []*xrand.RNG) (*BatchedWalks, e
 		w.seeds[t] = rng.Uint64()
 	}
 	w.deg = uint32(g.RegularDegree())
-	w.stepFn = w.stepShard
 	// Lane t's agent i draws its placement from stream (seeds[t], i, 0).
 	for t := 0; t < k; t++ {
 		if err := placeLane(g, cfg, w.seeds[t], w.pos[t*cfg.Count:(t+1)*cfg.Count]); err != nil {
@@ -120,12 +112,6 @@ func (w *BatchedWalks) K() int { return w.k }
 
 // N returns the number of agents per lane.
 func (w *BatchedWalks) N() int { return w.count }
-
-// SetShards sets how many contiguous agent shards each following step is
-// split into over the worker pool (fewer than two: inline). The owner may
-// change it every round, as lanes finish and the step's work shrinks; the
-// count never changes a trajectory, only who executes it.
-func (w *BatchedWalks) SetShards(shards int) { w.shards = shards }
 
 // Round returns the number of Step calls so far.
 func (w *BatchedWalks) Round() int { return w.round }
@@ -148,9 +134,9 @@ func (w *BatchedWalks) Prev(t int) []graph.Vertex {
 }
 
 // Respawned returns the ids of lane t's agents replaced by churn during the
-// latest Step, in increasing id order at any shard count (empty without
-// churn, and for a lane masked out of that Step). The slice is reused
-// between rounds; callers must not retain it.
+// latest Step, in increasing id order (empty without churn, and for a
+// lane masked out of that Step). The slice is reused between rounds;
+// callers must not retain it.
 func (w *BatchedWalks) Respawned(t int) []int { return w.respawned[t] }
 
 // Step advances every lane with active[t] true by one synchronous round
@@ -158,6 +144,14 @@ func (w *BatchedWalks) Respawned(t int) []int { return w.respawned[t] }
 // are keyed by round, so skipping rounds never shifts later draws). active
 // must have length K; passing nil steps every lane.
 func (w *BatchedWalks) Step(active []bool) {
+	if w.begin(active) {
+		w.stepBlocks()
+	}
+}
+
+// begin opens a step: it advances the round, swaps the position buffers
+// and lists the active lanes, and reports whether any lane steps.
+func (w *BatchedWalks) begin(active []bool) bool {
 	w.round++
 	// Swap buffers: the fused loop reads prev and writes pos for active
 	// lanes; a lane masked off after stepping needs its frozen positions
@@ -175,23 +169,7 @@ func (w *BatchedWalks) Step(active []bool) {
 			w.dirty[t] = false
 		}
 	}
-	if len(w.laneIDs) == 0 {
-		return
-	}
-	shards := min(max(w.shards, 1), w.count)
-	if w.churn {
-		for len(w.shardResp) < shards {
-			w.shardResp = append(w.shardResp, make([][]int, w.k))
-		}
-	}
-	par.DoN(shards, w.count, w.stepFn)
-	if w.churn {
-		for _, t := range w.laneIDs {
-			for _, part := range w.shardResp[:shards] {
-				w.respawned[t] = append(w.respawned[t], part[t]...)
-			}
-		}
-	}
+	return len(w.laneIDs) > 0
 }
 
 // batchBlock is the agent-block width of the step: lanes take turns
@@ -203,7 +181,7 @@ const (
 	batchBlock = 1 << blockBits
 )
 
-// stepShard is the blocked loop: agents [lo, hi) of every active lane,
+// stepBlocks is the blocked loop over the agents of every active lane,
 // blocked so each lane's turn is a tight scan. No (lane, agent) step takes
 // a data-dependent branch.
 //
@@ -221,12 +199,12 @@ const (
 // The six block bodies are written out rather than parameterized: an
 // indirect call per (lane, agent) would give back more than the
 // specialization wins. Churn, and graphs too large to pack, take the
-// per-agent stream path (stepShardStreams) instead; every path consumes
-// the same draws and applies the same reductions.
-func (w *BatchedWalks) stepShard(shard, lo, hi int) {
+// per-agent stream path (stepStreams) instead; every path consumes the
+// same draws and applies the same reductions.
+func (w *BatchedWalks) stepBlocks() {
 	idx := w.g.WalkIndex()
 	if idx == nil || w.churn {
-		w.stepShardStreams(shard, lo, hi)
+		w.stepStreams()
 		return
 	}
 	nbrs := w.g.NeighborsRaw()
@@ -236,8 +214,8 @@ func (w *BatchedWalks) stepShard(shard, lo, hi int) {
 	pow2 := d&(d-1) == 0
 	var slots [batchBlock]uint32
 	var moves [batchBlock]uint64
-	for blo := lo; blo < hi; blo += batchBlock {
-		bhi := min(blo+batchBlock, hi)
+	for blo := 0; blo < w.count; blo += batchBlock {
+		bhi := min(blo+batchBlock, w.count)
 		for _, t := range w.laneIDs {
 			off := t * w.count
 			base := xrand.MixBase(w.seeds[t], uint64(blo), round)
@@ -369,13 +347,13 @@ func gatherMoves(ps []graph.Vertex, moves []uint64, nbrs []graph.Vertex) {
 	}
 }
 
-// stepShardStreams steps agents [lo, hi) of every active lane through
-// their own streams and Graph.Neighbors, consuming exactly the draws of the
-// fused loop — plus, with churn, a death coin first: a dead agent samples
-// its respawn vertex from the stationary distribution on the same stream
-// and is recorded in the shard's respawn list, in id order; a survivor
-// takes the walk draw next.
-func (w *BatchedWalks) stepShardStreams(shard, lo, hi int) {
+// stepStreams steps the agents of every active lane through their own
+// streams and Graph.Neighbors, consuming exactly the draws of the fused
+// loop — plus, with churn, a death coin first: a dead agent samples its
+// respawn vertex from the stationary distribution on the same stream and
+// is appended to its lane's respawn list, in id order; a survivor takes
+// the walk draw next.
+func (w *BatchedWalks) stepStreams() {
 	round := uint64(w.round)
 	lazy, churn, threshold := w.cfg.Lazy, w.churn, w.churnThreshold
 	var alias *xrand.Alias
@@ -386,11 +364,8 @@ func (w *BatchedWalks) stepShardStreams(shard, lo, hi int) {
 		off := t * w.count
 		seed := w.seeds[t]
 		pos, prev := w.pos[off:off+w.count], w.prev[off:off+w.count]
-		var resp []int
-		if churn {
-			resp = w.shardResp[shard][t][:0]
-		}
-		for i := lo; i < hi; i++ {
+		resp := w.respawned[t]
+		for i := range w.count {
 			from := prev[i]
 			s := xrand.NewStream(seed, uint64(i), round)
 			if churn && s.Uint64() < threshold {
@@ -409,8 +384,6 @@ func (w *BatchedWalks) stepShardStreams(shard, lo, hi int) {
 				pos[i] = nb[xrand.ReduceDeg(u, len(nb))]
 			}
 		}
-		if churn {
-			w.shardResp[shard][t] = resp
-		}
+		w.respawned[t] = resp
 	}
 }

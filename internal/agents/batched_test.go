@@ -126,9 +126,9 @@ func BenchmarkBatchedWalksStepStar8(b *testing.B) { benchBatched(b, graph.Star(4
 // degree, and the branchless bodies on a mixed-degree graph and on a path
 // (every degree a power of two, yet not regular), simple and lazy — moves
 // each agent exactly where the per-agent stream path moves it. Systems of
-// one and three lanes step three full blocks and a ragged tail, split into
-// one to three shards, under random active masks, against a twin whose
-// every step goes through stepShardStreams. A step allocates nothing.
+// one and three lanes step three full blocks and a ragged tail, under
+// three sequences of random active masks, against a twin whose every step
+// goes through stepStreams. A step allocates nothing.
 func TestWalkKernelsMatchStreams(t *testing.T) {
 	const count = 3*batchBlock + 37
 	for _, c := range []struct {
@@ -149,7 +149,7 @@ func TestWalkKernelsMatchStreams(t *testing.T) {
 		}
 		for _, lazy := range []bool{false, true} {
 			for _, k := range []int{1, 3} {
-				for shards := 1; shards <= 3; shards++ {
+				for maskSeed := uint64(1); maskSeed <= 3; maskSeed++ {
 					cfg := Config{Count: count, Lazy: lazy}
 					w, err := NewBatched(g, cfg, trialRNGs(11, k))
 					if err != nil {
@@ -159,23 +159,22 @@ func TestWalkKernelsMatchStreams(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref.stepFn = ref.stepShardStreams
-					w.SetShards(shards)
-					ref.SetShards(shards)
-					masks := xrand.New(uint64(shards))
+					masks := xrand.New(maskSeed)
 					active := make([]bool, k)
 					for r := 1; r <= 8; r++ {
 						for tr := range active {
 							active[tr] = masks.IntN(4) != 0
 						}
 						w.Step(active)
-						ref.Step(active)
+						if ref.begin(active) {
+							ref.stepStreams()
+						}
 						if !reflect.DeepEqual(w.pos, ref.pos) {
-							t.Fatalf("%s lazy=%v K=%d shards=%d round %d: kernels diverge from the stream path", c.spec, lazy, k, shards, r)
+							t.Fatalf("%s lazy=%v K=%d masks=%d round %d: kernels diverge from the stream path", c.spec, lazy, k, maskSeed, r)
 						}
 					}
 					if allocs := testing.AllocsPerRun(5, func() { w.Step(nil) }); allocs != 0 {
-						t.Errorf("%s lazy=%v K=%d shards=%d: Step allocates %v times", c.spec, lazy, k, shards, allocs)
+						t.Errorf("%s lazy=%v K=%d: Step allocates %v times", c.spec, lazy, k, allocs)
 					}
 				}
 			}

@@ -12,13 +12,13 @@ import (
 // FuzzWalkLanes: lane t of a K-lane system equals a one-lane system built
 // from the same RNG — positions, previous positions and respawn lists,
 // round by round — on a small random graph, for any K ≤ 8, churn rate,
-// laziness, shard count and sequence of active masks. The one-lane twin is
+// laziness and sequence of active masks. The one-lane twin is
 // masked in the rounds its lane is.
 func FuzzWalkLanes(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(0), false, uint8(1), uint64(7), uint8(20))
-	f.Add(uint64(2), uint8(8), uint8(40), true, uint8(8), uint64(9), uint8(3))
-	f.Add(uint64(3), uint8(1), uint8(255), false, uint8(2), uint64(0), uint8(70))
-	f.Fuzz(func(t *testing.T, seed uint64, k, churn uint8, lazy bool, shards uint8, maskSeed uint64, count uint8) {
+	f.Add(uint64(1), uint8(3), uint8(0), false, uint64(7), uint8(20))
+	f.Add(uint64(2), uint8(8), uint8(40), true, uint64(9), uint8(3))
+	f.Add(uint64(3), uint8(1), uint8(255), false, uint64(0), uint8(70))
+	f.Fuzz(func(t *testing.T, seed uint64, k, churn uint8, lazy bool, maskSeed uint64, count uint8) {
 		rng := xrand.New(seed)
 		n := 2 + rng.IntN(40)
 		g, err := graph.FromSpec(fmt.Sprintf("gnp:%d,%g", n, 0.05+0.9*rng.Float64()), seed)
@@ -48,7 +48,6 @@ func FuzzWalkLanes(f *testing.F) {
 			for tr := range active {
 				active[tr] = masks.IntN(4) != 0
 			}
-			w.SetShards(1 + int(shards%9))
 			w.Step(active)
 			for tr, one := range ref {
 				one.Step(active[tr : tr+1])

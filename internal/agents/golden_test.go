@@ -90,9 +90,8 @@ func hashRound(h hash.Hash, round int, pos []graph.Vertex, resp []int) {
 
 // recordWalks digests every trial of every case — the placement, then each
 // round's positions and respawn list — stepping trials walkGoldenTrials at
-// a time as the lanes of one system of width k, split into the given
-// number of shards.
-func recordWalks(t *testing.T, k, shards int) map[string]string {
+// a time as the lanes of one system of width k.
+func recordWalks(t *testing.T, k int) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, c := range walkGoldenCases(t) {
@@ -105,7 +104,6 @@ func recordWalks(t *testing.T, k, shards int) map[string]string {
 			if err != nil {
 				t.Fatalf("%s: %v", c.key, err)
 			}
-			w.SetShards(shards)
 			hs := make([]hash.Hash, len(rngs))
 			for i := range hs {
 				hs[i] = sha256.New()
@@ -133,30 +131,17 @@ func recordWalks(t *testing.T, k, shards int) map[string]string {
 // rewrites the file, which a behaviour-preserving change never needs.
 func TestGoldenWalks(t *testing.T) {
 	if *updateGolden {
-		writeGolden(t, walkGoldenPath, recordWalks(t, 1, 1))
+		writeGolden(t, walkGoldenPath, recordWalks(t, 1))
 		return
 	}
-	checkGolden(t, walkGoldenPath, recordWalks(t, 1, 1))
+	checkGolden(t, walkGoldenPath, recordWalks(t, 1))
 }
 
 // TestBatchedWalksMatchSerial: every lane of a three-lane system traces
 // exactly the trajectory the serial walk system recorded for its trial
 // RNG (testdata/walks_golden.json).
 func TestBatchedWalksMatchSerial(t *testing.T) {
-	checkGolden(t, walkGoldenPath, recordWalks(t, 3, 1))
-}
-
-// TestBudgetShardedWalksMatchInline: split into 2 or 8 shards, one-lane and
-// three-lane systems still reproduce the recorded trajectories — the churn
-// respawn merge included.
-func TestBudgetShardedWalksMatchInline(t *testing.T) {
-	for _, k := range []int{1, 3} {
-		for _, shards := range []int{2, 8} {
-			t.Run(fmt.Sprintf("K=%d/shards=%d", k, shards), func(t *testing.T) {
-				checkGolden(t, walkGoldenPath, recordWalks(t, k, shards))
-			})
-		}
-	}
+	checkGolden(t, walkGoldenPath, recordWalks(t, 3))
 }
 
 func writeGolden(t *testing.T, path string, got map[string]string) {

@@ -50,7 +50,9 @@ type Result struct {
 	Completed bool
 }
 
-// Run simulates the asynchronous protocol on g from source src.
+// Run simulates the asynchronous protocol on g from source src. It refuses
+// a graph the rumor cannot cover: one with an isolated vertex, or one that
+// is disconnected.
 func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, error) {
 	n := g.N()
 	if src < 0 || int(src) >= n {
@@ -63,6 +65,9 @@ func Run(g *graph.Graph, src graph.Vertex, rng *xrand.RNG, cfg Config) (Result, 
 		if g.Degree(graph.Vertex(v)) == 0 {
 			return Result{}, fmt.Errorf("async: vertex %d is isolated; its ticks have no neighbour to call", v)
 		}
+	}
+	if !graph.IsConnected(g) {
+		return Result{}, fmt.Errorf("async: graph is disconnected; the rumor cannot reach every vertex")
 	}
 	switch cfg.Protocol {
 	case Push, PushPull:

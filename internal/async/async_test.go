@@ -29,6 +29,21 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(split, 0, xrand.New(1), Config{Protocol: PushPull}); err == nil || !strings.Contains(err.Error(), "vertex 2") {
 		t.Errorf("isolated vertex: err = %v, want one naming vertex 2", err)
 	}
+	// Two disjoint paths: no vertex is isolated, yet half the graph is
+	// unreachable, and the clock would tick until MaxTime.
+	b = graph.NewBuilder(6, "two-paths")
+	for _, e := range [][2]graph.Vertex{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twoPaths, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(twoPaths, 0, xrand.New(1), Config{Protocol: PushPull}); err == nil || !strings.Contains(err.Error(), "disconnected") {
+		t.Errorf("disconnected graph: err = %v, want one saying it is disconnected", err)
+	}
 }
 
 func TestCompletesOnFamilies(t *testing.T) {

@@ -68,8 +68,7 @@ func atGOMAXPROCS[T any](t *testing.T, procs int, f func() T) T {
 // TestBatchedEquivalence: batched results equal serial RunMany results for
 // K trials, per trial, on mixed-degree (star: branchless select loops,
 // also bipartite so plain meetx goes lazy) and uniform-degree (hypercube)
-// graphs, at GOMAXPROCS 1 and 8 and under forced inner budgets {1, 2, 8}
-// (see compareLanes).
+// graphs, at GOMAXPROCS 1 and 8 (see compareLanes).
 func TestBatchedEquivalence(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Hypercube(9), // n = 512, uniform degree 9 (multiply-shift class)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rumor/internal/graph"
-	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
 
@@ -62,9 +61,8 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 //
 // A push-pull round evaluated from every vertex resolves each vertex's
 // call and keeps its transfer in one pass per lane (collectExchangeDense),
-// with nothing materialized between the draw and the collect. The lane
-// passes run sharded across lanes when the bundle's budget and the round's
-// work allow. A lane whose cut has a small side skips the every-vertex
+// with nothing materialized between the draw and the collect. A lane
+// whose cut has a small side skips the every-vertex
 // pass and resolves only the calls across the cut — push always does, its
 // every-caller pass being its informed side — and after two stagnant
 // rounds a lane enters boundary mode, where only the vertices whose call
@@ -87,10 +85,7 @@ type BatchedCall struct {
 	// such round, so a forced run pins one path through all regimes.
 	forceSide side
 
-	activeIDs []int
-	budget    budget
-	laneFn    func(shard, lo, hi int)
-	round     int
+	round int
 }
 
 var _ LaneProcess = (*BatchedCall)(nil)
@@ -131,7 +126,6 @@ func newBatchedCall(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, pull bool
 		lanes:   make([]callLane, len(rngs)),
 		observe: observe,
 	}
-	p.laneFn = p.laneShard
 	for t, rng := range rngs {
 		p.seeds[t] = rng.Uint64()
 		p.lanes[t].init(g, s, pull)
@@ -166,21 +160,31 @@ func (p *BatchedCall) LaneMessages(t int) int64 { return p.lanes[t].messages }
 // agents.
 func (p *BatchedCall) LaneAllAgentsInformed(int) bool { return false }
 
-func (p *BatchedCall) setBudget(b budget) { p.budget = b }
-
 // Round returns the number of rounds the bundle has stepped.
 func (p *BatchedCall) Round() int { return p.round }
 
-// Step implements LaneProcess: the per-lane collect/commit passes, then
-// the observer's replay of the round's calls.
+// Step implements LaneProcess: each active lane's round, then the
+// observer's replay of the round's calls. A lane's round settles its side,
+// counts the round's calls, collects the transfers against the pre-round
+// informed state, then commits. A vertex informed during round t neither
+// calls (in push) nor passes the rumor on until round t+1, exactly as
+// Section 3 specifies.
 func (p *BatchedCall) Step(active []bool) {
 	p.round++
-	p.activeIDs = activeLanes(p.activeIDs[:0], active, len(p.lanes))
-	work := 0 // units the lane passes touch
-	for _, t := range p.activeIDs {
-		work += p.lanes[t].plan(p.g, p.forceSide)
+	for t := range p.lanes {
+		if active != nil && !active[t] {
+			continue
+		}
+		L := &p.lanes[t]
+		L.plan(p.g, p.forceSide)
+		if p.pull {
+			L.messages += p.callers // every non-isolated vertex calls a neighbor
+		} else {
+			L.messages += int64(L.count) // every informed vertex calls
+		}
+		L.collect(p.g, &p.sampler, p.seeds[t], uint64(p.round), p.failTh)
+		L.commit(p.g)
 	}
-	par.DoN(p.budget.For(work), len(p.activeIDs), p.laneFn)
 	if p.observe != nil {
 		p.observeCalls()
 	}
@@ -196,23 +200,5 @@ func (p *BatchedCall) observeCalls() {
 		if v := p.sampler.call(p.seeds[0], graph.Vertex(u), round, 0); v >= 0 {
 			p.observe(p.round, graph.Vertex(u), v)
 		}
-	}
-}
-
-// laneShard runs the round for active lanes [lo, hi): per lane, count the
-// round's calls, collect the transfers against the pre-round informed
-// state, then commit. A vertex informed during round t neither calls (in
-// push) nor passes the rumor on until round t+1, exactly as Section 3
-// specifies.
-func (p *BatchedCall) laneShard(_, lo, hi int) {
-	for _, t := range p.activeIDs[lo:hi] {
-		L := &p.lanes[t]
-		if p.pull {
-			L.messages += p.callers // every non-isolated vertex calls a neighbor
-		} else {
-			L.messages += int64(L.count) // every informed vertex calls
-		}
-		L.collect(p.g, &p.sampler, p.seeds[t], uint64(p.round), p.failTh)
-		L.commit(p.g)
 	}
 }

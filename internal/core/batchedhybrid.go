@@ -6,7 +6,6 @@ import (
 	"rumor/internal/agents"
 	"rumor/internal/bitset"
 	"rumor/internal/graph"
-	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
 
@@ -43,8 +42,7 @@ type hybridLane struct {
 //
 // The agent phase is one fused BatchedWalks round for all lanes, and the
 // informing passes (exchange collect, agent deposit, commit, agent pickup)
-// are sharded across lanes like BatchedVisitExchange's — each lane writes
-// only its own state, so the shard split is deterministic. The agent half
+// then run lane by lane, like BatchedVisitExchange's. The agent half
 // is visit-exchange's round, through the same collectDeposits and
 // pickupAgents, so its deposits scan positions once every agent is
 // informed. Each lane's exchange phase is a push-pull lane's (every
@@ -67,10 +65,7 @@ type BatchedHybrid struct {
 
 	forceSide side // tests only: see BatchedCall.forceSide
 
-	activeIDs []int
-	budget    budget
-	laneFn    func(shard, lo, hi int)
-	round     int
+	round int
 }
 
 var _ LaneProcess = (*BatchedHybrid)(nil)
@@ -100,7 +95,6 @@ func NewBatchedHybrid(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts Ag
 		lanes:   make([]hybridLane, len(rngs)),
 		observe: opts.Observer,
 	}
-	h.laneFn = h.laneShard
 	for t, rng := range rngs {
 		// NewBatched drew lane t's walk seed from rngs[t]; the exchange
 		// seed is the next value.
@@ -141,8 +135,6 @@ func (h *BatchedHybrid) LaneAllAgentsInformed(t int) bool {
 	return h.lanes[t].countA == h.walks.N()
 }
 
-func (h *BatchedHybrid) setBudget(b budget) { h.budget = b }
-
 // Round returns the number of rounds the bundle has stepped.
 func (h *BatchedHybrid) Round() int { return h.round }
 
@@ -152,34 +144,25 @@ func (h *BatchedHybrid) Round() int { return h.round }
 // as resolving them before it.
 func (h *BatchedHybrid) Step(active []bool) {
 	h.round++
-	h.activeIDs = activeLanes(h.activeIDs[:0], active, len(h.lanes))
-	agentWork := len(h.activeIDs) * h.walks.N()
-	work := agentWork // plus the units the exchange collects touch
-	for _, t := range h.activeIDs {
-		work += h.lanes[t].plan(h.g, h.forceSide)
-	}
-	h.walks.SetShards(h.budget.For(agentWork))
 	h.walks.Step(active)
 	if h.observe != nil {
 		observeMoves(h.observe, h.walks)
 	}
-	par.DoN(h.budget.For(work), len(h.activeIDs), h.laneFn)
-}
-
-// laneShard runs the informing passes for active lanes [lo, hi).
-func (h *BatchedHybrid) laneShard(_, lo, hi int) {
-	for _, t := range h.activeIDs[lo:hi] {
-		h.stepLane(t)
+	for t := range h.lanes {
+		if active == nil || active[t] {
+			h.stepLane(t)
+		}
 	}
 }
 
-// stepLane applies one hybrid round to lane t: exchange collect against
-// the pre-round informed set, agent deposit, commit of both mechanisms'
-// finds, then agent pickup.
+// stepLane applies one hybrid round to lane t: the exchange's side, its
+// collect against the pre-round informed set, agent deposit, commit of
+// both mechanisms' finds, then agent pickup.
 func (h *BatchedHybrid) stepLane(t int) {
 	L := &h.lanes[t]
 	n := h.g.N()
 	na := h.walks.N()
+	L.plan(h.g, h.forceSide)
 	L.messages += h.callers + int64(na)
 	L.collect(h.g, &h.sampler, h.seeds[t], uint64(h.round), 0)
 

@@ -7,18 +7,16 @@ import (
 	"rumor/internal/agents"
 	"rumor/internal/bitset"
 	"rumor/internal/graph"
-	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
 
 // Batched visit-exchange and meet-exchange bundles. Each lane carries the
 // full per-trial protocol state (informed bitsets, counts); the walk step
 // is fused across lanes by agents.BatchedWalks, and the informing passes
-// run per lane after it. When the bundle's budget and the round's work
-// allow, those passes shard across lanes, since lanes touch only their own
-// state; every lane's informed sets evolve bit-identically to a one-lane
-// bundle with the same trial RNG — which is what NewVisitExchange and
-// NewMeetExchange return.
+// run lane by lane after it. Lanes touch only their own state, so every
+// lane's informed sets evolve bit-identically to a one-lane bundle with
+// the same trial RNG — which is what NewVisitExchange and NewMeetExchange
+// return.
 //
 // Visit-exchange informs vertices the way the hybrid's agent half does
 // (collectDeposits, then pickupAgents): the deposit pass walks the agents,
@@ -53,10 +51,6 @@ type BatchedVisitExchange struct {
 	walks   *agents.BatchedWalks
 	lanes   []visitLane
 	observe MoveObserver // one-lane bundles only
-
-	activeIDs []int
-	budget    budget
-	laneFn    func(shard, lo, hi int)
 }
 
 var _ LaneProcess = (*BatchedVisitExchange)(nil)
@@ -77,7 +71,6 @@ func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, 
 		return nil, fmt.Errorf("visit-exchange: %w", err)
 	}
 	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs)), observe: opts.Observer}
-	v.laneFn = v.laneShard
 	for t := range v.lanes {
 		L := &v.lanes[t]
 		L.informedV = bitset.New(g.N())
@@ -117,29 +110,20 @@ func (v *BatchedVisitExchange) LaneAllAgentsInformed(t int) bool {
 	return v.lanes[t].countA == v.walks.N()
 }
 
-func (v *BatchedVisitExchange) setBudget(b budget) { v.budget = b }
-
 // Round returns the number of Step calls so far.
 func (v *BatchedVisitExchange) Round() int { return v.walks.Round() }
 
 // Step implements LaneProcess: one fused walk round, then the per-lane
-// informing passes. The walk step and the informing passes each do one
-// unit of work per (active lane, agent).
+// informing passes.
 func (v *BatchedVisitExchange) Step(active []bool) {
-	v.activeIDs = activeLanes(v.activeIDs[:0], active, len(v.lanes))
-	shards := v.budget.For(len(v.activeIDs) * v.walks.N())
-	v.walks.SetShards(shards)
 	v.walks.Step(active)
 	if v.observe != nil {
 		observeMoves(v.observe, v.walks)
 	}
-	par.DoN(shards, len(v.activeIDs), v.laneFn)
-}
-
-// laneShard runs the informing passes for active lanes [lo, hi).
-func (v *BatchedVisitExchange) laneShard(_, lo, hi int) {
-	for _, t := range v.activeIDs[lo:hi] {
-		v.stepLane(t)
+	for t := range v.lanes {
+		if active == nil || active[t] {
+			v.stepLane(t)
+		}
 	}
 }
 
@@ -191,10 +175,6 @@ type BatchedMeetExchange struct {
 	walks   *agents.BatchedWalks
 	lanes   []meetLane
 	observe MoveObserver // one-lane bundles only
-
-	activeIDs []int
-	budget    budget
-	laneFn    func(shard, lo, hi int)
 }
 
 var _ LaneProcess = (*BatchedMeetExchange)(nil)
@@ -214,7 +194,6 @@ func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, o
 		return nil, fmt.Errorf("meet-exchange: %w", err)
 	}
 	m := &BatchedMeetExchange{g: g, src: s, walks: w, lanes: make([]meetLane, len(rngs)), observe: opts.Observer}
-	m.laneFn = m.laneShard
 	for t := range m.lanes {
 		L := &m.lanes[t]
 		L.informedA = bitset.New(w.N())
@@ -251,28 +230,20 @@ func (m *BatchedMeetExchange) LaneMessages(t int) int64 { return m.lanes[t].mess
 // LaneAllAgentsInformed implements LaneProcess.
 func (m *BatchedMeetExchange) LaneAllAgentsInformed(t int) bool { return m.LaneDone(t) }
 
-func (m *BatchedMeetExchange) setBudget(b budget) { m.budget = b }
-
 // Round returns the number of Step calls so far.
 func (m *BatchedMeetExchange) Round() int { return m.walks.Round() }
 
-// Step implements LaneProcess: the walk step and the meeting pass each
-// do one unit of work per (active lane, agent).
+// Step implements LaneProcess: one fused walk round, then the per-lane
+// meeting passes.
 func (m *BatchedMeetExchange) Step(active []bool) {
-	m.activeIDs = activeLanes(m.activeIDs[:0], active, len(m.lanes))
-	shards := m.budget.For(len(m.activeIDs) * m.walks.N())
-	m.walks.SetShards(shards)
 	m.walks.Step(active)
 	if m.observe != nil {
 		observeMoves(m.observe, m.walks)
 	}
-	par.DoN(shards, len(m.activeIDs), m.laneFn)
-}
-
-// laneShard runs the meeting pass for active lanes [lo, hi).
-func (m *BatchedMeetExchange) laneShard(_, lo, hi int) {
-	for _, t := range m.activeIDs[lo:hi] {
-		m.stepLane(t)
+	for t := range m.lanes {
+		if active == nil || active[t] {
+			m.stepLane(t)
+		}
 	}
 }
 
@@ -338,15 +309,4 @@ func forgetRespawned(informedA *bitset.Set, countA int, respawned []int) int {
 		}
 	}
 	return countA
-}
-
-// activeLanes appends the indices of active lanes (all k when active is
-// nil) to dst and returns it.
-func activeLanes(dst []int, active []bool, k int) []int {
-	for t := 0; t < k; t++ {
-		if active == nil || active[t] {
-			dst = append(dst, t)
-		}
-	}
-	return dst
 }

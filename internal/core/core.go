@@ -12,21 +12,18 @@
 //
 // # Deterministic parallelism
 //
-// Rounds execute on a deterministic parallel engine with a counter-based
-// randomness contract: every draw a unit (vertex or agent) makes in round
-// t comes from the stream keyed (protocol seed, unit id, t) — see
-// xrand.NewStream — so no draw depends on execution order or on how much
-// randomness other units consumed. Each round is a parallel phase over
-// contiguous, ascending-id shards (internal/par) whose outputs land in
-// per-unit slots or per-shard buffers, followed by a serial merge that
-// commits shard outputs in ascending shard order, realizing the paper's
-// "ties broken by agent id" convention. Together these make every Result
-// — rounds, messages, and the full History — bit-identical for a given
-// seed regardless of GOMAXPROCS and of how many shards a phase is split
-// into; the determinism tests pin this for every protocol at GOMAXPROCS 1,
-// 2, and 8. The shard count is never a process's own decision: the driver
-// that owns the processors hands each process a budget (see shard.go), and
-// a process without one steps inline. Protocol constructors consume
+// Rounds follow a counter-based randomness contract: every draw a unit
+// (vertex or agent) makes in round t comes from the stream keyed
+// (protocol seed, unit id, t) — see xrand.NewStream — so no draw depends
+// on execution order or on how much randomness other units consumed.
+// Within a round, units are resolved in ascending id order and their
+// outputs committed in that order, realizing the paper's "ties broken by
+// agent id" convention. The engine's only parallelism is across trials:
+// RunManyLanes runs whole bundles on a worker pool, and a bundle steps
+// each round on the goroutine that runs it. Every Result — rounds,
+// messages, and the full History — is therefore bit-identical for a given
+// seed regardless of GOMAXPROCS; the determinism tests pin this for every
+// protocol at GOMAXPROCS 1, 2, and 8. Protocol constructors consume
 // exactly one seed value per independent mechanism from the trial RNG, so
 // RunMany's Derive(seed, trial) streams fully determine each trial.
 //
@@ -154,12 +151,11 @@ var histPool = sync.Pool{
 
 // Run drives p until Done or maxRounds (DefaultMaxRounds-bounded when
 // maxRounds <= 0) and returns the outcome. It runs p as the single lane of
-// the unified lane driver (see lane.go), with the whole machine as its
-// shard budget — a single trial has no sibling to share processors with,
-// though only rounds with enough work split. The per-round loop performs no
-// allocations — History accumulates in pooled scratch and is copied out
-// exact-size once at the end — and the round/History/finalization
-// semantics are, by construction, those of every K-lane bundle.
+// the unified lane driver (see lane.go), on the calling goroutine. The
+// per-round loop performs no allocations — History accumulates in pooled
+// scratch and is copied out exact-size once at the end — and the
+// round/History/finalization semantics are, by construction, those of
+// every K-lane bundle.
 func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(g)
@@ -171,9 +167,7 @@ func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	base := p.Round()
 	left := max(maxRounds-base, 0)
 	var out [1]Result
-	lane := p.bundle()
-	lane.setBudget(machineBudget())
-	driveBatch(g, lane, left, out[:], nil, 0)
+	driveBatch(g, p.bundle(), left, out[:], nil, 0)
 	res := out[0]
 	if base > 0 {
 		res.Rounds += base
@@ -238,9 +232,7 @@ func (e *orderedEmitter) complete(t int) {
 // unified lane engine at K = 1: each trial is its own bundle, claimed in
 // increasing order by a GOMAXPROCS-sized worker pool. Trial t's stream is
 // xrand.New(xrand.TrialSeed(seed, t)) regardless of scheduling, so results
-// are identical at any parallelism; rounds additionally shard across
-// internal/par only when there are fewer trials than processors (see
-// RunManyLanes).
+// are identical at any parallelism.
 //
 // A factory error aborts the sweep: workers stop claiming trials once any
 // error is recorded (already-claimed trials run to completion), and the

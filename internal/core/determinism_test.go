@@ -13,8 +13,8 @@ import (
 
 // The deterministic-parallelism contract: for a given seed, every protocol
 // produces a bit-identical Result — rounds, messages, and the full History
-// — no matter how many processors execute the round shards. These tests
-// pin that at GOMAXPROCS 1, 2, and 8.
+// — no matter how many processors run the trials. These tests pin that at
+// GOMAXPROCS 1, 2, and 8.
 
 func detProtocols() []struct {
 	name    string
@@ -69,15 +69,11 @@ func runAt(t *testing.T, procs int, factory func(g *graph.Graph, s graph.Vertex,
 
 // TestDeterminismAcrossGOMAXPROCS: identical seed ⇒ identical Result
 // (rounds, messages, full History) at GOMAXPROCS 1, 2, and 8, for every
-// protocol. Run hands a single trial the whole machine as its budget, so
-// the hypercube's dense rounds (n = 16384, four shards' worth of work)
-// split at 2 and 8 processors (push's one-lane bundle splits across lanes
-// only, so its rounds stay inline), while the star exercises mixed
-// degree-1/huge-degree paths and stays inline (see
-// TestBudgetForcedSerialEquivalence for small graphs under forced shards).
+// protocol, on the hypercube (n = 16384, dense rounds) and on the star,
+// which exercises mixed degree-1/huge-degree paths.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	graphs := []*graph.Graph{
-		graph.Hypercube(14), // n = 16384: multi-shard rounds at 2 and 8 procs
+		graph.Hypercube(14), // n = 16384: dense rounds
 		graph.Star(4097),    // extreme degrees; bipartite (lazy meetx)
 	}
 	for _, g := range graphs {
@@ -126,9 +122,9 @@ func TestRunManyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestWalksDeterministicAcrossGOMAXPROCS pins the agent layer directly:
-// positions and respawn lists after many steps split into one shard per
-// processor are identical at any processor count, including with churn
-// (whose respawn merge is the one order-sensitive output).
+// positions and respawn lists after many steps are identical at any
+// processor count, including with churn (whose respawn list is the one
+// order-sensitive output).
 func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	g := graph.Hypercube(12)
 	type snap struct {
@@ -146,7 +142,6 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetShards(procs)
 		var resp []int
 		for r := 0; r < 30; r++ {
 			w.Step(nil)

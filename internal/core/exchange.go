@@ -8,15 +8,89 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The call lane and the collect helpers shared by the call bundles:
-// BatchedCall's push and push-pull lanes and the vertex half of
-// BatchedHybrid's. Each is a plain function or method over concrete state
+// The neighbor sampler, the call lane and the collect helpers shared by
+// the call bundles: BatchedCall's push and push-pull lanes and the vertex
+// half of BatchedHybrid's. Each is a plain function or method over concrete state
 // (no per-unit indirection lands in a hot loop), so every engine that
 // performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane
 // with the pull direction off. The agent deposit and pickup passes live
 // here too: they are visit-exchange's whole informing round and the
 // hybrid's agent half, one copy for both.
+
+// NOTE: the bitset-word scans over agents share a helper only where the
+// per-agent predicate is the same concrete test (markInformed for
+// meet-exchange; collectDeposits and pickupAgents for visit-exchange and
+// the hybrid's agent half). The meet-exchange meeting scan repeats
+// the loop shape — including the ghost-bit mask `inv &= 1<<rem - 1` for
+// the final partial word — rather than take a predicate closure: an
+// indirect call per agent would land in the engine's hottest loops. A fix
+// to the masking must be applied at every site.
+
+// neighborSampler resolves uniform neighbor draws against the graph's
+// packed walk index when available (single load + AND or multiply-shift),
+// falling back to the CSR slices — with identical draw consumption — for
+// graphs too large to pack.
+type neighborSampler struct {
+	g    *graph.Graph
+	idx  []uint64
+	nbrs []graph.Vertex
+}
+
+func newNeighborSampler(g *graph.Graph) neighborSampler {
+	return neighborSampler{g: g, idx: g.WalkIndex(), nbrs: g.NeighborsRaw()}
+}
+
+// sample returns a uniform neighbor of u, consuming exactly one draw from
+// s — except for degree-1 vertices (no draw) and isolated vertices, which
+// return -1 (no call can be made).
+func (ns *neighborSampler) sample(u graph.Vertex, s *xrand.Stream) graph.Vertex {
+	if ns.idx != nil {
+		word := ns.idx[u]
+		if graph.WalkDegreeOne(word) {
+			return graph.WalkOnlyNeighbor(word, ns.nbrs)
+		}
+		if graph.WalkDegreeZero(word) {
+			return -1
+		}
+		return graph.WalkTarget(word, s.Uint64(), ns.nbrs)
+	}
+	nb := ns.g.Neighbors(u)
+	if len(nb) == 1 {
+		return nb[0]
+	}
+	if len(nb) == 0 {
+		return -1
+	}
+	return nb[xrand.ReduceDeg(s.Uint64(), len(nb))]
+}
+
+// call is the one definition of "vertex u's call in round `round` under
+// (seed, failTh)": the neighbor u's (seed, u, round) stream picks — the
+// only neighbor of a degree-1 vertex, without a draw — or -1 when u is
+// isolated or the stream's next draw, the failure coin, falls under failTh.
+// It is a pure function of its arguments, so u's neighbor may evaluate it
+// as well as u: every path of the fused call protocols — forward, from the
+// other side of the cut, boundary — resolves calls here (see boundary.go).
+func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint64) graph.Vertex {
+	if ns.idx != nil && failTh == 0 {
+		// Reliable links on the packed index: at most one draw.
+		word := ns.idx[u]
+		if graph.WalkDegreeOne(word) {
+			return graph.WalkOnlyNeighbor(word, ns.nbrs)
+		}
+		if graph.WalkDegreeZero(word) {
+			return -1
+		}
+		return graph.WalkTarget(word, xrand.Mix3(seed, uint64(u), round), ns.nbrs)
+	}
+	s := xrand.NewStream(seed, uint64(u), round)
+	v := ns.sample(u, &s)
+	if failTh != 0 && s.Uint64() < failTh {
+		v = -1
+	}
+	return v
+}
 
 // callLane is one trial's call-protocol state in a fused bundle: all of a
 // push or push-pull lane, the vertex half of a hybrid lane.
@@ -42,21 +116,19 @@ func (L *callLane) init(g *graph.Graph, s graph.Vertex, pull bool) {
 	L.degInf = int64(g.Degree(s))
 }
 
-// plan settles where the coming round is evaluated from — pickSide's
-// choice, or force when set — and returns the units the lane's collect
-// will touch. A lane in boundary mode has nothing to settle: its active
-// list is the round.
-func (L *callLane) plan(g *graph.Graph, force side) int {
+// plan settles where the coming round is evaluated from: pickSide's
+// choice, or force when set. A lane in boundary mode has nothing to
+// settle: its active list is the round.
+func (L *callLane) plan(g *graph.Graph, force side) {
 	if L.boundary {
-		return len(L.bnd.active)
+		return
 	}
-	s, cost := pickSide(L.pull, L.count, L.degInf, g.N(), int64(g.EndpointCount()))
+	s, _ := pickSide(L.pull, L.count, L.degInf, g.N(), int64(g.EndpointCount()))
 	if force != sideRule {
 		s = force
 	}
 	L.side = s
 	L.took[s]++
-	return int(cost)
 }
 
 // collect gathers into pending the planned round's transfers, evaluated

@@ -75,11 +75,9 @@ func serialLanes(factory Factory) LaneFactory {
 	}
 }
 
-// laneBundle is a K = 1 bundle that takes a shard budget and counts the
-// rounds it has stepped.
+// laneBundle is a K = 1 bundle that counts the rounds it has stepped.
 type laneBundle interface {
 	LaneProcess
-	budgeted
 	Round() int
 }
 
@@ -102,7 +100,6 @@ func (v *laneView) Done() bool           { return v.lp.LaneDone(0) }
 func (v *laneView) InformedCount() int   { return v.lp.LaneInformedCount(0) }
 func (v *laneView) Messages() int64      { return v.lp.LaneMessages(0) }
 func (v *laneView) Source() graph.Vertex { return v.lp.Source() }
-func (v *laneView) setBudget(b budget)   { v.lp.setBudget(b) }
 func (v *laneView) Step()                { v.lp.Step(v.active) }
 func (v *laneView) bundle() laneBundle   { return v.lp }
 
@@ -120,9 +117,10 @@ const batchK = 8
 // overflow a few MB of cache, since wide bundles on huge graphs evict the
 // shared CSR and walk index they exist to keep hot. K never affects
 // results (lane t's draws are keyed by trial, not by bundle shape), only
-// throughput, so the heuristic is free to use GOMAXPROCS. One bundle per
-// processor is also what keeps rounds inline: RunManyLanes hands a bundle
-// shards only when there are fewer bundles than processors (see budget).
+// throughput, so the heuristic is free to use GOMAXPROCS. Bundles are the
+// engine's only parallelism — a bundle steps its rounds on the goroutine
+// that runs it — so a sweep of fewer trials than processors leaves the
+// rest idle.
 func AdaptiveBatchK(g *graph.Graph, trials int) int {
 	if trials <= 1 {
 		return 1
@@ -151,15 +149,13 @@ func AdaptiveBatchK(g *graph.Graph, trials int) int {
 // RunManyLanes executes `trials` independent runs on the unified lane
 // engine: trials are grouped into bundles of up to k lanes (k <= 0 picks
 // AdaptiveBatchK), each bundle built by factory and driven by driveBatch,
-// with bundles claimed in increasing order by a GOMAXPROCS-sized worker
-// pool. RunManyLanes owns the machine's parallelism: processors go to
-// bundles first, and each bundle receives workers/bundles (at least 1) as
-// the budget its rounds may shard into — so rounds split only when there
-// are fewer bundles than processors (see budget). Trial t's randomness is
-// keyed xrand.TrialSeed(seed, t) regardless of bundling, so the returned
-// []Result (in trial order) is identical for every k, worker count, and
-// budget. emit, when non-nil, receives each trial's
-// Result in strict trial order the moment its lane completes — not when
+// with bundles claimed in increasing order by a worker pool of up to
+// GOMAXPROCS goroutines. The pool is the engine's only parallelism: each
+// bundle steps every round on the worker that claimed it. Trial t's
+// randomness is keyed xrand.TrialSeed(seed, t) regardless of bundling, so
+// the returned []Result (in trial order) is identical for every k and
+// worker count. emit, when non-nil, receives each trial's Result in
+// strict trial order the moment its lane completes — not when
 // the whole bundle finishes — before RunManyLanes returns.
 //
 // A factory error aborts the sweep: workers stop claiming bundles once any
@@ -187,11 +183,7 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 	em := newOrderedEmitter(emit, results)
 	bundles := (trials + k - 1) / k
 	errs := make([]error, bundles)
-	workers := par.Refresh()
-	inner := budget{max(1, workers/bundles), shardWork}
-	if workers > bundles {
-		workers = bundles
-	}
+	workers := min(par.Refresh(), bundles)
 	runBundle := func(b int) {
 		t0 := b * k
 		t1 := t0 + k
@@ -206,9 +198,6 @@ func RunManyLanes(g *graph.Graph, factory LaneFactory, trials, maxRounds int, se
 		if err != nil {
 			errs[b] = err
 			return
-		}
-		if bb, ok := bp.(budgeted); ok {
-			bb.setBudget(inner)
 		}
 		driveBatch(g, bp, maxRounds, results[t0:t1], em, t0)
 	}

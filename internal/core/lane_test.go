@@ -15,10 +15,7 @@ import (
 // AllAgentsRound, and the full History per trial — at any GOMAXPROCS.
 // These tests pin the bundles of the call protocols (push, push-pull),
 // the hybrid and visit-exchange for K in {1, 2, 7} (one lane, partial bundle, prime width) at
-// GOMAXPROCS 1 and 8 — and, since the engine's budget keeps test-sized
-// bundles inline at any GOMAXPROCS, again under inner budgets {1, 2, 8}
-// forced through the hook (see budget_test.go), so the sharded lane
-// passes, dense draws and walk steps stay pinned. Their reference is the
+// GOMAXPROCS 1 and 8. Their reference is the
 // plain round of plain_test.go, which shares no boundary mode, side or
 // sweep with the bundles; golden_test.go and exact_test.go hold the
 // bundles to outcomes recorded before the serial engines were deleted and
@@ -92,8 +89,7 @@ func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 }
 
 // compareLanes runs k trials through the reference and through the
-// bundle — at GOMAXPROCS 1 and 8 and under each forced inner budget — and
-// reports any per-trial divergence.
+// bundle — at GOMAXPROCS 1 and 8 — and reports any per-trial divergence.
 func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, seed uint64) {
 	t.Helper()
 	serial, err := RunMany(g, pc.serial, k, maxRounds, seed)
@@ -119,9 +115,6 @@ func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, 
 			}
 			return res
 		}))
-	}
-	for _, shards := range forcedBudgets {
-		check(fmt.Sprintf("budget=%d", shards), driveLanes(t, g, pc.batched, k, k, maxRounds, seed, forced(shards)))
 	}
 }
 
@@ -298,8 +291,8 @@ func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 
 // TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles equal
 // K = 1 per trial — meet-exchange its one-lane view, visit-exchange and
-// the hybrid their plain references — at GOMAXPROCS 1 and 8 and under forced
-// budgets (see compareLanes). Meet-exchange may lose the rumor to churn,
+// the hybrid their plain references — at GOMAXPROCS 1 and 8 (see
+// compareLanes). Meet-exchange may lose the rumor to churn,
 // so runs are cut at 600 rounds and truncated lanes are compared too.
 func TestLaneEquivalenceChurn(t *testing.T) {
 	graphs := []*graph.Graph{
@@ -380,5 +373,89 @@ func TestHybridBoundaryEquivalence(t *testing.T) {
 		if entered == 0 {
 			t.Errorf("%s: no run entered boundary mode", pc.name)
 		}
+	}
+}
+
+// driveLanes runs `trials` trials in bundles of k, one bundle after the
+// other on the caller, and keeps no bundle: RunManyLanes minus its pool.
+func driveLanes(t *testing.T, g *graph.Graph, factory LaneFactory, trials, k, maxRounds int, seed uint64) []Result {
+	t.Helper()
+	if maxRounds <= 0 {
+		maxRounds = DefaultMaxRounds(g)
+	}
+	out := make([]Result, trials)
+	for t0 := 0; t0 < trials; t0 += k {
+		t1 := min(t0+k, trials)
+		rngs := make([]*xrand.RNG, t1-t0)
+		for i := range rngs {
+			rngs[i] = xrand.New(xrand.TrialSeed(seed, t0+i))
+		}
+		bp, err := factory(rngs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveBatch(g, bp, maxRounds, out[t0:t1], nil, t0)
+	}
+	return out
+}
+
+// benchProtos are the five fused bundles as the experiment layer builds
+// them, in the order push, push-pull, visit-exchange, meet-exchange, hybrid.
+func benchProtos(g *graph.Graph) []laneProto {
+	byName := map[string]laneProto{}
+	for _, pc := range laneProtos(g, 0) {
+		byName[pc.name] = pc
+	}
+	for _, pc := range batchedProtos(g, 0) {
+		byName[pc.name] = laneProto(pc)
+	}
+	var out []laneProto
+	for _, name := range []string{"push", "push-pull", "visit-exchange", "meet-exchange", "hybrid"} {
+		out = append(out, byName[name])
+	}
+	return out
+}
+
+// The benchmarks below are meant for -cpu 1,2 and therefore loop on b.N:
+// under go 1.24 a b.Loop benchmark measures inside the harness's trial
+// run, before the first -cpu value is applied.
+
+// BenchmarkStarPushBoundary is one push trial on star:4096: ~36k rounds,
+// all but a handful in the boundary phase, stepped on one goroutine.
+func BenchmarkStarPushBoundary(b *testing.B) {
+	g := graph.Star(4096)
+	g.WalkIndex()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPush(g, 0, xrand.New(5), PushOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := Run(g, p, 0); !res.Completed {
+			b.Fatal("incomplete")
+		}
+	}
+}
+
+// BenchmarkRunManyLanes is a 16-trial adaptive-K sweep of each protocol at
+// n = 4096 (the star for push — the inversion's worst case — and the
+// hypercube for the rest). At -cpu 2 the second processor runs the second
+// bundle.
+func BenchmarkRunManyLanes(b *testing.B) {
+	star, cube := graph.Star(4096), graph.Hypercube(12)
+	names := []string{"push", "push-pull", "visitx", "meetx", "hybrid"}
+	for i, name := range names {
+		g := cube
+		if i == 0 {
+			g = star
+		}
+		pc := benchProtos(g)[i]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunManyLanes(g, pc.batched, 16, 0, 1, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -10,8 +10,7 @@ import (
 // epoch, used for meet-exchange's "does this vertex currently host an
 // informed agent" queries. Unlike agents.Occupancy it stores no counts and
 // keeps no touched list: marking is a single unconditional store. Each
-// meet-exchange lane owns one and marks it from the one shard that steps
-// the lane, so no store is shared.
+// meet-exchange lane owns one.
 type epochMark struct {
 	stamp []uint32
 	epoch uint32

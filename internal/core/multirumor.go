@@ -175,7 +175,6 @@ func RunMultiRumor(g *graph.Graph, rumors []Rumor, rng *xrand.RNG, opts AgentOpt
 	if err != nil {
 		return MultiRumorResult{}, err
 	}
-	m.walks.SetShards(machineBudget().For(m.walks.N()))
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(g)
 		// Late injections need extra budget.

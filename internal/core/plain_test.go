@@ -12,9 +12,8 @@ import (
 // resolves through neighborSampler.call, the round collects its transfers
 // against the pre-round informed set and then commits them; agents deposit
 // and pick up the rumor one agent at a time, in id order. There is no
-// boundary mode, no side of the cut, no dense sweep, no word scan and no
-// sharding: every path the bundles take must reproduce these rounds bit
-// for bit. A reference is a one-lane bundle, so RunMany runs it behind a
+// boundary mode, no side of the cut, no dense sweep and no word scan:
+// every path the bundles take must reproduce these rounds bit for bit. A reference is a one-lane bundle, so RunMany runs it behind a
 // laneView like any trial.
 
 // plainRef is one trial of push (pull false), push-pull (pull true), the
@@ -118,7 +117,6 @@ func (r *plainRef) Name() string                   { return r.name }
 func (r *plainRef) K() int                         { return 1 }
 func (r *plainRef) Source() graph.Vertex           { return r.src }
 func (r *plainRef) Round() int                     { return r.round }
-func (r *plainRef) setBudget(budget)               {}
 func (r *plainRef) LaneDone(int) bool              { return r.count == r.g.N() }
 func (r *plainRef) LaneInformedCount(int) int      { return r.count }
 func (r *plainRef) LaneMessages(int) int64         { return r.messages }

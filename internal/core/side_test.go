@@ -133,8 +133,8 @@ func seededGraph(t testing.TB, spec string, seed uint64) *graph.Graph {
 // preferential-attachment graph (hubs, then a thin periphery), the heavy
 // tree (degree-1 leaves draw nothing), a graph with isolated vertices
 // (cutoff; calls of degree 0) and the double star (sparse rounds, then
-// stagnation, then boundary mode), for K in {1, 2, 7} at GOMAXPROCS 1 and 8
-// and forced budgets {1, 2, 8}, with the packed walk index and without it.
+// stagnation, then boundary mode), for K in {1, 2, 7} at GOMAXPROCS 1 and 8,
+// with the packed walk index and without it.
 // Each side is then forced for whole runs, which drives it through the
 // tiny-I, middle and tiny-U regimes the rule would never give it; and the
 // rule's own runs must have taken every side of every protocol, so the
@@ -315,7 +315,7 @@ func TestBoundaryEntryFromSparseLane(t *testing.T) {
 	}, sideRule, 60})
 	for _, c := range cases {
 		var tally sideTally
-		res := driveLanes(t, c.g, withSide(c.factory, c.force, false, &tally), 4, 4, c.maxRounds, 3, budget{})
+		res := driveLanes(t, c.g, withSide(c.factory, c.force, false, &tally), 4, 4, c.maxRounds, 3)
 		for tr, r := range res {
 			if c.maxRounds == 0 && !r.Completed {
 				t.Errorf("%s on %s side %d trial %d: not completed", c.name, c.g.Name(), c.force, tr)
@@ -393,78 +393,6 @@ func TestLaneExchangeDenseIsCall(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestBudgetSparseLaneWork: a lane evaluated from a small side of its cut
-// contributes that side's cost to the round's work, not the every-vertex
-// pass's 2n — so a bundle whose every lane is sparse runs its round inline
-// even on a graph whose every-vertex rounds split four ways. The
-// expectation is recomputed per round from the rule and the budget, and
-// must match whether the round dispatched.
-func TestBudgetSparseLaneWork(t *testing.T) {
-	const dim, k = 14, 2
-	g := graph.Hypercube(dim) // n = 4 shards of work per lane
-	g.WalkIndex()
-	n, twoM := g.N(), int64(g.EndpointCount())
-	b := budget{4, shardWork}
-	for _, pc := range laneProtos(g, 0) {
-		var agentWork int
-		switch pc.name {
-		case "push", "push-pull":
-		case "hybrid-sparse-agents":
-			agentWork = k * 5 // the walk step and the agent passes: inline
-		default:
-			continue
-		}
-		bp, err := pc.batched([]*xrand.RNG{xrand.New(1), xrand.New(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp.(budgeted).setBudget(b)
-		_, _, _, boundary := sideHooks(bp)
-		active := make([]bool, k)
-		inlineSparse, split := 0, 0
-		for round := 1; round <= 200; round++ {
-			work, dense, lanes, sparse := agentWork, 0, 0, 0
-			for i := range active {
-				active[i] = !bp.LaneDone(i)
-				if !active[i] {
-					continue
-				}
-				lanes++
-				if boundary(i) {
-					work = -1 << 40 // a few senders: below any split
-					continue
-				}
-				inf := bp.LaneInformedCount(i)
-				s, cost := pickSide(pc.name != "push", inf, int64(inf)*dim, n, twoM)
-				if s != sideAll {
-					sparse++
-				} else {
-					dense++
-				}
-				work += int(cost)
-			}
-			if lanes == 0 {
-				break
-			}
-			want := lanes > 1 && b.For(work) > 1
-			got := dispatched(func() { bp.Step(active) }) != 0
-			if got != want {
-				t.Fatalf("%s round %d: %d lanes (%d sparse, %d sweeping), %d units: dispatched %v, want %v",
-					pc.name, round, lanes, sparse, dense, work, got, want)
-			}
-			if sparse == lanes && lanes == k && !got {
-				inlineSparse++
-			}
-			if got {
-				split++
-			}
-		}
-		if inlineSparse == 0 || split == 0 {
-			t.Errorf("%s: %d all-sparse inline rounds and %d split rounds: want both", pc.name, inlineSparse, split)
 		}
 	}
 }

@@ -1,5 +1,6 @@
-// Package par provides the reusable worker pool behind the simulator's
-// deterministic parallel round engine.
+// Package par provides the processor count the simulator sizes its
+// parallelism by, and a reusable worker pool for loops that split into
+// contiguous, ordered shards.
 //
 // Work is expressed as a loop over [0, n) split into contiguous, ordered
 // shards: DoN(shards, n, fn) calls fn(shard, lo, hi) once per shard with
@@ -13,13 +14,11 @@
 //     outputs are merged in shard order afterwards.
 //
 // Under those rules results are bit-identical for any shard count, so the
-// count is purely a throughput decision — and par does not make it. The
-// engine has one owner of parallelism, core.RunManyLanes: it spends the
-// processors on whole trials first and hands each bundle only what is
-// left as its shard budget, so a round is split at all only when cores
-// would otherwise idle and the phase carries enough work to repay the
-// dispatch (see core's budget). With one shard DoN is a plain call: no
-// pool, no atomics, no allocation.
+// count is purely a throughput decision, which Shards makes for a caller
+// that owns the whole machine (the graph builder's per-vertex sort). With
+// one shard DoN is a plain call: no pool, no atomics, no allocation. The
+// protocol engine does not shard: core.RunManyLanes runs whole bundles of
+// trials on its own worker pool, sized by Refresh.
 //
 // The pool's goroutines are started once and reused for every call in the
 // process. Submission never blocks: the caller always runs shard 0 itself,
@@ -65,9 +64,6 @@ var (
 	// allocated and dropped.
 	freeCalls = make(chan *call, 64)
 
-	// handed and inline count the shards of multi-shard calls (see Stats).
-	handed, inline atomic.Int64
-
 	// procs caches runtime.GOMAXPROCS(0): querying it takes a runtime
 	// lock, too expensive for per-round calls. Refresh updates it; a stale
 	// value changes only how much physical parallelism is used, never a
@@ -84,20 +80,12 @@ func Procs() int {
 }
 
 // Refresh re-reads runtime.GOMAXPROCS(0) into the cache and returns it.
-// core.RunManyLanes calls it once per sweep and sizes both its trial pool
-// and the bundles' shard budget from the returned value.
+// core.RunManyLanes calls it once per sweep and sizes its bundle pool from
+// the returned value.
 func Refresh() int {
 	p := runtime.GOMAXPROCS(0)
 	procs.Store(int32(p))
 	return p
-}
-
-// Stats returns the cumulative number of shards that multi-shard calls
-// handed to pool workers and ran inline on the caller. Single-shard calls
-// touch neither counter, so a delta of zero across a run proves the run
-// never dispatched.
-func Stats() (handedShards, inlineShards int64) {
-	return handed.Load(), inline.Load()
 }
 
 // sharedPool starts the workers on first use, sized to the processor count
@@ -142,8 +130,8 @@ func Shards(n, grain int) int {
 	return s
 }
 
-// Do is DoN at Shards(n, grain) shards, for callers outside the engine
-// that own the whole machine and size nothing per shard.
+// Do is DoN at Shards(n, grain) shards, for callers that own the whole
+// machine and size nothing per shard.
 func Do(n, grain int, fn func(shard, lo, hi int)) {
 	DoN(Shards(n, grain), n, fn)
 }
@@ -174,13 +162,11 @@ func DoN(shards, n int, fn func(shard, lo, hi int)) {
 	c.fn, c.n, c.shards = fn, n, shards
 	c.wg.Add(shards - 1)
 	pool := sharedPool()
-	sent := 0
 	for s := 1; s < shards; s++ {
 		// Never block on a busy pool: running the shard inline keeps DoN
 		// deadlock-free and self-balancing under concurrent callers.
 		select {
 		case pool <- task{c, s}:
-			sent++
 		default:
 			c.run(s)
 			c.wg.Done()
@@ -188,8 +174,6 @@ func DoN(shards, n int, fn func(shard, lo, hi int)) {
 	}
 	c.run(0)
 	c.wg.Wait()
-	handed.Add(int64(sent))
-	inline.Add(int64(shards - sent))
 	c.fn = nil
 	select {
 	case freeCalls <- c:

@@ -132,28 +132,6 @@ func TestDoConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDispatchStats: Stats counts the shards of multi-shard calls only —
-// every shard exactly once, as handed or inline, shard 0 always inline —
-// and a single-shard call leaves both counters alone.
-func TestDispatchStats(t *testing.T) {
-	nop := func(_, _, _ int) {}
-	h0, i0 := Stats()
-	DoN(1, 100, nop)
-	DoN(8, 1, nop) // capped to one shard by n
-	DoN(0, 100, nop)
-	if h, i := Stats(); h != h0 || i != i0 {
-		t.Fatalf("single-shard calls moved Stats by (%d, %d)", h-h0, i-i0)
-	}
-	DoN(5, 100, nop)
-	h, i := Stats()
-	if got := (h - h0) + (i - i0); got != 5 {
-		t.Errorf("5-shard call counted %d shards (handed %d, inline %d)", got, h-h0, i-i0)
-	}
-	if i-i0 < 1 {
-		t.Errorf("caller ran %d shards inline, want at least shard 0", i-i0)
-	}
-}
-
 // TestDoNZeroAllocs pins the dispatch path allocation-free once a call
 // record is in circulation: no closure per shard, no heap WaitGroup.
 func TestDoNZeroAllocs(t *testing.T) {
