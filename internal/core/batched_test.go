@@ -19,8 +19,7 @@ import (
 // RunMany — Rounds, Completed, Messages, AllAgentsRound, and the full
 // History per trial — at any GOMAXPROCS. These tests pin K in {1, 2, 7}
 // (one lane, partial bundle, prime width straddling nothing) at GOMAXPROCS
-// 1 and 8. Visit-exchange's reference is the plain round of plain_test.go,
-// meet-exchange's its one-lane view.
+// 1 and 8, each protocol against its plain round of plain_test.go.
 
 func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 	return []laneProto{
@@ -36,7 +35,7 @@ func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "meet-exchange",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewMeetExchange(g, s, rng, AgentOptions{})
+				return plainMeetExchange(g, s, rng, AgentOptions{})
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{})
@@ -45,7 +44,7 @@ func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
 		{
 			name: "meet-exchange-lazy",
 			serial: func(rng *xrand.RNG) (Process, error) {
-				return NewMeetExchange(g, s, rng, AgentOptions{Lazy: LazyOn})
+				return plainMeetExchange(g, s, rng, AgentOptions{Lazy: LazyOn})
 			},
 			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
 				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{Lazy: LazyOn})
@@ -257,21 +256,21 @@ func TestVisitLaneStateBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedVisitExchange times a 16-trial visit-exchange point on a
-// tail-bound graph, where lanes spend most rounds with every agent
-// informed (collectDeposits' position scan), and on a regular graph larger
-// than L2, where most rounds bit-iterate a partly informed agent set.
-func BenchmarkBatchedVisitExchange(b *testing.B) {
+// BenchmarkBatchedAgentExchange times a 16-trial point of each agent
+// protocol on a tail-bound graph, where visit-exchange lanes spend most
+// rounds with every agent informed (collectDeposits' position scan), and
+// on a regular graph larger than L2, where most rounds bit-iterate a
+// partly informed agent set.
+func BenchmarkBatchedAgentExchange(b *testing.B) {
 	for _, g := range []*graph.Graph{graph.HeavyBinaryTree(9), graph.Hypercube(15)} {
-		factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
-			return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-		}
-		b.Run(g.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunManyLanes(g, factory, 16, 0, 1, 0, nil); err != nil {
-					b.Fatal(err)
+		for _, pc := range agentProtos(g, 0, AgentOptions{}) {
+			b.Run(pc.name+"/"+g.Name(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := RunManyLanes(g, pc.batched, 16, 0, 1, 0, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

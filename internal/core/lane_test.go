@@ -206,34 +206,53 @@ func TestLaneEquivalenceIsolatedVertices(t *testing.T) {
 	}
 }
 
-// TestLaneEquivalenceVisitExchange: visit-exchange bundles equal the plain
-// reference's per-agent deposits and pickups per trial, and every run
-// completes. The star spends most of its run with every agent informed
-// (collectDeposits' position scan), the double star mixes lane progress
-// across its bridge wait, and the hypercube is uniform; lazy walks, more
-// agents than vertices, and five agents that reach the all-informed
-// regime late per lane vary the split between collectDeposits' two arms.
+// agentProtos are the two agent protocols with options o against their
+// plain references: visit-exchange (vertices and agents hold the rumor)
+// and meet-exchange (agents alone do).
+func agentProtos(g *graph.Graph, s graph.Vertex, o AgentOptions) []laneProto {
+	return []laneProto{
+		{
+			name:    "visit-exchange",
+			serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, s, rng, o) },
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, s, rngs, o) },
+		},
+		{
+			name:    "meet-exchange",
+			serial:  func(rng *xrand.RNG) (Process, error) { return plainMeetExchange(g, s, rng, o) },
+			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, s, rngs, o) },
+		},
+	}
+}
+
+// TestLaneEquivalenceVisitExchange: both agent protocols' bundles equal
+// their plain references per trial — visit-exchange's per-agent deposits
+// and pickups, meet-exchange's per-agent meetings and source rule — and
+// every run completes. The star spends most of a visit-exchange run with
+// every agent informed (collectDeposits' position scan), the double star
+// mixes lane progress across its bridge wait, and the hypercube is
+// uniform; lazy walks, more agents than vertices, and five agents that
+// reach the all-informed regime late per lane vary the split between
+// collectDeposits' two arms, and how long a meet-exchange lane waits on
+// its source.
 func TestLaneEquivalenceVisitExchange(t *testing.T) {
 	graphs := []*graph.Graph{graph.Star(96), graph.DoubleStar(48), graph.Hypercube(6)}
 	opts := []AgentOptions{{}, {Lazy: LazyOn}, {Alpha: 2}, {Count: 5}}
 	const seed = 99
 	for _, g := range graphs {
 		for oi, o := range opts {
-			pc := laneProto{
-				name:    fmt.Sprintf("visit-exchange opts[%d]", oi),
-				serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, 0, rng, o) },
-				batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, rngs, o) },
-			}
-			for _, k := range []int{1, 2, 7} {
-				compareLanes(t, g, pc, k, 0, seed)
-			}
-			res, err := RunMany(g, pc.serial, 7, 0, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tr, r := range res {
-				if !r.Completed {
-					t.Errorf("%s on %s trial %d: run did not complete", pc.name, g.Name(), tr)
+			for _, pc := range agentProtos(g, 0, o) {
+				pc.name = fmt.Sprintf("%s opts[%d]", pc.name, oi)
+				for _, k := range []int{1, 2, 7} {
+					compareLanes(t, g, pc, k, 0, seed)
+				}
+				res, err := RunMany(g, pc.serial, 7, 0, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for tr, r := range res {
+					if !r.Completed {
+						t.Errorf("%s on %s trial %d: run did not complete", pc.name, g.Name(), tr)
+					}
 				}
 			}
 		}
@@ -265,34 +284,24 @@ func TestRunManyLanesAdaptiveK(t *testing.T) {
 	}
 }
 
-// churnProtos are the agent protocols with churn: meet-exchange against
-// its one-lane view, visit-exchange and the hybrid against their plain
+// churnProtos are the agent protocols with churn against their plain
 // references.
 func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
 	o := AgentOptions{ChurnRate: churn}
-	return []laneProto{
-		{
-			name:    "visit-exchange-churn",
-			serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, s, rng, o) },
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, s, rngs, o) },
-		},
-		{
-			name:    "meet-exchange-churn",
-			serial:  func(rng *xrand.RNG) (Process, error) { return NewMeetExchange(g, s, rng, o) },
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, s, rngs, o) },
-		},
-		{
-			name:    "hybrid-churn",
-			serial:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, o) },
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, s, rngs, o) },
-		},
+	protos := agentProtos(g, s, o)
+	for i := range protos {
+		protos[i].name += "-churn"
 	}
+	return append(protos, laneProto{
+		name:    "hybrid-churn",
+		serial:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, o) },
+		batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, s, rngs, o) },
+	})
 }
 
-// TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles equal
-// K = 1 per trial — meet-exchange its one-lane view, visit-exchange and
-// the hybrid their plain references — at GOMAXPROCS 1 and 8 (see
-// compareLanes). Meet-exchange may lose the rumor to churn,
+// TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles of every
+// agent protocol equal its plain reference per trial at GOMAXPROCS 1 and 8
+// (see compareLanes). Meet-exchange may lose the rumor to churn,
 // so runs are cut at 600 rounds and truncated lanes are compared too.
 func TestLaneEquivalenceChurn(t *testing.T) {
 	graphs := []*graph.Graph{

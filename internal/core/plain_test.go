@@ -7,14 +7,15 @@ import (
 	"rumor/internal/xrand"
 )
 
-// Plain reference rounds of the call protocols and of visit-exchange, kept
-// in test code as the equivalence suites' reference. Every caller's call
+// Plain reference rounds of the call protocols and of the agent
+// protocols, kept in test code as the equivalence suites' reference. Every caller's call
 // resolves through neighborSampler.call, the round collects its transfers
 // against the pre-round informed set and then commits them; agents deposit
 // and pick up the rumor one agent at a time, in id order. There is no
 // boundary mode, no side of the cut, no dense sweep and no word scan:
-// every path the bundles take must reproduce these rounds bit for bit. A reference is a one-lane bundle, so RunMany runs it behind a
-// laneView like any trial.
+// every path the bundles take must reproduce these rounds bit for bit. A
+// reference is a one-lane bundle, so RunMany runs it behind a laneView
+// like any trial.
 
 // plainRef is one trial of push (pull false), push-pull (pull true), the
 // hybrid (pull true, walks set) or visit-exchange (walks set, noCalls).
@@ -185,5 +186,85 @@ func (r *plainRef) calls(round uint64) {
 		case !iu && iv:
 			r.pending = append(r.pending, graph.Vertex(u))
 		}
+	}
+}
+
+// plainMeet is one meet-exchange trial: agents alone hold the rumor. An
+// uninformed agent is informed when it stands on a vertex with an agent
+// informed before the round; while no agent has yet been informed, the
+// source informs every agent visiting it, and it goes silent after the
+// first round any agent stands on it.
+type plainMeet struct {
+	g            *graph.Graph
+	src          graph.Vertex
+	walks        *agents.BatchedWalks
+	informedA    *bitset.Set
+	countA       int
+	sourceActive bool
+	messages     int64
+}
+
+// plainMeetExchange is one meet-exchange trial: per-agent meetings against
+// the agents informed before the round, and an explicit source rule.
+func plainMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
+	w, err := agents.NewBatched(g, o.walkConfig(g, true), []*xrand.RNG{rng})
+	if err != nil {
+		return nil, err
+	}
+	r := &plainMeet{g: g, src: s, walks: w, informedA: bitset.New(w.N())}
+	for i, p := range w.Lane(0) {
+		if p == s {
+			r.informedA.Set(i)
+			r.countA++
+		}
+	}
+	r.sourceActive = r.countA == 0
+	return newLaneView(r), nil
+}
+
+func (r *plainMeet) Name() string                   { return "meet-exchange" }
+func (r *plainMeet) K() int                         { return 1 }
+func (r *plainMeet) Source() graph.Vertex           { return r.src }
+func (r *plainMeet) Round() int                     { return r.walks.Round() }
+func (r *plainMeet) LaneDone(int) bool              { return r.countA == r.walks.N() }
+func (r *plainMeet) LaneInformedCount(int) int      { return r.countA }
+func (r *plainMeet) LaneMessages(int) int64         { return r.messages }
+func (r *plainMeet) LaneAllAgentsInformed(int) bool { return r.LaneDone(0) }
+
+func (r *plainMeet) Step(active []bool) {
+	if !active[0] {
+		return
+	}
+	r.walks.Step(nil)
+	r.messages += int64(r.walks.N())
+	pos := r.walks.Lane(0)
+	for _, i := range r.walks.Respawned(0) {
+		if r.informedA.Test(i) { // a fresh agent is uninformed
+			r.informedA.Clear(i)
+			r.countA--
+		}
+	}
+	hosts := map[graph.Vertex]bool{} // vertices hosting an agent informed before the round
+	for i, p := range pos {
+		if r.informedA.Test(i) {
+			hosts[p] = true
+		}
+	}
+	var newly []int
+	visited := false
+	for i, p := range pos {
+		if p == r.src {
+			visited = true
+		}
+		if !r.informedA.Test(i) && (hosts[p] || r.sourceActive && p == r.src) {
+			newly = append(newly, i)
+		}
+	}
+	if visited {
+		r.sourceActive = false
+	}
+	for _, i := range newly {
+		r.informedA.Set(i)
+		r.countA++
 	}
 }

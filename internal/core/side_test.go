@@ -400,15 +400,18 @@ func TestLaneExchangeDenseIsCall(t *testing.T) {
 // FuzzSmallerSideVsPlain: bytes become a small simple graph (n <= 64,
 // leaves and isolated vertices allowed, the source its first vertex of
 // positive degree), a protocol, a bundle width, a seed and a round cutoff
-// (disconnected inputs never finish); the bundle — under the rule and
-// forced to each side, on the packed index or the CSR fallback — must
-// return the plain reference's Results.
+// (disconnected inputs never finish); the bundle — a call protocol under
+// the rule and forced to each side, on the packed index or the CSR
+// fallback, an agent protocol under the rule alone — must return the plain
+// reference's Results. Inputs the walk system refuses are skipped.
 func FuzzSmallerSideVsPlain(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 20, 1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5})                        // path, push
 	f.Add([]byte{9, 2, 3, 30, 7, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})                        // star + isolated, push-pull
 	f.Add([]byte{4, 4, 7, 12, 9, 9, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})                  // K5 minus a vertex, hybrid
 	f.Add([]byte{40, 3, 2, 47, 3, 3, 0, 1, 1, 2, 2, 0, 5, 6, 6, 7, 9, 10, 10, 11, 11, 9}) // components, lossy push-pull
 	f.Add([]byte{62, 129, 6, 40, 5, 5, 0, 9, 9, 18, 18, 27, 27, 36, 36, 45, 45, 54, 0, 1, 9, 10, 18, 19})
+	f.Add([]byte{9, 6, 4, 40, 2, 8, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 5, 6})       // star + tail + isolated, visit-exchange
+	f.Add([]byte{7, 7, 5, 47, 6, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 4, 4, 5, 5, 6}) // cycles, meet-exchange
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
@@ -441,14 +444,25 @@ func FuzzSmallerSideVsPlain(f *testing.F) {
 		if int(src) == n {
 			return // no edge survived
 		}
-		protos := laneProtos(g, src)
-		pc := protos[int(data[1]&127)%len(protos)]
+		calls, walks := laneProtos(g, src), agentProtos(g, src, AgentOptions{})
+		protos := append(calls, walks...)
+		pi := int(data[1]&127) % len(protos)
+		pc := protos[pi]
 		want, err := RunMany(g, pc.serial, k, maxRounds, seed)
 		if err != nil {
+			if pi >= len(calls) {
+				return // the walk system refuses the input
+			}
 			t.Fatal(err)
 		}
-		for _, s := range append([]side{sideRule}, validSides(pc.name)...) {
-			got, err := RunManyLanes(g, withSide(pc.batched, s, noIndex, nil), k, maxRounds, seed, k, nil)
+		forced := func(s side) LaneFactory { return withSide(pc.batched, s, noIndex, nil) }
+		sides := append([]side{sideRule}, validSides(pc.name)...)
+		if pi >= len(calls) {
+			forced = func(side) LaneFactory { return pc.batched }
+			sides = []side{sideRule}
+		}
+		for _, s := range sides {
+			got, err := RunManyLanes(g, forced(s), k, maxRounds, seed, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
