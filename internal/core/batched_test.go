@@ -213,12 +213,14 @@ func TestRunManyBatchedErrorConsistency(t *testing.T) {
 	}
 }
 
-// TestVisitLaneStateBudget is the first engine-memory assertion: a
-// visit-exchange lane holds two bitsets, informed vertices and informed
-// agents, and no per-vertex array. Building a K-lane bundle may allocate
-// at most K·(⌈n/64⌉ + ⌈|A|/64⌉) words plus a small constant beyond what its
-// walk system allocates. The graph's walk index and stationary alias are
-// built first, since the graph caches them for every later walk system.
+// TestVisitLaneStateBudget is the engine-memory assertion for both agent
+// protocols: an agent lane holds two bitsets, informed vertices and
+// informed agents, and no per-vertex array — meet-exchange's vertex set is
+// transient, but it is still a bitset. Building a K-lane bundle may
+// allocate at most K·(⌈n/64⌉ + ⌈|A|/64⌉) words plus a small constant
+// beyond what its walk system allocates. The graph's walk index and
+// stationary alias are built first, since the graph caches them for every
+// later walk system.
 func TestVisitLaneStateBudget(t *testing.T) {
 	g := graph.Hypercube(14)
 	const k, slack = 4, 2048
@@ -228,10 +230,6 @@ func TestVisitLaneStateBudget(t *testing.T) {
 			r[i] = xrand.New(xrand.TrialSeed(1, i))
 		}
 		return r
-	}
-	cfg := AgentOptions{}.walkConfig(g, false)
-	if _, err := agents.NewBatched(g, cfg, rngs()); err != nil {
-		t.Fatal(err)
 	}
 	allocated := func(build func() error) uint64 {
 		best := uint64(math.MaxUint64)
@@ -246,13 +244,26 @@ func TestVisitLaneStateBudget(t *testing.T) {
 		}
 		return best
 	}
-	walks := allocated(func() error { _, err := agents.NewBatched(g, cfg, rngs()); return err })
-	bundle := allocated(func() error { _, err := NewBatchedVisitExchange(g, 0, rngs(), AgentOptions{}); return err })
 	words := func(n int) uint64 { return uint64(n+63) / 64 }
-	limit := k*(words(g.N())+words(cfg.Count))*8 + slack
-	if lane := bundle - walks; lane > limit {
-		t.Errorf("visit-exchange lane state: %d bytes over the walk system's %d, want at most %d (K·(⌈n/64⌉+⌈|A|/64⌉)·8 + %d)",
-			lane, walks, limit, slack)
+	for _, pc := range []struct {
+		name  string
+		meet  bool
+		build func([]*xrand.RNG) (LaneProcess, error)
+	}{
+		{"visit-exchange", false, func(r []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, r, AgentOptions{}) }},
+		{"meet-exchange", true, func(r []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, 0, r, AgentOptions{}) }},
+	} {
+		cfg := AgentOptions{}.walkConfig(g, pc.meet)
+		if _, err := agents.NewBatched(g, cfg, rngs()); err != nil {
+			t.Fatal(err)
+		}
+		walks := allocated(func() error { _, err := agents.NewBatched(g, cfg, rngs()); return err })
+		bundle := allocated(func() error { _, err := pc.build(rngs()); return err })
+		limit := k*(words(g.N())+words(cfg.Count))*8 + slack
+		if lane := bundle - walks; lane > limit {
+			t.Errorf("%s lane state: %d bytes over the walk system's %d, want at most %d (K·(⌈n/64⌉+⌈|A|/64⌉)·8 + %d)",
+				pc.name, lane, walks, limit, slack)
+		}
 	}
 }
 

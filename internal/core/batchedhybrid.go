@@ -42,7 +42,7 @@ type hybridLane struct {
 //
 // The agent phase is one fused BatchedWalks round for all lanes, and the
 // informing passes (exchange collect, agent deposit, commit, agent pickup)
-// then run lane by lane, like BatchedVisitExchange's. The agent half
+// then run lane by lane, like BatchedAgentExchange's. The agent half
 // is visit-exchange's round, through the same collectDeposits and
 // pickupAgents, so its deposits scan positions once every agent is
 // informed. Each lane's exchange phase is a push-pull lane's (every

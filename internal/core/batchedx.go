@@ -10,133 +10,196 @@ import (
 	"rumor/internal/xrand"
 )
 
-// Batched visit-exchange and meet-exchange bundles. Each lane carries the
-// full per-trial protocol state (informed bitsets, counts); the walk step
-// is fused across lanes by agents.BatchedWalks, and the informing passes
-// run lane by lane after it. Lanes touch only their own state, so every
-// lane's informed sets evolve bit-identically to a one-lane bundle with
-// the same trial RNG — which is what NewVisitExchange and NewMeetExchange
-// return.
+// The agent-exchange bundle: visit-exchange and meet-exchange, which differ
+// in one respect (Section 3) — visit-exchange keeps the rumor on vertices
+// as well as on agents, meet-exchange on agents only. Each lane carries the
+// full per-trial protocol state (two bitsets and counts); the walk step is
+// fused across lanes by agents.BatchedWalks, and the informing passes run
+// lane by lane after it. Lanes touch only their own state, so every lane's
+// informed sets evolve bit-identically to a one-lane bundle with the same
+// trial RNG — which is what NewVisitExchange and NewMeetExchange return.
 //
-// Visit-exchange informs vertices the way the hybrid's agent half does
-// (collectDeposits, then pickupAgents): the deposit pass walks the agents,
-// not the vertices, so a lane keeps no per-vertex state beyond its
-// informed bitset.
+// Both protocols inform through the same two passes over the agents:
+// informed agents deposit on the vertex set, then uninformed agents on a
+// set vertex pick up (pickupAgents, shared with the hybrid's agent half).
+// With memory (visit-exchange) the vertex set is the informed vertices and
+// deposits go through collectDeposits and a commit. Without it
+// (meet-exchange) the set is transient: while no agent is informed it
+// holds the source, and once one is, it is cleared every round and each
+// agent informed before the round marks its vertex directly.
 //
 // With churn, agents the walk step respawned are fresh and uninformed:
 // each lane clears their informed bits before its informing passes. A
 // one-lane bundle may carry an Observer, called with every agent traversal
 // after the walk step.
 
-// visitLane is one trial's visit-exchange state.
-type visitLane struct {
-	informedV *bitset.Set
+// agentLane is one trial's agent-exchange state.
+type agentLane struct {
+	informedV *bitset.Set // informed vertices; without memory, the transient set
 	informedA *bitset.Set
-	countV    int
+	countV    int // with memory only
 	countA    int
 	pending   []graph.Vertex
 	messages  int64
 }
 
-// BatchedVisitExchange runs K visit-exchange trials in fused lockstep.
-// Visit-exchange is the agent-based protocol where both vertices and
-// agents store the rumor (Section 3): in round zero the source vertex and
-// all agents on it become informed; in each subsequent round all agents
-// take one random-walk step, every agent informed in a previous round
-// informs the vertex it visits, and every agent standing on a vertex
-// informed in a previous or the current round becomes informed.
-type BatchedVisitExchange struct {
+// BatchedAgentExchange runs K trials of an agent protocol in fused
+// lockstep. In round zero the agents standing on the source become
+// informed; in each subsequent round all agents take one random-walk step
+// and then:
+//
+//   - visit-exchange (memory on): every agent informed in a previous round
+//     informs the vertex it visits, and every agent standing on a vertex
+//     informed in a previous or the current round becomes informed;
+//   - meet-exchange (memory off): every agent standing on a vertex with an
+//     agent informed in a previous round becomes informed. If no agent
+//     starts on the source, the first agent(s) to visit it become
+//     informed, after which the source goes silent.
+//
+// On bipartite graphs two walks can have permanently disjoint parities, so
+// the paper (and LazyAuto) uses lazy walks for meet-exchange there;
+// T_meetx would otherwise be infinite with positive probability.
+type BatchedAgentExchange struct {
 	g       *graph.Graph
 	src     graph.Vertex
+	memory  bool // visit-exchange; meet-exchange when false
 	walks   *agents.BatchedWalks
-	lanes   []visitLane
+	lanes   []agentLane
 	observe MoveObserver // one-lane bundles only
 }
 
-var _ LaneProcess = (*BatchedVisitExchange)(nil)
+var _ LaneProcess = (*BatchedAgentExchange)(nil)
 
 // NewBatchedVisitExchange builds a K = len(rngs) lane visit-exchange
 // bundle; lane t's trial depends on rngs[t] alone, so lane t replays the
 // one-lane bundle NewVisitExchange builds from the same RNG. Any churn rate
 // is supported; an Observer needs K = 1.
-func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedVisitExchange, error) {
+func NewBatchedVisitExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedAgentExchange, error) {
+	return newBatchedAgentExchange(g, s, rngs, opts, true)
+}
+
+// NewBatchedMeetExchange builds a K = len(rngs) lane meet-exchange bundle;
+// lane t replays the one-lane bundle NewMeetExchange builds from rngs[t]
+// (see NewBatchedVisitExchange).
+func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedAgentExchange, error) {
+	return newBatchedAgentExchange(g, s, rngs, opts, false)
+}
+
+func newBatchedAgentExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions, memory bool) (*BatchedAgentExchange, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
 	if opts.Observer != nil && len(rngs) != 1 {
 		return nil, errObserverLanes
 	}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rngs)
+	x := &BatchedAgentExchange{g: g, src: s, memory: memory, lanes: make([]agentLane, len(rngs)), observe: opts.Observer}
+	w, err := agents.NewBatched(g, opts.walkConfig(g, !memory), rngs)
 	if err != nil {
-		return nil, fmt.Errorf("visit-exchange: %w", err)
+		return nil, fmt.Errorf("%s: %w", x.Name(), err)
 	}
-	v := &BatchedVisitExchange{g: g, src: s, walks: w, lanes: make([]visitLane, len(rngs)), observe: opts.Observer}
-	for t := range v.lanes {
-		L := &v.lanes[t]
+	x.walks = w
+	for t := range x.lanes {
+		L := &x.lanes[t]
 		L.informedV = bitset.New(g.N())
 		L.informedA = bitset.New(w.N())
-		L.countV = 1
-		L.informedV.Set(int(s))
 		for i, p := range w.Lane(t) {
 			if p == s {
 				L.informedA.Set(i)
 				L.countA++
 			}
 		}
+		// Without memory the source holds the rumor only until an agent
+		// does: an informed agent implies a silent source.
+		if memory || L.countA == 0 {
+			L.informedV.Set(int(s))
+			L.countV = 1
+		}
 	}
-	return v, nil
+	return x, nil
 }
 
 // Name implements LaneProcess.
-func (v *BatchedVisitExchange) Name() string { return "visit-exchange" }
+func (x *BatchedAgentExchange) Name() string {
+	if x.memory {
+		return "visit-exchange"
+	}
+	return "meet-exchange"
+}
 
 // K implements LaneProcess.
-func (v *BatchedVisitExchange) K() int { return len(v.lanes) }
+func (x *BatchedAgentExchange) K() int { return len(x.lanes) }
 
 // Source implements LaneProcess.
-func (v *BatchedVisitExchange) Source() graph.Vertex { return v.src }
+func (x *BatchedAgentExchange) Source() graph.Vertex { return x.src }
 
-// LaneDone implements LaneProcess.
-func (v *BatchedVisitExchange) LaneDone(t int) bool { return v.lanes[t].countV == v.g.N() }
+// LaneDone implements LaneProcess: every vertex informed with memory,
+// every agent without.
+func (x *BatchedAgentExchange) LaneDone(t int) bool {
+	if x.memory {
+		return x.lanes[t].countV == x.g.N()
+	}
+	return x.LaneAllAgentsInformed(t)
+}
 
-// LaneInformedCount implements LaneProcess (vertices).
-func (v *BatchedVisitExchange) LaneInformedCount(t int) int { return v.lanes[t].countV }
+// LaneInformedCount implements LaneProcess: vertices with memory, agents
+// without.
+func (x *BatchedAgentExchange) LaneInformedCount(t int) int {
+	if x.memory {
+		return x.lanes[t].countV
+	}
+	return x.lanes[t].countA
+}
 
 // LaneMessages implements LaneProcess.
-func (v *BatchedVisitExchange) LaneMessages(t int) int64 { return v.lanes[t].messages }
+func (x *BatchedAgentExchange) LaneMessages(t int) int64 { return x.lanes[t].messages }
 
 // LaneAllAgentsInformed implements LaneProcess.
-func (v *BatchedVisitExchange) LaneAllAgentsInformed(t int) bool {
-	return v.lanes[t].countA == v.walks.N()
+func (x *BatchedAgentExchange) LaneAllAgentsInformed(t int) bool {
+	return x.lanes[t].countA == x.walks.N()
 }
 
 // Round returns the number of Step calls so far.
-func (v *BatchedVisitExchange) Round() int { return v.walks.Round() }
+func (x *BatchedAgentExchange) Round() int { return x.walks.Round() }
 
 // Step implements LaneProcess: one fused walk round, then the per-lane
 // informing passes.
-func (v *BatchedVisitExchange) Step(active []bool) {
-	v.walks.Step(active)
-	if v.observe != nil {
-		observeMoves(v.observe, v.walks)
+func (x *BatchedAgentExchange) Step(active []bool) {
+	x.walks.Step(active)
+	if x.observe != nil {
+		observeMoves(x.observe, x.walks)
 	}
-	for t := range v.lanes {
+	for t := range x.lanes {
 		if active == nil || active[t] {
-			v.stepLane(t)
+			x.stepLane(t)
 		}
 	}
 }
 
-// stepLane applies one round of visit-exchange informing to lane t: churn
-// replacements forget the rumor, agents informed in a previous round
-// deposit it on the vertices they landed on, then agents standing on an
-// informed vertex (old or new) pick it up.
-func (v *BatchedVisitExchange) stepLane(t int) {
-	L := &v.lanes[t]
-	pos := v.walks.Lane(t)
+// stepLane applies one round of informing to lane t: churn replacements
+// forget the rumor, agents informed in a previous round deposit it on the
+// vertices they landed on, then agents standing on a set vertex (old or
+// new) pick it up.
+func (x *BatchedAgentExchange) stepLane(t int) {
+	L := &x.lanes[t]
+	pos := x.walks.Lane(t)
 	L.messages += int64(len(pos))
-	L.countA = forgetRespawned(L.informedA, L.countA, v.walks.Respawned(t))
-	if L.countA > 0 && L.countV < v.g.N() {
+	if !x.memory && L.countA > 0 {
+		// The source is silent: the set is rebuilt from the agents.
+		clear(L.informedV.Words())
+	}
+	L.countA = forgetRespawned(L.informedA, L.countA, x.walks.Respawned(t))
+	switch {
+	case L.countA == 0:
+	case !x.memory:
+		// A direct mark, one OR per informed agent: no collect, no commit.
+		vw := L.informedV.Words()
+		for wi, wd := range L.informedA.Words() {
+			for ; wd != 0; wd &= wd - 1 {
+				p := uint32(pos[wi<<6+bits.TrailingZeros64(wd)])
+				vw[p>>6] |= 1 << (p & 63)
+			}
+		}
+	case L.countV < x.g.N():
 		L.pending = collectDeposits(L.informedA, L.countA, L.informedV, pos, L.pending[:0])
 		for _, p := range L.pending {
 			if !L.informedV.Test(int(p)) {
@@ -145,157 +208,10 @@ func (v *BatchedVisitExchange) stepLane(t int) {
 			}
 		}
 	}
-	if L.countA < len(pos) {
+	// Without memory or informed agents, the set holds the source or,
+	// once churn has lost the rumor, nothing.
+	if L.countA < len(pos) && (x.memory || L.countA > 0 || L.informedV.Test(int(x.src))) {
 		L.countA = pickupAgents(L.informedA, L.countA, L.informedV, pos)
-	}
-}
-
-// meetLane is one trial's meet-exchange state.
-type meetLane struct {
-	informedA    *bitset.Set
-	countA       int
-	occInf       *epochMark
-	sourceActive bool
-	newly        []int
-	messages     int64
-}
-
-// BatchedMeetExchange runs K meet-exchange trials in fused lockstep.
-// Meet-exchange is the agent-only protocol (Section 3): in round zero every
-// agent standing on the source becomes informed; if none stands there, the
-// first agent(s) to visit the source in a later round become informed,
-// after which the source goes silent; thereafter the rumor passes only
-// between agents that meet at a vertex, and only from agents informed in a
-// previous round. On bipartite graphs two walks can have permanently
-// disjoint parities, so the paper (and LazyAuto) uses lazy walks there;
-// T_meetx would otherwise be infinite with positive probability.
-type BatchedMeetExchange struct {
-	g       *graph.Graph
-	src     graph.Vertex
-	walks   *agents.BatchedWalks
-	lanes   []meetLane
-	observe MoveObserver // one-lane bundles only
-}
-
-var _ LaneProcess = (*BatchedMeetExchange)(nil)
-
-// NewBatchedMeetExchange builds a K = len(rngs) lane meet-exchange bundle;
-// lane t replays the one-lane bundle NewMeetExchange builds from rngs[t]
-// (see NewBatchedVisitExchange).
-func NewBatchedMeetExchange(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG, opts AgentOptions) (*BatchedMeetExchange, error) {
-	if err := checkSource(g, s); err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil && len(rngs) != 1 {
-		return nil, errObserverLanes
-	}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, true), rngs)
-	if err != nil {
-		return nil, fmt.Errorf("meet-exchange: %w", err)
-	}
-	m := &BatchedMeetExchange{g: g, src: s, walks: w, lanes: make([]meetLane, len(rngs)), observe: opts.Observer}
-	for t := range m.lanes {
-		L := &m.lanes[t]
-		L.informedA = bitset.New(w.N())
-		L.occInf = newEpochMark(g.N())
-		for i, p := range w.Lane(t) {
-			if p == s {
-				L.informedA.Set(i)
-				L.countA++
-			}
-		}
-		L.sourceActive = L.countA == 0
-	}
-	return m, nil
-}
-
-// Name implements LaneProcess.
-func (m *BatchedMeetExchange) Name() string { return "meet-exchange" }
-
-// K implements LaneProcess.
-func (m *BatchedMeetExchange) K() int { return len(m.lanes) }
-
-// Source implements LaneProcess.
-func (m *BatchedMeetExchange) Source() graph.Vertex { return m.src }
-
-// LaneDone implements LaneProcess: every agent informed.
-func (m *BatchedMeetExchange) LaneDone(t int) bool { return m.lanes[t].countA == m.walks.N() }
-
-// LaneInformedCount implements LaneProcess (agents).
-func (m *BatchedMeetExchange) LaneInformedCount(t int) int { return m.lanes[t].countA }
-
-// LaneMessages implements LaneProcess.
-func (m *BatchedMeetExchange) LaneMessages(t int) int64 { return m.lanes[t].messages }
-
-// LaneAllAgentsInformed implements LaneProcess.
-func (m *BatchedMeetExchange) LaneAllAgentsInformed(t int) bool { return m.LaneDone(t) }
-
-// Round returns the number of Step calls so far.
-func (m *BatchedMeetExchange) Round() int { return m.walks.Round() }
-
-// Step implements LaneProcess: one fused walk round, then the per-lane
-// meeting passes.
-func (m *BatchedMeetExchange) Step(active []bool) {
-	m.walks.Step(active)
-	if m.observe != nil {
-		observeMoves(m.observe, m.walks)
-	}
-	for t := range m.lanes {
-		if active == nil || active[t] {
-			m.stepLane(t)
-		}
-	}
-}
-
-// stepLane applies one round of meet-exchange informing to lane t: churn
-// replacements forget the rumor, then meetings and the source rule inform.
-func (m *BatchedMeetExchange) stepLane(t int) {
-	L := &m.lanes[t]
-	pos := m.walks.Lane(t)
-	na := len(pos)
-	L.messages += int64(na)
-	L.countA = forgetRespawned(L.informedA, L.countA, m.walks.Respawned(t))
-
-	// Mark vertices occupied by agents informed in a previous round, then
-	// collect uninformed agents meeting them.
-	L.occInf.next()
-	L.newly = L.newly[:0]
-	if L.countA > 0 && L.countA < na {
-		aw := L.informedA.Words()
-		markInformed(L.occInf, aw, pos)
-		for wi := range aw {
-			inv := ^aw[wi]
-			if rem := na - wi<<6; rem < 64 {
-				inv &= 1<<uint(rem) - 1
-			}
-			for ; inv != 0; inv &= inv - 1 {
-				i := wi<<6 + bits.TrailingZeros64(inv)
-				if L.occInf.marked(pos[i]) {
-					L.newly = append(L.newly, i)
-				}
-			}
-		}
-	}
-
-	// Source rule: while active, every agent visiting s this round becomes
-	// informed, then the source goes silent.
-	if L.sourceActive {
-		visited := false
-		for i := 0; i < na; i++ {
-			if pos[i] == m.src {
-				visited = true
-				L.newly = append(L.newly, i)
-			}
-		}
-		if visited {
-			L.sourceActive = false
-		}
-	}
-	for _, i := range L.newly {
-		if !L.informedA.Test(i) {
-			L.informedA.Set(i)
-			L.countA++
-		}
 	}
 }
 

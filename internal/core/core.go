@@ -44,14 +44,16 @@
 //
 // Because every empirical figure is a distribution over many independent
 // trials, every protocol also has a fused multi-lane bundle (BatchedCall,
-// BatchedVisitExchange, BatchedMeetExchange, BatchedHybrid): K trials step
+// BatchedAgentExchange, BatchedHybrid): K trials step
 // in lockstep through one blocked loop over units per round, with
 // per-lane state and per-trial done-masking. Push and push-pull share
 // BatchedCall, one call model with the pull direction off or on.
-// Visit-exchange is the hybrid's agent half without its calls: both inform
-// through one deposit pass and one pickup pass over the agents
-// (collectDeposits, pickupAgents), keeping no per-vertex state beyond the
-// informed bitset. The
+// Visit- and meet-exchange share BatchedAgentExchange, one agent lane with
+// vertex memory on or off. Visit-exchange is the hybrid's agent half
+// without its calls, and meet-exchange is visit-exchange whose vertex set
+// is rebuilt every round from the informed agents: all three inform
+// through a deposit pass and one pickup pass over the agents
+// (pickupAgents), keeping no per-vertex state beyond a bitset. The
 // bundles are the only implementations: every constructor (NewPush,
 // NewPushPull, NewVisitExchange, NewMeetExchange, NewHybrid) returns the
 // one-lane view of its bundle, which the driver runs as the K = 1 lane

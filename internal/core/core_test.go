@@ -34,11 +34,17 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
-// visitBundle returns the one-lane bundle behind a visit-exchange view.
-func visitBundle(p Process) *BatchedVisitExchange { return p.bundle().(*BatchedVisitExchange) }
+// agentBundle returns the one-lane bundle behind a visit- or meet-exchange
+// view.
+func agentBundle(p Process) *BatchedAgentExchange { return p.bundle().(*BatchedAgentExchange) }
 
-// meetBundle returns the one-lane bundle behind a meet-exchange view.
-func meetBundle(p Process) *BatchedMeetExchange { return p.bundle().(*BatchedMeetExchange) }
+// sourceHolds reports whether a meet-exchange view's source still holds
+// the rumor: no agent is informed and the source is in the lane's vertex
+// set.
+func sourceHolds(p Process) bool {
+	x := agentBundle(p)
+	return x.lanes[0].countA == 0 && x.lanes[0].informedV.Test(int(x.src))
+}
 
 func TestAgentCountHelper(t *testing.T) {
 	cases := []struct {
@@ -156,7 +162,7 @@ func TestVisitExchangeRoundZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := visitBundle(v).lanes[0].countA; got != 2 {
+	if got := agentBundle(v).lanes[0].countA; got != 2 {
 		t.Errorf("round-zero informed agents = %d, want 2", got)
 	}
 	if v.InformedCount() != 1 {
@@ -180,11 +186,11 @@ func TestVisitExchangeAgentInformedByVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if visitBundle(v).lanes[0].countA != 0 {
+	if agentBundle(v).lanes[0].countA != 0 {
 		t.Fatal("agent informed at round zero while off-source")
 	}
 	v.Step()
-	if visitBundle(v).lanes[0].countA != 1 {
+	if agentBundle(v).lanes[0].countA != 1 {
 		t.Fatal("agent not informed after stepping onto informed center")
 	}
 	if v.InformedCount() != 1 {
@@ -214,7 +220,7 @@ func TestVisitExchangeCurrentRoundVertexInformsAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Step()
-	if got := visitBundle(v).lanes[0].countA; got != 2 {
+	if got := agentBundle(v).lanes[0].countA; got != 2 {
 		t.Fatalf("after round 1, informed agents = %d, want 2 (current-round rule)", got)
 	}
 	if v.InformedCount() != 2 { // leaf 1 + center
@@ -264,7 +270,7 @@ func TestMeetExchangeRoundZeroAndSourceRule(t *testing.T) {
 	if m.InformedCount() != 1 {
 		t.Fatalf("round-zero informed agents = %d, want 1", m.InformedCount())
 	}
-	if meetBundle(m).lanes[0].sourceActive {
+	if sourceHolds(m) {
 		t.Fatal("source still active though an agent started on it")
 	}
 }
@@ -282,12 +288,12 @@ func TestMeetExchangeFirstVisitInforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !meetBundle(m).lanes[0].sourceActive || m.InformedCount() != 0 {
+	if !sourceHolds(m) || m.InformedCount() != 0 {
 		t.Fatal("bad round-zero state")
 	}
 	m.Step()
-	if m.InformedCount() != 1 || meetBundle(m).lanes[0].sourceActive {
-		t.Fatalf("first visit did not inform: count=%d active=%v", m.InformedCount(), meetBundle(m).lanes[0].sourceActive)
+	if m.InformedCount() != 1 || sourceHolds(m) {
+		t.Fatalf("first visit did not inform: count=%d active=%v", m.InformedCount(), sourceHolds(m))
 	}
 	if !m.Done() {
 		t.Fatal("single-agent meetx not done once the agent is informed")
@@ -409,7 +415,7 @@ func TestAllProtocolsCompleteOnAllFamilies(t *testing.T) {
 				}
 				want := g.N()
 				if pc.name == "meetx" {
-					want = meetBundle(p).walks.N()
+					want = agentBundle(p).walks.N()
 				}
 				if got := p.InformedCount(); got != want {
 					t.Fatalf("final informed = %d, want %d", got, want)
@@ -672,8 +678,8 @@ func TestOnePerVertexPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if visitBundle(v).walks.N() != g.N() {
-		t.Fatalf("agent count %d != n %d", visitBundle(v).walks.N(), g.N())
+	if agentBundle(v).walks.N() != g.N() {
+		t.Fatalf("agent count %d != n %d", agentBundle(v).walks.N(), g.N())
 	}
 	res := Run(g, v, 0)
 	if !res.Completed {
@@ -849,12 +855,12 @@ func TestMeetExchangePairwiseRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InformedCount() != 0 || !meetBundle(m).lanes[0].sourceActive {
+	if m.InformedCount() != 0 || !sourceHolds(m) {
 		t.Fatal("bad initial state")
 	}
 	for i := 0; i < 50 && m.InformedCount() == 0; i++ {
 		m.Step()
-		if m.InformedCount() > 0 && meetBundle(m).lanes[0].sourceActive {
+		if m.InformedCount() > 0 && sourceHolds(m) {
 			t.Fatal("agents informed while source still active — meeting of uninformed agents created information")
 		}
 	}

@@ -15,17 +15,14 @@ import (
 // performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane
 // with the pull direction off. The agent deposit and pickup passes live
-// here too: they are visit-exchange's whole informing round and the
-// hybrid's agent half, one copy for both.
+// here too: they are the agent protocols' informing round and the
+// hybrid's agent half, one copy for all three.
 
-// NOTE: the bitset-word scans over agents share a helper only where the
-// per-agent predicate is the same concrete test (markInformed for
-// meet-exchange; collectDeposits and pickupAgents for visit-exchange and
-// the hybrid's agent half). The meet-exchange meeting scan repeats
-// the loop shape — including the ghost-bit mask `inv &= 1<<rem - 1` for
-// the final partial word — rather than take a predicate closure: an
-// indirect call per agent would land in the engine's hottest loops. A fix
-// to the masking must be applied at every site.
+// NOTE: among the bitset-word scans over agents, only pickupAgents walks
+// the uninformed agents, so it alone carries the ghost-bit mask
+// `inv &= 1<<rem - 1` for the final partial word; the deposit scans walk
+// set bits, which have no ghosts. The vertex-side scans keep their own
+// copy of the mask in uninformedWord.
 
 // neighborSampler resolves uniform neighbor draws against the graph's
 // packed walk index when available (single load + AND or multiply-shift),
@@ -321,7 +318,7 @@ func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *b
 
 // collectDeposits appends to pending, in agent-id order, the vertex of
 // every informed agent that is not yet informed: the visit-exchange
-// deposit of BatchedVisitExchange and of the hybrid's agent half,
+// deposit of visit-exchange and of the hybrid's agent half,
 // evaluated against the pre-commit informed set (duplicates commit once).
 // countA is the number of informed agents. When it is every agent — the
 // Ω(n) broadcast tails of the star-like families — the pass scans the

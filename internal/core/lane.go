@@ -17,10 +17,10 @@ import (
 // lanes in lockstep, and driveBatch drives every bundle with identical
 // round/History/finalization semantics. Each protocol has exactly one
 // implementation, its bundle (BatchedCall for push and push-pull, which
-// differ only in its pull flag; BatchedVisitExchange, BatchedMeetExchange,
-// BatchedHybrid); a single trial is the K = 1 special case, a one-lane
-// bundle behind a laneView, which is what the protocol constructors
-// return. RunMany is RunManyLanes at K = 1, so single-trial and fused
+// differ only in its pull flag; BatchedAgentExchange for visit- and
+// meet-exchange, which differ only in its memory flag; BatchedHybrid); a
+// single trial is the K = 1 special case, a one-lane bundle behind a
+// laneView, which is what the protocol constructors return. RunMany is RunManyLanes at K = 1, so single-trial and fused
 // sweeps share one worker pool, one error discipline, and one emitter.
 //
 // The contract is strict bit-equivalence across K: lane t draws from
@@ -113,9 +113,9 @@ const batchK = 8
 // widest K (up to batchK) that still yields at least one bundle per
 // processor — on multi-core boxes, small sweeps otherwise fuse into too few
 // bundles to occupy the trial pool — halved while the bundle's per-lane
-// state (positions, informed bitsets, occupancy stamps, all Θ(n)) would
-// overflow a few MB of cache, since wide bundles on huge graphs evict the
-// shared CSR and walk index they exist to keep hot. K never affects
+// state (positions and informed bitsets, all Θ(n)) would overflow a few
+// MB of cache, since wide bundles on huge graphs evict the shared CSR and
+// walk index they exist to keep hot. K never affects
 // results (lane t's draws are keyed by trial, not by bundle shape), only
 // throughput, so the heuristic is free to use GOMAXPROCS. Bundles are the
 // engine's only parallelism — a bundle steps its rounds on the goroutine
@@ -135,7 +135,7 @@ func AdaptiveBatchK(g *graph.Graph, trials int) int {
 		}
 	}
 	// ~16 bytes of lane state per vertex/agent (two position buffers, two
-	// bitsets, stamps) against an 8 MB budget.
+	// bitsets) against an 8 MB budget.
 	const laneStateBudget = 8 << 20
 	for k > 1 && k*g.N()*16 > laneStateBudget {
 		k /= 2

@@ -200,7 +200,7 @@ type plainMeet struct {
 	walks        *agents.BatchedWalks
 	informedA    *bitset.Set
 	countA       int
-	sourceActive bool
+	sourceSilent bool
 	messages     int64
 }
 
@@ -218,7 +218,7 @@ func plainMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOp
 			r.countA++
 		}
 	}
-	r.sourceActive = r.countA == 0
+	r.sourceSilent = r.countA > 0
 	return newLaneView(r), nil
 }
 
@@ -256,12 +256,12 @@ func (r *plainMeet) Step(active []bool) {
 		if p == r.src {
 			visited = true
 		}
-		if !r.informedA.Test(i) && (hosts[p] || r.sourceActive && p == r.src) {
+		if !r.informedA.Test(i) && (hosts[p] || !r.sourceSilent && p == r.src) {
 			newly = append(newly, i)
 		}
 	}
 	if visited {
-		r.sourceActive = false
+		r.sourceSilent = true
 	}
 	for _, i := range newly {
 		r.informedA.Set(i)

@@ -79,7 +79,7 @@ func (o AgentOptions) walkConfig(g *graph.Graph, forceLazyAuto bool) agents.Conf
 }
 
 // NewVisitExchange builds a single visit-exchange trial: the one-lane view
-// of BatchedVisitExchange. Visit-exchange does not require lazy walks
+// of NewBatchedVisitExchange. Visit-exchange does not require lazy walks
 // (vertices hold the rumor across parity classes), so LazyAuto resolves to
 // simple walks.
 func NewVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
@@ -91,7 +91,7 @@ func NewVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts Agent
 }
 
 // NewMeetExchange builds a single meet-exchange trial: the one-lane view of
-// BatchedMeetExchange. LazyAuto resolves to lazy walks on bipartite graphs.
+// NewBatchedMeetExchange. LazyAuto resolves to lazy walks on bipartite graphs.
 func NewMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
 	m, err := NewBatchedMeetExchange(g, s, []*xrand.RNG{rng}, opts)
 	if err != nil {
