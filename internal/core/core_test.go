@@ -863,6 +863,12 @@ func TestMeetExchangePairwiseRule(t *testing.T) {
 		if m.InformedCount() > 0 && sourceHolds(m) {
 			t.Fatal("agents informed while source still active — meeting of uninformed agents created information")
 		}
+		L := agentBundle(m).lanes[0]
+		for i, p := range agentBundle(m).walks.Lane(0) {
+			if L.informedA.Test(i) && p != 0 {
+				t.Fatalf("agent %d informed off the source, at %d, before any agent held the rumor", i, p)
+			}
+		}
 	}
 	if m.InformedCount() == 0 {
 		t.Fatal("no agent ever visited the source on K3 in 50 rounds")
