@@ -14,9 +14,9 @@ import (
 // (no per-unit indirection lands in a hot loop), so every engine that
 // performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane
-// with the pull direction off. The agent deposit and pickup passes live
-// here too: they are the agent protocols' informing round and the
-// hybrid's agent half, one copy for all three.
+// with the pull direction off. The agent passes live here too:
+// collectDeposits is visit-exchange's and the hybrid's deposit, and
+// pickupAgents every agent protocol's pickup, one copy for all three.
 
 // NOTE: among the bitset-word scans over agents, only pickupAgents walks
 // the uninformed agents, so it alone carries the ghost-bit mask
