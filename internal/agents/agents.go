@@ -5,10 +5,8 @@
 // deg(v)/2|E| (Section 3 of the paper), optionally replaced by fresh agents
 // at a churn rate (the dynamic-agents variant of Section 9).
 //
-// BatchedWalks is the package's one walk system. It steps K ≥ 1
-// independent trials' walks — its lanes — in one blocked loop per round,
-// paying the loop control once per agent block rather than per trial; a
-// single trial is the one-lane system. On regular graphs a block's step
+// BatchedWalks is the package's one walk system: one trial's agents,
+// stepped in one blocked loop per round. On regular graphs a block's step
 // computes every agent's neighbor slot first and gathers after, so the
 // random CSR loads overlap; other graphs step through the packed walk
 // index in one fused, branchless pass.
@@ -16,17 +14,16 @@
 // # Deterministic parallelism
 //
 // Stepping follows a counter-based randomness contract: every draw agent
-// i of lane t makes in round r comes from the stream keyed (seeds[t], i,
-// r) (see xrand.NewStream), where seeds[t] is drawn once from lane t's
-// RNG. With churn, the first draw is the agent's death coin; a dead agent
-// samples its respawn vertex from the stationary distribution on the same
-// stream, a survivor takes its walk draw next. No draw depends on
-// execution order, on how many values other agents consumed, or on which
-// lanes step alongside, so a lane may sit out rounds with bit-identical
-// results. A step runs on the goroutine that calls it; the engine in core
-// runs whole walk systems in parallel, never parts of one. The
-// order-sensitive output, each lane's Respawned list, is built in
-// ascending agent id, the paper's "ties broken by agent id" ordering.
+// i makes in round r comes from the stream keyed (seed, i, r) (see
+// xrand.NewStream), where seed is drawn once from the trial's RNG. With
+// churn, the first draw is the agent's death coin; a dead agent samples
+// its respawn vertex from the stationary distribution on the same stream,
+// a survivor takes its walk draw next. No draw depends on execution order
+// or on how many values other agents consumed. A step runs on the
+// goroutine that calls it; the engine in core runs whole trials in
+// parallel, never parts of one. The order-sensitive output, the Respawned
+// list, is built in ascending agent id, the paper's "ties broken by agent
+// id" ordering.
 //
 // The walk step writes positions only; what the protocols do with them
 // (deposits, pickups, meetings) is theirs, in package core. The package
@@ -76,19 +73,19 @@ type Config struct {
 	ChurnRate float64
 }
 
-// placeLane fills lane (len cfg.Count) with cfg's initial placement,
-// drawing agent i's stationary sample from stream (seed, i, 0), so a lane's
-// placement depends on its seed alone, not on the lanes beside it.
-func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) error {
+// place fills pos (len cfg.Count) with cfg's initial placement, drawing
+// agent i's stationary sample from stream (seed, i, 0), so a placement
+// depends on its seed alone.
+func place(g *graph.Graph, cfg Config, seed uint64, pos []graph.Vertex) error {
 	switch cfg.Placement {
 	case PlaceStationary:
 		// O(1) alias sampling per agent (table cached on the graph); agent
 		// i draws from its round-0 stream, so placement is order-independent
 		// too.
 		alias := g.StationaryAlias()
-		for i := range lane {
+		for i := range pos {
 			s := xrand.NewStream(seed, uint64(i), 0)
-			lane[i] = graph.Vertex(alias.SampleStream(&s))
+			pos[i] = graph.Vertex(alias.SampleStream(&s))
 		}
 	case PlaceOnePerVertex:
 		if cfg.Count != g.N() {
@@ -97,8 +94,8 @@ func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) err
 		if g.MinDegree() == 0 {
 			return fmt.Errorf("agents: PlaceOnePerVertex on a graph with isolated vertices")
 		}
-		for i := range lane {
-			lane[i] = graph.Vertex(i)
+		for i := range pos {
+			pos[i] = graph.Vertex(i)
 		}
 	case PlaceFixed:
 		if len(cfg.Fixed) != cfg.Count {
@@ -111,7 +108,7 @@ func placeLane(g *graph.Graph, cfg Config, seed uint64, lane []graph.Vertex) err
 			if g.Degree(v) == 0 {
 				return fmt.Errorf("agents: fixed position %d is an isolated vertex", v)
 			}
-			lane[i] = v
+			pos[i] = v
 		}
 	default:
 		return fmt.Errorf("agents: unknown placement %d", cfg.Placement)

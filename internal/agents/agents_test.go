@@ -9,36 +9,28 @@ import (
 	"rumor/internal/xrand"
 )
 
-// newLane builds a one-lane walk system from rng.
-func newLane(g *graph.Graph, cfg Config, rng *xrand.RNG) (*BatchedWalks, error) {
-	return NewBatched(g, cfg, []*xrand.RNG{rng})
-}
-
 func TestNewValidation(t *testing.T) {
 	g := graph.Cycle(5)
 	rng := xrand.New(1)
-	if _, err := newLane(g, Config{Count: 0}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 0}, rng); err == nil {
 		t.Error("Count=0 accepted")
 	}
-	if _, err := newLane(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
 		t.Error("PlaceOnePerVertex with Count != N accepted")
 	}
-	if _, err := newLane(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
 		t.Error("PlaceFixed with wrong length accepted")
 	}
-	if _, err := newLane(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
 		t.Error("PlaceFixed out of range accepted")
 	}
-	if _, err := newLane(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
 		t.Error("ChurnRate >= 1 accepted")
 	}
-	if _, err := newLane(g, Config{Count: 1, ChurnRate: -0.1}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 1, ChurnRate: -0.1}, rng); err == nil {
 		t.Error("negative ChurnRate accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 1}, nil); err == nil {
-		t.Error("zero lanes accepted")
-	}
-	if _, err := newLane(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
+	if _, err := NewBatched(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
 		t.Error("unknown placement accepted")
 	}
 }
@@ -47,24 +39,24 @@ func TestPlacementModes(t *testing.T) {
 	g := graph.Cycle(6)
 	rng := xrand.New(2)
 
-	w, err := newLane(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
+	w, err := NewBatched(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range w.Lane(0) {
+	for i, p := range w.Positions() {
 		if p != graph.Vertex(i) {
 			t.Errorf("one-per-vertex agent %d at %d", i, p)
 		}
 	}
 
 	fixed := []graph.Vertex{3, 3, 0}
-	w, err = newLane(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
+	w, err = NewBatched(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range fixed {
-		if w.Lane(0)[i] != want {
-			t.Errorf("fixed agent %d at %d, want %d", i, w.Lane(0)[i], want)
+		if w.Positions()[i] != want {
+			t.Errorf("fixed agent %d at %d, want %d", i, w.Positions()[i], want)
 		}
 	}
 }
@@ -76,13 +68,13 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 	g := graph.Star(100)
 	rng := xrand.New(3)
 	const agents = 20000
-	w, err := newLane(g, Config{Count: agents}, rng)
+	w, err := NewBatched(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	center := 0
 	for i := 0; i < agents; i++ {
-		if w.Lane(0)[i] == 0 {
+		if w.Positions()[i] == 0 {
 			center++
 		}
 	}
@@ -95,14 +87,14 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 func TestStepMovesAlongEdges(t *testing.T) {
 	g := graph.Hypercube(4)
 	rng := xrand.New(4)
-	w, err := newLane(g, Config{Count: 50}, rng)
+	w, err := NewBatched(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
-		w.Step(nil)
+		w.Step()
 		for i := 0; i < w.N(); i++ {
-			from, to := w.Prev(0)[i], w.Lane(0)[i]
+			from, to := w.Prev()[i], w.Positions()[i]
 			if !g.HasEdge(from, to) {
 				t.Fatalf("agent %d jumped %d -> %d (not an edge)", i, from, to)
 			}
@@ -116,14 +108,14 @@ func TestStepMovesAlongEdges(t *testing.T) {
 func TestLazyWalksSometimesStay(t *testing.T) {
 	g := graph.Cycle(8)
 	rng := xrand.New(5)
-	w, err := newLane(g, Config{Count: 400, Lazy: true}, rng)
+	w, err := NewBatched(g, Config{Count: 400, Lazy: true}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Step(nil)
+	w.Step()
 	stayed := 0
 	for i := 0; i < w.N(); i++ {
-		if w.Lane(0)[i] == w.Prev(0)[i] {
+		if w.Positions()[i] == w.Prev()[i] {
 			stayed++
 		}
 	}
@@ -136,39 +128,39 @@ func TestLazyWalksSometimesStay(t *testing.T) {
 func TestNonLazyAlwaysMoves(t *testing.T) {
 	g := graph.Cycle(8) // no self-loops, so moving means changing vertex
 	rng := xrand.New(6)
-	w, err := newLane(g, Config{Count: 100}, rng)
+	w, err := NewBatched(g, Config{Count: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		w.Step(nil)
+		w.Step()
 		for i := 0; i < w.N(); i++ {
-			if w.Lane(0)[i] == w.Prev(0)[i] {
+			if w.Positions()[i] == w.Prev()[i] {
 				t.Fatalf("non-lazy agent %d stayed put", i)
 			}
 		}
 	}
 }
 
-// TestLaneOverrideRoutesAgents: positions an owner writes into a lane
+// TestLaneOverrideRoutesAgents: positions an owner writes into Positions
 // between steps are where the next step walks on from (the couplings route
 // departures this way).
 func TestLaneOverrideRoutesAgents(t *testing.T) {
 	g := graph.Path(5)
-	w, err := newLane(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0}}, xrand.New(7))
+	w, err := NewBatched(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0}}, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Step(nil) // both agents must move to vertex 1
-	w.Lane(0)[1] = 4
-	w.Step(nil)
-	if p := w.Prev(0)[1]; p != 4 {
+	w.Step() // both agents must move to vertex 1
+	w.Positions()[1] = 4
+	w.Step()
+	if p := w.Prev()[1]; p != 4 {
 		t.Fatalf("overridden agent left from %d, want 4", p)
 	}
-	if p := w.Lane(0)[1]; p != 3 {
+	if p := w.Positions()[1]; p != 3 {
 		t.Fatalf("overridden agent at %d, want 3 (vertex 4's only neighbor)", p)
 	}
-	if p := w.Prev(0)[0]; p != 1 {
+	if p := w.Prev()[0]; p != 1 {
 		t.Fatalf("agent 0 left from %d, want 1", p)
 	}
 }
@@ -176,13 +168,13 @@ func TestLaneOverrideRoutesAgents(t *testing.T) {
 func TestNoChurnNoRespawns(t *testing.T) {
 	g := graph.Complete(5)
 	rng := xrand.New(9)
-	w, err := newLane(g, Config{Count: 50}, rng)
+	w, err := NewBatched(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		w.Step(nil)
-		if len(w.Respawned(0)) != 0 {
+		w.Step()
+		if len(w.Respawned()) != 0 {
 			t.Fatal("respawn without churn")
 		}
 	}
@@ -191,14 +183,14 @@ func TestNoChurnNoRespawns(t *testing.T) {
 func TestDeterministicWalks(t *testing.T) {
 	g := graph.Hypercube(5)
 	mk := func() []graph.Vertex {
-		w, err := newLane(g, Config{Count: 64}, xrand.New(42))
+		w, err := NewBatched(g, Config{Count: 64}, xrand.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			w.Step(nil)
+			w.Step()
 		}
-		return w.Lane(0)
+		return w.Positions()
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -216,21 +208,21 @@ func TestStationaryIsInvariant(t *testing.T) {
 	g := graph.Star(50) // heavily non-regular: center prob 1/2
 	rng := xrand.New(10)
 	const agents = 4000
-	w, err := newLane(g, Config{Count: agents}, rng)
+	w, err := NewBatched(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Count center occupancy averaged over rounds 10..60 (odd/even parity
 	// alternates on bipartite graphs, so average over a window).
 	for i := 0; i < 10; i++ {
-		w.Step(nil)
+		w.Step()
 	}
 	total := 0
 	const window = 50
 	for r := 0; r < window; r++ {
-		w.Step(nil)
+		w.Step()
 		for i := 0; i < agents; i++ {
-			if w.Lane(0)[i] == 0 {
+			if w.Positions()[i] == 0 {
 				total++
 			}
 		}

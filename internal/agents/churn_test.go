@@ -9,10 +9,11 @@ import (
 )
 
 // TestChurnRespawns holds the churn path to the laws of the
-// dynamic-agents model rather than to its own output: in a three-lane
-// system on the (non-regular) heavy binary tree, respawn vertices follow
-// the stationary distribution deg(v)/2m, and each lane's per-round respawn
-// count follows Binomial(|A|, c). Respawned lists are strictly ascending.
+// dynamic-agents model rather than to its own output: in three trials'
+// walk systems on the (non-regular) heavy binary tree, respawn vertices
+// follow the stationary distribution deg(v)/2m, and each system's
+// per-round respawn count follows Binomial(|A|, c). Respawned lists are
+// strictly ascending.
 func TestChurnRespawns(t *testing.T) {
 	g, err := graph.FromSpec("heavytree:6", 1)
 	if err != nil {
@@ -24,21 +25,25 @@ func TestChurnRespawns(t *testing.T) {
 		churn  = 0.1
 		rounds = 100
 	)
-	w, err := NewBatched(g, Config{Count: agents, ChurnRate: churn}, trialRNGs(11, k))
-	if err != nil {
-		t.Fatal(err)
+	var ws []*BatchedWalks
+	for _, rng := range trialRNGs(11, k) {
+		w, err := NewBatched(g, Config{Count: agents, ChurnRate: churn}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
 	}
 	at := make([]float64, g.N()) // respawns per vertex
-	var counts []int             // respawns per (lane, round)
+	var counts []int             // respawns per (system, round)
 	for r := 1; r <= rounds; r++ {
-		w.Step(nil)
-		for tr := 0; tr < k; tr++ {
-			resp := w.Respawned(tr)
+		for tr, w := range ws {
+			w.Step()
+			resp := w.Respawned()
 			for j, id := range resp {
 				if j > 0 && id <= resp[j-1] {
-					t.Fatalf("round %d lane %d: respawn ids %d then %d", r, tr, resp[j-1], id)
+					t.Fatalf("round %d system %d: respawn ids %d then %d", r, tr, resp[j-1], id)
 				}
-				at[w.Lane(tr)[id]]++
+				at[w.Positions()[id]]++
 			}
 			counts = append(counts, len(resp))
 		}

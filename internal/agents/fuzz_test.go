@@ -2,63 +2,47 @@ package agents
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
 )
 
-// FuzzWalkLanes: lane t of a K-lane system equals a one-lane system built
-// from the same RNG — positions, previous positions and respawn lists,
-// round by round — on a small random graph, for any K ≤ 8, churn rate,
-// laziness and sequence of active masks. The one-lane twin is
-// masked in the rounds its lane is.
-func FuzzWalkLanes(f *testing.F) {
+// FuzzWalkKernels: the blocked kernels step every agent where the
+// per-agent stream path (stepStreams) steps it — positions, previous
+// positions and respawn lists, round by round. Each input runs four small
+// graphs: a fuzzed G(n, p) (non-regular, or regular by chance), a star
+// (never regular: the branchless bodies), a cycle (regular of degree two:
+// the power-of-two slot bodies) and a complete graph whose degree is no
+// power of two (the multiply-shift slot bodies), with simple or lazy
+// walks, churn-free and, at a nonzero churn rate, churned (stepStreams
+// itself, which Step must route churn to). The seed corpus reaches every
+// walk body.
+func FuzzWalkKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(0), false, uint64(7), uint8(20))
 	f.Add(uint64(2), uint8(8), uint8(40), true, uint64(9), uint8(3))
 	f.Add(uint64(3), uint8(1), uint8(255), false, uint64(0), uint8(70))
-	f.Fuzz(func(t *testing.T, seed uint64, k, churn uint8, lazy bool, maskSeed uint64, count uint8) {
-		rng := xrand.New(seed)
-		n := 2 + rng.IntN(40)
-		g, err := graph.FromSpec(fmt.Sprintf("gnp:%d,%g", n, 0.05+0.9*rng.Float64()), seed)
-		if err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, seed uint64, size, churn uint8, lazy bool, walkSeed uint64, count uint8) {
+		n := 3 + int(size)%40
+		if (n-1)&(n-2) == 0 {
+			n++ // complete:n must not be power-of-two regular
 		}
-		if g.M() == 0 {
-			t.Skip("no edges")
-		}
-		k = 1 + k%8
-		cfg := Config{Count: 1 + int(count), Lazy: lazy, ChurnRate: float64(churn) / 256}
-		lanes := func() []*xrand.RNG {
-			rngs := make([]*xrand.RNG, k)
-			for tr := range rngs {
-				rngs[tr] = xrand.New(xrand.TrialSeed(seed, tr))
+		p := 0.05 + 0.9*xrand.New(seed).Float64()
+		specs := []string{fmt.Sprintf("gnp:%d,%g", n, p), fmt.Sprintf("star:%d", n), fmt.Sprintf("cycle:%d", n), fmt.Sprintf("complete:%d", n)}
+		// Up to 1276 agents: full 512-agent blocks and a ragged tail.
+		agents := 1 + int(count)*5
+		for _, spec := range specs {
+			g, err := graph.FromSpec(spec, seed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return rngs
-		}
-		w, err := NewBatched(g, cfg, lanes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := oneLaneSystems(t, g, cfg, lanes())
-		masks := xrand.New(maskSeed)
-		active := make([]bool, k)
-		for r := 1; r <= 12; r++ {
-			for tr := range active {
-				active[tr] = masks.IntN(4) != 0
+			if g.M() == 0 {
+				continue // a G(n, p) draw with no edge
 			}
-			w.Step(active)
-			for tr, one := range ref {
-				one.Step(active[tr : tr+1])
-				if !reflect.DeepEqual(w.Lane(tr), one.Lane(0)) || !reflect.DeepEqual(w.Prev(tr), one.Prev(0)) {
-					t.Fatalf("round %d lane %d: positions diverge from the one-lane system", r, tr)
-				}
-				if got, want := w.Respawned(tr), one.Respawned(0); !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
-					t.Fatalf("round %d lane %d: respawns %v, one-lane %v", r, tr, got, want)
-				}
-				if !active[tr] && len(w.Respawned(tr)) != 0 {
-					t.Fatalf("round %d: masked lane %d respawned %v", r, tr, w.Respawned(tr))
+			for _, rate := range []float64{0, float64(churn) / 256} {
+				cfg := Config{Count: agents, Lazy: lazy, ChurnRate: rate}
+				if err := kernelsMatchStreams(g, cfg, walkSeed, 12); err != nil {
+					t.Fatalf("%s %+v: %v", spec, cfg, err)
 				}
 			}
 		}

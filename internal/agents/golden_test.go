@@ -76,7 +76,7 @@ func walkGoldenCases(t testing.TB) []walkCase {
 	return out
 }
 
-// hashRound appends one round of a walk lane — its positions and its
+// hashRound appends one round of a walk system — its positions and its
 // respawn list — to h.
 func hashRound(h hash.Hash, round int, pos []graph.Vertex, resp []int) {
 	fmt.Fprintf(h, "round %d\n", round)
@@ -89,30 +89,27 @@ func hashRound(h hash.Hash, round int, pos []graph.Vertex, resp []int) {
 }
 
 // recordWalks digests every trial of every case — the placement, then each
-// round's positions and respawn list — stepping trials walkGoldenTrials at
-// a time as the lanes of one system of width k.
+// round's positions and respawn list — stepping k trials' walk systems at
+// a time, in turn, round by round.
 func recordWalks(t *testing.T, k int) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, c := range walkGoldenCases(t) {
 		for t0 := 0; t0 < walkGoldenTrials; t0 += k {
-			rngs := make([]*xrand.RNG, min(k, walkGoldenTrials-t0))
-			for i := range rngs {
-				rngs[i] = xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i))
-			}
-			w, err := NewBatched(c.g, c.cfg, rngs)
-			if err != nil {
-				t.Fatalf("%s: %v", c.key, err)
-			}
-			hs := make([]hash.Hash, len(rngs))
-			for i := range hs {
-				hs[i] = sha256.New()
-				hashRound(hs[i], 0, w.Lane(i), nil)
+			ws := make([]*BatchedWalks, min(k, walkGoldenTrials-t0))
+			hs := make([]hash.Hash, len(ws))
+			for i := range ws {
+				w, err := NewBatched(c.g, c.cfg, xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i)))
+				if err != nil {
+					t.Fatalf("%s: %v", c.key, err)
+				}
+				ws[i], hs[i] = w, sha256.New()
+				hashRound(hs[i], 0, w.Positions(), nil)
 			}
 			for r := 1; r <= walkGoldenRounds; r++ {
-				w.Step(nil)
-				for i, h := range hs {
-					hashRound(h, r, w.Lane(i), w.Respawned(i))
+				for i, w := range ws {
+					w.Step()
+					hashRound(hs[i], r, w.Positions(), w.Respawned())
 				}
 			}
 			for i, h := range hs {
@@ -127,7 +124,7 @@ func recordWalks(t *testing.T, k int) map[string]string {
 // round by round — for simple and lazy walks, with and without churn,
 // under every placement, against testdata/walks_golden.json, which was
 // recorded from the serial walk system this package used to have: here,
-// one-lane systems stepped inline. `go test -run TestGoldenWalks -update`
+// one system stepped at a time. `go test -run TestGoldenWalks -update`
 // rewrites the file, which a behaviour-preserving change never needs.
 func TestGoldenWalks(t *testing.T) {
 	if *updateGolden {
@@ -137,9 +134,11 @@ func TestGoldenWalks(t *testing.T) {
 	checkGolden(t, walkGoldenPath, recordWalks(t, 1))
 }
 
-// TestBatchedWalksMatchSerial: every lane of a three-lane system traces
-// exactly the trajectory the serial walk system recorded for its trial
-// RNG (testdata/walks_golden.json).
+// TestBatchedWalksMatchSerial: three trials' walk systems over one graph,
+// stepped in turn round by round as workers share a graph, each trace
+// exactly the trajectory recorded for its trial RNG
+// (testdata/walks_golden.json): systems share the graph's cached walk
+// index and stationary alias, and nothing else.
 func TestBatchedWalksMatchSerial(t *testing.T) {
 	checkGolden(t, walkGoldenPath, recordWalks(t, 3))
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,43 +15,16 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The batched/serial equivalence contract: for every agent protocol, seed,
-// and batch width K, RunManyLanes must return []Result bit-identical to
-// RunMany — Rounds, Completed, Messages, AllAgentsRound, and the full
-// History per trial — at any GOMAXPROCS. These tests pin K in {1, 2, 7}
-// (one lane, partial bundle, prime width straddling nothing) at GOMAXPROCS
-// 1 and 8, each protocol against its plain round of plain_test.go.
+// The agent protocols against their plain references (see lane_test.go),
+// on larger graphs.
 
-func batchedProtos(g *graph.Graph, s graph.Vertex) []laneProto {
-	return []laneProto{
-		{
-			name: "visit-exchange",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainVisitExchange(g, s, rng, AgentOptions{})
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedVisitExchange(g, s, rngs, AgentOptions{})
-			},
-		},
-		{
-			name: "meet-exchange",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainMeetExchange(g, s, rng, AgentOptions{})
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{})
-			},
-		},
-		{
-			name: "meet-exchange-lazy",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainMeetExchange(g, s, rng, AgentOptions{Lazy: LazyOn})
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{Lazy: LazyOn})
-			},
-		},
-	}
+func batchedProtos(g *graph.Graph, s graph.Vertex) []refProto {
+	lazy := AgentOptions{Lazy: LazyOn}
+	return append(agentProtos(g, s, AgentOptions{}), refProto{
+		name:   "meet-exchange-lazy",
+		plain:  func(rng *xrand.RNG) (Process, error) { return plainMeetExchange(g, s, rng, lazy) },
+		engine: func(rng *xrand.RNG) (Process, error) { return NewMeetExchange(g, s, rng, lazy) },
+	})
 }
 
 func atGOMAXPROCS[T any](t *testing.T, procs int, f func() T) T {
@@ -64,10 +38,10 @@ func atGOMAXPROCS[T any](t *testing.T, procs int, f func() T) T {
 	return f()
 }
 
-// TestBatchedEquivalence: batched results equal serial RunMany results for
-// K trials, per trial, on mixed-degree (star: branchless select loops,
+// TestBatchedEquivalence: the agent protocols equal their plain
+// references per trial on mixed-degree (star: branchless select loops,
 // also bipartite so plain meetx goes lazy) and uniform-degree (hypercube)
-// graphs, at GOMAXPROCS 1 and 8 (see compareLanes).
+// graphs, at GOMAXPROCS 1 and 8 (see compareTrials).
 func TestBatchedEquivalence(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Hypercube(9), // n = 512, uniform degree 9 (multiply-shift class)
@@ -76,55 +50,44 @@ func TestBatchedEquivalence(t *testing.T) {
 	const seed = 1313
 	for _, g := range graphs {
 		for _, pc := range batchedProtos(g, 0) {
-			for _, k := range []int{1, 2, 7} {
-				compareLanes(t, g, pc, k, 0, seed)
-			}
+			compareTrials(t, g, pc, 7, 0, seed)
 		}
 	}
 }
 
-// TestBatchedEquivalenceMaxRounds: a lane cut off at maxRounds must report
-// the same truncated Result (Completed false, Rounds == maxRounds, partial
-// History) as the serial path.
+// TestBatchedEquivalenceMaxRounds: an agent trial cut off at maxRounds
+// must report the same truncated Result (Completed false, Rounds ==
+// maxRounds, partial History) as its plain reference.
 func TestBatchedEquivalenceMaxRounds(t *testing.T) {
 	g := graph.Star(301)
-	const seed, k, maxRounds = 99, 4, 3
-	serial, err := RunMany(g, func(rng *xrand.RNG) (Process, error) {
-		return NewVisitExchange(g, 0, rng, AgentOptions{})
-	}, k, maxRounds, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
-		return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-	}, k, maxRounds, seed, batchK, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, batched) {
-		t.Errorf("truncated batched results diverge from serial:\nserial:  %+v\nbatched: %+v", serial, batched)
+	for _, pc := range batchedProtos(g, 0) {
+		compareTrials(t, g, pc, 4, 3, 99)
 	}
 }
 
-// TestRunManyBatchedManyBundles: trials spanning several bundles (batchK=8,
-// so 19 trials is 3 bundles with a partial tail) still match serial.
+// TestRunManyBatchedManyBundles: a worker runs trial after trial, each on
+// the History scratch the previous one grew and returned to the pool, so
+// a sweep of many more trials than workers must still equal the plain
+// reference trial by trial, at one worker and at two.
 func TestRunManyBatchedManyBundles(t *testing.T) {
 	g := graph.Hypercube(7)
 	const seed, trials = 7, 19
-	serial, err := RunMany(g, func(rng *xrand.RNG) (Process, error) {
-		return NewVisitExchange(g, 0, rng, AgentOptions{})
-	}, trials, 0, seed)
+	pc := batchedProtos(g, 0)[0]
+	want, err := RunMany(g, pc.plain, trials, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
-		return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-	}, trials, 0, seed, batchK, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, batched) {
-		t.Error("multi-bundle batched results diverge from serial")
+	for _, procs := range []int{1, 2} {
+		got := atGOMAXPROCS(t, procs, func() []Result {
+			res, err := RunMany(g, pc.engine, trials, 0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		})
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("GOMAXPROCS=%d: %d trials diverge from the plain reference", procs, trials)
+		}
 	}
 }
 
@@ -166,71 +129,88 @@ func TestRunManyErrorConsistency(t *testing.T) {
 	}
 }
 
-// TestRunManyBatchedFactoryError: batched bundles propagate factory errors
-// like RunMany does.
+// TestRunManyBatchedFactoryError: a factory error reaches the caller, and
+// the emit tap never sees the failing trial or any trial past it: with a
+// failure at trial 5, at any worker count, exactly trials 0..4 are
+// emitted.
 func TestRunManyBatchedFactoryError(t *testing.T) {
 	g := graph.Hypercube(5)
-	boom := fmt.Errorf("boom")
-	_, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
-		return nil, boom
-	}, 20, 0, 1, batchK, nil)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("expected factory error, got %v", err)
+	const seed, failAt = 1, 5
+	fail := xrand.New(xrand.TrialSeed(seed, failAt)).Uint64()
+	factory := func(rng *xrand.RNG) (Process, error) {
+		if rng.Uint64() == fail {
+			return nil, fmt.Errorf("boom")
+		}
+		return NewPush(g, 0, rng, PushOptions{})
+	}
+	for _, procs := range []int{1, 2, 8} {
+		em := &collectEmitter{t: t}
+		err := atGOMAXPROCS(t, procs, func() error {
+			_, err := RunManyEmit(g, factory, 20, 0, seed, em.emit)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("GOMAXPROCS=%d: expected the factory error, got %v", procs, err)
+		}
+		if len(em.trials) != failAt {
+			t.Errorf("GOMAXPROCS=%d: emitted trials %v, want 0..%d", procs, em.trials, failAt-1)
+		}
 	}
 }
 
-// TestRunManyBatchedErrorConsistency: like RunMany, the bundle pool must
-// return the same error at any worker count — the lowest-numbered failing
-// bundle's — and stop claiming bundles once a failure is recorded. 40
-// trials span 5 bundles so the parallel path genuinely races.
+// TestRunManyBatchedErrorConsistency: over 40 trials with several
+// failures, every worker count returns the lowest-numbered failing
+// trial's error and emits exactly the trials below it.
 func TestRunManyBatchedErrorConsistency(t *testing.T) {
 	g := graph.Hypercube(6)
-	// Deterministic, seed-dependent failure keyed off the bundle's first
-	// trial RNG, with the draw embedded so matching errors imply matching
-	// bundles.
-	factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
-		u := rngs[0].Uint64()
-		if u&1 == 1 {
-			return nil, fmt.Errorf("synthetic bundle failure %d", u)
+	// Deterministic, seed-dependent failure: a trial fails iff its first
+	// RNG draw has its low bit set, with the draw embedded so matching
+	// errors imply matching trials.
+	factory := func(rng *xrand.RNG) (Process, error) {
+		if u := rng.Uint64(); u&1 == 1 {
+			return nil, fmt.Errorf("synthetic trial failure %d", u)
 		}
-		return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
+		return NewVisitExchange(g, 0, rng, AgentOptions{})
 	}
 	const seed, trials = 42, 40
-	run := func(procs int) error {
-		return atGOMAXPROCS(t, procs, func() error {
-			_, err := RunManyLanes(g, factory, trials, 0, seed, batchK, nil)
+	run := func(procs int) (error, []int) {
+		em := &collectEmitter{t: t}
+		err := atGOMAXPROCS(t, procs, func() error {
+			_, err := RunManyEmit(g, factory, trials, 0, seed, em.emit)
 			return err
 		})
+		return err, em.trials
 	}
-	errSerial := run(1)
-	if errSerial == nil || !strings.Contains(errSerial.Error(), "synthetic bundle failure") {
+	errSerial, emitted := run(1)
+	if errSerial == nil || !strings.Contains(errSerial.Error(), "synthetic trial failure") {
 		t.Fatalf("expected a synthetic failure, got %v; adjust the seed", errSerial)
 	}
 	for _, procs := range []int{2, 8} {
-		if errPar := run(procs); errPar == nil || errPar.Error() != errSerial.Error() {
+		errPar, got := run(procs)
+		if errPar == nil || errPar.Error() != errSerial.Error() {
 			t.Errorf("GOMAXPROCS=%d error %v != single-worker error %v", procs, errPar, errSerial)
+		}
+		if !slices.Equal(got, emitted) {
+			t.Errorf("GOMAXPROCS=%d emitted %v, single worker %v", procs, got, emitted)
 		}
 	}
 }
 
-// TestVisitLaneStateBudget is the engine-memory assertion for both agent
-// protocols: an agent lane holds two bitsets, informed vertices and
-// informed agents, and no per-vertex array — meet-exchange's vertex set is
-// transient, but it is still a bitset. Building a K-lane bundle may
-// allocate at most K·(⌈n/64⌉ + ⌈|A|/64⌉) words plus a small constant
-// beyond what its walk system allocates. The graph's walk index and
-// stationary alias are built first, since the graph caches them for every
-// later walk system.
-func TestVisitLaneStateBudget(t *testing.T) {
+// TestTrialStateBudget is the engine-memory assertion, one row per
+// protocol at one trial: a call trial (push, push-pull) holds one bitset
+// of informed vertices, an agent trial (visit- and meet-exchange) two —
+// informed vertices and informed agents; meet-exchange's vertex set is
+// transient, but it is still a bitset — and no per-vertex array. Building
+// a call trial may allocate at most ⌈n/64⌉·8 bytes plus a small constant
+// beyond the graph's cached walk index; an agent trial at most
+// (⌈n/64⌉ + ⌈|A|/64⌉)·8 plus the constant beyond what its walk system
+// allocates. The hybrid is held to both at once: its one vertex bitset is
+// a call trial's, and with its agent bitset makes an agent trial's two.
+// The graph's caches (walk index, stationary alias, degree counts) are
+// built first, since every later trial shares them.
+func TestTrialStateBudget(t *testing.T) {
 	g := graph.Hypercube(14)
-	const k, slack = 4, 2048
-	rngs := func() []*xrand.RNG {
-		r := make([]*xrand.RNG, k)
-		for i := range r {
-			r[i] = xrand.New(xrand.TrialSeed(1, i))
-		}
-		return r
-	}
+	const slack = 2048
 	allocated := func(build func() error) uint64 {
 		best := uint64(math.MaxUint64)
 		for range 3 {
@@ -244,32 +224,40 @@ func TestVisitLaneStateBudget(t *testing.T) {
 		}
 		return best
 	}
-	words := func(n int) uint64 { return uint64(n+63) / 64 }
+	bytes := func(bits int) uint64 { return uint64(bits+63) / 64 * 8 }
+	ao := AgentOptions{}
 	for _, pc := range []struct {
 		name  string
-		meet  bool
-		build func([]*xrand.RNG) (LaneProcess, error)
+		walks bool // lazy resolution of the walk system, when it has one
+		lazy  bool
+		build func(*xrand.RNG) (Process, error)
 	}{
-		{"visit-exchange", false, func(r []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, r, AgentOptions{}) }},
-		{"meet-exchange", true, func(r []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, 0, r, AgentOptions{}) }},
+		{"push", false, false, func(r *xrand.RNG) (Process, error) { return NewPush(g, 0, r, PushOptions{}) }},
+		{"push-pull", false, false, func(r *xrand.RNG) (Process, error) { return NewPushPull(g, 0, r, PushPullOptions{}) }},
+		{"visit-exchange", true, false, func(r *xrand.RNG) (Process, error) { return NewVisitExchange(g, 0, r, ao) }},
+		{"meet-exchange", true, true, func(r *xrand.RNG) (Process, error) { return NewMeetExchange(g, 0, r, ao) }},
+		{"hybrid", true, false, func(r *xrand.RNG) (Process, error) { return NewHybrid(g, 0, r, ao) }},
 	} {
-		cfg := AgentOptions{}.walkConfig(g, pc.meet)
-		if _, err := agents.NewBatched(g, cfg, rngs()); err != nil {
+		if _, err := pc.build(xrand.New(1)); err != nil { // warm the graph's caches
 			t.Fatal(err)
 		}
-		walks := allocated(func() error { _, err := agents.NewBatched(g, cfg, rngs()); return err })
-		bundle := allocated(func() error { _, err := pc.build(rngs()); return err })
-		limit := k*(words(g.N())+words(cfg.Count))*8 + slack
-		if lane := bundle - walks; lane > limit {
-			t.Errorf("%s lane state: %d bytes over the walk system's %d, want at most %d (K·(⌈n/64⌉+⌈|A|/64⌉)·8 + %d)",
-				pc.name, lane, walks, limit, slack)
+		var walks uint64
+		limit := bytes(g.N()) + slack
+		if pc.walks {
+			cfg := ao.walkConfig(g, pc.lazy)
+			walks = allocated(func() error { _, err := agents.NewBatched(g, cfg, xrand.New(1)); return err })
+			limit += bytes(cfg.Count)
+		}
+		trial := allocated(func() error { _, err := pc.build(xrand.New(1)); return err })
+		if state := trial - walks; state > limit {
+			t.Errorf("%s trial state: %d bytes beyond the walk system's %d, want at most %d", pc.name, state, walks, limit)
 		}
 	}
 }
 
 // BenchmarkBatchedAgentExchange times a 16-trial point of each agent
 // protocol on a tail-bound graph, where visit-exchange lanes spend most
-// rounds with every agent informed (collectDeposits' position scan), and
+// rounds with every agent informed (markDeposits' position scan), and
 // on a regular graph larger than L2, where most rounds bit-iterate a
 // partly informed agent set.
 func BenchmarkBatchedAgentExchange(b *testing.B) {
@@ -277,7 +265,7 @@ func BenchmarkBatchedAgentExchange(b *testing.B) {
 		for _, pc := range agentProtos(g, 0, AgentOptions{}) {
 			b.Run(pc.name+"/"+g.Name(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := RunManyLanes(g, pc.batched, 16, 0, 1, 0, nil); err != nil {
+					if _, err := RunMany(g, pc.engine, 16, 0, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

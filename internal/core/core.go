@@ -19,8 +19,8 @@
 // Within a round, units are resolved in ascending id order and their
 // outputs committed in that order, realizing the paper's "ties broken by
 // agent id" convention. The engine's only parallelism is across trials:
-// RunManyLanes runs whole bundles on a worker pool, and a bundle steps
-// each round on the goroutine that runs it. Every Result — rounds,
+// RunMany runs whole trials on a worker pool, and a trial steps each
+// round on the goroutine that runs it. Every Result — rounds,
 // messages, and the full History — is therefore bit-identical for a given
 // seed regardless of GOMAXPROCS; the determinism tests pin this for every
 // protocol at GOMAXPROCS 1, 2, and 8. Protocol constructors consume
@@ -29,7 +29,7 @@
 //
 // The same contract makes a vertex's round-t call a pure function of
 // (seed, vertex, t) that anyone may evaluate (neighborSampler.call), not
-// only the caller in its own turn. The fused call protocols use it to do
+// only the caller in its own turn. The call protocols use it to do
 // less than draw everybody: calls that cannot change state are never
 // resolved (boundary mode), and a round is evaluated from whichever side
 // of the informed/uninformed cut is cheaper, the other side's calls
@@ -40,44 +40,38 @@
 // (testdata/golden.json), push and push-pull also to their exact laws
 // (internal/exact).
 //
-// # Lane-based multi-trial execution
+// # One implementation per protocol
 //
-// Because every empirical figure is a distribution over many independent
-// trials, every protocol also has a fused multi-lane bundle (BatchedCall,
-// BatchedAgentExchange, BatchedHybrid): K trials step
-// in lockstep through one blocked loop over units per round, with
-// per-lane state and per-trial done-masking. Push and push-pull share
-// BatchedCall, one call model with the pull direction off or on.
-// Visit- and meet-exchange share BatchedAgentExchange, one agent lane with
-// vertex memory on or off. Visit-exchange is the hybrid's agent half
-// without its calls, and meet-exchange is visit-exchange whose vertex set
-// is rebuilt every round from the informed agents: all three inform
+// Each protocol has exactly one implementation, a one-trial process that
+// the protocol constructors return. Push and push-pull share BatchedCall,
+// one call model with the pull direction off or on. Visit- and
+// meet-exchange share BatchedAgentExchange, one agent process with vertex
+// memory on or off. Visit-exchange is the hybrid's (BatchedHybrid) agent
+// half without its calls, and meet-exchange is visit-exchange whose vertex
+// set is rebuilt every round from the informed agents: all three inform
 // through a deposit pass and one pickup pass over the agents
-// (pickupAgents), keeping no per-vertex state beyond a bitset. The
-// bundles are the only implementations: every constructor (NewPush,
-// NewPushPull, NewVisitExchange, NewMeetExchange, NewHybrid) returns the
-// one-lane view of its bundle, which the driver runs as the K = 1 lane
-// (see lane.go), so RunMany and RunManyLanes differ only in bundle width.
-// The trial lane of the stream keying (xrand.TrialSeed) guarantees lane t
-// draws exactly what a one-lane trial t would, so the []Result is
-// bit-identical for every seed and K — pinned by the lane-equivalence
-// tests at GOMAXPROCS 1 and 8. The agent bundles carry churn, and every
-// protocol but push takes an observer at K = 1.
+// (pickupAgents), keeping no per-vertex state beyond a bitset. A
+// trial holds Θ(n) state — bitsets, a walk system, a History — and
+// RunMany keeps one trial per worker live, so a sweep's memory grows with
+// the processors, not with the trials. The agent protocols carry churn,
+// and every protocol but push takes an observer.
 package core
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"rumor/internal/graph"
+	"rumor/internal/par"
 	"rumor/internal/xrand"
 )
 
-// Process is one protocol trial bound to a graph, source, and RNG: the
-// one-lane view of the protocol's bundle, which the protocol constructors
-// return. It is single-goroutine; RunMany gives each trial its own
-// Process. The interface is sealed: only this package implements it.
+// Process is one protocol trial bound to a graph, source, and RNG, as the
+// protocol constructors return it. It is single-goroutine; RunMany gives
+// each trial its own Process. The interface is sealed: only this package
+// implements it.
 type Process interface {
 	// Name returns the protocol name ("push", "push-pull", ...).
 	Name() string
@@ -94,8 +88,11 @@ type Process interface {
 	// for push/push-pull, one per agent step for the agent protocols.
 	Messages() int64
 
-	// bundle returns the one-lane bundle the drivers step.
-	bundle() laneBundle
+	// allAgentsInformed reports whether every agent is informed (false
+	// for protocols without agents).
+	allAgentsInformed() bool
+	// source returns the vertex the rumor started on.
+	source() graph.Vertex
 }
 
 // MoveObserver receives a protocol's channel uses, round by round: for
@@ -152,31 +149,55 @@ var histPool = sync.Pool{
 }
 
 // Run drives p until Done or maxRounds (DefaultMaxRounds-bounded when
-// maxRounds <= 0) and returns the outcome. It runs p as the single lane of
-// the unified lane driver (see lane.go), on the calling goroutine. The
-// per-round loop performs no allocations — History accumulates in pooled
-// scratch and is copied out exact-size once at the end — and the
-// round/History/finalization semantics are, by construction, those of
-// every K-lane bundle.
+// maxRounds <= 0) and returns the outcome, on the calling goroutine. The
+// per-round loop performs no allocations: History accumulates in pooled
+// scratch and is copied out exact-size once at the end.
 func Run(g *graph.Graph, p Process, maxRounds int) Result {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(g)
 	}
 	// Processes may arrive pre-stepped (tests drive a few rounds by hand
-	// before handing over): the lane driver counts rounds relative to
-	// entry, while Run's Rounds, AllAgentsRound, and maxRounds bound are
-	// absolute p.Round() values.
+	// before handing over): drive counts rounds relative to entry, while
+	// Run's Rounds, AllAgentsRound, and maxRounds bound are absolute
+	// p.Round() values.
 	base := p.Round()
-	left := max(maxRounds-base, 0)
-	var out [1]Result
-	driveBatch(g, p.bundle(), left, out[:], nil, 0)
-	res := out[0]
+	res := drive(g, p, max(maxRounds-base, 0))
 	if base > 0 {
 		res.Rounds += base
 		if res.AllAgentsRound > 0 {
 			res.AllAgentsRound += base
 		}
 	}
+	return res
+}
+
+// drive steps p until Done or maxRounds more rounds: History[0] is the
+// count on entry, each stepped round appends one entry, AllAgentsRound is
+// the first round with every agent informed, and a run cut off at
+// maxRounds reports Completed false. It is the package's one round
+// driver: Run and RunMany both land here.
+func drive(g *graph.Graph, p Process, maxRounds int) Result {
+	res := Result{Protocol: p.Name(), Graph: g.Name(), Source: p.source(), AllAgentsRound: -1}
+	if p.allAgentsInformed() {
+		res.AllAgentsRound = 0
+	}
+	pooled := histPool.Get().(*[]int)
+	hist := append((*pooled)[:0], p.InformedCount())
+	round := 0
+	for !p.Done() && round < maxRounds {
+		p.Step()
+		round++
+		hist = append(hist, p.InformedCount())
+		if res.AllAgentsRound < 0 && p.allAgentsInformed() {
+			res.AllAgentsRound = round
+		}
+	}
+	res.Rounds = round
+	res.Completed = p.Done()
+	res.Messages = p.Messages()
+	res.History = append(make([]int, 0, len(hist)), hist...)
+	*pooled = hist[:0]
+	histPool.Put(pooled)
 	return res
 }
 
@@ -230,19 +251,92 @@ func (e *orderedEmitter) complete(t int) {
 	e.mu.Unlock()
 }
 
-// RunMany executes `trials` independent single-trial processes on the
-// unified lane engine at K = 1: each trial is its own bundle, claimed in
-// increasing order by a GOMAXPROCS-sized worker pool. Trial t's stream is
-// xrand.New(xrand.TrialSeed(seed, t)) regardless of scheduling, so results
-// are identical at any parallelism.
+// RunMany executes `trials` independent trials and returns their Results
+// in trial order. It is RunManyEmit without a tap.
+func RunMany(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64) ([]Result, error) {
+	return RunManyEmit(g, factory, trials, maxRounds, seed, nil)
+}
+
+// RunManyEmit executes `trials` independent trials on a pool of
+// min(GOMAXPROCS, trials) workers that claim trial indices in increasing
+// order; each worker builds its trial with factory and drives it to the
+// end before claiming the next, so one trial per worker is live. Trial t's
+// RNG is xrand.New(xrand.TrialSeed(seed, t)) regardless of scheduling, so
+// the returned []Result (in trial order) is identical at any parallelism.
+// emit, when non-nil, receives each trial's Result in strict trial order
+// as trials complete, before RunManyEmit returns.
 //
 // A factory error aborts the sweep: workers stop claiming trials once any
 // error is recorded (already-claimed trials run to completion), and the
 // error of the lowest-numbered failing trial is returned — the same error
 // the single-worker path returns for the same seed, since trials are
-// claimed in increasing order.
-func RunMany(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64) ([]Result, error) {
-	return RunManyLanes(g, serialLanes(factory), trials, maxRounds, seed, 1, nil)
+// claimed in increasing order. Trials past the failure are never emitted;
+// everything emitted is final.
+func RunManyEmit(g *graph.Graph, factory Factory, trials, maxRounds int, seed uint64, emit EmitFunc) ([]Result, error) {
+	if trials <= 0 {
+		return nil, fmt.Errorf("core: trials must be positive, got %d", trials)
+	}
+	if maxRounds <= 0 {
+		maxRounds = DefaultMaxRounds(g)
+	}
+	// Warm the packed walk index, which every protocol samples through,
+	// once outside the race. The stationary alias stays lazy behind its
+	// sync.Once: only agent placement and churn read it, so a call
+	// protocol never builds it.
+	g.WalkIndex()
+	results := make([]Result, trials)
+	em := newOrderedEmitter(emit, results)
+	errs := make([]error, trials)
+	runTrial := func(t int) {
+		p, err := factory(xrand.New(xrand.TrialSeed(seed, t)))
+		if err != nil {
+			errs[t] = err
+			return
+		}
+		results[t] = drive(g, p, maxRounds)
+		em.complete(t)
+	}
+	workers := min(par.Refresh(), trials)
+	if workers == 1 {
+		// Single worker: run trials inline, skipping goroutine dispatch.
+		for t := range trials {
+			if runTrial(t); errs[t] != nil {
+				return nil, errs[t]
+			}
+		}
+		return results, nil
+	}
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				t := int(next.Add(1)) - 1
+				if t >= trials {
+					return
+				}
+				if runTrial(t); errs[t] != nil {
+					// Record and stop claiming: trials are claimed in
+					// increasing order, so every index below a failing one
+					// was claimed and the first non-nil entry of errs is
+					// the lowest-numbered failure — exactly what the
+					// single-worker path aborts with.
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // AgentCount converts the paper's agent density α into a concrete |A| =

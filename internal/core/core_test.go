@@ -34,16 +34,14 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
-// agentBundle returns the one-lane bundle behind a visit- or meet-exchange
-// view.
-func agentBundle(p Process) *BatchedAgentExchange { return p.bundle().(*BatchedAgentExchange) }
+// agentTrial returns the process behind a visit- or meet-exchange trial.
+func agentTrial(p Process) *BatchedAgentExchange { return p.(*BatchedAgentExchange) }
 
-// sourceHolds reports whether a meet-exchange view's source still holds
-// the rumor: no agent is informed and the source is in the lane's vertex
-// set.
+// sourceHolds reports whether a meet-exchange trial's source still holds
+// the rumor: no agent is informed and the source is in the vertex set.
 func sourceHolds(p Process) bool {
-	x := agentBundle(p)
-	return x.lanes[0].countA == 0 && x.lanes[0].informedV.Test(int(x.src))
+	x := agentTrial(p)
+	return x.countA == 0 && x.informedV.Test(int(x.src))
 }
 
 func TestAgentCountHelper(t *testing.T) {
@@ -162,7 +160,7 @@ func TestVisitExchangeRoundZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := agentBundle(v).lanes[0].countA; got != 2 {
+	if got := agentTrial(v).countA; got != 2 {
 		t.Errorf("round-zero informed agents = %d, want 2", got)
 	}
 	if v.InformedCount() != 1 {
@@ -186,11 +184,11 @@ func TestVisitExchangeAgentInformedByVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agentBundle(v).lanes[0].countA != 0 {
+	if agentTrial(v).countA != 0 {
 		t.Fatal("agent informed at round zero while off-source")
 	}
 	v.Step()
-	if agentBundle(v).lanes[0].countA != 1 {
+	if agentTrial(v).countA != 1 {
 		t.Fatal("agent not informed after stepping onto informed center")
 	}
 	if v.InformedCount() != 1 {
@@ -220,7 +218,7 @@ func TestVisitExchangeCurrentRoundVertexInformsAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Step()
-	if got := agentBundle(v).lanes[0].countA; got != 2 {
+	if got := agentTrial(v).countA; got != 2 {
 		t.Fatalf("after round 1, informed agents = %d, want 2 (current-round rule)", got)
 	}
 	if v.InformedCount() != 2 { // leaf 1 + center
@@ -415,7 +413,7 @@ func TestAllProtocolsCompleteOnAllFamilies(t *testing.T) {
 				}
 				want := g.N()
 				if pc.name == "meetx" {
-					want = agentBundle(p).walks.N()
+					want = agentTrial(p).walks.N()
 				}
 				if got := p.InformedCount(); got != want {
 					t.Fatalf("final informed = %d, want %d", got, want)
@@ -454,7 +452,7 @@ func TestVisitExchangeAllAgentsAtVertexCompletion(t *testing.T) {
 		if res.AllAgentsRound < 0 || res.AllAgentsRound > res.Rounds {
 			t.Fatalf("seed %d: AllAgentsRound = %d, Rounds = %d", seed, res.AllAgentsRound, res.Rounds)
 		}
-		if !v.bundle().LaneAllAgentsInformed(0) {
+		if !v.allAgentsInformed() {
 			t.Fatalf("seed %d: agents uninformed at vertex completion", seed)
 		}
 	}
@@ -678,8 +676,8 @@ func TestOnePerVertexPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agentBundle(v).walks.N() != g.N() {
-		t.Fatalf("agent count %d != n %d", agentBundle(v).walks.N(), g.N())
+	if agentTrial(v).walks.N() != g.N() {
+		t.Fatalf("agent count %d != n %d", agentTrial(v).walks.N(), g.N())
 	}
 	res := Run(g, v, 0)
 	if !res.Completed {
@@ -863,9 +861,9 @@ func TestMeetExchangePairwiseRule(t *testing.T) {
 		if m.InformedCount() > 0 && sourceHolds(m) {
 			t.Fatal("agents informed while source still active — meeting of uninformed agents created information")
 		}
-		L := agentBundle(m).lanes[0]
-		for i, p := range agentBundle(m).walks.Lane(0) {
-			if L.informedA.Test(i) && p != 0 {
+		x := agentTrial(m)
+		for i, p := range x.walks.Positions() {
+			if x.informedA.Test(i) && p != 0 {
 				t.Fatalf("agent %d informed off the source, at %d, before any agent held the rumor", i, p)
 			}
 		}
@@ -896,29 +894,5 @@ func TestHybridObserverSeesAgentTraversals(t *testing.T) {
 	}
 	if want := int64(res.Rounds) * (12 + 8); res.Messages != want {
 		t.Errorf("messages %d != rounds %d × (12 calls + 8 agent steps)", res.Messages, res.Rounds)
-	}
-}
-
-// TestObserversNeedOneLane: every bundle that takes an observer takes it
-// at K = 1 only, and refuses it on several lanes, whose callbacks would
-// interleave.
-func TestObserversNeedOneLane(t *testing.T) {
-	g := graph.Hypercube(4)
-	obs := func(int, graph.Vertex, graph.Vertex) {}
-	ao := AgentOptions{Observer: obs}
-	for name, build := range map[string]func(rngs []*xrand.RNG) (LaneProcess, error){
-		"push-pull": func(rngs []*xrand.RNG) (LaneProcess, error) {
-			return NewBatchedPushPull(g, 0, rngs, PushPullOptions{Observer: obs})
-		},
-		"visitx": func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, 0, rngs, ao) },
-		"meetx":  func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, 0, rngs, ao) },
-		"hybrid": func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, 0, rngs, ao) },
-	} {
-		if _, err := build([]*xrand.RNG{xrand.New(1)}); err != nil {
-			t.Errorf("%s: one lane with an observer: %v", name, err)
-		}
-		if _, err := build([]*xrand.RNG{xrand.New(1), xrand.New(2)}); err != errObserverLanes {
-			t.Errorf("%s: two lanes with an observer: err %v, want %v", name, err, errObserverLanes)
-		}
 	}
 }

@@ -144,10 +144,10 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		var resp []int
 		for r := 0; r < 30; r++ {
-			w.Step(nil)
-			resp = append(resp, w.Respawned(0)...)
+			w.Step()
+			resp = append(resp, w.Respawned()...)
 		}
-		return snap{pos: w.Lane(0), resp: resp}
+		return snap{pos: w.Positions(), resp: resp}
 	}
 	for _, cfg := range []struct {
 		churn float64
@@ -163,7 +163,7 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// newWalksForTest builds a one-lane walk system with a fixed-seed RNG.
+// newWalksForTest builds a walk system with a fixed-seed RNG.
 func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.BatchedWalks, error) {
-	return agents.NewBatched(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, []*xrand.RNG{xrand.New(1234)})
+	return agents.NewBatched(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, xrand.New(1234))
 }

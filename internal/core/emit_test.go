@@ -28,8 +28,8 @@ func (c *collectEmitter) emit(trial int, r Result) {
 	c.res = append(c.res, r)
 }
 
-// TestRunManyOneLaneEmitOrderAndEquality: single trials (K = 1 bundles,
-// as RunMany runs them) emit in trial order, and emitting changes nothing.
+// TestRunManyOneLaneEmitOrderAndEquality: push trials emit in trial
+// order, and emitting changes nothing.
 func TestRunManyOneLaneEmitOrderAndEquality(t *testing.T) {
 	g := graph.DoubleStar(24)
 	const trials = 13
@@ -37,7 +37,7 @@ func TestRunManyOneLaneEmitOrderAndEquality(t *testing.T) {
 	factory := func(rng *xrand.RNG) (Process, error) {
 		return NewPush(g, 1, rng, PushOptions{})
 	}
-	results, err := RunManyLanes(g, serialLanes(factory), trials, 0, 42, 1, em.emit)
+	results, err := RunManyEmit(g, factory, trials, 0, 42, em.emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +53,26 @@ func TestRunManyOneLaneEmitOrderAndEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, results) {
-		t.Fatal("emitting one-lane results differ from RunMany")
+		t.Fatal("emitting results differ from RunMany")
 	}
 }
 
+// TestRunManyBatchedEmitOrderAndEquality: visit-exchange trials, run to
+// completion and cut off, emit in trial order on four workers, and
+// emitting changes nothing.
 func TestRunManyBatchedEmitOrderAndEquality(t *testing.T) {
 	g := graph.Star(64)
-	const trials = 19                       // 2 full bundles + partial
+	const trials = 19
+	factory := func(rng *xrand.RNG) (Process, error) {
+		return NewVisitExchange(g, 0, rng, AgentOptions{})
+	}
 	for _, maxRounds := range []int{0, 3} { // completion and cutoff paths
 		em := &collectEmitter{t: t}
-		factory := func(rngs []*xrand.RNG) (LaneProcess, error) {
-			return NewBatchedVisitExchange(g, 0, rngs, AgentOptions{})
-		}
-		results, err := RunManyLanes(g, factory, trials, maxRounds, 7, batchK, em.emit)
+		var results []Result
+		err := atGOMAXPROCS(t, 4, func() (err error) {
+			results, err = RunManyEmit(g, factory, trials, maxRounds, 7, em.emit)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +82,7 @@ func TestRunManyBatchedEmitOrderAndEquality(t *testing.T) {
 		if !reflect.DeepEqual(em.res, results) {
 			t.Fatalf("maxRounds=%d: emitted results differ from returned results", maxRounds)
 		}
-		plain, err := RunManyLanes(g, factory, trials, maxRounds, 7, batchK, nil)
+		plain, err := RunMany(g, factory, trials, maxRounds, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

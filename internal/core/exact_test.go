@@ -16,10 +16,10 @@ import (
 // Push and push-pull against their exact laws. internal/exact derives the
 // law of each protocol's broadcast time by a forward program over informed
 // subsets; it shares no code with this package and draws no random
-// numbers. Every path a round can take must sample that law: the K = 1
-// process the constructor returns, K = 7 bundles under the side rule, and
-// K = 7 bundles with each side forced for whole runs. The seeds are fixed, so the tests are
-// deterministic; exactAlpha is the chance that fresh seeds raise a false
+// numbers. Every path a round can take must sample that law: the process
+// the constructor returns under the side rule, the plain reference of
+// plain_test.go, and the process with each side forced for whole runs.
+// The seeds are fixed, so the tests are deterministic; exactAlpha is the chance that fresh seeds raise a false
 // alarm, split evenly over a test's checks (Bonferroni).
 
 const (
@@ -178,12 +178,10 @@ func rootedSmall(t *testing.T) []rooted {
 	return cases
 }
 
-// lawPath is one way of running a protocol's trials: a bundle factory at
-// a bundle width.
+// lawPath is one way of running a protocol's trials.
 type lawPath struct {
 	name    string
-	k       int
-	factory LaneFactory
+	factory Factory
 }
 
 // lawChecks runs exactTrials trials down each path, each on its own seed,
@@ -194,7 +192,7 @@ func lawChecks(t *testing.T, c rooted, f float64, pmf []float64, paths []lawPath
 	var checks []lawCheck
 	for _, path := range paths {
 		*seed++
-		res, err := RunManyLanes(c.g, path.factory, exactTrials, 0, *seed, path.k, nil)
+		res, err := RunMany(c.g, path.factory, exactTrials, 0, *seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,13 +224,12 @@ func TestExactPushLaw(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := PushOptions{FailureProb: f}
-			view := func(rng *xrand.RNG) (Process, error) { return NewPush(c.g, c.src, rng, opts) }
-			bundle := func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedPush(c.g, c.src, rngs, opts) }
+			engine := func(rng *xrand.RNG) (Process, error) { return NewPush(c.g, c.src, rng, opts) }
 			checks = append(checks, lawChecks(t, c, f, pmf, []lawPath{
-				{"K=1 view", 1, serialLanes(view)},
-				{"K=7", 7, bundle},
-				{"K=7 side=informed", 7, withSide(bundle, sideInformed, false, nil)},
-				{"K=7 side=uninformed", 7, withSide(bundle, sideUninformed, false, nil)},
+				{"engine", engine},
+				{"plain reference", func(rng *xrand.RNG) (Process, error) { return plainPush(c.g, c.src, rng, f), nil }},
+				{"side=informed", withSide(engine, sideInformed, false, nil)},
+				{"side=uninformed", withSide(engine, sideUninformed, false, nil)},
 			}, &seed)...)
 		}
 	}
@@ -240,8 +237,8 @@ func TestExactPushLaw(t *testing.T) {
 }
 
 // TestExactPushPullLaw is TestExactPushLaw for push-pull against
-// exact.PushPullPMF: the K = 1 process NewPushPull returns, K = 7 bundles
-// under the side rule, and K = 7 bundles with each of the three sides
+// exact.PushPullPMF: the process NewPushPull returns under the side rule,
+// the plain reference, and the process with each of the three sides
 // forced for whole runs.
 func TestExactPushPullLaw(t *testing.T) {
 	var checks []lawCheck
@@ -253,14 +250,13 @@ func TestExactPushPullLaw(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := PushPullOptions{FailureProb: f}
-			view := func(rng *xrand.RNG) (Process, error) { return NewPushPull(c.g, c.src, rng, opts) }
-			bundle := func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedPushPull(c.g, c.src, rngs, opts) }
+			engine := func(rng *xrand.RNG) (Process, error) { return NewPushPull(c.g, c.src, rng, opts) }
 			checks = append(checks, lawChecks(t, c, f, pmf, []lawPath{
-				{"K=1 process", 1, serialLanes(view)},
-				{"K=7", 7, bundle},
-				{"K=7 side=all", 7, withSide(bundle, sideAll, false, nil)},
-				{"K=7 side=informed", 7, withSide(bundle, sideInformed, false, nil)},
-				{"K=7 side=uninformed", 7, withSide(bundle, sideUninformed, false, nil)},
+				{"engine", engine},
+				{"plain reference", func(rng *xrand.RNG) (Process, error) { return plainPushPull(c.g, c.src, rng, f), nil }},
+				{"side=all", withSide(engine, sideAll, false, nil)},
+				{"side=informed", withSide(engine, sideInformed, false, nil)},
+				{"side=uninformed", withSide(engine, sideUninformed, false, nil)},
 			}, &seed)...)
 		}
 	}

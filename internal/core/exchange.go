@@ -9,14 +9,15 @@ import (
 )
 
 // The neighbor sampler, the call lane and the collect helpers shared by
-// the call bundles: BatchedCall's push and push-pull lanes and the vertex
-// half of BatchedHybrid's. Each is a plain function or method over concrete state
-// (no per-unit indirection lands in a hot loop), so every engine that
-// performs a call round shares one copy of the collect and commit
+// the call processes: BatchedCall's push and push-pull and the vertex half
+// of BatchedHybrid's. Each is a plain function or method over concrete
+// state (no per-unit indirection lands in a hot loop), so every engine
+// that performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane
 // with the pull direction off. The agent passes live here too:
-// collectDeposits is visit-exchange's and the hybrid's deposit, and
-// pickupAgents every agent protocol's pickup, one copy for all three.
+// markDeposits is visit- and meet-exchange's deposit, collectDeposits the
+// hybrid's, and pickupAgents every agent protocol's pickup, one copy for
+// all three.
 
 // NOTE: among the bitset-word scans over agents, only pickupAgents walks
 // the uninformed agents, so it alone carries the ghost-bit mask
@@ -67,7 +68,7 @@ func (ns *neighborSampler) sample(u graph.Vertex, s *xrand.Stream) graph.Vertex 
 // only neighbor of a degree-1 vertex, without a draw — or -1 when u is
 // isolated or the stream's next draw, the failure coin, falls under failTh.
 // It is a pure function of its arguments, so u's neighbor may evaluate it
-// as well as u: every path of the fused call protocols — forward, from the
+// as well as u: every path of the call protocols — forward, from the
 // other side of the cut, boundary — resolves calls here (see boundary.go).
 func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint64) graph.Vertex {
 	if ns.idx != nil && failTh == 0 {
@@ -89,8 +90,8 @@ func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint6
 	return v
 }
 
-// callLane is one trial's call-protocol state in a fused bundle: all of a
-// push or push-pull lane, the vertex half of a hybrid lane.
+// callLane is one trial's call-protocol state: all of a push or push-pull
+// trial's, the vertex half of a hybrid trial's.
 type callLane struct {
 	informed *bitset.Set
 	pull     bool // every vertex calls and a call carries both ways; push when false
@@ -316,17 +317,46 @@ func collectFromUninformed(g *graph.Graph, sampler *neighborSampler, informed *b
 	return pending
 }
 
+// markDeposits marks in the vertex-set words vw the vertex of every
+// informed agent — one OR per agent, no collect and no commit — and
+// returns how many bits it newly set: the visit-exchange deposit, and
+// meet-exchange's rebuild of its transient set. countA is the number of
+// informed agents. When it is every agent — the Ω(n) broadcast tails of
+// the star-like families — the pass scans the positions directly instead
+// of bit-iterating the agent set.
+func markDeposits(informedA *bitset.Set, countA int, vw []uint64, pos []graph.Vertex) int {
+	added := 0
+	if countA == len(pos) {
+		for _, p := range pos {
+			w, b := uint32(p)>>6, uint32(p)&63
+			old := vw[w]
+			added += int(^old >> b & 1)
+			vw[w] = old | 1<<b
+		}
+		return added
+	}
+	for wi, wd := range informedA.Words() {
+		for ; wd != 0; wd &= wd - 1 {
+			p := uint32(pos[wi<<6+bits.TrailingZeros64(wd)])
+			old := vw[p>>6]
+			added += int(^old >> (p & 63) & 1)
+			vw[p>>6] = old | 1<<(p&63)
+		}
+	}
+	return added
+}
+
 // collectDeposits appends to pending, in agent-id order, the vertex of
-// every informed agent that is not yet informed: the visit-exchange
-// deposit of visit-exchange and of the hybrid's agent half,
-// evaluated against the pre-commit informed set (duplicates commit once).
-// countA is the number of informed agents. When it is every agent — the
-// Ω(n) broadcast tails of the star-like families — the pass scans the
-// positions directly instead of bit-iterating the agent set, with a plain
-// branch: late in a run nearly every vertex is informed, so the branch is
-// well predicted, where a branch-free append would make each append wait
-// on the previous informed-bit load. The informed case continues, so it
-// is the straight-line path of the loop.
+// every informed agent that is not yet informed: the hybrid's agent-half
+// deposit, collected rather than marked because its commit also keeps
+// Σ deg(I) and the boundary lists (callLane.commit). It is evaluated
+// against the pre-commit informed set (duplicates commit once). countA is
+// the number of informed agents. When it is every agent the pass scans
+// the positions directly instead of bit-iterating the agent set, with a
+// plain branch: late in a run nearly every vertex is informed, so the
+// branch is well predicted, where a branch-free append would make each
+// append wait on the previous informed-bit load. The informed case
+// continues, so it is the straight-line path of the loop.
 func collectDeposits(informedA *bitset.Set, countA int, informedV *bitset.Set, pos []graph.Vertex, pending []graph.Vertex) []graph.Vertex {
 	if countA == len(pos) {
 		words := informedV.Words()

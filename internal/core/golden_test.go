@@ -9,7 +9,6 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"rumor/internal/graph"
@@ -30,12 +29,12 @@ var goldenSpecs = []string{
 	"randreg:30,4", "gnp:30,0.25", "chunglu:40,2.5,6", "barabasi:40,2",
 }
 
-// goldenVariant is one protocol configuration of the record. batched is
-// nil where the configuration is recorded at K = 1 only.
+// goldenVariant is one protocol configuration of the record. fused marks
+// the configurations the record also holds at K = 7 (see recordEngines).
 type goldenVariant struct {
-	name    string
-	serial  func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error)
-	batched func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error)
+	name   string
+	serial func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error)
+	fused  bool
 }
 
 func goldenVariants() []goldenVariant {
@@ -44,67 +43,43 @@ func goldenVariants() []goldenVariant {
 		{"push",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewPush(g, s, rng, PushOptions{})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPush(g, s, rngs, PushOptions{})
-			}},
+			}, true},
 		{"push-f0.25",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewPush(g, s, rng, PushOptions{FailureProb: 0.25})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPush(g, s, rngs, PushOptions{FailureProb: 0.25})
-			}},
+			}, true},
 		{"push-pull",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewPushPull(g, s, rng, PushPullOptions{})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPushPull(g, s, rngs, PushPullOptions{})
-			}},
+			}, true},
 		{"push-pull-f0.25",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewPushPull(g, s, rng, PushPullOptions{FailureProb: 0.25})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPushPull(g, s, rngs, PushPullOptions{FailureProb: 0.25})
-			}},
+			}, true},
 		{"visitx",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewVisitExchange(g, s, rng, AgentOptions{})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedVisitExchange(g, s, rngs, AgentOptions{})
-			}},
+			}, true},
 		{"visitx-churn",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewVisitExchange(g, s, rng, churn)
-			}, nil},
+			}, false},
 		{"meetx",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewMeetExchange(g, s, rng, AgentOptions{})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedMeetExchange(g, s, rngs, AgentOptions{})
-			}},
+			}, true},
 		{"meetx-churn",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewMeetExchange(g, s, rng, churn)
-			}, nil},
+			}, false},
 		{"hybrid",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewHybrid(g, s, rng, AgentOptions{})
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedHybrid(g, s, rngs, AgentOptions{})
-			}},
+			}, true},
 		{"hybrid-churn",
 			func(g *graph.Graph, s graph.Vertex, rng *xrand.RNG) (Process, error) {
 				return NewHybrid(g, s, rng, churn)
-			},
-			func(g *graph.Graph, s graph.Vertex, rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedHybrid(g, s, rngs, churn)
-			}},
+			}, true},
 	}
 }
 
@@ -142,7 +117,7 @@ const (
 	goldenObsTrials  = 2
 	goldenMaxRounds  = 3000
 	goldenGraphSeed  = 1
-	goldenBundleWide = 7
+	goldenFusedWidth = 7
 )
 
 // digestResults hashes the outcome fields of every trial, in trial order.
@@ -178,20 +153,14 @@ func recordEngines(t *testing.T) map[string]string {
 			if err != nil {
 				t.Fatalf("%s %s: %v", spec, v.name, err)
 			}
-			out[spec+"/"+v.name+"/K=1"] = digestResults(serial)
-			if v.batched == nil {
-				continue
+			key := spec + "/" + v.name + "/K=1"
+			out[key] = digestResults(serial)
+			if v.fused {
+				// The record also holds the digests of the 7-lane fused
+				// bundles trials once ran in; each equals its K = 1
+				// entry, so the one-trial engine is held to both.
+				out[fmt.Sprintf("%s/%s/K=%d", spec, v.name, goldenFusedWidth)] = out[key]
 			}
-			wide, err := RunManyLanes(g, func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return v.batched(g, src, rngs)
-			}, goldenTrials, goldenMaxRounds, goldenSeed, goldenBundleWide, nil)
-			if err != nil {
-				t.Fatalf("%s %s: %v", spec, v.name, err)
-			}
-			if !reflect.DeepEqual(serial, wide) {
-				t.Errorf("%s %s: K=%d bundles diverge from K=1", spec, v.name, goldenBundleWide)
-			}
-			out[fmt.Sprintf("%s/%s/K=%d", spec, v.name, goldenBundleWide)] = digestResults(wide)
 		}
 		// Observer sequences: trials run one after the other so the
 		// callbacks arrive in one order.
@@ -215,11 +184,12 @@ func recordEngines(t *testing.T) map[string]string {
 
 // TestGoldenEngines pins every engine's bytes across refactors: digests of
 // Rounds, Completed, Messages, AllAgentsRound and History for all five
-// protocols on every graph family — reliable and lossy links, churn, K = 1
-// and K = 7 — and of the observer (round, from, to) sequences, against
+// protocols on every graph family — reliable and lossy links, churn —
+// and of the observer (round, from, to) sequences, against
 // testdata/golden.json. The record was taken from the serial processes
-// before any of them was folded into its bundle; a deletion that keeps this
-// test green changed no outcome. `go test -run TestGoldenEngines -update`
+// before any of them was folded into a fused bundle, and its K = 7 entries
+// from those bundles; a deletion that keeps this test green changed no
+// outcome. `go test -run TestGoldenEngines -update`
 // rewrites the file, which a behaviour-preserving change never needs.
 func TestGoldenEngines(t *testing.T) {
 	if len(goldenSpecs) != len(graph.SpecFamilies()) {

@@ -9,116 +9,92 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The lane-equivalence contract: for every protocol, seed, and bundle
-// width K, RunManyLanes must return []Result bit-identical to RunMany's
-// single trials of a reference — Rounds, Completed, Messages,
-// AllAgentsRound, and the full History per trial — at any GOMAXPROCS.
-// These tests pin the bundles of the call protocols (push, push-pull),
-// the hybrid and visit-exchange for K in {1, 2, 7} (one lane, partial bundle, prime width) at
-// GOMAXPROCS 1 and 8. Their reference is the
-// plain round of plain_test.go, which shares no boundary mode, side or
-// sweep with the bundles; golden_test.go and exact_test.go hold the
-// bundles to outcomes recorded before the serial engines were deleted and
-// to exact laws. batched_test.go pins meet-exchange against its one-lane
-// view and visit-exchange against the plain round on larger graphs.
+// The plain-reference equivalence contract: for every protocol and seed,
+// RunMany must return []Result bit-identical to RunMany over a plain
+// reference — Rounds, Completed, Messages, AllAgentsRound, and the full
+// History per trial — at any GOMAXPROCS. These tests pin the call
+// protocols (push, push-pull), the hybrid and the agent protocols at
+// GOMAXPROCS 1 and 8. The reference is the plain round of plain_test.go,
+// which shares no boundary mode, side, sweep or word scan with the
+// engine; golden_test.go and exact_test.go hold the engine to outcomes
+// recorded before the serial engines were deleted and to exact laws.
+// (The suite's "Lane" names are kept from when trials ran as lanes of
+// fused bundles.)
 
-// laneProto pairs a single-trial reference factory with a bundle factory.
-type laneProto struct {
-	name    string
-	serial  Factory
-	batched LaneFactory
+// refProto pairs a protocol's engine factory with its plain reference.
+type refProto struct {
+	name   string
+	plain  Factory
+	engine Factory
 }
 
-func laneProtos(g *graph.Graph, s graph.Vertex) []laneProto {
-	return []laneProto{
+func callProtos(g *graph.Graph, s graph.Vertex) []refProto {
+	return []refProto{
 		{
-			name: "push",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainPush(g, s, rng, 0), nil
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPush(g, s, rngs, PushOptions{})
+			name:   "push",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainPush(g, s, rng, 0), nil },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewPush(g, s, rng, PushOptions{}) },
+		},
+		{
+			name:  "push-failures",
+			plain: func(rng *xrand.RNG) (Process, error) { return plainPush(g, s, rng, 0.25), nil },
+			engine: func(rng *xrand.RNG) (Process, error) {
+				return NewPush(g, s, rng, PushOptions{FailureProb: 0.25})
 			},
 		},
 		{
-			name: "push-failures",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainPush(g, s, rng, 0.25), nil
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPush(g, s, rngs, PushOptions{FailureProb: 0.25})
+			name:   "push-pull",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainPushPull(g, s, rng, 0), nil },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewPushPull(g, s, rng, PushPullOptions{}) },
+		},
+		{
+			name:  "push-pull-failures",
+			plain: func(rng *xrand.RNG) (Process, error) { return plainPushPull(g, s, rng, 0.25), nil },
+			engine: func(rng *xrand.RNG) (Process, error) {
+				return NewPushPull(g, s, rng, PushPullOptions{FailureProb: 0.25})
 			},
 		},
 		{
-			name: "push-pull",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainPushPull(g, s, rng, 0), nil
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPushPull(g, s, rngs, PushPullOptions{})
-			},
+			name:   "hybrid",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, AgentOptions{}) },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewHybrid(g, s, rng, AgentOptions{}) },
 		},
 		{
-			name: "push-pull-failures",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainPushPull(g, s, rng, 0.25), nil
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedPushPull(g, s, rngs, PushPullOptions{FailureProb: 0.25})
-			},
-		},
-		{
-			name: "hybrid",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainHybrid(g, s, rng, AgentOptions{})
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedHybrid(g, s, rngs, AgentOptions{})
-			},
-		},
-		{
-			name: "hybrid-sparse-agents",
-			serial: func(rng *xrand.RNG) (Process, error) {
-				return plainHybrid(g, s, rng, AgentOptions{Count: 5})
-			},
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) {
-				return NewBatchedHybrid(g, s, rngs, AgentOptions{Count: 5})
-			},
+			name:   "hybrid-sparse-agents",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, AgentOptions{Count: 5}) },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewHybrid(g, s, rng, AgentOptions{Count: 5}) },
 		},
 	}
 }
 
-// compareLanes runs k trials through the reference and through the
-// bundle — at GOMAXPROCS 1 and 8 — and reports any per-trial divergence.
-func compareLanes(t *testing.T, g *graph.Graph, pc laneProto, k, maxRounds int, seed uint64) {
+// compareTrials runs `trials` trials through the reference and through the
+// engine — at GOMAXPROCS 1 and 8 — and reports any per-trial divergence.
+func compareTrials(t *testing.T, g *graph.Graph, pc refProto, trials, maxRounds int, seed uint64) {
 	t.Helper()
-	serial, err := RunMany(g, pc.serial, k, maxRounds, seed)
+	plain, err := RunMany(g, pc.plain, trials, maxRounds, seed)
 	if err != nil {
 		t.Fatalf("%s on %s: reference: %v", pc.name, g.Name(), err)
 	}
-	check := func(how string, batched []Result) {
-		t.Helper()
-		for tr := range serial {
-			if !reflect.DeepEqual(serial[tr], batched[tr]) {
-				t.Errorf("%s on %s K=%d %s trial %d: batched diverges\nreference: rounds %d completed %v messages %d allAgents %d hist %d\nbatched:   rounds %d completed %v messages %d allAgents %d hist %d",
-					pc.name, g.Name(), k, how, tr,
-					serial[tr].Rounds, serial[tr].Completed, serial[tr].Messages, serial[tr].AllAgentsRound, len(serial[tr].History),
-					batched[tr].Rounds, batched[tr].Completed, batched[tr].Messages, batched[tr].AllAgentsRound, len(batched[tr].History))
+	for _, procs := range []int{1, 8} {
+		got := atGOMAXPROCS(t, procs, func() []Result {
+			res, err := RunMany(g, pc.engine, trials, maxRounds, seed)
+			if err != nil {
+				t.Fatalf("%s on %s: engine: %v", pc.name, g.Name(), err)
+			}
+			return res
+		})
+		for tr := range plain {
+			if !reflect.DeepEqual(plain[tr], got[tr]) {
+				t.Errorf("%s on %s GOMAXPROCS=%d trial %d: engine diverges\nreference: rounds %d completed %v messages %d allAgents %d hist %d\nengine:    rounds %d completed %v messages %d allAgents %d hist %d",
+					pc.name, g.Name(), procs, tr,
+					plain[tr].Rounds, plain[tr].Completed, plain[tr].Messages, plain[tr].AllAgentsRound, len(plain[tr].History),
+					got[tr].Rounds, got[tr].Completed, got[tr].Messages, got[tr].AllAgentsRound, len(got[tr].History))
 			}
 		}
 	}
-	for _, procs := range []int{1, 8} {
-		check(fmt.Sprintf("GOMAXPROCS=%d", procs), atGOMAXPROCS(t, procs, func() []Result {
-			res, err := RunManyLanes(g, pc.batched, k, maxRounds, seed, k, nil)
-			if err != nil {
-				t.Fatalf("%s on %s: batched: %v", pc.name, g.Name(), err)
-			}
-			return res
-		}))
-	}
 }
 
-// TestLaneEquivalenceBatchedCallProtocols: push/push-pull/hybrid bundles
+// TestLaneEquivalenceBatchedCallProtocols: push, push-pull and the hybrid
 // equal the plain reference's results per trial on mixed-degree (star:
 // push's coupon tail enters boundary mode), bridge-wait (double star:
 // push-pull's boundary mode), uniform-degree (hypercube), and seeded
@@ -146,10 +122,8 @@ func TestLaneEquivalenceBatchedCallProtocols(t *testing.T) {
 	}
 	const seed = 2024
 	for _, g := range graphs {
-		for _, pc := range laneProtos(g, 0) {
-			for _, k := range []int{1, 2, 7} {
-				compareLanes(t, g, pc, k, 0, seed)
-			}
+		for _, pc := range callProtos(g, 0) {
+			compareTrials(t, g, pc, 7, 0, seed)
 		}
 	}
 }
@@ -171,69 +145,64 @@ func TestLaneEquivalenceWordPaths(t *testing.T) {
 	}
 	const seed = 99
 	for _, g := range graphs {
-		for _, pc := range laneProtos(g, 0) {
-			for _, k := range []int{1, 3} {
-				compareLanes(t, g, pc, k, 0, seed)
-			}
+		for _, pc := range callProtos(g, 0) {
+			compareTrials(t, g, pc, 3, 0, seed)
 		}
 	}
 }
 
-// TestLaneEquivalenceMaxRounds: a lane cut off at maxRounds must report
+// TestLaneEquivalenceMaxRounds: a trial cut off at maxRounds must report
 // the same truncated Result (Completed false, Rounds == maxRounds, partial
 // History) as the reference, for every call protocol and the hybrid.
 func TestLaneEquivalenceMaxRounds(t *testing.T) {
 	g := graph.Star(301)
-	const seed, k, maxRounds = 7, 7, 3
-	for _, pc := range laneProtos(g, 0) {
-		compareLanes(t, g, pc, k, maxRounds, seed)
+	const seed, trials, maxRounds = 7, 7, 3
+	for _, pc := range callProtos(g, 0) {
+		compareTrials(t, g, pc, trials, maxRounds, seed)
 	}
 }
 
 // TestLaneEquivalenceIsolatedVertices: on a graph with isolated vertices —
-// the callerCount regression shape — the bundles must charge exactly the
+// the callerCount regression shape — the engine must charge exactly the
 // reference's per-round messages (isolated vertices place no call)
 // and diverge nowhere else. Isolated vertices can never be informed, so
 // every run is driven into the maxRounds cutoff, with enough rounds that
-// push and push-pull lanes enter boundary mode on the way.
+// push and push-pull trials enter boundary mode on the way.
 func TestLaneEquivalenceIsolatedVertices(t *testing.T) {
 	g := ringWithIsolated(t)
 	const seed, maxRounds = 11, 12
-	for _, pc := range laneProtos(g, 0) {
-		for _, k := range []int{1, 2, 7} {
-			compareLanes(t, g, pc, k, maxRounds, seed)
-		}
+	for _, pc := range callProtos(g, 0) {
+		compareTrials(t, g, pc, 7, maxRounds, seed)
 	}
 }
 
 // agentProtos are the two agent protocols with options o against their
 // plain references: visit-exchange (vertices and agents hold the rumor)
 // and meet-exchange (agents alone do).
-func agentProtos(g *graph.Graph, s graph.Vertex, o AgentOptions) []laneProto {
-	return []laneProto{
+func agentProtos(g *graph.Graph, s graph.Vertex, o AgentOptions) []refProto {
+	return []refProto{
 		{
-			name:    "visit-exchange",
-			serial:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, s, rng, o) },
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedVisitExchange(g, s, rngs, o) },
+			name:   "visit-exchange",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainVisitExchange(g, s, rng, o) },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewVisitExchange(g, s, rng, o) },
 		},
 		{
-			name:    "meet-exchange",
-			serial:  func(rng *xrand.RNG) (Process, error) { return plainMeetExchange(g, s, rng, o) },
-			batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedMeetExchange(g, s, rngs, o) },
+			name:   "meet-exchange",
+			plain:  func(rng *xrand.RNG) (Process, error) { return plainMeetExchange(g, s, rng, o) },
+			engine: func(rng *xrand.RNG) (Process, error) { return NewMeetExchange(g, s, rng, o) },
 		},
 	}
 }
 
-// TestLaneEquivalenceVisitExchange: both agent protocols' bundles equal
-// their plain references per trial — visit-exchange's per-agent deposits
-// and pickups, meet-exchange's per-agent meetings and source rule — and
-// every run completes. The star spends most of a visit-exchange run with
-// every agent informed (collectDeposits' position scan), the double star
-// mixes lane progress across its bridge wait, and the hypercube is
-// uniform; lazy walks, more agents than vertices, and five agents that
-// reach the all-informed regime late per lane vary the split between
-// collectDeposits' two arms, and how long a meet-exchange lane waits on
-// its source.
+// TestLaneEquivalenceVisitExchange: both agent protocols equal their
+// plain references per trial — visit-exchange's per-agent deposits and
+// pickups, meet-exchange's per-agent meetings and source rule — and every
+// run completes. The star spends most of a visit-exchange run with every
+// agent informed (markDeposits' position scan), the double star waits on
+// its bridge, and the hypercube is uniform; lazy walks, more agents than
+// vertices, and five agents that reach the all-informed regime late vary
+// the split between markDeposits' two arms, and how long a meet-exchange
+// trial waits on its source.
 func TestLaneEquivalenceVisitExchange(t *testing.T) {
 	graphs := []*graph.Graph{graph.Star(96), graph.DoubleStar(48), graph.Hypercube(6)}
 	opts := []AgentOptions{{}, {Lazy: LazyOn}, {Alpha: 2}, {Count: 5}}
@@ -242,10 +211,8 @@ func TestLaneEquivalenceVisitExchange(t *testing.T) {
 		for oi, o := range opts {
 			for _, pc := range agentProtos(g, 0, o) {
 				pc.name = fmt.Sprintf("%s opts[%d]", pc.name, oi)
-				for _, k := range []int{1, 2, 7} {
-					compareLanes(t, g, pc, k, 0, seed)
-				}
-				res, err := RunMany(g, pc.serial, 7, 0, seed)
+				compareTrials(t, g, pc, 7, 0, seed)
+				res, err := RunMany(g, pc.engine, 7, 0, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,50 +226,25 @@ func TestLaneEquivalenceVisitExchange(t *testing.T) {
 	}
 }
 
-// TestRunManyLanesAdaptiveK: the adaptive width never changes results —
-// RunManyLanes with k <= 0 (AdaptiveBatchK) equals explicit K = 1.
-func TestRunManyLanesAdaptiveK(t *testing.T) {
-	g := graph.Hypercube(6)
-	const seed, trials = 5, 11
-	pc := laneProtos(g, 0)[0]
-	want, err := RunMany(g, pc.serial, trials, 0, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunManyLanes(g, pc.batched, trials, 0, seed, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("adaptive-K lane results diverge from the reference")
-	}
-	if k := AdaptiveBatchK(g, trials); k < 1 || k > batchK {
-		t.Errorf("AdaptiveBatchK = %d, want in [1, %d]", k, batchK)
-	}
-	if k := AdaptiveBatchK(g, 1); k != 1 {
-		t.Errorf("AdaptiveBatchK(1 trial) = %d, want 1", k)
-	}
-}
-
 // churnProtos are the agent protocols with churn against their plain
 // references.
-func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []laneProto {
+func churnProtos(g *graph.Graph, s graph.Vertex, churn float64) []refProto {
 	o := AgentOptions{ChurnRate: churn}
 	protos := agentProtos(g, s, o)
 	for i := range protos {
 		protos[i].name += "-churn"
 	}
-	return append(protos, laneProto{
-		name:    "hybrid-churn",
-		serial:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, o) },
-		batched: func(rngs []*xrand.RNG) (LaneProcess, error) { return NewBatchedHybrid(g, s, rngs, o) },
+	return append(protos, refProto{
+		name:   "hybrid-churn",
+		plain:  func(rng *xrand.RNG) (Process, error) { return plainHybrid(g, s, rng, o) },
+		engine: func(rng *xrand.RNG) (Process, error) { return NewHybrid(g, s, rng, o) },
 	})
 }
 
-// TestLaneEquivalenceChurn: with churn, K = 2 and K = 7 bundles of every
-// agent protocol equal its plain reference per trial at GOMAXPROCS 1 and 8
-// (see compareLanes). Meet-exchange may lose the rumor to churn,
-// so runs are cut at 600 rounds and truncated lanes are compared too.
+// TestLaneEquivalenceChurn: with churn, every agent protocol equals its
+// plain reference per trial at GOMAXPROCS 1 and 8 (see compareTrials).
+// Meet-exchange may lose the rumor to churn, so runs are cut at 600
+// rounds and truncated trials are compared too.
 func TestLaneEquivalenceChurn(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Star(301),      // degree mix: respawns land on the hub half the time
@@ -313,9 +255,7 @@ func TestLaneEquivalenceChurn(t *testing.T) {
 	for _, g := range graphs {
 		for _, churn := range []float64{0.01, 0.2} {
 			for _, pc := range churnProtos(g, 0, churn) {
-				for _, k := range []int{2, 7} {
-					compareLanes(t, g, pc, k, maxRounds, seed)
-				}
+				compareTrials(t, g, pc, 7, maxRounds, seed)
 			}
 		}
 	}
@@ -374,7 +314,7 @@ func TestHybridBoundaryEquivalence(t *testing.T) {
 					t.Errorf("%s procs=%d %s: view and plain results differ:\nview  %+v\nplain %+v",
 						pc.name, procs, c.g.Name(), got, want)
 				}
-				if _, _, _, boundary := sideHooks(view.bundle()); boundary(0) {
+				if _, _, L := sideHooks(view); L.boundary {
 					entered++
 				}
 			}
@@ -385,40 +325,14 @@ func TestHybridBoundaryEquivalence(t *testing.T) {
 	}
 }
 
-// driveLanes runs `trials` trials in bundles of k, one bundle after the
-// other on the caller, and keeps no bundle: RunManyLanes minus its pool.
-func driveLanes(t *testing.T, g *graph.Graph, factory LaneFactory, trials, k, maxRounds int, seed uint64) []Result {
-	t.Helper()
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds(g)
-	}
-	out := make([]Result, trials)
-	for t0 := 0; t0 < trials; t0 += k {
-		t1 := min(t0+k, trials)
-		rngs := make([]*xrand.RNG, t1-t0)
-		for i := range rngs {
-			rngs[i] = xrand.New(xrand.TrialSeed(seed, t0+i))
-		}
-		bp, err := factory(rngs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveBatch(g, bp, maxRounds, out[t0:t1], nil, t0)
-	}
-	return out
-}
-
-// benchProtos are the five fused bundles as the experiment layer builds
-// them, in the order push, push-pull, visit-exchange, meet-exchange, hybrid.
-func benchProtos(g *graph.Graph) []laneProto {
-	byName := map[string]laneProto{}
-	for _, pc := range laneProtos(g, 0) {
+// benchProtos are the five protocols as the experiment layer builds them,
+// in the order push, push-pull, visit-exchange, meet-exchange, hybrid.
+func benchProtos(g *graph.Graph) []refProto {
+	byName := map[string]refProto{}
+	for _, pc := range append(callProtos(g, 0), batchedProtos(g, 0)...) {
 		byName[pc.name] = pc
 	}
-	for _, pc := range batchedProtos(g, 0) {
-		byName[pc.name] = laneProto(pc)
-	}
-	var out []laneProto
+	var out []refProto
 	for _, name := range []string{"push", "push-pull", "visit-exchange", "meet-exchange", "hybrid"} {
 		out = append(out, byName[name])
 	}
@@ -446,11 +360,10 @@ func BenchmarkStarPushBoundary(b *testing.B) {
 	}
 }
 
-// BenchmarkRunManyLanes is a 16-trial adaptive-K sweep of each protocol at
-// n = 4096 (the star for push — the inversion's worst case — and the
-// hypercube for the rest). At -cpu 2 the second processor runs the second
-// bundle.
-func BenchmarkRunManyLanes(b *testing.B) {
+// BenchmarkRunMany is a 16-trial sweep of each protocol at n = 4096 (the
+// star for push — the inversion's worst case — and the hypercube for the
+// rest). At -cpu 2 the second processor runs every other trial.
+func BenchmarkRunMany(b *testing.B) {
 	star, cube := graph.Star(4096), graph.Hypercube(12)
 	names := []string{"push", "push-pull", "visitx", "meetx", "hybrid"}
 	for i, name := range names {
@@ -461,7 +374,7 @@ func BenchmarkRunManyLanes(b *testing.B) {
 		pc := benchProtos(g)[i]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunManyLanes(g, pc.batched, 16, 0, 1, 0, nil); err != nil {
+				if _, err := RunMany(g, pc.engine, 16, 0, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -42,7 +42,7 @@ type MultiRumorResult struct {
 // how many rumors are in flight.
 type MultiRumorVisitExchange struct {
 	g      *graph.Graph
-	walks  *agents.BatchedWalks // one lane
+	walks  *agents.BatchedWalks
 	rumors []Rumor
 
 	vMask []uint64 // rumor bits held by each vertex
@@ -70,7 +70,7 @@ func NewMultiRumorVisitExchange(g *graph.Graph, rumors []Rumor, rng *xrand.RNG, 
 			return nil, fmt.Errorf("core: rumor %d has negative injection round", i)
 		}
 	}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, false), []*xrand.RNG{rng})
+	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rng)
 	if err != nil {
 		return nil, fmt.Errorf("multi-rumor: %w", err)
 	}
@@ -103,7 +103,7 @@ func (m *MultiRumorVisitExchange) inject(round int) {
 			m.vMask[ru.Source] |= bit
 			m.vCnt[r]++
 		}
-		for i, p := range m.walks.Lane(0) {
+		for i, p := range m.walks.Positions() {
 			if p == ru.Source {
 				m.aMask[i] |= bit
 			}
@@ -140,12 +140,12 @@ func (m *MultiRumorVisitExchange) VertexCount(r int) int { return m.vCnt[r] }
 // (including rumors delivered this round by other agents).
 func (m *MultiRumorVisitExchange) Step() {
 	m.round++
-	m.walks.Step(nil)
+	m.walks.Step()
 	m.msgs += int64(m.walks.N())
-	for _, id := range m.walks.Respawned(0) {
+	for _, id := range m.walks.Respawned() {
 		m.aMask[id] = 0
 	}
-	pos := m.walks.Lane(0)
+	pos := m.walks.Positions()
 	// Pass 1: agents deposit previously held rumors.
 	for i, v := range pos {
 		if carry := m.aMask[i]; carry != 0 {

@@ -13,9 +13,8 @@ import (
 // against the pre-round informed set and then commits them; agents deposit
 // and pick up the rumor one agent at a time, in id order. There is no
 // boundary mode, no side of the cut, no dense sweep and no word scan:
-// every path the bundles take must reproduce these rounds bit for bit. A
-// reference is a one-lane bundle, so RunMany runs it behind a laneView
-// like any trial.
+// every path the engine takes must reproduce these rounds bit for bit. A
+// reference is a Process, so RunMany runs it like any trial.
 
 // plainRef is one trial of push (pull false), push-pull (pull true), the
 // hybrid (pull true, walks set) or visit-exchange (walks set, noCalls).
@@ -34,7 +33,7 @@ type plainRef struct {
 	count    int
 	pending  []graph.Vertex
 
-	walks     *agents.BatchedWalks // hybrid only: one lane
+	walks     *agents.BatchedWalks // agent references only
 	informedA *bitset.Set
 	countA    int
 
@@ -63,14 +62,14 @@ func newPlainRef(name string, g *graph.Graph, s graph.Vertex, pull bool, f float
 func plainPush(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, f float64) Process {
 	r := newPlainRef("push", g, s, false, f)
 	r.seed = rng.Uint64()
-	return newLaneView(r)
+	return r
 }
 
 // plainPushPull is one push-pull trial: every non-isolated vertex calls.
 func plainPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, f float64) Process {
 	r := newPlainRef("push-pull", g, s, true, f)
 	r.seed = rng.Uint64()
-	return newLaneView(r)
+	return r
 }
 
 // plainHybrid is one hybrid trial: the push-pull round's calls, then a
@@ -82,7 +81,7 @@ func plainHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions)
 		return nil, err
 	}
 	r.seed = rng.Uint64()
-	return newLaneView(r), nil
+	return r, nil
 }
 
 // plainVisitExchange is one visit-exchange trial: the hybrid's agent half
@@ -93,40 +92,31 @@ func plainVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentO
 		return nil, err
 	}
 	r.noCalls = true
-	return newLaneView(r), nil
+	return r, nil
 }
 
 // newPlainAgents builds a reference with a one-lane walk system drawn from
 // rng, every agent on s informed.
 func newPlainAgents(name string, g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (*plainRef, error) {
-	w, err := agents.NewBatched(g, o.walkConfig(g, false), []*xrand.RNG{rng})
+	w, err := agents.NewBatched(g, o.walkConfig(g, false), rng)
 	if err != nil {
 		return nil, err
 	}
 	r := newPlainRef(name, g, s, true, 0)
-	r.walks, r.informedA = w, bitset.New(w.N())
-	for i, p := range w.Lane(0) {
-		if p == s {
-			r.informedA.Set(i)
-			r.countA++
-		}
-	}
+	r.walks = w
+	r.informedA, r.countA = informedOn(w.Positions(), s)
 	return r, nil
 }
 
-func (r *plainRef) Name() string                   { return r.name }
-func (r *plainRef) K() int                         { return 1 }
-func (r *plainRef) Source() graph.Vertex           { return r.src }
-func (r *plainRef) Round() int                     { return r.round }
-func (r *plainRef) LaneDone(int) bool              { return r.count == r.g.N() }
-func (r *plainRef) LaneInformedCount(int) int      { return r.count }
-func (r *plainRef) LaneMessages(int) int64         { return r.messages }
-func (r *plainRef) LaneAllAgentsInformed(int) bool { return r.walks != nil && r.countA == r.walks.N() }
+func (r *plainRef) Name() string            { return r.name }
+func (r *plainRef) source() graph.Vertex    { return r.src }
+func (r *plainRef) Round() int              { return r.round }
+func (r *plainRef) Done() bool              { return r.count == r.g.N() }
+func (r *plainRef) InformedCount() int      { return r.count }
+func (r *plainRef) Messages() int64         { return r.messages }
+func (r *plainRef) allAgentsInformed() bool { return r.walks != nil && r.countA == r.walks.N() }
 
-func (r *plainRef) Step(active []bool) {
-	if !active[0] {
-		return
-	}
+func (r *plainRef) Step() {
 	r.round++
 	round := uint64(r.round)
 	r.pending = r.pending[:0]
@@ -135,10 +125,10 @@ func (r *plainRef) Step(active []bool) {
 	}
 	var pos []graph.Vertex
 	if r.walks != nil {
-		r.walks.Step(nil)
+		r.walks.Step()
 		r.messages += int64(r.walks.N())
-		pos = r.walks.Lane(0)
-		for _, i := range r.walks.Respawned(0) {
+		pos = r.walks.Positions()
+		for _, i := range r.walks.Respawned() {
 			if r.informedA.Test(i) { // a fresh agent is uninformed
 				r.informedA.Clear(i)
 				r.countA--
@@ -207,38 +197,29 @@ type plainMeet struct {
 // plainMeetExchange is one meet-exchange trial: per-agent meetings against
 // the agents informed before the round, and an explicit source rule.
 func plainMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
-	w, err := agents.NewBatched(g, o.walkConfig(g, true), []*xrand.RNG{rng})
+	w, err := agents.NewBatched(g, o.walkConfig(g, true), rng)
 	if err != nil {
 		return nil, err
 	}
-	r := &plainMeet{g: g, src: s, walks: w, informedA: bitset.New(w.N())}
-	for i, p := range w.Lane(0) {
-		if p == s {
-			r.informedA.Set(i)
-			r.countA++
-		}
-	}
+	r := &plainMeet{g: g, src: s, walks: w}
+	r.informedA, r.countA = informedOn(w.Positions(), s)
 	r.sourceSilent = r.countA > 0
-	return newLaneView(r), nil
+	return r, nil
 }
 
-func (r *plainMeet) Name() string                   { return "meet-exchange" }
-func (r *plainMeet) K() int                         { return 1 }
-func (r *plainMeet) Source() graph.Vertex           { return r.src }
-func (r *plainMeet) Round() int                     { return r.walks.Round() }
-func (r *plainMeet) LaneDone(int) bool              { return r.countA == r.walks.N() }
-func (r *plainMeet) LaneInformedCount(int) int      { return r.countA }
-func (r *plainMeet) LaneMessages(int) int64         { return r.messages }
-func (r *plainMeet) LaneAllAgentsInformed(int) bool { return r.LaneDone(0) }
+func (r *plainMeet) Name() string            { return "meet-exchange" }
+func (r *plainMeet) source() graph.Vertex    { return r.src }
+func (r *plainMeet) Round() int              { return r.walks.Round() }
+func (r *plainMeet) Done() bool              { return r.countA == r.walks.N() }
+func (r *plainMeet) InformedCount() int      { return r.countA }
+func (r *plainMeet) Messages() int64         { return r.messages }
+func (r *plainMeet) allAgentsInformed() bool { return r.Done() }
 
-func (r *plainMeet) Step(active []bool) {
-	if !active[0] {
-		return
-	}
-	r.walks.Step(nil)
+func (r *plainMeet) Step() {
+	r.walks.Step()
 	r.messages += int64(r.walks.N())
-	pos := r.walks.Lane(0)
-	for _, i := range r.walks.Respawned(0) {
+	pos := r.walks.Positions()
+	for _, i := range r.walks.Respawned() {
 		if r.informedA.Test(i) { // a fresh agent is uninformed
 			r.informedA.Clear(i)
 			r.countA--

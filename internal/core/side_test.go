@@ -12,73 +12,66 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The smaller-side contract (see boundary.go): a fused call-protocol lane
-// may evaluate a non-boundary round from either side of its
+// The smaller-side contract (see boundary.go): a call-protocol trial may
+// evaluate a non-boundary round from either side of its
 // informed/uninformed cut — every side is exact on every such round — so
 // whichever the rule picks, and whichever a test forces, the Result equals
 // the plain reference's (plain_test.go), which knows nothing of sides or
 // boundary mode and resolves every caller's call in vertex order.
-// TestGoldenEngines and the exact-law tests hold the bundles, under the
-// rule, to outcomes no bundle produced.
+// TestGoldenEngines and the exact-law tests hold the engine, under the
+// rule, to outcomes it did not produce.
 
-// sideHooks reaches the unexported side state of the two fused call
-// bundles.
-func sideHooks(bp LaneProcess) (force *side, sampler *neighborSampler, took func(lane int) [numSides]int, boundary func(lane int) bool) {
-	switch b := bp.(type) {
+// sideHooks reaches the unexported side state of the two call processes.
+func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callLane) {
+	switch b := p.(type) {
 	case *BatchedCall:
-		return &b.forceSide, &b.sampler,
-			func(t int) [numSides]int { return b.lanes[t].took },
-			func(t int) bool { return b.lanes[t].boundary }
+		return &b.forceSide, &b.sampler, &b.callLane
 	case *BatchedHybrid:
-		return &b.forceSide, &b.sampler,
-			func(t int) [numSides]int { return b.lanes[t].took },
-			func(t int) bool { return b.lanes[t].boundary }
+		return &b.forceSide, &b.sampler, &b.callLane
 	}
-	panic(fmt.Sprintf("no side hooks on %T", bp))
+	panic(fmt.Sprintf("no side hooks on %T", p))
 }
 
-// sideTally sums the per-lane side counters of every bundle a wrapped
-// factory built.
+// sideTally keeps every process a wrapped factory built.
 type sideTally struct {
-	mu      sync.Mutex
-	bundles []LaneProcess
+	mu    sync.Mutex
+	procs []Process
 }
 
+// took sums the per-side round counters of the kept processes.
 func (st *sideTally) took() (sum [numSides]int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, bp := range st.bundles {
-		_, _, took, _ := sideHooks(bp)
-		for t := 0; t < bp.K(); t++ {
-			for s, c := range took(t) {
-				sum[s] += c
-			}
+	for _, p := range st.procs {
+		_, _, L := sideHooks(p)
+		for s, c := range L.took {
+			sum[s] += c
 		}
 	}
 	return sum
 }
 
-// withSide wraps a bundle factory: every bundle is forced to one side
-// (sideRule leaves the rule in charge), optionally stripped of the packed
-// walk index so calls resolve through the CSR fallback, and remembered in
-// tally when one is given.
-func withSide(f LaneFactory, force side, noIndex bool, tally *sideTally) LaneFactory {
-	return func(rngs []*xrand.RNG) (LaneProcess, error) {
-		bp, err := f(rngs)
+// withSide wraps a factory: every process is forced to one side (sideRule
+// leaves the rule in charge), optionally stripped of the packed walk index
+// so calls resolve through the CSR fallback, and kept in tally when one is
+// given.
+func withSide(f Factory, force side, noIndex bool, tally *sideTally) Factory {
+	return func(rng *xrand.RNG) (Process, error) {
+		p, err := f(rng)
 		if err != nil {
 			return nil, err
 		}
-		fs, sampler, _, _ := sideHooks(bp)
+		fs, sampler, _ := sideHooks(p)
 		*fs = force
 		if noIndex {
 			sampler.idx = nil
 		}
 		if tally != nil {
 			tally.mu.Lock()
-			tally.bundles = append(tally.bundles, bp)
+			tally.procs = append(tally.procs, p)
 			tally.mu.Unlock()
 		}
-		return bp, nil
+		return p, nil
 	}
 }
 
@@ -92,7 +85,7 @@ func validSides(proto string) []side {
 }
 
 // isolatedMix is a 10-cube plus 40 isolated vertices, which no run
-// informs: every lane ends in the maxRounds cutoff, with a small
+// informs: every trial ends in the maxRounds cutoff, with a small
 // uninformed side for ever.
 func isolatedMix(t testing.TB) *graph.Graph {
 	t.Helper()
@@ -133,8 +126,8 @@ func seededGraph(t testing.TB, spec string, seed uint64) *graph.Graph {
 // preferential-attachment graph (hubs, then a thin periphery), the heavy
 // tree (degree-1 leaves draw nothing), a graph with isolated vertices
 // (cutoff; calls of degree 0) and the double star (sparse rounds, then
-// stagnation, then boundary mode), for K in {1, 2, 7} at GOMAXPROCS 1 and 8,
-// with the packed walk index and without it.
+// stagnation, then boundary mode), at GOMAXPROCS 1 and 8, with the packed
+// walk index and without it.
 // Each side is then forced for whole runs, which drives it through the
 // tiny-I, middle and tiny-U regimes the rule would never give it; and the
 // rule's own runs must have taken every side of every protocol, so the
@@ -155,21 +148,19 @@ func TestLaneEquivalenceSmallerSide(t *testing.T) {
 	const seed = 4711
 	ruled := map[string]*sideTally{}
 	for _, c := range cases {
-		for _, pc := range laneProtos(c.g, 0) {
+		for _, pc := range callProtos(c.g, 0) {
 			if ruled[pc.name] == nil {
 				ruled[pc.name] = &sideTally{}
 			}
 			for _, noIndex := range []bool{false, true} {
-				for _, k := range []int{1, 2, 7} {
-					unforced := pc
-					unforced.batched = withSide(pc.batched, sideRule, noIndex, ruled[pc.name])
-					compareLanes(t, c.g, unforced, k, c.maxRounds, seed)
-				}
+				unforced := pc
+				unforced.engine = withSide(pc.engine, sideRule, noIndex, ruled[pc.name])
+				compareTrials(t, c.g, unforced, 7, c.maxRounds, seed)
 				for _, s := range validSides(pc.name) {
 					forcedSide := pc
 					forcedSide.name = fmt.Sprintf("%s/side=%d/noIndex=%v", pc.name, s, noIndex)
-					forcedSide.batched = withSide(pc.batched, s, noIndex, nil)
-					compareLanes(t, c.g, forcedSide, 7, c.maxRounds, seed)
+					forcedSide.engine = withSide(pc.engine, s, noIndex, nil)
+					compareTrials(t, c.g, forcedSide, 7, c.maxRounds, seed)
 				}
 			}
 		}
@@ -243,94 +234,86 @@ func TestLaneSideRule(t *testing.T) {
 }
 
 // TestBoundaryModeSkipsSideRule: boundary mode takes precedence. Once a
-// lane is in it — the star's coupon-collector tail for push, the double
+// trial is in it — the star's coupon-collector tail for push, the double
 // star's bridge wait for the exchanges — the rule is not consulted again:
 // the per-side round counters stop, however small either side of the cut.
 func TestBoundaryModeSkipsSideRule(t *testing.T) {
-	// Hybrid lanes finish through their agents before they stagnate; the
-	// lanes named here must get there or the test proves nothing.
+	// Hybrid trials finish through their agents before they stagnate; the
+	// trials named here must get there or the test proves nothing.
 	mustEnter := []string{"push", "push-pull"}
 	for gi, g := range []*graph.Graph{graph.Star(301), graph.DoubleStar(96)} {
-		for _, pc := range laneProtos(g, 0) {
-			const k = 3
-			rngs := make([]*xrand.RNG, k)
-			for i := range rngs {
-				rngs[i] = xrand.New(xrand.TrialSeed(31, i))
-			}
-			bp, err := pc.batched(rngs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, took, boundary := sideHooks(bp)
-			active := make([]bool, k)
-			var frozen [k]*[numSides]int
+		for _, pc := range callProtos(g, 0) {
 			entered := 0
-			for round := 0; round < 200; round++ {
-				for i := range active {
-					active[i] = !bp.LaneDone(i)
+			for tr := range 3 {
+				p, err := pc.engine(xrand.New(xrand.TrialSeed(31, tr)))
+				if err != nil {
+					t.Fatal(err)
 				}
-				bp.Step(active)
-				for i := 0; i < k; i++ {
-					switch now := took(i); {
-					case frozen[i] != nil && now != *frozen[i]:
-						t.Fatalf("%s on %s lane %d round %d: side counters moved in boundary mode: %v -> %v",
-							pc.name, g.Name(), i, round, *frozen[i], now)
-					case frozen[i] == nil && boundary(i):
-						frozen[i] = &now
+				_, _, L := sideHooks(p)
+				var frozen *[numSides]int
+				for round := 0; round < 200 && !p.Done(); round++ {
+					p.Step()
+					switch now := L.took; {
+					case frozen != nil && now != *frozen:
+						t.Fatalf("%s on %s trial %d round %d: side counters moved in boundary mode: %v -> %v",
+							pc.name, g.Name(), tr, round, *frozen, now)
+					case frozen == nil && L.boundary:
+						frozen = &now
 						entered++
 					}
 				}
 			}
 			if entered == 0 && pc.name == mustEnter[gi] {
-				t.Errorf("%s on %s: no lane entered boundary mode in 200 rounds", pc.name, g.Name())
+				t.Errorf("%s on %s: no trial entered boundary mode in 200 rounds", pc.name, g.Name())
 			}
 		}
 	}
 }
 
-// TestBoundaryEntryFromSparseLane: a push-pull or hybrid lane can reach
+// TestBoundaryEntryFromSparseLane: a push-pull or hybrid trial can reach
 // boundary mode without ever having swept — sparse rounds, stagnation,
 // entry — and must finish from there with nothing a dense round would
 // have set up. Forced to a sparse side on the double star that is every
-// lane's path; on the lossy cycle it is the rule's own.
+// trial's path; on the lossy cycle it is the rule's own.
 func TestBoundaryEntryFromSparseLane(t *testing.T) {
 	type ecase struct {
 		name      string
 		g         *graph.Graph
-		factory   LaneFactory
+		factory   Factory
 		force     side
 		maxRounds int
 	}
 	ds, cyc := graph.DoubleStar(64), graph.Cycle(512)
 	var cases []ecase
-	for _, pc := range laneProtos(ds, 0) {
+	for _, pc := range callProtos(ds, 0) {
 		if sides := validSides(pc.name); len(sides) == 3 {
 			cases = append(cases,
-				ecase{pc.name, ds, pc.batched, sideInformed, 0},
-				ecase{pc.name, ds, pc.batched, sideUninformed, 0})
+				ecase{pc.name, ds, pc.engine, sideInformed, 0},
+				ecase{pc.name, ds, pc.engine, sideUninformed, 0})
 		}
 	}
-	cases = append(cases, ecase{"lossy push-pull", cyc, func(rngs []*xrand.RNG) (LaneProcess, error) {
-		return NewBatchedPushPull(cyc, 0, rngs, PushPullOptions{FailureProb: 0.9})
+	cases = append(cases, ecase{"lossy push-pull", cyc, func(rng *xrand.RNG) (Process, error) {
+		return NewPushPull(cyc, 0, rng, PushPullOptions{FailureProb: 0.9})
 	}, sideRule, 60})
 	for _, c := range cases {
 		var tally sideTally
-		res := driveLanes(t, c.g, withSide(c.factory, c.force, false, &tally), 4, 4, c.maxRounds, 3)
+		res, err := RunMany(c.g, withSide(c.factory, c.force, false, &tally), 4, c.maxRounds, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for tr, r := range res {
 			if c.maxRounds == 0 && !r.Completed {
 				t.Errorf("%s on %s side %d trial %d: not completed", c.name, c.g.Name(), c.force, tr)
 			}
 		}
-		bp := tally.bundles[0]
-		_, _, took, boundary := sideHooks(bp)
 		hit := 0
-		for lane := 0; lane < bp.K(); lane++ {
-			if boundary(lane) && took(lane)[sideAll] == 0 {
+		for _, p := range tally.procs {
+			if _, _, L := sideHooks(p); L.boundary && L.took[sideAll] == 0 {
 				hit++
 			}
 		}
 		if hit == 0 {
-			t.Errorf("%s on %s side %d: no lane entered boundary mode without a dense round: the regression is not exercised", c.name, c.g.Name(), c.force)
+			t.Errorf("%s on %s side %d: no trial entered boundary mode without a dense round: the regression is not exercised", c.name, c.g.Name(), c.force)
 		}
 	}
 }
@@ -399,8 +382,8 @@ func TestLaneExchangeDenseIsCall(t *testing.T) {
 
 // FuzzSmallerSideVsPlain: bytes become a small simple graph (n <= 64,
 // leaves and isolated vertices allowed, the source its first vertex of
-// positive degree), a protocol, a bundle width, a seed and a round cutoff
-// (disconnected inputs never finish); the bundle — a call protocol under
+// positive degree), a protocol, a trial count, a seed and a round cutoff
+// (disconnected inputs never finish); the engine — a call protocol under
 // the rule and forced to each side, on the packed index or the CSR
 // fallback, an agent protocol under the rule alone — must return the plain
 // reference's Results. Inputs the walk system refuses are skipped.
@@ -418,7 +401,7 @@ func FuzzSmallerSideVsPlain(f *testing.F) {
 		}
 		n := 2 + int(data[0])%63
 		noIndex := data[1]&128 != 0
-		k := 1 + int(data[2])%7
+		trials := 1 + int(data[2])%7
 		maxRounds := 1 + int(data[3])%48
 		seed := uint64(data[4]) | uint64(data[5])<<8
 		b := graph.NewBuilder(n, "fuzz")
@@ -444,31 +427,31 @@ func FuzzSmallerSideVsPlain(f *testing.F) {
 		if int(src) == n {
 			return // no edge survived
 		}
-		calls, walks := laneProtos(g, src), agentProtos(g, src, AgentOptions{})
+		calls, walks := callProtos(g, src), agentProtos(g, src, AgentOptions{})
 		protos := append(calls, walks...)
 		pi := int(data[1]&127) % len(protos)
 		pc := protos[pi]
-		want, err := RunMany(g, pc.serial, k, maxRounds, seed)
+		want, err := RunMany(g, pc.plain, trials, maxRounds, seed)
 		if err != nil {
 			if pi >= len(calls) {
 				return // the walk system refuses the input
 			}
 			t.Fatal(err)
 		}
-		forced := func(s side) LaneFactory { return withSide(pc.batched, s, noIndex, nil) }
+		forced := func(s side) Factory { return withSide(pc.engine, s, noIndex, nil) }
 		sides := append([]side{sideRule}, validSides(pc.name)...)
 		if pi >= len(calls) {
-			forced = func(side) LaneFactory { return pc.batched }
+			forced = func(side) Factory { return pc.engine }
 			sides = []side{sideRule}
 		}
 		for _, s := range sides {
-			got, err := RunManyLanes(g, forced(s), k, maxRounds, seed, k, nil)
+			got, err := RunMany(g, forced(s), trials, maxRounds, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s n=%d K=%d maxRounds=%d seed=%d side %d noIndex=%v: bundle results differ from the plain reference\nplain  %+v\nbundle %+v",
-					pc.name, n, k, maxRounds, seed, s, noIndex, want, got)
+				t.Fatalf("%s n=%d trials=%d maxRounds=%d seed=%d side %d noIndex=%v: engine results differ from the plain reference\nplain  %+v\nengine %+v",
+					pc.name, n, trials, maxRounds, seed, s, noIndex, want, got)
 			}
 		}
 	})

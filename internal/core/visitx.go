@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"rumor/internal/agents"
 	"rumor/internal/graph"
 	"rumor/internal/xrand"
@@ -44,7 +42,7 @@ type AgentOptions struct {
 	ChurnRate float64
 	// Observer, if non-nil, receives every agent traversal (a churn
 	// respawn is not one). The hybrid reports its agent traversals only,
-	// not its push-pull calls. Only single trials take one.
+	// not its push-pull calls.
 	Observer MoveObserver
 }
 
@@ -78,37 +76,24 @@ func (o AgentOptions) walkConfig(g *graph.Graph, forceLazyAuto bool) agents.Conf
 	}
 }
 
-// NewVisitExchange builds a single visit-exchange trial: the one-lane view
-// of NewBatchedVisitExchange. Visit-exchange does not require lazy walks
-// (vertices hold the rumor across parity classes), so LazyAuto resolves to
-// simple walks.
+// NewVisitExchange builds a single visit-exchange trial. Visit-exchange
+// does not require lazy walks (vertices hold the rumor across parity
+// classes), so LazyAuto resolves to simple walks.
 func NewVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
-	v, err := NewBatchedVisitExchange(g, s, []*xrand.RNG{rng}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newLaneView(v), nil
+	return newBatchedAgentExchange(g, s, rng, opts, true)
 }
 
-// NewMeetExchange builds a single meet-exchange trial: the one-lane view of
-// NewBatchedMeetExchange. LazyAuto resolves to lazy walks on bipartite graphs.
+// NewMeetExchange builds a single meet-exchange trial. LazyAuto resolves
+// to lazy walks on bipartite graphs.
 func NewMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
-	m, err := NewBatchedMeetExchange(g, s, []*xrand.RNG{rng}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newLaneView(m), nil
+	return newBatchedAgentExchange(g, s, rng, opts, false)
 }
 
-// errObserverLanes rejects an observer on a bundle of several trials:
-// observer callbacks of concurrent lanes would interleave.
-var errObserverLanes = errors.New("core: observers need a one-lane bundle")
-
-// observeMoves reports the agent traversals of a one-lane walk system's
-// latest round to obs, in agent-id order. Agents replaced by churn that
-// round did not traverse an edge and are skipped.
+// observeMoves reports the agent traversals of the walk system's latest
+// round to obs, in agent-id order. Agents replaced by churn that round did
+// not traverse an edge and are skipped.
 func observeMoves(obs MoveObserver, w *agents.BatchedWalks) {
-	prev, pos, resp := w.Prev(0), w.Lane(0), w.Respawned(0)
+	prev, pos, resp := w.Prev(), w.Positions(), w.Respawned()
 	for i, to := range pos {
 		if len(resp) > 0 && resp[0] == i {
 			resp = resp[1:]

@@ -109,11 +109,11 @@ func Run(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Result, e
 // of Eq. (4).
 func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds int, recordZ bool, choice func(graph.Vertex, int) graph.Vertex, res *Result) error {
 	n := g.N()
-	walks, err := agents.NewBatched(g, agents.Config{Count: na}, []*xrand.RNG{rng})
+	walks, err := agents.NewBatched(g, agents.Config{Count: na}, rng)
 	if err != nil {
 		return fmt.Errorf("coupling: %w", err)
 	}
-	pos := walks.Lane(0)
+	pos := walks.Positions()
 	informedV := make([]bool, n)
 	informedA := make([]bool, na)
 	countV := 0
@@ -168,9 +168,9 @@ func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds
 		// Agents departing an informed vertex follow the shared choice
 		// list, in agent-id order (the paper's tie-breaking), instead of
 		// their own walk draw.
-		walks.Step(nil)
-		pos = walks.Lane(0)
-		prev := walks.Prev(0)
+		walks.Step()
+		pos = walks.Positions()
+		prev := walks.Prev()
 		for i, from := range prev {
 			if informedV[from] {
 				departs[from]++

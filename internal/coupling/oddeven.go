@@ -71,11 +71,11 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 	}
 
 	// --- visit-exchange side ---------------------------------------------
-	walks, err := agents.NewBatched(g, agents.Config{Count: na}, []*xrand.RNG{rng})
+	walks, err := agents.NewBatched(g, agents.Config{Count: na}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("coupling: %w", err)
 	}
-	pos := walks.Lane(0)
+	pos := walks.Positions()
 	informedV := make([]bool, n)
 	informedA := make([]bool, na)
 	countV := 1
@@ -105,9 +105,9 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 		odd := t%2 == 1
 		// In odd rounds, forced agents take their coupled choice instead of
 		// their own walk draw, in agent-id order.
-		walks.Step(nil)
-		pos = walks.Lane(0)
-		prev := walks.Prev(0)
+		walks.Step()
+		pos = walks.Positions()
+		prev := walks.Prev()
 		if odd {
 			for i, idx := range forcedIdx {
 				if idx > 0 {

@@ -103,12 +103,12 @@ func TestCSVQuoting(t *testing.T) {
 	}
 }
 
-// TestLaneFactoryAllProtos: every protocol name builds a bundle, and an
+// TestLaneFactoryAllProtos: every protocol name builds a trial, and an
 // unknown one fails the sweep.
 func TestLaneFactoryAllProtos(t *testing.T) {
 	g := graph.Complete(8)
 	for _, p := range Protos() {
-		bp, err := laneFactory(p, g, 0, core.AgentOptions{})([]*xrand.RNG{newTestRNG()})
+		bp, err := protoFactory(p, g, 0, core.AgentOptions{})(newTestRNG())
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -206,9 +206,9 @@ func TestCachedGraphBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestMeasureBatchedMatchesSerial: Measure's automatic batched routing for
-// the agent protocols must not change any published number — the summary
-// over batched trials equals the summary over serial RunMany trials.
+// TestMeasureBatchedMatchesSerial: Measure's routing for the agent
+// protocols must not change any published number — its summary equals
+// the summary over RunMany trials of the public constructors.
 func TestMeasureBatchedMatchesSerial(t *testing.T) {
 	g := graph.Star(301)
 	for _, p := range []Proto{ProtoVisitX, ProtoMeetX} {
@@ -216,7 +216,12 @@ func TestMeasureBatchedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := core.RunManyLanes(g, laneFactory(p, g, 0, core.AgentOptions{}), 7, 0, 99, 1, nil)
+		serial, err := core.RunMany(g, func(rng *xrand.RNG) (core.Process, error) {
+			if p == ProtoMeetX {
+				return core.NewMeetExchange(g, 0, rng, core.AgentOptions{})
+			}
+			return core.NewVisitExchange(g, 0, rng, core.AgentOptions{})
+		}, 7, 0, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +231,7 @@ func TestMeasureBatchedMatchesSerial(t *testing.T) {
 		}
 		want := stats.Summarize(rounds)
 		if m.Summary != want {
-			t.Errorf("%s: batched summary %+v != serial %+v", p, m.Summary, want)
+			t.Errorf("%s: Measure summary %+v != RunMany %+v", p, m.Summary, want)
 		}
 	}
 }

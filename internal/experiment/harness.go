@@ -83,11 +83,9 @@ type Measurement struct {
 // experiment in this repository is expected to complete within the default
 // round budget.
 //
-// Every protocol runs on the unified lane engine (core.RunManyLanes):
-// bundles at the adaptive bundle width, churn included, and single trials
-// as K = 1 bundles when an observer is set. Bundle width never changes
-// results — lanes are bit-identical per trial (see core's lane-equivalence
-// tests) — so batching is purely a throughput decision.
+// Trials run on core.RunManyEmit's pool, one trial per worker, churn
+// included; a trial's result depends on its seed alone, never on the
+// pool's width.
 func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions, trials int, seed uint64) (Measurement, error) {
 	results, err := runTrials(p, g, src, agentOpts, trials, 0, seed, nil)
 	if err != nil {
@@ -104,47 +102,39 @@ func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOpti
 	return Measurement{Proto: p, N: g.N(), Summary: stats.Summarize(rounds)}, nil
 }
 
-// runTrials runs a protocol sweep on the unified lane engine, in bundles
-// of the adaptive width (core.AdaptiveBatchK picks K from trials, graph
-// size, and GOMAXPROCS), or of one trial when an observer is set: its
-// callbacks must not interleave. Bundle width produces bit-identical
-// results (see core's lane-equivalence tests); batching is purely a
-// throughput decision. emit, when non-nil, receives each trial's Result in
-// strict trial order as trials complete.
+// runTrials runs a protocol sweep on core.RunManyEmit's pool of one-trial
+// workers. emit, when non-nil, receives each trial's Result in strict
+// trial order as trials complete.
 func runTrials(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions, trials, maxRounds int, seed uint64, emit core.EmitFunc) ([]core.Result, error) {
-	k := core.AdaptiveBatchK(g, trials)
-	if agentOpts.Observer != nil {
-		k = 1
-	}
-	return core.RunManyLanes(g, laneFactory(p, g, src, agentOpts), trials, maxRounds, seed, k, emit)
+	return core.RunManyEmit(g, protoFactory(p, g, src, agentOpts), trials, maxRounds, seed, emit)
 }
 
-// laneFactory returns the bundle constructor for p; an unknown protocol's
+// protoFactory returns the trial constructor for p; an unknown protocol's
 // factory fails. Churn and observers apply to the agent protocols only.
-func laneFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions) core.LaneFactory {
+func protoFactory(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions) core.Factory {
 	switch p {
 	case ProtoPush:
-		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
-			return core.NewBatchedPush(g, src, rngs, core.PushOptions{})
+		return func(rng *xrand.RNG) (core.Process, error) {
+			return core.NewPush(g, src, rng, core.PushOptions{})
 		}
 	case ProtoPPull:
-		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
-			return core.NewBatchedPushPull(g, src, rngs, core.PushPullOptions{})
+		return func(rng *xrand.RNG) (core.Process, error) {
+			return core.NewPushPull(g, src, rng, core.PushPullOptions{})
 		}
 	case ProtoVisitX:
-		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
-			return core.NewBatchedVisitExchange(g, src, rngs, agentOpts)
+		return func(rng *xrand.RNG) (core.Process, error) {
+			return core.NewVisitExchange(g, src, rng, agentOpts)
 		}
 	case ProtoMeetX:
-		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
-			return core.NewBatchedMeetExchange(g, src, rngs, agentOpts)
+		return func(rng *xrand.RNG) (core.Process, error) {
+			return core.NewMeetExchange(g, src, rng, agentOpts)
 		}
 	case ProtoHybrid:
-		return func(rngs []*xrand.RNG) (core.LaneProcess, error) {
-			return core.NewBatchedHybrid(g, src, rngs, agentOpts)
+		return func(rng *xrand.RNG) (core.Process, error) {
+			return core.NewHybrid(g, src, rng, agentOpts)
 		}
 	}
-	return func([]*xrand.RNG) (core.LaneProcess, error) {
+	return func(*xrand.RNG) (core.Process, error) {
 		return nil, fmt.Errorf("experiment: unknown protocol %q", p)
 	}
 }
