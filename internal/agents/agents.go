@@ -5,7 +5,7 @@
 // deg(v)/2|E| (Section 3 of the paper), optionally replaced by fresh agents
 // at a churn rate (the dynamic-agents variant of Section 9).
 //
-// BatchedWalks is the package's one walk system: one trial's agents,
+// Walks is the package's one walk system: one trial's agents,
 // stepped in one blocked loop per round. On regular graphs a block's step
 // computes every agent's neighbor slot first and gathers after, so the
 // random CSR loads overlap; other graphs step through the packed walk

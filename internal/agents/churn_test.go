@@ -25,7 +25,7 @@ func TestChurnRespawns(t *testing.T) {
 		churn  = 0.1
 		rounds = 100
 	)
-	var ws []*BatchedWalks
+	var ws []*Walks
 	for _, rng := range trialRNGs(11, k) {
 		w, err := NewBatched(g, Config{Count: agents, ChurnRate: churn}, rng)
 		if err != nil {

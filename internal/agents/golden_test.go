@@ -96,7 +96,7 @@ func recordWalks(t *testing.T, k int) map[string]string {
 	out := map[string]string{}
 	for _, c := range walkGoldenCases(t) {
 		for t0 := 0; t0 < walkGoldenTrials; t0 += k {
-			ws := make([]*BatchedWalks, min(k, walkGoldenTrials-t0))
+			ws := make([]*Walks, min(k, walkGoldenTrials-t0))
 			hs := make([]hash.Hash, len(ws))
 			for i := range ws {
 				w, err := NewBatched(c.g, c.cfg, xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i)))

@@ -8,14 +8,14 @@ import (
 	"rumor/internal/xrand"
 )
 
-// BatchedWalks is one trial's system of independent random walks over a
+// Walks is one trial's system of independent random walks over a
 // graph: |A| agents stepping in one blocked loop per round.
 //
 // Agent i draws from the stream keyed (seed, i, round), seed being the
 // first value of the trial's RNG, so a trajectory depends on that RNG
 // alone. The churn-free loop takes no data-dependent branch (see
 // stepBlocks).
-type BatchedWalks struct {
+type Walks struct {
 	g   *graph.Graph
 	cfg Config
 
@@ -44,7 +44,7 @@ type BatchedWalks struct {
 
 // NewBatched creates a walk system with cfg's initial placement. It
 // consumes exactly one value from rng, the stream seed.
-func NewBatched(g *graph.Graph, cfg Config, rng *xrand.RNG) (*BatchedWalks, error) {
+func NewBatched(g *graph.Graph, cfg Config, rng *xrand.RNG) (*Walks, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("agents: Count must be positive, got %d", cfg.Count)
 	}
@@ -54,7 +54,7 @@ func NewBatched(g *graph.Graph, cfg Config, rng *xrand.RNG) (*BatchedWalks, erro
 	if cfg.ChurnRate < 0 || cfg.ChurnRate >= 1 {
 		return nil, fmt.Errorf("agents: ChurnRate must be in [0,1), got %g", cfg.ChurnRate)
 	}
-	w := &BatchedWalks{
+	w := &Walks{
 		g:              g,
 		cfg:            cfg,
 		seed:           rng.Uint64(),
@@ -73,37 +73,37 @@ func NewBatched(g *graph.Graph, cfg Config, rng *xrand.RNG) (*BatchedWalks, erro
 }
 
 // N returns the number of agents.
-func (w *BatchedWalks) N() int { return len(w.pos) }
+func (w *Walks) N() int { return len(w.pos) }
 
 // Round returns the number of Step calls so far.
-func (w *BatchedWalks) Round() int { return w.round }
+func (w *Walks) Round() int { return w.round }
 
 // Positions returns the current positions, indexed by agent id. The slice
 // aliases internal state and must not be retained across Step calls. An
 // owner may overwrite entries between steps, to route an agent itself
 // (the couplings of package coupling do); the next Step walks on from
 // there.
-func (w *BatchedWalks) Positions() []graph.Vertex { return w.pos }
+func (w *Walks) Positions() []graph.Vertex { return w.pos }
 
 // Prev returns the positions before the latest Step, indexed by agent id.
 // The slice aliases internal state: treat it as read-only and do not
 // retain it across Step calls.
-func (w *BatchedWalks) Prev() []graph.Vertex { return w.prev }
+func (w *Walks) Prev() []graph.Vertex { return w.prev }
 
 // Respawned returns the ids of the agents replaced by churn during the
 // latest Step, in increasing id order (empty without churn). The slice is
 // reused between rounds; callers must not retain it.
-func (w *BatchedWalks) Respawned() []int { return w.respawned }
+func (w *Walks) Respawned() []int { return w.respawned }
 
 // Step advances every agent by one synchronous round.
-func (w *BatchedWalks) Step() {
+func (w *Walks) Step() {
 	w.begin()
 	w.stepBlocks()
 }
 
 // begin opens a step: it advances the round, swaps the position buffers
 // (the step reads prev and writes pos) and empties the respawn list.
-func (w *BatchedWalks) begin() {
+func (w *Walks) begin() {
 	w.round++
 	w.prev, w.pos = w.pos, w.prev
 	w.respawned = w.respawned[:0]
@@ -136,7 +136,7 @@ const (
 // wins. Churn, and graphs too large to pack, take the per-agent stream
 // path (stepStreams) instead; every path consumes the same draws and
 // applies the same reductions.
-func (w *BatchedWalks) stepBlocks() {
+func (w *Walks) stepBlocks() {
 	idx := w.g.WalkIndex()
 	if idx == nil || w.churn {
 		w.stepStreams()
@@ -283,7 +283,7 @@ func gatherMoves(ps []graph.Vertex, moves []uint64, nbrs []graph.Vertex) {
 // with churn, a death coin first: a dead agent samples its respawn vertex
 // from the stationary distribution on the same stream and is appended to
 // the respawn list, in id order; a survivor takes the walk draw next.
-func (w *BatchedWalks) stepStreams() {
+func (w *Walks) stepStreams() {
 	round := uint64(w.round)
 	lazy, churn, threshold := w.cfg.Lazy, w.churn, w.churnThreshold
 	var alias *xrand.Alias

@@ -61,7 +61,7 @@ type BatchedHybrid struct {
 	callLane  // the vertex half, pull on
 	g         *graph.Graph
 	src       graph.Vertex
-	walks     *agents.BatchedWalks
+	walks     *agents.Walks
 	seed      uint64 // the exchange stream seed, drawn after the walk seed
 	sampler   neighborSampler
 	callers   int64

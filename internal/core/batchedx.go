@@ -46,7 +46,7 @@ type BatchedAgentExchange struct {
 	g         *graph.Graph
 	src       graph.Vertex
 	memory    bool // visit-exchange; meet-exchange when false
-	walks     *agents.BatchedWalks
+	walks     *agents.Walks
 	informedV *bitset.Set // informed vertices; without memory, the transient set
 	informedA *bitset.Set
 	countV    int // with memory only

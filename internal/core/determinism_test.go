@@ -164,6 +164,6 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // newWalksForTest builds a walk system with a fixed-seed RNG.
-func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.BatchedWalks, error) {
+func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.Walks, error) {
 	return agents.NewBatched(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, xrand.New(1234))
 }

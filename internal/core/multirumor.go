@@ -42,7 +42,7 @@ type MultiRumorResult struct {
 // how many rumors are in flight.
 type MultiRumorVisitExchange struct {
 	g      *graph.Graph
-	walks  *agents.BatchedWalks
+	walks  *agents.Walks
 	rumors []Rumor
 
 	vMask []uint64 // rumor bits held by each vertex

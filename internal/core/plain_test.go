@@ -33,7 +33,7 @@ type plainRef struct {
 	count    int
 	pending  []graph.Vertex
 
-	walks     *agents.BatchedWalks // agent references only
+	walks     *agents.Walks // agent references only
 	informedA *bitset.Set
 	countA    int
 
@@ -187,7 +187,7 @@ func (r *plainRef) calls(round uint64) {
 type plainMeet struct {
 	g            *graph.Graph
 	src          graph.Vertex
-	walks        *agents.BatchedWalks
+	walks        *agents.Walks
 	informedA    *bitset.Set
 	countA       int
 	sourceSilent bool

@@ -92,7 +92,7 @@ func NewMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentO
 // observeMoves reports the agent traversals of the walk system's latest
 // round to obs, in agent-id order. Agents replaced by churn that round did
 // not traverse an edge and are skipped.
-func observeMoves(obs MoveObserver, w *agents.BatchedWalks) {
+func observeMoves(obs MoveObserver, w *agents.Walks) {
 	prev, pos, resp := w.Prev(), w.Positions(), w.Respawned()
 	for i, to := range pos {
 		if len(resp) > 0 && resp[0] == i {
