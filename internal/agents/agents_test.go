@@ -12,25 +12,25 @@ import (
 func TestNewValidation(t *testing.T) {
 	g := graph.Cycle(5)
 	rng := xrand.New(1)
-	if _, err := NewBatched(g, Config{Count: 0}, rng); err == nil {
+	if _, err := New(g, Config{Count: 0}, rng); err == nil {
 		t.Error("Count=0 accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
+	if _, err := New(g, Config{Count: 3, Placement: PlaceOnePerVertex}, rng); err == nil {
 		t.Error("PlaceOnePerVertex with Count != N accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
+	if _, err := New(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0}}, rng); err == nil {
 		t.Error("PlaceFixed with wrong length accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
+	if _, err := New(g, Config{Count: 1, Placement: PlaceFixed, Fixed: []graph.Vertex{9}}, rng); err == nil {
 		t.Error("PlaceFixed out of range accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
+	if _, err := New(g, Config{Count: 1, ChurnRate: 1.5}, rng); err == nil {
 		t.Error("ChurnRate >= 1 accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 1, ChurnRate: -0.1}, rng); err == nil {
+	if _, err := New(g, Config{Count: 1, ChurnRate: -0.1}, rng); err == nil {
 		t.Error("negative ChurnRate accepted")
 	}
-	if _, err := NewBatched(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
+	if _, err := New(g, Config{Count: 1, Placement: Placement(99)}, rng); err == nil {
 		t.Error("unknown placement accepted")
 	}
 }
@@ -39,7 +39,7 @@ func TestPlacementModes(t *testing.T) {
 	g := graph.Cycle(6)
 	rng := xrand.New(2)
 
-	w, err := NewBatched(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
+	w, err := New(g, Config{Count: 6, Placement: PlaceOnePerVertex}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPlacementModes(t *testing.T) {
 	}
 
 	fixed := []graph.Vertex{3, 3, 0}
-	w, err = NewBatched(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
+	w, err = New(g, Config{Count: 3, Placement: PlaceFixed, Fixed: fixed}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 	g := graph.Star(100)
 	rng := xrand.New(3)
 	const agents = 20000
-	w, err := NewBatched(g, Config{Count: agents}, rng)
+	w, err := New(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStationaryPlacementDistribution(t *testing.T) {
 func TestStepMovesAlongEdges(t *testing.T) {
 	g := graph.Hypercube(4)
 	rng := xrand.New(4)
-	w, err := NewBatched(g, Config{Count: 50}, rng)
+	w, err := New(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStepMovesAlongEdges(t *testing.T) {
 func TestLazyWalksSometimesStay(t *testing.T) {
 	g := graph.Cycle(8)
 	rng := xrand.New(5)
-	w, err := NewBatched(g, Config{Count: 400, Lazy: true}, rng)
+	w, err := New(g, Config{Count: 400, Lazy: true}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestLazyWalksSometimesStay(t *testing.T) {
 func TestNonLazyAlwaysMoves(t *testing.T) {
 	g := graph.Cycle(8) // no self-loops, so moving means changing vertex
 	rng := xrand.New(6)
-	w, err := NewBatched(g, Config{Count: 100}, rng)
+	w, err := New(g, Config{Count: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNonLazyAlwaysMoves(t *testing.T) {
 // departures this way).
 func TestLaneOverrideRoutesAgents(t *testing.T) {
 	g := graph.Path(5)
-	w, err := NewBatched(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0}}, xrand.New(7))
+	w, err := New(g, Config{Count: 2, Placement: PlaceFixed, Fixed: []graph.Vertex{0, 0}}, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestLaneOverrideRoutesAgents(t *testing.T) {
 func TestNoChurnNoRespawns(t *testing.T) {
 	g := graph.Complete(5)
 	rng := xrand.New(9)
-	w, err := NewBatched(g, Config{Count: 50}, rng)
+	w, err := New(g, Config{Count: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestNoChurnNoRespawns(t *testing.T) {
 func TestDeterministicWalks(t *testing.T) {
 	g := graph.Hypercube(5)
 	mk := func() []graph.Vertex {
-		w, err := NewBatched(g, Config{Count: 64}, xrand.New(42))
+		w, err := New(g, Config{Count: 64}, xrand.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestStationaryIsInvariant(t *testing.T) {
 	g := graph.Star(50) // heavily non-regular: center prob 1/2
 	rng := xrand.New(10)
 	const agents = 4000
-	w, err := NewBatched(g, Config{Count: agents}, rng)
+	w, err := New(g, Config{Count: agents}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

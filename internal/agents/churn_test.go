@@ -27,7 +27,7 @@ func TestChurnRespawns(t *testing.T) {
 	)
 	var ws []*Walks
 	for _, rng := range trialRNGs(11, k) {
-		w, err := NewBatched(g, Config{Count: agents, ChurnRate: churn}, rng)
+		w, err := New(g, Config{Count: agents, ChurnRate: churn}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ func recordWalks(t *testing.T, k int) map[string]string {
 			ws := make([]*Walks, min(k, walkGoldenTrials-t0))
 			hs := make([]hash.Hash, len(ws))
 			for i := range ws {
-				w, err := NewBatched(c.g, c.cfg, xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i)))
+				w, err := New(c.g, c.cfg, xrand.New(xrand.TrialSeed(walkGoldenSeed, t0+i)))
 				if err != nil {
 					t.Fatalf("%s: %v", c.key, err)
 				}

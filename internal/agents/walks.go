@@ -42,9 +42,9 @@ type Walks struct {
 	round int
 }
 
-// NewBatched creates a walk system with cfg's initial placement. It
+// New creates a walk system with cfg's initial placement. It
 // consumes exactly one value from rng, the stream seed.
-func NewBatched(g *graph.Graph, cfg Config, rng *xrand.RNG) (*Walks, error) {
+func New(g *graph.Graph, cfg Config, rng *xrand.RNG) (*Walks, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("agents: Count must be positive, got %d", cfg.Count)
 	}

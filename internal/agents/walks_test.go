@@ -25,7 +25,7 @@ func trialRNGs(seed uint64, k int) []*xrand.RNG {
 
 func benchWalks(b *testing.B, g *graph.Graph, lazy bool) {
 	count := g.N()
-	w, err := NewBatched(g, Config{Count: count, Lazy: lazy}, xrand.New(1))
+	w, err := New(g, Config{Count: count, Lazy: lazy}, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWalkKernelsMatchStreams(t *testing.T) {
 			if err := kernelsMatchStreams(g, cfg, 11, 8); err != nil {
 				t.Fatalf("%s lazy=%v: %v", c.spec, lazy, err)
 			}
-			w, err := NewBatched(g, cfg, xrand.New(11))
+			w, err := New(g, cfg, xrand.New(11))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,11 +87,11 @@ func TestWalkKernelsMatchStreams(t *testing.T) {
 // first round whose positions, previous positions or respawn lists
 // differ.
 func kernelsMatchStreams(g *graph.Graph, cfg Config, seed uint64, rounds int) error {
-	w, err := NewBatched(g, cfg, xrand.New(seed))
+	w, err := New(g, cfg, xrand.New(seed))
 	if err != nil {
 		return err
 	}
-	ref, err := NewBatched(g, cfg, xrand.New(seed))
+	ref, err := New(g, cfg, xrand.New(seed))
 	if err != nil {
 		return err
 	}

@@ -245,7 +245,7 @@ func TestTrialStateBudget(t *testing.T) {
 		limit := bytes(g.N()) + slack
 		if pc.walks {
 			cfg := ao.walkConfig(g, pc.lazy)
-			walks = allocated(func() error { _, err := agents.NewBatched(g, cfg, xrand.New(1)); return err })
+			walks = allocated(func() error { _, err := agents.New(g, cfg, xrand.New(1)); return err })
 			limit += bytes(cfg.Count)
 		}
 		trial := allocated(func() error { _, err := pc.build(xrand.New(1)); return err })

@@ -16,7 +16,7 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rng)
+	w, err := agents.New(g, opts.walkConfig(g, false), rng)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}

@@ -60,7 +60,7 @@ func newBatchedAgentExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opt
 		return nil, err
 	}
 	x := &BatchedAgentExchange{g: g, src: s, memory: memory, observe: opts.Observer}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, !memory), rng)
+	w, err := agents.New(g, opts.walkConfig(g, !memory), rng)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", x.Name(), err)
 	}

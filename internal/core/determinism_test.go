@@ -165,5 +165,5 @@ func TestWalksDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // newWalksForTest builds a walk system with a fixed-seed RNG.
 func newWalksForTest(g *graph.Graph, count int, churn float64, lazy bool) (*agents.Walks, error) {
-	return agents.NewBatched(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, xrand.New(1234))
+	return agents.New(g, agents.Config{Count: count, ChurnRate: churn, Lazy: lazy}, xrand.New(1234))
 }

@@ -70,7 +70,7 @@ func NewMultiRumorVisitExchange(g *graph.Graph, rumors []Rumor, rng *xrand.RNG, 
 			return nil, fmt.Errorf("core: rumor %d has negative injection round", i)
 		}
 	}
-	w, err := agents.NewBatched(g, opts.walkConfig(g, false), rng)
+	w, err := agents.New(g, opts.walkConfig(g, false), rng)
 	if err != nil {
 		return nil, fmt.Errorf("multi-rumor: %w", err)
 	}

@@ -98,7 +98,7 @@ func plainVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentO
 // newPlainAgents builds a reference with a one-lane walk system drawn from
 // rng, every agent on s informed.
 func newPlainAgents(name string, g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (*plainRef, error) {
-	w, err := agents.NewBatched(g, o.walkConfig(g, false), rng)
+	w, err := agents.New(g, o.walkConfig(g, false), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ type plainMeet struct {
 // plainMeetExchange is one meet-exchange trial: per-agent meetings against
 // the agents informed before the round, and an explicit source rule.
 func plainMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
-	w, err := agents.NewBatched(g, o.walkConfig(g, true), rng)
+	w, err := agents.New(g, o.walkConfig(g, true), rng)
 	if err != nil {
 		return nil, err
 	}

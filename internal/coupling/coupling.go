@@ -109,7 +109,7 @@ func Run(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Result, e
 // of Eq. (4).
 func runVisitxSide(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, na, maxRounds int, recordZ bool, choice func(graph.Vertex, int) graph.Vertex, res *Result) error {
 	n := g.N()
-	walks, err := agents.NewBatched(g, agents.Config{Count: na}, rng)
+	walks, err := agents.New(g, agents.Config{Count: na}, rng)
 	if err != nil {
 		return fmt.Errorf("coupling: %w", err)
 	}

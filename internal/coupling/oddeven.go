@@ -71,7 +71,7 @@ func RunOddEven(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, cfg Config) (*Od
 	}
 
 	// --- visit-exchange side ---------------------------------------------
-	walks, err := agents.NewBatched(g, agents.Config{Count: na}, rng)
+	walks, err := agents.New(g, agents.Config{Count: na}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("coupling: %w", err)
 	}
