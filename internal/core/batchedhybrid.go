@@ -69,7 +69,7 @@ type BatchedHybrid struct {
 	countA    int
 	observe   MoveObserver
 
-	forceSide side // tests only: see BatchedCall.forceSide
+	forceSide side // tests only: see Call.forceSide
 
 	round int
 }

@@ -27,17 +27,17 @@ type PushPullOptions struct {
 // NewPush builds one push trial with the rumor placed on s in round zero.
 // It consumes exactly one value from rng (the protocol's stream seed).
 func NewPush(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushOptions) (Process, error) {
-	return newBatchedCall(g, s, rng, false, opts.FailureProb, nil)
+	return newCall(g, s, rng, false, opts.FailureProb, nil)
 }
 
 // NewPushPull builds one push-pull trial with the rumor placed on s in
 // round zero. It consumes exactly one value from rng (the protocol's
 // stream seed).
 func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOptions) (Process, error) {
-	return newBatchedCall(g, s, rng, true, opts.FailureProb, opts.Observer)
+	return newCall(g, s, rng, true, opts.FailureProb, opts.Observer)
 }
 
-// BatchedCall is one trial of the call model of Section 3: in every round,
+// Call is one trial of the call model of Section 3: in every round,
 // vertices call a uniform random neighbor. It is both call protocols,
 // fixed by its constructor. Push (NewPush) lets only the vertices informed
 // before the round call, and a call informs its target. Push-pull
@@ -57,7 +57,7 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 // rumor call (see callLane and boundary.go): on the double star that
 // turns the Ω(n) bridge-crossing wait from Θ(n) work per round into Θ(1),
 // on the star push's coupon-collector tail likewise.
-type BatchedCall struct {
+type Call struct {
 	callLane
 	g       *graph.Graph
 	src     graph.Vertex
@@ -75,14 +75,14 @@ type BatchedCall struct {
 	round int
 }
 
-func newBatchedCall(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, pull bool, failureProb float64, observe MoveObserver) (Process, error) {
+func newCall(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, pull bool, failureProb float64, observe MoveObserver) (Process, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
 	if failureProb < 0 || failureProb >= 1 {
 		return nil, fmt.Errorf("core: FailureProb must be in [0,1), got %g", failureProb)
 	}
-	p := &BatchedCall{
+	p := &Call{
 		g:       g,
 		src:     s,
 		seed:    rng.Uint64(),
@@ -96,7 +96,7 @@ func newBatchedCall(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, pull bool, f
 }
 
 // Name implements Process.
-func (p *BatchedCall) Name() string {
+func (p *Call) Name() string {
 	if p.pull {
 		return "push-pull"
 	}
@@ -104,26 +104,26 @@ func (p *BatchedCall) Name() string {
 }
 
 // Round implements Process.
-func (p *BatchedCall) Round() int { return p.round }
+func (p *Call) Round() int { return p.round }
 
 // Done implements Process: every vertex is informed.
-func (p *BatchedCall) Done() bool { return p.count == p.g.N() }
+func (p *Call) Done() bool { return p.count == p.g.N() }
 
 // InformedCount implements Process (vertices).
-func (p *BatchedCall) InformedCount() int { return p.count }
+func (p *Call) InformedCount() int { return p.count }
 
 // Messages implements Process.
-func (p *BatchedCall) Messages() int64 { return p.messages }
+func (p *Call) Messages() int64 { return p.messages }
 
-func (p *BatchedCall) allAgentsInformed() bool { return false }
-func (p *BatchedCall) source() graph.Vertex    { return p.src }
+func (p *Call) allAgentsInformed() bool { return false }
+func (p *Call) source() graph.Vertex    { return p.src }
 
 // Step implements Process: the round, then the observer's replay of its
 // calls. A round settles its side, counts its calls, collects the
 // transfers against the pre-round informed state, then commits. A vertex
 // informed during round t neither calls (in push) nor passes the rumor on
 // until round t+1, exactly as Section 3 specifies.
-func (p *BatchedCall) Step() {
+func (p *Call) Step() {
 	p.round++
 	p.plan(p.g, p.forceSide)
 	if p.pull {
@@ -142,7 +142,7 @@ func (p *BatchedCall) Step() {
 // vertex's call, in vertex order, failed ones included. A call is a pure
 // function of (seed, vertex, round), so it is replayed here whichever
 // side, or boundary mode, the round was evaluated from.
-func (p *BatchedCall) observeCalls() {
+func (p *Call) observeCalls() {
 	round := uint64(p.round)
 	for u := range p.g.N() {
 		if v := p.sampler.call(p.seed, graph.Vertex(u), round, 0); v >= 0 {

@@ -43,7 +43,7 @@
 // # One implementation per protocol
 //
 // Each protocol has exactly one implementation, a one-trial process that
-// the protocol constructors return. Push and push-pull share BatchedCall,
+// the protocol constructors return. Push and push-pull share Call,
 // one call model with the pull direction off or on. Visit- and
 // meet-exchange share BatchedAgentExchange, one agent process with vertex
 // memory on or off. Visit-exchange is the hybrid's (BatchedHybrid) agent

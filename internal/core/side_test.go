@@ -24,7 +24,7 @@ import (
 // sideHooks reaches the unexported side state of the two call processes.
 func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callLane) {
 	switch b := p.(type) {
-	case *BatchedCall:
+	case *Call:
 		return &b.forceSide, &b.sampler, &b.callLane
 	case *BatchedHybrid:
 		return &b.forceSide, &b.sampler, &b.callLane
