@@ -27,7 +27,7 @@ import (
 // round clears their informed bits before its informing passes. An
 // Observer is called with every agent traversal after the walk step.
 
-// BatchedAgentExchange is one trial of an agent protocol. In round zero
+// AgentExchange is one trial of an agent protocol. In round zero
 // the agents standing on the source become informed; in each subsequent
 // round all agents take one random-walk step and then:
 //
@@ -42,7 +42,7 @@ import (
 // On bipartite graphs two walks can have permanently disjoint parities, so
 // the paper (and LazyAuto) uses lazy walks for meet-exchange there;
 // T_meetx would otherwise be infinite with positive probability.
-type BatchedAgentExchange struct {
+type AgentExchange struct {
 	g         *graph.Graph
 	src       graph.Vertex
 	memory    bool // visit-exchange; meet-exchange when false
@@ -55,11 +55,11 @@ type BatchedAgentExchange struct {
 	observe   MoveObserver
 }
 
-func newBatchedAgentExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions, memory bool) (Process, error) {
+func newAgentExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions, memory bool) (Process, error) {
 	if err := checkSource(g, s); err != nil {
 		return nil, err
 	}
-	x := &BatchedAgentExchange{g: g, src: s, memory: memory, observe: opts.Observer}
+	x := &AgentExchange{g: g, src: s, memory: memory, observe: opts.Observer}
 	w, err := agents.New(g, opts.walkConfig(g, !memory), rng)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", x.Name(), err)
@@ -90,7 +90,7 @@ func informedOn(pos []graph.Vertex, s graph.Vertex) (*bitset.Set, int) {
 }
 
 // Name implements Process.
-func (x *BatchedAgentExchange) Name() string {
+func (x *AgentExchange) Name() string {
 	if x.memory {
 		return "visit-exchange"
 	}
@@ -98,11 +98,11 @@ func (x *BatchedAgentExchange) Name() string {
 }
 
 // Round implements Process.
-func (x *BatchedAgentExchange) Round() int { return x.walks.Round() }
+func (x *AgentExchange) Round() int { return x.walks.Round() }
 
 // Done implements Process: every vertex informed with memory, every agent
 // without.
-func (x *BatchedAgentExchange) Done() bool {
+func (x *AgentExchange) Done() bool {
 	if x.memory {
 		return x.countV == x.g.N()
 	}
@@ -110,7 +110,7 @@ func (x *BatchedAgentExchange) Done() bool {
 }
 
 // InformedCount implements Process: vertices with memory, agents without.
-func (x *BatchedAgentExchange) InformedCount() int {
+func (x *AgentExchange) InformedCount() int {
 	if x.memory {
 		return x.countV
 	}
@@ -118,16 +118,16 @@ func (x *BatchedAgentExchange) InformedCount() int {
 }
 
 // Messages implements Process.
-func (x *BatchedAgentExchange) Messages() int64 { return x.messages }
+func (x *AgentExchange) Messages() int64 { return x.messages }
 
-func (x *BatchedAgentExchange) allAgentsInformed() bool { return x.countA == x.walks.N() }
-func (x *BatchedAgentExchange) source() graph.Vertex    { return x.src }
+func (x *AgentExchange) allAgentsInformed() bool { return x.countA == x.walks.N() }
+func (x *AgentExchange) source() graph.Vertex    { return x.src }
 
 // Step implements Process: the walk step, then the informing passes —
 // churn replacements forget the rumor, agents informed in a previous
 // round deposit it on the vertices they landed on, then agents standing
 // on a set vertex (old or new) pick it up.
-func (x *BatchedAgentExchange) Step() {
+func (x *AgentExchange) Step() {
 	x.walks.Step()
 	if x.observe != nil {
 		observeMoves(x.observe, x.walks)

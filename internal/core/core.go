@@ -45,7 +45,7 @@
 // Each protocol has exactly one implementation, a one-trial process that
 // the protocol constructors return. Push and push-pull share Call,
 // one call model with the pull direction off or on. Visit- and
-// meet-exchange share BatchedAgentExchange, one agent process with vertex
+// meet-exchange share AgentExchange, one agent process with vertex
 // memory on or off. Visit-exchange is the hybrid's (BatchedHybrid) agent
 // half without its calls, and meet-exchange is visit-exchange whose vertex
 // set is rebuilt every round from the informed agents: all three inform

@@ -35,7 +35,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // agentTrial returns the process behind a visit- or meet-exchange trial.
-func agentTrial(p Process) *BatchedAgentExchange { return p.(*BatchedAgentExchange) }
+func agentTrial(p Process) *AgentExchange { return p.(*AgentExchange) }
 
 // sourceHolds reports whether a meet-exchange trial's source still holds
 // the rumor: no agent is informed and the source is in the vertex set.

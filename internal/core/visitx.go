@@ -80,13 +80,13 @@ func (o AgentOptions) walkConfig(g *graph.Graph, forceLazyAuto bool) agents.Conf
 // does not require lazy walks (vertices hold the rumor across parity
 // classes), so LazyAuto resolves to simple walks.
 func NewVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
-	return newBatchedAgentExchange(g, s, rng, opts, true)
+	return newAgentExchange(g, s, rng, opts, true)
 }
 
 // NewMeetExchange builds a single meet-exchange trial. LazyAuto resolves
 // to lazy walks on bipartite graphs.
 func NewMeetExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions) (Process, error) {
-	return newBatchedAgentExchange(g, s, rng, opts, false)
+	return newAgentExchange(g, s, rng, opts, false)
 }
 
 // observeMoves reports the agent traversals of the walk system's latest
