@@ -14,7 +14,7 @@ import (
 // counter-based streams are that list — so "whom does u call in round t"
 // is a pure function anybody can evaluate (neighborSampler.call), and
 // leaving a draw out shifts nobody else's randomness. The fused call
-// lanes (callLane: Call's push and push-pull, BatchedHybrid's
+// lanes (callLane: Call's push and push-pull, Hybrid's
 // exchange phase) use that twice, and every Result stays bit-identical to
 // the plain every-caller-draws evaluation, which test code keeps as the
 // reference (plain_test.go); the bundles, each its protocol's only

@@ -46,7 +46,7 @@
 // the protocol constructors return. Push and push-pull share Call,
 // one call model with the pull direction off or on. Visit- and
 // meet-exchange share AgentExchange, one agent process with vertex
-// memory on or off. Visit-exchange is the hybrid's (BatchedHybrid) agent
+// memory on or off. Visit-exchange is the hybrid's (Hybrid) agent
 // half without its calls, and meet-exchange is visit-exchange whose vertex
 // set is rebuilt every round from the informed agents: all three inform
 // through a deposit pass and one pickup pass over the agents

@@ -10,7 +10,7 @@ import (
 
 // The neighbor sampler, the call lane and the collect helpers shared by
 // the call processes: Call's push and push-pull and the vertex half
-// of BatchedHybrid's. Each is a plain function or method over concrete
+// of Hybrid's. Each is a plain function or method over concrete
 // state (no per-unit indirection lands in a hot loop), so every engine
 // that performs a call round shares one copy of the collect and commit
 // semantics — a fix lands in all of them at once. Push is the call lane

@@ -26,7 +26,7 @@ func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callLane) {
 	switch b := p.(type) {
 	case *Call:
 		return &b.forceSide, &b.sampler, &b.callLane
-	case *BatchedHybrid:
+	case *Hybrid:
 		return &b.forceSide, &b.sampler, &b.callLane
 	}
 	panic(fmt.Sprintf("no side hooks on %T", p))
