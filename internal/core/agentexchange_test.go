@@ -15,7 +15,7 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The agent protocols against their plain references (see lane_test.go),
+// The agent protocols against their plain references (see equivalence_test.go),
 // on larger graphs.
 
 func batchedProtos(g *graph.Graph, s graph.Vertex) []refProto {
@@ -256,7 +256,7 @@ func TestTrialStateBudget(t *testing.T) {
 }
 
 // BenchmarkBatchedAgentExchange times a 16-trial point of each agent
-// protocol on a tail-bound graph, where visit-exchange lanes spend most
+// protocol on a tail-bound graph, where visit-exchange trials spend most
 // rounds with every agent informed (markDeposits' position scan), and
 // on a regular graph larger than L2, where most rounds bit-iterate a
 // partly informed agent set.

@@ -13,11 +13,11 @@ import (
 // each vertex a fixed list of neighbor choices indexed by time, and the
 // counter-based streams are that list — so "whom does u call in round t"
 // is a pure function anybody can evaluate (neighborSampler.call), and
-// leaving a draw out shifts nobody else's randomness. The fused call
-// lanes (callLane: Call's push and push-pull, Hybrid's
+// leaving a draw out shifts nobody else's randomness. The call
+// protocols (callState: Call's push and push-pull, Hybrid's
 // exchange phase) use that twice, and every Result stays bit-identical to
 // the plain every-caller-draws evaluation, which test code keeps as the
-// reference (plain_test.go); the bundles, each its protocol's only
+// reference (plain_test.go); the processes, each its protocol's only
 // implementation, are also pinned by TestGoldenEngines and, for push and
 // push-pull, by their exact laws.
 //
@@ -27,7 +27,7 @@ import (
 // informed neighbor. callBoundary keeps that set incrementally:
 // construction is one O(n + Σ deg(informed)) pass paid on entry,
 // maintenance O(deg(v)) per newly informed vertex v, a round costs only
-// its active list. Entry is triggered by the lane after two consecutive
+// its active list. Entry is triggered by the trial after two consecutive
 // stagnant rounds (boundaryStagnantRounds) — a single informing-free round
 // also occurs in ordinary finishing tails, so the build waits until
 // stagnation repeats — and is never left. On the paper's waiting-phase
@@ -35,7 +35,7 @@ import (
 // wait) this turns Θ(n) work per stagnant round into Θ(1), which no
 // per-round scan of either side of the cut can match (the star's
 // uninformed side is Θ(n) for Θ(n log n) rounds): boundary mode takes
-// precedence, and the side rule below is not consulted once a lane is in
+// precedence, and the side rule below is not consulted once a trial is in
 // it.
 //
 // Read a draw from either endpoint (pickSide). On the families that never
@@ -51,7 +51,7 @@ import (
 // or from the uninformed side (v's own pull, else its informed neighbors'
 // replayed calls) once the uninformed set is, against the
 // draw-everyone-then-collect sweep in between. The rule is "least cost",
-// per lane per round, a pure function of (|I|, Σ deg(I), n, 2M) with one
+// per trial per round, a pure function of (|I|, Σ deg(I), n, 2M) with one
 // measured constant (replayUnits) and nothing to configure. The sets are
 // enumerated off the informed bitset's words and Σ deg(I) is kept by the
 // commit loop.
@@ -60,7 +60,7 @@ import (
 // nobody before a protocol pays the O(M) boundary construction.
 const boundaryStagnantRounds = 2
 
-// side names where a non-boundary round of a call lane is evaluated from;
+// side names where a non-boundary round of a call trial is evaluated from;
 // every side yields the same newly informed set.
 type side uint8
 
@@ -76,15 +76,15 @@ const (
 // the neighbor slot it selects: two dependent cache misses — in units of
 // the dense sweep, which streams its draws and pays one bit test to
 // collect each. Measured on hypercube:16, randreg:65536,16 and
-// barabasi:16384,4 at K = 8: 13-17 ns a replay against ~2 ns a sweep unit
-// in the rounds where the choice arises (one side nearly empty, so the
-// sweep's branches predict), and whole rounds forced to each side cross
-// the sweep's time at this ratio on all three (at half of it the last
-// informed-side round costs two sweeps).
+// barabasi:16384,4 while eight trials were fused per bundle: 13-17 ns a
+// replay against ~2 ns a sweep unit in the rounds where the choice arises
+// (one side nearly empty, so the sweep's branches predict), and whole
+// rounds forced to each side cross the sweep's time at this ratio on all
+// three (at half of it the last informed-side round costs two sweeps).
 const replayUnits = 8
 
 // pickSide returns the side from which a round costs the least, and that
-// cost, for a lane with inf informed vertices of total degree degInf on a
+// cost, for a trial with inf informed vertices of total degree degInf on a
 // graph of n vertices and twoM endpoints.
 //
 // Push (pull false) resolves calls whichever way it goes — |I| from the
@@ -119,7 +119,7 @@ func pickSide(pull bool, inf int, degInf int64, n int, twoM int64) (side, int64)
 	return s, cost
 }
 
-// callBoundary tracks a call lane's boundary: the vertices whose call can
+// callBoundary tracks a call trial's boundary: the vertices whose call can
 // transfer the rumor. Those are the informed vertices with an uninformed
 // neighbor, and, with pull, the uninformed vertices with an informed
 // neighbor. Push keeps no informed-neighbor counts.

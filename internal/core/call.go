@@ -54,11 +54,11 @@ func NewPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts PushPullOp
 // calls across the cut — push always does, its every-caller pass being
 // its informed side — and after two stagnant rounds the trial enters
 // boundary mode, where only the vertices whose call can transfer the
-// rumor call (see callLane and boundary.go): on the double star that
+// rumor call (see callState and boundary.go): on the double star that
 // turns the Ω(n) bridge-crossing wait from Θ(n) work per round into Θ(1),
 // on the star push's coupon-collector tail likewise.
 type Call struct {
-	callLane
+	callState
 	g       *graph.Graph
 	src     graph.Vertex
 	seed    uint64

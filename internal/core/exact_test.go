@@ -332,8 +332,9 @@ func TestExactAsyncLaw(t *testing.T) {
 
 // TestExactStarCouponCollector: push from the centre of star:L is a coupon
 // collector, Lemma 2(a)'s Θ(n log n): mean L·H_L/(1 − f), with the
-// variance exact.StarPush gives. The mean of 2000 trials through the K = 1
-// view must sit within the budget of it (a z-test on the exact variance).
+// variance exact.StarPush gives. The mean of 2000 trials of the process
+// NewPush returns must sit within the budget of it (a z-test on the exact
+// variance).
 func TestExactStarCouponCollector(t *testing.T) {
 	const trials = 2000
 	var checks []lawCheck

@@ -8,12 +8,12 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The neighbor sampler, the call lane and the collect helpers shared by
+// The neighbor sampler, the call state and the collect helpers shared by
 // the call processes: Call's push and push-pull and the vertex half
 // of Hybrid's. Each is a plain function or method over concrete
 // state (no per-unit indirection lands in a hot loop), so every engine
 // that performs a call round shares one copy of the collect and commit
-// semantics — a fix lands in all of them at once. Push is the call lane
+// semantics — a fix lands in all of them at once. Push is the call state
 // with the pull direction off. The agent passes live here too:
 // markDeposits is visit- and meet-exchange's deposit, collectDeposits the
 // hybrid's, and pickupAgents every agent protocol's pickup, one copy for
@@ -90,9 +90,9 @@ func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint6
 	return v
 }
 
-// callLane is one trial's call-protocol state: all of a push or push-pull
+// callState is one trial's call-protocol state: all of a push or push-pull
 // trial's, the vertex half of a hybrid trial's.
-type callLane struct {
+type callState struct {
 	informed *bitset.Set
 	pull     bool // every vertex calls and a call carries both ways; push when false
 	count    int
@@ -106,7 +106,7 @@ type callLane struct {
 	messages int64
 }
 
-func (L *callLane) init(g *graph.Graph, s graph.Vertex, pull bool) {
+func (L *callState) init(g *graph.Graph, s graph.Vertex, pull bool) {
 	L.informed = bitset.New(g.N())
 	L.pull = pull
 	L.informed.Set(int(s))
@@ -115,9 +115,9 @@ func (L *callLane) init(g *graph.Graph, s graph.Vertex, pull bool) {
 }
 
 // plan settles where the coming round is evaluated from: pickSide's
-// choice, or force when set. A lane in boundary mode has nothing to
+// choice, or force when set. A trial in boundary mode has nothing to
 // settle: its active list is the round.
-func (L *callLane) plan(g *graph.Graph, force side) {
+func (L *callState) plan(g *graph.Graph, force side) {
 	if L.boundary {
 		return
 	}
@@ -130,11 +130,11 @@ func (L *callLane) plan(g *graph.Graph, force side) {
 }
 
 // collect gathers into pending the planned round's transfers, evaluated
-// against the pre-round informed set. Boundary lanes resolve the calls of
-// their small active list here (it mutates in commit, after this pass),
-// sparse lanes the calls across their cut, dense lanes every vertex's call
-// in one pass.
-func (L *callLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
+// against the pre-round informed set. Boundary mode resolves the calls of
+// its small active list here (it mutates in commit, after this pass), a
+// sparse side the calls across the cut, the dense sweep every vertex's
+// call in one pass.
+func (L *callState) collect(g *graph.Graph, sampler *neighborSampler, seed, round, failTh uint64) {
 	L.pending = L.pending[:0]
 	switch {
 	case L.boundary:
@@ -163,7 +163,7 @@ func (L *callLane) collect(g *graph.Graph, sampler *neighborSampler, seed, round
 // Σ deg(I) for the side rule and, in boundary mode, the active list; after
 // boundaryStagnantRounds consecutive rounds that informed nobody, it
 // enters boundary mode.
-func (L *callLane) commit(g *graph.Graph) {
+func (L *callState) commit(g *graph.Graph) {
 	before := L.count
 	for _, v := range L.pending {
 		if !L.informed.Test(int(v)) {
@@ -349,7 +349,7 @@ func markDeposits(informedA *bitset.Set, countA int, vw []uint64, pos []graph.Ve
 // collectDeposits appends to pending, in agent-id order, the vertex of
 // every informed agent that is not yet informed: the hybrid's agent-half
 // deposit, collected rather than marked because its commit also keeps
-// Σ deg(I) and the boundary lists (callLane.commit). It is evaluated
+// Σ deg(I) and the boundary lists (callState.commit). It is evaluated
 // against the pre-commit informed set (duplicates commit once). countA is
 // the number of informed agents. When it is every agent the pass scans
 // the positions directly instead of bit-iterating the agent set, with a

@@ -51,14 +51,14 @@ func NewHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, opts AgentOptions
 // mechanisms' finds, Σ deg(I) and the boundary lists; it scans positions
 // once every agent is informed. The exchange phase is a push-pull trial's
 // (every vertex's call resolved and collected in one pass, or the smaller
-// side of the cut, then boundary mode; see callLane and boundary.go),
+// side of the cut, then boundary mode; see callState and boundary.go),
 // maintained against the shared informed set, so agent deposits move the
 // cut and retire exchange senders exactly as exchange finds do. With
 // churn, respawned agents forget the rumor before the informing passes.
 // An Observer is called with every agent traversal after the walk step;
 // the exchange calls are not reported.
 type Hybrid struct {
-	callLane  // the vertex half, pull on
+	callState // the vertex half, pull on
 	g         *graph.Graph
 	src       graph.Vertex
 	walks     *agents.Walks

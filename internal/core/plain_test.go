@@ -73,7 +73,7 @@ func plainPushPull(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, f float64) Pr
 }
 
 // plainHybrid is one hybrid trial: the push-pull round's calls, then a
-// one-lane walk step with visit-exchange deposits and pickups. It draws
+// walk step with visit-exchange deposits and pickups. It draws
 // the walk seed from rng first, then the exchange seed.
 func plainHybrid(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (Process, error) {
 	r, err := newPlainAgents("ppull+visitx", g, s, rng, o)
@@ -95,7 +95,7 @@ func plainVisitExchange(g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentO
 	return r, nil
 }
 
-// newPlainAgents builds a reference with a one-lane walk system drawn from
+// newPlainAgents builds a reference with a walk system drawn from
 // rng, every agent on s informed.
 func newPlainAgents(name string, g *graph.Graph, s graph.Vertex, rng *xrand.RNG, o AgentOptions) (*plainRef, error) {
 	w, err := agents.New(g, o.walkConfig(g, false), rng)

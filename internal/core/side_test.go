@@ -22,12 +22,12 @@ import (
 // rule, to outcomes it did not produce.
 
 // sideHooks reaches the unexported side state of the two call processes.
-func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callLane) {
+func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callState) {
 	switch b := p.(type) {
 	case *Call:
-		return &b.forceSide, &b.sampler, &b.callLane
+		return &b.forceSide, &b.sampler, &b.callState
 	case *Hybrid:
-		return &b.forceSide, &b.sampler, &b.callLane
+		return &b.forceSide, &b.sampler, &b.callState
 	}
 	panic(fmt.Sprintf("no side hooks on %T", p))
 }
