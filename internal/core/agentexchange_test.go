@@ -228,8 +228,8 @@ func TestTrialStateBudget(t *testing.T) {
 	ao := AgentOptions{}
 	for _, pc := range []struct {
 		name  string
-		walks bool // lazy resolution of the walk system, when it has one
-		lazy  bool
+		walks bool // the trial has a walk system
+		lazy  bool // which resolves LazyAuto as meet-exchange does
 		build func(*xrand.RNG) (Process, error)
 	}{
 		{"push", false, false, func(r *xrand.RNG) (Process, error) { return NewPush(g, 0, r, PushOptions{}) }},
@@ -249,7 +249,9 @@ func TestTrialStateBudget(t *testing.T) {
 			limit += bytes(cfg.Count)
 		}
 		trial := allocated(func() error { _, err := pc.build(xrand.New(1)); return err })
-		if state := trial - walks; state > limit {
+		state := trial - walks
+		t.Logf("%s: %d bytes beyond the walk system's %d, limit %d", pc.name, state, walks, limit)
+		if state > limit {
 			t.Errorf("%s trial state: %d bytes beyond the walk system's %d, want at most %d", pc.name, state, walks, limit)
 		}
 	}

@@ -225,11 +225,10 @@ func (s RunSpec) Build() (*graph.Graph, graph.Vertex, error) {
 }
 
 // Run executes the spec end to end: Build, then Trials independent trials
-// through the unified lane engine — bundles at the adaptive width, one
-// trial per bundle when an observer is set (see runTrials). emit, when
-// non-nil, receives each trial's Result in strict trial order as trials
-// complete. Callers wanting canonical behavior should Normalize first;
-// Run itself does not mutate s.
+// on core's trial pool (see runTrials). emit, when non-nil, receives each
+// trial's Result in strict trial order as trials complete. Callers
+// wanting canonical behavior should Normalize first; Run itself does not
+// mutate s.
 func (s RunSpec) Run(emit core.EmitFunc) ([]core.Result, error) {
 	g, src, err := s.Build()
 	if err != nil {

@@ -143,7 +143,7 @@ func (g *Graph) PositiveDegreeCount() int {
 
 // Bipartite reports whether the graph is 2-colorable, computed once per
 // graph (see IsBipartite, the uncached reference): every meet-exchange and
-// hybrid bundle, every served response and every CLI summary asks, and the
+// hybrid trial, every served response and every CLI summary asks, and the
 // O(n + m) search must not be paid per asker on the shared immutable graph.
 func (g *Graph) Bipartite() bool {
 	g.bipOnce.Do(func() { g.bipartite = IsBipartite(g) })

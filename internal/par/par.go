@@ -17,8 +17,8 @@
 // count is purely a throughput decision, which Shards makes for a caller
 // that owns the whole machine (the graph builder's per-vertex sort). With
 // one shard DoN is a plain call: no pool, no atomics, no allocation. The
-// protocol engine does not shard: core.RunManyLanes runs whole bundles of
-// trials on its own worker pool, sized by Refresh.
+// protocol engine does not shard: core.RunManyEmit runs whole trials on
+// its own worker pool, sized by Refresh.
 //
 // The pool's goroutines are started once and reused for every call in the
 // process. Submission never blocks: the caller always runs shard 0 itself,
@@ -80,7 +80,7 @@ func Procs() int {
 }
 
 // Refresh re-reads runtime.GOMAXPROCS(0) into the cache and returns it.
-// core.RunManyLanes calls it once per sweep and sizes its bundle pool from
+// core.RunManyEmit calls it once per sweep and sizes its trial pool from
 // the returned value.
 func Refresh() int {
 	p := runtime.GOMAXPROCS(0)

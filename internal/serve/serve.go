@@ -34,16 +34,15 @@
 //
 // Accepted jobs enter a bounded queue consumed by a fixed worker pool
 // sized to the machine (each simulation spreads its own trials over the
-// processors, one lane bundle per processor, so a small number of workers
-// saturates the cores; rounds shard over internal/par only for
-// simulations with fewer bundles than processors). Every
+// processors, one trial per processor at a time, so a small number of
+// workers saturates the cores; no round is ever split). Every
 // simulation — run and sweep points alike, all five protocols — executes
-// on core's unified lane engine: fused multi-lane bundles at the adaptive
-// bundle width, which is a pure throughput knob (results are bit-identical
-// at any width, so the response bytes this layer caches and replays never
-// depend on it). Trial results are emitted in strict trial order as the
-// engines complete them (core's EmitFunc contract) and appended to the job
-// as pre-marshaled NDJSON frames; GET /v1/jobs/{id}/stream replays the
+// on core's trial pool (core.RunManyEmit), where a trial's result depends
+// on its seed alone, never on the pool's width, so the response bytes
+// this layer caches and replays never depend on the machine. Trial
+// results are emitted in strict trial order as the engines complete them
+// (core's EmitFunc contract) and appended to the job as pre-marshaled
+// NDJSON frames; GET /v1/jobs/{id}/stream replays the
 // frames and follows live. Sweeps are planned cache-aware (see
 // planner.go): only cross-product points missing from every store tier
 // are scheduled, yet the assembled response and stream are byte-identical
@@ -80,9 +79,9 @@ var keyPrefix = fmt.Sprintf("rumord/v1;sampler=v%d|", graph.RandomSamplerVersion
 type Options struct {
 	// Workers bounds concurrently running simulations. Default: half the
 	// processors (min 1) — a simulation spreads its trials over the
-	// processors itself, one lane bundle each (core.RunManyLanes), and
-	// splits rounds only when it has fewer bundles than processors, so two
-	// workers' worth of bundles already cover the machine.
+	// processors itself, one trial per processor at a time
+	// (core.RunManyEmit), so two workers' worth of trials already cover
+	// the machine.
 	Workers int
 	// QueueSize bounds accepted-but-not-started jobs; submissions beyond
 	// it are rejected with 429, and sweeps whose cross-product exceeds it

@@ -145,20 +145,18 @@ const (
 
 // Protocol constructors.
 var (
-	// NewPush builds the push protocol of Section 3 as a Process (one
-	// trial of the engine's push bundle).
+	// NewPush builds one trial of the push protocol of Section 3.
 	NewPush = core.NewPush
-	// NewPushPull builds the push-pull protocol of Section 3 as a Process
-	// (one trial of the engine's push-pull bundle).
+	// NewPushPull builds one trial of the push-pull protocol of Section 3.
 	NewPushPull = core.NewPushPull
-	// NewVisitExchange builds the visit-exchange protocol of Section 3 as
-	// a Process (one trial of the engine's visit-exchange bundle).
+	// NewVisitExchange builds one trial of the visit-exchange protocol of
+	// Section 3.
 	NewVisitExchange = core.NewVisitExchange
-	// NewMeetExchange builds the meet-exchange protocol of Section 3 as a
-	// Process (one trial of the engine's meet-exchange bundle).
+	// NewMeetExchange builds one trial of the meet-exchange protocol of
+	// Section 3.
 	NewMeetExchange = core.NewMeetExchange
-	// NewHybrid builds the combined push-pull + visit-exchange protocol as
-	// a Process (one trial of the engine's hybrid bundle).
+	// NewHybrid builds one trial of the combined push-pull +
+	// visit-exchange protocol.
 	NewHybrid = core.NewHybrid
 	// Run drives a Process to completion (or a round bound).
 	Run = core.Run
