@@ -83,9 +83,9 @@ type Measurement struct {
 // experiment in this repository is expected to complete within the default
 // round budget.
 //
-// Trials run on core.RunManyEmit's pool, one trial per worker, churn
-// included; a trial's result depends on its seed alone, never on the
-// pool's width.
+// Trials run on core.RunManyEmit's pool, each worker one trial at a
+// time, churn included; a trial's result depends on its seed alone, never
+// on the pool's width.
 func Measure(p Proto, g *graph.Graph, src graph.Vertex, agentOpts core.AgentOptions, trials int, seed uint64) (Measurement, error) {
 	results, err := runTrials(p, g, src, agentOpts, trials, 0, seed, nil)
 	if err != nil {
