@@ -43,18 +43,18 @@
 // # One implementation per protocol
 //
 // Each protocol has exactly one implementation, a one-trial process that
-// the protocol constructors return. Push and push-pull share Call,
-// one call model with the pull direction off or on. Visit- and
-// meet-exchange share AgentExchange, one agent process with vertex
-// memory on or off. Visit-exchange is the hybrid's (Hybrid) agent
-// half without its calls, and meet-exchange is visit-exchange whose vertex
-// set is rebuilt every round from the informed agents: all three inform
-// through a deposit pass and one pickup pass over the agents
-// (pickupAgents), keeping no per-vertex state beyond a bitset. A
-// trial holds Θ(n) state — bitsets, a walk system, a History — and
-// RunMany keeps one trial per worker live, so a sweep's memory grows with
-// the processors, not with the trials. The agent protocols carry churn,
-// and every protocol but push takes an observer.
+// the protocol constructors return. Push and push-pull share Call, one
+// call model with the pull direction off or on. Visit- and meet-exchange
+// share AgentExchange, one agent process with vertex memory on or off.
+// Visit-exchange is Hybrid's agent half without its calls, and
+// meet-exchange is visit-exchange whose vertex set is rebuilt every round
+// from the informed agents: all three inform through a deposit pass and
+// one pickup pass over the agents (pickupAgents), keeping no per-vertex
+// state beyond a bitset. A trial holds Θ(n) state — bitsets, a walk
+// system, a History — and RunMany keeps one trial per worker live, so a
+// sweep's memory grows with the processors, not with the trials. The
+// agent protocols carry churn, and every protocol but push takes an
+// observer.
 package core
 
 import (
