@@ -71,35 +71,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// NextClear returns the smallest index >= from whose bit is clear, or -1 if
-// every bit in [from, Len()) is set.
-func (s *Set) NextClear(from int) int {
-	if from >= s.n {
-		return -1
-	}
-	if from < 0 {
-		from = 0
-	}
-	wi := from / wordBits
-	// Mask off bits below `from` in the first word by pretending they are set.
-	w := s.words[wi] | ((1 << (uint(from) % wordBits)) - 1)
-	for {
-		inv := ^w
-		if inv != 0 {
-			i := wi*wordBits + bits.TrailingZeros64(inv)
-			if i >= s.n {
-				return -1
-			}
-			return i
-		}
-		wi++
-		if wi >= len(s.words) {
-			return -1
-		}
-		w = s.words[wi]
-	}
-}
-
 // Words exposes the backing words (bit i lives at words[i/64], bit i%64).
 // The slice aliases internal storage: callers may read it — e.g. to iterate
 // set bits shard-by-shard without per-bit calls — but must not modify it.

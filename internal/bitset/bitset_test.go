@@ -50,43 +50,6 @@ func TestSetTestClear(t *testing.T) {
 	}
 }
 
-func TestNextClear(t *testing.T) {
-	s := New(200)
-	for i := range 200 {
-		s.Set(i)
-	}
-	if got := s.NextClear(0); got != -1 {
-		t.Errorf("NextClear on full set = %d, want -1", got)
-	}
-	s.Clear(77)
-	s.Clear(150)
-	if got := s.NextClear(0); got != 77 {
-		t.Errorf("NextClear(0) = %d, want 77", got)
-	}
-	if got := s.NextClear(78); got != 150 {
-		t.Errorf("NextClear(78) = %d, want 150", got)
-	}
-	if got := s.NextClear(151); got != -1 {
-		t.Errorf("NextClear(151) = %d, want -1", got)
-	}
-	if got := s.NextClear(400); got != -1 {
-		t.Errorf("NextClear(400) = %d, want -1", got)
-	}
-	if got := s.NextClear(-5); got != 77 {
-		t.Errorf("NextClear(-5) = %d, want 77", got)
-	}
-}
-
-func TestNextClearEmpty(t *testing.T) {
-	s := New(70)
-	if got := s.NextClear(0); got != 0 {
-		t.Errorf("NextClear(0) on empty = %d, want 0", got)
-	}
-	if got := s.NextClear(69); got != 69 {
-		t.Errorf("NextClear(69) on empty = %d, want 69", got)
-	}
-}
-
 func TestCopyFromClone(t *testing.T) {
 	a := New(77)
 	a.Set(5)
@@ -176,36 +139,6 @@ func TestQuickAgainstMap(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickNextClear verifies NextClear against a linear scan.
-func TestQuickNextClear(t *testing.T) {
-	f := func(seed uint64) bool {
-		const n = 191
-		rng := rand.New(rand.NewPCG(seed, 3))
-		s := New(n)
-		for i := 0; i < n; i++ {
-			if rng.IntN(2) == 0 {
-				s.Set(i)
-			}
-		}
-		for from := 0; from < n; from++ {
-			want := -1
-			for i := from; i < n; i++ {
-				if !s.Test(i) {
-					want = i
-					break
-				}
-			}
-			if got := s.NextClear(from); got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

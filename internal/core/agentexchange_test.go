@@ -257,12 +257,12 @@ func TestTrialStateBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedAgentExchange times a 16-trial point of each agent
+// BenchmarkAgentExchange times a 16-trial point of each agent
 // protocol on a tail-bound graph, where visit-exchange trials spend most
 // rounds with every agent informed (markDeposits' position scan), and
 // on a regular graph larger than L2, where most rounds bit-iterate a
 // partly informed agent set.
-func BenchmarkBatchedAgentExchange(b *testing.B) {
+func BenchmarkAgentExchange(b *testing.B) {
 	for _, g := range []*graph.Graph{graph.HeavyBinaryTree(9), graph.Hypercube(15)} {
 		for _, pc := range agentProtos(g, 0, AgentOptions{}) {
 			b.Run(pc.name+"/"+g.Name(), func(b *testing.B) {

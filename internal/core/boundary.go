@@ -13,12 +13,11 @@ import (
 // each vertex a fixed list of neighbor choices indexed by time, and the
 // counter-based streams are that list — so "whom does u call in round t"
 // is a pure function anybody can evaluate (neighborSampler.call), and
-// leaving a draw out shifts nobody else's randomness. The call
-// protocols (callState: Call's push and push-pull, Hybrid's
-// exchange phase) use that twice, and every Result stays bit-identical to
-// the plain every-caller-draws evaluation, which test code keeps as the
-// reference (plain_test.go); the processes, each its protocol's only
-// implementation, are also pinned by TestGoldenEngines and, for push and
+// leaving a draw out shifts nobody else's randomness. A trial's call half
+// (callState: push, push-pull and the hybrid's calls) uses that twice, and
+// every Result stays bit-identical to the plain every-caller-draws
+// evaluation, which test code keeps as the reference (plain_test.go); the
+// one trial type is also pinned by TestGoldenEngines and, for push and
 // push-pull, by their exact laws.
 //
 // Skip draws that cannot change state (boundary mode). Only a vertex

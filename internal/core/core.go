@@ -24,8 +24,9 @@
 // messages, and the full History — is therefore bit-identical for a given
 // seed regardless of GOMAXPROCS; the determinism tests pin this for every
 // protocol at GOMAXPROCS 1, 2, and 8. Protocol constructors consume
-// exactly one seed value per independent mechanism from the trial RNG, so
-// RunMany's Derive(seed, trial) streams fully determine each trial.
+// exactly one seed value per mechanism from the trial RNG, so the RNG
+// RunMany builds from xrand.TrialSeed(seed, trial) fully determines each
+// trial.
 //
 // The same contract makes a vertex's round-t call a pure function of
 // (seed, vertex, t) that anyone may evaluate (neighborSampler.call), not
@@ -42,15 +43,17 @@
 //
 // # One implementation per protocol
 //
-// Each protocol has exactly one implementation, a one-trial process that
-// the protocol constructors return. Push and push-pull share Call, one
-// call model with the pull direction off or on. Visit- and meet-exchange
-// share AgentExchange, one agent process with vertex memory on or off.
-// Visit-exchange is Hybrid's agent half without its calls, and
-// meet-exchange is visit-exchange whose vertex set is rebuilt every round
-// from the informed agents: all three inform through a deposit pass and
-// one pickup pass over the agents (pickupAgents), keeping no per-vertex
-// state beyond a bitset. A trial holds Θ(n) state — bitsets, a walk
+// The five protocols are one trial type (trial.go) with an optional call
+// half and an optional agent half, which inform one shared set of
+// vertices; the constructors differ only in which halves they set. Push
+// and push-pull are the call half alone, with the pull direction off or
+// on. Visit- and meet-exchange are the agent half alone, with vertex
+// memory on or off: without it the vertex set is rebuilt every round from
+// the informed agents. The hybrid has both halves. One Step runs each
+// phase only when its half is present — the walk step, the call round's
+// collect, the agents' deposit, the commit, the agents' pickup — so every
+// protocol informs through one copy of each pass, and the agent passes
+// keep no per-vertex state beyond a bitset. A trial holds Θ(n) state — bitsets, a walk
 // system, a History — and RunMany keeps one trial per worker live, so a
 // sweep's memory grows with the processors, not with the trials. The
 // agent protocols carry churn, and every protocol but push takes an

@@ -35,13 +35,13 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // agentTrial returns the process behind a visit- or meet-exchange trial.
-func agentTrial(p Process) *AgentExchange { return p.(*AgentExchange) }
+func agentTrial(p Process) *trial { return p.(*trial) }
 
 // sourceHolds reports whether a meet-exchange trial's source still holds
 // the rumor: no agent is informed and the source is in the vertex set.
 func sourceHolds(p Process) bool {
 	x := agentTrial(p)
-	return x.countA == 0 && x.informedV.Test(int(x.src))
+	return x.countA == 0 && x.informed.Test(int(x.src))
 }
 
 func TestAgentCountHelper(t *testing.T) {
@@ -796,15 +796,31 @@ func TestHybridFastEverywhere(t *testing.T) {
 }
 
 // TestProcessConformance checks the Process contract for every protocol:
-// Round advances by exactly one per Step, InformedCount never decreases,
-// Messages strictly increase, and Done eventually holds.
+// the constructor consumes one value from the trial RNG per mechanism (the
+// hybrid's walk seed, then its exchange seed), Round advances by exactly
+// one per Step, InformedCount never decreases, Messages strictly increase,
+// and Done eventually holds. Each trial's RNG feeds only its constructor,
+// so an extra draw there would move no recorded outcome; the first check
+// is what holds the constructors to their documented consumption.
 func TestProcessConformance(t *testing.T) {
 	g := graph.Hypercube(5)
 	for _, pc := range allProtocols() {
 		t.Run(pc.name, func(t *testing.T) {
-			p, err := pc.factory(g, 0, xrand.New(3))
+			rng := xrand.New(3)
+			p, err := pc.factory(g, 0, rng)
 			if err != nil {
 				t.Fatal(err)
+			}
+			draws := 1
+			if pc.name == "hybrid" {
+				draws = 2
+			}
+			fresh := xrand.New(3)
+			for range draws {
+				fresh.Uint64()
+			}
+			if got, want := rng.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("the constructor did not consume exactly %d value(s) of the trial RNG", draws)
 			}
 			if p.Name() == "" {
 				t.Fatal("empty Name")

@@ -8,16 +8,16 @@ import (
 	"rumor/internal/xrand"
 )
 
-// The neighbor sampler, the call state and the collect helpers shared by
-// the call processes: Call's push and push-pull and the vertex half
-// of Hybrid's. Each is a plain function or method over concrete
-// state (no per-unit indirection lands in a hot loop), so every engine
-// that performs a call round shares one copy of the collect and commit
-// semantics — a fix lands in all of them at once. Push is the call state
-// with the pull direction off. The agent passes live here too:
-// markDeposits is visit- and meet-exchange's deposit, collectDeposits the
-// hybrid's, and pickupAgents every agent protocol's pickup, one copy for
-// all three.
+// The neighbor sampler, the call state and the collect and deposit
+// helpers of the one trial type (trial.go). Each is a plain function or
+// method over concrete state (no per-unit indirection lands in a hot
+// loop), so every protocol that performs a call round shares one copy of
+// the collect and commit semantics, and every agent protocol one copy of
+// the deposit and pickup passes — a fix lands in all of them at once. Push
+// is the call state with the pull direction off. markDeposits is the
+// deposit of a trial without calls (visit- and meet-exchange),
+// collectDeposits the hybrid's, and pickupAgents every agent protocol's
+// pickup.
 
 // NOTE: among the bitset-word scans over agents, only pickupAgents walks
 // the uninformed agents, so it alone carries the ghost-bit mask
@@ -90,12 +90,13 @@ func (ns *neighborSampler) call(seed uint64, u graph.Vertex, round, failTh uint6
 	return v
 }
 
-// callState is one trial's call-protocol state: all of a push or push-pull
-// trial's, the vertex half of a hybrid trial's.
+// callState is one trial's informed-vertex set, which both halves share,
+// and the call half's state: the side each round is evaluated from, and
+// boundary mode.
 type callState struct {
-	informed *bitset.Set
-	pull     bool // every vertex calls and a call carries both ways; push when false
-	count    int
+	informed *bitset.Set   // without memory, meet-exchange's transient set
+	pull     bool          // every vertex calls and a call carries both ways; push when false
+	count    int           // |informed|; kept with memory only
 	degInf   int64         // Σ deg over informed (see pickSide)
 	side     side          // this round's side; meaningless in boundary mode
 	took     [numSides]int // rounds evaluated from each side
@@ -103,15 +104,6 @@ type callState struct {
 	stagnant int
 	bnd      callBoundary
 	pending  []graph.Vertex
-	messages int64
-}
-
-func (L *callState) init(g *graph.Graph, s graph.Vertex, pull bool) {
-	L.informed = bitset.New(g.N())
-	L.pull = pull
-	L.informed.Set(int(s))
-	L.count = 1
-	L.degInf = int64(g.Degree(s))
 }
 
 // plan settles where the coming round is evaluated from: pickSide's

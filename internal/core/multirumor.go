@@ -54,17 +54,15 @@ type MultiRumorVisitExchange struct {
 }
 
 // NewMultiRumorVisitExchange builds a multi-rumor run. At most 64 rumors;
-// injection rounds must be non-negative.
+// each source must pass the check every protocol's source does (in range,
+// not isolated), and injection rounds must be non-negative.
 func NewMultiRumorVisitExchange(g *graph.Graph, rumors []Rumor, rng *xrand.RNG, opts AgentOptions) (*MultiRumorVisitExchange, error) {
 	if len(rumors) == 0 || len(rumors) > 64 {
 		return nil, fmt.Errorf("core: need 1..64 rumors, got %d", len(rumors))
 	}
-	if g.N() < 2 || g.M() == 0 {
-		return nil, fmt.Errorf("core: graph too small")
-	}
 	for i, r := range rumors {
-		if r.Source < 0 || int(r.Source) >= g.N() {
-			return nil, fmt.Errorf("core: rumor %d source %d out of range", i, r.Source)
+		if err := checkSource(g, r.Source); err != nil {
+			return nil, fmt.Errorf("rumor %d: %w", i, err)
 		}
 		if r.Round < 0 {
 			return nil, fmt.Errorf("core: rumor %d has negative injection round", i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"rumor/internal/agents"
@@ -22,6 +23,25 @@ func TestMultiRumorValidation(t *testing.T) {
 	}
 	if _, err := NewMultiRumorVisitExchange(g, []Rumor{{Source: 0, Round: -1}}, rng, AgentOptions{}); err == nil {
 		t.Error("negative injection round accepted")
+	}
+	// A path on 0..3 beside isolated vertex 4: every other protocol refuses
+	// to start there, and a rumor injected there could never spread.
+	b := graph.NewBuilder(5, "path+isolated")
+	for v := range 3 {
+		if err := b.AddEdge(graph.Vertex(v), graph.Vertex(v+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pathIso, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewVisitExchange(pathIso, 4, rng, AgentOptions{}); err == nil {
+		t.Fatal("visit-exchange accepted an isolated source")
+	}
+	_, err = NewMultiRumorVisitExchange(pathIso, []Rumor{{Source: 0}, {Source: 4, Round: 3}}, rng, AgentOptions{})
+	if err == nil || !strings.Contains(err.Error(), "rumor 1") || !strings.Contains(err.Error(), "isolated") {
+		t.Errorf("isolated source of rumor 1: err = %v, want it named and refused", err)
 	}
 }
 

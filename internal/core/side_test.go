@@ -21,15 +21,12 @@ import (
 // TestGoldenEngines and the exact-law tests hold the engine, under the
 // rule, to outcomes it did not produce.
 
-// sideHooks reaches the unexported side state of the two call processes.
+// sideHooks reaches the unexported side state of a trial with calls.
 func sideHooks(p Process) (force *side, sampler *neighborSampler, L *callState) {
-	switch b := p.(type) {
-	case *Call:
-		return &b.forceSide, &b.sampler, &b.callState
-	case *Hybrid:
+	if b, ok := p.(*trial); ok && b.calls {
 		return &b.forceSide, &b.sampler, &b.callState
 	}
-	panic(fmt.Sprintf("no side hooks on %T", p))
+	panic(fmt.Sprintf("no side hooks on %s", p.Name()))
 }
 
 // sideTally keeps every process a wrapped factory built.

@@ -123,10 +123,11 @@ func WalkTarget32(word uint64, u uint32, neighbors []Vertex) Vertex {
 // the AND branch already returns the single neighbor. Both reduction
 // results are computed and the power-of-two flag selects one, which the
 // compiler turns into a conditional move — no branch to mispredict. The
-// batched multi-trial stepper uses this on graphs that are not regular: on
-// mixed-degree families (star, double star) the degree-1 branch of the
-// serial loop is taken near-randomly per agent, and the mispredictions
-// cost more than the spare multiply. Draw-for-draw it returns exactly what the
+// walk system's fused step (agents.Walks) uses it on graphs that are not
+// regular: on mixed-degree families (star, double star) a degree-1 branch
+// would be taken near-randomly per agent, and the mispredictions cost
+// more than the spare multiply. Push-pull's every-vertex round uses it
+// too, behind its own degree-0 and degree-1 tests. Draw-for-draw it returns exactly what the
 // WalkDegreeOne/WalkTarget split returns for the same (word, u).
 func WalkTargetAny(word, u uint64, neighbors []Vertex) Vertex {
 	dp := uint32(word)

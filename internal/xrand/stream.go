@@ -72,21 +72,16 @@ func Mix(base uint64) uint64 { return mix64(base) }
 
 // Trial lane
 //
-// Batched multi-trial engines need a fourth key lane besides (seed, unit,
-// round): the trial index. To keep batched draws bit-identical to the
-// serial per-trial path, the lane is realized by seed derivation rather
-// than a fourth multiplier: trial t's streams are keyed
-// (TrialSeed(seed, t), unit, round), where TrialSeed is exactly the
-// derivation core.RunMany applies when it spawns trial RNGs. A protocol
-// constructor that draws its stream seed from the trial RNG therefore
-// obtains the same seed whether the trial runs serially or inside a batch.
+// A multi-trial run needs a fourth key lane besides (seed, unit, round):
+// the trial index. The lane is realized by seed derivation rather than a
+// fourth multiplier: trial t's RNG is New(TrialSeed(seed, t)), as
+// core.RunMany builds it, a protocol constructor draws its stream seeds
+// from that RNG, and its streams are keyed (stream seed, unit, round). A
+// trial's draws therefore depend on its index alone, not on which worker
+// runs it or in what order.
 
 // TrialSeed is the trial lane of the stream keying: the master seed handed
-// to trial t of a multi-trial run, making the full key of a draw
-// (seed, trial, unit, round) — realized as NewStream(TrialSeed(seed, t),
-// unit, round). It is exactly RunMany's per-trial derivation (Derive), so
-// engines that construct trial RNGs or streams from it reproduce the
-// serial per-trial draws bit for bit.
+// to trial t of a multi-trial run. It is Derive(seed, t).
 func TrialSeed(seed uint64, trial int) uint64 {
 	return Derive(seed, trial)
 }
